@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,13 +25,7 @@ from .core import (
     SamplePath,
     validate_configuration,
 )
-from .exact import (
-    SUFFICIENCY_ORDER_CAP,
-    ConfigEnsemble,
-    bitmask_rows,
-    cached_permutations,
-    replay_truncated,
-)
+from .exact import ConfigEnsemble, bitmask_rows, replay_truncated
 from .feasibility import (
     FeasibilityStructure,
     GeneralMatching,
@@ -57,6 +52,19 @@ LEMMA_IDS = (
 
 GAME_RR_CAP = 2
 GAME_RB_CAP = 4
+SUFFICIENCY_ORDER_CAP = 7
+
+_PERM_CACHE: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+
+
+def cached_permutations(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every order of `items`, for the all-orders sufficiency replays."""
+    perms = _PERM_CACHE.get(items)
+    if perms is None:
+        perms = tuple(permutations(items))
+        if len(items) <= 6:  # keep the cache small
+            _PERM_CACHE[items] = perms
+    return perms
 
 
 @dataclass(frozen=True)
@@ -473,7 +481,7 @@ def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     support = ens.support_laminar()
     accept, _ = ens.laminar_accepts()
     accept_masks = bitmask_rows(accept)
-    group_of = {e: i for i, g in enumerate(fs.groups) for e in g}
+    group_of = fs.group_index
     xtrip = [
         (ens.reward_triple(e).val, ens.reward_triple(e).tb) for e in ens.elements
     ]
@@ -659,6 +667,8 @@ def game_monte_carlo(
     strategy: Strategy = b_first_strategy,
 ) -> float:
     """P2 win frequency under the given strategy."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     rng = np.random.default_rng(seed)
     coins = _rng_coins(rng)
     wins = 0

@@ -105,6 +105,9 @@ class Distribution:
     def __post_init__(self) -> None:
         if self.kind not in _DIST_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        numbers = (*self.params, *self.atoms, *self.weights)
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError(f"{self.kind} parameters must be finite numbers")
         if self.kind == "point-mass":
             (v,) = self.params
             if v < 0:

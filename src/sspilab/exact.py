@@ -6,17 +6,16 @@ and produces exact integer counts: free flags per side, per-vertex thresholds,
 supporting events, and policy outcomes. Configuration c is identified with the
 bitmask whose bit e says "element e's larger value is the reward".
 
-Everything downstream (lemma verifiers, exact competitive-ratio harness,
-worst-case order searches) consumes these tables. Value comparisons follow the
-tagged lexicographic order (value, tiebreak, element); the absent threshold is
-the sentinel triple (0, +inf, +inf), so beating it means having positive value.
+Everything downstream (lemma verifiers, exact competitive-ratio harness)
+consumes these tables. Value comparisons follow the tagged lexicographic order
+(value, tiebreak, element); the absent threshold is the sentinel triple
+(0, +inf, +inf), so beating it means having positive value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
@@ -28,20 +27,6 @@ from .feasibility import (
     Transversal,
     TruncatedPartition,
 )
-
-SUFFICIENCY_ORDER_CAP = 7
-
-_PERM_CACHE: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-
-
-def cached_permutations(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    perms = _PERM_CACHE.get(items)
-    if perms is None:
-        perms = tuple(permutations(items))
-        if len(items) <= 6:  # keep the cache small
-            _PERM_CACHE[items] = perms
-    return perms
-
 
 def _lex_gt(av, at, ae, bv, bt, be):
     """Vectorized strict comparison of (value, tiebreak, element) triples."""
@@ -211,7 +196,7 @@ class ConfigEnsemble:
         return free, cand
 
     def _free_truncated(self, side_flags, fs: TruncatedPartition) -> np.ndarray:
-        group_of = {e: i for i, g in enumerate(fs.groups) for e in g}
+        group_of = fs.group_index
         counts = np.zeros((len(fs.groups), self.num_configs), dtype=np.int32)
         total = np.zeros(self.num_configs, dtype=np.int32)
         caps = fs.group_capacities
@@ -225,7 +210,7 @@ class ConfigEnsemble:
         return free
 
     def _free_simple(self, side_flags, fs: SimplePartition) -> np.ndarray:
-        group_of = {e: i for i, g in enumerate(fs.groups) for e in g}
+        group_of = fs.group_index
         used = np.zeros((len(fs.groups), self.num_configs), dtype=bool)
         free = np.empty((self.length, self.num_configs), dtype=bool)
         for j in range(self.length):
@@ -430,7 +415,7 @@ class ConfigEnsemble:
         """Truth table of the two-layer saturation supporting event."""
         fs = self.structure
         free_t = self.free("T")
-        group_of = {e: i for i, g in enumerate(fs.groups) for e in g}
+        group_of = fs.group_index
         support = np.zeros((self.length, self.num_configs), dtype=bool)
         for j in range(self.length):
             if not self.is_y[j]:
@@ -466,7 +451,7 @@ class ConfigEnsemble:
 
 # ---------------------------------------------------------------------------
 # Per-configuration policy replays. These run on plain python ints/floats and
-# are the hot loops behind worst-case order searches and sufficiency checks.
+# are the hot loops behind exact mode and the sufficiency checks.
 # ---------------------------------------------------------------------------
 
 
@@ -487,6 +472,37 @@ def replay_matching(perm, ex_mask: int, vmasks, xvals) -> tuple[float, int]:
             total += xvals[e]
             acc |= 1 << e
     return total, acc
+
+
+def min_maximal_matching(live: int, vmasks, xvals) -> int:
+    """Accepted mask of a minimum-weight maximal matching of the live edges.
+
+    First-come acceptance over a fixed live set ends in a maximal matching of
+    the live subgraph under every arrival order, and any maximal matching is
+    reached by letting its edges arrive first; so this is the adversary's
+    minimum over all orders. It walks the matchings of the live subgraph
+    (at most 2**live of them) instead of live! orders. Rewards are
+    non-negative, so a partial total at or above the best one is cut.
+    """
+    edges = [e for e in range(len(vmasks)) if (live >> e) & 1]
+    best_total = math.inf
+    best_acc = 0
+
+    def walk(i: int, matched: int, total: float, acc: int) -> None:
+        nonlocal best_total, best_acc
+        if total >= best_total:
+            return
+        if i == len(edges):
+            if all(matched & vmasks[f] for f in edges):  # maximal
+                best_total, best_acc = total, acc
+            return
+        e = edges[i]
+        if not matched & vmasks[e]:
+            walk(i + 1, matched | vmasks[e], total + xvals[e], acc | (1 << e))
+        walk(i + 1, matched, total, acc)
+
+    walk(0, 0, 0.0, 0)
+    return best_acc
 
 
 def replay_transversal(perm, targets, xvals) -> tuple[float, int]:

@@ -16,6 +16,7 @@ linear assignment for transversal systems).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -114,11 +115,13 @@ class TruncatedPartition:
     def ground_size(self) -> int:
         return sum(len(g) for g in self.groups)
 
+    @cached_property
+    def group_index(self) -> dict[int, int]:
+        """Element -> index of its group, built once per structure."""
+        return {e: i for i, g in enumerate(self.groups) for e in g}
+
     def group_of(self, e: int) -> int:
-        for i, g in enumerate(self.groups):
-            if e in g:
-                return i
-        raise KeyError(e)
+        return self.group_index[e]
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,13 @@ class SimplePartition:
     def ground_size(self) -> int:
         return len(self.ground_set)
 
+    @cached_property
+    def group_index(self) -> dict[int, int]:
+        """Element -> index of its group, built once per structure."""
+        return {e: i for i, g in enumerate(self.groups) for e in g}
+
     def group_of(self, e: int) -> int:
-        for i, g in enumerate(self.groups):
-            if e in g:
-                return i
-        raise KeyError(e)
+        return self.group_index[e]
 
 
 @dataclass(frozen=True)
@@ -340,7 +345,7 @@ class _TruncatedPartitionState:
     __slots__ = ("group_of", "caps", "total_cap", "counts", "total")
 
     def __init__(self, fs: TruncatedPartition) -> None:
-        self.group_of = {e: i for i, g in enumerate(fs.groups) for e in g}
+        self.group_of = fs.group_index
         self.caps = fs.group_capacities
         self.total_cap = fs.total_capacity
         self.counts = [0] * len(fs.groups)
@@ -360,7 +365,7 @@ class _SimplePartitionState:
     __slots__ = ("group_of", "used")
 
     def __init__(self, fs: SimplePartition) -> None:
-        self.group_of = {e: i for i, g in enumerate(fs.groups) for e in g}
+        self.group_of = fs.group_index
         self.used: set[int] = set()
 
     def can_add(self, e: int) -> bool:

@@ -28,7 +28,7 @@ from .core import CapExceededError, TaggedValue, assign_coins, trial_rng
 from .exact import (
     ConfigEnsemble,
     bitmask_rows,
-    cached_permutations,
+    min_maximal_matching,
     replay_matching,
     replay_transversal,
     replay_truncated,
@@ -47,6 +47,7 @@ from .feasibility import (
 )
 from .instances import Instance
 from .policies import (
+    ORDER_SEARCH_CAP,
     PartitionScheme,
     adversarial_order,
     fixed_partition_scheme,
@@ -55,7 +56,6 @@ from .policies import (
 )
 
 EXACT_MODE_CAP = 16
-EXACT_ORDER_CAP = 8
 EXACT_SIGMA_VERTEX_CAP = 6
 MC_CHUNK = 2048
 WORKERS_ENV = "SSPILAB_WORKERS"
@@ -183,22 +183,11 @@ class ExactAccumulator:
 
 
 def _order_for(ens, adversary, inc_orders, c):
-    """The single arrival order a non-searching adversary mode asks for."""
+    """The arrival order of configuration c: by element id for `fixed`, by
+    increasing reward otherwise (the minimizer outside matching)."""
     if adversary == "fixed":
-        return tuple(range(ens.n))
-    return tuple(inc_orders[c])
-
-
-def _min_over_orders(replay, live: tuple[int, ...]):
-    if not live:
-        return 0.0, 0
-    best = None
-    best_acc = 0
-    for perm in cached_permutations(live):
-        total, acc = replay(perm)
-        if best is None or total < best:
-            best, best_acc = total, acc
-    return best, best_acc
+        return range(ens.n)
+    return inc_orders[c]
 
 
 def _exact_alg(
@@ -213,12 +202,17 @@ def _exact_alg(
     fs = ens.structure
     n = ens.n
     num_c = ens.num_configs
-    if adversary == "exhaustive-min" and n > EXACT_ORDER_CAP:
+    # Outside matching, the increasing order is the exhaustive-min minimizer
+    # (see policies.adversarial_order); matching searches per configuration.
+    searching = policy == "matching" and adversary == "exhaustive-min"
+    if searching and n > ORDER_SEARCH_CAP:
         raise CapExceededError(
-            f"exhaustive-min order search capped at n <= {EXACT_ORDER_CAP}"
+            f"exhaustive-min order search capped at n <= {ORDER_SEARCH_CAP}"
         )
     inc_orders = (
-        _increasing_orders(ens, xval, xtb) if adversary == "increasing" else None
+        _increasing_orders(ens, xval, xtb)
+        if adversary != "fixed" and not searching
+        else None
     )
 
     if policy == "reduction-graphic":
@@ -236,7 +230,7 @@ def _exact_alg(
     elif policy == "laminar":
         accept_flags, _ = ens.laminar_accepts()
         acc_masks = bitmask_rows(accept_flags)
-        group_of = {e: i for i, g in enumerate(fs.groups) for e in g}
+        group_of = fs.group_index
         caps = fs.group_capacities
         total_cap = fs.total_capacity
     elif policy == "rank1":
@@ -247,9 +241,7 @@ def _exact_alg(
     elif policy == "reduction-custom":
         partition = instance.partition
         assert partition is not None
-        group_of = {
-            ens.bit_of[e]: i for i, g in enumerate(partition.groups) for e in g
-        }
+        group_of = partition.group_index
         caps = tuple(1 for _ in partition.groups)
         total_cap = max(1, len(partition.groups))
         acc_masks = _custom_reduction_accepts(ens, partition)
@@ -259,24 +251,18 @@ def _exact_alg(
     acc_counts = ExactAccumulator(ens, weight=num_c)
     for c in range(num_c):
         xv = xval[:, c].tolist()
-        if policy == "matching":
-            ex = ex_masks[c]
-            replay = lambda order: replay_matching(order, ex, vmasks, xv)
-            live = tuple(e for e in range(n) if (ex >> e) & 1)
-        elif policy == "transversal":
-            tg = targets[:, c].tolist()
-            replay = lambda order: replay_transversal(order, tg, xv)
-            live = tuple(l for l in range(n) if tg[l] >= 0)
+        if searching:
+            acc = min_maximal_matching(ex_masks[c], vmasks, xv)
         else:
-            am = acc_masks[c]
-            replay = lambda order: replay_truncated(
-                order, am, group_of, caps, total_cap, xv
-            )
-            live = tuple(e for e in range(n) if (am >> e) & 1)
-        if adversary == "exhaustive-min":
-            _, acc = _min_over_orders(replay, live)
-        else:
-            _, acc = replay(_order_for(ens, adversary, inc_orders, c))
+            order = _order_for(ens, adversary, inc_orders, c)
+            if policy == "matching":
+                _, acc = replay_matching(order, ex_masks[c], vmasks, xv)
+            elif policy == "transversal":
+                _, acc = replay_transversal(order, targets[:, c].tolist(), xv)
+            else:
+                _, acc = replay_truncated(
+                    order, acc_masks[c], group_of, caps, total_cap, xv
+                )
         acc_counts.record(c, acc, ridx[:, c])
     return acc_counts.expectation(), acc_counts.z_violations
 
@@ -314,9 +300,7 @@ def _exact_alg_reduction_graphic(
 
     for sigma in sigmas:
         partition, _ = graphic_partition(fs, sigma=sigma)
-        group_of = {
-            ens.bit_of[e]: i for i, g in enumerate(partition.groups) for e in g
-        }
+        group_of = partition.group_index
         caps = tuple(1 for _ in partition.groups)
         flags = np.zeros((n, num_c), dtype=bool)
         for group in partition.groups:
@@ -329,18 +313,10 @@ def _exact_alg_reduction_graphic(
                 flags[e] = reward_triples[e].gt(thr)
         acc_masks = bitmask_rows(flags)
         for c in range(num_c):
-            am = acc_masks[c]
-            xv = xval[:, c].tolist()
-            replay = lambda order: replay_truncated(
-                order, am, group_of, caps, len(caps), xv
+            _, acc = replay_truncated(
+                _order_for(ens, adversary, inc_orders, c), acc_masks[c],
+                group_of, caps, len(caps), xval[:, c].tolist(),
             )
-            if adversary == "exhaustive-min":
-                live = tuple(e for e in range(n) if (am >> e) & 1)
-                _, acc = _min_over_orders(replay, live)
-            elif adversary == "increasing":
-                _, acc = replay(inc_orders[c])
-            else:
-                _, acc = replay(range(n))
             acc_counts.record(c, acc, ridx[:, c])
     return acc_counts.expectation(), acc_counts.z_violations
 
@@ -425,7 +401,7 @@ def estimate_ratio_exact(
 
 
 def _mc_chunk(args) -> tuple:
-    (instance, policy, adversary, seed, start, stop, reroute) = args
+    (instance, policy, adversary, seed, start, stop) = args
     scheme = _scheme_for(instance, policy)
     sums = np.zeros(6)
     z_violations = 0
@@ -442,12 +418,11 @@ def _mc_chunk(args) -> tuple:
             order = tuple(int(e) for e in rng.permutation(n))
         else:  # exhaustive-min
             order = adversarial_order(
-                policy, instance.structure, samples, rewards, "exhaustive-min",
-                scheme=scheme, rng=rng,
+                policy, instance.structure, samples, rewards, "exhaustive-min"
             ).order
         trace = run_policy(
             policy, instance.structure, samples, rewards, order,
-            scheme=scheme, rng=rng, reroute=reroute,
+            scheme=scheme, rng=rng,
         )
         alg = trace.chosen.total
         for e in trace.chosen.chosen:
@@ -466,7 +441,6 @@ def estimate_ratio_mc(
     trials: int = 10000,
     seed: int = 0,
     workers: int | None = None,
-    reroute: bool = False,
 ) -> RatioReport:
     start_time = time.perf_counter()
     _check_policy_structure(instance, policy)
@@ -475,7 +449,7 @@ def estimate_ratio_mc(
     if trials < 1:
         raise ValueError("need trials >= 1")
     chunks = [
-        (instance, policy, adversary, seed, lo, min(lo + MC_CHUNK, trials), reroute)
+        (instance, policy, adversary, seed, lo, min(lo + MC_CHUNK, trials))
         for lo in range(0, trials, MC_CHUNK)
     ]
     nworkers = worker_count(workers)
@@ -521,14 +495,11 @@ def estimate_ratio(
     seed: int = 0,
     mode: str = "mc",
     workers: int | None = None,
-    reroute: bool = False,
 ) -> RatioReport:
     if mode == "exact":
         return estimate_ratio_exact(instance, policy, adversary, seed)
     if mode == "mc":
-        return estimate_ratio_mc(
-            instance, policy, adversary, trials, seed, workers, reroute
-        )
+        return estimate_ratio_mc(instance, policy, adversary, trials, seed, workers)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -548,6 +519,8 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     """
     if k < 2:
         raise ValueError("need k >= 2")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     start_time = time.perf_counter()
     rng = np.random.default_rng((seed, 0))
     lo = 1.0 - 1.0 / k

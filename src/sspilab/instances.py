@@ -22,7 +22,9 @@ define the fixed priority order and adjacency entries refer to its labels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .core import (
@@ -187,7 +189,7 @@ def _parse_distribution(raw: dict, path: str) -> Distribution:
             return uniform(_require(raw, "a", path), _require(raw, "b", path), mhr=mhr)
         if kind == "exponential":
             return exponential(_require(raw, "rate", path), mhr=mhr)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InstanceFormatError(path, str(exc)) from exc
     raise InstanceFormatError(path, f"unknown distribution kind {kind!r}")
 
@@ -243,9 +245,15 @@ def parse_instance(data: bytes | str) -> Instance:
                     raise InstanceFormatError(
                         "partition.groups", f"element {e} outside the ground set"
                     )
-        alpha = float(_require(raw_part, "alpha", "partition"))
-        if alpha < 1:
-            raise InstanceFormatError("partition.alpha", "alpha must be >= 1")
+        raw_alpha = _require(raw_part, "alpha", "partition")
+        try:
+            alpha = float(raw_alpha)
+        except (TypeError, ValueError):
+            alpha = math.nan
+        if not math.isfinite(alpha) or alpha < 1:
+            raise InstanceFormatError(
+                "partition.alpha", "alpha must be a finite number >= 1"
+            )
         partition = SimplePartition(groups)
     return Instance(name, structure, dists, partition, alpha, right_labels)
 

@@ -176,6 +176,8 @@ def estimate_mechanism_ratios(
     """
     start_time = time.perf_counter()
     _check_policy_structure(instance, policy)
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     resolved = regime or instance.regime()
     if resolved is None:
         raise RegimeError(

@@ -11,13 +11,12 @@ what the order-obliviousness audit checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import CapExceededError, TaggedValue
-from .exact import replay_matching, replay_transversal, replay_truncated
+from .exact import min_maximal_matching
 from .feasibility import (
     FeasibilityStructure,
     GeneralMatching,
@@ -42,7 +41,7 @@ POLICY_NAMES = (
     "reduction-custom",
 )
 
-ORDER_SEARCH_CAP = 8
+ORDER_SEARCH_CAP = 8  # ground-size cap of the matching exhaustive-min search
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,32 @@ def rank1_policy(
     return trace
 
 
+def matching_thresholds(
+    g: GeneralMatching, samples: Mapping[int, TaggedValue]
+) -> dict[int, TaggedValue | None]:
+    """Vertex thresholds: the sample of the greedy sample-matching edge at
+    each vertex, None at unmatched vertices."""
+    thresholds: dict[int, TaggedValue | None] = {
+        u: None for u in range(g.vertex_count)
+    }
+    for e in maximal_matching(g, samples).chosen:
+        u, v = g.edges[e]
+        thresholds[u] = samples[e]
+        thresholds[v] = samples[e]
+    return thresholds
+
+
+def edge_live(
+    g: GeneralMatching,
+    thresholds: Mapping[int, TaggedValue | None],
+    e: int,
+    reward: TaggedValue,
+) -> bool:
+    """Whether edge e's reward beats both endpoint thresholds."""
+    u, v = g.edges[e]
+    return beats(reward, thresholds[u]) and beats(reward, thresholds[v])
+
+
 def matching_policy(
     g: GeneralMatching,
     samples: Mapping[int, TaggedValue],
@@ -125,21 +150,14 @@ def matching_policy(
     """Vertex thresholds from the greedy matching on samples; accept an edge
     when its reward beats both endpoint thresholds and both endpoints are
     still unmatched online."""
-    offline = maximal_matching(g, samples)
-    thresholds: dict[int, TaggedValue | None] = {
-        u: None for u in range(g.vertex_count)
-    }
-    for e in offline.chosen:
-        u, v = g.edges[e]
-        thresholds[u] = samples[e]
-        thresholds[v] = samples[e]
+    thresholds = matching_thresholds(g, samples)
     trace = PolicyTrace("matching", dict(thresholds))
     matched: set[int] = set()
     chosen: set[int] = set()
     total = 0.0
     for element, reward in arrivals:
         u, v = g.edges[element]
-        if not (beats(reward, thresholds[u]) and beats(reward, thresholds[v])):
+        if not edge_live(g, thresholds, element, reward):
             trace.decisions.append(
                 PolicyDecision(element, reward, False, "below endpoint threshold")
             )
@@ -389,7 +407,6 @@ def run_policy(
     *,
     scheme: PartitionScheme | None = None,
     rng: np.random.Generator | None = None,
-    reroute: bool = False,
 ) -> PolicyTrace:
     """Dispatch a named policy over an arrival order."""
     arrivals = [(e, rewards[e]) for e in order]
@@ -402,7 +419,7 @@ def run_policy(
     if policy == "transversal":
         if not isinstance(structure, Transversal):
             raise TypeError("transversal policy needs a transversal structure")
-        return transversal_policy(structure, samples, arrivals, reroute=reroute)
+        return transversal_policy(structure, samples, arrivals)
     if policy == "laminar":
         if not isinstance(structure, TruncatedPartition):
             raise TypeError("laminar policy needs a truncated-partition structure")
@@ -418,102 +435,6 @@ def run_policy(
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def fast_replayer(
-    policy: str,
-    structure: FeasibilityStructure,
-    samples: Mapping[int, TaggedValue],
-    rewards: Mapping[int, TaggedValue],
-    *,
-    scheme: PartitionScheme | None = None,
-    rng: np.random.Generator | None = None,
-) -> Callable[[Sequence[int]], float]:
-    """Build a lean order->total evaluator with the offline phase done once.
-
-    Offline thresholds are order-independent, so worst-case order searches
-    only repeat the online pass. Traced policies and these replays must agree
-    on every order; tests enforce that.
-    """
-    n = len(rewards)
-    xvals = [rewards[e].value for e in range(n)]
-    if policy == "rank1":
-        threshold = max(samples.values())
-        exceeds = sum(1 << e for e in range(n) if beats(rewards[e], threshold))
-        group_of = {e: 0 for e in range(n)}
-        return lambda order: replay_truncated(
-            order, exceeds, group_of, (1,), 1, xvals
-        )[0]
-    if policy == "matching":
-        offline = maximal_matching(structure, samples)
-        thr: dict[int, TaggedValue | None] = {u: None for u in range(structure.vertex_count)}
-        for e in offline.chosen:
-            u, v = structure.edges[e]
-            thr[u] = thr[v] = samples[e]
-        ex = 0
-        for e in range(n):
-            u, v = structure.edges[e]
-            if beats(rewards[e], thr[u]) and beats(rewards[e], thr[v]):
-                ex |= 1 << e
-        vmasks = [
-            (1 << structure.edges[e][0]) | (1 << structure.edges[e][1])
-            for e in range(n)
-        ]
-        return lambda order: replay_matching(order, ex, vmasks, xvals)[0]
-    if policy == "transversal":
-        offline = ordered_maximal_matching(structure, samples)
-        thr = {r: None for r in range(structure.right_count)}
-        assert offline.assignment is not None
-        for l, r in offline.assignment.items():
-            thr[r] = samples[l]
-        targets = []
-        for l in range(n):
-            tgt = -1
-            if beats(rewards[l], samples[l]):
-                for r in structure.sorted_neighbors(l):
-                    if beats(rewards[l], thr[r]):
-                        tgt = r
-                        break
-            targets.append(tgt)
-        return lambda order: replay_transversal(order, targets, xvals)[0]
-    if policy == "laminar":
-        accepts = 0
-        for e in range(n):
-            if not rewards[e] > samples[e]:
-                continue
-            swapped = dict(samples)
-            swapped[e] = rewards[e]
-            if e in matroid_greedy_opt(structure, swapped).chosen:
-                accepts |= 1 << e
-        group_of = {e: i for i, g in enumerate(structure.groups) for e in g}
-        return lambda order: replay_truncated(
-            order, accepts, group_of, structure.group_capacities,
-            structure.total_capacity, xvals,
-        )[0]
-    if policy in ("reduction-graphic", "reduction-custom"):
-        if policy == "reduction-graphic":
-            scheme = graphic_scheme()
-        if scheme is None:
-            raise ValueError("reduction-custom needs a partition scheme")
-        queried = scheme.queried(structure)
-        partition = scheme.build(structure, {e: samples[e] for e in queried}, rng)
-        group_of = {}
-        accepts = 0
-        caps = tuple(1 for _ in partition.groups)
-        for gi, group in enumerate(partition.groups):
-            best = None
-            for e in group:
-                if best is None or samples[e] > best:
-                    best = samples[e]
-            for e in group:
-                group_of[e] = gi
-                if beats(rewards[e], best):
-                    accepts |= 1 << e
-        k = len(partition.groups)
-        return lambda order: replay_truncated(
-            [e for e in order if e in group_of], accepts, group_of, caps, k, xvals
-        )[0]
-    raise ValueError(f"unknown policy {policy!r}")
-
-
 def adversarial_order(
     policy: str,
     structure: FeasibilityStructure,
@@ -522,18 +443,27 @@ def adversarial_order(
     mode: str,
     *,
     seed: int | None = None,
-    scheme: PartitionScheme | None = None,
-    rng: np.random.Generator | None = None,
 ) -> ArrivalOrder:
     """Produce an arrival order: fixed (by element id), increasing rewards,
-    seeded random, or the exact minimizer over all n! orders."""
+    seeded random, or the minimizer of the policy total over all n! orders.
+
+    Thresholds are set offline, so online every policy is a first-come
+    greedy over a fixed live set. For the matroid policies (rank1, laminar,
+    both reductions) and the literal transversal rule, the increasing order
+    collects the minimum-weight outcome and is the minimizer. For matching
+    the minimum is a minimum-weight maximal matching of the live edges; its
+    edges arrive first, then the rest. Only that search is capped.
+    """
     n = len(rewards)
     elements = list(range(n))
     if mode == "fixed":
         return ArrivalOrder(tuple(elements), "fixed")
-    if mode == "increasing":
+    if mode == "exhaustive-min" and policy not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if mode == "increasing" or (mode == "exhaustive-min" and policy != "matching"):
         elements.sort(key=lambda e: rewards[e].key)
-        return ArrivalOrder(tuple(elements), "increasing-rewards")
+        provenance = "increasing-rewards" if mode == "increasing" else mode
+        return ArrivalOrder(tuple(elements), provenance)
     if mode == "random":
         stream = np.random.default_rng(seed)
         return ArrivalOrder(
@@ -544,16 +474,16 @@ def adversarial_order(
             raise CapExceededError(
                 f"exhaustive-min order search capped at n <= {ORDER_SEARCH_CAP}"
             )
-        replay = fast_replayer(
-            policy, structure, samples, rewards, scheme=scheme, rng=rng
+        if not isinstance(structure, GeneralMatching):
+            raise TypeError("matching policy needs a general-matching structure")
+        thresholds = matching_thresholds(structure, samples)
+        live = sum(
+            1 << e for e in elements
+            if edge_live(structure, thresholds, e, rewards[e])
         )
-        best_order = None
-        best_total = None
-        for perm in permutations(elements):
-            total = replay(perm)
-            if best_total is None or total < best_total:
-                best_total = total
-                best_order = perm
-        assert best_order is not None
-        return ArrivalOrder(best_order, "exhaustive-min")
+        vmasks = [(1 << u) | (1 << v) for u, v in structure.edges]
+        acc = min_maximal_matching(live, vmasks, [rewards[e].value for e in elements])
+        first = [e for e in elements if (acc >> e) & 1]
+        rest = [e for e in elements if not (acc >> e) & 1]
+        return ArrivalOrder(tuple(first + rest), "exhaustive-min")
     raise ValueError(f"unknown arrival-order mode {mode!r}")

@@ -116,3 +116,53 @@ def test_bad_instance_schema_is_usage_error(tmp_path, capsys):
     bad.write_text('{"name": "x", "structure": {"kind": "wat"}, "distributions": {}}')
     code = main(["simulate", "--instance", str(bad), "--policy", "matching"])
     assert code == 2
+
+
+UNIT_UNIFORM = {"kind": "uniform", "a": 0.0, "b": 1.0}
+
+
+def _rank1_document(dist, other=UNIT_UNIFORM, partition=None):
+    doc = {
+        "name": "r1",
+        "structure": {"kind": "truncated-partition", "groups": [[0, 1]],
+                      "group_capacities": [1], "total_capacity": 1},
+        "distributions": {"0": dist, "1": other},
+    }
+    if partition is not None:
+        doc["partition"] = partition
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_rank1_document({"kind": "uniform", "a": 0.0, "b": float("inf")}), "distributions.0"),
+    (_rank1_document({"kind": "point-mass", "value": float("nan")}), "distributions.0"),
+    (_rank1_document({"kind": "exponential", "rate": float("nan")}), "distributions.0"),
+    (_rank1_document({"kind": "point-mass", "value": 1.0},
+                     partition={"alpha": float("nan"), "groups": [[0], [1]]}),
+     "partition.alpha"),
+    (_rank1_document({"kind": "point-mass", "value": None}), "distributions.0"),
+    (_rank1_document({"kind": "point-mass", "value": 1.0},
+                     partition={"alpha": "two", "groups": [[0], [1]]}), "partition.alpha"),
+])
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_non_finite_numbers_rejected(doc, field, mode, tmp_path, capsys):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))  # writes the Infinity/NaN literals
+    code = main(["--trials", "50", "simulate", "--instance", str(path),
+                 "--policy", "rank1", "--mode", mode])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["game", "--rr", "1", "--rb", "2", "--mode", "mc"],
+    ["tight-example", "--k", "5"],
+    ["mechanism", "--instance", "{rank1}", "--policy", "rank1"],
+])
+def test_zero_trials_rejected(argv, tmp_path, capsys):
+    exp = {"kind": "exponential", "rate": 1.0}  # mhr by default
+    path = tmp_path / "rank1.json"
+    path.write_text(json.dumps(_rank1_document(exp, exp)))
+    argv = [a.replace("{rank1}", str(path)) for a in argv]
+    assert main(["--trials", "0", *argv]) == 2
+    assert "need trials >= 1" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from sspilab.harness import (
     report_fields,
     tight_example,
 )
-from sspilab.instances import Instance
+from sspilab.instances import Instance, load_instance
 from sspilab.policies import fixed_partition_scheme, run_policy
 
 from conftest import tv
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 RANK1_TWO_POINT = Instance(
     "rank1-two-point",
@@ -114,9 +116,18 @@ class TestExactMode:
         inst = random_instance("rank1", 17, rng)
         with pytest.raises(CapExceededError):
             estimate_ratio(inst, "rank1", mode="exact", seed=0)
-        inst9 = random_instance("rank1", 9, rng)
+        # Only matching still searches orders, so only matching is capped.
+        match9 = random_instance("matching", 9, rng)
         with pytest.raises(CapExceededError):
-            estimate_ratio(inst9, "rank1", adversary="exhaustive-min", mode="exact", seed=0)
+            estimate_ratio(
+                match9, "matching", adversary="exhaustive-min", mode="exact", seed=0
+            )
+        inst9 = random_instance("rank1", 9, rng)
+        worst, inc = (
+            estimate_ratio(inst9, "rank1", adversary=a, mode="exact", seed=0)
+            for a in ("exhaustive-min", "increasing")
+        )
+        assert worst.e_alg == inc.e_alg
 
     def test_exact_rejects_random_adversary(self, rng):
         inst = random_instance("rank1", 3, rng)
@@ -170,6 +181,17 @@ class TestMonteCarlo:
         rep = estimate_ratio(inst, "matching", adversary="random", trials=500,
                              seed=3, mode="mc", workers=1)
         assert rep.z_violations == 0
+
+    def test_reduction_graphic_exhaustive_min_is_increasing(self):
+        # The adversary and the policy must see the same random partition:
+        # the minimizing order is the increasing one, so both runs coincide.
+        inst = load_instance(FIXTURES / "graphic-star.json")
+        worst, inc = (
+            estimate_ratio(inst, "reduction-graphic", adversary=a, trials=600,
+                           seed=1, mode="mc", workers=1)
+            for a in ("exhaustive-min", "increasing")
+        )
+        assert worst.e_alg == inc.e_alg
 
 
 class TestTightExample:

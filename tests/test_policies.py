@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -22,7 +23,6 @@ from sspilab.feasibility import (
 from sspilab.generators import random_instance
 from sspilab.policies import (
     adversarial_order,
-    fast_replayer,
     fixed_partition_scheme,
     graphic_scheme,
     laminar_policy,
@@ -245,12 +245,32 @@ class TestAdversarialOrder:
         assert o1.order == o2.order
 
     def test_exhaustive_cap(self):
+        # Only matching still searches, so only matching is capped.
         n = 9
-        fs = TruncatedPartition((tuple(range(n)),), (1,), 1)
         samples = {e: tv(1, 0.4, e) for e in range(n)}
         rewards = {e: tv(2, 0.5, e) for e in range(n)}
+        g = GeneralMatching(n + 1, tuple((e, e + 1) for e in range(n)))
         with pytest.raises(CapExceededError):
-            adversarial_order("rank1", fs, samples, rewards, "exhaustive-min")
+            adversarial_order("matching", g, samples, rewards, "exhaustive-min")
+        fs = TruncatedPartition((tuple(range(n)),), (1,), 1)
+        worst = adversarial_order("rank1", fs, samples, rewards, "exhaustive-min")
+        inc = adversarial_order("rank1", fs, samples, rewards, "increasing")
+        assert worst.order == inc.order
+
+    def test_matching_minimum_beats_increasing(self):
+        # Path 0-1-2-3 with every edge live: the middle edge alone is the
+        # minimum-weight maximal matching, while the increasing order
+        # collects both outer edges.
+        g = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
+        samples = {e: tv(0.1, 0.5, e) for e in range(3)}
+        rewards = {0: tv(2, 0.6, 0), 1: tv(3, 0.6, 1), 2: tv(2, 0.6, 2)}
+
+        def total(mode):
+            order = adversarial_order("matching", g, samples, rewards, mode).order
+            return run_policy("matching", g, samples, rewards, order).chosen.total
+
+        assert total("increasing") == 4
+        assert total("exhaustive-min") == 3
 
     def test_laminar_exhaustive_min_matches_increasing(self, rng):
         # Full permutation search never beats the increasing order.
@@ -264,14 +284,17 @@ class TestAdversarialOrder:
                     rewards[r.element], samples[r.element] = r.y, r.z
                 else:
                     rewards[r.element], samples[r.element] = r.z, r.y
-            replay = fast_replayer("laminar", inst.structure, samples, rewards)
-            worst = adversarial_order(
-                "laminar", inst.structure, samples, rewards, "exhaustive-min"
-            )
+
+            def total(order):
+                return run_policy(
+                    "laminar", inst.structure, samples, rewards, order
+                ).chosen.total
+
+            best = min(total(p) for p in permutations(range(len(reals))))
             inc = adversarial_order(
                 "laminar", inst.structure, samples, rewards, "increasing"
             )
-            assert replay(worst.order) == pytest.approx(replay(inc.order), abs=1e-12)
+            assert total(inc.order) == pytest.approx(best, abs=1e-12)
 
 
 class TestTraceInvariants:
@@ -309,27 +332,48 @@ class TestTraceInvariants:
                         assert d.critical_value is not None
                         assert d.critical_value <= rewards[d.element].value + 1e-9
 
-    def test_fast_replayer_agrees_with_traces(self, rng):
-        for kind, policy in self.CASES:
-            for _ in range(10):
-                inst = random_instance(kind, int(rng.integers(1, 7)), rng)
+    def test_exhaustive_min_is_brute_force_minimum(self, rng):
+        # The order exhaustive-min returns collects the least traced total
+        # over all n! arrival orders, for every policy.
+        cases = self.CASES + (("simple-partition", "reduction-custom"),)
+        for kind, policy in cases:
+            for _ in range(30):
+                n = int(rng.integers(1, 7))
+                inst = random_instance(kind, n, rng)
+                if kind == "matching":
+                    # Few vertices make dense graphs, where the increasing
+                    # order can miss the minimum.
+                    verts = int(rng.integers(3, 5))
+                    edges = tuple(
+                        tuple(int(v) for v in rng.choice(verts, 2, replace=False))
+                        for _ in range(n)
+                    )
+                    inst = replace(inst, structure=GeneralMatching(verts, edges))
                 reals = inst.draw_realizations(rng)
                 rewards = {r.element: (r.y if rng.random() < 0.5 else r.z) for r in reals}
                 samples = {
                     r.element: (r.z if rewards[r.element] is r.y else r.y)
                     for r in reals
                 }
+                scheme = None
+                if policy == "reduction-custom":
+                    groups = [[] for _ in range(int(rng.integers(1, n + 1)))]
+                    for e in range(n):
+                        if rng.random() < 0.8:  # some elements stay outside
+                            groups[int(rng.integers(0, len(groups)))].append(e)
+                    scheme = fixed_partition_scheme(
+                        SimplePartition(tuple(tuple(g) for g in groups)), 1.0
+                    )
                 sigma_seed = int(rng.integers(0, 100))
-                replay = fast_replayer(
-                    policy, inst.structure, samples, rewards,
-                    rng=np.random.default_rng(sigma_seed),
-                )
-                for _ in range(4):
-                    order = [int(x) for x in rng.permutation(len(reals))]
-                    trace = run_policy(
+
+                def total(order):
+                    return run_policy(
                         policy, inst.structure, samples, rewards, order,
-                        rng=np.random.default_rng(sigma_seed),
-                    )
-                    assert replay(order) == pytest.approx(
-                        trace.chosen.total, rel=1e-12, abs=1e-12
-                    )
+                        scheme=scheme, rng=np.random.default_rng(sigma_seed),
+                    ).chosen.total
+
+                best = min(total(p) for p in permutations(range(len(reals))))
+                worst = adversarial_order(
+                    policy, inst.structure, samples, rewards, "exhaustive-min"
+                )
+                assert total(worst.order) == pytest.approx(best, rel=1e-12, abs=1e-12)
