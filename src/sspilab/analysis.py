@@ -288,13 +288,8 @@ def _verify_symmetry(ens: ConfigEnsemble) -> LemmaReport:
 
 def _verify_forget_z(ens: ConfigEnsemble) -> LemmaReport:
     counts = _counts(ens.heads & ens.free("H"))
-    y_sum = Fraction(0)
-    all_sum = Fraction(0)
-    for j in range(ens.length):
-        term = Fraction(float(ens.w_val[j])) * int(counts[j])
-        all_sum += term
-        if ens.is_y[j]:
-            y_sum += term
+    y_sum = ens.path_total(counts * ens.is_y)
+    all_sum = ens.path_total(counts)
     passed = 2 * y_sum >= all_sum
     return LemmaReport("forget-z", passed, y_sum, all_sum / 2, ens.num_configs)
 
@@ -302,10 +297,7 @@ def _verify_forget_z(ens: ConfigEnsemble) -> LemmaReport:
 def _verify_greedy_objective(ens: ConfigEnsemble) -> LemmaReport:
     # Left side from the vectorized free-flag tables; right side from the
     # scalar path greedy, an independent code path.
-    counts = _counts(ens.heads & ens.free("H"))
-    lhs = Fraction(0)
-    for j in range(ens.length):
-        lhs += Fraction(float(ens.w_val[j])) * int(counts[j])
+    lhs = ens.path_total(_counts(ens.heads & ens.free("H")))
     recount = [0] * ens.length
     reward_idx = {e: ens.reward_index(e) for e in ens.elements}
     for mask in range(ens.num_configs):
@@ -313,9 +305,7 @@ def _verify_greedy_objective(ens: ConfigEnsemble) -> LemmaReport:
         sol = greedy_on_path(ens.structure, ens.path, config, "H")
         for e in sol.chosen:
             recount[int(reward_idx[e][mask])] += 1
-    rhs = Fraction(0)
-    for j in range(ens.length):
-        rhs += Fraction(float(ens.w_val[j])) * recount[j]
+    rhs = ens.path_total(recount)
     return LemmaReport(
         "greedy-objective", lhs == rhs, lhs, rhs, ens.num_configs,
         "" if lhs == rhs else "flag-table objective != replayed greedy objective",
@@ -382,14 +372,6 @@ def _verify_trans_unique(ens: ConfigEnsemble) -> LemmaReport:
     )
 
 
-def _reward_values(ens: ConfigEnsemble) -> np.ndarray:
-    """(n, configs) reward value of each element."""
-    out = np.empty((ens.n, ens.num_configs))
-    for e in ens.elements:
-        out[ens.bit_of[e]] = ens.reward_triple(e).val
-    return out
-
-
 def _verify_match_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     fs = ens.structure
     if ens.n > SUFFICIENCY_ORDER_CAP:
@@ -398,7 +380,7 @@ def _verify_match_sufficient(ens: ConfigEnsemble) -> LemmaReport:
         )
     support = ens.support_matching()
     ex_masks = bitmask_rows(ens.matching_exceeds())
-    xvals = _reward_values(ens)
+    xvals = ens.w_val[ens.reward_indices()]
     pairs = [fs.edges[e] for e in range(ens.n)]
     checks = 0
     fail = None
@@ -440,7 +422,7 @@ def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
         )
     support, cand = ens.support_transversal()
     targets = ens.transversal_targets()
-    xvals = _reward_values(ens)
+    xvals = ens.w_val[ens.reward_indices()]
     checks = 0
     fail = None
     for c in range(ens.num_configs):
@@ -482,18 +464,14 @@ def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     accept, _ = ens.laminar_accepts()
     accept_masks = bitmask_rows(accept)
     group_of = fs.group_index
-    xtrip = [
-        (ens.reward_triple(e).val, ens.reward_triple(e).tb) for e in ens.elements
-    ]
+    orders = np.argsort(-ens.reward_indices(), axis=0)  # increasing rewards
     checks = 0
     fail = None
     for c in range(ens.num_configs):
         sup_j = [j for j in range(ens.length) if support[j, c]]
         if not sup_j:
             continue
-        order = sorted(
-            range(ens.n), key=lambda e: (xtrip[e][0][c], xtrip[e][1][c], e)
-        )
+        order = orders[:, c].tolist()
         xv = [0.0] * ens.n  # values unused by the replay bookkeeping
         _, acc = replay_truncated(
             order, accept_masks[c], group_of, fs.group_capacities,

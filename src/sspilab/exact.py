@@ -7,15 +7,17 @@ supporting events, and policy outcomes. Configuration c is identified with the
 bitmask whose bit e says "element e's larger value is the reward".
 
 Everything downstream (lemma verifiers, exact competitive-ratio harness)
-consumes these tables. Value comparisons follow the tagged lexicographic order
-(value, tiebreak, element); the absent threshold is the sentinel triple
-(0, +inf, +inf), so beating it means having positive value.
+consumes these tables. Values are compared by their index on the decreasing
+sample path: "x beats y" in the tagged order (value, tiebreak, element) is
+`idx_x < idx_y`. Threshold tables hold path indices, and the absent threshold
+is the index `absent`, the count of positive values, so beating it means
+having positive value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,42 +29,6 @@ from .feasibility import (
     Transversal,
     TruncatedPartition,
 )
-
-def _lex_gt(av, at, ae, bv, bt, be):
-    """Vectorized strict comparison of (value, tiebreak, element) triples."""
-    return (av > bv) | ((av == bv) & ((at > bt) | ((at == bt) & (ae > be))))
-
-
-@dataclass
-class _Triple:
-    """Arrays of tagged-value components, one entry per configuration."""
-
-    val: np.ndarray
-    tb: np.ndarray
-    el: np.ndarray
-
-    @classmethod
-    def sentinel(cls, size: int) -> "_Triple":
-        return cls(
-            np.zeros(size), np.full(size, np.inf), np.full(size, np.inf)
-        )
-
-    def put(self, mask: np.ndarray, val: float, tb: float, el: int) -> None:
-        self.val[mask] = val
-        self.tb[mask] = tb
-        self.el[mask] = el
-
-    def gt(self, other: "_Triple") -> np.ndarray:
-        return _lex_gt(self.val, self.tb, self.el, other.val, other.tb, other.el)
-
-    def maximum(self, other: "_Triple") -> "_Triple":
-        take = other.gt(self)
-        return _Triple(
-            np.where(take, other.val, self.val),
-            np.where(take, other.tb, self.tb),
-            np.where(take, other.el, self.el),
-        )
-
 
 class ConfigEnsemble:
     """All 2**n configurations for one structure and fixed realizations."""
@@ -82,8 +48,8 @@ class ConfigEnsemble:
         entries = self.path.entries
         self.length = len(entries)
         self.w_val = np.array([e.value.value for e in entries])
-        self.w_tb = np.array([e.value.tiebreak for e in entries])
-        self.w_el = np.array([float(e.element) for e in entries])
+        # Index of the absent threshold: every positive value precedes it.
+        self.absent = int((self.w_val > 0).sum())
         self.elem = [e.element for e in entries]
         self.is_y = np.array([e.label == "Y" for e in entries])
 
@@ -94,41 +60,33 @@ class ConfigEnsemble:
         self.heads = np.where(self.is_y[:, None], ybit, ~ybit)
         self._free: dict[str, np.ndarray] = {}
         self._candidate: dict[str, np.ndarray] = {}
-        self._vertex_thresholds: dict[str, list[_Triple]] | None = None
+        self._vertex_thresholds: list[np.ndarray] | None = None
 
-    # -- per-element reward/sample triples ---------------------------------
-
-    def reward_triple(self, e: int) -> _Triple:
-        jy = self._index_of(e, "Y")
-        jz = self.path.partner[jy]
-        pick_y = self.heads[jy]
-        return _Triple(
-            np.where(pick_y, self.w_val[jy], self.w_val[jz]),
-            np.where(pick_y, self.w_tb[jy], self.w_tb[jz]),
-            np.full(self.num_configs, float(e)),
-        )
-
-    def sample_triple(self, e: int) -> _Triple:
-        jy = self._index_of(e, "Y")
-        jz = self.path.partner[jy]
-        pick_y = ~self.heads[jy]
-        return _Triple(
-            np.where(pick_y, self.w_val[jy], self.w_val[jz]),
-            np.where(pick_y, self.w_tb[jy], self.w_tb[jz]),
-            np.full(self.num_configs, float(e)),
-        )
+    # -- per-element reward/sample path indices ----------------------------
 
     def reward_index(self, e: int) -> np.ndarray:
         """Per config, the path index holding element e's reward."""
-        jy = self._index_of(e, "Y")
+        jy = self.path.y_index(e)
         jz = self.path.partner[jy]
         return np.where(self.heads[jy], jy, jz)
 
-    def _index_of(self, e: int, label: str) -> int:
-        for j, entry in enumerate(self.path.entries):
-            if entry.element == e and entry.label == label:
-                return j
-        raise KeyError(e)
+    def sample_index(self, e: int) -> np.ndarray:
+        """Per config, the path index holding element e's sample."""
+        jy = self.path.y_index(e)
+        jz = self.path.partner[jy]
+        return np.where(self.heads[jy], jz, jy)
+
+    def reward_indices(self) -> np.ndarray:
+        """(n, configs) path index of every element's reward, by bit."""
+        return np.stack([self.reward_index(e) for e in self.elements])
+
+    def path_total(self, counts) -> Fraction:
+        """Exact sum over path indices of value times count."""
+        total = Fraction(0)
+        for j, cnt in enumerate(counts):
+            if cnt:
+                total += Fraction(float(self.w_val[j])) * int(cnt)
+        return total
 
     # -- free flags ---------------------------------------------------------
 
@@ -241,22 +199,22 @@ class ConfigEnsemble:
 
     # -- thresholds and policy preprocessing --------------------------------
 
-    def matching_vertex_thresholds(self) -> list[_Triple]:
-        """Per-vertex thresholds set by the greedy matching on samples."""
+    def matching_vertex_thresholds(self) -> list[np.ndarray]:
+        """Per-vertex thresholds (path indices) set by the greedy matching on
+        samples."""
         if self._vertex_thresholds is not None:
-            return self._vertex_thresholds["T"]
+            return self._vertex_thresholds
         fs = self.structure
         free_t = self.free("T")
         tails = ~self.heads
-        th = [_Triple.sentinel(self.num_configs) for _ in range(fs.vertex_count)]
+        th = [np.full(self.num_configs, self.absent) for _ in range(fs.vertex_count)]
         for j in range(self.length):
             picked = tails[j] & free_t[j]
             if not picked.any():
                 continue
-            u, v = fs.edges[self.elem[j]]
-            for vertex in (u, v):
-                th[vertex].put(picked, self.w_val[j], self.w_tb[j], self.elem[j])
-        self._vertex_thresholds = {"T": th}
+            for vertex in fs.edges[self.elem[j]]:
+                th[vertex][picked] = j
+        self._vertex_thresholds = th
         return th
 
     def matching_exceeds(self) -> np.ndarray:
@@ -266,25 +224,23 @@ class ConfigEnsemble:
         out = np.empty((self.n, self.num_configs), dtype=bool)
         for e in self.elements:
             u, v = fs.edges[e]
-            x = self.reward_triple(e)
-            out[self.bit_of[e]] = x.gt(th[u].maximum(th[v]))
+            out[self.bit_of[e]] = self.reward_index(e) < np.minimum(th[u], th[v])
         return out
 
-    def transversal_r_thresholds(self) -> list[_Triple]:
-        """Per-right-node thresholds from the ordered-maximal sample matching."""
+    def transversal_r_thresholds(self) -> list[np.ndarray]:
+        """Per-right-node thresholds (path indices) from the ordered-maximal
+        sample matching."""
         fs = self.structure
         free_t = self.free("T")
         cand = self.candidate_bits("T")
         tails = ~self.heads
-        th = [_Triple.sentinel(self.num_configs) for _ in range(fs.right_count)]
+        th = [np.full(self.num_configs, self.absent) for _ in range(fs.right_count)]
         for j in range(self.length):
             picked = tails[j] & free_t[j]
             if not picked.any():
                 continue
             for r in range(fs.right_count):
-                hit = picked & (cand[j] == (1 << r))
-                if hit.any():
-                    th[r].put(hit, self.w_val[j], self.w_tb[j], self.elem[j])
+                th[r][picked & (cand[j] == (1 << r))] = j
         return th
 
     def transversal_targets(self) -> np.ndarray:
@@ -297,12 +253,12 @@ class ConfigEnsemble:
         th = self.transversal_r_thresholds()
         out = np.full((self.n, self.num_configs), -1, dtype=np.int64)
         for l in self.elements:
-            x = self.reward_triple(l)
-            gate = x.gt(self.sample_triple(l))
+            x = self.reward_index(l)
+            gate = x < self.sample_index(l)
             found = np.zeros(self.num_configs, dtype=bool)
             row = out[self.bit_of[l]]
             for r in fs.sorted_neighbors(l):
-                ok = gate & x.gt(th[r]) & ~found
+                ok = gate & (x < th[r]) & ~found
                 row[ok] = r
                 found |= ok
         return out
@@ -324,18 +280,20 @@ class ConfigEnsemble:
         v0 = (self.w_val[:, None] * picked).sum(axis=0)
         accept = np.zeros((self.n, self.num_configs), dtype=bool)
         for e in self.elements:
-            jy = self._index_of(e, "Y")
+            jy = self.path.y_index(e)
             accept[self.bit_of[e]] = self.heads[jy] & free_t[jy]
         return accept, v0
 
-    def rank1_exceeds(self) -> np.ndarray:
-        """(n, configs) flags: reward beats the maximum sample."""
-        thr = _Triple.sentinel(self.num_configs)
-        for e in self.elements:
-            thr = thr.maximum(self.sample_triple(e))
-        out = np.empty((self.n, self.num_configs), dtype=bool)
-        for e in self.elements:
-            out[self.bit_of[e]] = self.reward_triple(e).gt(thr)
+    def group_exceeds(self, groups) -> np.ndarray:
+        """(n, configs) flags: the reward beats the largest sample of its
+        group. Elements outside every group stay False."""
+        out = np.zeros((self.n, self.num_configs), dtype=bool)
+        for group in groups:
+            thr = np.full(self.num_configs, self.absent)
+            for e in group:
+                thr = np.minimum(thr, self.sample_index(e))
+            for e in group:
+                out[self.bit_of[e]] = self.reward_index(e) < thr
         return out
 
     # -- supporting events ---------------------------------------------------

@@ -9,8 +9,8 @@ graphic matroids (elements are edges, independent sets are forests).
 Alongside the independence checks this module houses the parameterized greedy
 on sample paths, free-index queries, and the offline solutions policies are
 measured against: greedy maximal matching, ordered-maximal bipartite matching,
-matroid greedy, and exact optima (branch-and-bound for general matching,
-linear assignment for transversal systems).
+matroid greedy, and exact optima (branch-and-bound for general matching, the
+matroid greedy with augmenting paths for transversal systems).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     CapExceededError,
@@ -230,26 +229,25 @@ class _UnionFind:
         return True
 
 
+def _augment(t: Transversal, match_of_r: dict[int, int], l: int, visited: set[int]) -> bool:
+    """Match left node l by an augmenting path, updating `match_of_r` only
+    on success."""
+    for r in t.adjacency[l]:
+        if r in visited:
+            continue
+        visited.add(r)
+        if r not in match_of_r or _augment(t, match_of_r, match_of_r[r], visited):
+            match_of_r[r] = l
+            return True
+    return False
+
+
 def _transversal_matchable(t: Transversal, s: Sequence[int]) -> bool:
     """Exact matchability of the left nodes `s` via augmenting paths."""
     if len(s) > t.right_count:
         return False
     match_of_r: dict[int, int] = {}
-
-    def augment(l: int, visited: set[int]) -> bool:
-        for r in t.adjacency[l]:
-            if r in visited:
-                continue
-            visited.add(r)
-            if r not in match_of_r or augment(match_of_r[r], visited):
-                match_of_r[r] = l
-                return True
-        return False
-
-    for l in s:
-        if not augment(l, set()):
-            return False
-    return True
+    return all(_augment(t, match_of_r, l, set()) for l in s)
 
 
 def is_independent(fs: FeasibilityStructure, s: Iterable[int]) -> bool:
@@ -535,24 +533,23 @@ def ordered_maximal_matching(
 
 
 def optimal_transversal(t: Transversal, weights: Mapping[int, TaggedValue]) -> Solution:
-    """Exact maximum-weight independent set of the transversal system via a
-    linear assignment with zero-weight dummy columns for unmatched nodes."""
-    nl, nr = t.left_count, t.right_count
-    cost = np.zeros((nl, nr + nl))
-    for l in range(nl):
-        w = weights[l].value
-        for r in t.adjacency[l]:
-            cost[l, r] = w
-    rows, cols = linear_sum_assignment(cost, maximize=True)
-    chosen: set[int] = set()
-    assignment: dict[int, int] = {}
+    """Exact maximum-weight independent set of the transversal system.
+
+    Transversal systems are matroids, so the greedy over decreasing weights,
+    keeping each left node an augmenting path can still match, is optimal.
+    No node can join once every right node is matched."""
+    match_of_r: dict[int, int] = {}
+    chosen: list[int] = []
+    for l in _sorted_desc(weights, range(t.left_count)):
+        if _augment(t, match_of_r, l, set()):
+            chosen.append(l)
+            if len(chosen) == t.right_count:
+                break
     total = 0.0
-    for l, r in zip(rows, cols):
-        if r < nr and r in t.adjacency[l]:
-            chosen.add(l)
-            assignment[int(l)] = int(r)
-            total += weights[l].value
-    return Solution(frozenset(int(l) for l in chosen), total, assignment)
+    for l in sorted(chosen):  # by node id, independent of the greedy's order
+        total += weights[l].value
+    assignment = {l: r for r, l in match_of_r.items()}
+    return Solution(frozenset(chosen), total, assignment)
 
 
 def matroid_greedy_opt(

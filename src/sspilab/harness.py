@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import CapExceededError, TaggedValue, assign_coins, trial_rng
+from .core import CapExceededError, assign_coins, trial_rng
 from .exact import (
     ConfigEnsemble,
     bitmask_rows,
@@ -42,8 +41,6 @@ from .feasibility import (
     exact_optimum,
     graphic_partition,
     greedy_prophet,
-    optimal_matching,
-    optimal_transversal,
 )
 from .instances import Instance
 from .policies import (
@@ -132,76 +129,24 @@ def _check_policy_structure(instance: Instance, policy: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _reward_matrices(ens: ConfigEnsemble):
-    n = ens.n
-    xval = np.empty((n, ens.num_configs))
-    xtb = np.empty((n, ens.num_configs))
-    ridx = np.empty((n, ens.num_configs), dtype=np.int64)
-    for e in ens.elements:
-        trip = ens.reward_triple(e)
-        b = ens.bit_of[e]
-        xval[b] = trip.val
-        xtb[b] = trip.tb
-        ridx[b] = ens.reward_index(e)
-    return xval, xtb, ridx
+def _truncated_replayer(accepts: list[int], group_of, caps, total_cap: int):
+    """Replay of a truncated partition under per-configuration accept masks."""
 
+    def accepted(c, order, xv) -> int:
+        return replay_truncated(order, accepts[c], group_of, caps, total_cap, xv)[1]
 
-def _increasing_orders(ens: ConfigEnsemble, xval, xtb) -> list[list[int]]:
-    orders = []
-    for c in range(ens.num_configs):
-        xv = xval[:, c]
-        xt = xtb[:, c]
-        orders.append(sorted(range(ens.n), key=lambda e: (xv[e], xt[e], e)))
-    return orders
-
-
-class ExactAccumulator:
-    """Per-reward-index acceptance counts turned into exact expectations."""
-
-    def __init__(self, ens: ConfigEnsemble, weight: int = 1) -> None:
-        self.ens = ens
-        self.counts = [0] * ens.length
-        self.z_violations = 0
-        self.weight = weight  # total number of (randomness, config) cells
-
-    def record(self, config: int, acc: int, ridx_col) -> None:
-        bit = 0
-        rest = acc
-        while rest:
-            if rest & 1:
-                self.counts[ridx_col[bit]] += 1
-            rest >>= 1
-            bit += 1
-        self.z_violations += bin(acc & ~config).count("1")
-
-    def expectation(self) -> Fraction:
-        total = Fraction(0)
-        for j, cnt in enumerate(self.counts):
-            if cnt:
-                total += Fraction(float(self.ens.w_val[j])) * cnt
-        return total / self.weight
-
-
-def _order_for(ens, adversary, inc_orders, c):
-    """The arrival order of configuration c: by element id for `fixed`, by
-    increasing reward otherwise (the minimizer outside matching)."""
-    if adversary == "fixed":
-        return range(ens.n)
-    return inc_orders[c]
+    return accepted
 
 
 def _exact_alg(
-    ens: ConfigEnsemble,
-    policy: str,
-    adversary: str,
-    instance: Instance,
-    xval,
-    xtb,
-    ridx,
+    ens: ConfigEnsemble, policy: str, adversary: str, instance: Instance, ridx
 ) -> tuple[Fraction, int]:
+    """Exact E_ALG and the z-violation count. Each replayer maps (config,
+    arrival order, reward values) to the accepted element mask; the
+    reduction-graphic policy is the custom reduction run once per
+    vertex-order partition, each partition equally likely."""
     fs = ens.structure
     n = ens.n
-    num_c = ens.num_configs
     # Outside matching, the increasing order is the exhaustive-min minimizer
     # (see policies.adversarial_order); matching searches per configuration.
     searching = policy == "matching" and adversary == "exhaustive-min"
@@ -209,149 +154,91 @@ def _exact_alg(
         raise CapExceededError(
             f"exhaustive-min order search capped at n <= {ORDER_SEARCH_CAP}"
         )
-    inc_orders = (
-        _increasing_orders(ens, xval, xtb)
-        if adversary != "fixed" and not searching
-        else None
-    )
-
-    if policy == "reduction-graphic":
-        return _exact_alg_reduction_graphic(
-            ens, adversary, inc_orders, xval, xtb, ridx
-        )
 
     if policy == "matching":
-        ex_masks = bitmask_rows(ens.matching_exceeds())
-        vmasks = [
-            (1 << fs.edges[e][0]) | (1 << fs.edges[e][1]) for e in range(n)
-        ]
+        live = bitmask_rows(ens.matching_exceeds())
+        vmasks = [(1 << fs.edges[e][0]) | (1 << fs.edges[e][1]) for e in range(n)]
+        if searching:
+            replayers = [lambda c, order, xv: min_maximal_matching(live[c], vmasks, xv)]
+        else:
+            replayers = [
+                lambda c, order, xv: replay_matching(order, live[c], vmasks, xv)[1]
+            ]
     elif policy == "transversal":
         targets = ens.transversal_targets()
-    elif policy == "laminar":
-        accept_flags, _ = ens.laminar_accepts()
-        acc_masks = bitmask_rows(accept_flags)
-        group_of = fs.group_index
-        caps = fs.group_capacities
-        total_cap = fs.total_capacity
-    elif policy == "rank1":
-        acc_masks = bitmask_rows(ens.rank1_exceeds())
-        group_of = {e: 0 for e in range(n)}
-        caps = (1,)
-        total_cap = 1
-    elif policy == "reduction-custom":
-        partition = instance.partition
-        assert partition is not None
-        group_of = partition.group_index
-        caps = tuple(1 for _ in partition.groups)
-        total_cap = max(1, len(partition.groups))
-        acc_masks = _custom_reduction_accepts(ens, partition)
+        replayers = [
+            lambda c, order, xv: replay_transversal(order, targets[:, c].tolist(), xv)[1]
+        ]
+    elif policy in ("laminar", "rank1"):
+        flags = (
+            ens.laminar_accepts()[0]
+            if policy == "laminar"
+            else ens.group_exceeds((tuple(ens.elements),))
+        )
+        replayers = [
+            _truncated_replayer(
+                bitmask_rows(flags), fs.group_index, fs.group_capacities,
+                fs.total_capacity,
+            )
+        ]
+    elif policy in ("reduction-graphic", "reduction-custom"):
+        if policy == "reduction-custom":
+            if instance.partition is None:
+                raise ValueError("reduction-custom needs a partition block in the instance")
+            partitions = [instance.partition]
+        elif fs.vertex_count > EXACT_SIGMA_VERTEX_CAP:
+            raise CapExceededError(
+                f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} vertices"
+            )
+        else:
+            partitions = [
+                graphic_partition(fs, sigma=sigma)[0]
+                for sigma in permutations(range(fs.vertex_count))
+            ]
+        replayers = [
+            _truncated_replayer(
+                bitmask_rows(ens.group_exceeds(p.groups)), p.group_index,
+                (1,) * len(p.groups), len(p.groups),
+            )
+            for p in partitions
+        ]
     else:
         raise ValueError(f"policy {policy!r} has no exact evaluator")
 
-    acc_counts = ExactAccumulator(ens, weight=num_c)
-    for c in range(num_c):
+    xval = ens.w_val[ridx]
+    orders = None if adversary == "fixed" else np.argsort(-ridx, axis=0)
+    counts = [0] * ens.length
+    z_violations = 0
+    for c in range(ens.num_configs):
         xv = xval[:, c].tolist()
-        if searching:
-            acc = min_maximal_matching(ex_masks[c], vmasks, xv)
-        else:
-            order = _order_for(ens, adversary, inc_orders, c)
-            if policy == "matching":
-                _, acc = replay_matching(order, ex_masks[c], vmasks, xv)
-            elif policy == "transversal":
-                _, acc = replay_transversal(order, targets[:, c].tolist(), xv)
-            else:
-                _, acc = replay_truncated(
-                    order, acc_masks[c], group_of, caps, total_cap, xv
-                )
-        acc_counts.record(c, acc, ridx[:, c])
-    return acc_counts.expectation(), acc_counts.z_violations
-
-
-def _custom_reduction_accepts(ens: ConfigEnsemble, partition: SimplePartition) -> list[int]:
-    from .exact import _Triple  # sentinel triples for absent thresholds
-
-    flags = np.zeros((ens.n, ens.num_configs), dtype=bool)
-    for group in partition.groups:
-        if not group:
-            continue
-        thr = _Triple.sentinel(ens.num_configs)
-        for e in group:
-            thr = thr.maximum(ens.sample_triple(e))
-        for e in group:
-            flags[ens.bit_of[e]] = ens.reward_triple(e).gt(thr)
-    return bitmask_rows(flags)
-
-
-def _exact_alg_reduction_graphic(
-    ens: ConfigEnsemble, adversary, inc_orders, xval, xtb, ridx
-) -> tuple[Fraction, int]:
-    fs = ens.structure
-    if fs.vertex_count > EXACT_SIGMA_VERTEX_CAP:
-        raise CapExceededError(
-            f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} vertices"
-        )
-    n = ens.n
-    num_c = ens.num_configs
-    sample_triples = [ens.sample_triple(e) for e in range(n)]
-    reward_triples = [ens.reward_triple(e) for e in range(n)]
-    sigmas = list(permutations(range(fs.vertex_count)))
-    acc_counts = ExactAccumulator(ens, weight=num_c * len(sigmas))
-    from .exact import _Triple
-
-    for sigma in sigmas:
-        partition, _ = graphic_partition(fs, sigma=sigma)
-        group_of = partition.group_index
-        caps = tuple(1 for _ in partition.groups)
-        flags = np.zeros((n, num_c), dtype=bool)
-        for group in partition.groups:
-            if not group:
-                continue
-            thr = _Triple.sentinel(num_c)
-            for e in group:
-                thr = thr.maximum(sample_triples[e])
-            for e in group:
-                flags[e] = reward_triples[e].gt(thr)
-        acc_masks = bitmask_rows(flags)
-        for c in range(num_c):
-            _, acc = replay_truncated(
-                _order_for(ens, adversary, inc_orders, c), acc_masks[c],
-                group_of, caps, len(caps), xval[:, c].tolist(),
-            )
-            acc_counts.record(c, acc, ridx[:, c])
-    return acc_counts.expectation(), acc_counts.z_violations
+        rcol = ridx[:, c].tolist()
+        order = range(n) if orders is None else orders[:, c].tolist()
+        for accepted in replayers:
+            acc = accepted(c, order, xv)
+            z_violations += bin(acc & ~c).count("1")
+            while acc:
+                counts[rcol[(acc & -acc).bit_length() - 1]] += 1
+                acc &= acc - 1
+    return ens.path_total(counts) / (ens.num_configs * len(replayers)), z_violations
 
 
 def _exact_opt_prime(ens: ConfigEnsemble) -> Fraction:
     counts = (ens.heads & ens.free("H")).sum(axis=1)
-    total = Fraction(0)
-    for j in range(ens.length):
-        if counts[j]:
-            total += Fraction(float(ens.w_val[j])) * int(counts[j])
-    return total / ens.num_configs
+    return ens.path_total(counts) / ens.num_configs
 
 
-def _exact_opt(ens: ConfigEnsemble, xval, xtb, ridx) -> Fraction:
+def _exact_opt(ens: ConfigEnsemble, ridx) -> Fraction:
     fs = ens.structure
     if not isinstance(fs, (GeneralMatching, Transversal)):
         return _exact_opt_prime(ens)  # matroid greedy is exact
+    entries = ens.path.entries
     counts = [0] * ens.length
     for c in range(ens.num_configs):
-        weights = {
-            e: TaggedValue(float(xval[e, c]), float(xtb[e, c]), e)
-            for e in range(ens.n)
-        }
-        sol = (
-            optimal_matching(fs, weights)
-            if isinstance(fs, GeneralMatching)
-            else optimal_transversal(fs, weights)
-        )
-        for e in sol.chosen:
-            counts[int(ridx[e, c])] += 1
-    total = Fraction(0)
-    for j, cnt in enumerate(counts):
-        if cnt:
-            total += Fraction(float(ens.w_val[j])) * cnt
-    return total / ens.num_configs
+        rcol = ridx[:, c].tolist()
+        weights = {e: entries[j].value for e, j in enumerate(rcol)}
+        for e in exact_optimum(fs, weights).chosen:
+            counts[rcol[e]] += 1
+    return ens.path_total(counts) / ens.num_configs
 
 
 def estimate_ratio_exact(
@@ -371,11 +258,9 @@ def estimate_ratio_exact(
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
     realizations = instance.draw_realizations(trial_rng(seed, 0))
     ens = ConfigEnsemble(instance.structure, realizations, cap=EXACT_MODE_CAP)
-    xval, xtb, ridx = _reward_matrices(ens)
-    e_alg, z_violations = _exact_alg(
-        ens, policy, adversary, instance, xval, xtb, ridx
-    )
-    e_opt = _exact_opt(ens, xval, xtb, ridx)
+    ridx = ens.reward_indices()
+    e_alg, z_violations = _exact_alg(ens, policy, adversary, instance, ridx)
+    e_opt = _exact_opt(ens, ridx)
     e_opt_prime = _exact_opt_prime(ens)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RatioReport(
@@ -398,6 +283,18 @@ def estimate_ratio_exact(
 # ---------------------------------------------------------------------------
 # Monte Carlo mode
 # ---------------------------------------------------------------------------
+
+
+def mc_summary(sums: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Means and 95% normal half-widths (1.96 standard errors) of several
+    quantities from running sums laid out as (sum, sum of squares) pairs."""
+    means = sums[0::2] / trials
+    if trials > 1:
+        variances = (sums[1::2] - trials * means**2) / (trials - 1)
+        half = 1.96 * np.sqrt(np.maximum(variances, 0.0) / trials)
+    else:
+        half = np.zeros(len(means))
+    return means, half
 
 
 def _mc_chunk(args) -> tuple:
@@ -463,12 +360,7 @@ def estimate_ratio_mc(
     for partial, z in results:
         sums += partial
         z_violations += z
-    means = sums[0::2] / trials
-    if trials > 1:
-        variances = (sums[1::2] - trials * means**2) / (trials - 1)
-        half = 1.96 * np.sqrt(np.maximum(variances, 0.0) / trials)
-    else:
-        half = np.zeros(3)
+    means, half = mc_summary(sums, trials)
     wall_ms = (time.perf_counter() - start_time) * 1000.0
     return RatioReport(
         policy=policy,
@@ -524,7 +416,7 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     start_time = time.perf_counter()
     rng = np.random.default_rng((seed, 0))
     lo = 1.0 - 1.0 / k
-    sum_alg = sum_alg2 = sum_opt = sum_opt2 = 0.0
+    sums = np.zeros(4)  # alg, alg^2, opt, opt^2
     done = 0
     while done < trials:
         block = min(20_000, trials - done)
@@ -541,14 +433,10 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
         center_pick = np.where(exceed, rewards, np.inf).min(axis=1)
         alg += np.where(np.isfinite(center_pick), center_pick, 0.0)
         opt = rewards.sum(axis=1)
-        sum_alg += float(alg.sum())
-        sum_alg2 += float((alg * alg).sum())
-        sum_opt += float(opt.sum())
-        sum_opt2 += float((opt * opt).sum())
+        sums += (alg.sum(), (alg * alg).sum(), opt.sum(), (opt * opt).sum())
         done += block
-    mean_alg = sum_alg / trials
-    mean_opt = sum_opt / trials
-    var_alg = max(0.0, (sum_alg2 - trials * mean_alg**2) / max(1, trials - 1))
+    means, half = mc_summary(sums, trials)
+    mean_alg, mean_opt = (float(x) for x in means)
     wall_ms = (time.perf_counter() - start_time) * 1000.0
     return RatioReport(
         policy="reduction-graphic",
@@ -558,7 +446,7 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
         e_opt=mean_opt,
         e_opt_prime=mean_opt,
         ratio=_ratio(mean_opt, mean_alg),
-        ci=1.96 * math.sqrt(var_alg / trials),
+        ci=float(half[0]),
         seed=seed,
         wall_ms=wall_ms,
         trials=trials,

@@ -87,14 +87,25 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _number(raw, path: str):
+    """A JSON number; strings and booleans are rejected, not converted."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise InstanceFormatError(path, f"expected a number, got {raw!r}")
+    return raw
+
+
+def _integer(raw, path: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise InstanceFormatError(path, f"expected an integer, got {raw!r}")
+    return raw
+
+
 def _parse_edge_list(raw, vertices: int, path: str) -> tuple[tuple[int, int], ...]:
     edges = []
     for i, pair in enumerate(raw):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InstanceFormatError(f"{path}[{i}]", "edge must be a [u, v] pair")
-        u, v = pair
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise InstanceFormatError(f"{path}[{i}]", "vertex ids must be integers")
+        u, v = (_integer(x, f"{path}[{i}]") for x in pair)
         if not (0 <= u < vertices and 0 <= v < vertices):
             raise InstanceFormatError(f"{path}[{i}]", f"dangling vertex in ({u},{v})")
         if u == v:
@@ -110,8 +121,7 @@ def _parse_groups(raw, path: str) -> tuple[tuple[int, ...], ...]:
         if not isinstance(grp, list):
             raise InstanceFormatError(f"{path}[{i}]", "group must be a list")
         for e in grp:
-            if not isinstance(e, int):
-                raise InstanceFormatError(f"{path}[{i}]", "element ids must be integers")
+            _integer(e, f"{path}[{i}]")
             if e in seen:
                 raise InstanceFormatError(f"{path}[{i}]", f"element {e} in two groups")
             seen.add(e)
@@ -122,12 +132,12 @@ def _parse_groups(raw, path: str) -> tuple[tuple[int, ...], ...]:
 def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] | None]:
     kind = _require(raw, "kind", "structure")
     if kind == "matching" or kind == "graphic":
-        vertices = _require(raw, "vertices", "structure")
+        vertices = _integer(_require(raw, "vertices", "structure"), "structure.vertices")
         edges = _parse_edge_list(_require(raw, "edges", "structure"), vertices, "structure.edges")
         cls = GeneralMatching if kind == "matching" else Graphic
         return cls(vertices, edges), None
     if kind == "transversal":
-        left = _require(raw, "left", "structure")
+        left = _integer(_require(raw, "left", "structure"), "structure.left")
         right_order = _require(raw, "right_order", "structure")
         labels = [str(r) for r in right_order]
         if len(set(labels)) != len(labels):
@@ -158,13 +168,17 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
         return Transversal(left, len(labels), tuple(adjacency)), tuple(labels)
     if kind == "truncated-partition":
         groups = _parse_groups(_require(raw, "groups", "structure"), "structure.groups")
-        caps = tuple(_require(raw, "group_capacities", "structure"))
-        total = _require(raw, "total_capacity", "structure")
-        if len(caps) != len(groups):
+        raw_caps = _require(raw, "group_capacities", "structure")
+        if not isinstance(raw_caps, list) or len(raw_caps) != len(groups):
             raise InstanceFormatError("structure.group_capacities", "one capacity per group")
-        for c in (*caps, total):
-            if not isinstance(c, int) or c < 1:
-                raise InstanceFormatError("structure", "capacity must be >= 1")
+        caps = tuple(
+            _integer(c, f"structure.group_capacities[{i}]") for i, c in enumerate(raw_caps)
+        )
+        total = _integer(
+            _require(raw, "total_capacity", "structure"), "structure.total_capacity"
+        )
+        if min(caps, default=1) < 1 or total < 1:
+            raise InstanceFormatError("structure", "capacity must be >= 1")
         try:
             return TruncatedPartition(groups, caps, total), None
         except ValueError as exc:
@@ -178,18 +192,28 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
 def _parse_distribution(raw: dict, path: str) -> Distribution:
     kind = _require(raw, "kind", path)
     mhr = bool(raw.get("mhr", kind == "exponential"))
+
+    def number(key: str):
+        return _number(_require(raw, key, path), f"{path}.{key}")
+
+    def numbers(key: str) -> list:
+        values = _require(raw, key, path)
+        if not isinstance(values, list):
+            raise InstanceFormatError(f"{path}.{key}", "expected a list of numbers")
+        return [_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
+
     try:
         if kind == "point-mass":
-            return point_mass(_require(raw, "value", path), mhr=mhr)
+            return point_mass(number("value"), mhr=mhr)
         if kind == "discrete":
-            return discrete(
-                _require(raw, "values", path), _require(raw, "weights", path), mhr=mhr
-            )
+            return discrete(numbers("values"), numbers("weights"), mhr=mhr)
         if kind == "uniform":
-            return uniform(_require(raw, "a", path), _require(raw, "b", path), mhr=mhr)
+            return uniform(number("a"), number("b"), mhr=mhr)
         if kind == "exponential":
-            return exponential(_require(raw, "rate", path), mhr=mhr)
-    except (TypeError, ValueError) as exc:
+            return exponential(number("rate"), mhr=mhr)
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:
         raise InstanceFormatError(path, str(exc)) from exc
     raise InstanceFormatError(path, f"unknown distribution kind {kind!r}")
 
@@ -206,7 +230,7 @@ def parse_instance(data: bytes | str) -> Instance:
         raise InstanceFormatError("$", "top level must be an object")
     name = str(doc.get("name", "unnamed"))
     structure, right_labels = _parse_structure(_require(doc, "structure", "$"))
-    if "elements" in doc and doc["elements"] != structure.ground_size:
+    if "elements" in doc and _integer(doc["elements"], "elements") != structure.ground_size:
         raise InstanceFormatError(
             "elements",
             f"declared {doc['elements']} elements, structure has {structure.ground_size}",
@@ -245,11 +269,7 @@ def parse_instance(data: bytes | str) -> Instance:
                     raise InstanceFormatError(
                         "partition.groups", f"element {e} outside the ground set"
                     )
-        raw_alpha = _require(raw_part, "alpha", "partition")
-        try:
-            alpha = float(raw_alpha)
-        except (TypeError, ValueError):
-            alpha = math.nan
+        alpha = float(_number(_require(raw_part, "alpha", "partition"), "partition.alpha"))
         if not math.isfinite(alpha) or alpha < 1:
             raise InstanceFormatError(
                 "partition.alpha", "alpha must be a finite number >= 1"

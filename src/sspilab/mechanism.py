@@ -21,7 +21,7 @@ from .core import Distribution, TaggedValue, trial_rng
 from .feasibility import exact_optimum
 from .instances import Instance
 from .policies import PolicyTrace, run_policy
-from .harness import _scheme_for, _check_policy_structure, _fmt_float
+from .harness import _scheme_for, _check_policy_structure, _fmt_float, mc_summary
 
 PAYMENT_RULE = "max(critical-price-at-acceptance, lazy-reserve)"
 
@@ -213,14 +213,8 @@ def estimate_mechanism_ratios(
             outcome.revenue, outcome.revenue**2,
             opt, opt**2,
         )
-    means = sums[0::2] / trials
-    if trials > 1:
-        variances = (sums[1::2] - trials * means**2) / (trials - 1)
-        se = np.sqrt(np.maximum(variances, 0.0) / trials)
-    else:
-        se = np.zeros(3)
+    means, hw = mc_summary(sums, trials)
     mech_w, revenue, opt_w = (float(x) for x in means)
-    hw = 1.96 * se
     welfare_ratio = opt_w / mech_w if mech_w > 0 else float("inf")
     if mech_w > 0 and opt_w > 0:
         rel = math.sqrt((hw[0] / mech_w) ** 2 + (hw[2] / opt_w) ** 2)

@@ -166,3 +166,44 @@ def test_zero_trials_rejected(argv, tmp_path, capsys):
     argv = [a.replace("{rank1}", str(path)) for a in argv]
     assert main(["--trials", "0", *argv]) == 2
     assert "need trials >= 1" in capsys.readouterr().err
+
+
+def _matching_document(vertices):
+    return {
+        "name": "m",
+        "structure": {"kind": "matching", "vertices": vertices, "edges": [[0, 1]]},
+        "distributions": {"0": UNIT_UNIFORM},
+    }
+
+
+def _capacities(group_capacities, total_capacity):
+    doc = _rank1_document(UNIT_UNIFORM)
+    doc["structure"]["group_capacities"] = group_capacities
+    doc["structure"]["total_capacity"] = total_capacity
+    return doc
+
+
+@pytest.mark.parametrize("doc, policy, field", [
+    (_rank1_document({"kind": "uniform", "a": "0", "b": 1}), "rank1", "distributions.0.a"),
+    (_rank1_document({"kind": "point-mass", "value": True}), "rank1",
+     "distributions.0.value"),
+    (_rank1_document({"kind": "exponential", "rate": "2"}), "rank1",
+     "distributions.0.rate"),
+    (_rank1_document({"kind": "discrete", "values": ["1", "2"], "weights": [0.5, 0.5]}),
+     "rank1", "distributions.0.values[0]"),
+    (_rank1_document({"kind": "discrete", "values": [1, 2], "weights": [0.5, "0.5"]}),
+     "rank1", "distributions.0.weights[1]"),
+    (_rank1_document({"kind": "point-mass", "value": 1.0},
+                     partition={"alpha": "2", "groups": [[0], [1]]}), "rank1",
+     "partition.alpha"),
+    (_matching_document("3"), "matching", "structure.vertices"),
+    (_capacities([True], 1), "rank1", "structure.group_capacities[0]"),
+    (_capacities([1], True), "rank1", "structure.total_capacity"),
+])
+def test_non_numbers_rejected(doc, policy, field, tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["--trials", "50", "simulate", "--instance", str(path),
+                 "--policy", policy])
+    assert code == 2
+    assert field in capsys.readouterr().err

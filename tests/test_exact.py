@@ -1,13 +1,14 @@
 """The vectorized configuration tables must agree cell-for-cell with the
 scalar reference implementations."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from sspilab.core import Configuration, build_sample_path, trial_rng
+from sspilab.core import Configuration, build_sample_path, point_mass, trial_rng
 from sspilab.exact import ConfigEnsemble, bitmask_rows
 from sspilab.feasibility import (
     Transversal,
@@ -52,19 +53,38 @@ def test_free_tables_match_scalar_free_index(rng):
                         ), (kind, side, mask, j)
 
 
-def test_reward_triples_and_indices(rng):
-    inst = random_instance("graphic", 4, rng)
-    reals = inst.draw_realizations(rng)
-    path = build_sample_path(reals)
-    ens = ConfigEnsemble(inst.structure, reals)
-    for e in range(4):
-        trip = ens.reward_triple(e)
-        ridx = ens.reward_index(e)
-        for mask in range(16):
-            expected = reals[e].y if (mask >> e) & 1 else reals[e].z
-            assert trip.val[mask] == expected.value
-            assert trip.tb[mask] == expected.tiebreak
-            assert path.entries[int(ridx[mask])].value == expected
+def test_reward_and_sample_indices(rng):
+    # Path indices stand in for tagged values: index order is the reverse of
+    # TaggedValue order, and an index precedes `absent` iff its value is > 0.
+    for kind in ALL_KINDS:
+        for _ in range(4):
+            inst = random_instance(kind, int(rng.integers(1, 6)), rng)
+            dists = dict(inst.distributions)
+            dists[int(rng.integers(0, len(dists)))] = point_mass(0.0)
+            inst = replace(inst, distributions=dists)
+            reals = inst.draw_realizations(rng)
+            path = build_sample_path(reals)
+            ens = ConfigEnsemble(inst.structure, reals)
+            ridx = ens.reward_indices()
+            for e in ens.elements:
+                assert (ridx[ens.bit_of[e]] == ens.reward_index(e)).all()
+            for mask in range(ens.num_configs):
+                rewards, samples = {}, {}
+                for r in reals:
+                    if (mask >> r.element) & 1:
+                        rewards[r.element], samples[r.element] = r.y, r.z
+                    else:
+                        rewards[r.element], samples[r.element] = r.z, r.y
+                for e in ens.elements:
+                    i = int(ens.reward_index(e)[mask])
+                    assert path.entries[i].value == rewards[e]
+                    assert path.entries[int(ens.sample_index(e)[mask])].value == samples[e]
+                    assert (i < ens.absent) == beats(rewards[e], None)
+                    for f in ens.elements:
+                        j = int(ridx[ens.bit_of[f], mask])
+                        assert (i < j) == (rewards[e] > rewards[f])
+                        s = int(ens.sample_index(f)[mask])
+                        assert (i < s) == (rewards[e] > samples[f])
 
 
 def test_greedy_totals_match_flag_tables(rng):

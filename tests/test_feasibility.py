@@ -223,6 +223,23 @@ class TestMatchingOracles:
             assert abs(opt.total - brute_force_matching(inst.structure, w)) < 1e-9
             assert is_independent(inst.structure, opt.chosen)
 
+    def test_optimal_matches_networkx(self, rng):
+        nx = pytest.importorskip("networkx")
+        for _ in range(60):
+            inst = random_instance("matching", int(rng.integers(1, 13)), rng)
+            g = inst.structure
+            # Small integer values make tied weights and tied totals common.
+            w = {e: tv(float(rng.integers(0, 6)), rng.random(), e)
+                 for e in range(g.ground_size)}
+            graph = nx.Graph()
+            for e, (u, v) in enumerate(g.edges):  # parallel edges: keep the heaviest
+                if not graph.has_edge(u, v) or graph[u][v]["weight"] < w[e].value:
+                    graph.add_edge(u, v, weight=w[e].value)
+            want = sum(graph[u][v]["weight"] for u, v in nx.max_weight_matching(graph))
+            opt = optimal_matching(g, w)
+            assert abs(opt.total - want) < 1e-9
+            assert is_independent(g, opt.chosen)
+
 
 class TestTransversalOracles:
     def test_ordered_maximal_hand_trace(self):
@@ -254,6 +271,26 @@ class TestTransversalOracles:
             got = optimal_transversal(t, w)
             assert abs(got.total - best) < 1e-9
             assert is_independent(t, got.chosen)
+
+    def test_optimal_matches_linear_assignment(self, rng):
+        optimize = pytest.importorskip("scipy.optimize")
+        for _ in range(60):
+            inst = random_instance("transversal", int(rng.integers(1, 13)), rng)
+            t = inst.structure
+            w = {e: tv(float(rng.integers(0, 6)), rng.random(), e)
+                 for e in range(t.left_count)}
+            # Zero-weight dummy columns let any left node stay unmatched.
+            cost = np.zeros((t.left_count, t.right_count + t.left_count))
+            for l in range(t.left_count):
+                cost[l, list(t.adjacency[l])] = w[l].value
+            rows, cols = optimize.linear_sum_assignment(cost, maximize=True)
+            got = optimal_transversal(t, w)
+            assert abs(got.total - cost[rows, cols].sum()) < 1e-9
+            assert is_independent(t, got.chosen)
+            assert got.total == sum(w[l].value for l in sorted(got.chosen))
+            for l, r in got.assignment.items():
+                assert r in t.adjacency[l]
+            assert sorted(got.assignment) == sorted(got.chosen)
 
 
 class TestMatroidGreedy:

@@ -134,6 +134,12 @@ class TestExactMode:
         with pytest.raises(ValueError):
             estimate_ratio(inst, "rank1", adversary="random", mode="exact", seed=0)
 
+    def test_reduction_custom_needs_partition(self, rng):
+        inst = random_instance("simple-partition", 3, rng)
+        for mode in ("exact", "mc"):
+            with pytest.raises(ValueError, match="partition block"):
+                estimate_ratio(inst, "reduction-custom", mode=mode, trials=5, seed=0)
+
     def test_policy_structure_mismatch(self, rng):
         inst = random_instance("matching", 3, rng)
         with pytest.raises(TypeError):
