@@ -25,7 +25,7 @@ from .core import (
     SamplePath,
     validate_configuration,
 )
-from .exact import ConfigEnsemble, bitmask_rows, replay_truncated
+from .exact import ConfigEnsemble, bitmask_rows, replay_group_counts
 from .feasibility import (
     FeasibilityStructure,
     GeneralMatching,
@@ -462,28 +462,19 @@ def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     fs = ens.structure
     support = ens.support_laminar()
     accept, _ = ens.laminar_accepts()
-    accept_masks = bitmask_rows(accept)
-    group_of = fs.group_index
     orders = np.argsort(-ens.reward_indices(), axis=0)  # increasing rewards
-    checks = 0
+    acc = replay_group_counts(
+        accept, fs.group_index, fs.group_capacities, fs.total_capacity, orders
+    )
+    missed = np.argwhere((support & ~acc[ens.elem]).T)  # (config, index) pairs
+    checks = int(support.sum())
     fail = None
-    for c in range(ens.num_configs):
-        sup_j = [j for j in range(ens.length) if support[j, c]]
-        if not sup_j:
-            continue
-        order = orders[:, c].tolist()
-        xv = [0.0] * ens.n  # values unused by the replay bookkeeping
-        _, acc = replay_truncated(
-            order, accept_masks[c], group_of, fs.group_capacities,
-            fs.total_capacity, xv,
+    if len(missed):
+        c, j = missed[0].tolist()
+        fail = (
+            f"config {c}, index {j}: element {ens.elem[j]} not collected "
+            "under the increasing order"
         )
-        for j in sup_j:
-            checks += 1
-            if not (acc >> ens.elem[j]) & 1:
-                fail = fail or (
-                    f"config {c}, index {j}: element {ens.elem[j]} not collected "
-                    "under the increasing order"
-                )
     return LemmaReport(
         "laminar-sufficient", fail is None, Fraction(0 if fail is None else 1),
         Fraction(0), ens.num_configs, fail or f"{checks} replayed checks",

@@ -8,7 +8,7 @@ Subcommands:
   mechanism      posted-price mechanism welfare/revenue estimation
 
 Exit codes: 0 success, 1 a verification failed (lemma or game value), 2 usage
-or input error, 3 a size cap was exceeded.
+or input error, 3 a size cap was exceeded, 4 an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _write(text: str, out: str | None) -> None:
@@ -233,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InstanceFormatError, RegimeError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

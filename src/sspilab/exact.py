@@ -1,10 +1,12 @@
 """Exact enumeration engine over coin configurations.
 
 For one structure and one fixed set of Y/Z realizations, this module walks all
-2**n configurations at once using numpy arrays indexed (path position, config)
-and produces exact integer counts: free flags per side, per-vertex thresholds,
-supporting events, and policy outcomes. Configuration c is identified with the
-bitmask whose bit e says "element e's larger value is the reward".
+2**n configurations at once. Tables are numpy arrays with the configuration
+axis last, indexed (path position, config) or (element, config), and hold
+exact integer counts: free flags per side, per-vertex thresholds, supporting
+events, the sets each policy accepts and the prophet's optimal sets.
+Configuration c is identified with the bitmask whose bit e says "element e's
+larger value is the reward".
 
 Everything downstream (lemma verifiers, exact competitive-ratio harness)
 consumes these tables. Values are compared by their index on the decreasing
@@ -12,12 +14,22 @@ sample path: "x beats y" in the tagged order (value, tiebreak, element) is
 `idx_x < idx_y`. Threshold tables hold path indices, and the absent threshold
 is the index `absent`, the count of positive values, so beating it means
 having positive value.
+
+No step loops over configurations in Python. Online phases are replayed by
+two kernels that step through every configuration's arrival order at once:
+one for bitmask resources (matching vertices, transversal target nodes) and
+one for group counts (the partition policies). E_OPT comes from subset
+tables, whose entry S says whether the element set S is feasible: the matroid
+greedy for transversal systems, and the best maximal matching for matching,
+where float totals within a relative NEAR_TIE of the best are compared
+exactly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +41,10 @@ from .feasibility import (
     Transversal,
     TruncatedPartition,
 )
+
+_DIGIT_BITS = 31
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+
 
 class ConfigEnsemble:
     """All 2**n configurations for one structure and fixed realizations."""
@@ -88,6 +104,20 @@ class ConfigEnsemble:
                 total += Fraction(float(self.w_val[j])) * int(cnt)
         return total
 
+    @cached_property
+    def exact_digits(self) -> np.ndarray:
+        """(2n, D) path values as exact integers in base 2**31, lowest digit
+        first: value j is sum_d digits[j, d] * 2**(31 d) / 2**s for one s
+        shared by all. Float sums of fewer than 2**22 digits stay exact."""
+        ratios = [float(v).as_integer_ratio() for v in self.w_val]
+        shift = max(q.bit_length() for _, q in ratios)
+        ints = [p << (shift - q.bit_length()) for p, q in ratios]
+        width = max(1, -(-max(ints).bit_length() // _DIGIT_BITS))
+        return np.array(
+            [[(x >> (_DIGIT_BITS * d)) & _DIGIT_MASK for d in range(width)] for x in ints],
+            dtype=float,
+        )
+
     # -- free flags ---------------------------------------------------------
 
     def free(self, side: str) -> np.ndarray:
@@ -120,11 +150,7 @@ class ConfigEnsemble:
         return self._candidate[side]
 
     def _free_matching(self, side_flags, fs: GeneralMatching) -> np.ndarray:
-        if fs.vertex_count > 62:
-            raise CapExceededError("vertex bitmasks support up to 62 vertices")
-        vmask = [
-            (1 << fs.edges[e][0]) | (1 << fs.edges[e][1]) for e in range(len(fs.edges))
-        ]
+        vmask = vertex_masks(fs)
         used = np.zeros(self.num_configs, dtype=np.int64)
         free = np.empty((self.length, self.num_configs), dtype=bool)
         for j in range(self.length):
@@ -135,12 +161,7 @@ class ConfigEnsemble:
         return free
 
     def _free_transversal(self, side_flags, fs: Transversal):
-        if fs.right_count > 62:
-            raise CapExceededError("right-node bitmasks support up to 62 nodes")
-        rmask = [0] * fs.left_count
-        for l in range(fs.left_count):
-            for r in fs.adjacency[l]:
-                rmask[l] |= 1 << r
+        rmask = neighbor_masks(fs)
         taken = np.zeros(self.num_configs, dtype=np.int64)
         free = np.empty((self.length, self.num_configs), dtype=bool)
         cand = np.empty((self.length, self.num_configs), dtype=np.int64)
@@ -408,8 +429,242 @@ class ConfigEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# Per-configuration policy replays. These run on plain python ints/floats and
-# are the hot loops behind exact mode and the sufficiency checks.
+# Subset tables. Entry S of a table (S a bitmask over the elements) answers
+# one question about the element set S; each table is built in n doubling
+# steps over its 2**n entries.
+# ---------------------------------------------------------------------------
+
+
+def vertex_masks(g: GeneralMatching) -> list[int]:
+    """Per edge, the bitmask of its two endpoints."""
+    if g.vertex_count > 62:
+        raise CapExceededError("vertex bitmasks support up to 62 vertices")
+    return [(1 << u) | (1 << v) for u, v in g.edges]
+
+
+def neighbor_masks(t: Transversal) -> list[int]:
+    """Per left node, the bitmask of its right neighbours."""
+    if t.right_count > 62:
+        raise CapExceededError("right-node bitmasks support up to 62 nodes")
+    return [sum(1 << r for r in nbrs) for nbrs in t.adjacency]
+
+
+def subset_union(masks) -> np.ndarray:
+    """Entry S: the OR of masks[e] over the elements e of S."""
+    table = np.zeros(1 << len(masks), dtype=np.int64)
+    for e, m in enumerate(masks):
+        half = 1 << e
+        table[half : 2 * half] = table[:half] | m
+    return table
+
+
+def _set_sizes(n: int) -> np.ndarray:
+    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
+
+
+def matching_table(g: GeneralMatching) -> tuple[np.ndarray, np.ndarray]:
+    """Entry S: whether the edge set S is a matching, and the vertices it
+    covers. Edges have two distinct endpoints, so S is a matching exactly
+    when it covers 2|S| vertices."""
+    covered = subset_union(vertex_masks(g))
+    sizes = _set_sizes(len(g.edges))
+    return np.bitwise_count(covered) == 2 * sizes, covered
+
+
+def transversal_table(t: Transversal) -> np.ndarray:
+    """Entry S: whether the left nodes S can be matched into right nodes.
+
+    By Hall's condition, S can be matched iff every subset T of S has at
+    least |T| neighbours; the count test per set is closed under subsets,
+    one element at a time."""
+    n = t.left_count
+    table = np.bitwise_count(subset_union(neighbor_masks(t))) >= _set_sizes(n)
+    for e in range(n):
+        half = 1 << e
+        blocks = table.reshape(-1, 2 * half)  # second halves hold bit e
+        blocks[:, half:] &= blocks[:, :half]
+    return table
+
+
+def _edges_touched(covered: np.ndarray, vmasks) -> np.ndarray:
+    """Per entry, the mask of the edges with an endpoint among `covered`."""
+    out = np.zeros_like(covered)
+    for e, m in enumerate(vmasks):
+        out |= ((covered & m) != 0).astype(np.int64) << e
+    return out
+
+
+def element_flags(masks: np.ndarray, n: int) -> np.ndarray:
+    """(n, len(masks)) flags: bit e of each element mask."""
+    return ((masks[None, :] >> np.arange(n)[:, None]) & 1).astype(bool)
+
+
+# ---------------------------------------------------------------------------
+# Batched replays: each kernel steps through every configuration's arrival
+# order at once. `live` holds the (element, config) flags of the elements the
+# policy would take if feasible; `orders` holds one arrival order per column
+# (None: by element id). Each returns the (n, configs) accepted flags.
+# ---------------------------------------------------------------------------
+
+
+def replay_resources(live: np.ndarray, resources, orders=None) -> np.ndarray:
+    """First-come acceptance where each element claims a bitmask resource
+    (an edge claims its two vertices, a left node its target right node): a
+    live arrival is accepted when none of its resource is taken yet.
+    `resources` is (n,) or (n, configs)."""
+    n, configs = live.shape
+    cols = np.arange(configs)
+    res = np.broadcast_to(np.asarray(resources, dtype=np.int64).reshape(n, -1), live.shape)
+    taken = np.zeros(configs, dtype=np.int64)
+    accepted = np.zeros_like(live)
+    for k in range(n):
+        e = k if orders is None else orders[k]
+        mine = res[e, cols]
+        ok = live[e, cols] & ((taken & mine) == 0)
+        taken |= np.where(ok, mine, 0)
+        accepted[e, cols] = ok
+    return accepted
+
+
+def replay_group_counts(
+    live: np.ndarray, group_index, caps, total_cap: int, orders=None
+) -> np.ndarray:
+    """First-come acceptance under per-group capacities and a total one.
+    Elements missing from `group_index` are never accepted."""
+    n, configs = live.shape
+    cols = np.arange(configs)
+    outside = len(caps)  # an extra group of capacity 0
+    group = np.array([group_index.get(e, outside) for e in range(n)])
+    caps = np.array([*caps, 0], dtype=np.int64)
+    counts = np.zeros((outside + 1, configs), dtype=np.int64)
+    total = np.zeros(configs, dtype=np.int64)
+    accepted = np.zeros_like(live)
+    for k in range(n):
+        e = k if orders is None else orders[k]
+        g = group[e]
+        ok = live[e, cols] & (counts[g, cols] < caps[g]) & (total < total_cap)
+        counts[g, cols] += ok
+        total += ok
+        accepted[e, cols] = ok
+    return accepted
+
+
+# ---------------------------------------------------------------------------
+# Best sets per configuration: E_OPT and the matching adversary's minimum.
+# ---------------------------------------------------------------------------
+
+NEAR_TIE = 1e-9  # relative gap under which float totals are compared exactly
+_CHUNK_CELLS = 1 << 20  # (configuration, candidate set) cells per float block
+
+
+def _exact_winners(
+    ens: ConfigEnsemble, ridx_cols: np.ndarray, member: np.ndarray,
+    near: np.ndarray, minimize: bool,
+) -> np.ndarray:
+    """Narrow each row of `near` to the candidates with the largest (or
+    smallest) exact reward total. The totals are summed digit by digit on
+    `ens.exact_digits`; every float product involved is an exact integer.
+    Only the candidates near in some row take part, and rows go in blocks
+    of at most _CHUNK_CELLS (row, candidate, digit) cells."""
+    cols = np.flatnonzero(near.any(axis=0))
+    member = member[:, cols]
+    width = ens.exact_digits.shape[1]
+    keep = np.zeros_like(near)
+    step = max(1, _CHUNK_CELLS // (len(cols) * width))
+    for lo in range(0, near.shape[0], step):
+        hi = min(lo + step, near.shape[0])
+        digits = ens.exact_digits[ridx_cols[:, lo:hi]]  # (n, rows, D)
+        sums = [(digits[:, :, d].T @ member).astype(np.int64) for d in range(width)]
+        for d in range(width - 1):  # carry into the next digit
+            sums[d + 1] += sums[d] >> _DIGIT_BITS
+            sums[d] &= _DIGIT_MASK
+        block = near[lo:hi, cols]
+        for s in reversed(sums):  # most significant digit first
+            if minimize:
+                s = -s
+            top = np.where(block, s, np.iinfo(np.int64).min).max(axis=1, keepdims=True)
+            block &= s == top
+        keep[lo:hi, cols] = block
+    return keep
+
+
+def _best_sets(
+    ens: ConfigEnsemble, ridx: np.ndarray, sets: np.ndarray, minimize: bool = False,
+    within: np.ndarray | None = None, touched: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per configuration, the first element mask in `sets` with the largest
+    (or smallest) exact reward total. With `within` (one element mask per
+    configuration) only the sets inside it whose `touched` mask covers it
+    take part. Float totals pick the winner; where several lie within a
+    relative NEAR_TIE of the best, their exact totals decide."""
+    n, configs = ridx.shape
+    member = element_flags(sets, n).astype(float)  # (n, sets)
+    xval = ens.w_val[ridx]
+    sign = -1.0 if minimize else 1.0
+    chosen = np.empty(configs, dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // len(sets))
+    for lo in range(0, configs, step):
+        hi = min(lo + step, configs)
+        score = sign * (xval[:, lo:hi].T @ member)
+        if within is not None:
+            w = within[lo:hi, None]
+            score[((sets & ~w) != 0) | ((w & ~touched) != 0)] = -np.inf
+        best = score.max(axis=1, keepdims=True)
+        near = score >= best - NEAR_TIE * np.abs(best)
+        tied = np.flatnonzero(near.sum(axis=1) > 1)
+        if len(tied):
+            near[tied] = _exact_winners(
+                ens, ridx[:, lo + tied], member, near[tied], minimize
+            )
+        chosen[lo:hi] = sets[near.argmax(axis=1)]
+    return chosen
+
+
+def optimum_accepts(ens: ConfigEnsemble, ridx: np.ndarray) -> np.ndarray:
+    """(n, configs) flags of a maximum-weight feasible set per configuration,
+    for matching and transversal structures.
+
+    Transversal systems are matroids: the greedy over each configuration's
+    rewards in path-rank order, keeping an element while the set stays
+    matchable, is optimal and integer-exact. For matching, rewards are
+    non-negative, so some maximal matching is optimal."""
+    fs = ens.structure
+    n = ens.n
+    if isinstance(fs, Transversal):
+        matchable = transversal_table(fs)
+        chosen = np.zeros(ens.num_configs, dtype=np.int64)
+        for e in np.argsort(ridx, axis=0):  # largest rewards first
+            grown = chosen | (np.int64(1) << e)
+            chosen = np.where(matchable[grown], grown, chosen)
+        return element_flags(chosen, n)
+    if not isinstance(fs, GeneralMatching):
+        raise RuntimeError(f"no batched optimum for {type(fs).__name__}")
+    vmasks = vertex_masks(fs)
+    is_matching, covered = matching_table(fs)
+    maximal = is_matching & (_edges_touched(covered, vmasks) == (1 << n) - 1)
+    return element_flags(_best_sets(ens, ridx, np.flatnonzero(maximal)), n)
+
+
+def min_maximal_accepts(ens: ConfigEnsemble, ridx: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Batched `min_maximal_matching`: per configuration, the (n, configs)
+    accepted flags of a minimum-weight maximal matching of the live edges,
+    that is, of a matching inside the live set that touches every live
+    edge."""
+    n = ens.n
+    vmasks = vertex_masks(ens.structure)
+    is_matching, covered = matching_table(ens.structure)
+    sets = np.flatnonzero(is_matching)
+    live_masks = (live * (np.int64(1) << np.arange(n))[:, None]).sum(axis=0)
+    chosen = _best_sets(
+        ens, ridx, sets, minimize=True, within=live_masks,
+        touched=_edges_touched(covered[sets], vmasks),
+    )
+    return element_flags(chosen, n)
+
+
+# ---------------------------------------------------------------------------
+# Scalar helpers on python ints for one configuration at a time, for the
+# Monte Carlo adversary and the all-orders verifiers.
 # ---------------------------------------------------------------------------
 
 
@@ -418,18 +673,6 @@ def bitmask_rows(flags: np.ndarray) -> list[int]:
     n = flags.shape[0]
     weights = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
     return (flags * weights).sum(axis=0).tolist()
-
-
-def replay_matching(perm, ex_mask: int, vmasks, xvals) -> tuple[float, int]:
-    matched = 0
-    total = 0.0
-    acc = 0
-    for e in perm:
-        if (ex_mask >> e) & 1 and not (matched & vmasks[e]):
-            matched |= vmasks[e]
-            total += xvals[e]
-            acc |= 1 << e
-    return total, acc
 
 
 def min_maximal_matching(live: int, vmasks, xvals) -> int:
@@ -461,36 +704,3 @@ def min_maximal_matching(live: int, vmasks, xvals) -> int:
 
     walk(0, 0, 0.0, 0)
     return best_acc
-
-
-def replay_transversal(perm, targets, xvals) -> tuple[float, int]:
-    taken = 0
-    total = 0.0
-    acc = 0
-    for l in perm:
-        r = targets[l]
-        if r >= 0:
-            bit = 1 << r
-            if not (taken & bit):
-                taken |= bit
-                total += xvals[l]
-                acc |= 1 << l
-    return total, acc
-
-
-def replay_truncated(perm, accepts: int, group_of, caps, total_cap: int, xvals):
-    counts = [0] * len(caps)
-    taken = 0
-    total = 0.0
-    acc = 0
-    for e in perm:
-        if (accepts >> e) & 1:
-            g = group_of[e]
-            if counts[g] < caps[g] and taken < total_cap:
-                counts[g] += 1
-                taken += 1
-                total += xvals[e]
-                acc |= 1 << e
-    return total, acc
-
-

@@ -26,11 +26,12 @@ import numpy as np
 from .core import CapExceededError, assign_coins, trial_rng
 from .exact import (
     ConfigEnsemble,
-    bitmask_rows,
-    min_maximal_matching,
-    replay_matching,
-    replay_transversal,
-    replay_truncated,
+    element_flags,
+    min_maximal_accepts,
+    optimum_accepts,
+    replay_group_counts,
+    replay_resources,
+    vertex_masks,
 )
 from .feasibility import (
     GeneralMatching,
@@ -129,56 +130,50 @@ def _check_policy_structure(instance: Instance, policy: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _truncated_replayer(accepts: list[int], group_of, caps, total_cap: int):
-    """Replay of a truncated partition under per-configuration accept masks."""
-
-    def accepted(c, order, xv) -> int:
-        return replay_truncated(order, accepts[c], group_of, caps, total_cap, xv)[1]
-
-    return accepted
+def _mean_total(ens: ConfigEnsemble, ridx, runs) -> Fraction:
+    """Exact mean reward total of (n, configs) accepted flags, averaged over
+    the configurations and the runs."""
+    counts = sum(np.bincount(ridx[acc], minlength=ens.length) for acc in runs)
+    return ens.path_total(counts) / (ens.num_configs * len(runs))
 
 
 def _exact_alg(
     ens: ConfigEnsemble, policy: str, adversary: str, instance: Instance, ridx
 ) -> tuple[Fraction, int]:
-    """Exact E_ALG and the z-violation count. Each replayer maps (config,
-    arrival order, reward values) to the accepted element mask; the
-    reduction-graphic policy is the custom reduction run once per
-    vertex-order partition, each partition equally likely."""
+    """Exact E_ALG and the z-violation count. Each run gives the accepted
+    flags of every configuration; the reduction-graphic policy is the custom
+    reduction run once per vertex-order partition, each partition equally
+    likely."""
     fs = ens.structure
     n = ens.n
     # Outside matching, the increasing order is the exhaustive-min minimizer
-    # (see policies.adversarial_order); matching searches per configuration.
-    searching = policy == "matching" and adversary == "exhaustive-min"
-    if searching and n > ORDER_SEARCH_CAP:
-        raise CapExceededError(
-            f"exhaustive-min order search capped at n <= {ORDER_SEARCH_CAP}"
-        )
-
+    # (see policies.adversarial_order); for matching it is a minimum-weight
+    # maximal matching of the live edges.
+    orders = None if adversary == "fixed" else np.argsort(-ridx, axis=0)
     if policy == "matching":
-        live = bitmask_rows(ens.matching_exceeds())
-        vmasks = [(1 << fs.edges[e][0]) | (1 << fs.edges[e][1]) for e in range(n)]
-        if searching:
-            replayers = [lambda c, order, xv: min_maximal_matching(live[c], vmasks, xv)]
-        else:
-            replayers = [
-                lambda c, order, xv: replay_matching(order, live[c], vmasks, xv)[1]
-            ]
+        searching = adversary == "exhaustive-min"
+        if searching and n > ORDER_SEARCH_CAP:
+            raise CapExceededError(
+                f"exhaustive-min order search capped at n <= {ORDER_SEARCH_CAP}"
+            )
+        live = ens.matching_exceeds()
+        runs = [
+            min_maximal_accepts(ens, ridx, live) if searching
+            else replay_resources(live, vertex_masks(fs), orders)
+        ]
     elif policy == "transversal":
         targets = ens.transversal_targets()
-        replayers = [
-            lambda c, order, xv: replay_transversal(order, targets[:, c].tolist(), xv)[1]
-        ]
+        nodes = np.int64(1) << np.maximum(targets, 0)  # unused where targets < 0
+        runs = [replay_resources(targets >= 0, nodes, orders)]
     elif policy in ("laminar", "rank1"):
         flags = (
             ens.laminar_accepts()[0]
             if policy == "laminar"
             else ens.group_exceeds((tuple(ens.elements),))
         )
-        replayers = [
-            _truncated_replayer(
-                bitmask_rows(flags), fs.group_index, fs.group_capacities,
-                fs.total_capacity,
+        runs = [
+            replay_group_counts(
+                flags, fs.group_index, fs.group_capacities, fs.total_capacity, orders
             )
         ]
     elif policy in ("reduction-graphic", "reduction-custom"):
@@ -195,31 +190,19 @@ def _exact_alg(
                 graphic_partition(fs, sigma=sigma)[0]
                 for sigma in permutations(range(fs.vertex_count))
             ]
-        replayers = [
-            _truncated_replayer(
-                bitmask_rows(ens.group_exceeds(p.groups)), p.group_index,
-                (1,) * len(p.groups), len(p.groups),
+        runs = [
+            replay_group_counts(
+                ens.group_exceeds(p.groups), p.group_index, (1,) * len(p.groups),
+                len(p.groups), orders,
             )
             for p in partitions
         ]
     else:
         raise ValueError(f"policy {policy!r} has no exact evaluator")
 
-    xval = ens.w_val[ridx]
-    orders = None if adversary == "fixed" else np.argsort(-ridx, axis=0)
-    counts = [0] * ens.length
-    z_violations = 0
-    for c in range(ens.num_configs):
-        xv = xval[:, c].tolist()
-        rcol = ridx[:, c].tolist()
-        order = range(n) if orders is None else orders[:, c].tolist()
-        for accepted in replayers:
-            acc = accepted(c, order, xv)
-            z_violations += bin(acc & ~c).count("1")
-            while acc:
-                counts[rcol[(acc & -acc).bit_length() - 1]] += 1
-                acc &= acc - 1
-    return ens.path_total(counts) / (ens.num_configs * len(replayers)), z_violations
+    rewards_are_y = element_flags(np.arange(ens.num_configs), n)
+    z_violations = sum(int((acc & ~rewards_are_y).sum()) for acc in runs)
+    return _mean_total(ens, ridx, runs), z_violations
 
 
 def _exact_opt_prime(ens: ConfigEnsemble) -> Fraction:
@@ -228,17 +211,9 @@ def _exact_opt_prime(ens: ConfigEnsemble) -> Fraction:
 
 
 def _exact_opt(ens: ConfigEnsemble, ridx) -> Fraction:
-    fs = ens.structure
-    if not isinstance(fs, (GeneralMatching, Transversal)):
+    if not isinstance(ens.structure, (GeneralMatching, Transversal)):
         return _exact_opt_prime(ens)  # matroid greedy is exact
-    entries = ens.path.entries
-    counts = [0] * ens.length
-    for c in range(ens.num_configs):
-        rcol = ridx[:, c].tolist()
-        weights = {e: entries[j].value for e, j in enumerate(rcol)}
-        for e in exact_optimum(fs, weights).chosen:
-            counts[rcol[e]] += 1
-    return ens.path_total(counts) / ens.num_configs
+    return _mean_total(ens, ridx, [optimum_accepts(ens, ridx)])
 
 
 def estimate_ratio_exact(

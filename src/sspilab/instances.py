@@ -100,6 +100,13 @@ def _integer(raw, path: str) -> int:
     return raw
 
 
+def _list(raw, path: str) -> list:
+    """A JSON list; strings and objects are rejected, not iterated."""
+    if not isinstance(raw, list):
+        raise InstanceFormatError(path, f"expected a list, got {raw!r}")
+    return raw
+
+
 def _parse_edge_list(raw, vertices: int, path: str) -> tuple[tuple[int, int], ...]:
     edges = []
     for i, pair in enumerate(raw):
@@ -118,9 +125,7 @@ def _parse_groups(raw, path: str) -> tuple[tuple[int, ...], ...]:
     groups = []
     seen: set[int] = set()
     for i, grp in enumerate(raw):
-        if not isinstance(grp, list):
-            raise InstanceFormatError(f"{path}[{i}]", "group must be a list")
-        for e in grp:
+        for e in _list(grp, f"{path}[{i}]"):
             _integer(e, f"{path}[{i}]")
             if e in seen:
                 raise InstanceFormatError(f"{path}[{i}]", f"element {e} in two groups")
@@ -138,14 +143,14 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
         return cls(vertices, edges), None
     if kind == "transversal":
         left = _integer(_require(raw, "left", "structure"), "structure.left")
-        right_order = _require(raw, "right_order", "structure")
+        right_order = _list(_require(raw, "right_order", "structure"), "structure.right_order")
         labels = [str(r) for r in right_order]
         if len(set(labels)) != len(labels):
             raise InstanceFormatError(
                 "structure.right_order", "right-node order is not a permutation"
             )
         pos = {lab: i for i, lab in enumerate(labels)}
-        raw_adj = _require(raw, "adjacency", "structure")
+        raw_adj = _list(_require(raw, "adjacency", "structure"), "structure.adjacency")
         if len(raw_adj) != left:
             raise InstanceFormatError(
                 "structure.adjacency", f"need one neighbor list per left node ({left})"
@@ -153,7 +158,7 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
         adjacency = []
         for l, nbrs in enumerate(raw_adj):
             row = []
-            for r in nbrs:
+            for r in _list(nbrs, f"structure.adjacency[{l}]"):
                 lab = str(r)
                 if lab not in pos:
                     raise InstanceFormatError(
@@ -191,15 +196,15 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
 
 def _parse_distribution(raw: dict, path: str) -> Distribution:
     kind = _require(raw, "kind", path)
-    mhr = bool(raw.get("mhr", kind == "exponential"))
+    mhr = raw.get("mhr", kind == "exponential")
+    if not isinstance(mhr, bool):
+        raise InstanceFormatError(f"{path}.mhr", f"expected true or false, got {mhr!r}")
 
     def number(key: str):
         return _number(_require(raw, key, path), f"{path}.{key}")
 
     def numbers(key: str) -> list:
-        values = _require(raw, key, path)
-        if not isinstance(values, list):
-            raise InstanceFormatError(f"{path}.{key}", "expected a list of numbers")
+        values = _list(_require(raw, key, path), f"{path}.{key}")
         return [_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
 
     try:

@@ -207,3 +207,64 @@ def test_non_numbers_rejected(doc, policy, field, tmp_path, capsys):
                  "--policy", policy])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_exact_optimum_settles_float_near_ties(tmp_path, capsys):
+    # Summed largest first in floats, {0, 3} (1 + 1.5 * 2**-53 rounds up to
+    # 1 + 2**-52) beats {0, 1, 2} (each 2**-53 is lost to rounding); exactly,
+    # {0, 1, 2} is heavier by 2**-54.
+    tiny = 2.0**-53
+    doc = {
+        "name": "near-tie",
+        "structure": {"kind": "matching", "vertices": 6,
+                      "edges": [[0, 1], [2, 3], [4, 5], [3, 4]]},
+        "distributions": {
+            str(e): {"kind": "point-mass", "value": v}
+            for e, v in enumerate((1.0, tiny, tiny, 1.5 * tiny))
+        },
+    }
+    path = tmp_path / "near-tie.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--instance", str(path), "--policy", "matching",
+                 "--mode", "exact"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["E_OPT"] == "4503599627370497/4503599627370496"
+
+
+def _transversal_document(right_order, adjacency):
+    return {
+        "name": "t",
+        "structure": {"kind": "transversal", "left": 1, "right_order": right_order,
+                      "adjacency": adjacency},
+        "distributions": {"0": UNIT_UNIFORM},
+    }
+
+
+@pytest.mark.parametrize("doc, policy, field", [
+    (_rank1_document({**UNIT_UNIFORM, "mhr": "false"}), "rank1", "distributions.0.mhr"),
+    (_rank1_document({**UNIT_UNIFORM, "mhr": 0}), "rank1", "distributions.0.mhr"),
+    (_transversal_document(["a"], "a"), "transversal", "structure.adjacency"),
+    (_transversal_document(["a"], ["a"]), "transversal", "structure.adjacency[0]"),
+    (_transversal_document("ab", [["a"]]), "transversal", "structure.right_order"),
+])
+def test_non_lists_and_non_booleans_rejected(doc, policy, field, tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["--trials", "50", "simulate", "--instance", str(path),
+                 "--policy", policy])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_4_without_traceback(instance_file, monkeypatch, capsys):
+    import sspilab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "estimate_ratio", broken)
+    code = main(["simulate", "--instance", instance_file, "--policy", "matching"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: simulated fault\n"
+    assert "Traceback" not in err

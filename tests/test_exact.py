@@ -3,22 +3,40 @@ scalar reference implementations."""
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+import sspilab.exact as exact_module
 from sspilab.core import Configuration, build_sample_path, point_mass, trial_rng
-from sspilab.exact import ConfigEnsemble, bitmask_rows
+from sspilab.exact import (
+    ConfigEnsemble,
+    bitmask_rows,
+    matching_table,
+    min_maximal_accepts,
+    optimum_accepts,
+    transversal_table,
+)
 from sspilab.feasibility import (
+    GeneralMatching,
+    SimplePartition,
     Transversal,
     free_index,
+    graphic_partition,
     greedy_on_path,
     is_independent,
 )
 from sspilab.generators import random_instance
 from sspilab.harness import estimate_ratio
-from sspilab.policies import beats, run_policy
+from sspilab.policies import (
+    adversarial_order,
+    beats,
+    fixed_partition_scheme,
+    run_policy,
+)
+
+from conftest import make_realizations
 
 ALL_KINDS = (
     "matching", "transversal", "truncated-partition", "simple-partition", "graphic",
@@ -184,3 +202,106 @@ def test_exact_opt_matches_config_brute_force(rng):
                         best = max(best, value)
             total += best
         assert rep.e_opt == total / (1 << n)
+
+
+def test_subset_tables_match_is_independent(rng):
+    for kind, table_of in (("matching", lambda s: matching_table(s)[0]),
+                           ("transversal", transversal_table)):
+        for _ in range(12):
+            structure = random_instance(kind, int(rng.integers(1, 11)), rng).structure
+            table = table_of(structure)
+            n = structure.ground_size
+            assert table.shape == (1 << n,)
+            for mask in range(1 << n):
+                subset = [e for e in range(n) if (mask >> e) & 1]
+                assert bool(table[mask]) == is_independent(structure, subset), (kind, mask)
+
+
+def test_best_matchings_settle_float_ties():
+    # Path 0-1-2-3: the maximal matchings are {0, 2} and {1}. The float sum
+    # 1 + 2**-53 rounds to 1.0, a tie with edge 1, but exactly {1} is lighter.
+    g = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
+    tiny = 2.0**-53
+    ens = ConfigEnsemble(g, make_realizations([(1.0, 1.0), (1.0, 1.0), (tiny, tiny)]))
+    ridx = ens.reward_indices()
+    live = np.ones((3, ens.num_configs), dtype=bool)
+    assert bitmask_rows(min_maximal_accepts(ens, ridx, live)) == [0b010] * ens.num_configs
+    assert bitmask_rows(optimum_accepts(ens, ridx)) == [0b101] * ens.num_configs
+
+
+@pytest.mark.parametrize("cells", [1 << 20, 1])
+def test_best_matchings_settle_ties_across_wide_exponents(cells, monkeypatch):
+    # A subnormal point mass beside two of 1e308: the float totals of {0, 2}
+    # and {1} tie, and their exact totals need 68 base-2**31 digits. With
+    # one cell per block, every tied row is settled in a block of its own.
+    monkeypatch.setattr(exact_module, "_CHUNK_CELLS", cells)
+    g = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
+    big, tiny = 1e308, 5e-324
+    ens = ConfigEnsemble(g, make_realizations([(big, big), (big, big), (tiny, tiny)]))
+    assert ens.exact_digits.shape[1] == 68
+    ridx = ens.reward_indices()
+    live = np.ones((3, ens.num_configs), dtype=bool)
+    assert bitmask_rows(min_maximal_accepts(ens, ridx, live)) == [0b010] * ens.num_configs
+    assert bitmask_rows(optimum_accepts(ens, ridx)) == [0b101] * ens.num_configs
+
+
+def _traced_exact_alg(inst, policy, adversary, seed):
+    """E_ALG and z-violations from the traced policies, one configuration
+    and one partition at a time, summed as exact fractions."""
+    reals = inst.draw_realizations(trial_rng(seed, 0))
+    n = len(reals)
+    if policy == "reduction-graphic":
+        g = inst.structure
+        partitions = [
+            graphic_partition(g, sigma=sigma)[0]
+            for sigma in permutations(range(g.vertex_count))
+        ]
+    else:
+        partitions = [inst.partition]
+    total = Fraction(0)
+    z_violations = 0
+    for mask in range(1 << n):
+        rewards, samples = {}, {}
+        for r in reals:
+            high = (mask >> r.element) & 1
+            rewards[r.element], samples[r.element] = (r.y, r.z) if high else (r.z, r.y)
+        order = adversarial_order(policy, inst.structure, samples, rewards, adversary).order
+        for partition in partitions:
+            scheme = None if partition is None else fixed_partition_scheme(partition, 2.0)
+            name = "reduction-custom" if scheme is not None else policy
+            trace = run_policy(name, inst.structure, samples, rewards, order, scheme=scheme)
+            chosen = trace.chosen.chosen
+            total += sum((Fraction(rewards[e].value) for e in chosen), Fraction(0))
+            z_violations += sum(rewards[e] < samples[e] for e in chosen)
+    return total / ((1 << n) * len(partitions)), z_violations
+
+
+@pytest.mark.parametrize("kind, policy", [
+    ("matching", "matching"),
+    ("transversal", "transversal"),
+    ("truncated-partition", "laminar"),
+    ("rank1", "rank1"),
+    ("graphic", "reduction-graphic"),
+    ("simple-partition", "reduction-custom"),
+])
+def test_batched_alg_matches_traced_policies(kind, policy, rng):
+    for i in range(5):
+        inst = random_instance(kind, int(rng.integers(1, 8)), rng)
+        n = inst.ground_size
+        if i % 2 == 0:  # point masses at 0 on some elements
+            dists = dict(inst.distributions)
+            for e in rng.choice(n, size=1 + n // 3, replace=False):
+                dists[int(e)] = point_mass(0.0)
+            inst = replace(inst, distributions=dists)
+        if policy == "reduction-custom":
+            labels = rng.integers(0, n + 1, size=n)  # label n leaves an element out
+            groups = (tuple(int(e) for e in np.flatnonzero(labels == g)) for g in range(n))
+            inst = replace(
+                inst, partition=SimplePartition(tuple(g for g in groups if g)),
+                partition_alpha=2.0,
+            )
+        seed = int(rng.integers(0, 100))
+        for adversary in ("fixed", "increasing", "exhaustive-min"):
+            report = estimate_ratio(inst, policy, adversary=adversary, mode="exact", seed=seed)
+            want = _traced_exact_alg(inst, policy, adversary, seed)
+            assert (report.e_alg, report.z_violations) == want, (i, adversary)
