@@ -25,7 +25,7 @@ from .core import (
     SamplePath,
     validate_configuration,
 )
-from .exact import ConfigEnsemble, bitmask_rows, replay_group_counts
+from .exact import ConfigEnsemble, bitmask_rows, group_ids, replay_group_counts
 from .feasibility import (
     FeasibilityStructure,
     GeneralMatching,
@@ -461,10 +461,10 @@ def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
 def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     fs = ens.structure
     support = ens.support_laminar()
-    accept, _ = ens.laminar_accepts()
+    accept = ens.laminar_accepts()
     orders = np.argsort(-ens.reward_indices(), axis=0)  # increasing rewards
     acc = replay_group_counts(
-        accept, fs.group_index, fs.group_capacities, fs.total_capacity, orders
+        accept, group_ids(fs.groups, ens.n), fs.group_capacities, fs.total_capacity, orders
     )
     missed = np.argwhere((support & ~acc[ens.elem]).T)  # (config, index) pairs
     checks = int(support.sum())

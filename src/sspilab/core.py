@@ -29,13 +29,23 @@ class CapExceededError(Exception):
     """An exhaustive routine was asked to exceed its size cap."""
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Per-trial random stream derived from (seed, trial index).
+def trial_rng(seed: int, index: int) -> np.random.Generator:
+    """Random stream derived from (seed, index).
 
-    Streams for distinct trials are independent, so trials can be executed in
-    any order (or concurrently) with reproducible results.
+    Exact mode and the lemma verifiers draw their one realization set from
+    index 0; Monte Carlo trial t draws from index t (see `draw_trials`).
+    Streams for distinct indices are independent, so trials can be executed
+    in any order (or concurrently) with reproducible results.
     """
-    return np.random.default_rng((seed, trial))
+    return np.random.default_rng((seed, index))
+
+
+def exact_integers(values: Sequence[float]) -> list[int]:
+    """The values times one shared power of two, as exact python integers:
+    sums and comparisons of them are exact where float ones round."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    shift = max((q.bit_length() for _, q in ratios), default=1)
+    return [p << (shift - q.bit_length()) for p, q in ratios]
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,6 +160,19 @@ class Distribution:
         rate = self.params[0]
         return rng.exponential(1.0 / rate)
 
+    def from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """The draws `sample` makes from the uniform doubles `u`, for the
+        kinds that take one double per draw: the discrete inverse-CDF rule
+        `u < acc` on the running weight sums, or `a + (b - a) * u`."""
+        if self.kind == "discrete":
+            acc = np.cumsum(self.weights)  # sequential sums, as in `sample`
+            pick = np.searchsorted(acc, u, side="right")
+            return np.asarray(self.atoms)[np.minimum(pick, len(self.atoms) - 1)]
+        if self.kind == "uniform":
+            a, b = self.params
+            return a + (b - a) * u
+        raise ValueError(f"{self.kind} draws do not come from one uniform double")
+
     def cdf(self, x: float) -> float:
         if self.kind == "point-mass":
             return 1.0 if x >= self.params[0] else 0.0
@@ -221,6 +244,96 @@ def draw_realization(dist: Distribution, element: int, rng: np.random.Generator)
     b = TaggedValue(v2, u2, element)
     y, z = (a, b) if a > b else (b, a)
     return ElementRealization(element, y, z)
+
+
+@dataclass(frozen=True)
+class TrialDraws:
+    """The draws of a run of trials: per trial (last axis) two values and
+    two tie-break tokens per element (draw d of element e in row d * n + e),
+    one coin per element (heads: the larger value is the reward) and one
+    permutation per requested size ((trials, size) each)."""
+
+    values: np.ndarray
+    tokens: np.ndarray
+    coins: np.ndarray
+    permutations: tuple[np.ndarray, ...]
+
+
+def draw_trials(
+    distributions: Sequence[Distribution], seed: int, trials: range,
+    permutation_sizes: Sequence[int] = (),
+) -> TrialDraws:
+    """Trial t's draws from its own stream trial_rng(seed, t), in the order
+    of the scalar code: per element two values (`Distribution.sample`) and
+    two tokens (`draw_realization`), then one coin per element
+    (`assign_coins`), then the permutations (`rng.permutation`).
+
+    Point masses take no double and the other laws but the exponential one
+    double per value, so each stretch between exponential values is one
+    `rng.random` call; the doubles become values for all trials at once. A
+    trial whose two tokens of an element tie is drawn again by the scalar
+    code, which redraws the second token."""
+    n = len(distributions)
+    # Per trial, the calls in stream order: (uniform?, first column, stop).
+    plan: list[tuple[bool, int, int]] = []
+    value_col, token_col = [], []  # per element, the column of its first value/token
+    ucount = xcount = start = 0
+    for dist in distributions:
+        if dist.kind == "exponential":
+            if ucount > start:
+                plan.append((True, start, ucount))
+            plan.append((False, xcount, xcount + 2))
+            value_col.append(xcount)
+            xcount += 2
+            start = ucount
+        elif dist.kind == "point-mass":
+            value_col.append(-1)
+        else:
+            value_col.append(ucount)
+            ucount += 2
+        token_col.append(ucount)
+        ucount += 2
+    coin_col = ucount
+    plan.append((True, start, ucount + n))
+
+    count = len(trials)
+    doubles = np.empty((count, ucount + n))
+    exps = np.empty((count, xcount))
+    perms = tuple(np.empty((count, size), dtype=np.int64) for size in permutation_sizes)
+    for i, t in enumerate(trials):
+        rng = trial_rng(seed, t)
+        for uniform, lo, hi in plan:
+            if uniform:
+                rng.random(out=doubles[i, lo:hi])
+            else:  # exponential(scale) is scale times this draw
+                rng.standard_exponential(out=exps[i, lo:hi])
+        for perm, size in zip(perms, permutation_sizes):
+            perm[i] = rng.permutation(size)
+
+    values = np.empty((2 * n, count))
+    tokens = np.empty((2 * n, count))
+    for e, dist in enumerate(distributions):
+        rows = [e, n + e]
+        c = value_col[e]
+        if dist.kind == "exponential":
+            values[rows] = (1.0 / dist.params[0]) * exps[:, c : c + 2].T
+        elif dist.kind == "point-mass":
+            values[rows] = dist.params[0]
+        else:
+            values[rows] = dist.from_uniform(doubles[:, c : c + 2].T)
+        tokens[rows] = doubles[:, token_col[e] : token_col[e] + 2].T
+    coins = (doubles[:, coin_col:] < 0.5).T
+
+    for i in np.flatnonzero((tokens[:n] == tokens[n:]).any(axis=0)):
+        rng = trial_rng(seed, trials[i])
+        for e, dist in enumerate(distributions):
+            r = draw_realization(dist, e, rng)
+            values[[e, n + e], i] = r.y.value, r.z.value
+            tokens[[e, n + e], i] = r.y.tiebreak, r.z.tiebreak
+        coins[:, i] = [rng.random() < 0.5 for _ in range(n)]
+        for perm, size in zip(perms, permutation_sizes):
+            perm[i] = rng.permutation(size)
+    return TrialDraws(values, tokens, coins, perms)
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,6 +26,7 @@ from .core import (
     Configuration,
     SamplePath,
     TaggedValue,
+    exact_integers,
     validate_configuration,
 )
 
@@ -482,34 +483,41 @@ def optimal_matching(
     cap: int = MATCHING_EXACT_EDGE_CAP,
 ) -> Solution:
     """Exact maximum-weight matching by branch and bound over edges sorted in
-    decreasing weight, pruning with suffix weight sums."""
+    decreasing weight, pruning with suffix weight sums.
+
+    Totals are compared as exact integer sums (`exact_integers`), so a float
+    near tie cannot pick a lighter set, and a branch is cut only when its
+    exact bound cannot beat the best total. The reported total is the float
+    sum in the order the edges were picked."""
     n = len(g.edges)
     if n > cap:
         raise CapExceededError(f"exact matching capped at {cap} edges, got {n}")
     order = _sorted_desc(weights, range(n))
     vals = [weights[e].value for e in order]
+    exact = exact_integers(vals)
     vmasks = []
     for e in order:
         u, v = g.edges[e]
         vmasks.append((1 << u) | (1 << v))
-    suffix = [0.0] * (n + 1)
+    suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vals[i]
+        suffix[i] = suffix[i + 1] + exact[i]
 
+    best = 0
     best_total = 0.0
     best_set: tuple[int, ...] = ()
 
-    def rec(i: int, used: int, cur: float, picked: tuple[int, ...]) -> None:
-        nonlocal best_total, best_set
-        if cur > best_total:
-            best_total, best_set = cur, picked
-        if i == n or cur + suffix[i] <= best_total:
+    def rec(i: int, used: int, cur: int, total: float, picked: tuple[int, ...]) -> None:
+        nonlocal best, best_total, best_set
+        if cur > best:
+            best, best_total, best_set = cur, total, picked
+        if i == n or cur + suffix[i] <= best:
             return
         if not used & vmasks[i]:
-            rec(i + 1, used | vmasks[i], cur + vals[i], picked + (order[i],))
-        rec(i + 1, used, cur, picked)
+            rec(i + 1, used | vmasks[i], cur + exact[i], total + vals[i], picked + (order[i],))
+        rec(i + 1, used, cur, total, picked)
 
-    rec(0, 0, 0.0, ())
+    rec(0, 0, 0, 0.0, ())
     return Solution(frozenset(best_set), best_total)
 
 

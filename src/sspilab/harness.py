@@ -1,12 +1,17 @@
 """Experiment harness: exact and Monte Carlo competitive-ratio estimation,
 the star-graph tight example, and report emission.
 
-Exact mode draws one realization set from the instance, enumerates all 2**n
-coin configurations, and reports expectations as exact rationals; the
-worst-case adversary minimizes the policy total per configuration. Monte
-Carlo mode draws fresh realizations per trial with per-trial seed streams
-derived from (seed, trial), so results are reproducible under any worker
-count; trials are summed in fixed-size chunks merged in chunk order.
+Both modes evaluate a batch of coin configurations at once with the walks
+and replay kernels of `exact.py`, one column per configuration. Exact mode
+draws one realization set from the instance, evaluates all 2**n coin
+configurations, and reports expectations as exact rationals; the worst-case
+adversary minimizes the policy total per configuration. Monte Carlo mode
+splits its trials into chunks of MC_CHUNK and evaluates each chunk as one
+batch. Trial t still draws from its own stream (seed, t), in the order of
+the scalar code (`core.draw_trials`), so results are those of a trial-by-
+trial run; a trial's values, tokens and coins do not depend on the
+adversary. Chunk sums merge in chunk order, so results do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -23,14 +28,18 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import CapExceededError, assign_coins, trial_rng
+from .core import CapExceededError, draw_trials, trial_rng
 from .exact import (
     ConfigEnsemble,
-    element_flags,
+    PathBatch,
+    TrialBatch,
+    group_ids,
     min_maximal_accepts,
     optimum_accepts,
     replay_group_counts,
     replay_resources,
+    tables_fit,
+    target_bits,
     vertex_masks,
 )
 from .feasibility import (
@@ -41,17 +50,9 @@ from .feasibility import (
     TruncatedPartition,
     exact_optimum,
     graphic_partition,
-    greedy_prophet,
 )
 from .instances import Instance
-from .policies import (
-    ORDER_SEARCH_CAP,
-    PartitionScheme,
-    adversarial_order,
-    fixed_partition_scheme,
-    graphic_scheme,
-    run_policy,
-)
+from .policies import ORDER_SEARCH_CAP
 
 EXACT_MODE_CAP = 16
 EXACT_SIGMA_VERTEX_CAP = 6
@@ -99,16 +100,6 @@ def _ratio(e_opt, e_alg) -> float:
     return float(e_opt / e_alg) if isinstance(e_opt, Fraction) else e_opt / e_alg
 
 
-def _scheme_for(instance: Instance, policy: str) -> PartitionScheme | None:
-    if policy == "reduction-graphic":
-        return graphic_scheme()
-    if policy == "reduction-custom":
-        if instance.partition is None or instance.partition_alpha is None:
-            raise ValueError("reduction-custom needs a partition block in the instance")
-        return fixed_partition_scheme(instance.partition, instance.partition_alpha)
-    return None
-
-
 def _check_policy_structure(instance: Instance, policy: str) -> None:
     s = instance.structure
     ok = {
@@ -126,6 +117,55 @@ def _check_policy_structure(instance: Instance, policy: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Policies over a batch of columns
+# ---------------------------------------------------------------------------
+
+
+def _accepted_runs(
+    batch: PathBatch, policy: str, orders, searching: bool, groupings=(),
+) -> list[np.ndarray]:
+    """The policy's (n, columns) accepted flags, in one run, or one run per
+    (group, count) grouping for the reduction policies (`group` as in
+    `replay_group_counts`). `orders` holds each column's arrival order (None:
+    by element id). With `searching`, the adversary minimizes: for matching
+    that is a minimum-weight maximal matching of the live edges; for every
+    other policy it is the increasing order, which the caller passes (see
+    policies.adversarial_order)."""
+    fs = batch.structure
+    if policy == "matching":
+        if searching and batch.n > ORDER_SEARCH_CAP:
+            raise CapExceededError(
+                f"exhaustive-min order search capped at n <= {ORDER_SEARCH_CAP}"
+            )
+        live = batch.matching_exceeds()
+        if searching:
+            return [min_maximal_accepts(batch, batch.reward_indices(), live)]
+        return [replay_resources(live, vertex_masks(fs), orders)]
+    if policy == "transversal":
+        targets = batch.transversal_targets()
+        nodes = target_bits(targets, fs.right_count)  # unused where targets < 0
+        return [replay_resources(targets >= 0, nodes, orders)]
+    if policy in ("laminar", "rank1"):
+        flags = (
+            batch.laminar_accepts()
+            if policy == "laminar"
+            else batch.group_exceeds(np.zeros(batch.n, dtype=np.int64), 1)
+        )
+        group = group_ids(fs.groups, batch.n)
+        return [
+            replay_group_counts(flags, group, fs.group_capacities, fs.total_capacity, orders)
+        ]
+    if policy in ("reduction-graphic", "reduction-custom"):
+        return [
+            replay_group_counts(
+                batch.group_exceeds(group, count), group, (1,) * count, count, orders
+            )
+            for group, count in groupings
+        ]
+    raise RuntimeError(f"policy {policy!r} has no batched evaluator")
+
+
+# ---------------------------------------------------------------------------
 # Exact mode
 # ---------------------------------------------------------------------------
 
@@ -137,71 +177,40 @@ def _mean_total(ens: ConfigEnsemble, ridx, runs) -> Fraction:
     return ens.path_total(counts) / (ens.num_configs * len(runs))
 
 
-def _exact_alg(
-    ens: ConfigEnsemble, policy: str, adversary: str, instance: Instance, ridx
-) -> tuple[Fraction, int]:
-    """Exact E_ALG and the z-violation count. Each run gives the accepted
-    flags of every configuration; the reduction-graphic policy is the custom
-    reduction run once per vertex-order partition, each partition equally
-    likely."""
+def _exact_groupings(ens: ConfigEnsemble, policy: str, instance: Instance) -> list:
+    """The reduction policies' partitions as (group, count) pairs: the
+    instance's own, or every vertex-order partition, each equally likely."""
     fs = ens.structure
-    n = ens.n
-    # Outside matching, the increasing order is the exhaustive-min minimizer
-    # (see policies.adversarial_order); for matching it is a minimum-weight
-    # maximal matching of the live edges.
-    orders = None if adversary == "fixed" else np.argsort(-ridx, axis=0)
-    if policy == "matching":
-        searching = adversary == "exhaustive-min"
-        if searching and n > ORDER_SEARCH_CAP:
-            raise CapExceededError(
-                f"exhaustive-min order search capped at n <= {ORDER_SEARCH_CAP}"
-            )
-        live = ens.matching_exceeds()
-        runs = [
-            min_maximal_accepts(ens, ridx, live) if searching
-            else replay_resources(live, vertex_masks(fs), orders)
-        ]
-    elif policy == "transversal":
-        targets = ens.transversal_targets()
-        nodes = np.int64(1) << np.maximum(targets, 0)  # unused where targets < 0
-        runs = [replay_resources(targets >= 0, nodes, orders)]
-    elif policy in ("laminar", "rank1"):
-        flags = (
-            ens.laminar_accepts()[0]
-            if policy == "laminar"
-            else ens.group_exceeds((tuple(ens.elements),))
-        )
-        runs = [
-            replay_group_counts(
-                flags, fs.group_index, fs.group_capacities, fs.total_capacity, orders
-            )
-        ]
-    elif policy in ("reduction-graphic", "reduction-custom"):
-        if policy == "reduction-custom":
-            if instance.partition is None:
-                raise ValueError("reduction-custom needs a partition block in the instance")
-            partitions = [instance.partition]
-        elif fs.vertex_count > EXACT_SIGMA_VERTEX_CAP:
+    if policy == "reduction-custom":
+        if instance.partition is None:
+            raise ValueError("reduction-custom needs a partition block in the instance")
+        partitions = [instance.partition]
+    elif policy == "reduction-graphic":
+        if fs.vertex_count > EXACT_SIGMA_VERTEX_CAP:
             raise CapExceededError(
                 f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} vertices"
             )
-        else:
-            partitions = [
-                graphic_partition(fs, sigma=sigma)[0]
-                for sigma in permutations(range(fs.vertex_count))
-            ]
-        runs = [
-            replay_group_counts(
-                ens.group_exceeds(p.groups), p.group_index, (1,) * len(p.groups),
-                len(p.groups), orders,
-            )
-            for p in partitions
+        partitions = [
+            graphic_partition(fs, sigma=sigma)[0]
+            for sigma in permutations(range(fs.vertex_count))
         ]
     else:
-        raise ValueError(f"policy {policy!r} has no exact evaluator")
+        return []
+    return [(group_ids(p.groups, ens.n), len(p.groups)) for p in partitions]
 
-    rewards_are_y = element_flags(np.arange(ens.num_configs), n)
-    z_violations = sum(int((acc & ~rewards_are_y).sum()) for acc in runs)
+
+def _exact_alg(
+    ens: ConfigEnsemble, policy: str, adversary: str, instance: Instance, ridx
+) -> tuple[Fraction, int]:
+    """Exact E_ALG and the z-violation count, averaged over every
+    configuration and, for the reductions, every partition."""
+    orders = None if adversary == "fixed" else np.argsort(-ridx, axis=0)
+    runs = _accepted_runs(
+        ens, policy, orders, adversary == "exhaustive-min",
+        _exact_groupings(ens, policy, instance),
+    )
+    below = ridx > ens.sample_indices()  # rewards below their own sample
+    z_violations = sum(int((acc & below).sum()) for acc in runs)
     return _mean_total(ens, ridx, runs), z_violations
 
 
@@ -234,8 +243,8 @@ def estimate_ratio_exact(
     realizations = instance.draw_realizations(trial_rng(seed, 0))
     ens = ConfigEnsemble(instance.structure, realizations, cap=EXACT_MODE_CAP)
     ridx = ens.reward_indices()
+    e_opt = _exact_opt(ens, ridx)  # first: its tables hold the bitmask caps
     e_alg, z_violations = _exact_alg(ens, policy, adversary, instance, ridx)
-    e_opt = _exact_opt(ens, ridx)
     e_opt_prime = _exact_opt_prime(ens)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RatioReport(
@@ -272,38 +281,91 @@ def mc_summary(sums: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
     return means, half
 
 
-def _mc_chunk(args) -> tuple:
+@dataclass
+class TrialOutcome:
+    """Per-trial results of one batch of Monte Carlo trials."""
+
+    batch: TrialBatch
+    orders: np.ndarray | None  # (n, trials) arrival orders; None: by element id
+    vertex_ranks: np.ndarray | None  # reduction-graphic: (vertices, trials)
+    accepted: np.ndarray  # (n, trials) flags
+    alg: np.ndarray  # (trials,) float totals
+    opt: np.ndarray
+    opt_prime: np.ndarray
+    z_violations: np.ndarray  # (n, trials): accepted rewards below their sample
+
+
+def _mc_optimum(batch: TrialBatch, ridx: np.ndarray) -> np.ndarray:
+    """(n, trials) flags of a maximum-weight feasible set per trial, for
+    matching and transversal structures: from the subset tables where they
+    fit, else from the scalar oracle on each trial's rewards."""
+    if tables_fit(batch.structure, batch.n, EXACT_MODE_CAP):
+        return optimum_accepts(batch, ridx)
+    flags = np.zeros((batch.n, batch.num_configs), dtype=bool)
+    for t in range(batch.num_configs):
+        rewards, _ = batch.tagged(t)
+        flags[sorted(exact_optimum(batch.structure, rewards).chosen), t] = True
+    return flags
+
+
+def mc_trials(
+    instance: Instance, policy: str, adversary: str, seed: int, trials: range
+) -> TrialOutcome:
+    """Evaluate the given trials as one batch. Trial t draws from the stream
+    (seed, t): values, tokens and coins, then the random adversary's order,
+    then the reduction-graphic vertex order, so the values, tokens and coins
+    do not depend on the adversary."""
+    fs = instance.structure
+    n = instance.ground_size
+    sizes = [n] if adversary == "random" else []
+    if policy == "reduction-graphic":
+        sizes.append(fs.vertex_count)
+    draws = draw_trials([instance.distributions[e] for e in range(n)], seed, trials, sizes)
+    batch = TrialBatch(fs, draws)
+    ranks = None
+    groupings: list = []
+    if policy == "reduction-graphic":
+        # Each edge joins the group of its endpoint that comes first.
+        ranks = np.argsort(draws.permutations[-1], axis=1).T
+        u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
+        groupings = [(np.where(ranks[u] < ranks[v], u[:, None], v[:, None]), fs.vertex_count)]
+    elif policy == "reduction-custom":
+        groups = instance.partition.groups
+        groupings = [(group_ids(groups, n), len(groups))]
+    ridx = batch.reward_indices()
+    if adversary == "fixed":
+        orders = None
+    elif adversary == "random":
+        orders = draws.permutations[0].T
+    else:  # increasing rewards, also the exhaustive-min order outside matching
+        orders = np.argsort(-ridx, axis=0)
+    (accepted,) = _accepted_runs(
+        batch, policy, orders, adversary == "exhaustive-min", groupings
+    )
+    rval = batch.values_at(ridx)
+    opt_prime = batch.path_sums(batch.heads & batch.free("H"))
+    if isinstance(fs, (GeneralMatching, Transversal)):
+        opt = (rval * _mc_optimum(batch, ridx)).sum(axis=0)
+    else:
+        opt = opt_prime  # the greedy is optimal on a matroid
+    return TrialOutcome(
+        batch=batch,
+        orders=orders,
+        vertex_ranks=ranks,
+        accepted=accepted,
+        alg=(rval * accepted).sum(axis=0),
+        opt=opt,
+        opt_prime=opt_prime,
+        z_violations=accepted & (ridx > batch.sample_indices()),
+    )
+
+
+def _mc_chunk(args) -> tuple[np.ndarray, int]:
+    """Running sums of one chunk of trials."""
     (instance, policy, adversary, seed, start, stop) = args
-    scheme = _scheme_for(instance, policy)
-    sums = np.zeros(6)
-    z_violations = 0
-    for t in range(start, stop):
-        rng = trial_rng(seed, t)
-        realizations = instance.draw_realizations(rng)
-        rewards, samples, _ = assign_coins(realizations, rng)
-        n = len(rewards)
-        if adversary == "fixed":
-            order = tuple(range(n))
-        elif adversary == "increasing":
-            order = tuple(sorted(range(n), key=lambda e: rewards[e].key))
-        elif adversary == "random":
-            order = tuple(int(e) for e in rng.permutation(n))
-        else:  # exhaustive-min
-            order = adversarial_order(
-                policy, instance.structure, samples, rewards, "exhaustive-min"
-            ).order
-        trace = run_policy(
-            policy, instance.structure, samples, rewards, order,
-            scheme=scheme, rng=rng,
-        )
-        alg = trace.chosen.total
-        for e in trace.chosen.chosen:
-            if rewards[e] < samples[e]:
-                z_violations += 1
-        opt = exact_optimum(instance.structure, rewards).total
-        optp = greedy_prophet(instance.structure, rewards).total
-        sums += (alg, alg * alg, opt, opt * opt, optp, optp * optp)
-    return sums, z_violations
+    out = mc_trials(instance, policy, adversary, seed, range(start, stop))
+    sums = [s for x in (out.alg, out.opt, out.opt_prime) for s in (x.sum(), (x * x).sum())]
+    return np.array(sums), int(out.z_violations.sum())
 
 
 def estimate_ratio_mc(
@@ -320,6 +382,10 @@ def estimate_ratio_mc(
         raise ValueError(f"mc mode supports adversaries {MC_ADVERSARIES}")
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if policy == "reduction-custom" and (
+        instance.partition is None or instance.partition_alpha is None
+    ):
+        raise ValueError("reduction-custom needs a partition block in the instance")
     chunks = [
         (instance, policy, adversary, seed, lo, min(lo + MC_CHUNK, trials))
         for lo in range(0, trials, MC_CHUNK)

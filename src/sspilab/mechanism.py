@@ -20,8 +20,14 @@ import numpy as np
 from .core import Distribution, TaggedValue, trial_rng
 from .feasibility import exact_optimum
 from .instances import Instance
-from .policies import PolicyTrace, run_policy
-from .harness import _scheme_for, _check_policy_structure, _fmt_float, mc_summary
+from .policies import (
+    PartitionScheme,
+    PolicyTrace,
+    fixed_partition_scheme,
+    graphic_scheme,
+    run_policy,
+)
+from .harness import _check_policy_structure, _fmt_float, mc_summary
 
 PAYMENT_RULE = "max(critical-price-at-acceptance, lazy-reserve)"
 
@@ -35,6 +41,16 @@ WELFARE_BOUNDS = {
     "laminar": 16.0,
     "reduction-graphic": 8.0,
 }
+
+
+def _scheme_for(instance: Instance, policy: str) -> PartitionScheme | None:
+    if policy == "reduction-graphic":
+        return graphic_scheme()
+    if policy == "reduction-custom":
+        if instance.partition is None or instance.partition_alpha is None:
+            raise ValueError("reduction-custom needs a partition block in the instance")
+        return fixed_partition_scheme(instance.partition, instance.partition_alpha)
+    return None
 
 
 class RegimeError(ValueError):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -268,3 +269,53 @@ def test_unexpected_error_exits_4_without_traceback(instance_file, monkeypatch, 
     err = capsys.readouterr().err
     assert err == "error: internal error: RuntimeError: simulated fault\n"
     assert "Traceback" not in err
+
+
+def test_parser_reused_across_calls(instance_file, capsys):
+    import sspilab.cli as cli
+
+    runs = [
+        ["--seed", "3", "simulate", "--instance", instance_file, "--policy", "matching",
+         "--mode", "exact"],
+        ["--format", "csv", "--trials", "40", "simulate", "--instance", instance_file,
+         "--policy", "matching", "--adversary", "random"],
+        ["verify", "--lemma", "match-prob", "--instance", instance_file, "--seed", "5"],
+        ["game", "--rr", "1", "--rb", "2", "--format", "csv"],
+        ["simulate", "--instance", instance_file, "--policy", "matching", "--mode", "exact"],
+    ]
+
+    def outputs(fresh: bool) -> list:
+        got = []
+        for argv in runs:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(argv)
+            text = capsys.readouterr().out
+            # Drop the wall_ms field (JSON line, last CSV column).
+            lines = [line for line in text.splitlines() if "wall_ms" not in line]
+            got.append((code, [re.sub(r",[0-9.]+$", ",", line) for line in lines]))
+        return got
+
+    shared = outputs(fresh=False)
+    assert shared == outputs(fresh=True)
+    assert [code for code, _ in shared] == [0] * len(runs)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_internal_fault_in_engine_exits_4(mode, instance_file, monkeypatch, capsys):
+    # An unknown policy can only reach the batched evaluator through a
+    # fault of the program; its branch raises RuntimeError, which is exit 4.
+    import sspilab.cli as cli
+    import sspilab.harness as harness
+
+    monkeypatch.setattr(harness, "_check_policy_structure", lambda *args: None)
+    real = cli.estimate_ratio
+    monkeypatch.setattr(
+        cli, "estimate_ratio", lambda inst, policy, **kw: real(inst, "no-such-policy", **kw)
+    )
+    code = main(["--trials", "5", "simulate", "--instance", instance_file,
+                 "--policy", "matching", "--mode", mode])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal error: RuntimeError: ")
+    assert "no-such-policy" in err

@@ -91,6 +91,26 @@ class TestDistributions:
         assert u.cdf(1.0) == 0.5
         assert u.prob_at_least(1.5) == 0.25
 
+    @pytest.mark.parametrize("dist", [
+        discrete([0.0, 2.0, 7.0], [0.1, 0.2, 0.7]),
+        discrete([1.0, 2.0, 3.0], [1 / 3, 1 / 3, 1 / 3]),
+        uniform(1.0, 4.0),
+    ])
+    def test_from_uniform_is_the_scalar_sample(self, dist):
+        # `sample` takes one double per draw; mapping the same doubles in
+        # bulk gives the same values.
+        bulk = dist.from_uniform(np.random.default_rng(8).random((3, 400)))
+        rng = np.random.default_rng(8)
+        assert bulk.shape == (3, 400)
+        assert bulk.ravel().tolist() == [dist.sample(rng) for _ in range(1200)]
+
+    def test_from_uniform_discrete_boundaries(self):
+        d = discrete([1.0, 2.0, 3.0], [0.25, 0.25, 0.5])
+        us = np.array([0.0, 0.2499, 0.25, 0.4999, 0.5, 0.9999])
+        assert d.from_uniform(us).tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        with pytest.raises(ValueError):
+            exponential(1.0).from_uniform(us)
+
 
 class TestDrawRealization:
     def test_point_mass_ordered_by_tiebreak(self, rng):

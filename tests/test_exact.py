@@ -9,19 +9,27 @@ import numpy as np
 import pytest
 
 import sspilab.exact as exact_module
-from sspilab.core import Configuration, build_sample_path, point_mass, trial_rng
+from sspilab.core import (
+    Configuration,
+    ElementRealization,
+    build_sample_path,
+    point_mass,
+    trial_rng,
+)
 from sspilab.exact import (
     ConfigEnsemble,
     bitmask_rows,
     matching_table,
     min_maximal_accepts,
     optimum_accepts,
+    replay_group_counts,
     transversal_table,
 )
 from sspilab.feasibility import (
     GeneralMatching,
     SimplePartition,
     Transversal,
+    TruncatedPartition,
     free_index,
     graphic_partition,
     greedy_on_path,
@@ -36,7 +44,7 @@ from sspilab.policies import (
     run_policy,
 )
 
-from conftest import make_realizations
+from conftest import make_realizations, tv
 
 ALL_KINDS = (
     "matching", "transversal", "truncated-partition", "simple-partition", "graphic",
@@ -238,7 +246,7 @@ def test_best_matchings_settle_ties_across_wide_exponents(cells, monkeypatch):
     g = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
     big, tiny = 1e308, 5e-324
     ens = ConfigEnsemble(g, make_realizations([(big, big), (big, big), (tiny, tiny)]))
-    assert ens.exact_digits.shape[1] == 68
+    assert exact_module._exact_scale(ens.w_val)[2] == 68  # digits
     ridx = ens.reward_indices()
     live = np.ones((3, ens.num_configs), dtype=bool)
     assert bitmask_rows(min_maximal_accepts(ens, ridx, live)) == [0b010] * ens.num_configs
@@ -305,3 +313,31 @@ def test_batched_alg_matches_traced_policies(kind, policy, rng):
             report = estimate_ratio(inst, policy, adversary=adversary, mode="exact", seed=seed)
             want = _traced_exact_alg(inst, policy, adversary, seed)
             assert (report.e_alg, report.z_violations) == want, (i, adversary)
+
+
+def test_group_thresholds_are_tagged_largest_samples():
+    # Every sample is worth 0. Where both rewards are the larger values,
+    # element 0's reward (0, tiebreak 0.9) beats the largest sample (0, 0.2)
+    # in the tagged order, arrives first in increasing order and fills the
+    # rank-1 group, so element 1's reward 1.0 is rejected, as in the traced
+    # policy.
+    fs = TruncatedPartition(((0, 1),), (1,), 1)
+    reals = [
+        ElementRealization(0, tv(0.0, 0.9, 0), tv(0.0, 0.1, 0)),
+        ElementRealization(1, tv(1.0, 0.5, 1), tv(0.0, 0.2, 1)),
+    ]
+    ens = ConfigEnsemble(fs, reals)
+    group = np.zeros(2, dtype=np.int64)
+    ridx = ens.reward_indices()
+    acc = replay_group_counts(
+        ens.group_exceeds(group, 1), group, (1,), 1, np.argsort(-ridx, axis=0)
+    )
+    for mask in range(4):
+        rewards, samples = {}, {}
+        for r in reals:
+            high = (mask >> r.element) & 1
+            rewards[r.element], samples[r.element] = (r.y, r.z) if high else (r.z, r.y)
+        order = adversarial_order("rank1", fs, samples, rewards, "increasing").order
+        chosen = run_policy("rank1", fs, samples, rewards, order).chosen.chosen
+        assert set(np.flatnonzero(acc[:, mask]).tolist()) == chosen, mask
+    assert acc[:, 0b11].tolist() == [True, False]

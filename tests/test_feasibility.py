@@ -29,6 +29,7 @@ from sspilab.feasibility import (
     optimal_transversal,
     ordered_maximal_matching,
 )
+from sspilab.exact import min_maximal_matching
 from sspilab.generators import random_instance
 
 from conftest import make_realizations, tv
@@ -222,6 +223,19 @@ class TestMatchingOracles:
             opt = optimal_matching(inst.structure, w)
             assert abs(opt.total - brute_force_matching(inst.structure, w)) < 1e-9
             assert is_independent(inst.structure, opt.chosen)
+
+    def test_scalar_oracles_settle_float_near_ties(self):
+        # The four-edge point mass of the CLI near-tie test: summed in
+        # floats, {0, 3} looks heavier than {0, 1, 2}; exactly it is lighter
+        # by 2**-54. The optimum is {0, 1, 2}, the minimum maximal matching
+        # {0, 3}.
+        tiny = 2.0**-53
+        g = GeneralMatching(6, ((0, 1), (2, 3), (4, 5), (3, 4)))
+        w = {e: tv(v, 0.1 * (e + 1), e) for e, v in enumerate((1.0, tiny, tiny, 1.5 * tiny))}
+        assert optimal_matching(g, w).chosen == frozenset({0, 1, 2})
+        vmasks = [(1 << u) | (1 << v) for u, v in g.edges]
+        xvals = [w[e].value for e in range(4)]
+        assert min_maximal_matching(0b1111, vmasks, xvals) == 0b1001
 
     def test_optimal_matches_networkx(self, rng):
         nx = pytest.importorskip("networkx")

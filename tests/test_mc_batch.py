@@ -1,0 +1,235 @@
+"""The batched Monte Carlo engine against the traced policies and oracles.
+
+`harness.mc_trials` draws a chunk of trials in bulk and evaluates them as one
+batch; the traced `run_policy`, `exact_optimum` and `greedy_prophet` on each
+trial's tagged rewards and samples are the reference.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import sspilab.core as harness_core
+import sspilab.harness as harness
+from sspilab.core import discrete, exponential, point_mass, trial_rng, uniform
+from sspilab.feasibility import (
+    GeneralMatching,
+    SimplePartition,
+    Transversal,
+    exact_optimum,
+    graphic_partition,
+    greedy_prophet,
+)
+from sspilab.generators import random_instance
+from sspilab.harness import MC_CHUNK, estimate_ratio, mc_trials, report_fields
+from sspilab.instances import Instance
+from sspilab.policies import adversarial_order, fixed_partition_scheme, run_policy
+
+KINDS = {
+    "matching": "matching",
+    "transversal": "transversal",
+    "laminar": "truncated-partition",
+    "rank1": "rank1",
+    "reduction-graphic": "graphic",
+    "reduction-custom": "simple-partition",
+}
+
+
+def _instance(policy, n, rng, zeros):
+    inst = random_instance(KINDS[policy], n, rng)
+    if zeros:  # point masses at 0 on some elements
+        dists = dict(inst.distributions)
+        for e in rng.choice(n, size=1 + n // 3, replace=False):
+            dists[int(e)] = point_mass(0.0)
+        inst = replace(inst, distributions=dists)
+    if policy == "reduction-custom":
+        labels = rng.integers(0, n + 1, size=n)  # label n leaves an element out
+        groups = (tuple(int(e) for e in np.flatnonzero(labels == g)) for g in range(n))
+        inst = replace(
+            inst, partition=SimplePartition(tuple(g for g in groups if g)),
+            partition_alpha=2.0,
+        )
+    return inst
+
+
+def _close(a, b):
+    return a == pytest.approx(b, rel=1e-12, abs=1e-300)
+
+
+def _check_against_traced(inst, policy, adversary, out):
+    """Every trial of `out` against the traced policy and oracles on the
+    same draws, order and partition."""
+    fs = inst.structure
+    batch = out.batch
+    for t in range(batch.num_configs):
+        rewards, samples = batch.tagged(t)
+        if adversary == "fixed":
+            order = tuple(range(batch.n))
+        elif adversary == "random":
+            order = tuple(int(e) for e in out.orders[:, t])
+        else:
+            order = adversarial_order(policy, fs, samples, rewards, adversary).order
+        name, scheme = policy, None
+        if policy == "reduction-graphic":
+            sigma = tuple(int(v) for v in np.argsort(out.vertex_ranks[:, t]))
+            partition, _ = graphic_partition(fs, sigma=sigma)
+            name, scheme = "reduction-custom", fixed_partition_scheme(partition, 2.0)
+        elif policy == "reduction-custom":
+            scheme = fixed_partition_scheme(inst.partition, inst.partition_alpha)
+        chosen = run_policy(name, fs, samples, rewards, order, scheme=scheme).chosen.chosen
+        got = set(np.flatnonzero(out.accepted[:, t]).tolist())
+        want_alg = math.fsum(rewards[e].value for e in chosen)
+        if policy == "matching" and adversary == "exhaustive-min":
+            # Exactly tied minimum matchings may differ; their totals agree.
+            assert _close(out.alg[t], want_alg), (t, got, chosen)
+        else:
+            assert got == chosen, (t, order)
+            assert _close(out.alg[t], want_alg)
+        assert _close(out.opt[t], exact_optimum(fs, rewards).total), t
+        assert _close(out.opt_prime[t], greedy_prophet(fs, rewards).total), t
+        z_got = sorted(np.flatnonzero(out.z_violations[:, t]).tolist())
+        assert z_got == sorted(e for e in got if rewards[e] < samples[e])
+
+
+@pytest.mark.parametrize("policy", list(KINDS))
+@pytest.mark.parametrize("adversary", ["fixed", "increasing", "random", "exhaustive-min"])
+def test_batch_matches_traced_policies(policy, adversary, rng):
+    for i in range(4):
+        inst = _instance(policy, int(rng.integers(1, 8)), rng, zeros=i % 2 == 0)
+        seed = int(rng.integers(0, 99))
+        out = mc_trials(inst, policy, adversary, seed, range(30 * i, 30 * i + 30))
+        _check_against_traced(inst, policy, adversary, out)
+
+
+def test_draws_do_not_depend_on_adversary(rng):
+    inst = random_instance("graphic", 6, rng)
+    outs = [
+        mc_trials(inst, "reduction-graphic", a, 5, range(50))
+        for a in ("fixed", "increasing", "random", "exhaustive-min")
+    ]
+    for out in outs[1:]:
+        assert np.array_equal(out.batch.values, outs[0].batch.values)
+        assert np.array_equal(out.batch.reward_rows, outs[0].batch.reward_rows)
+        assert np.array_equal(out.opt, outs[0].opt)
+    # Only the random adversary draws an order, after the coins.
+    for out in (outs[1], outs[3]):
+        assert np.array_equal(out.vertex_ranks, outs[0].vertex_ranks)
+
+
+@pytest.mark.parametrize("policy", list(KINDS))
+def test_exhaustive_min_at_most_increasing(policy, rng):
+    for i in range(3):
+        inst = _instance(policy, int(rng.integers(2, 8)), rng, zeros=i == 0)
+        worst, inc = (
+            mc_trials(inst, policy, a, 11 + i, range(200))
+            for a in ("exhaustive-min", "increasing")
+        )
+        assert (worst.alg <= inc.alg * (1 + 1e-12)).all()
+        reports = [
+            estimate_ratio(inst, policy, adversary=a, trials=300, seed=i, workers=1)
+            for a in ("exhaustive-min", "increasing")
+        ]
+        assert reports[0].e_alg <= reports[1].e_alg * (1 + 1e-12)
+
+
+def test_reproducible_across_workers_and_chunks(rng):
+    inst = random_instance("transversal", 5, rng)
+    a, b = (
+        report_fields(estimate_ratio(inst, "transversal", adversary="random",
+                                     trials=MC_CHUNK + 3, seed=4, workers=w))
+        for w in (1, 2)
+    )
+    a.pop("wall_ms"), b.pop("wall_ms")
+    assert a == b
+
+
+@pytest.mark.parametrize("adversary", ["increasing", "random"])
+def test_draws_are_the_scalar_streams(adversary, rng):
+    # Trial t's draws are those of the scalar code on the stream (seed, t):
+    # realizations, then coins, then the random order, then the vertex order.
+    inst = random_instance("graphic", 7, rng)
+    dists = dict(inst.distributions)
+    dists[1], dists[4] = point_mass(2.0), exponential(0.5)
+    dists[5] = discrete([0.0, 3.0], [0.25, 0.75])
+    inst = replace(inst, distributions=dists)
+    out = mc_trials(inst, "reduction-graphic", adversary, 7, range(40, 70))
+    batch, n = out.batch, inst.ground_size
+    for i, t in enumerate(range(40, 70)):
+        stream = trial_rng(7, t)
+        reals = inst.draw_realizations(stream)
+        heads = [stream.random() < 0.5 for _ in range(n)]
+        rewards, samples = batch.tagged(i)
+        for r, h in zip(reals, heads):
+            assert (rewards[r.element], samples[r.element]) == ((r.y, r.z) if h else (r.z, r.y))
+        if adversary == "random":
+            assert out.orders[:, i].tolist() == stream.permutation(n).tolist()
+        sigma = stream.permutation(inst.structure.vertex_count)
+        assert np.argsort(out.vertex_ranks[:, i]).tolist() == sigma.tolist()
+
+
+def test_tied_tokens_are_redrawn(monkeypatch, rng):
+    # A stream that repeats each double makes every pair of tokens tie in
+    # the bulk draw; such a trial is drawn again by the scalar code, which
+    # redraws the second token, so every trial's order stays strict.
+    inst = random_instance("rank1", 4, rng)
+    real_rng = harness_core.trial_rng
+
+    class Repeating:
+        def __init__(self, seed, t):
+            self.inner = real_rng(seed, t)
+            self.last = None
+
+        def random(self, out=None):
+            if out is not None:
+                out[:] = np.repeat(self.inner.random((len(out) + 1) // 2), 2)[: len(out)]
+                return out
+            if self.last is None:
+                self.last = self.inner.random()
+                return self.last
+            value, self.last = self.last, None
+            return value
+
+    monkeypatch.setattr(harness_core, "trial_rng", Repeating)
+    draws = harness_core.draw_trials([uniform(0.0, 1.0)] * 4, 1, range(6))
+    assert (draws.tokens[:4] != draws.tokens[4:]).all()
+
+
+@pytest.mark.parametrize("kind, policy, n", [("transversal", "transversal", 17),
+                                             ("matching", "matching", 18)])
+def test_scalar_optimum_beyond_the_tables(kind, policy, n, rng):
+    # Above EXACT_MODE_CAP elements E_OPT comes from the scalar oracle on
+    # each trial; the policy itself still runs batched.
+    inst = random_instance(kind, n, rng)
+    out = mc_trials(inst, policy, "increasing", 3, range(12))
+    _check_against_traced(inst, policy, "increasing", out)
+    report = estimate_ratio(inst, policy, trials=40, seed=3, workers=1)
+    assert report.e_alg <= report.e_opt * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("kind, policy", [("transversal", "transversal"),
+                                          ("matching", "matching")])
+def test_scalar_optimum_equals_tables(kind, policy, rng, monkeypatch):
+    for _ in range(3):
+        inst = random_instance(kind, int(rng.integers(2, 10)), rng)
+        tables = mc_trials(inst, policy, "fixed", 6, range(60))
+        monkeypatch.setattr(harness, "EXACT_MODE_CAP", 0)
+        scalar = mc_trials(inst, policy, "fixed", 6, range(60))
+        monkeypatch.undo()
+        assert np.allclose(tables.opt, scalar.opt, rtol=1e-12, atol=0)
+
+
+def test_wide_structures_run_batched(rng):
+    # 70 right nodes do not fit an int64 mask: the walks use python ints and
+    # E_OPT the scalar oracle. Matching masks cover only touched vertices.
+    adjacency = tuple(tuple(sorted(rng.choice(70, size=4, replace=False).tolist()))
+                      for _ in range(5))
+    wide = Instance("wide-t", Transversal(5, 70, adjacency),
+                    {e: uniform(0.0, 1.0) for e in range(5)})
+    out = mc_trials(wide, "transversal", "random", 1, range(40))
+    _check_against_traced(wide, "transversal", "random", out)
+    far = Instance("far-m", GeneralMatching(100, ((0, 99), (99, 50), (50, 70), (1, 2))),
+                   {e: uniform(0.0, 1.0) for e in range(4)})
+    out = mc_trials(far, "matching", "exhaustive-min", 1, range(40))
+    _check_against_traced(far, "matching", "exhaustive-min", out)
