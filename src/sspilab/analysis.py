@@ -3,9 +3,13 @@ nested-bins coin game.
 
 The verifiers enumerate every coin configuration and compare both sides of
 each identity or inequality as exact integer counts (value-weighted sums use
-exact rationals built from the float values). The scalar supporting-event
-functions here are reference implementations; the vectorized tables in
-`exact` must agree with them, and tests enforce that.
+exact rationals built from the float values). The sufficiency verifiers
+take each supported value's worst case over every arrival order from
+structure, on the batch kernels: the increasing order for transversal and
+laminar, and the least value over the live subgraph's maximal matchings for
+matching (subset tables, so n <= EXACT_MODE_CAP). The scalar
+supporting-event functions here are reference implementations; the
+vectorized tables in `exact` must agree with them, and tests enforce that.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -25,7 +28,11 @@ from .core import (
     SamplePath,
     validate_configuration,
 )
-from .exact import ConfigEnsemble, bitmask_rows, group_ids, replay_group_counts
+from .exact import (
+    _CHUNK_CELLS, EXACT_MODE_CAP, ConfigEnsemble, bit_index, edges_touched, element_masks,
+    group_ids, matching_table, maximal_within, replay_group_counts, replay_resources,
+    target_bits, vertex_masks,
+)
 from .feasibility import (
     FeasibilityStructure,
     GeneralMatching,
@@ -52,19 +59,6 @@ LEMMA_IDS = (
 
 GAME_RR_CAP = 2
 GAME_RB_CAP = 4
-SUFFICIENCY_ORDER_CAP = 7
-
-_PERM_CACHE: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-
-
-def cached_permutations(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every order of `items`, for the all-orders sufficiency replays."""
-    perms = _PERM_CACHE.get(items)
-    if perms is None:
-        perms = tuple(permutations(items))
-        if len(items) <= 6:  # keep the cache small
-            _PERM_CACHE[items] = perms
-    return perms
 
 
 @dataclass(frozen=True)
@@ -262,26 +256,21 @@ def _counts(mask_2d: np.ndarray) -> np.ndarray:
 
 
 def _verify_symmetry(ens: ConfigEnsemble) -> LemmaReport:
-    heads = ens.heads
-    free_h = ens.free("H")
-    free_t = ens.free("T")
-    lhs_total = 0
-    rhs_total = 0
+    heads, free_t = ens.heads, ens.free("T")
+    a = _counts(heads & ens.free("H"))
+    b = _counts(~heads & free_t)
+    c = _counts(heads & free_t)  # at Y-indices, also equal to b
+    bad = np.flatnonzero((a != b) | (ens.is_y & (c != b)))
     fail = None
-    for j in range(ens.length):
-        a = int((heads[j] & free_h[j]).sum())
-        b = int((~heads[j] & free_t[j]).sum())
-        lhs_total += a
-        rhs_total += b
-        if a != b and fail is None:
-            fail = f"index {j}: heads/free-heads {a} != tails/free-tails {b}"
-        if ens.is_y[j]:
-            c = int((heads[j] & free_t[j]).sum())
-            d = int((~heads[j] & free_t[j]).sum())
-            if c != d and fail is None:
-                fail = f"Y-index {j}: heads/free-tails {c} != tails/free-tails {d}"
+    if len(bad):
+        j = int(bad[0])
+        fail = (
+            f"index {j}: heads/free-heads {a[j]} != tails/free-tails {b[j]}"
+            if a[j] != b[j]
+            else f"Y-index {j}: heads/free-tails {c[j]} != tails/free-tails {b[j]}"
+        )
     return LemmaReport(
-        "symmetry", fail is None, Fraction(lhs_total), Fraction(rhs_total),
+        "symmetry", fail is None, Fraction(int(a.sum())), Fraction(int(b.sum())),
         ens.num_configs, fail or "",
     )
 
@@ -313,22 +302,15 @@ def _verify_greedy_objective(ens: ConfigEnsemble) -> LemmaReport:
 
 
 def _prob_report(name: str, ens: ConfigEnsemble, support: np.ndarray, factor: int) -> LemmaReport:
-    baseline = _counts(ens.heads & ens.free("H"))
-    sup_counts = _counts(support)
+    baseline = _counts(ens.heads & ens.free("H"))[ens.is_y]
+    sup_counts = _counts(support)[ens.is_y]
+    bad = np.flatnonzero(factor * sup_counts < baseline)
     fail = None
-    lhs_total = 0
-    rhs_total = 0
-    for j in range(ens.length):
-        if not ens.is_y[j]:
-            continue
-        lhs_total += int(sup_counts[j])
-        rhs_total += int(baseline[j])
-        if factor * int(sup_counts[j]) < int(baseline[j]) and fail is None:
-            fail = (
-                f"Y-index {j}: {factor}*{int(sup_counts[j])} < {int(baseline[j])}"
-            )
+    if len(bad):
+        k = bad[0]
+        fail = f"Y-index {np.flatnonzero(ens.is_y)[k]}: {factor}*{sup_counts[k]} < {baseline[k]}"
     return LemmaReport(
-        name, fail is None, Fraction(lhs_total), Fraction(rhs_total),
+        name, fail is None, Fraction(int(sup_counts.sum())), Fraction(int(baseline.sum())),
         ens.num_configs, fail or "",
     )
 
@@ -372,89 +354,110 @@ def _verify_trans_unique(ens: ConfigEnsemble) -> LemmaReport:
     )
 
 
-def _verify_match_sufficient(ens: ConfigEnsemble) -> LemmaReport:
-    fs = ens.structure
-    if ens.n > SUFFICIENCY_ORDER_CAP:
-        raise CapExceededError(
-            f"all-orders sufficiency replay capped at n <= {SUFFICIENCY_ORDER_CAP}"
-        )
-    support = ens.support_matching()
-    ex_masks = bitmask_rows(ens.matching_exceeds())
-    xvals = ens.w_val[ens.reward_indices()]
-    pairs = [fs.edges[e] for e in range(ens.n)]
-    checks = 0
+def _sufficiency_report(
+    name: str, ens: ConfigEnsemble, support: np.ndarray, short: np.ndarray, describe,
+) -> LemmaReport:
+    """A sufficiency lemma's verdict. `short` flags the supported (index,
+    config) cells whose worst case over every arrival order misses the
+    lemma's need; the first in config-major order is the failure, told by
+    `describe(j, c)`."""
+    missed = np.argwhere(short.T)
     fail = None
-    for c in range(ens.num_configs):
-        sup_j = [j for j in range(ens.length) if support[j, c]]
-        if not sup_j:
-            continue
-        ex = ex_masks[c]
-        xv = xvals[:, c].tolist()
-        live = tuple(e for e in range(ens.n) if (ex >> e) & 1)
-        needs = [(ens.elem[j], float(ens.w_val[j]), j) for j in sup_j]
-        for perm in cached_permutations(live):
-            val_at = [0.0] * fs.vertex_count
-            matched = 0
-            for e in perm:
-                u, v = pairs[e]
-                bits = (1 << u) | (1 << v)
-                if not matched & bits:
-                    matched |= bits
-                    val_at[u] = val_at[v] = xv[e]
-            for e_j, w_j, j in needs:
-                checks += 1
-                u, v = pairs[e_j]
-                if val_at[u] + val_at[v] < w_j:
-                    fail = fail or (
-                        f"config {c}, index {j}: matched value "
-                        f"{val_at[u] + val_at[v]} < {w_j}"
-                    )
+    if len(missed):
+        c, j = missed[0].tolist()
+        fail = f"config {c}, index {j}: {describe(j, c)}"
     return LemmaReport(
-        "match-sufficient", fail is None, Fraction(0 if fail is None else 1),
-        Fraction(0), ens.num_configs, fail or f"{checks} replayed checks",
+        name, fail is None, Fraction(0 if fail is None else 1), Fraction(0),
+        ens.num_configs, fail or f"{int(support.sum())} replayed checks",
     )
 
 
-def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
-    if ens.n > SUFFICIENCY_ORDER_CAP:
+def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
+    """(2n, configs): at each supported (j, c), the least value matched at
+    the two endpoints of e_j over every arrival order of the live edges; inf
+    elsewhere.
+
+    The orders reach exactly the maximal matchings M of the live subgraph
+    (`min_maximal_accepts`), and one M-edge at most meets each vertex, so the
+    value is the minimum of val_M(u) + val_M(v) over those M, with val_M(x)
+    the reward of the M-edge at x (0 when none). Which pairs of edges at u
+    and v some M reaches depends only on the live set, so it is worked out
+    once per distinct live set."""
+    fs = ens.structure
+    n = ens.n
+    is_matching, covered = matching_table(fs)
+    sets = np.flatnonzero(is_matching)
+    touched = edges_touched(covered[sets], vertex_masks(fs))
+    live = element_masks(ens.matching_exceeds())
+    # Row n holds 0.0, the value at a vertex no M-edge meets.
+    xval = np.vstack([ens.values_at(ens.reward_indices()), np.zeros(ens.num_configs)])
+    worst = np.full(support.shape, np.inf)
+    for j in np.flatnonzero(support.any(axis=1)):
+        at = []  # per set, the edge meeting each endpoint of e_j (n: none)
+        for x in fs.edges[ens.elem[j]]:
+            meets = sets & sum(1 << e for e in range(n) if x in fs.edges[e])
+            at.append(np.where(meets != 0, bit_index(meets), n))
+        pairs, pair_of = np.unique(np.stack(at), axis=1, return_inverse=True)
+        cols = np.flatnonzero(support[j])
+        lives, live_of = np.unique(live[cols], return_inverse=True)
+        onehot = pair_of[:, None] == np.arange(pairs.shape[1])  # (sets, pairs)
+        reached = np.empty((len(lives), pairs.shape[1]), dtype=bool)
+        step = max(1, _CHUNK_CELLS // len(sets))
+        for lo in range(0, len(lives), step):
+            ok = maximal_within(sets, touched, lives[lo : lo + step])  # (lives, sets)
+            reached[lo : lo + step] = ok @ onehot
+        total = xval[pairs[0][:, None], cols] + xval[pairs[1][:, None], cols]  # (pairs, cols)
+        total[~reached[live_of].T] = np.inf
+        worst[j, cols] = total.min(axis=0)
+    return worst
+
+
+def _verify_match_sufficient(ens: ConfigEnsemble) -> LemmaReport:
+    if ens.n > EXACT_MODE_CAP:
         raise CapExceededError(
-            f"all-orders sufficiency replay capped at n <= {SUFFICIENCY_ORDER_CAP}"
+            f"match-sufficient (matching subset tables) capped at n <= {EXACT_MODE_CAP}"
         )
-    support, cand = ens.support_transversal()
+    support = ens.support_matching()
+    worst = _match_worst_values(ens, support)
+    return _sufficiency_report(
+        "match-sufficient", ens, support, worst < ens.w_val[:, None],
+        lambda j, c: f"matched value {float(worst[j, c])} < {float(ens.w_val[j])}",
+    )
+
+
+def _trans_worst_values(ens: ConfigEnsemble, support: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """(2n, configs): at each supported (j, c), the least reward matched at
+    e_j's candidate node over every arrival order; inf elsewhere.
+
+    Every live element claims one fixed node, and the first live arrival
+    aimed at a node takes it, so the increasing order leaves each node its
+    smallest live reward, all nodes at once."""
+    fs = ens.structure
     targets = ens.transversal_targets()
-    xvals = ens.w_val[ens.reward_indices()]
-    checks = 0
-    fail = None
-    for c in range(ens.num_configs):
-        sup = [
-            (ens.elem[j], float(ens.w_val[j]), int(cand[j, c]).bit_length() - 1, j)
-            for j in range(ens.length)
-            if support[j, c]
-        ]
-        if not sup:
-            continue
-        tg = targets[:, c].tolist()
-        xv = xvals[:, c].tolist()
-        live = tuple(l for l in range(ens.n) if tg[l] >= 0)
-        for perm in cached_permutations(live):
-            q: dict[int, float] = {}
-            taken = 0
-            for l in perm:
-                r = tg[l]
-                bit = 1 << r
-                if not taken & bit:
-                    taken |= bit
-                    q[r] = xv[l]
-            for e_j, w_j, r_j, j in sup:
-                checks += 1
-                if q.get(r_j, 0.0) < w_j:
-                    fail = fail or (
-                        f"config {c}, index {j}: node {r_j} matched at "
-                        f"{q.get(r_j, 0.0)} < {w_j}"
-                    )
-    return LemmaReport(
-        "trans-sufficient", fail is None, Fraction(0 if fail is None else 1),
-        Fraction(0), ens.num_configs, fail or f"{checks} replayed checks",
+    ridx = ens.reward_indices()
+    acc = replay_resources(
+        targets >= 0, target_bits(targets, fs.right_count), np.argsort(-ridx, axis=0)
+    )
+    js, cs = np.nonzero(support)
+    node = bit_index(cand[js, cs])
+    got = np.zeros(len(cs))  # 0 when no element takes the node
+    for l in range(ens.n):
+        hit = acc[l, cs] & (targets[l, cs] == node)
+        got[hit] = ens.w_val[ridx[l, cs[hit]]]
+    worst = np.full(support.shape, np.inf)
+    worst[js, cs] = got
+    return worst
+
+
+def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
+    support, cand = ens.support_transversal()
+    worst = _trans_worst_values(ens, support, cand)
+    return _sufficiency_report(
+        "trans-sufficient", ens, support, worst < ens.w_val[:, None],
+        lambda j, c: (
+            f"node {int(cand[j, c]).bit_length() - 1} matched at "
+            f"{float(worst[j, c])} < {float(ens.w_val[j])}"
+        ),
     )
 
 
@@ -466,19 +469,25 @@ def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     acc = replay_group_counts(
         accept, group_ids(fs.groups, ens.n), fs.group_capacities, fs.total_capacity, orders
     )
-    missed = np.argwhere((support & ~acc[ens.elem]).T)  # (config, index) pairs
-    checks = int(support.sum())
-    fail = None
-    if len(missed):
-        c, j = missed[0].tolist()
-        fail = (
-            f"config {c}, index {j}: element {ens.elem[j]} not collected "
-            "under the increasing order"
-        )
-    return LemmaReport(
-        "laminar-sufficient", fail is None, Fraction(0 if fail is None else 1),
-        Fraction(0), ens.num_configs, fail or f"{checks} replayed checks",
+    return _sufficiency_report(
+        "laminar-sufficient", ens, support, support & ~acc[ens.elem],
+        lambda j, c: f"element {ens.elem[j]} not collected under the increasing order",
     )
+
+
+_VERIFIERS: dict[str, Callable[[ConfigEnsemble], LemmaReport]] = {
+    "symmetry": _verify_symmetry,
+    "forget-z": _verify_forget_z,
+    "greedy-objective": _verify_greedy_objective,
+    "match-unique": _verify_match_unique,
+    "match-sufficient": _verify_match_sufficient,
+    "match-prob": lambda ens: _prob_report("match-prob", ens, ens.support_matching(), 4),
+    "trans-unique": _verify_trans_unique,
+    "trans-sufficient": _verify_trans_sufficient,
+    "trans-prob": lambda ens: _prob_report("trans-prob", ens, ens.support_transversal()[0], 2),
+    "laminar-sufficient": _verify_laminar_sufficient,
+    "laminar-prob": lambda ens: _prob_report("laminar-prob", ens, ens.support_laminar(), 4),
+}
 
 
 def verify_lemma(
@@ -504,31 +513,7 @@ def verify_lemma(
         raise TypeError("transversal lemmas need a transversal structure")
     if lemma_id.startswith("laminar") and not isinstance(structure, TruncatedPartition):
         raise TypeError("laminar lemmas need a truncated-partition structure")
-    ens = ConfigEnsemble(structure, realizations, cap=cap)
-    if lemma_id == "symmetry":
-        return _verify_symmetry(ens)
-    if lemma_id == "forget-z":
-        return _verify_forget_z(ens)
-    if lemma_id == "greedy-objective":
-        return _verify_greedy_objective(ens)
-    if lemma_id == "match-unique":
-        return _verify_match_unique(ens)
-    if lemma_id == "match-sufficient":
-        return _verify_match_sufficient(ens)
-    if lemma_id == "match-prob":
-        return _prob_report("match-prob", ens, ens.support_matching(), 4)
-    if lemma_id == "trans-unique":
-        return _verify_trans_unique(ens)
-    if lemma_id == "trans-sufficient":
-        return _verify_trans_sufficient(ens)
-    if lemma_id == "trans-prob":
-        support, _ = ens.support_transversal()
-        return _prob_report("trans-prob", ens, support, 2)
-    if lemma_id == "laminar-sufficient":
-        return _verify_laminar_sufficient(ens)
-    if lemma_id == "laminar-prob":
-        return _prob_report("laminar-prob", ens, ens.support_laminar(), 4)
-    raise AssertionError("unreachable")
+    return _VERIFIERS[lemma_id](ConfigEnsemble(structure, realizations, cap=cap))
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +561,15 @@ class GameState:
 Strategy = Callable[[GameState], str]
 
 
+def _check_bins(r_r: int, r_b: int) -> None:
+    """Bin capacities of a game: 1 <= r_r < r_b (the CLI's --rr and --rb)."""
+    for flag, cap in (("--rr", r_r), ("--rb", r_b)):
+        if cap < 1:
+            raise ValueError(f"{flag} must be at least 1, got {cap}")
+    if not r_r < r_b:
+        raise ValueError("need r_r < r_b")
+
+
 def b_first_strategy(state: GameState) -> str:
     return "R" if state.is_saturated("B") else "B"
 
@@ -590,8 +584,7 @@ def play_coin_game(
     a bin before the next outcome is drawn; naming a saturated bin is coerced
     to the other one.
     """
-    if not r_r < r_b:
-        raise ValueError("need r_r < r_b")
+    _check_bins(r_r, r_b)
     state = GameState(r_r, r_b)
     stream: Iterator[str] = iter(coins)
     t = 0
@@ -656,8 +649,7 @@ def exhaustive_game_value(
     `optimal` lets the first player minimize; `b-first` pins the first player
     to saturating B before touching R.
     """
-    if not r_r < r_b:
-        raise ValueError("need r_r < r_b")
+    _check_bins(r_r, r_b)
     if r_r > GAME_RR_CAP or r_b > GAME_RB_CAP:
         raise CapExceededError(
             f"game value capped at r_r <= {GAME_RR_CAP}, r_b <= {GAME_RB_CAP}"

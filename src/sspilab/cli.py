@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .core import CapExceededError, trial_rng
 from .harness import (
-    emit_report,
+    csv_text,
     estimate_ratio,
     render_report,
     tight_example,
@@ -144,36 +144,31 @@ def _cmd_mechanism(args) -> int:
     if args.format == "json":
         _write(json.dumps(fields, indent=2) + "\n", args.out)
     else:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(MECHANISM_CSV_HEADER)
-        writer.writerow([fields[k] for k in MECHANISM_CSV_HEADER])
-        _write(buf.getvalue(), args.out)
+        row = [fields[k] for k in MECHANISM_CSV_HEADER]
+        _write(csv_text(MECHANISM_CSV_HEADER, row), args.out)
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """The --seed type: numpy seeds are non-negative integers."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    """Global flags, accepted before or after the subcommand."""
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument(
-        "--seed", type=int, help="master seed",
-        **({"default": d} if suppress else {"default": 0}),
-    )
-    parser.add_argument(
-        "--trials", type=int, help="Monte Carlo trials",
-        **({"default": d} if suppress else {"default": 10000}),
-    )
-    parser.add_argument(
-        "--out", help="output path (default stdout)",
-        **({"default": d} if suppress else {"default": None}),
-    )
-    parser.add_argument(
-        "--format", choices=("csv", "json"),
-        **({"default": d} if suppress else {"default": "json"}),
-    )
+    """Global flags, accepted before or after the subcommand. A subcommand's
+    copy has no defaults, so it keeps a value given before the subcommand."""
+
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument("--seed", type=_seed, default=default(0),
+                        help="master seed (a non-negative integer)")
+    parser.add_argument("--trials", type=int, default=default(10000),
+                        help="Monte Carlo trials")
+    parser.add_argument("--out", default=default(None), help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default=default("json"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,6 +54,7 @@ from .feasibility import (
 
 _DIGIT_BITS = 31
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+EXACT_MODE_CAP = 16  # elements in a subset table (2**n entries)
 MASK_BITS = 62  # resources an int64 bitmask holds; wider masks are python ints
 
 
@@ -86,7 +87,7 @@ def _put(table: np.ndarray, row, cols: np.ndarray, values) -> None:
         table[row, cols] = values
 
 
-def _bit_index(bits: np.ndarray) -> np.ndarray:
+def bit_index(bits: np.ndarray) -> np.ndarray:
     """Index of the single set bit of each entry."""
     if bits.dtype == object:
         return np.array([int(b).bit_length() - 1 for b in bits], dtype=np.int64)
@@ -282,7 +283,7 @@ class PathBatch:
         for j in range(self.length):
             picked = tails[j] & free_t[j]
             if picked.any():
-                th[_bit_index(cand[j, picked]), self.cols[picked]] = j
+                th[bit_index(cand[j, picked]), self.cols[picked]] = j
         return th
 
     def transversal_targets(self) -> np.ndarray:
@@ -643,12 +644,25 @@ def tables_fit(fs, n: int, cap: int) -> bool:
     return n <= cap and not (isinstance(fs, Transversal) and fs.right_count > MASK_BITS)
 
 
-def _edges_touched(covered: np.ndarray, vmasks) -> np.ndarray:
+def edges_touched(covered: np.ndarray, vmasks) -> np.ndarray:
     """Per entry, the mask of the edges with an endpoint among `covered`."""
     out = np.zeros_like(covered)
     for e, m in enumerate(vmasks):
         out |= ((covered & m) != 0).astype(np.int64) << e
     return out
+
+
+def maximal_within(sets: np.ndarray, touched: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """(columns, sets) flags: the set lies inside the column's element mask
+    `within`, and its `touched` mask covers it. For matchings S that says S
+    is a maximal matching of the edges in `within`."""
+    w = within[:, None]
+    return ((sets & ~w) == 0) & ((w & ~touched) == 0)
+
+
+def element_masks(flags: np.ndarray) -> np.ndarray:
+    """Per column, the int64 mask of the elements flagged in (n, columns)."""
+    return (flags * (np.int64(1) << np.arange(flags.shape[0]))[:, None]).sum(axis=0)
 
 
 def element_flags(masks: np.ndarray, n: int) -> np.ndarray:
@@ -800,8 +814,7 @@ def _best_sets(
         hi = min(lo + step, configs)
         score = sign * (xval[:, lo:hi].T @ member)
         if within is not None:
-            w = within[lo:hi, None]
-            score[((sets & ~w) != 0) | ((w & ~touched) != 0)] = -np.inf
+            score[~maximal_within(sets, touched, within[lo:hi])] = -np.inf
         best = score.max(axis=1, keepdims=True)
         near = score >= best - NEAR_TIE * np.abs(best)
         tied = np.flatnonzero(near.sum(axis=1) > 1)
@@ -832,7 +845,7 @@ def optimum_accepts(batch: PathBatch, ridx: np.ndarray) -> np.ndarray:
         raise RuntimeError(f"no batched optimum for {type(fs).__name__}")
     vmasks = vertex_masks(fs)
     is_matching, covered = matching_table(fs)
-    maximal = is_matching & (_edges_touched(covered, vmasks) == (1 << n) - 1)
+    maximal = is_matching & (edges_touched(covered, vmasks) == (1 << n) - 1)
     return element_flags(_best_sets(batch, ridx, np.flatnonzero(maximal)), n)
 
 
@@ -840,29 +853,20 @@ def min_maximal_accepts(batch: PathBatch, ridx: np.ndarray, live: np.ndarray) ->
     """Batched `min_maximal_matching`: per column, the (n, columns) accepted
     flags of a minimum-weight maximal matching of the live edges, that is,
     of a matching inside the live set that touches every live edge."""
-    n = batch.n
     vmasks = vertex_masks(batch.structure)
     is_matching, covered = matching_table(batch.structure)
     sets = np.flatnonzero(is_matching)
-    live_masks = (live * (np.int64(1) << np.arange(n))[:, None]).sum(axis=0)
     chosen = _best_sets(
-        batch, ridx, sets, minimize=True, within=live_masks,
-        touched=_edges_touched(covered[sets], vmasks),
+        batch, ridx, sets, minimize=True, within=element_masks(live),
+        touched=edges_touched(covered[sets], vmasks),
     )
-    return element_flags(chosen, n)
+    return element_flags(chosen, batch.n)
 
 
 # ---------------------------------------------------------------------------
-# Scalar helpers on python ints for one configuration at a time, for the
-# traced Monte Carlo adversary and the all-orders verifiers.
+# Scalar helper on python ints for one configuration at a time, for the
+# traced Monte Carlo adversary.
 # ---------------------------------------------------------------------------
-
-
-def bitmask_rows(flags: np.ndarray) -> list[int]:
-    """Pack an (n, configs) boolean array into one python int per config."""
-    n = flags.shape[0]
-    weights = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
-    return (flags * weights).sum(axis=0).tolist()
 
 
 def min_maximal_matching(live: int, vmasks, xvals) -> int:

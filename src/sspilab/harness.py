@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import CapExceededError, draw_trials, trial_rng
 from .exact import (
+    EXACT_MODE_CAP,
     ConfigEnsemble,
     PathBatch,
     TrialBatch,
@@ -52,11 +53,10 @@ from .feasibility import (
     graphic_partition,
 )
 from .instances import Instance
-from .policies import ORDER_SEARCH_CAP
 
-EXACT_MODE_CAP = 16
 EXACT_SIGMA_VERTEX_CAP = 6
 MC_CHUNK = 2048
+TIGHT_CELLS = 1 << 22  # (trial, leaf) cells per tight-example block; caps k
 WORKERS_ENV = "SSPILAB_WORKERS"
 
 CSV_HEADER = (
@@ -90,7 +90,10 @@ def worker_count(workers: int | None = None) -> int:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -133,9 +136,9 @@ def _accepted_runs(
     policies.adversarial_order)."""
     fs = batch.structure
     if policy == "matching":
-        if searching and batch.n > ORDER_SEARCH_CAP:
+        if searching and batch.n > EXACT_MODE_CAP:
             raise CapExceededError(
-                f"exhaustive-min order search capped at n <= {ORDER_SEARCH_CAP}"
+                f"matching exhaustive-min search capped at n <= {EXACT_MODE_CAP}"
             )
         live = batch.matching_exceeds()
         if searching:
@@ -449,9 +452,14 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     (tests pin it against the traced policy): an edge owned by its leaf is
     collected iff its reward beats its own sample; the center group collects
     the smallest reward beating the largest sample in the group.
+
+    Blocks of at most 20,000 trials and TIGHT_CELLS (trial, leaf) cells bound
+    the memory; they fix the draw order, smaller blocks from k = 210 on.
     """
     if k < 2:
         raise ValueError("need k >= 2")
+    if k > TIGHT_CELLS:
+        raise CapExceededError(f"tight example capped at k <= {TIGHT_CELLS}")
     if trials < 1:
         raise ValueError("need trials >= 1")
     start_time = time.perf_counter()
@@ -460,7 +468,7 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     sums = np.zeros(4)  # alg, alg^2, opt, opt^2
     done = 0
     while done < trials:
-        block = min(20_000, trials - done)
+        block = min(20_000, TIGHT_CELLS // k, trials - done)
         rewards = rng.uniform(lo, 1.0, size=(block, k))
         samples = rng.uniform(lo, 1.0, size=(block, k))
         center_rank = rng.uniform(size=(block, 1))
@@ -528,22 +536,21 @@ def report_fields(report: RatioReport) -> dict[str, object]:
     }
 
 
+def csv_text(header, row) -> str:
+    """A header line and one row of CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerow(row)
+    return buf.getvalue()
+
+
 def render_report(report: RatioReport, fmt: str) -> str:
     fields = report_fields(report)
     if fmt == "json":
         return json.dumps(fields, indent=2) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerow(
-            [
-                fields["policy"], fields["adversary"], fields["mode"],
-                fields["E_ALG"], fields["E_OPT"], fields["E_OPT_PRIME"],
-                fields["ratio"], fields["ci"], fields["seed"], fields["wall_ms"],
-            ]
-        )
-        return buf.getvalue()
+        return csv_text(CSV_HEADER, fields.values())  # fields come in header order
     raise ValueError(f"unknown report format {fmt!r}")
 
 

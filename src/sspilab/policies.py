@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import CapExceededError, TaggedValue
-from .exact import min_maximal_matching
+from .exact import EXACT_MODE_CAP, min_maximal_matching
 from .feasibility import (
     FeasibilityStructure,
     GeneralMatching,
@@ -40,8 +40,6 @@ POLICY_NAMES = (
     "reduction-graphic",
     "reduction-custom",
 )
-
-ORDER_SEARCH_CAP = 8  # ground-size cap of the matching exhaustive-min search
 
 
 @dataclass(frozen=True)
@@ -452,7 +450,8 @@ def adversarial_order(
     both reductions) and the literal transversal rule, the increasing order
     collects the minimum-weight outcome and is the minimizer. For matching
     the minimum is a minimum-weight maximal matching of the live edges; its
-    edges arrive first, then the rest. Only that search is capped.
+    edges arrive first, then the rest. Only that search is capped, at the
+    subset-table limit EXACT_MODE_CAP that caps it in the batched modes.
     """
     n = len(rewards)
     elements = list(range(n))
@@ -470,9 +469,9 @@ def adversarial_order(
             tuple(int(e) for e in stream.permutation(n)), f"random({seed})"
         )
     if mode == "exhaustive-min":
-        if n > ORDER_SEARCH_CAP:
+        if n > EXACT_MODE_CAP:
             raise CapExceededError(
-                f"exhaustive-min order search capped at n <= {ORDER_SEARCH_CAP}"
+                f"matching exhaustive-min search capped at n <= {EXACT_MODE_CAP}"
             )
         if not isinstance(structure, GeneralMatching):
             raise TypeError("matching policy needs a general-matching structure")

@@ -310,7 +310,8 @@ class TestVerifyLemma:
             verify_lemma("trans-prob", inst.structure, reals)
 
     def test_sufficiency_order_cap(self, rng):
-        inst = random_instance("matching", 8, rng)
+        # match-sufficient uses the matching subset table (n <= 16).
+        inst = random_instance("matching", 17, rng)
         reals = inst.draw_realizations(rng)
         with pytest.raises(CapExceededError):
             verify_lemma("match-sufficient", inst.structure, reals)

@@ -319,3 +319,43 @@ def test_internal_fault_in_engine_exits_4(mode, instance_file, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("error: internal error: RuntimeError: ")
     assert "no-such-policy" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["game", "--rr", "0", "--rb", "1", "--mode", "optimal"], "--rr"),
+    (["game", "--rr", "-1", "--rb", "2", "--mode", "exhaustive"], "--rr"),
+    (["--trials", "50", "game", "--rr", "0", "--rb", "2", "--mode", "mc"], "--rr"),
+    (["game", "--rr", "1", "--rb", "0", "--mode", "optimal"], "--rb"),
+])
+def test_game_bins_below_one_rejected(argv, flag, capsys):
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_rejected(seed, instance_file, capsys):
+    for argv in (["--seed", seed, "game", "--rr", "1", "--rb", "2", "--mode", "mc"],
+                 ["simulate", "--instance", instance_file, "--policy", "matching",
+                  "--seed", seed]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+def test_non_integer_workers_rejected(instance_file, monkeypatch, capsys):
+    monkeypatch.setenv("SSPILAB_WORKERS", "abc")
+    code = main(["--trials", "5", "simulate", "--instance", instance_file,
+                 "--policy", "matching"])
+    assert code == 2
+    assert "SSPILAB_WORKERS" in capsys.readouterr().err
+
+
+def test_tight_example_k_cap_and_bounded_blocks(capsys):
+    assert main(["--trials", "1", "tight-example", "--k", "1000000000000"]) == 3
+    assert "capped at k <=" in capsys.readouterr().err
+    assert main(["--trials", "1", "tight-example", "--k", str((1 << 22) + 1)]) == 3
+    capsys.readouterr()
+    # 10^4 leaves: blocks of 419 trials instead of 20,000.
+    assert main(["--trials", "3", "tight-example", "--k", "10000"]) == 0
+    assert json.loads(capsys.readouterr().out)["ratio"]

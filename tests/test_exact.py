@@ -18,7 +18,7 @@ from sspilab.core import (
 )
 from sspilab.exact import (
     ConfigEnsemble,
-    bitmask_rows,
+    element_masks,
     matching_table,
     min_maximal_accepts,
     optimum_accepts,
@@ -233,8 +233,8 @@ def test_best_matchings_settle_float_ties():
     ens = ConfigEnsemble(g, make_realizations([(1.0, 1.0), (1.0, 1.0), (tiny, tiny)]))
     ridx = ens.reward_indices()
     live = np.ones((3, ens.num_configs), dtype=bool)
-    assert bitmask_rows(min_maximal_accepts(ens, ridx, live)) == [0b010] * ens.num_configs
-    assert bitmask_rows(optimum_accepts(ens, ridx)) == [0b101] * ens.num_configs
+    assert element_masks(min_maximal_accepts(ens, ridx, live)).tolist() == [0b010] * ens.num_configs
+    assert element_masks(optimum_accepts(ens, ridx)).tolist() == [0b101] * ens.num_configs
 
 
 @pytest.mark.parametrize("cells", [1 << 20, 1])
@@ -249,8 +249,8 @@ def test_best_matchings_settle_ties_across_wide_exponents(cells, monkeypatch):
     assert exact_module._exact_scale(ens.w_val)[2] == 68  # digits
     ridx = ens.reward_indices()
     live = np.ones((3, ens.num_configs), dtype=bool)
-    assert bitmask_rows(min_maximal_accepts(ens, ridx, live)) == [0b010] * ens.num_configs
-    assert bitmask_rows(optimum_accepts(ens, ridx)) == [0b101] * ens.num_configs
+    assert element_masks(min_maximal_accepts(ens, ridx, live)).tolist() == [0b010] * ens.num_configs
+    assert element_masks(optimum_accepts(ens, ridx)).tolist() == [0b101] * ens.num_configs
 
 
 def _traced_exact_alg(inst, policy, adversary, seed):

@@ -120,12 +120,15 @@ class TestExactMode:
         inst = random_instance("rank1", 17, rng)
         with pytest.raises(CapExceededError):
             estimate_ratio(inst, "rank1", mode="exact", seed=0)
-        # Only matching still searches orders, so only matching is capped.
-        match9 = random_instance("matching", 9, rng)
-        with pytest.raises(CapExceededError):
-            estimate_ratio(
-                match9, "matching", adversary="exhaustive-min", mode="exact", seed=0
-            )
+        # Only matching still searches, so only matching is capped, at the
+        # subset-table limit in both modes.
+        match17 = random_instance("matching", 17, rng)
+        for mode in ("exact", "mc"):
+            with pytest.raises(CapExceededError):
+                estimate_ratio(
+                    match17, "matching", adversary="exhaustive-min", mode=mode,
+                    trials=4, seed=0, workers=1,
+                )
         inst9 = random_instance("rank1", 9, rng)
         worst, inc = (
             estimate_ratio(inst9, "rank1", adversary=a, mode="exact", seed=0)

@@ -245,8 +245,9 @@ class TestAdversarialOrder:
         assert o1.order == o2.order
 
     def test_exhaustive_cap(self):
-        # Only matching still searches, so only matching is capped.
-        n = 9
+        # Only matching still searches, so only matching is capped, at the
+        # subset-table limit.
+        n = 17
         samples = {e: tv(1, 0.4, e) for e in range(n)}
         rewards = {e: tv(2, 0.5, e) for e in range(n)}
         g = GeneralMatching(n + 1, tuple((e, e + 1) for e in range(n)))
