@@ -46,11 +46,8 @@ from .feasibility import (
 )
 from .policies import (
     ArrivalOrder,
-    PartitionScheme,
     PolicyTrace,
     adversarial_order,
-    fixed_partition_scheme,
-    graphic_scheme,
     laminar_policy,
     matching_policy,
     rank1_policy,

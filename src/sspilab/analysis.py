@@ -494,7 +494,6 @@ def verify_lemma(
     lemma_id: str,
     structure: FeasibilityStructure | None = None,
     realizations: Sequence[ElementRealization] | None = None,
-    cap: int = 20,
 ) -> LemmaReport:
     """Verify one named identity or inequality by exhaustive enumeration.
 
@@ -513,7 +512,7 @@ def verify_lemma(
         raise TypeError("transversal lemmas need a transversal structure")
     if lemma_id.startswith("laminar") and not isinstance(structure, TruncatedPartition):
         raise TypeError("laminar lemmas need a truncated-partition structure")
-    return _VERIFIERS[lemma_id](ConfigEnsemble(structure, realizations, cap=cap))
+    return _VERIFIERS[lemma_id](ConfigEnsemble(structure, realizations))
 
 
 # ---------------------------------------------------------------------------

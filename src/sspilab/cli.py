@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .core import CapExceededError, trial_rng
 from .harness import (
+    MC_ADVERSARIES,
     csv_text,
     estimate_ratio,
     render_report,
@@ -187,11 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_sub("simulate", "competitive-ratio estimation")
     p.add_argument("--instance", required=True)
     p.add_argument("--policy", required=True, choices=POLICY_NAMES)
-    p.add_argument(
-        "--adversary",
-        choices=("fixed", "increasing", "random", "exhaustive-min"),
-        default="increasing",
-    )
+    p.add_argument("--adversary", choices=MC_ADVERSARIES, default="increasing")
     p.add_argument("--mode", choices=("mc", "exact"), default="mc")
     p.set_defaults(func=_cmd_simulate)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -367,6 +368,11 @@ class SamplePath:
 
     def values(self) -> tuple[float, ...]:
         return tuple(e.value.value for e in self.entries)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, float], ...]:
+        """(element, value) of every entry, built once for the path greedy."""
+        return tuple(zip(self.elements(), self.values()))
 
     def y_index(self, element: int) -> int:
         for j, e in enumerate(self.entries):

@@ -37,6 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    CONFIG_ENUMERATION_CAP,
     CapExceededError,
     SamplePath,
     TaggedValue,
@@ -346,7 +347,7 @@ class PathBatch:
 class ConfigEnsemble(PathBatch):
     """All 2**n configurations for one structure and fixed realizations."""
 
-    def __init__(self, structure, realizations, cap: int = 20) -> None:
+    def __init__(self, structure, realizations, cap: int = CONFIG_ENUMERATION_CAP) -> None:
         self.structure = structure
         self.path: SamplePath = build_sample_path(realizations)
         n = self.path.n

@@ -291,7 +291,8 @@ def is_independent(fs: FeasibilityStructure, s: Iterable[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Incremental greedy states. These implement the "can this element still be
-# added" question the path greedy and the free-index queries share. For the
+# added" question of the one greedy walk, which the path greedy, the
+# free-index queries and the offline greedy solutions all run. For the
 # transversal system the rule is the ordered-maximal one: an element is
 # addable iff some adjacent right node is currently unmatched, and it gets
 # the smallest such node.
@@ -406,6 +407,34 @@ def greedy_state(fs: FeasibilityStructure):
     raise TypeError(f"unknown structure {type(fs)!r}")
 
 
+def _greedy_walk(state, pairs: Iterable[tuple[int, float]]) -> Solution:
+    """Admit each (element, value) pair in turn when `state` can still add
+    the element, summing the admitted values in walk order. A transversal
+    walk also records each admitted element's right node."""
+    chosen: set[int] = set()
+    assignment: dict[int, int] = {}
+    total = 0.0
+    for e, value in pairs:
+        # Walks never repeat an element: the offline greedy visits each once,
+        # and the pairing constraint puts one H and one T per element, so the
+        # same element can never be parsed twice on one side of a path.
+        assert e not in chosen
+        if state.can_add(e):
+            r = state.add(e)
+            chosen.add(e)
+            total += value
+            if r is not None:
+                assignment[e] = r
+    transversal = isinstance(state, _TransversalState)
+    return Solution(frozenset(chosen), total, assignment if transversal else None)
+
+
+def _parsed(path: SamplePath, config: Configuration, side: str, stop: int | None = None):
+    """(element, value) of the path entries before `stop` whose coin shows
+    `side`, in path order."""
+    return (pair for pair, coin in zip(path.pairs[:stop], config.coins) if coin == side)
+
+
 def greedy_on_path(
     fs: FeasibilityStructure,
     path: SamplePath,
@@ -415,28 +444,7 @@ def greedy_on_path(
     """Run the greedy over the path, parsing only indices whose coin shows
     `side`, adding each parsed element when feasible."""
     validate_configuration(path, config)
-    state = greedy_state(fs)
-    chosen: set[int] = set()
-    assignment: dict[int, int] = {}
-    total = 0.0
-    for j, entry in enumerate(path.entries):
-        if config.coins[j] != side:
-            continue
-        e = entry.element
-        # The pairing constraint puts one H and one T per element, so the
-        # same element can never be parsed twice on one side.
-        assert e not in chosen
-        if state.can_add(e):
-            r = state.add(e)
-            chosen.add(e)
-            total += entry.value.value
-            if r is not None:
-                assignment[e] = r
-    return Solution(
-        chosen=frozenset(chosen),
-        total=total,
-        assignment=assignment if isinstance(fs, Transversal) else None,
-    )
+    return _greedy_walk(greedy_state(fs), _parsed(path, config, side))
 
 
 def free_index(
@@ -452,9 +460,7 @@ def free_index(
     if not 0 <= j < path.length:
         raise IndexError(f"path index {j} out of range")
     state = greedy_state(fs)
-    for i in range(j):
-        if config.coins[i] == side and state.can_add(path.entries[i].element):
-            state.add(path.entries[i].element)
+    _greedy_walk(state, _parsed(path, config, side, j))
     return state.can_add(path.entries[j].element)
 
 
@@ -466,15 +472,9 @@ def maximal_matching(g: GeneralMatching, weights: Mapping[int, TaggedValue]) -> 
     """Greedy maximal matching: scan edges in decreasing weight order, keep
     each edge whose endpoints are both unmatched. Always worth at least half
     of the optimal matching."""
-    state = _MatchingState(g)
-    chosen: set[int] = set()
-    total = 0.0
-    for e in _sorted_desc(weights, range(len(g.edges))):
-        if state.can_add(e):
-            state.add(e)
-            chosen.add(e)
-            total += weights[e].value
-    return Solution(frozenset(chosen), total)
+    if not isinstance(g, GeneralMatching):
+        raise TypeError("maximal matching needs a general-matching structure")
+    return greedy_prophet(g, weights)
 
 
 def optimal_matching(
@@ -526,18 +526,9 @@ def ordered_maximal_matching(
 ) -> Solution:
     """Process left nodes in decreasing weight order, matching each to the
     smallest unmatched adjacent right node (or leaving it unmatched)."""
-    state = _TransversalState(t)
-    chosen: set[int] = set()
-    assignment: dict[int, int] = {}
-    total = 0.0
-    for l in _sorted_desc(weights, range(t.left_count)):
-        r = state.target(l)
-        if r is not None:
-            state.add(l)
-            chosen.add(l)
-            assignment[l] = r
-            total += weights[l].value
-    return Solution(frozenset(chosen), total, assignment)
+    if not isinstance(t, Transversal):
+        raise TypeError("ordered-maximal matching needs a transversal structure")
+    return greedy_prophet(t, weights)
 
 
 def optimal_transversal(t: Transversal, weights: Mapping[int, TaggedValue]) -> Solution:
@@ -567,18 +558,7 @@ def matroid_greedy_opt(
     """Standard matroid greedy; exact for maximum-weight independent sets."""
     if not isinstance(fs, MATROID_KINDS):
         raise TypeError("matroid greedy needs a matroid structure")
-    state = greedy_state(fs)
-    elements = (
-        fs.ground_set if isinstance(fs, SimplePartition) else range(fs.ground_size)
-    )
-    chosen: set[int] = set()
-    total = 0.0
-    for e in _sorted_desc(weights, elements):
-        if state.can_add(e):
-            state.add(e)
-            chosen.add(e)
-            total += weights[e].value
-    return Solution(frozenset(chosen), total)
+    return greedy_prophet(fs, weights)
 
 
 def contraction_optimum(
@@ -634,13 +614,13 @@ def graphic_partition(
 
 
 def greedy_prophet(fs: FeasibilityStructure, weights: Mapping[int, TaggedValue]) -> Solution:
-    """The greedy-like offline solution: maximal matching, ordered-maximal
-    matching, or matroid greedy depending on the structure."""
-    if isinstance(fs, GeneralMatching):
-        return maximal_matching(fs, weights)
-    if isinstance(fs, Transversal):
-        return ordered_maximal_matching(fs, weights)
-    return matroid_greedy_opt(fs, weights)
+    """The greedy-like offline solution: admit elements in decreasing tagged
+    order while the structure's greedy state allows, which is the maximal
+    matching, the ordered-maximal matching or the matroid greedy."""
+    elements = fs.ground_set if isinstance(fs, SimplePartition) else range(fs.ground_size)
+    return _greedy_walk(
+        greedy_state(fs), ((e, weights[e].value) for e in _sorted_desc(weights, elements))
+    )
 
 
 def exact_optimum(fs: FeasibilityStructure, weights: Mapping[int, TaggedValue]) -> Solution:

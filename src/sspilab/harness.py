@@ -43,16 +43,9 @@ from .exact import (
     target_bits,
     vertex_masks,
 )
-from .feasibility import (
-    GeneralMatching,
-    Graphic,
-    SimplePartition,
-    Transversal,
-    TruncatedPartition,
-    exact_optimum,
-    graphic_partition,
-)
+from .feasibility import GeneralMatching, Transversal, exact_optimum, graphic_partition
 from .instances import Instance
+from .policies import check_policy
 
 EXACT_SIGMA_VERTEX_CAP = 6
 MC_CHUNK = 2048
@@ -101,22 +94,6 @@ def _ratio(e_opt, e_alg) -> float:
     if e_alg == 0:
         return float("inf") if e_opt > 0 else 1.0
     return float(e_opt / e_alg) if isinstance(e_opt, Fraction) else e_opt / e_alg
-
-
-def _check_policy_structure(instance: Instance, policy: str) -> None:
-    s = instance.structure
-    ok = {
-        "rank1": isinstance(s, TruncatedPartition) and s.total_capacity == 1,
-        "matching": isinstance(s, GeneralMatching),
-        "transversal": isinstance(s, Transversal),
-        "laminar": isinstance(s, TruncatedPartition),
-        "reduction-graphic": isinstance(s, Graphic),
-        "reduction-custom": isinstance(s, (TruncatedPartition, SimplePartition, Graphic)),
-    }.get(policy)
-    if ok is None:
-        raise ValueError(f"unknown policy {policy!r}")
-    if not ok:
-        raise TypeError(f"policy {policy!r} does not apply to {type(s).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +162,6 @@ def _exact_groupings(ens: ConfigEnsemble, policy: str, instance: Instance) -> li
     instance's own, or every vertex-order partition, each equally likely."""
     fs = ens.structure
     if policy == "reduction-custom":
-        if instance.partition is None:
-            raise ValueError("reduction-custom needs a partition block in the instance")
         partitions = [instance.partition]
     elif policy == "reduction-graphic":
         if fs.vertex_count > EXACT_SIGMA_VERTEX_CAP:
@@ -237,7 +212,7 @@ def estimate_ratio_exact(
     """Exact expectations over all configurations for one drawn realization
     set, with the adversary minimizing per configuration when asked."""
     start = time.perf_counter()
-    _check_policy_structure(instance, policy)
+    check_policy(policy, instance.structure, instance.partition)
     if adversary not in EXACT_ADVERSARIES:
         raise ValueError(f"exact mode supports adversaries {EXACT_ADVERSARIES}")
     n = instance.ground_size
@@ -380,15 +355,11 @@ def estimate_ratio_mc(
     workers: int | None = None,
 ) -> RatioReport:
     start_time = time.perf_counter()
-    _check_policy_structure(instance, policy)
+    check_policy(policy, instance.structure, instance.partition)
     if adversary not in MC_ADVERSARIES:
         raise ValueError(f"mc mode supports adversaries {MC_ADVERSARIES}")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    if policy == "reduction-custom" and (
-        instance.partition is None or instance.partition_alpha is None
-    ):
-        raise ValueError("reduction-custom needs a partition block in the instance")
     chunks = [
         (instance, policy, adversary, seed, lo, min(lo + MC_CHUNK, trials))
         for lo in range(0, trials, MC_CHUNK)

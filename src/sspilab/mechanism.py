@@ -20,14 +20,8 @@ import numpy as np
 from .core import Distribution, TaggedValue, trial_rng
 from .feasibility import exact_optimum
 from .instances import Instance
-from .policies import (
-    PartitionScheme,
-    PolicyTrace,
-    fixed_partition_scheme,
-    graphic_scheme,
-    run_policy,
-)
-from .harness import _check_policy_structure, _fmt_float, mc_summary
+from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
+from .harness import _fmt_float, _ratio, mc_summary
 
 PAYMENT_RULE = "max(critical-price-at-acceptance, lazy-reserve)"
 
@@ -41,16 +35,6 @@ WELFARE_BOUNDS = {
     "laminar": 16.0,
     "reduction-graphic": 8.0,
 }
-
-
-def _scheme_for(instance: Instance, policy: str) -> PartitionScheme | None:
-    if policy == "reduction-graphic":
-        return graphic_scheme()
-    if policy == "reduction-custom":
-        if instance.partition is None or instance.partition_alpha is None:
-            raise ValueError("reduction-custom needs a partition block in the instance")
-        return fixed_partition_scheme(instance.partition, instance.partition_alpha)
-    return None
 
 
 class RegimeError(ValueError):
@@ -83,10 +67,9 @@ def run_opm(
     n = instance.ground_size
     if not (len(pricing) == len(reserve) == len(valuations) == n):
         raise ValueError("pricing, reserve, and valuation vectors must cover the ground set")
-    scheme = _scheme_for(instance, policy)
     trace = run_policy(
         policy, instance.structure, pricing, valuations, order,
-        scheme=scheme, rng=rng,
+        partition=instance.partition, rng=rng,
     )
     critical = {
         d.element: d.critical_value
@@ -168,13 +151,6 @@ class MechanismReport:
     instance: str = ""
 
 
-def _is_rank1(instance: Instance) -> bool:
-    from .feasibility import TruncatedPartition
-
-    s = instance.structure
-    return isinstance(s, TruncatedPartition) and s.total_capacity == 1
-
-
 def estimate_mechanism_ratios(
     instance: Instance,
     policy: str,
@@ -191,7 +167,7 @@ def estimate_mechanism_ratios(
     the welfare optimum (an upper bound, labeled as such) otherwise.
     """
     start_time = time.perf_counter()
-    _check_policy_structure(instance, policy)
+    check_policy(policy, instance.structure, instance.partition)
     if trials < 1:
         raise ValueError("need trials >= 1")
     resolved = regime or instance.regime()
@@ -231,19 +207,19 @@ def estimate_mechanism_ratios(
         )
     means, hw = mc_summary(sums, trials)
     mech_w, revenue, opt_w = (float(x) for x in means)
-    welfare_ratio = opt_w / mech_w if mech_w > 0 else float("inf")
+    welfare_ratio = _ratio(opt_w, mech_w)
     if mech_w > 0 and opt_w > 0:
         rel = math.sqrt((hw[0] / mech_w) ** 2 + (hw[2] / opt_w) ** 2)
         welfare_hw = welfare_ratio * rel
-    else:
-        welfare_hw = float("inf")
-    if _is_rank1(instance):
+    else:  # 0/0 is ratio 1 with no spread; x/0 is an unbounded ratio
+        welfare_hw = 0.0 if mech_w == opt_w == 0 else float("inf")
+    if POLICY_STRUCTURES["rank1"](instance.structure):
         _, benchmark = optimal_posted_price_revenue(instance.distributions)
         benchmark_kind = "posted-price-optimal"
     else:
         benchmark = opt_w
         benchmark_kind = "welfare-optimum-upper-bound"
-    revenue_ratio = benchmark / revenue if revenue > 0 else float("inf")
+    revenue_ratio = _ratio(benchmark, revenue)
     if policy == "reduction-custom":
         bound = None if instance.partition_alpha is None else 4.0 * instance.partition_alpha
     else:

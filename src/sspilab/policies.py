@@ -18,6 +18,7 @@ import numpy as np
 from .core import CapExceededError, TaggedValue
 from .exact import EXACT_MODE_CAP, min_maximal_matching
 from .feasibility import (
+    MATROID_KINDS,
     FeasibilityStructure,
     GeneralMatching,
     Graphic,
@@ -32,14 +33,31 @@ from .feasibility import (
     ordered_maximal_matching,
 )
 
-POLICY_NAMES = (
-    "rank1",
-    "matching",
-    "transversal",
-    "laminar",
-    "reduction-graphic",
-    "reduction-custom",
-)
+# The structures each policy applies to. reduction-custom also needs a
+# partition of the ground set (an instance's partition block).
+POLICY_STRUCTURES: dict[str, Callable[[FeasibilityStructure], bool]] = {
+    "rank1": lambda s: isinstance(s, TruncatedPartition) and s.total_capacity == 1,
+    "matching": lambda s: isinstance(s, GeneralMatching),
+    "transversal": lambda s: isinstance(s, Transversal),
+    "laminar": lambda s: isinstance(s, TruncatedPartition),
+    "reduction-graphic": lambda s: isinstance(s, Graphic),
+    "reduction-custom": lambda s: isinstance(s, MATROID_KINDS),
+}
+POLICY_NAMES = tuple(POLICY_STRUCTURES)
+
+
+def check_policy(
+    policy: str, structure: FeasibilityStructure, partition: SimplePartition | None
+) -> None:
+    """Reject an unknown policy (ValueError), a structure the policy does not
+    apply to (TypeError), and reduction-custom without a partition."""
+    applies = POLICY_STRUCTURES.get(policy)
+    if applies is None:
+        raise ValueError(f"unknown policy {policy!r}")
+    if not applies(structure):
+        raise TypeError(f"policy {policy!r} does not apply to {type(structure).__name__}")
+    if policy == "reduction-custom" and partition is None:
+        raise ValueError("reduction-custom needs a partition block in the instance")
 
 
 @dataclass(frozen=True)
@@ -181,14 +199,12 @@ def transversal_policy(
     t: Transversal,
     samples: Mapping[int, TaggedValue],
     arrivals: Iterable[tuple[int, TaggedValue]],
-    reroute: bool = False,
 ) -> PolicyTrace:
     """Right-node thresholds from the ordered-maximal matching on samples.
 
     An arriving element scans its neighbors in the fixed order for the first
     node whose threshold (and its own sample) its reward beats. If that node
-    is already matched online the element is skipped; with `reroute=True` the
-    scan continues to later admissible nodes instead.
+    is already matched online the element is skipped.
     """
     offline = ordered_maximal_matching(t, samples)
     thresholds: dict[int, TaggedValue | None] = {
@@ -208,15 +224,10 @@ def transversal_policy(
                 PolicyDecision(element, reward, False, "below own sample")
             )
             continue
-        target = None
-        for r in t.sorted_neighbors(element):
-            if beats(reward, thresholds[r]):
-                if r not in taken:
-                    target = r
-                    break
-                if not reroute:
-                    break  # literal rule: the designated node is taken, skip
-        if target is None:
+        target = next(
+            (r for r in t.sorted_neighbors(element) if beats(reward, thresholds[r])), None
+        )
+        if target is None or target in taken:
             trace.decisions.append(
                 PolicyDecision(
                     element, reward, False, "no admissible free right node"
@@ -291,69 +302,19 @@ def laminar_policy(
     return trace
 
 
-@dataclass(frozen=True)
-class PartitionScheme:
-    """A recipe turning a matroid into parallel rank-1 groups.
-
-    `queried` names the elements whose samples the recipe observes; `build`
-    returns a simple partition over a subset of the remaining elements.
-    Every transversal of the groups must be independent in the source
-    matroid; `alpha` is the declared expected-optimum loss factor.
-    """
-
-    name: str
-    alpha: float
-    queried: Callable[[FeasibilityStructure], frozenset[int]]
-    build: Callable[
-        [FeasibilityStructure, Mapping[int, TaggedValue], np.random.Generator | None],
-        SimplePartition,
-    ]
-
-
-def graphic_scheme() -> PartitionScheme:
-    """Random-vertex-order partition of a graphic matroid (alpha = 2)."""
-
-    def build(fs, _samples, rng):
-        partition, _sigma = graphic_partition(fs, rng=rng)
-        return partition
-
-    return PartitionScheme(
-        name="graphic",
-        alpha=2.0,
-        queried=lambda fs: frozenset(),
-        build=build,
-    )
-
-
-def fixed_partition_scheme(partition: SimplePartition, alpha: float) -> PartitionScheme:
-    """A user-supplied static partition with its declared loss factor."""
-    return PartitionScheme(
-        name="fixed",
-        alpha=alpha,
-        queried=lambda fs: frozenset(),
-        build=lambda fs, samples, rng: partition,
-    )
-
-
 def reduction_policy(
-    fs: FeasibilityStructure,
-    scheme: PartitionScheme,
+    partition: SimplePartition,
     samples: Mapping[int, TaggedValue],
     arrivals: Iterable[tuple[int, TaggedValue]],
-    rng: np.random.Generator | None = None,
 ) -> PolicyTrace:
-    """Two-phase reduction: build the scheme's partition from queried samples
-    offline, set each group's threshold to its largest sample, then run one
-    first-past-the-threshold instance per group in parallel.
+    """The partition-based reduction: set each group's threshold to its
+    largest sample, then run one first-past-the-threshold instance per group
+    in parallel.
 
     Elements outside the partition's ground set are rejected without their
     reward ever being observed.
     """
-    queried = scheme.queried(fs)
-    partition = scheme.build(fs, {e: samples[e] for e in queried}, rng)
     ground = partition.ground_set
-    if ground & queried:
-        raise ValueError("scheme placed a queried element inside the partition")
     thresholds: dict[int, TaggedValue | None] = {}
     for gi, group in enumerate(partition.groups):
         best = None
@@ -403,34 +364,25 @@ def run_policy(
     rewards: Mapping[int, TaggedValue],
     order: Sequence[int],
     *,
-    scheme: PartitionScheme | None = None,
+    partition: SimplePartition | None = None,
     rng: np.random.Generator | None = None,
 ) -> PolicyTrace:
-    """Dispatch a named policy over an arrival order."""
+    """Dispatch a named policy over an arrival order. reduction-graphic
+    draws its vertex-order partition from `rng`; reduction-custom runs on
+    `partition`."""
+    check_policy(policy, structure, partition)
     arrivals = [(e, rewards[e]) for e in order]
     if policy == "rank1":
         return rank1_policy(samples, arrivals)
     if policy == "matching":
-        if not isinstance(structure, GeneralMatching):
-            raise TypeError("matching policy needs a general-matching structure")
         return matching_policy(structure, samples, arrivals)
     if policy == "transversal":
-        if not isinstance(structure, Transversal):
-            raise TypeError("transversal policy needs a transversal structure")
         return transversal_policy(structure, samples, arrivals)
     if policy == "laminar":
-        if not isinstance(structure, TruncatedPartition):
-            raise TypeError("laminar policy needs a truncated-partition structure")
         return laminar_policy(structure, samples, arrivals)
     if policy == "reduction-graphic":
-        if not isinstance(structure, Graphic):
-            raise TypeError("graphic reduction needs a graphic structure")
-        return reduction_policy(structure, graphic_scheme(), samples, arrivals, rng)
-    if policy == "reduction-custom":
-        if scheme is None:
-            raise ValueError("reduction-custom needs a partition scheme")
-        return reduction_policy(structure, scheme, samples, arrivals, rng)
-    raise ValueError(f"unknown policy {policy!r}")
+        partition, _sigma = graphic_partition(structure, rng=rng)
+    return reduction_policy(partition, samples, arrivals)
 
 
 def adversarial_order(

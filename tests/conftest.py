@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sspilab.core import ElementRealization, TaggedValue
+
+# No per-example deadline (a loaded machine can stall any example) and a
+# fixed example sequence, so property tests draw the same cases every run.
+settings.register_profile("sspilab", deadline=None, derandomize=True)
+settings.load_profile("sspilab")
 
 
 def tv(value, tiebreak=0.5, element=0):

@@ -61,7 +61,7 @@ def test_verify_game_value_json(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import sspilab.cli as cli
 
-    def fake(lemma_id, structure=None, realizations=None, cap=20):
+    def fake(lemma_id, structure=None, realizations=None):
         return LemmaReport("game-value", False, Fraction(0), Fraction(1), 0, "forced")
 
     monkeypatch.setattr(cli, "verify_lemma", fake)
@@ -308,7 +308,7 @@ def test_internal_fault_in_engine_exits_4(mode, instance_file, monkeypatch, caps
     import sspilab.cli as cli
     import sspilab.harness as harness
 
-    monkeypatch.setattr(harness, "_check_policy_structure", lambda *args: None)
+    monkeypatch.setattr(harness, "check_policy", lambda *args: None)
     real = cli.estimate_ratio
     monkeypatch.setattr(
         cli, "estimate_ratio", lambda inst, policy, **kw: real(inst, "no-such-policy", **kw)

@@ -40,7 +40,6 @@ from sspilab.harness import estimate_ratio
 from sspilab.policies import (
     adversarial_order,
     beats,
-    fixed_partition_scheme,
     run_policy,
 )
 
@@ -275,9 +274,8 @@ def _traced_exact_alg(inst, policy, adversary, seed):
             rewards[r.element], samples[r.element] = (r.y, r.z) if high else (r.z, r.y)
         order = adversarial_order(policy, inst.structure, samples, rewards, adversary).order
         for partition in partitions:
-            scheme = None if partition is None else fixed_partition_scheme(partition, 2.0)
-            name = "reduction-custom" if scheme is not None else policy
-            trace = run_policy(name, inst.structure, samples, rewards, order, scheme=scheme)
+            name = "reduction-custom" if partition is not None else policy
+            trace = run_policy(name, inst.structure, samples, rewards, order, partition=partition)
             chosen = trace.chosen.chosen
             total += sum((Fraction(rewards[e].value) for e in chosen), Fraction(0))
             z_violations += sum(rewards[e] < samples[e] for e in chosen)

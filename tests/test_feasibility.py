@@ -2,10 +2,12 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sspilab.core import (
     CapExceededError,
     Configuration,
+    TaggedValue,
     build_sample_path,
     draw_realization,
     uniform,
@@ -417,3 +419,94 @@ class TestDispatchers:
             assert prophet.total >= opt.total / 2 - 1e-9
             assert is_independent(inst.structure, prophet.chosen)
             assert is_independent(inst.structure, opt.chosen)
+
+
+# ---------------------------------------------------------------------------
+# The one greedy walk against plain reference greedies on generated instances
+# ---------------------------------------------------------------------------
+
+_values = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 10.0))
+
+
+@st.composite
+def _greedy_cases(draw):
+    """A generated structure with tagged weights on its ground set; values
+    repeat often, so ties are left to the tiebreak tokens."""
+    kind = draw(st.sampled_from(
+        ["matching", "transversal", "truncated-partition", "simple-partition", "graphic"]
+    ))
+    n = draw(st.integers(1, 7))
+    if kind in ("matching", "graphic"):
+        vertices = draw(st.integers(2, 5))
+        edge = st.tuples(
+            st.integers(0, vertices - 1), st.integers(0, vertices - 1)
+        ).filter(lambda uv: uv[0] != uv[1])
+        edges = tuple(draw(st.lists(edge, min_size=n, max_size=n)))
+        fs = (GeneralMatching if kind == "matching" else Graphic)(vertices, edges)
+    elif kind == "transversal":
+        right = draw(st.integers(1, 4))
+        nbrs = st.lists(st.integers(0, right - 1), unique=True, max_size=right)
+        adjacency = tuple(tuple(a) for a in draw(st.lists(nbrs, min_size=n, max_size=n)))
+        fs = Transversal(n, right, adjacency)
+    else:
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        groups = tuple(tuple(e for e in range(n) if labels[e] == g) for g in range(n))
+        if kind == "simple-partition":
+            fs = SimplePartition(groups)  # empty groups allowed
+        else:
+            groups = tuple(g for g in groups if g)
+            caps = tuple(draw(st.integers(1, len(g))) for g in groups)
+            fs = TruncatedPartition(groups, caps, draw(st.integers(1, n)))
+    w = {
+        e: TaggedValue(draw(_values), draw(st.floats(0.0, 1.0)), e)
+        for e in range(n)
+    }
+    return fs, w
+
+
+def _reference_greedy(fs, w):
+    """Admit each element in decreasing tagged order when the selection stays
+    independent; a transversal left node takes its smallest free right node."""
+    chosen, taken, total = [], set(), 0.0
+    for e in sorted(w, key=lambda e: w[e].key, reverse=True):
+        if isinstance(fs, Transversal):
+            free = [r for r in sorted(fs.adjacency[e]) if r not in taken]
+            if not free:
+                continue
+            taken.add(free[0])
+        elif not is_independent(fs, chosen + [e]):
+            continue
+        chosen.append(e)
+        total += w[e].value
+    return frozenset(chosen), total
+
+
+_NAMED_GREEDY = {
+    GeneralMatching: maximal_matching,
+    Transversal: ordered_maximal_matching,
+    TruncatedPartition: matroid_greedy_opt,
+    SimplePartition: matroid_greedy_opt,
+    Graphic: matroid_greedy_opt,
+}
+
+
+@given(_greedy_cases())
+@settings(max_examples=150)
+def test_greedy_walk_matches_reference_greedy(case):
+    fs, w = case
+    want = _reference_greedy(fs, w)
+    for sol in (greedy_prophet(fs, w), _NAMED_GREEDY[type(fs)](fs, w)):
+        assert (sol.chosen, sol.total) == want
+        if isinstance(fs, Transversal):
+            assert sorted(sol.assignment) == sorted(sol.chosen)
+            assert is_independent(fs, sol.chosen)
+
+
+def test_named_greedies_reject_other_structures():
+    w = weights([1.0])
+    with pytest.raises(TypeError):
+        maximal_matching(Transversal(1, 1, ((0,),)), w)
+    with pytest.raises(TypeError):
+        ordered_maximal_matching(GeneralMatching(2, ((0, 1),)), w)
+    with pytest.raises(TypeError):
+        matroid_greedy_opt(GeneralMatching(2, ((0, 1),)), w)

@@ -26,7 +26,7 @@ from sspilab.harness import (
     tight_example,
 )
 from sspilab.instances import Instance, load_instance
-from sspilab.policies import fixed_partition_scheme, run_policy
+from sspilab.policies import run_policy
 
 from conftest import tv
 
@@ -226,7 +226,7 @@ class TestTightExample:
             order = sorted(range(k), key=lambda e: rewards[e].key)
             trace = run_policy(
                 "reduction-custom", g, samples, rewards, order,
-                scheme=fixed_partition_scheme(partition, 2.0),
+                partition=partition,
             )
             leaf_owned = ranks[1:] < ranks[0]
             alg = float((rewards_f * (leaf_owned & (rewards_f > samples_f))).sum())

@@ -25,7 +25,7 @@ from sspilab.feasibility import (
 from sspilab.generators import random_instance
 from sspilab.harness import MC_CHUNK, estimate_ratio, mc_trials, report_fields
 from sspilab.instances import Instance
-from sspilab.policies import adversarial_order, fixed_partition_scheme, run_policy
+from sspilab.policies import adversarial_order, run_policy
 
 KINDS = {
     "matching": "matching",
@@ -71,14 +71,12 @@ def _check_against_traced(inst, policy, adversary, out):
             order = tuple(int(e) for e in out.orders[:, t])
         else:
             order = adversarial_order(policy, fs, samples, rewards, adversary).order
-        name, scheme = policy, None
+        name, partition = policy, inst.partition
         if policy == "reduction-graphic":
             sigma = tuple(int(v) for v in np.argsort(out.vertex_ranks[:, t]))
             partition, _ = graphic_partition(fs, sigma=sigma)
-            name, scheme = "reduction-custom", fixed_partition_scheme(partition, 2.0)
-        elif policy == "reduction-custom":
-            scheme = fixed_partition_scheme(inst.partition, inst.partition_alpha)
-        chosen = run_policy(name, fs, samples, rewards, order, scheme=scheme).chosen.chosen
+            name = "reduction-custom"
+        chosen = run_policy(name, fs, samples, rewards, order, partition=partition).chosen.chosen
         got = set(np.flatnonzero(out.accepted[:, t]).tolist())
         want_alg = math.fsum(rewards[e].value for e in chosen)
         if policy == "matching" and adversary == "exhaustive-min":

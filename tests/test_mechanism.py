@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sspilab.core import TaggedValue, discrete, exponential, point_mass, trial_rng, uniform
-from sspilab.feasibility import TruncatedPartition
+from sspilab.feasibility import (
+    GeneralMatching,
+    Graphic,
+    SimplePartition,
+    Transversal,
+    TruncatedPartition,
+)
 from sspilab.generators import random_instance, star_graphic_instance
 from sspilab.instances import Instance
 from sspilab.mechanism import (
@@ -148,3 +156,112 @@ class TestEstimateRatios:
             inst, "rank1", trials=500, seed=1, regime="iid-regular"
         )
         assert rep.regime == "iid-regular"
+
+    def test_all_zero_rank1_ratios_are_one(self):
+        # Both means are 0: every ratio is 0/0, reported as 1 with no spread,
+        # as simulate reports it in both modes.
+        inst = Instance(
+            "zeros",
+            TruncatedPartition(((0, 1, 2),), (1,), 1),
+            {e: point_mass(0.0) for e in range(3)},
+        )
+        rep = estimate_mechanism_ratios(
+            inst, "rank1", trials=50, seed=0, regime="iid-regular"
+        )
+        assert (rep.mech_welfare, rep.opt_welfare, rep.revenue) == (0.0, 0.0, 0.0)
+        assert rep.welfare_ratio == 1.0
+        assert rep.welfare_ratio_halfwidth == 0.0
+        assert rep.revenue_ratio == 1.0
+
+
+def _pin_distributions(n):
+    palette = [
+        exponential(1.0), uniform(0.0, 2.0, mhr=True), point_mass(1.0, mhr=True),
+        discrete([0.5, 1.5], [0.5, 0.5], mhr=True), exponential(0.5),
+    ]
+    return {e: palette[e % len(palette)] for e in range(n)}
+
+
+_PIN_EDGES = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))
+_PIN_INSTANCES = {
+    "rank1": Instance(
+        "pin-rank1", TruncatedPartition(((0, 1, 2, 3),), (1,), 1), _pin_distributions(4)
+    ),
+    "matching": Instance("pin-matching", GeneralMatching(4, _PIN_EDGES), _pin_distributions(5)),
+    "transversal": Instance(
+        "pin-transversal", Transversal(4, 3, ((0, 1), (0,), (1, 2), (2,))),
+        _pin_distributions(4),
+    ),
+    "laminar": Instance(
+        "pin-laminar", TruncatedPartition(((0, 1), (2, 3), (4,)), (1, 2, 1), 3),
+        _pin_distributions(5),
+    ),
+    "reduction-graphic": Instance("pin-graphic", Graphic(4, _PIN_EDGES), _pin_distributions(5)),
+    "reduction-custom": Instance(
+        "pin-custom", Graphic(4, _PIN_EDGES), _pin_distributions(5),
+        SimplePartition(((0, 1), (2,), (3, 4))), 2.0,
+    ),
+}
+
+_PAYMENT = "max(critical-price-at-acceptance, lazy-reserve)"
+_UPPER = "welfare-optimum-upper-bound"
+
+# Every report field but wall_ms at 100 trials, seed 7, recorded before the
+# traced layer's greedy walks and partitions were merged; compared exactly.
+MECHANISM_PINS = {
+    "rank1": dict(
+        welfare_ratio=2.1079415301094486, welfare_ratio_halfwidth=0.5104619152902438,
+        mech_welfare=0.7727012639153561, opt_welfare=1.6288090845752405,
+        revenue=0.6292039971660733, revenue_ratio=1.6894532136974307,
+        revenue_benchmark=1.0630107150834918, revenue_benchmark_kind="posted-price-optimal",
+        table_bound=4.0,
+    ),
+    "matching": dict(
+        welfare_ratio=2.867654867008322, welfare_ratio_halfwidth=0.8556697445420136,
+        mech_welfare=1.0763697622648247, opt_welfare=3.086656987459315,
+        revenue=0.7790240298180504, revenue_ratio=3.9622102391119274,
+        revenue_benchmark=3.086656987459315, revenue_benchmark_kind=_UPPER,
+        table_bound=64.0,
+    ),
+    "transversal": dict(
+        welfare_ratio=2.1919909249036955, welfare_ratio_halfwidth=0.3227508455374477,
+        mech_welfare=1.6242693917710909, opt_welfare=3.5603837663610767,
+        revenue=1.3485159691463056, revenue_ratio=2.640223659060575,
+        revenue_benchmark=3.5603837663610767, revenue_benchmark_kind=_UPPER,
+        table_bound=16.0,
+    ),
+    "laminar": dict(
+        welfare_ratio=1.8374925212390092, welfare_ratio_halfwidth=0.33985126895416473,
+        mech_welfare=2.7001767596093367, opt_welfare=4.961554601805538,
+        revenue=1.818911134114259, revenue_ratio=2.7277608612922304,
+        revenue_benchmark=4.961554601805538, revenue_benchmark_kind=_UPPER,
+        table_bound=16.0,
+    ),
+    "reduction-graphic": dict(
+        welfare_ratio=2.361308765205708, welfare_ratio_halfwidth=0.5363845872935338,
+        mech_welfare=2.095686386283612, opt_welfare=4.9485626330537675,
+        revenue=1.346689866503687, revenue_ratio=3.674611917813981,
+        revenue_benchmark=4.9485626330537675, revenue_benchmark_kind=_UPPER,
+        table_bound=8.0,
+    ),
+    "reduction-custom": dict(
+        welfare_ratio=2.3406588756462186, welfare_ratio_halfwidth=0.47052848973887457,
+        mech_welfare=2.114175066064485, opt_welfare=4.9485626330537675,
+        revenue=1.559502941331894, revenue_ratio=3.173166591675323,
+        revenue_benchmark=4.9485626330537675, revenue_benchmark_kind=_UPPER,
+        table_bound=8.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", list(MECHANISM_PINS))
+def test_mechanism_report_pins(policy):
+    inst = _PIN_INSTANCES[policy]
+    rep = estimate_mechanism_ratios(inst, policy, trials=100, seed=7)
+    got = dataclasses.asdict(rep)
+    got.pop("wall_ms")
+    want = dict(
+        policy=policy, regime="mhr", trials=100, seed=7, payment_rule=_PAYMENT,
+        instance=inst.name, **MECHANISM_PINS[policy],
+    )
+    assert got == want

@@ -23,8 +23,6 @@ from sspilab.feasibility import (
 from sspilab.generators import random_instance
 from sspilab.policies import (
     adversarial_order,
-    fixed_partition_scheme,
-    graphic_scheme,
     laminar_policy,
     matching_policy,
     rank1_policy,
@@ -119,19 +117,14 @@ class TestTransversalPolicy:
         trace = transversal_policy(t, {0: tv(1, 0.5, 0)}, [(0, tv(9, 0.6, 0))])
         assert trace.chosen.total == 0
 
-    def test_literal_vs_reroute_variant(self):
+    def test_literal_rule_skips_taken_node(self):
         # Node 0 carries no threshold; both elements designate it first. The
-        # literal rule skips the second element; rerouting lets it take node 1.
+        # literal rule skips the second element rather than rerouting it.
         t = Transversal(2, 2, ((0, 1), (0, 1)))
         samples = {0: tv(1, 0.5, 0), 1: tv(1, 0.5, 1)}
         rewards = {0: tv(5, 0.6, 0), 1: tv(4, 0.6, 1)}
         literal = transversal_policy(t, samples, arrivals(rewards, (0, 1)))
         assert literal.chosen.chosen == frozenset({0})
-        rerouted = transversal_policy(
-            t, samples, arrivals(rewards, (0, 1)), reroute=True
-        )
-        assert rerouted.chosen.chosen == frozenset({0, 1})
-        assert rerouted.chosen.assignment == {0: 0, 1: 1}
 
     def test_matching_built_online_is_independent(self, rng):
         for _ in range(10):
@@ -173,20 +166,17 @@ class TestReductionPolicy:
     def test_star_hand_trace(self):
         g = Graphic(3, ((0, 1), (0, 2)))
         partition, _ = graphic_partition(g, sigma=(1, 2, 0))
-        scheme = fixed_partition_scheme(partition, 2.0)
         samples = {0: tv(3, 0.5, 0), 1: tv(1, 0.5, 1)}
         rewards = {0: tv(5, 0.6, 0), 1: tv(2, 0.6, 1)}
-        trace = reduction_policy(g, scheme, samples, arrivals(rewards, (0, 1)))
+        trace = reduction_policy(partition, samples, arrivals(rewards, (0, 1)))
         assert trace.chosen.chosen == frozenset({0, 1})
         assert is_independent(g, trace.chosen.chosen)
 
     def test_outside_ground_set_never_observed(self):
         sp = SimplePartition(((0,),))
-        scheme = fixed_partition_scheme(sp, 1.0)
-        fs = SimplePartition(((0,), (1,)))
         samples = {0: tv(1, 0.5, 0), 1: tv(1, 0.5, 1)}
         rewards = {0: tv(2, 0.6, 0), 1: tv(9, 0.6, 1)}
-        trace = reduction_policy(fs, scheme, samples, arrivals(rewards, (1, 0)))
+        trace = reduction_policy(sp, samples, arrivals(rewards, (1, 0)))
         outside = trace.decisions[0]
         assert outside.element == 1 and not outside.accepted
         assert outside.reward is None
@@ -194,11 +184,7 @@ class TestReductionPolicy:
 
     def test_empty_group_threshold_accepts_first_positive(self):
         sp = SimplePartition(((0,), ()))
-        scheme = fixed_partition_scheme(sp, 1.0)
-        fs = SimplePartition(((0,),))
-        trace = reduction_policy(
-            fs, scheme, {0: tv(0, 0.5, 0)}, [(0, tv(1, 0.6, 0))]
-        )
+        trace = reduction_policy(sp, {0: tv(0, 0.5, 0)}, [(0, tv(1, 0.6, 0))])
         assert trace.chosen.chosen == frozenset({0})
 
     def test_thresholds_ignore_rewards(self, rng):
@@ -209,12 +195,7 @@ class TestReductionPolicy:
         base = None
         for perm in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
             rewards = {r.element: r.y for r in reals}
-            trace = reduction_policy(
-                inst.structure,
-                fixed_partition_scheme(partition, 2.0),
-                samples,
-                arrivals(rewards, perm),
-            )
+            trace = reduction_policy(partition, samples, arrivals(rewards, perm))
             if base is None:
                 base = trace.thresholds
             assert trace.thresholds == base
@@ -356,21 +337,19 @@ class TestTraceInvariants:
                     r.element: (r.z if rewards[r.element] is r.y else r.y)
                     for r in reals
                 }
-                scheme = None
+                partition = None
                 if policy == "reduction-custom":
                     groups = [[] for _ in range(int(rng.integers(1, n + 1)))]
                     for e in range(n):
                         if rng.random() < 0.8:  # some elements stay outside
                             groups[int(rng.integers(0, len(groups)))].append(e)
-                    scheme = fixed_partition_scheme(
-                        SimplePartition(tuple(tuple(g) for g in groups)), 1.0
-                    )
+                    partition = SimplePartition(tuple(tuple(g) for g in groups))
                 sigma_seed = int(rng.integers(0, 100))
 
                 def total(order):
                     return run_policy(
                         policy, inst.structure, samples, rewards, order,
-                        scheme=scheme, rng=np.random.default_rng(sigma_seed),
+                        partition=partition, rng=np.random.default_rng(sigma_seed),
                     ).chosen.total
 
                 best = min(total(p) for p in permutations(range(len(reals))))
@@ -378,3 +357,38 @@ class TestTraceInvariants:
                     policy, inst.structure, samples, rewards, "exhaustive-min"
                 )
                 assert total(worst.order) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+class TestRunPolicyPartitions:
+    def test_reduction_graphic_draws_graphic_partition_from_rng(self, rng):
+        # run_policy's reduction-graphic is reduction_policy on the vertex-
+        # order partition drawn from the same rng, call for call.
+        for s in range(12):
+            inst = random_instance("graphic", int(rng.integers(1, 7)), rng)
+            fs = inst.structure
+            reals = inst.draw_realizations(rng)
+            rewards = {r.element: r.y for r in reals}
+            samples = {r.element: r.z for r in reals}
+            order = [int(x) for x in rng.permutation(len(reals))]
+            got = run_policy(
+                "reduction-graphic", fs, samples, rewards, order,
+                rng=np.random.default_rng(s),
+            )
+            partition, _ = graphic_partition(fs, rng=np.random.default_rng(s))
+            want = reduction_policy(partition, samples, arrivals(rewards, order))
+            assert got.decisions == want.decisions
+            assert got.thresholds == want.thresholds
+            assert got.chosen == want.chosen
+
+    def test_structure_table_checked(self):
+        samples = {0: tv(1, 0.5, 0)}
+        rewards = {0: tv(2, 0.6, 0)}
+        g = GeneralMatching(2, ((0, 1),))
+        with pytest.raises(TypeError):
+            run_policy("laminar", g, samples, rewards, (0,))
+        with pytest.raises(TypeError):
+            run_policy("rank1", g, samples, rewards, (0,))
+        with pytest.raises(ValueError, match="partition block"):
+            run_policy("reduction-custom", Graphic(2, ((0, 1),)), samples, rewards, (0,))
+        with pytest.raises(ValueError, match="unknown policy"):
+            run_policy("no-such-policy", g, samples, rewards, (0,))
