@@ -38,7 +38,7 @@ from .feasibility import (
     GeneralMatching,
     Transversal,
     TruncatedPartition,
-    greedy_on_path,
+    _greedy_walk,
     greedy_state,
 )
 
@@ -285,15 +285,24 @@ def _verify_forget_z(ens: ConfigEnsemble) -> LemmaReport:
 
 def _verify_greedy_objective(ens: ConfigEnsemble) -> LemmaReport:
     # Left side from the vectorized free-flag tables; right side from the
-    # scalar path greedy, an independent code path.
+    # scalar greedy walk over each configuration's heads entries, an
+    # independent code path.
     lhs = ens.path_total(_counts(ens.heads & ens.free("H")))
     recount = [0] * ens.length
-    reward_idx = {e: ens.reward_index(e) for e in ens.elements}
+    path = ens.path
+    # Per path entry, (element, value, bit of the element in the heads mask,
+    # whether the entry is heads when that bit is set: Y entries).
+    entries = [
+        (e.element, e.value.value, 1 << ens.bit_of[e.element], e.label == "Y")
+        for e in path.entries
+    ]
+    y_of = {e: path.y_index(e) for e in ens.elements}
     for mask in range(ens.num_configs):
-        config = Configuration.from_heads_mask(ens.path, mask)
-        sol = greedy_on_path(ens.structure, ens.path, config, "H")
+        pairs = [(e, v) for e, v, bit, is_y in entries if bool(mask & bit) == is_y]
+        sol = _greedy_walk(greedy_state(ens.structure), pairs)
         for e in sol.chosen:
-            recount[int(reward_idx[e][mask])] += 1
+            jy = y_of[e]
+            recount[jy if mask & (1 << ens.bit_of[e]) else path.partner[jy]] += 1
     rhs = ens.path_total(recount)
     return LemmaReport(
         "greedy-objective", lhs == rhs, lhs, rhs, ens.num_configs,
@@ -615,28 +624,98 @@ def play_coin_game(
     return winner, state
 
 
-def _rng_coins(rng: np.random.Generator) -> Iterator[str]:
+GAME_COIN_BLOCK = 1 << 14  # coins drawn at a time; bounds the game's memory
+
+
+class _CoinBlock:
+    """One block of coins (True: heads), indexed to find the k-th head or
+    tail from any position at once."""
+
+    def __init__(self, heads: np.ndarray) -> None:
+        self.size = len(heads)
+        self.heads_before = np.concatenate(([0], np.cumsum(heads)))
+        # Per side, the positions of its coins and then `size`: "not here".
+        self.pos = [np.append(np.flatnonzero(side), self.size) for side in (heads, ~heads)]
+
+    def count_before(self, side: int, at):
+        """Heads (side 0) or tails (side 1) before position `at`."""
+        heads = self.heads_before[at]
+        return heads if side == 0 else at - heads
+
+    def kth(self, side: int, at, k: int):
+        """Position of the k-th coin of `side` from position `at` on, or
+        `size` when the block has fewer."""
+        pos = self.pos[side]
+        return pos[np.minimum(self.count_before(side, at) + (k - 1), len(pos) - 1)]
+
+    def phase_end(self, at, cap_h: int, cap_t: int):
+        """A phase from position `at` that ends at its cap_h-th head or its
+        cap_t-th tail: the position of its last coin (`size` when the block
+        ends first) and whether tails ended it."""
+        h, t = self.kth(0, at, cap_h), self.kth(1, at, cap_t)
+        return np.minimum(h, t), t < h
+
+
+def _play_on(block: _CoinBlock, r_r: int, r_b: int, state: tuple, at: int):
+    """Continue one B-first game from position `at`. `state` is (phase,
+    heads, tails) so far: phase 0 fills bin B and, once B saturates with
+    tails, phase 1 fills R. Returns the position after the game's last coin
+    and whether P2 won, or None and the state when the block ends first."""
+    phase, h, t = state
     while True:
-        yield "H" if rng.random() < 0.5 else "T"
+        cap = r_b if phase == 0 else r_r
+        last, by_tails = (int(x) for x in block.phase_end(at, cap - h, cap - t))
+        if last == block.size:
+            heads = int(block.count_before(0, last) - block.count_before(0, at))
+            return None, (phase, h + heads, t + (last - at - heads))
+        if not by_tails or phase == 1:  # heads saturation, or R saturates too
+            return last + 1, by_tails
+        phase, h, t, at = 1, 0, 0, last + 1
 
 
-def game_monte_carlo(
-    r_r: int,
-    r_b: int,
-    trials: int,
-    seed: int,
-    strategy: Strategy = b_first_strategy,
-) -> float:
-    """P2 win frequency under the given strategy."""
+def game_monte_carlo(r_r: int, r_b: int, trials: int, seed: int) -> float:
+    """P2 win frequency of the B-first strategy over `trials` games played
+    in turn on one coin stream from default_rng(seed), each coin one
+    `rng.random() < 0.5` (heads), consumed as `play_coin_game` consumes it.
+
+    Under B-first every toss lands in B until B saturates; heads end the
+    game there, else every later toss lands in R until R saturates, and P2
+    wins on tails. So a game is a phase up to the r_b-th head or tail and,
+    after tails, one up to the r_r-th head or tail. The coins come in blocks
+    of GAME_COIN_BLOCK, the same doubles as one `rng.random()` call each.
+    Within a block the end of a game from every position is found at once,
+    and the games are chained from the first; a game that runs past the
+    block carries its counts into the next one."""
     if trials < 1:
         raise ValueError("need trials >= 1")
+    _check_bins(r_r, r_b)
     rng = np.random.default_rng(seed)
-    coins = _rng_coins(rng)
-    wins = 0
-    for _ in range(trials):
-        winner, _ = play_coin_game(r_r, r_b, strategy, coins)
-        if winner == "P2":
-            wins += 1
+    wins = played = 0
+    state = None  # the game left open at the end of the last block
+    while played < trials:
+        block = _CoinBlock(rng.random(GAME_COIN_BLOCK) < 0.5)
+        at = 0
+        if state is not None:
+            end, outcome = _play_on(block, r_r, r_b, state, 0)
+            if end is None:  # the open game runs past this block too
+                state = outcome
+                continue
+            wins += outcome
+            played += 1
+            state = None
+            at = end
+        last_b, b_tails = block.phase_end(np.arange(block.size), r_b, r_b)
+        last_r, r_tails = block.phase_end(np.minimum(last_b + 1, block.size), r_r, r_r)
+        after = (np.where(b_tails, last_r, last_b) + 1).tolist()  # size + 1: open
+        chain = []
+        while at < block.size and played + len(chain) < trials:
+            if after[at] > block.size:
+                state = _play_on(block, r_r, r_b, (0, 0, 0), at)[1]
+                break
+            chain.append(at)
+            at = after[at]
+        wins += int((b_tails & r_tails)[chain].sum())
+        played += len(chain)
     return wins / trials
 
 

@@ -247,84 +247,96 @@ def draw_realization(dist: Distribution, element: int, rng: np.random.Generator)
     return ElementRealization(element, y, z)
 
 
+REALIZATION_LAYOUT = "vvtt"  # `draw_realization`: two values, then two tokens
+
+
 @dataclass(frozen=True)
 class TrialDraws:
-    """The draws of a run of trials: per trial (last axis) two values and
-    two tie-break tokens per element (draw d of element e in row d * n + e),
-    one coin per element (heads: the larger value is the reward) and one
-    permutation per requested size ((trials, size) each)."""
+    """The draws of a run of trials, per trial (last axis): the values and
+    the tie-break tokens of every element, value slot d of element e in row
+    d * n + e (and likewise for tokens); with the realization layout one
+    coin per element (heads: the larger value is the reward), else None; and
+    one permutation per requested size ((trials, size) each)."""
 
     values: np.ndarray
     tokens: np.ndarray
-    coins: np.ndarray
+    coins: np.ndarray | None
     permutations: tuple[np.ndarray, ...]
 
 
 def draw_trials(
     distributions: Sequence[Distribution], seed: int, trials: range,
-    permutation_sizes: Sequence[int] = (),
+    permutation_sizes: Sequence[int] = (), layout: str = REALIZATION_LAYOUT,
 ) -> TrialDraws:
     """Trial t's draws from its own stream trial_rng(seed, t), in the order
-    of the scalar code: per element two values (`Distribution.sample`) and
-    two tokens (`draw_realization`), then one coin per element
-    (`assign_coins`), then the permutations (`rng.permutation`).
+    of the scalar code. `layout` lists one element's draws in stream order:
+    `v` a value (`Distribution.sample`), `t` a tie-break token (one double).
+    The realization layout is followed by one coin per element
+    (`assign_coins`); the mechanism's "vtvtvt" (pricing, reserve and
+    valuation, each a value and its token) draws no coins. The permutations
+    (`rng.permutation`) come last.
 
-    Point masses take no double and the other laws but the exponential one
-    double per value, so each stretch between exponential values is one
-    `rng.random` call; the doubles become values for all trials at once. A
-    trial whose two tokens of an element tie is drawn again by the scalar
-    code, which redraws the second token."""
+    Point masses take no draw, exponential values one standard exponential
+    draw each and every other value or token one double, so each run of
+    draws of one kind is one call; the draws become values for all trials
+    at once. With the realization layout, a trial whose two tokens of an
+    element tie is drawn again by the scalar code, which redraws the second
+    token."""
     n = len(distributions)
-    # Per trial, the calls in stream order: (uniform?, first column, stop).
-    plan: list[tuple[bool, int, int]] = []
-    value_col, token_col = [], []  # per element, the column of its first value/token
-    ucount = xcount = start = 0
-    for dist in distributions:
-        if dist.kind == "exponential":
-            if ucount > start:
-                plan.append((True, start, ucount))
-            plan.append((False, xcount, xcount + 2))
-            value_col.append(xcount)
-            xcount += 2
-            start = ucount
-        elif dist.kind == "point-mass":
-            value_col.append(-1)
+    realization = layout == REALIZATION_LAYOUT
+    # Per draw in stream order, its kind: 1 a standard exponential draw, 0 a
+    # double. Per layout slot and element, the column of its draw in a
+    # trial's row (-1: a point mass draws nothing).
+    kinds: list[int] = []
+    cols = np.full((len(layout), n), -1)
+    for e, dist in enumerate(distributions):
+        value_kind = None if dist.kind == "point-mass" else int(dist.kind == "exponential")
+        for slot, kind in enumerate(layout):
+            k = 0 if kind == "t" else value_kind
+            if k is not None:
+                cols[slot, e] = len(kinds)
+                kinds.append(k)
+    coin_cols = list(range(len(kinds), len(kinds) + n)) if realization else []
+    kinds += [0] * len(coin_cols)
+    # Per trial, the calls in stream order: [kind, first column, stop].
+    plan: list[list[int]] = []
+    for c, k in enumerate(kinds):
+        if plan and plan[-1][0] == k:
+            plan[-1][2] = c + 1
         else:
-            value_col.append(ucount)
-            ucount += 2
-        token_col.append(ucount)
-        ucount += 2
-    coin_col = ucount
-    plan.append((True, start, ucount + n))
+            plan.append([k, c, c + 1])
 
     count = len(trials)
-    doubles = np.empty((count, ucount + n))
-    exps = np.empty((count, xcount))
+    raw = np.empty((count, len(kinds)))
     perms = tuple(np.empty((count, size), dtype=np.int64) for size in permutation_sizes)
+    exponential = any(kinds)
     for i, t in enumerate(trials):
         rng = trial_rng(seed, t)
-        for uniform, lo, hi in plan:
-            if uniform:
-                rng.random(out=doubles[i, lo:hi])
-            else:  # exponential(scale) is scale times this draw
-                rng.standard_exponential(out=exps[i, lo:hi])
+        draw = (rng.random, rng.standard_exponential) if exponential else (rng.random,)
+        row = raw[i]
+        for kind, lo, hi in plan:
+            if hi - lo == 1:
+                row[lo] = draw[kind]()
+            else:
+                draw[kind](out=row[lo:hi])
         for perm, size in zip(perms, permutation_sizes):
             perm[i] = rng.permutation(size)
 
-    values = np.empty((2 * n, count))
-    tokens = np.empty((2 * n, count))
+    is_value = np.array([kind == "v" for kind in layout])
+    values = np.ascontiguousarray(raw[:, cols[is_value].ravel()].T)
     for e, dist in enumerate(distributions):
-        rows = [e, n + e]
-        c = value_col[e]
-        if dist.kind == "exponential":
-            values[rows] = (1.0 / dist.params[0]) * exps[:, c : c + 2].T
-        elif dist.kind == "point-mass":
-            values[rows] = dist.params[0]
+        drawn = values[e::n]  # value slot d of element e is row d * n + e
+        if dist.kind == "point-mass":
+            drawn[:] = dist.params[0]
+        elif dist.kind == "exponential":  # exponential(scale) is scale times the draw
+            drawn *= 1.0 / dist.params[0]
         else:
-            values[rows] = dist.from_uniform(doubles[:, c : c + 2].T)
-        tokens[rows] = doubles[:, token_col[e] : token_col[e] + 2].T
-    coins = (doubles[:, coin_col:] < 0.5).T
+            drawn[:] = dist.from_uniform(drawn)
+    tokens = np.ascontiguousarray(raw[:, cols[~is_value].ravel()].T)
+    if not realization:
+        return TrialDraws(values, tokens, None, perms)
 
+    coins = (raw[:, coin_cols] < 0.5).T
     for i in np.flatnonzero((tokens[:n] == tokens[n:]).any(axis=0)):
         rng = trial_rng(seed, trials[i])
         for e, dist in enumerate(distributions):

@@ -325,18 +325,26 @@ class PathBatch:
             accept[self.bit_of[e]] = heads & free
         return accept
 
-    def group_exceeds(self, group, count: int) -> np.ndarray:
-        """(n, columns) flags: the reward beats the largest sample of its
-        group in the tagged order, as in the traced policies, so a reward
-        worth 0 can beat samples worth 0 by its tiebreak. `group` gives each
-        element's group index, fixed or one per column; index `count` means
-        no group, and those elements stay False."""
+    def group_thresholds(self, group, count: int) -> np.ndarray:
+        """(count + 1, columns) path index of each group's largest sample
+        (`length` for a group with none). `group` gives each element's group
+        index, fixed or one per column; index `count` means no group."""
         cols = self.cols
         group = np.asarray(group)
         thr = np.full((count + 1, self.num_configs), self.length, dtype=np.int64)
         for e in self.elements:
             g = group[self.bit_of[e]]
             _put(thr, g, cols, np.minimum(_take(thr, g, cols), self.sample_index(e)))
+        return thr
+
+    def group_exceeds(self, group, count: int) -> np.ndarray:
+        """(n, columns) flags: the reward beats the largest sample of its
+        group in the tagged order, as in the traced policies, so a reward
+        worth 0 can beat samples worth 0 by its tiebreak. Elements in no
+        group (index `count`) stay False."""
+        cols = self.cols
+        group = np.asarray(group)
+        thr = self.group_thresholds(group, count)
         out = np.empty((self.n, self.num_configs), dtype=bool)
         for e in self.elements:
             g = group[self.bit_of[e]]

@@ -28,7 +28,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import CapExceededError, draw_trials, trial_rng
+from .core import CapExceededError, TrialDraws, draw_trials, trial_rng
 from .exact import (
     EXACT_MODE_CAP,
     ConfigEnsemble,
@@ -286,6 +286,40 @@ def _mc_optimum(batch: TrialBatch, ridx: np.ndarray) -> np.ndarray:
     return flags
 
 
+def trial_groupings(instance: Instance, policy: str, ranks=None) -> list:
+    """The reduction policies' partitions as one (group, count) pair for
+    `_accepted_runs`: the instance's own, or for reduction-graphic each
+    trial's vertex-order partition, where an edge joins the group of its
+    endpoint ranked first in `ranks` (see vertex_ranks)."""
+    fs = instance.structure
+    if policy == "reduction-graphic":
+        u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
+        first = ranks[u] < ranks[v]
+        return [(np.where(first, u[:, None], v[:, None]), fs.vertex_count)]
+    if policy == "reduction-custom":
+        groups = instance.partition.groups
+        return [(group_ids(groups, instance.ground_size), len(groups))]
+    return []
+
+
+def vertex_ranks(draws: TrialDraws, policy: str) -> np.ndarray | None:
+    """reduction-graphic: each vertex's position in each trial's vertex
+    order (the last permutation drawn), (vertices, trials); else None."""
+    if policy != "reduction-graphic":
+        return None
+    return np.argsort(draws.permutations[-1], axis=1).T
+
+
+def optimum_totals(batch: TrialBatch, ridx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, the float totals of E_OPT (a maximum-weight feasible set
+    of the rewards) and of E_OPT_PRIME (the greedy on the rewards, which is
+    optimal on a matroid)."""
+    opt_prime = batch.path_sums(batch.heads & batch.free("H"))
+    if isinstance(batch.structure, (GeneralMatching, Transversal)):
+        return (batch.values_at(ridx) * _mc_optimum(batch, ridx)).sum(axis=0), opt_prime
+    return opt_prime, opt_prime
+
+
 def mc_trials(
     instance: Instance, policy: str, adversary: str, seed: int, trials: range
 ) -> TrialOutcome:
@@ -300,16 +334,8 @@ def mc_trials(
         sizes.append(fs.vertex_count)
     draws = draw_trials([instance.distributions[e] for e in range(n)], seed, trials, sizes)
     batch = TrialBatch(fs, draws)
-    ranks = None
-    groupings: list = []
-    if policy == "reduction-graphic":
-        # Each edge joins the group of its endpoint that comes first.
-        ranks = np.argsort(draws.permutations[-1], axis=1).T
-        u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
-        groupings = [(np.where(ranks[u] < ranks[v], u[:, None], v[:, None]), fs.vertex_count)]
-    elif policy == "reduction-custom":
-        groups = instance.partition.groups
-        groupings = [(group_ids(groups, n), len(groups))]
+    ranks = vertex_ranks(draws, policy)
+    groupings = trial_groupings(instance, policy, ranks)
     ridx = batch.reward_indices()
     if adversary == "fixed":
         orders = None
@@ -320,18 +346,13 @@ def mc_trials(
     (accepted,) = _accepted_runs(
         batch, policy, orders, adversary == "exhaustive-min", groupings
     )
-    rval = batch.values_at(ridx)
-    opt_prime = batch.path_sums(batch.heads & batch.free("H"))
-    if isinstance(fs, (GeneralMatching, Transversal)):
-        opt = (rval * _mc_optimum(batch, ridx)).sum(axis=0)
-    else:
-        opt = opt_prime  # the greedy is optimal on a matroid
+    opt, opt_prime = optimum_totals(batch, ridx)
     return TrialOutcome(
         batch=batch,
         orders=orders,
         vertex_ranks=ranks,
         accepted=accepted,
-        alg=(rval * accepted).sum(axis=0),
+        alg=(batch.values_at(ridx) * accepted).sum(axis=0),
         opt=opt,
         opt_prime=opt_prime,
         z_violations=accepted & (ridx > batch.sample_indices()),
@@ -344,6 +365,18 @@ def _mc_chunk(args) -> tuple[np.ndarray, int]:
     out = mc_trials(instance, policy, adversary, seed, range(start, stop))
     sums = [s for x in (out.alg, out.opt, out.opt_prime) for s in (x.sum(), (x * x).sum())]
     return np.array(sums), int(out.z_violations.sum())
+
+
+def run_chunks(chunk_fn, trials: int, head: tuple, workers: int | None = None) -> list:
+    """chunk_fn((*head, start, stop)) for each chunk of MC_CHUNK trials, in
+    chunk order; in a pool of worker processes when there are several
+    chunks and workers (see worker_count)."""
+    chunks = [(*head, lo, min(lo + MC_CHUNK, trials)) for lo in range(0, trials, MC_CHUNK)]
+    nworkers = worker_count(workers)
+    if nworkers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            return list(pool.map(chunk_fn, chunks))
+    return [chunk_fn(c) for c in chunks]
 
 
 def estimate_ratio_mc(
@@ -360,16 +393,7 @@ def estimate_ratio_mc(
         raise ValueError(f"mc mode supports adversaries {MC_ADVERSARIES}")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    chunks = [
-        (instance, policy, adversary, seed, lo, min(lo + MC_CHUNK, trials))
-        for lo in range(0, trials, MC_CHUNK)
-    ]
-    nworkers = worker_count(workers)
-    if nworkers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_mc_chunk, chunks))
-    else:
-        results = [_mc_chunk(c) for c in chunks]
+    results = run_chunks(_mc_chunk, trials, (instance, policy, adversary, seed), workers)
     sums = np.zeros(6)
     z_violations = 0
     for partial, z in results:

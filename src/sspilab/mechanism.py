@@ -6,6 +6,15 @@ falls below an independent second sample (the lazy reserve). A surviving
 winner pays the larger of the critical price it beat at acceptance and its
 reserve. Only the allocation filter is forced by the welfare analysis; the
 payment rule is a design choice here, and every report flags it.
+
+`estimate_mechanism_ratios` evaluates each chunk of MC_CHUNK trials as one
+batch on the walks and replay kernels of Monte Carlo `simulate`: the pricing
+values are the samples and the valuations the rewards of a `TrialBatch`.
+Trial t draws from its own stream (seed, t) in the order of the scalar
+`run_opm` loop (per element pricing, reserve and valuation, each a value
+and its token; then reduction-graphic's vertex order), and chunk sums merge
+in chunk order. `run_opm` over the traced policies is the per-trial
+reference.
 """
 
 from __future__ import annotations
@@ -17,13 +26,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Distribution, TaggedValue, trial_rng
-from .feasibility import exact_optimum
+from .core import Distribution, TaggedValue, TrialDraws, draw_trials
+from .exact import TrialBatch, group_ids
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
-from .harness import _fmt_float, _ratio, mc_summary
+from .harness import (
+    _accepted_runs, _fmt_float, _ratio, mc_summary, optimum_totals, run_chunks,
+    trial_groupings, vertex_ranks,
+)
 
 PAYMENT_RULE = "max(critical-price-at-acceptance, lazy-reserve)"
+MECHANISM_LAYOUT = "vtvtvt"  # per element: pricing, reserve, valuation; each value, token
+IR_SLACK = 1e-9  # relative and absolute float dust allowed on individual rationality
 
 # Welfare bounds for mechanisms built from each policy under the hazard-rate
 # regime: twice the policy's competitive ratio (the reserve filter halves the
@@ -89,7 +103,11 @@ def run_opm(
         pay = max(critical.get(e, 0.0), r_hat)
         # Critical prices are recomputed totals; shave float dust but never
         # hide a genuine rule violation.
-        assert pay <= v * (1 + 1e-9) + 1e-9, (pay, v)
+        if pay > v * (1 + IR_SLACK) + IR_SLACK:
+            raise RuntimeError(
+                f"individual rationality violated: element {e} pays {pay!r} "
+                f"above its valuation {v!r}"
+            )
         payments[e] = min(pay, v)
     return MechanismOutcome(
         winners=frozenset(winners),
@@ -129,6 +147,158 @@ def optimal_posted_price_revenue(
         if revenue > best_revenue:
             best_price, best_revenue = p, revenue
     return best_price, best_revenue
+
+
+# ---------------------------------------------------------------------------
+# The batched mechanism
+# ---------------------------------------------------------------------------
+
+
+def _ordered_sum(rows: np.ndarray) -> np.ndarray:
+    """Per column, the rows added one at a time in row order, as the scalar
+    code adds floats (numpy's own sum pairs them up on a single column)."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
+
+
+def _laminar_critical(batch: TrialBatch, accepted: np.ndarray) -> np.ndarray:
+    """v0 - contraction_optimum for each accepted element: the greedy
+    optimum of the samples minus the best sample set that leaves one slot of
+    the element's group and of the total capacity free. Both greedy walks
+    go down the samples in path order and add their values one at a time,
+    as `matroid_greedy_opt` and `contraction_optimum` do."""
+    fs = batch.structure
+    group_of = group_ids(fs.groups, batch.n)
+    caps = np.array(fs.group_capacities)
+    samples = ~batch.heads
+    v0 = _ordered_sum(np.where(samples & batch.free("T"), batch.w_val, 0.0))
+    critical = np.zeros(accepted.shape)
+    for e in np.flatnonzero(accepted.any(axis=1)):
+        cols = np.flatnonzero(accepted[e])
+        k = np.arange(len(cols))
+        room = np.repeat(caps[:, None], len(cols), axis=1)
+        room[group_of[e]] -= 1
+        total_room = np.full(len(cols), fs.total_capacity - 1)
+        value = np.zeros(len(cols))
+        for j in range(batch.length):
+            el = batch.elem[j, cols]
+            g = group_of[el]
+            take = samples[j, cols] & (el != e) & (room[g, k] > 0) & (total_room > 0)
+            room[g, k] -= take
+            total_room -= take
+            value += np.where(take, batch.w_val[j, cols], 0.0)
+        critical[e, cols] = v0[cols] - value
+    return critical
+
+
+def critical_prices(
+    batch: TrialBatch, policy: str, accepted: np.ndarray, groupings
+) -> np.ndarray:
+    """(n, trials) the price each accepted element beat, the traced
+    decisions' `critical_value`, read from the path-rank thresholds: the
+    group's largest sample for rank1 and the reductions, the larger endpoint
+    threshold for matching, the larger of the target node's threshold and
+    the element's own sample for transversal. Entries of elements not
+    accepted are meaningless."""
+    fs = batch.structure
+    if policy == "laminar":
+        return _laminar_critical(batch, accepted)
+    if policy == "matching":
+        th = batch.matching_vertex_thresholds()
+        u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
+        idx = np.minimum(th[u], th[v])
+    elif policy == "transversal":
+        targets = np.maximum(batch.transversal_targets(), 0)
+        node = np.take_along_axis(batch.transversal_r_thresholds(), targets, axis=0)
+        idx = np.minimum(node, batch.sample_indices())
+    else:
+        group, count = groupings[0] if groupings else (np.zeros(batch.n, dtype=np.int64), 1)
+        group = np.broadcast_to(np.asarray(group).reshape(batch.n, -1), accepted.shape)
+        idx = np.take_along_axis(batch.group_thresholds(group, count), group, axis=0)
+    # Each index holds a sample: the element's own group holds its sample, a
+    # maximal sample matching covers an endpoint of every edge, and a
+    # transversal element's own sample bounds its price.
+    return batch.values_at(idx)
+
+
+@dataclass
+class MechanismTrials:
+    """Per-trial results of one batch of mechanism trials: (n, trials)
+    arrays by element and (trials,) totals."""
+
+    batch: TrialBatch  # pricing as the samples, valuations as the rewards
+    vertex_ranks: np.ndarray | None  # reduction-graphic: (vertices, trials)
+    reserves: np.ndarray
+    accepted: np.ndarray  # the policy's picks, before the reserve filter
+    winners: np.ndarray
+    payments: np.ndarray  # 0 outside the winners
+    welfare: np.ndarray
+    revenue: np.ndarray
+    opt: np.ndarray
+
+
+def mechanism_trials(
+    instance: Instance, policy: str, seed: int, trials: range
+) -> MechanismTrials:
+    """Run the mechanism on the given trials as one batch, under the
+    increasing-valuation order."""
+    fs = instance.structure
+    n = instance.ground_size
+    sizes = [fs.vertex_count] if policy == "reduction-graphic" else []
+    draws = draw_trials(
+        [instance.distributions[e] for e in range(n)], seed, trials, sizes, MECHANISM_LAYOUT
+    )
+    pricing, reserves, valuations = np.split(draws.values, 3)
+    pricing_tokens, _, valuation_tokens = np.split(draws.tokens, 3)
+    # Heads makes the larger value the reward, so the valuation is the reward
+    # unless its pricing sample beats it in the tagged order.
+    beaten = (pricing > valuations) | (
+        (pricing == valuations) & (pricing_tokens > valuation_tokens)
+    )
+    batch = TrialBatch(fs, TrialDraws(
+        np.concatenate([pricing, valuations]),
+        np.concatenate([pricing_tokens, valuation_tokens]),
+        ~beaten, (),
+    ))
+    ridx = batch.reward_indices()
+    ranks = vertex_ranks(draws, policy)
+    groupings = trial_groupings(instance, policy, ranks)
+    (accepted,) = _accepted_runs(batch, policy, np.argsort(-ridx, axis=0), False, groupings)
+    winners = accepted & ~(valuations < reserves)
+    pay = np.maximum(critical_prices(batch, policy, accepted, groupings), reserves)
+    over = winners & (pay > valuations * (1 + IR_SLACK) + IR_SLACK)
+    if over.any():
+        e, t = (int(i[0]) for i in np.nonzero(over))
+        raise RuntimeError(
+            f"individual rationality violated: element {e} pays {pay[e, t]!r} "
+            f"above its valuation {valuations[e, t]!r} in trial {trials[t]}"
+        )
+    payments = np.where(winners, np.minimum(pay, valuations), 0.0)
+    return MechanismTrials(
+        batch=batch,
+        vertex_ranks=ranks,
+        reserves=reserves,
+        accepted=accepted,
+        winners=winners,
+        payments=payments,
+        welfare=_ordered_sum(np.where(winners, valuations, 0.0)),
+        revenue=_ordered_sum(payments),
+        opt=optimum_totals(batch, ridx)[0],
+    )
+
+
+def _mechanism_chunk(args) -> np.ndarray:
+    """Welfare, revenue and E_OPT sums, each with its sum of squares, over
+    one chunk, added trial by trial. Squares use Python's `**` (C pow),
+    which can differ from x * x in the last bit, as the scalar loop did."""
+    (instance, policy, seed, start, stop) = args
+    out = mechanism_trials(instance, policy, seed, range(start, stop))
+    rows = []
+    for x in (out.welfare, out.revenue, out.opt):
+        rows += [x, np.array([v**2 for v in x.tolist()])]
+    return np.cumsum(rows, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -185,26 +355,9 @@ def estimate_mechanism_ratios(
     if resolved == "mhr" and not all(d.mhr for d in instance.distributions.values()):
         raise RegimeError("mhr regime needs every distribution flagged mhr")
 
-    n = instance.ground_size
     sums = np.zeros(6)  # welfare, welfare^2, revenue, revenue^2, opt, opt^2
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        pricing = {}
-        reserve = {}
-        valuations = {}
-        for e in range(n):
-            d = instance.distributions[e]
-            pricing[e] = TaggedValue(d.sample(rng), rng.random(), e)
-            reserve[e] = TaggedValue(d.sample(rng), rng.random(), e)
-            valuations[e] = TaggedValue(d.sample(rng), rng.random(), e)
-        order = tuple(sorted(range(n), key=lambda e: valuations[e].key))
-        outcome = run_opm(instance, policy, pricing, reserve, valuations, order, rng=rng)
-        opt = exact_optimum(instance.structure, valuations).total
-        sums += (
-            outcome.welfare, outcome.welfare**2,
-            outcome.revenue, outcome.revenue**2,
-            opt, opt**2,
-        )
+    for partial in run_chunks(_mechanism_chunk, trials, (instance, policy, seed)):
+        sums += partial
     means, hw = mc_summary(sums, trials)
     mech_w, revenue, opt_w = (float(x) for x in means)
     welfare_ratio = _ratio(opt_w, mech_w)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sspilab.analysis as analysis
 from sspilab.analysis import (
     GAME_RB_CAP,
     GAME_RR_CAP,
@@ -366,6 +367,48 @@ class TestCoinGame:
     def test_monte_carlo_close(self):
         freq = game_monte_carlo(1, 2, 40_000, seed=21)
         assert abs(freq - 0.25) < 0.01
+
+    def test_monte_carlo_needs_a_game(self):
+        with pytest.raises(ValueError):
+            game_monte_carlo(1, 2, 0, seed=0)
+
+
+def _scalar_game_frequency(r_r, r_b, trials, seed):
+    """`play_coin_game` under B-first, game after game on one coin stream."""
+    rng = np.random.default_rng(seed)
+
+    def coins():
+        while True:
+            yield "H" if rng.random() < 0.5 else "T"
+
+    stream = coins()
+    wins = sum(
+        play_coin_game(r_r, r_b, b_first_strategy, stream)[0] == "P2" for _ in range(trials)
+    )
+    return wins / trials
+
+
+_BINS = [(r_r, r_b) for r_b in range(2, 6) for r_r in range(1, r_b)] + [(3, 40)]
+
+
+@pytest.mark.parametrize("r_r, r_b", _BINS)
+def test_batched_game_equals_scalar_games(r_r, r_b, monkeypatch):
+    # Blocks of 16 coins: games straddle blocks, and a (3, 40) game spans
+    # several of them.
+    monkeypatch.setattr(analysis, "GAME_COIN_BLOCK", 16)
+    for seed in range(5):
+        for trials in (1, 9, 61):
+            want = _scalar_game_frequency(r_r, r_b, trials, seed)
+            assert game_monte_carlo(r_r, r_b, trials, seed) == want, (seed, trials)
+
+
+def test_batched_game_straddles_the_default_block():
+    # About 3 coins a game: 12,000 games read past two blocks of the default
+    # size.
+    assert 3 * 12_000 > 2 * analysis.GAME_COIN_BLOCK
+    for seed in range(2):
+        want = _scalar_game_frequency(1, 2, 12_000, seed)
+        assert game_monte_carlo(1, 2, 12_000, seed) == want
 
 
 class TestAllTiesStress:

@@ -1,25 +1,33 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import sspilab.mechanism as mechanism
+from sspilab.cli import main
 from sspilab.core import TaggedValue, discrete, exponential, point_mass, trial_rng, uniform
 from sspilab.feasibility import (
     GeneralMatching,
     Graphic,
     SimplePartition,
+    Solution,
     Transversal,
     TruncatedPartition,
+    exact_optimum,
 )
 from sspilab.generators import random_instance, star_graphic_instance
-from sspilab.instances import Instance
+from sspilab.harness import MC_CHUNK, WORKERS_ENV
+from sspilab.instances import Instance, instance_to_document
 from sspilab.mechanism import (
     RegimeError,
     estimate_mechanism_ratios,
     mechanism_report_fields,
+    mechanism_trials,
     optimal_posted_price_revenue,
     run_opm,
 )
+from sspilab.policies import PolicyDecision, PolicyTrace
 
 from conftest import tv
 
@@ -265,3 +273,137 @@ def test_mechanism_report_pins(policy):
         instance=inst.name, **MECHANISM_PINS[policy],
     )
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The batched mechanism against the scalar run_opm loop on the same draws
+# ---------------------------------------------------------------------------
+
+_KINDS = {
+    "matching": "matching",
+    "transversal": "transversal",
+    "laminar": "truncated-partition",
+    "rank1": "rank1",
+    "reduction-graphic": "graphic",
+    "reduction-custom": "simple-partition",
+}
+_LAWS = [
+    discrete([0.0, 1.0, 2.5], [0.2, 0.3, 0.5]), discrete([0.5, 1.5], [0.5, 0.5]),
+    uniform(0.0, 2.0), uniform(1.0, 1.25), point_mass(0.0), point_mass(1.0),
+    exponential(1.5),
+]
+
+
+def _mechanism_instance(policy, rng):
+    inst = random_instance(_KINDS[policy], int(rng.integers(1, 8)), rng)
+    n = inst.ground_size
+    laws = {e: _LAWS[int(rng.integers(0, len(_LAWS)))] for e in range(n)}
+    inst = dataclasses.replace(inst, distributions=laws)
+    if policy == "reduction-custom":
+        labels = rng.integers(0, n + 1, size=n)  # label n leaves an element out
+        groups = (tuple(int(e) for e in np.flatnonzero(labels == g)) for g in range(n))
+        inst = dataclasses.replace(
+            inst, partition=SimplePartition(tuple(g for g in groups if g)), partition_alpha=2.0,
+        )
+    return inst
+
+
+def _scalar_trial(inst, policy, seed, t):
+    """Trial t of the scalar loop: its draws, run_opm and the optimum."""
+    rng = trial_rng(seed, t)
+    draws = ({}, {}, {})  # pricing, reserve, valuations
+    for e in range(inst.ground_size):
+        d = inst.distributions[e]
+        for vector in draws:
+            vector[e] = TaggedValue(d.sample(rng), rng.random(), e)
+    pricing, reserve, valuations = draws
+    order = sorted(range(inst.ground_size), key=lambda e: valuations[e].key)
+    out = run_opm(inst, policy, pricing, reserve, valuations, order, rng=rng)
+    return draws, out, exact_optimum(inst.structure, valuations).total
+
+
+def _close(a, b):
+    return a == pytest.approx(b, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("policy", list(_KINDS))
+def test_batch_matches_scalar_mechanism(policy, rng):
+    for i in range(5):
+        inst = _mechanism_instance(policy, rng)
+        seed = int(rng.integers(0, 99))
+        trials = range(25 * i, 25 * i + 25)
+        got = mechanism_trials(inst, policy, seed, trials)
+        for k, t in enumerate(trials):
+            (pricing, reserve, valuations), want, opt = _scalar_trial(inst, policy, seed, t)
+            rewards, samples = got.batch.tagged(k)
+            assert (samples, rewards) == (pricing, valuations)
+            assert got.reserves[:, k].tolist() == [reserve[e].value for e in sorted(reserve)]
+            assert set(np.flatnonzero(got.accepted[:, k]).tolist()) == want.trace.chosen.chosen
+            assert set(np.flatnonzero(got.winners[:, k]).tolist()) == want.winners
+            for e, pay in want.payments.items():
+                assert _close(got.payments[e, k], pay), (t, e)
+            assert _close(got.welfare[k], want.welfare)
+            assert _close(got.revenue[k], want.revenue)
+            assert _close(got.opt[k], opt)
+
+
+def test_reduction_graphic_draws_its_vertex_order_last(rng):
+    inst = _mechanism_instance("reduction-graphic", rng)
+    got = mechanism_trials(inst, "reduction-graphic", 3, range(30))
+    for t in range(30):
+        stream = trial_rng(3, t)
+        for e in range(inst.ground_size):
+            for _ in range(3):  # pricing, reserve, valuation: a value and its token
+                inst.distributions[e].sample(stream)
+                stream.random()
+        sigma = stream.permutation(inst.structure.vertex_count)
+        assert np.argsort(got.vertex_ranks[:, t]).tolist() == sigma.tolist()
+
+
+def test_mechanism_reports_agree_across_workers(monkeypatch, rng):
+    inst = random_instance("transversal", 5, rng)
+    inst = dataclasses.replace(inst, distributions={e: exponential(1.0) for e in range(5)})
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        rep = estimate_mechanism_ratios(inst, "transversal", trials=MC_CHUNK + 3, seed=4)
+        reports.append({**dataclasses.asdict(rep), "wall_ms": None})
+    assert reports[0] == reports[1]
+
+
+def _mechanism_file(tmp_path):
+    inst = Instance(
+        "r1", TruncatedPartition(((0, 1, 2),), (1,), 1),
+        {e: exponential(1.0) for e in range(3)},
+    )
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps(instance_to_document(inst)))
+    return str(path)
+
+
+def test_individual_rationality_violation_exits_4(tmp_path, monkeypatch, capsys):
+    # A critical price above the valuation is a fault of the program: the
+    # check raises RuntimeError (kept under python -O), which exits 4.
+    monkeypatch.setattr(
+        mechanism, "critical_prices",
+        lambda batch, policy, accepted, groupings: np.full(accepted.shape, 1e9),
+    )
+    code = main(["--trials", "50", "mechanism", "--instance", _mechanism_file(tmp_path),
+                 "--policy", "rank1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal error: RuntimeError: individual rationality")
+    assert "Traceback" not in err
+
+
+def test_run_opm_individual_rationality_raises(monkeypatch):
+    def overpriced(policy, structure, samples, rewards, order, **kw):
+        trace = PolicyTrace(policy, {})
+        trace.decisions.append(PolicyDecision(0, rewards[0], True, "forced", 1e9))
+        trace.chosen = Solution(frozenset({0}), rewards[0].value)
+        return trace
+
+    monkeypatch.setattr(mechanism, "run_policy", overpriced)
+    pricing, reserve, vals = vectors({0: 3, 1: 1}, {0: 1, 1: 2}, {0: 10, 1: 7})
+    with pytest.raises(RuntimeError, match="individual rationality"):
+        run_opm(RANK1, "rank1", pricing, reserve, vals, (0, 1))
