@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -264,6 +264,204 @@ class TrialDraws:
     permutations: tuple[np.ndarray, ...]
 
 
+_ROW_BLOCK = 256  # trials decoded from raw draws at once, to bound the temporaries
+
+
+def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
+    """numpy's `SeedSequence(entropy).generate_state(8)` for each row of
+    `entropy` (uint32 words, all rows of one length): the pool mixing and
+    the output hash run on all rows at once, since their hash constants do
+    not depend on the data."""
+    m32 = 0xFFFFFFFF
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x931E8875 & m32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return result ^ (result >> 16)
+
+    count, width = entropy.shape
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, width):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x58F38DED & m32
+        value = value * np.uint32(hash_const)
+        words.append(value ^ (value >> 16))
+    return np.stack(words, axis=1)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """An integer as numpy's SeedSequence reads it: 32-bit words, low first."""
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+class _TrialStreams:
+    """The streams trial_rng(seed, t) of a run of trials on one shared
+    PCG64: each trial's initial (state, inc) is computed as numpy seeds it
+    (SeedSequence, then the PCG64 seeding steps), which costs far less than
+    creating a generator per trial."""
+
+    MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy PCG64's LCG step
+
+    def __init__(self, seed: int, trials: Sequence[int]):
+        self.bit_generator = np.random.PCG64(0)
+        self.rng = np.random.Generator(self.bit_generator)
+        self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
+                       "has_uint32": 0, "uinteger": 0}
+        if seed < 0 or (len(trials) and max(trials) >> 32):  # numpy's own seeding
+            self.states = [(st["state"], st["inc"]) for st in (
+                trial_rng(seed, t).bit_generator.state["state"] for t in trials)]
+            return
+        entropy = np.array([_uint32_words(seed) + [t] for t in trials], dtype=np.uint32)
+        words = _seed_sequence_states(entropy.reshape(len(trials), -1)).astype(np.uint64)
+        u64 = (words[:, 0::2] | words[:, 1::2] << 32).tolist()
+        mask = (1 << 128) - 1
+        self.states = []
+        for a, b, c, d in u64:
+            inc = ((c << 64 | d) << 1 | 1) & mask
+            state = ((inc + (a << 64 | b)) * self.MULTIPLIER + inc) & mask
+            self.states.append((state, inc))
+
+    def at(self, i: int, position: int) -> np.random.Generator:
+        """The shared generator at raw draw `position` of trial i's stream."""
+        self._state["state"]["state"], self._state["state"]["inc"] = self.states[i]
+        self.bit_generator.state = self._state
+        if position:
+            self.bit_generator.advance(position)
+        return self.rng
+
+
+def _draw_runs(rng: np.random.Generator, plan: Sequence[Sequence[int]], row: np.ndarray) -> None:
+    """A trial's draws made by its generator, one call per run of draws of
+    one kind: [kind, first column, stop] (kind 1 standard exponential, 0 a
+    double)."""
+    for kind, lo, hi in plan:
+        (rng.standard_exponential if kind else rng.random)(out=row[lo:hi])
+
+
+def _decode_raw(raws: np.ndarray, is_exp: np.ndarray, streams: _TrialStreams, tables) -> tuple:
+    """The draws of each trial (row) read from the first raw 64-bit draws of
+    its stream, `raws`, one per entry of `is_exp` (a standard exponential,
+    else a double), as `rng.standard_exponential` and `rng.random` make
+    them. A double takes one raw draw u: (u >> 11) / 2**53. An exponential
+    takes one on the ziggurat's fast path (`_ziggurat`); off it (about 1 %
+    of draws) the stream's generator makes the draw itself, and the draws
+    after it move along by the raw draws it took. Returns the draws and per
+    trial the raw position after them, -1 when they need more raw draws than
+    the row holds."""
+    ke, we = tables
+    count, width = raws.shape
+    draws = len(is_exp)
+    ri = raws >> 11
+    level = ((raws >> 3) & 255).astype(np.intp)
+    exps = ri * we[level]
+    extra = np.zeros((count, draws), dtype=np.int64)  # raw draws taken beyond one
+    ends = [draws] * count
+    made = []  # (trial, column, draw) made by the generator
+    slow_rows, slow_at = np.nonzero(ri >= ke[level])
+    columns = is_exp.tolist()
+    i0 = rng_row = -1
+    for i, p in zip(slow_rows.tolist(), slow_at.tolist()):
+        c = p - (ends[i] - draws)  # the column that would read raw draw p
+        if i != i0:
+            i0, unread = i, 0  # raw draws before `unread` are taken
+        if ends[i] < 0 or p < unread or c >= draws or not columns[c]:
+            continue  # no exponential starts at p
+        if rng_row != i:
+            rng, row, rng_row, at = streams.at(i, p), raws[i], i, p
+        elif p != at:  # back one raw draw when p is the one read after the last
+            rng.bit_generator.advance((p - at) % (1 << 128))
+        made.append((i, c, rng.standard_exponential()))
+        following = rng.bit_generator.random_raw()
+        unread = p + 2
+        while unread < width and row[unread] != following:
+            unread += 1
+        at = unread + 1
+        ends[i] += unread - p - 1
+        if ends[i] > width:
+            ends[i] = -1
+        extra[i, c] = unread - p - 1
+    pos = np.arange(draws) + np.cumsum(extra, axis=1) - extra
+    flat = (np.minimum(pos, width - 1) + np.arange(0, count * width, width)[:, None]).ravel()
+    out = np.where(is_exp, exps.ravel()[flat].reshape(count, draws),
+                   ri.ravel()[flat].reshape(count, draws) * 2.0**-53)
+    for i, c, x in made:
+        out[i, c] = x
+    return out, np.array(ends)
+
+
+@cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray] | None:
+    """numpy's ziggurat for `standard_exponential`, as (ke, we): a raw draw
+    u with ri = u >> 11 and level i = (u >> 3) & 255 gives the draw
+    ri * we[i] by itself when ri < ke[i]; else the draw takes more raw
+    draws. Both tables are read off a PCG64 set so that its next raw draw is
+    a chosen one. None when draws decoded with them differ from the scalar
+    calls on trial_rng's streams, so `draw_trials` falls back to those."""
+    bg = np.random.PCG64(0)
+    rng = np.random.Generator(bg)
+    inverse = pow(_TrialStreams.MULTIPLIER, -1, 1 << 128)
+    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
+             "has_uint32": 0, "uinteger": 0}
+
+    def probe(ri: int, level: int) -> float | None:
+        """The draw from raw draw (ri << 11) | (level << 3); None if it takes more."""
+        raw = (ri << 11) | (level << 3)
+        # A state below 2**64 outputs its low word: step back one LCG step.
+        state["state"]["state"] = (raw - 1) * inverse % (1 << 128)
+        bg.state = state
+        x = rng.standard_exponential()
+        return x if bg.state["state"]["state"] == raw else None
+
+    we = np.array([probe(1, i) or 0.0 for i in range(256)])
+    ke = np.zeros(256, dtype=np.uint64)
+    for i in range(256):
+        lo, hi = 0, 1 << 53  # ke[i] lies in [lo, hi]
+        if i > 2 and we[i - 1] and we[i]:  # the ratio of strip widths, to a few units
+            guess = int(we[i - 1] / we[i] * 2.0**53)
+            if 16 <= guess < (1 << 53) - 16 and probe(guess - 16, i) is not None \
+                    and probe(guess + 16, i) is None:
+                lo, hi = guess - 15, guess + 16
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if probe(mid, i) is None:
+                hi = mid
+            else:
+                lo = mid + 1
+        ke[i] = lo
+
+    is_exp = np.array([True, False] * 150 + [True] * 300)
+    streams = _TrialStreams(0, range(4))
+    raws = np.stack([streams.at(t, 0).bit_generator.random_raw(700) for t in range(4)])
+    got, ends = _decode_raw(raws, is_exp, streams, (ke, we))
+    for t in range(4):
+        r = trial_rng(0, t)
+        want = [r.standard_exponential() if k else r.random() for k in is_exp]
+        if ends[t] < 0 or got[t].tolist() != want:
+            return None
+    return ke, we
+
+
 def draw_trials(
     distributions: Sequence[Distribution], seed: int, trials: range,
     permutation_sizes: Sequence[int] = (), layout: str = REALIZATION_LAYOUT,
@@ -277,11 +475,16 @@ def draw_trials(
     (`rng.permutation`) come last.
 
     Point masses take no draw, exponential values one standard exponential
-    draw each and every other value or token one double, so each run of
-    draws of one kind is one call; the draws become values for all trials
-    at once. With the realization layout, a trial whose two tokens of an
-    element tie is drawn again by the scalar code, which redraws the second
-    token."""
+    draw each and every other value or token one double. Without exponential
+    draws each trial's doubles are one `rng.random` call. With them, each
+    trial's raw draws are one call on a shared generator (`_TrialStreams`)
+    and are decoded for a block of trials at once (`_decode_raw`), since
+    exponentials and tokens alternate and one call per draw costs about 1 us;
+    a trial whose draws outrun its raw draws is made by its own generator,
+    one call per run of draws of one kind. The draws become values for all
+    trials at once. With the realization layout, a trial whose two tokens of
+    an element tie is drawn again by the scalar code, which redraws the
+    second token."""
     n = len(distributions)
     realization = layout == REALIZATION_LAYOUT
     # Per draw in stream order, its kind: 1 a standard exponential draw, 0 a
@@ -309,18 +512,27 @@ def draw_trials(
     count = len(trials)
     raw = np.empty((count, len(kinds)))
     perms = tuple(np.empty((count, size), dtype=np.int64) for size in permutation_sizes)
-    exponential = any(kinds)
-    for i, t in enumerate(trials):
-        rng = trial_rng(seed, t)
-        draw = (rng.random, rng.standard_exponential) if exponential else (rng.random,)
-        row = raw[i]
-        for kind, lo, hi in plan:
-            if hi - lo == 1:
-                row[lo] = draw[kind]()
-            else:
-                draw[kind](out=row[lo:hi])
-        for perm, size in zip(perms, permutation_sizes):
-            perm[i] = rng.permutation(size)
+    # With exponential draws, decode raw draws: one call per trial.
+    tables = _ziggurat() if any(kinds) else None
+    is_exp = np.array(kinds, dtype=bool)
+    width = len(kinds) + 8 + len(kinds) // 8  # room for draws off the fast path
+    for start in range(0, count, _ROW_BLOCK):
+        block = trials[start:start + _ROW_BLOCK]
+        if tables is None:
+            ends = np.full(len(block), -1)
+        else:
+            streams = _TrialStreams(seed, block)
+            raws = np.stack([streams.at(j, 0).bit_generator.random_raw(width)
+                             for j in range(len(block))])
+            raw[start:start + len(block)], ends = _decode_raw(raws, is_exp, streams, tables)
+        for j, t in enumerate(block):
+            if ends[j] < 0:
+                rng = trial_rng(seed, t)
+                _draw_runs(rng, plan, raw[start + j])
+            elif perms:
+                rng = streams.at(j, int(ends[j]))
+            for perm, size in zip(perms, permutation_sizes):
+                perm[start + j] = rng.permutation(size)
 
     is_value = np.array([kind == "v" for kind in layout])
     values = np.ascontiguousarray(raw[:, cols[is_value].ravel()].T)

@@ -286,28 +286,23 @@ def _mc_optimum(batch: TrialBatch, ridx: np.ndarray) -> np.ndarray:
     return flags
 
 
-def trial_groupings(instance: Instance, policy: str, ranks=None) -> list:
-    """The reduction policies' partitions as one (group, count) pair for
-    `_accepted_runs`: the instance's own, or for reduction-graphic each
-    trial's vertex-order partition, where an edge joins the group of its
-    endpoint ranked first in `ranks` (see vertex_ranks)."""
+def _reduction_groupings(instance: Instance, policy: str, draws: TrialDraws) -> tuple:
+    """(ranks, groupings): for reduction-graphic, each vertex's position in
+    each trial's vertex order (the last permutation drawn), (vertices,
+    trials), else None; and the reduction policies' partitions as one
+    (group, count) pair for `_accepted_runs`: the instance's own, or for
+    reduction-graphic each trial's vertex-order partition, where an edge
+    joins the group of its endpoint ranked first."""
     fs = instance.structure
     if policy == "reduction-graphic":
+        ranks = np.argsort(draws.permutations[-1], axis=1).T
         u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
         first = ranks[u] < ranks[v]
-        return [(np.where(first, u[:, None], v[:, None]), fs.vertex_count)]
+        return ranks, [(np.where(first, u[:, None], v[:, None]), fs.vertex_count)]
     if policy == "reduction-custom":
         groups = instance.partition.groups
-        return [(group_ids(groups, instance.ground_size), len(groups))]
-    return []
-
-
-def vertex_ranks(draws: TrialDraws, policy: str) -> np.ndarray | None:
-    """reduction-graphic: each vertex's position in each trial's vertex
-    order (the last permutation drawn), (vertices, trials); else None."""
-    if policy != "reduction-graphic":
-        return None
-    return np.argsort(draws.permutations[-1], axis=1).T
+        return None, [(group_ids(groups, instance.ground_size), len(groups))]
+    return None, []
 
 
 def optimum_totals(batch: TrialBatch, ridx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +329,7 @@ def mc_trials(
         sizes.append(fs.vertex_count)
     draws = draw_trials([instance.distributions[e] for e in range(n)], seed, trials, sizes)
     batch = TrialBatch(fs, draws)
-    ranks = vertex_ranks(draws, policy)
-    groupings = trial_groupings(instance, policy, ranks)
+    ranks, groupings = _reduction_groupings(instance, policy, draws)
     ridx = batch.reward_indices()
     if adversary == "fixed":
         orders = None

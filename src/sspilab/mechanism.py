@@ -31,8 +31,8 @@ from .exact import TrialBatch, group_ids
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
 from .harness import (
-    _accepted_runs, _fmt_float, _ratio, mc_summary, optimum_totals, run_chunks,
-    trial_groupings, vertex_ranks,
+    _accepted_runs, _fmt_float, _reduction_groupings, _ratio, mc_summary, optimum_totals,
+    run_chunks,
 )
 
 PAYMENT_RULE = "max(critical-price-at-acceptance, lazy-reserve)"
@@ -154,15 +154,6 @@ def optimal_posted_price_revenue(
 # ---------------------------------------------------------------------------
 
 
-def _ordered_sum(rows: np.ndarray) -> np.ndarray:
-    """Per column, the rows added one at a time in row order, as the scalar
-    code adds floats (numpy's own sum pairs them up on a single column)."""
-    total = np.zeros(rows.shape[1])
-    for row in rows:
-        total += row
-    return total
-
-
 def _laminar_critical(batch: TrialBatch, accepted: np.ndarray) -> np.ndarray:
     """v0 - contraction_optimum for each accepted element: the greedy
     optimum of the samples minus the best sample set that leaves one slot of
@@ -173,7 +164,7 @@ def _laminar_critical(batch: TrialBatch, accepted: np.ndarray) -> np.ndarray:
     group_of = group_ids(fs.groups, batch.n)
     caps = np.array(fs.group_capacities)
     samples = ~batch.heads
-    v0 = _ordered_sum(np.where(samples & batch.free("T"), batch.w_val, 0.0))
+    v0 = np.cumsum(np.where(samples & batch.free("T"), batch.w_val, 0.0), axis=0)[-1]
     critical = np.zeros(accepted.shape)
     for e in np.flatnonzero(accepted.any(axis=1)):
         cols = np.flatnonzero(accepted[e])
@@ -263,8 +254,7 @@ def mechanism_trials(
         ~beaten, (),
     ))
     ridx = batch.reward_indices()
-    ranks = vertex_ranks(draws, policy)
-    groupings = trial_groupings(instance, policy, ranks)
+    ranks, groupings = _reduction_groupings(instance, policy, draws)
     (accepted,) = _accepted_runs(batch, policy, np.argsort(-ridx, axis=0), False, groupings)
     winners = accepted & ~(valuations < reserves)
     pay = np.maximum(critical_prices(batch, policy, accepted, groupings), reserves)
@@ -276,6 +266,8 @@ def mechanism_trials(
             f"above its valuation {valuations[e, t]!r} in trial {trials[t]}"
         )
     payments = np.where(winners, np.minimum(pay, valuations), 0.0)
+    # cumsum adds the elements one at a time, as the scalar loop adds floats
+    # (numpy's sum pairs them up).
     return MechanismTrials(
         batch=batch,
         vertex_ranks=ranks,
@@ -283,8 +275,8 @@ def mechanism_trials(
         accepted=accepted,
         winners=winners,
         payments=payments,
-        welfare=_ordered_sum(np.where(winners, valuations, 0.0)),
-        revenue=_ordered_sum(payments),
+        welfare=np.cumsum(np.where(winners, valuations, 0.0), axis=0)[-1],
+        revenue=np.cumsum(payments, axis=0)[-1],
         opt=optimum_totals(batch, ridx)[0],
     )
 
