@@ -271,39 +271,41 @@ def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     """numpy's `SeedSequence(entropy).generate_state(8)` for each row of
     `entropy` (uint32 words, all rows of one length): the pool mixing and
     the output hash run on all rows at once, since their hash constants do
-    not depend on the data."""
+    not depend on the data. Within one source word the three mixes into the
+    other pool words are independent, so they run as one step."""
     m32 = 0xFFFFFFFF
-    hash_const = 0x43B0D7E5
+    count, width = entropy.shape
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * 0x931E8875 & m32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> 16)
+    def constants(first: int, mult: int, calls: int) -> np.ndarray:
+        out = [first]
+        for _ in range(calls):
+            out.append(out[-1] * mult & m32)
+        return np.array(out, dtype=np.uint32)[:, None]
+
+    mixing = constants(0x43B0D7E5, 0x931E8875, 16 + 4 * max(0, width - 4))
+    calls = 0
+
+    def hashmix(values: np.ndarray) -> np.ndarray:  # the next len(values) calls
+        nonlocal calls
+        k, calls = calls, calls + len(values)
+        values = (values ^ mixing[k:calls]) * mixing[k + 1:calls + 1]
+        return values ^ (values >> 16)
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        result = x * 0xCA01F9DD - y * 0x4973F715
         return result ^ (result >> 16)
 
-    count, width = entropy.shape
-    zero = np.zeros(count, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(4)]
+    pool = np.zeros((4, count), dtype=np.uint32)
+    pool[:min(width, 4)] = entropy[:, :4].T
+    pool = hashmix(pool)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(np.repeat(pool[src:src + 1], 3, axis=0)))
     for src in range(4, width):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    hash_const = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * 0x58F38DED & m32
-        value = value * np.uint32(hash_const)
-        words.append(value ^ (value >> 16))
-    return np.stack(words, axis=1)
+        pool = mix(pool, hashmix(np.repeat(entropy[None, :, src], 4, axis=0)))
+    output = constants(0x8B51F9DD, 0x58F38DED, 8)
+    words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ output[:8]) * output[1:]
+    return (words ^ (words >> 16)).T
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -397,10 +399,10 @@ def _decode_raw(raws: np.ndarray, is_exp: np.ndarray, streams: _TrialStreams, ta
         while unread < width and row[unread] != following:
             unread += 1
         at = unread + 1
-        ends[i] += unread - p - 1
-        if ends[i] > width:
-            ends[i] = -1
         extra[i, c] = unread - p - 1
+        ends[i] += unread - p - 1
+        if unread >= width or ends[i] > width:  # the row holds too few raw draws
+            ends[i] = -1
     pos = np.arange(draws) + np.cumsum(extra, axis=1) - extra
     flat = (np.minimum(pos, width - 1) + np.arange(0, count * width, width)[:, None]).ravel()
     out = np.where(is_exp, exps.ravel()[flat].reshape(count, draws),

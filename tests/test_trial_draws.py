@@ -39,14 +39,17 @@ def test_trial_streams_equal_trial_rng(seed, trials):
         assert streams.at(i, 5).bit_generator.random_raw() == want[5]
 
 
-def test_decode_equals_draw_by_draw_calls():
+@pytest.mark.parametrize("width", [560, 510])
+def test_decode_equals_draw_by_draw_calls(width):
     # 600 trials of 500 exponentials with doubles in between: a few thousand
-    # draws off the fast path, some of them back to back.
+    # draws off the fast path, some of them back to back. With 510 raw draws
+    # most rows run out (-1); the rest must still end where the stream does.
     is_exp = np.array([True, False, True, True] * 125)
     trials = range(600)
     streams = core._TrialStreams(3, trials)
-    raws = np.stack([streams.at(i, 0).bit_generator.random_raw(560) for i in trials])
+    raws = np.stack([streams.at(i, 0).bit_generator.random_raw(width) for i in trials])
     got, ends = core._decode_raw(raws, is_exp, streams, core._ziggurat())
+    assert (ends >= 0).sum() >= 20
     for i, t in enumerate(trials):
         rng = trial_rng(3, t)
         want = [rng.standard_exponential() if k else rng.random() for k in is_exp]
