@@ -370,7 +370,7 @@ def _decode_raw(raws: np.ndarray, is_exp: np.ndarray, streams: _TrialStreams, ta
     its stream, `raws`, one per entry of `is_exp` (a standard exponential,
     else a double), as `rng.standard_exponential` and `rng.random` make
     them. A double takes one raw draw u: (u >> 11) / 2**53. An exponential
-    takes one on the ziggurat's fast path (`_ziggurat`); off it (about 1 %
+    takes one on the ziggurat's fast path (`_ziggurat`); off it (about 2 %
     of draws) the stream's generator makes the draw itself, and the draws
     after it move along by the raw draws it took. Returns the draws and per
     trial the raw position after them, -1 when they need more raw draws than
