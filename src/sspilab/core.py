@@ -520,7 +520,7 @@ def draw_trials(
     raw = np.empty((count, len(kinds)))
     perms = tuple(np.empty((count, size), dtype=np.int64) for size in permutation_sizes)
     # With exponential draws, decode raw draws: one call per trial.
-    tables = _ziggurat() if any(kinds) and count >= _MIN_DECODED_TRIALS else None
+    tables = _ziggurat() if count >= _MIN_DECODED_TRIALS else None
     is_exp = np.array(kinds, dtype=bool)
     width = len(kinds) + 8 + len(kinds) // 8  # room for draws off the fast path
     for start in range(0, count, _ROW_BLOCK):

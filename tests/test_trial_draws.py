@@ -71,10 +71,13 @@ def test_decode_flags_rows_that_run_out_of_raw_draws():
     assert set(ends.tolist()) <= {200, -1}
 
 
+LAWS = [uniform(0.0, 2.0), point_mass(0.0), discrete([0.0, 1.0, 3.0], [0.25, 0.25, 0.5]),
+        exponential(1.0), exponential(0.3)]
+
+
 @pytest.mark.parametrize("layout", ["vvtt", "vtvtvt"])
-def test_draw_trials_equal_scalar_calls(layout):
-    laws = [exponential(1.0), exponential(0.3), uniform(0.0, 2.0), point_mass(0.0),
-            discrete([0.0, 1.0, 3.0], [0.25, 0.25, 0.5])]
+@pytest.mark.parametrize("laws", [LAWS, LAWS[:3]], ids=["with-exponential", "no-exponential"])
+def test_draw_trials_equal_scalar_calls(layout, laws):
     rng = np.random.default_rng(11)
     dists = [laws[k] for k in rng.integers(len(laws), size=40)]
     for sizes in ([], [40, 9]):
