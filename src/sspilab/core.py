@@ -481,17 +481,16 @@ def draw_trials(
     (`rng.permutation`) come last.
 
     Point masses take no draw, exponential values one standard exponential
-    draw each and every other value or token one double. Without exponential
-    draws each trial's doubles are one `rng.random` call. With them, each
-    trial's raw draws are one call on a shared generator (`_TrialStreams`)
-    and are decoded for a block of trials at once (`_decode_raw`), since
-    exponentials and tokens alternate and one call per draw costs about 1 us;
-    a trial whose draws outrun its raw draws, and every trial of a run of
-    fewer than _MIN_DECODED_TRIALS, is made by its own generator, one call
-    per run of draws of one kind. The draws become values for all
-    trials at once. With the realization layout, a trial whose two tokens of
-    an element tie is drawn again by the scalar code, which redraws the
-    second token."""
+    draw each and every other value or token one double. Each trial's raw
+    64-bit draws are one call on a shared generator (`_TrialStreams`), and
+    are decoded for a block of trials at once (`_decode_raw`): creating a
+    generator per trial costs about 14 us, and where exponentials and tokens
+    alternate one call per draw costs about 1 us. A trial whose draws
+    outrun its raw draws, and every trial of a run of fewer than
+    _MIN_DECODED_TRIALS, is made by its own generator, one call per run of
+    draws of one kind. The draws become values for all trials at once. With
+    the realization layout, a trial whose two tokens of an element tie is
+    drawn again by the scalar code, which redraws the second token."""
     n = len(distributions)
     realization = layout == REALIZATION_LAYOUT
     # Per draw in stream order, its kind: 1 a standard exponential draw, 0 a
@@ -519,7 +518,6 @@ def draw_trials(
     count = len(trials)
     raw = np.empty((count, len(kinds)))
     perms = tuple(np.empty((count, size), dtype=np.int64) for size in permutation_sizes)
-    # With exponential draws, decode raw draws: one call per trial.
     tables = _ziggurat() if count >= _MIN_DECODED_TRIALS else None
     is_exp = np.array(kinds, dtype=bool)
     width = len(kinds) + 8 + len(kinds) // 8  # room for draws off the fast path
