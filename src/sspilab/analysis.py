@@ -5,9 +5,10 @@ The verifiers enumerate every coin configuration and compare both sides of
 each identity or inequality as exact integer counts (value-weighted sums use
 exact rationals built from the float values). The sufficiency verifiers
 take each supported value's worst case over every arrival order from
-structure, on the batch kernels: the increasing order for transversal and
-laminar, and the least value over the live subgraph's maximal matchings for
-matching (subset tables, so n <= EXACT_MODE_CAP). The scalar
+structure: the batched policy (`exact.policy_runs`) under the increasing
+order for transversal and laminar, and the least value over the live
+subgraph's maximal matchings for matching (subset tables, so n <=
+EXACT_MODE_CAP). The scalar
 supporting-event functions here are reference implementations; the
 vectorized tables in `exact` must agree with them, and tests enforce that.
 """
@@ -30,8 +31,7 @@ from .core import (
 )
 from .exact import (
     _CHUNK_CELLS, EXACT_MODE_CAP, ConfigEnsemble, bit_index, edges_touched, element_masks,
-    group_ids, matching_table, maximal_within, replay_group_counts, replay_resources,
-    target_bits, vertex_masks,
+    matching_table, maximal_within, policy_runs, vertex_masks,
 )
 from .feasibility import (
     FeasibilityStructure,
@@ -441,12 +441,9 @@ def _trans_worst_values(ens: ConfigEnsemble, support: np.ndarray, cand: np.ndarr
     Every live element claims one fixed node, and the first live arrival
     aimed at a node takes it, so the increasing order leaves each node its
     smallest live reward, all nodes at once."""
-    fs = ens.structure
     targets = ens.transversal_targets()
     ridx = ens.reward_indices()
-    acc = replay_resources(
-        targets >= 0, target_bits(targets, fs.right_count), np.argsort(-ridx, axis=0)
-    )
+    acc = policy_runs(ens, "transversal", np.argsort(-ridx, axis=0), False)[0].accepted
     js, cs = np.nonzero(support)
     node = bit_index(cand[js, cs])
     got = np.zeros(len(cs))  # 0 when no element takes the node
@@ -471,13 +468,9 @@ def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
 
 
 def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
-    fs = ens.structure
     support = ens.support_laminar()
-    accept = ens.laminar_accepts()
     orders = np.argsort(-ens.reward_indices(), axis=0)  # increasing rewards
-    acc = replay_group_counts(
-        accept, group_ids(fs.groups, ens.n), fs.group_capacities, fs.total_capacity, orders
-    )
+    acc = policy_runs(ens, "laminar", orders, False)[0].accepted
     return _sufficiency_report(
         "laminar-sufficient", ens, support, support & ~acc[ens.elem],
         lambda j, c: f"element {ens.elem[j]} not collected under the increasing order",

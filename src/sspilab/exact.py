@@ -24,7 +24,9 @@ means having positive value.
 No step loops over columns in Python. Online phases are replayed by two
 kernels that step through every column's arrival order at once: one for
 bitmask resources (matching vertices, transversal target nodes) and one for
-group counts (the partition policies). E_OPT comes from subset tables, whose
+group counts (the partition policies). `policy_runs` is the one batched
+form of each policy: its thresholds, its replay and the critical price each
+accepted element beat. E_OPT comes from subset tables, whose
 entry S says whether the element set S is feasible: the matroid greedy for
 transversal systems, and the best maximal matching for matching, where float
 totals within a relative NEAR_TIE of the best are compared exactly.
@@ -32,7 +34,9 @@ totals within a relative NEAR_TIE of the best are compared exactly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +55,7 @@ from .feasibility import (
     SimplePartition,
     Transversal,
     TruncatedPartition,
+    is_independent,
 )
 
 _DIGIT_BITS = 31
@@ -217,6 +222,13 @@ class PathBatch:
         return free
 
     def _free_graphic(self, side_flags, fs: Graphic) -> np.ndarray:
+        if is_independent(fs, self.elements):
+            # A forest: an index is free unless its element's other index
+            # came first and was parsed, closing a cycle with itself.
+            first = np.zeros((self.length, self.num_configs), dtype=bool)
+            for e in self.elements:
+                _put(first, self.y_index(e), self.cols, True)
+            return side_flags | first
         # Component labels per (column, vertex); joining relabels one side.
         ends = np.array(fs.edges, dtype=np.int64).reshape(-1, 2)
         cols = self.cols
@@ -262,15 +274,15 @@ class PathBatch:
         self._vertex_thresholds = th
         return th
 
+    def matching_prices(self) -> np.ndarray:
+        """(n, columns) the smaller threshold index of each edge's endpoints."""
+        th = self.matching_vertex_thresholds()
+        u, v = np.array(self.structure.edges, dtype=np.int64).reshape(-1, 2)[self.elements].T
+        return np.minimum(th[u], th[v])
+
     def matching_exceeds(self) -> np.ndarray:
         """(n, columns) flags: element's reward beats both endpoint thresholds."""
-        fs = self.structure
-        th = self.matching_vertex_thresholds()
-        out = np.empty((self.n, self.num_configs), dtype=bool)
-        for e in self.elements:
-            u, v = fs.edges[e]
-            out[self.bit_of[e]] = self.reward_index(e) < np.minimum(th[u], th[v])
-        return out
+        return self.reward_indices() < self.matching_prices()
 
     def transversal_r_thresholds(self) -> np.ndarray:
         """(right nodes, columns) thresholds (path indices) from the
@@ -307,6 +319,13 @@ class PathBatch:
                 found |= ok
         return out
 
+    def transversal_prices(self) -> np.ndarray:
+        """(n, columns) the smaller of each element's target-node threshold
+        index and its own sample index."""
+        targets = np.maximum(self.transversal_targets(), 0)
+        node = np.take_along_axis(self.transversal_r_thresholds(), targets, axis=0)
+        return np.minimum(node, self.sample_indices())
+
     def laminar_accepts(self) -> np.ndarray:
         """(n, columns) online accept flags for the sample-optimum policy.
 
@@ -325,31 +344,17 @@ class PathBatch:
             accept[self.bit_of[e]] = heads & free
         return accept
 
-    def group_thresholds(self, group, count: int) -> np.ndarray:
-        """(count + 1, columns) path index of each group's largest sample
-        (`length` for a group with none). `group` gives each element's group
-        index, fixed or one per column; index `count` means no group."""
+    def group_prices(self, group, count: int) -> np.ndarray:
+        """(n, columns) path index of the largest sample in each element's
+        group. `group` gives each element's group index, fixed or one per
+        column; index `count` means no group."""
         cols = self.cols
         group = np.asarray(group)
         thr = np.full((count + 1, self.num_configs), self.length, dtype=np.int64)
         for e in self.elements:
             g = group[self.bit_of[e]]
             _put(thr, g, cols, np.minimum(_take(thr, g, cols), self.sample_index(e)))
-        return thr
-
-    def group_exceeds(self, group, count: int) -> np.ndarray:
-        """(n, columns) flags: the reward beats the largest sample of its
-        group in the tagged order, as in the traced policies, so a reward
-        worth 0 can beat samples worth 0 by its tiebreak. Elements in no
-        group (index `count`) stay False."""
-        cols = self.cols
-        group = np.asarray(group)
-        thr = self.group_thresholds(group, count)
-        out = np.empty((self.n, self.num_configs), dtype=bool)
-        for e in self.elements:
-            g = group[self.bit_of[e]]
-            out[self.bit_of[e]] = (self.reward_index(e) < _take(thr, g, cols)) & (g < count)
-        return out
+        return thr[group] if group.ndim == 1 else np.take_along_axis(thr, group, axis=0)
 
 
 class ConfigEnsemble(PathBatch):
@@ -870,6 +875,75 @@ def min_maximal_accepts(batch: PathBatch, ridx: np.ndarray, live: np.ndarray) ->
         touched=edges_touched(covered[sets], vmasks),
     )
     return element_flags(chosen, batch.n)
+
+
+# ---------------------------------------------------------------------------
+# The one batched form of each policy: thresholds set offline from the
+# samples, then a first-come greedy replayed online.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PolicyRun:
+    """The (n, columns) accepted flags, and `price`, which computes the
+    (n, columns) path index of the threshold each accepted element beat, its
+    critical price; None for laminar, whose price is a contraction."""
+
+    accepted: np.ndarray
+    price: Callable[[], np.ndarray] | None
+
+
+def policy_runs(
+    batch: PathBatch, policy: str, orders, searching: bool, groupings=(),
+) -> list[PolicyRun]:
+    """The policy on every column of the batch: one run, or one run per
+    (group, count) grouping for the reduction policies (`group` as in
+    `replay_group_counts`). `orders` holds each column's arrival order
+    (None: by element id). With `searching`, the adversary minimizes: for
+    matching that is a minimum-weight maximal matching of the live edges;
+    for every other policy it is the increasing order, which the caller
+    passes (see policies.adversarial_order). Prices are computed when read:
+    a run holds no (n, columns) table beyond its flags."""
+    fs = batch.structure
+    if policy == "matching":
+        if searching and batch.n > EXACT_MODE_CAP:
+            raise CapExceededError(
+                f"matching exhaustive-min search capped at n <= {EXACT_MODE_CAP}"
+            )
+        live = batch.matching_exceeds()
+        if searching:
+            accepted = min_maximal_accepts(batch, batch.reward_indices(), live)
+        else:
+            accepted = replay_resources(live, vertex_masks(fs), orders)
+        return [PolicyRun(accepted, batch.matching_prices)]
+    if policy == "transversal":
+        targets = batch.transversal_targets()
+        nodes = target_bits(targets, fs.right_count)  # unused where targets < 0
+        return [PolicyRun(replay_resources(targets >= 0, nodes, orders), batch.transversal_prices)]
+    if policy == "laminar":
+        accepted = replay_group_counts(
+            batch.laminar_accepts(), group_ids(fs.groups, batch.n), fs.group_capacities,
+            fs.total_capacity, orders,
+        )
+        return [PolicyRun(accepted, None)]
+    if policy == "rank1":
+        # One group of capacity 1: the groups of a truncated partition cover
+        # the ground set with capacities >= 1, so under a total capacity of 1
+        # they accept the same first live arrival.
+        groupings = [(np.zeros(batch.n, dtype=np.int64), 1)]
+    elif policy not in ("reduction-graphic", "reduction-custom"):
+        raise RuntimeError(f"policy {policy!r} has no batched evaluator")
+    ridx = batch.reward_indices()
+    return [_group_run(batch, ridx, group, count, orders) for group, count in groupings]
+
+
+def _group_run(batch: PathBatch, ridx: np.ndarray, group, count: int, orders) -> PolicyRun:
+    """Each group takes its first arrival beating the group's largest sample
+    in the tagged order, so a reward worth 0 can beat samples worth 0 by its
+    tiebreak, as in the traced policies. Elements in no group stay out."""
+    live = ridx < batch.group_prices(group, count)
+    accepted = replay_group_counts(live, group, (1,) * count, count, orders)
+    return PolicyRun(accepted, lambda: batch.group_prices(group, count))
 
 
 # ---------------------------------------------------------------------------

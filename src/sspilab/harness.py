@@ -1,8 +1,9 @@
 """Experiment harness: exact and Monte Carlo competitive-ratio estimation,
 the star-graph tight example, and report emission.
 
-Both modes evaluate a batch of coin configurations at once with the walks
-and replay kernels of `exact.py`, one column per configuration. Exact mode
+Both modes evaluate a batch of coin configurations at once with the
+batched policies of `exact.py` (`policy_runs`), one column per
+configuration. Exact mode
 draws one realization set from the instance, evaluates all 2**n coin
 configurations, and reports expectations as exact rationals; the worst-case
 adversary minimizes the policy total per configuration. Monte Carlo mode
@@ -32,18 +33,13 @@ from .core import CapExceededError, TrialDraws, draw_trials, trial_rng
 from .exact import (
     EXACT_MODE_CAP,
     ConfigEnsemble,
-    PathBatch,
     TrialBatch,
     group_ids,
-    min_maximal_accepts,
     optimum_accepts,
-    replay_group_counts,
-    replay_resources,
+    policy_runs,
     tables_fit,
-    target_bits,
-    vertex_masks,
 )
-from .feasibility import GeneralMatching, Transversal, exact_optimum, graphic_partition
+from .feasibility import GeneralMatching, Graphic, Transversal, exact_optimum
 from .instances import Instance
 from .policies import check_policy
 
@@ -78,9 +74,7 @@ class RatioReport:
     instance: str = ""
 
 
-def worker_count(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, workers)
+def worker_count() -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
@@ -97,55 +91,6 @@ def _ratio(e_opt, e_alg) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Policies over a batch of columns
-# ---------------------------------------------------------------------------
-
-
-def _accepted_runs(
-    batch: PathBatch, policy: str, orders, searching: bool, groupings=(),
-) -> list[np.ndarray]:
-    """The policy's (n, columns) accepted flags, in one run, or one run per
-    (group, count) grouping for the reduction policies (`group` as in
-    `replay_group_counts`). `orders` holds each column's arrival order (None:
-    by element id). With `searching`, the adversary minimizes: for matching
-    that is a minimum-weight maximal matching of the live edges; for every
-    other policy it is the increasing order, which the caller passes (see
-    policies.adversarial_order)."""
-    fs = batch.structure
-    if policy == "matching":
-        if searching and batch.n > EXACT_MODE_CAP:
-            raise CapExceededError(
-                f"matching exhaustive-min search capped at n <= {EXACT_MODE_CAP}"
-            )
-        live = batch.matching_exceeds()
-        if searching:
-            return [min_maximal_accepts(batch, batch.reward_indices(), live)]
-        return [replay_resources(live, vertex_masks(fs), orders)]
-    if policy == "transversal":
-        targets = batch.transversal_targets()
-        nodes = target_bits(targets, fs.right_count)  # unused where targets < 0
-        return [replay_resources(targets >= 0, nodes, orders)]
-    if policy in ("laminar", "rank1"):
-        flags = (
-            batch.laminar_accepts()
-            if policy == "laminar"
-            else batch.group_exceeds(np.zeros(batch.n, dtype=np.int64), 1)
-        )
-        group = group_ids(fs.groups, batch.n)
-        return [
-            replay_group_counts(flags, group, fs.group_capacities, fs.total_capacity, orders)
-        ]
-    if policy in ("reduction-graphic", "reduction-custom"):
-        return [
-            replay_group_counts(
-                batch.group_exceeds(group, count), group, (1,) * count, count, orders
-            )
-            for group, count in groupings
-        ]
-    raise RuntimeError(f"policy {policy!r} has no batched evaluator")
-
-
-# ---------------------------------------------------------------------------
 # Exact mode
 # ---------------------------------------------------------------------------
 
@@ -157,24 +102,27 @@ def _mean_total(ens: ConfigEnsemble, ridx, runs) -> Fraction:
     return ens.path_total(counts) / (ens.num_configs * len(runs))
 
 
-def _exact_groupings(ens: ConfigEnsemble, policy: str, instance: Instance) -> list:
+def _vertex_order_groups(fs: Graphic, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For vertex orders given as the rows of `perms` (first vertex first):
+    each vertex's rank, (vertices, orders), and each edge's group, (n,
+    orders): its endpoint ranked first, as in `graphic_partition`."""
+    ranks = np.argsort(perms, axis=1).T
+    u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
+    return ranks, np.where(ranks[u] < ranks[v], u[:, None], v[:, None])
+
+
+def _exact_groupings(policy: str, instance: Instance) -> list:
     """The reduction policies' partitions as (group, count) pairs: the
     instance's own, or every vertex-order partition, each equally likely."""
-    fs = ens.structure
-    if policy == "reduction-custom":
-        partitions = [instance.partition]
-    elif policy == "reduction-graphic":
-        if fs.vertex_count > EXACT_SIGMA_VERTEX_CAP:
-            raise CapExceededError(
-                f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} vertices"
-            )
-        partitions = [
-            graphic_partition(fs, sigma=sigma)[0]
-            for sigma in permutations(range(fs.vertex_count))
-        ]
-    else:
-        return []
-    return [(group_ids(p.groups, ens.n), len(p.groups)) for p in partitions]
+    fs = instance.structure
+    if policy != "reduction-graphic":
+        return _reduction_groupings(instance, policy, None)[1]
+    if fs.vertex_count > EXACT_SIGMA_VERTEX_CAP:
+        raise CapExceededError(
+            f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} vertices"
+        )
+    _, groups = _vertex_order_groups(fs, np.array(list(permutations(range(fs.vertex_count)))))
+    return [(group, fs.vertex_count) for group in np.ascontiguousarray(groups.T)]
 
 
 def _exact_alg(
@@ -183,10 +131,11 @@ def _exact_alg(
     """Exact E_ALG and the z-violation count, averaged over every
     configuration and, for the reductions, every partition."""
     orders = None if adversary == "fixed" else np.argsort(-ridx, axis=0)
-    runs = _accepted_runs(
-        ens, policy, orders, adversary == "exhaustive-min",
-        _exact_groupings(ens, policy, instance),
-    )
+    runs = [
+        run.accepted for run in policy_runs(
+            ens, policy, orders, adversary == "exhaustive-min", _exact_groupings(policy, instance)
+        )
+    ]
     below = ridx > ens.sample_indices()  # rewards below their own sample
     z_violations = sum(int((acc & below).sum()) for acc in runs)
     return _mean_total(ens, ridx, runs), z_violations
@@ -286,19 +235,16 @@ def _mc_optimum(batch: TrialBatch, ridx: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _reduction_groupings(instance: Instance, policy: str, draws: TrialDraws) -> tuple:
+def _reduction_groupings(instance: Instance, policy: str, draws: TrialDraws | None) -> tuple:
     """(ranks, groupings): for reduction-graphic, each vertex's position in
     each trial's vertex order (the last permutation drawn), (vertices,
     trials), else None; and the reduction policies' partitions as one
-    (group, count) pair for `_accepted_runs`: the instance's own, or for
-    reduction-graphic each trial's vertex-order partition, where an edge
-    joins the group of its endpoint ranked first."""
+    (group, count) pair for `policy_runs`: the instance's own, or for
+    reduction-graphic each trial's vertex-order partition."""
     fs = instance.structure
     if policy == "reduction-graphic":
-        ranks = np.argsort(draws.permutations[-1], axis=1).T
-        u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
-        first = ranks[u] < ranks[v]
-        return ranks, [(np.where(first, u[:, None], v[:, None]), fs.vertex_count)]
+        ranks, group = _vertex_order_groups(fs, draws.permutations[-1])
+        return ranks, [(group, fs.vertex_count)]
     if policy == "reduction-custom":
         groups = instance.partition.groups
         return None, [(group_ids(groups, instance.ground_size), len(groups))]
@@ -337,9 +283,8 @@ def mc_trials(
         orders = draws.permutations[0].T
     else:  # increasing rewards, also the exhaustive-min order outside matching
         orders = np.argsort(-ridx, axis=0)
-    (accepted,) = _accepted_runs(
-        batch, policy, orders, adversary == "exhaustive-min", groupings
-    )
+    (run,) = policy_runs(batch, policy, orders, adversary == "exhaustive-min", groupings)
+    accepted = run.accepted
     opt, opt_prime = optimum_totals(batch, ridx)
     return TrialOutcome(
         batch=batch,
@@ -361,12 +306,12 @@ def _mc_chunk(args) -> tuple[np.ndarray, int]:
     return np.array(sums), int(out.z_violations.sum())
 
 
-def run_chunks(chunk_fn, trials: int, head: tuple, workers: int | None = None) -> list:
+def run_chunks(chunk_fn, trials: int, head: tuple) -> list:
     """chunk_fn((*head, start, stop)) for each chunk of MC_CHUNK trials, in
     chunk order; in a pool of worker processes when there are several
     chunks and workers (see worker_count)."""
     chunks = [(*head, lo, min(lo + MC_CHUNK, trials)) for lo in range(0, trials, MC_CHUNK)]
-    nworkers = worker_count(workers)
+    nworkers = worker_count()
     if nworkers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             return list(pool.map(chunk_fn, chunks))
@@ -379,7 +324,6 @@ def estimate_ratio_mc(
     adversary: str = "increasing",
     trials: int = 10000,
     seed: int = 0,
-    workers: int | None = None,
 ) -> RatioReport:
     start_time = time.perf_counter()
     check_policy(policy, instance.structure, instance.partition)
@@ -387,7 +331,7 @@ def estimate_ratio_mc(
         raise ValueError(f"mc mode supports adversaries {MC_ADVERSARIES}")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    results = run_chunks(_mc_chunk, trials, (instance, policy, adversary, seed), workers)
+    results = run_chunks(_mc_chunk, trials, (instance, policy, adversary, seed))
     sums = np.zeros(6)
     z_violations = 0
     for partial, z in results:
@@ -419,12 +363,11 @@ def estimate_ratio(
     trials: int = 10000,
     seed: int = 0,
     mode: str = "mc",
-    workers: int | None = None,
 ) -> RatioReport:
     if mode == "exact":
         return estimate_ratio_exact(instance, policy, adversary, seed)
     if mode == "mc":
-        return estimate_ratio_mc(instance, policy, adversary, trials, seed, workers)
+        return estimate_ratio_mc(instance, policy, adversary, trials, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 

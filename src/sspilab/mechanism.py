@@ -8,8 +8,10 @@ reserve. Only the allocation filter is forced by the welfare analysis; the
 payment rule is a design choice here, and every report flags it.
 
 `estimate_mechanism_ratios` evaluates each chunk of MC_CHUNK trials as one
-batch on the walks and replay kernels of Monte Carlo `simulate`: the pricing
-values are the samples and the valuations the rewards of a `TrialBatch`.
+batch through the batched policies of Monte Carlo `simulate`
+(`exact.policy_runs`): the pricing values are the samples and the
+valuations the rewards of a `TrialBatch`, and a winner's critical price is
+the threshold its run accepted it at (laminar's is `_laminar_critical`).
 Trial t draws from its own stream (seed, t) in the order of the scalar
 `run_opm` loop (per element pricing, reserve and valuation, each a value
 and its token; then reduction-graphic's vertex order), and chunk sums merge
@@ -27,12 +29,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Distribution, TaggedValue, TrialDraws, draw_trials
-from .exact import TrialBatch, group_ids
+from .exact import TrialBatch, group_ids, policy_runs
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
 from .harness import (
-    _accepted_runs, _fmt_float, _reduction_groupings, _ratio, mc_summary, optimum_totals,
-    run_chunks,
+    _fmt_float, _reduction_groupings, _ratio, mc_summary, optimum_totals, run_chunks,
 )
 
 PAYMENT_RULE = "max(critical-price-at-acceptance, lazy-reserve)"
@@ -184,36 +185,6 @@ def _laminar_critical(batch: TrialBatch, accepted: np.ndarray) -> np.ndarray:
     return critical
 
 
-def critical_prices(
-    batch: TrialBatch, policy: str, accepted: np.ndarray, groupings
-) -> np.ndarray:
-    """(n, trials) the price each accepted element beat, the traced
-    decisions' `critical_value`, read from the path-rank thresholds: the
-    group's largest sample for rank1 and the reductions, the larger endpoint
-    threshold for matching, the larger of the target node's threshold and
-    the element's own sample for transversal. Entries of elements not
-    accepted are meaningless."""
-    fs = batch.structure
-    if policy == "laminar":
-        return _laminar_critical(batch, accepted)
-    if policy == "matching":
-        th = batch.matching_vertex_thresholds()
-        u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
-        idx = np.minimum(th[u], th[v])
-    elif policy == "transversal":
-        targets = np.maximum(batch.transversal_targets(), 0)
-        node = np.take_along_axis(batch.transversal_r_thresholds(), targets, axis=0)
-        idx = np.minimum(node, batch.sample_indices())
-    else:
-        group, count = groupings[0] if groupings else (np.zeros(batch.n, dtype=np.int64), 1)
-        group = np.broadcast_to(np.asarray(group).reshape(batch.n, -1), accepted.shape)
-        idx = np.take_along_axis(batch.group_thresholds(group, count), group, axis=0)
-    # Each index holds a sample: the element's own group holds its sample, a
-    # maximal sample matching covers an endpoint of every edge, and a
-    # transversal element's own sample bounds its price.
-    return batch.values_at(idx)
-
-
 @dataclass
 class MechanismTrials:
     """Per-trial results of one batch of mechanism trials: (n, trials)
@@ -255,9 +226,13 @@ def mechanism_trials(
     ))
     ridx = batch.reward_indices()
     ranks, groupings = _reduction_groupings(instance, policy, draws)
-    (accepted,) = _accepted_runs(batch, policy, np.argsort(-ridx, axis=0), False, groupings)
+    (run,) = policy_runs(batch, policy, np.argsort(-ridx, axis=0), False, groupings)
+    accepted = run.accepted
     winners = accepted & ~(valuations < reserves)
-    pay = np.maximum(critical_prices(batch, policy, accepted, groupings), reserves)
+    critical = (
+        _laminar_critical(batch, accepted) if run.price is None else batch.values_at(run.price())
+    )
+    pay = np.maximum(critical, reserves)
     over = winners & (pay > valuations * (1 + IR_SLACK) + IR_SLACK)
     if over.any():
         e, t = (int(i[0]) for i in np.nonzero(over))

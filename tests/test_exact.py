@@ -3,7 +3,7 @@ scalar reference implementations."""
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 import pytest
@@ -13,20 +13,24 @@ from sspilab.core import (
     Configuration,
     ElementRealization,
     build_sample_path,
+    draw_trials,
     point_mass,
     trial_rng,
+    uniform,
 )
 from sspilab.exact import (
     ConfigEnsemble,
+    TrialBatch,
     element_masks,
     matching_table,
     min_maximal_accepts,
     optimum_accepts,
-    replay_group_counts,
+    policy_runs,
     transversal_table,
 )
 from sspilab.feasibility import (
     GeneralMatching,
+    Graphic,
     SimplePartition,
     Transversal,
     TruncatedPartition,
@@ -37,13 +41,14 @@ from sspilab.feasibility import (
 )
 from sspilab.generators import random_instance
 from sspilab.harness import estimate_ratio
+from sspilab.instances import Instance
 from sspilab.policies import (
     adversarial_order,
     beats,
     run_policy,
 )
 
-from conftest import make_realizations, tv
+from conftest import make_realizations, several_group_rank1, tv
 
 ALL_KINDS = (
     "matching", "transversal", "truncated-partition", "simple-partition", "graphic",
@@ -61,21 +66,48 @@ def test_heads_table_matches_configurations(rng):
             assert bool(ens.heads[j, mask]) == (config.coins[j] == "H")
 
 
+# A forest (the walk's shortcut) and a cycle (the relabel loop).
+STAR = Instance("star", Graphic(5, tuple((0, v) for v in range(1, 5))),
+                {e: uniform(0.0, 1.0) for e in range(4)})
+CYCLE = Instance("cycle", Graphic(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))),
+                 {e: point_mass(0.0) if e == 2 else uniform(0.0, 1.0) for e in range(5)})
+
+
+def _assert_free_tables(fs, path, table_of, columns):
+    """`table_of(side)` against the scalar free_index, per (column, mask)."""
+    for side in "HT":
+        table = table_of(side)
+        for col, mask in columns:
+            config = Configuration.from_heads_mask(path, mask)
+            for j in range(path.length):
+                assert bool(table[j, col]) == free_index(fs, path, config, j, side), (
+                    side, mask, j,
+                )
+
+
 def test_free_tables_match_scalar_free_index(rng):
-    for kind in ALL_KINDS:
-        for _ in range(6):
-            inst = random_instance(kind, int(rng.integers(1, 6)), rng)
-            reals = inst.draw_realizations(rng)
-            path = build_sample_path(reals)
-            ens = ConfigEnsemble(inst.structure, reals)
-            for side in "HT":
-                table = ens.free(side)
-                for mask in range(ens.num_configs):
-                    config = Configuration.from_heads_mask(path, mask)
-                    for j in range(path.length):
-                        assert bool(table[j, mask]) == free_index(
-                            inst.structure, path, config, j, side
-                        ), (kind, side, mask, j)
+    drawn = (random_instance(kind, int(rng.integers(1, 6)), rng)
+             for kind in ALL_KINDS for _ in range(6))
+    for inst in chain(drawn, (STAR, CYCLE)):
+        reals = inst.draw_realizations(rng)
+        ens = ConfigEnsemble(inst.structure, reals)
+        columns = [(mask, mask) for mask in range(ens.num_configs)]
+        _assert_free_tables(inst.structure, build_sample_path(reals), ens.free, columns)
+
+
+@pytest.mark.parametrize("inst", [STAR, CYCLE], ids=["star", "cycle"])
+def test_trial_free_tables_match_scalar_free_index(inst):
+    n = inst.ground_size
+    batch = TrialBatch(inst.structure, draw_trials([inst.distributions[e] for e in range(n)],
+                                                   5, range(40)))
+    for t in range(batch.num_configs):
+        rewards, samples = batch.tagged(t)
+        reals = [ElementRealization(e, *sorted((rewards[e], samples[e]), reverse=True))
+                 for e in range(n)]
+        path = build_sample_path(reals)
+        assert batch.elem[:, t].tolist() == [x.element for x in path.entries]
+        mask = sum(1 << e for e in range(n) if rewards[e] == reals[e].y)
+        _assert_free_tables(inst.structure, path, batch.free, [(t, mask)])
 
 
 def test_reward_and_sample_indices(rng):
@@ -313,6 +345,18 @@ def test_batched_alg_matches_traced_policies(kind, policy, rng):
             assert (report.e_alg, report.z_violations) == want, (i, adversary)
 
 
+def test_rank1_on_several_groups_matches_traced_policy(rng):
+    # Batched rank1 runs as one group of capacity 1; the traced rank1_policy
+    # reads the groups of the truncated partition not at all.
+    for i in range(6):
+        inst = several_group_rank1(int(rng.integers(2, 8)), rng, zeros=i % 2 == 0)
+        seed = int(rng.integers(0, 100))
+        for adversary in ("fixed", "increasing", "exhaustive-min"):
+            report = estimate_ratio(inst, "rank1", adversary=adversary, mode="exact", seed=seed)
+            want = _traced_exact_alg(inst, "rank1", adversary, seed)
+            assert (report.e_alg, report.z_violations) == want, (i, adversary)
+
+
 def test_group_thresholds_are_tagged_largest_samples():
     # Every sample is worth 0. Where both rewards are the larger values,
     # element 0's reward (0, tiebreak 0.9) beats the largest sample (0, 0.2)
@@ -325,11 +369,8 @@ def test_group_thresholds_are_tagged_largest_samples():
         ElementRealization(1, tv(1.0, 0.5, 1), tv(0.0, 0.2, 1)),
     ]
     ens = ConfigEnsemble(fs, reals)
-    group = np.zeros(2, dtype=np.int64)
-    ridx = ens.reward_indices()
-    acc = replay_group_counts(
-        ens.group_exceeds(group, 1), group, (1,), 1, np.argsort(-ridx, axis=0)
-    )
+    (run,) = policy_runs(ens, "rank1", np.argsort(-ens.reward_indices(), axis=0), False)
+    acc = run.accepted
     for mask in range(4):
         rewards, samples = {}, {}
         for r in reals:

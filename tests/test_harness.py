@@ -18,6 +18,7 @@ from sspilab.feasibility import Graphic, TruncatedPartition, graphic_partition
 from sspilab.generators import random_instance, star_graphic_instance
 from sspilab.harness import (
     CSV_HEADER,
+    WORKERS_ENV,
     RatioReport,
     emit_report,
     estimate_ratio,
@@ -116,7 +117,8 @@ class TestExactMode:
             count += 1
         assert got.e_alg == acc / count
 
-    def test_exact_mode_caps(self, rng):
+    def test_exact_mode_caps(self, rng, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
         inst = random_instance("rank1", 17, rng)
         with pytest.raises(CapExceededError):
             estimate_ratio(inst, "rank1", mode="exact", seed=0)
@@ -127,7 +129,7 @@ class TestExactMode:
             with pytest.raises(CapExceededError):
                 estimate_ratio(
                     match17, "matching", adversary="exhaustive-min", mode=mode,
-                    trials=4, seed=0, workers=1,
+                    trials=4, seed=0,
                 )
         inst9 = random_instance("rank1", 9, rng)
         worst, inc = (
@@ -154,7 +156,8 @@ class TestExactMode:
 
 
 class TestMonteCarlo:
-    def test_exact_and_mc_agree_within_three_se(self, rng):
+    def test_exact_and_mc_agree_within_three_se(self, rng, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
         for kind, policy in (
             ("matching", "matching"),
             ("truncated-partition", "laminar"),
@@ -162,7 +165,7 @@ class TestMonteCarlo:
             inst = random_instance(kind, 4, rng)
             mc = estimate_ratio(
                 inst, policy, adversary="increasing", trials=4000, seed=9,
-                mode="mc", workers=1,
+                mode="mc",
             )
             # Expectation over fresh realizations: average exact runs over
             # several drawn realization sets.
@@ -179,29 +182,31 @@ class TestMonteCarlo:
             se = (mc.ci or 0.0) / 1.96
             assert abs(mc.e_alg - anchor) <= 3 * (se + spread) + 1e-9
 
-    def test_reproducible_across_workers(self, rng):
+    def test_reproducible_across_workers(self, rng, monkeypatch):
         inst = random_instance("matching", 4, rng)
-        a = estimate_ratio(inst, "matching", adversary="random", trials=3000,
-                           seed=3, mode="mc", workers=1)
-        b = estimate_ratio(inst, "matching", adversary="random", trials=3000,
-                           seed=3, mode="mc", workers=2)
-        fa, fb = report_fields(a), report_fields(b)
-        fa.pop("wall_ms"), fb.pop("wall_ms")
-        assert fa == fb
+        fields = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            rep = estimate_ratio(inst, "matching", adversary="random", trials=3000,
+                                 seed=3, mode="mc")
+            fields.append({**report_fields(rep), "wall_ms": None})
+        assert fields[0] == fields[1]
 
-    def test_z_violations_counted(self, rng):
+    def test_z_violations_counted(self, rng, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
         inst = random_instance("matching", 4, rng)
         rep = estimate_ratio(inst, "matching", adversary="random", trials=500,
-                             seed=3, mode="mc", workers=1)
+                             seed=3, mode="mc")
         assert rep.z_violations == 0
 
-    def test_reduction_graphic_exhaustive_min_is_increasing(self):
+    def test_reduction_graphic_exhaustive_min_is_increasing(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
         # The adversary and the policy must see the same random partition:
         # the minimizing order is the increasing one, so both runs coincide.
         inst = load_instance(FIXTURES / "graphic-star.json")
         worst, inc = (
             estimate_ratio(inst, "reduction-graphic", adversary=a, trials=600,
-                           seed=1, mode="mc", workers=1)
+                           seed=1, mode="mc")
             for a in ("exhaustive-min", "increasing")
         )
         assert worst.e_alg == inc.e_alg
@@ -288,8 +293,9 @@ class TestReports:
 def test_worker_count_env(monkeypatch):
     from sspilab.harness import worker_count
 
-    assert worker_count(3) == 3
     monkeypatch.setenv("SSPILAB_WORKERS", "5")
     assert worker_count() == 5
+    monkeypatch.setenv("SSPILAB_WORKERS", "0")
+    assert worker_count() == 1
     monkeypatch.delenv("SSPILAB_WORKERS")
     assert worker_count() >= 1

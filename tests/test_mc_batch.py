@@ -23,9 +23,11 @@ from sspilab.feasibility import (
     greedy_prophet,
 )
 from sspilab.generators import random_instance
-from sspilab.harness import MC_CHUNK, estimate_ratio, mc_trials, report_fields
+from sspilab.harness import MC_CHUNK, WORKERS_ENV, estimate_ratio, mc_trials, report_fields
 from sspilab.instances import Instance
 from sspilab.policies import adversarial_order, run_policy
+
+from conftest import several_group_rank1
 
 KINDS = {
     "matching": "matching",
@@ -101,6 +103,15 @@ def test_batch_matches_traced_policies(policy, adversary, rng):
         _check_against_traced(inst, policy, adversary, out)
 
 
+@pytest.mark.parametrize("adversary", ["fixed", "increasing", "random", "exhaustive-min"])
+def test_rank1_on_several_groups_matches_traced_policy(adversary, rng):
+    # Batched rank1 runs as one group of capacity 1 (see test_exact).
+    for i in range(4):
+        inst = several_group_rank1(int(rng.integers(2, 8)), rng, zeros=i % 2 == 0)
+        out = mc_trials(inst, "rank1", adversary, int(rng.integers(0, 99)), range(40))
+        _check_against_traced(inst, "rank1", adversary, out)
+
+
 def test_draws_do_not_depend_on_adversary(rng):
     inst = random_instance("graphic", 6, rng)
     outs = [
@@ -117,7 +128,8 @@ def test_draws_do_not_depend_on_adversary(rng):
 
 
 @pytest.mark.parametrize("policy", list(KINDS))
-def test_exhaustive_min_at_most_increasing(policy, rng):
+def test_exhaustive_min_at_most_increasing(policy, rng, monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "1")
     for i in range(3):
         inst = _instance(policy, int(rng.integers(2, 8)), rng, zeros=i == 0)
         worst, inc = (
@@ -126,21 +138,20 @@ def test_exhaustive_min_at_most_increasing(policy, rng):
         )
         assert (worst.alg <= inc.alg * (1 + 1e-12)).all()
         reports = [
-            estimate_ratio(inst, policy, adversary=a, trials=300, seed=i, workers=1)
+            estimate_ratio(inst, policy, adversary=a, trials=300, seed=i)
             for a in ("exhaustive-min", "increasing")
         ]
         assert reports[0].e_alg <= reports[1].e_alg * (1 + 1e-12)
 
 
-def test_reproducible_across_workers_and_chunks(rng):
+def test_reproducible_across_workers_and_chunks(rng, monkeypatch):
     inst = random_instance("transversal", 5, rng)
-    a, b = (
-        report_fields(estimate_ratio(inst, "transversal", adversary="random",
-                                     trials=MC_CHUNK + 3, seed=4, workers=w))
-        for w in (1, 2)
-    )
-    a.pop("wall_ms"), b.pop("wall_ms")
-    assert a == b
+    fields = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        rep = estimate_ratio(inst, "transversal", adversary="random", trials=MC_CHUNK + 3, seed=4)
+        fields.append({**report_fields(rep), "wall_ms": None})
+    assert fields[0] == fields[1]
 
 
 @pytest.mark.parametrize("adversary", ["increasing", "random"])
@@ -196,13 +207,14 @@ def test_tied_tokens_are_redrawn(monkeypatch, rng):
 
 @pytest.mark.parametrize("kind, policy, n", [("transversal", "transversal", 17),
                                              ("matching", "matching", 18)])
-def test_scalar_optimum_beyond_the_tables(kind, policy, n, rng):
+def test_scalar_optimum_beyond_the_tables(kind, policy, n, rng, monkeypatch):
     # Above EXACT_MODE_CAP elements E_OPT comes from the scalar oracle on
     # each trial; the policy itself still runs batched.
     inst = random_instance(kind, n, rng)
     out = mc_trials(inst, policy, "increasing", 3, range(12))
     _check_against_traced(inst, policy, "increasing", out)
-    report = estimate_ratio(inst, policy, trials=40, seed=3, workers=1)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    report = estimate_ratio(inst, policy, trials=40, seed=3)
     assert report.e_alg <= report.e_opt * (1 + 1e-12)
 
 

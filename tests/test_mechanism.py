@@ -6,7 +6,10 @@ import pytest
 
 import sspilab.mechanism as mechanism
 from sspilab.cli import main
-from sspilab.core import TaggedValue, discrete, exponential, point_mass, trial_rng, uniform
+from sspilab.core import (
+    TaggedValue, discrete, draw_trials, exponential, point_mass, trial_rng, uniform,
+)
+from sspilab.exact import TrialBatch, policy_runs
 from sspilab.feasibility import (
     GeneralMatching,
     Graphic,
@@ -15,9 +18,10 @@ from sspilab.feasibility import (
     Transversal,
     TruncatedPartition,
     exact_optimum,
+    graphic_partition,
 )
 from sspilab.generators import random_instance, star_graphic_instance
-from sspilab.harness import MC_CHUNK, WORKERS_ENV
+from sspilab.harness import MC_CHUNK, WORKERS_ENV, _reduction_groupings
 from sspilab.instances import Instance, instance_to_document
 from sspilab.mechanism import (
     RegimeError,
@@ -27,7 +31,7 @@ from sspilab.mechanism import (
     optimal_posted_price_revenue,
     run_opm,
 )
-from sspilab.policies import PolicyDecision, PolicyTrace
+from sspilab.policies import PolicyDecision, PolicyTrace, run_policy
 
 from conftest import tv
 
@@ -347,6 +351,37 @@ def test_batch_matches_scalar_mechanism(policy, rng):
             assert _close(got.opt[k], opt)
 
 
+@pytest.mark.parametrize("policy", list(_KINDS))
+def test_prices_are_the_traced_critical_values(policy, rng):
+    # The price of every accepted (element, trial) on its own, not through
+    # max(price, reserve), where a reserve above it would hide it.
+    for i in range(4):
+        inst = _mechanism_instance(policy, rng)
+        fs, n = inst.structure, inst.ground_size
+        sizes = [fs.vertex_count] if policy == "reduction-graphic" else []
+        draws = draw_trials([inst.distributions[e] for e in range(n)], i, range(40), sizes)
+        batch = TrialBatch(fs, draws)
+        ranks, groupings = _reduction_groupings(inst, policy, draws)
+        orders = np.argsort(-batch.reward_indices(), axis=0)
+        (run,) = policy_runs(batch, policy, orders, False, groupings)
+        if run.price is None:  # laminar: a contraction, not a threshold
+            critical = mechanism._laminar_critical(batch, run.accepted)
+        else:
+            critical = batch.values_at(run.price())
+        for t in range(batch.num_configs):
+            rewards, samples = batch.tagged(t)
+            name, partition = policy, inst.partition
+            if policy == "reduction-graphic":
+                partition, _ = graphic_partition(fs, sigma=np.argsort(ranks[:, t]).tolist())
+                name = "reduction-custom"
+            trace = run_policy(name, fs, samples, rewards, orders[:, t].tolist(),
+                               partition=partition)
+            want = {d.element: d.critical_value for d in trace.decisions if d.accepted}
+            assert set(np.flatnonzero(run.accepted[:, t]).tolist()) == set(want)
+            for e, value in want.items():
+                assert critical[e, t] == value, (i, t, e)
+
+
 def test_reduction_graphic_draws_its_vertex_order_last(rng):
     inst = _mechanism_instance("reduction-graphic", rng)
     got = mechanism_trials(inst, "reduction-graphic", 3, range(30))
@@ -385,11 +420,10 @@ def test_individual_rationality_violation_exits_4(tmp_path, monkeypatch, capsys)
     # A critical price above the valuation is a fault of the program: the
     # check raises RuntimeError (kept under python -O), which exits 4.
     monkeypatch.setattr(
-        mechanism, "critical_prices",
-        lambda batch, policy, accepted, groupings: np.full(accepted.shape, 1e9),
+        mechanism, "_laminar_critical", lambda batch, accepted: np.full(accepted.shape, 1e9),
     )
     code = main(["--trials", "50", "mechanism", "--instance", _mechanism_file(tmp_path),
-                 "--policy", "rank1"])
+                 "--policy", "laminar"])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: internal error: RuntimeError: individual rationality")

@@ -23,7 +23,7 @@ from sspilab.cli import main
 from sspilab.core import CapExceededError, point_mass, trial_rng
 from sspilab.exact import ConfigEnsemble
 from sspilab.generators import random_instance
-from sspilab.harness import estimate_ratio
+from sspilab.harness import WORKERS_ENV, estimate_ratio
 from sspilab.instances import Instance, instance_to_document
 
 
@@ -150,13 +150,14 @@ def test_match_sufficient_capped_at_the_table_limit():
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
-def test_matching_exhaustive_min_at_most_increasing_up_to_the_cap(mode):
+def test_matching_exhaustive_min_at_most_increasing_up_to_the_cap(mode, monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "1")
     rng = np.random.default_rng(31)
     for n in (9, 11, 13, 16):
         inst = random_instance("matching", n, rng)
         worst, inc = (
             estimate_ratio(inst, "matching", adversary=a, mode=mode, trials=200,
-                           seed=n, workers=1)
+                           seed=n)
             for a in ("exhaustive-min", "increasing")
         )
         if mode == "exact":
