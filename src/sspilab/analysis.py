@@ -30,8 +30,8 @@ from .core import (
     validate_configuration,
 )
 from .exact import (
-    _CHUNK_CELLS, EXACT_MODE_CAP, ConfigEnsemble, bit_index, edges_touched, element_masks,
-    matching_table, maximal_within, policy_runs, vertex_masks,
+    EXACT_MODE_CAP, ConfigEnsemble, bit_index, edges_touched, element_masks, matching_table,
+    maximal_within, policy_runs, vertex_masks,
 )
 from .feasibility import (
     FeasibilityStructure,
@@ -293,16 +293,15 @@ def _verify_greedy_objective(ens: ConfigEnsemble) -> LemmaReport:
     # Per path entry, (element, value, bit of the element in the heads mask,
     # whether the entry is heads when that bit is set: Y entries).
     entries = [
-        (e.element, e.value.value, 1 << ens.bit_of[e.element], e.label == "Y")
-        for e in path.entries
+        (e.element, e.value.value, 1 << e.element, e.label == "Y") for e in path.entries
     ]
-    y_of = {e: path.y_index(e) for e in ens.elements}
+    y_of = [path.y_index(e) for e in range(ens.n)]
     for mask in range(ens.num_configs):
         pairs = [(e, v) for e, v, bit, is_y in entries if bool(mask & bit) == is_y]
         sol = _greedy_walk(greedy_state(ens.structure), pairs)
         for e in sol.chosen:
             jy = y_of[e]
-            recount[jy if mask & (1 << ens.bit_of[e]) else path.partner[jy]] += 1
+            recount[jy if mask & (1 << e) else path.partner[jy]] += 1
     rhs = ens.path_total(recount)
     return LemmaReport(
         "greedy-objective", lhs == rhs, lhs, rhs, ens.num_configs,
@@ -399,7 +398,7 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
     touched = edges_touched(covered[sets], vertex_masks(fs))
     live = element_masks(ens.matching_exceeds())
     # Row n holds 0.0, the value at a vertex no M-edge meets.
-    xval = np.vstack([ens.values_at(ens.reward_indices()), np.zeros(ens.num_configs)])
+    xval = np.vstack([ens.values_at(ens.ridx), np.zeros(ens.num_configs)])
     worst = np.full(support.shape, np.inf)
     for j in np.flatnonzero(support.any(axis=1)):
         at = []  # per set, the edge meeting each endpoint of e_j (n: none)
@@ -408,13 +407,8 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
             at.append(np.where(meets != 0, bit_index(meets), n))
         pairs, pair_of = np.unique(np.stack(at), axis=1, return_inverse=True)
         cols = np.flatnonzero(support[j])
-        lives, live_of = np.unique(live[cols], return_inverse=True)
-        onehot = pair_of[:, None] == np.arange(pairs.shape[1])  # (sets, pairs)
-        reached = np.empty((len(lives), pairs.shape[1]), dtype=bool)
-        step = max(1, _CHUNK_CELLS // len(sets))
-        for lo in range(0, len(lives), step):
-            ok = maximal_within(sets, touched, lives[lo : lo + step])  # (lives, sets)
-            reached[lo : lo + step] = ok @ onehot
+        maximal, live_of = maximal_within(sets, touched, live[cols])  # (lives, sets)
+        reached = maximal @ (pair_of[:, None] == np.arange(pairs.shape[1]))  # (lives, pairs)
         total = xval[pairs[0][:, None], cols] + xval[pairs[1][:, None], cols]  # (pairs, cols)
         total[~reached[live_of].T] = np.inf
         worst[j, cols] = total.min(axis=0)
@@ -442,13 +436,13 @@ def _trans_worst_values(ens: ConfigEnsemble, support: np.ndarray, cand: np.ndarr
     aimed at a node takes it, so the increasing order leaves each node its
     smallest live reward, all nodes at once."""
     targets = ens.transversal_targets()
-    ridx = ens.reward_indices()
-    acc = policy_runs(ens, "transversal", np.argsort(-ridx, axis=0), False)[0].accepted
+    ridx = ens.ridx
+    (run,) = policy_runs(ens, "transversal", np.argsort(-ridx, axis=0), False)
     js, cs = np.nonzero(support)
     node = bit_index(cand[js, cs])
     got = np.zeros(len(cs))  # 0 when no element takes the node
     for l in range(ens.n):
-        hit = acc[l, cs] & (targets[l, cs] == node)
+        hit = run.accepted[l, cs] & (targets[l, cs] == node)
         got[hit] = ens.w_val[ridx[l, cs[hit]]]
     worst = np.full(support.shape, np.inf)
     worst[js, cs] = got
@@ -469,10 +463,10 @@ def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
 
 def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     support = ens.support_laminar()
-    orders = np.argsort(-ens.reward_indices(), axis=0)  # increasing rewards
-    acc = policy_runs(ens, "laminar", orders, False)[0].accepted
+    orders = np.argsort(-ens.ridx, axis=0)  # increasing rewards
+    (run,) = policy_runs(ens, "laminar", orders, False)
     return _sufficiency_report(
-        "laminar-sufficient", ens, support, support & ~acc[ens.elem],
+        "laminar-sufficient", ens, support, support & ~run.accepted[ens.elem],
         lambda j, c: f"element {ens.elem[j]} not collected under the increasing order",
     )
 

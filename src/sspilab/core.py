@@ -185,17 +185,24 @@ class Distribution:
         rate = self.params[0]
         return 1.0 - math.exp(-rate * x) if x > 0 else 0.0
 
-    def prob_at_least(self, x: float) -> float:
-        """P[draw >= x], counting any atom at x itself."""
+    def prob_at_least(self, x) -> np.ndarray:
+        """P[draw >= x] at each price of the array `x`, counting any atom at
+        x itself."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "point-mass":
-            return 1.0 if self.params[0] >= x else 0.0
+            return np.where(self.params[0] >= x, 1.0, 0.0)
         if self.kind == "discrete":
-            return sum(w for v, w in zip(self.atoms, self.weights) if v >= x)
+            total = np.zeros(x.shape)
+            for v, w in zip(self.atoms, self.weights):  # summed in atom order
+                total += np.where(v >= x, w, 0.0)
+            return total
         if self.kind == "uniform":
             a, b = self.params
-            return min(1.0, max(0.0, (b - x) / (b - a)))
-        rate = self.params[0]
-        return math.exp(-rate * x) if x > 0 else 1.0
+            return np.clip((b - x) / (b - a), 0.0, 1.0)
+        # math.exp, as numpy's exp differs from it in the last bit on some
+        # prices; a price at or below 0 gives exp(0) = 1.
+        exponents = (-self.params[0] * np.maximum(x, 0.0)).ravel().tolist()
+        return np.fromiter(map(math.exp, exponents), float, x.size).reshape(x.shape)
 
 
 def point_mass(value: float, mhr: bool = False) -> Distribution:

@@ -4,8 +4,11 @@ A batch is a set of columns, each one coin configuration of one drawn set of
 Y/Z realizations. Tables are numpy arrays with the column axis last, indexed
 (path position, column) or (element, column), and hold exact integer counts:
 free flags per side, per-vertex thresholds, supporting events, the sets each
-policy accepts and the prophet's optimal sets. Two kinds of batch share every
-walk and kernel below:
+policy accepts and the prophet's optimal sets. Elements are the ids 0..n-1
+of the structure. Two kinds of batch share one layout, `PathBatch` (the
+element, coin and value at each path position, each element's Y index, and
+`ridx` and `sidx`, the (n, columns) path indices of every element's reward
+and sample), and every walk and kernel below:
 
 - `ConfigEnsemble` (exact mode, the lemma verifiers): all 2**n
   configurations of one draw. Configuration c is identified with the bitmask
@@ -35,8 +38,9 @@ totals within a relative NEAR_TIE of the best are compared exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -81,7 +85,8 @@ def _mask_array(masks, width: int) -> np.ndarray:
 
 def _take(table: np.ndarray, row, cols: np.ndarray) -> np.ndarray:
     """Per column, the entry of `table` in `row`: one row for all columns
-    (a view, as in exact mode) or one row per column (a gather)."""
+    (a view, as in exact mode), or rows that broadcast against the columns,
+    such as one row per column (a gather)."""
     return table[row] if np.ndim(row) == 0 else table[row, cols]
 
 
@@ -101,31 +106,35 @@ def bit_index(bits: np.ndarray) -> np.ndarray:
 
 
 class PathBatch:
-    """Columns of coin configurations on decreasing sample paths.
+    """Columns of coin configurations on decreasing sample paths, for a
+    structure over the elements 0..n-1.
 
-    A subclass sets `structure`, `n`, `elements`, `bit_of`, `length` (2n),
-    `num_configs` (the column count), `elem` (per path position, the element
-    there: an id, or an array with one id per column), `heads` (length,
-    columns), `absent` (an int or one per column) and `w_val` (the path
-    values, (length,) or (length, columns)), and defines `y_index`,
-    `reward_index` and `sample_index`.
+    `elem` gives the element at each of the 2n path positions: a (2n,)
+    sequence when it is the same in every column, else (2n, columns).
+    `heads` is the (2n, columns) coin table, `w_val` the path values ((2n,)
+    or (2n, columns)), `absent` the index of the absent threshold (an int or
+    one per column) and `y_idx` each element's Y index ((n, 1) or (n,
+    columns)). `length` (2n), `num_configs` (the column count) and `n`
+    follow from the shape of `heads`. Subclasses provide `ridx` and `sidx`,
+    the (n, columns) path indices of every element's reward and sample.
     """
 
-    def _init_tables(self) -> None:
+    ridx: np.ndarray
+    sidx: np.ndarray
+
+    def __init__(self, structure, elem, heads, w_val, absent, y_idx) -> None:
+        self.structure = structure
+        self.elem = elem
+        self.heads = heads
+        self.w_val = w_val
+        self.absent = absent
+        self.y_idx = y_idx
+        self.length, self.num_configs = heads.shape
+        self.n = self.length // 2
         self.cols = np.arange(self.num_configs)
         self._free: dict[str, np.ndarray] = {}
         self._candidate: dict[str, np.ndarray] = {}
         self._vertex_thresholds: np.ndarray | None = None
-
-    # -- per-element reward/sample path indices ----------------------------
-
-    def reward_indices(self) -> np.ndarray:
-        """(n, columns) path index of every element's reward, by bit."""
-        return np.stack([self.reward_index(e) for e in self.elements])
-
-    def sample_indices(self) -> np.ndarray:
-        """(n, columns) path index of every element's sample, by bit."""
-        return np.stack([self.sample_index(e) for e in self.elements])
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         """The path values at (k, columns) path indices."""
@@ -222,13 +231,12 @@ class PathBatch:
         return free
 
     def _free_graphic(self, side_flags, fs: Graphic) -> np.ndarray:
-        if is_independent(fs, self.elements):
+        if is_independent(fs, range(self.n)):
             # A forest: an index is free unless its element's other index
             # came first and was parsed, closing a cycle with itself.
-            first = np.zeros((self.length, self.num_configs), dtype=bool)
-            for e in self.elements:
-                _put(first, self.y_index(e), self.cols, True)
-            return side_flags | first
+            free = side_flags.copy()
+            _put(free, self.y_idx, self.cols, True)
+            return free
         # Component labels per (column, vertex); joining relabels one side.
         ends = np.array(fs.edges, dtype=np.int64).reshape(-1, 2)
         cols = self.cols
@@ -277,12 +285,12 @@ class PathBatch:
     def matching_prices(self) -> np.ndarray:
         """(n, columns) the smaller threshold index of each edge's endpoints."""
         th = self.matching_vertex_thresholds()
-        u, v = np.array(self.structure.edges, dtype=np.int64).reshape(-1, 2)[self.elements].T
+        u, v = np.array(self.structure.edges, dtype=np.int64).reshape(-1, 2).T
         return np.minimum(th[u], th[v])
 
     def matching_exceeds(self) -> np.ndarray:
         """(n, columns) flags: element's reward beats both endpoint thresholds."""
-        return self.reward_indices() < self.matching_prices()
+        return self.ridx < self.matching_prices()
 
     def transversal_r_thresholds(self) -> np.ndarray:
         """(right nodes, columns) thresholds (path indices) from the
@@ -307,24 +315,26 @@ class PathBatch:
         the element's own sample."""
         fs = self.structure
         th = self.transversal_r_thresholds()
+        ridx = self.ridx
         out = np.full((self.n, self.num_configs), -1, dtype=np.int64)
-        for l in self.elements:
-            x = self.reward_index(l)
-            gate = x < self.sample_index(l)
-            found = np.zeros(self.num_configs, dtype=bool)
-            row = out[self.bit_of[l]]
+        found = self.sidx < ridx  # a reward below its own sample claims nothing
+        for l in range(self.n):
             for r in fs.sorted_neighbors(l):
-                ok = gate & (x < th[r]) & ~found
-                row[ok] = r
-                found |= ok
+                ok = (ridx[l] < th[r]) & ~found[l]
+                out[l, ok] = r
+                found[l] |= ok
         return out
 
     def transversal_prices(self) -> np.ndarray:
-        """(n, columns) the smaller of each element's target-node threshold
-        index and its own sample index."""
-        targets = np.maximum(self.transversal_targets(), 0)
-        node = np.take_along_axis(self.transversal_r_thresholds(), targets, axis=0)
-        return np.minimum(node, self.sample_indices())
+        """(n, columns) the threshold index of each element's target node,
+        or, with no target, the element's own sample index (the absent
+        threshold may lie past the path). A target's threshold never lies
+        below the sample index: that sample took the lowest neighbour still
+        free or found all of them taken by larger samples, and the target is
+        that neighbour or an earlier one."""
+        targets = self.transversal_targets()
+        node = np.take_along_axis(self.transversal_r_thresholds(), np.maximum(targets, 0), axis=0)
+        return np.where(targets >= 0, node, self.sidx)
 
     def laminar_accepts(self) -> np.ndarray:
         """(n, columns) online accept flags for the sample-optimum policy.
@@ -336,13 +346,8 @@ class PathBatch:
         Feasibility against the already-collected set is order-dependent and
         checked at replay time.
         """
-        free_t = self.free("T")
-        accept = np.zeros((self.n, self.num_configs), dtype=bool)
-        for e in self.elements:
-            jy = self.y_index(e)
-            heads, free = _take(self.heads, jy, self.cols), _take(free_t, jy, self.cols)
-            accept[self.bit_of[e]] = heads & free
-        return accept
+        jy = self.y_idx
+        return _take(self.heads, jy, self.cols) & _take(self.free("T"), jy, self.cols)
 
     def group_prices(self, group, count: int) -> np.ndarray:
         """(n, columns) path index of the largest sample in each element's
@@ -350,57 +355,57 @@ class PathBatch:
         column; index `count` means no group."""
         cols = self.cols
         group = np.asarray(group)
+        sidx = self.sidx
         thr = np.full((count + 1, self.num_configs), self.length, dtype=np.int64)
-        for e in self.elements:
-            g = group[self.bit_of[e]]
-            _put(thr, g, cols, np.minimum(_take(thr, g, cols), self.sample_index(e)))
+        for e in range(self.n):
+            g = group[e]
+            _put(thr, g, cols, np.minimum(_take(thr, g, cols), sidx[e]))
         return thr[group] if group.ndim == 1 else np.take_along_axis(thr, group, axis=0)
 
 
 class ConfigEnsemble(PathBatch):
-    """All 2**n configurations for one structure and fixed realizations."""
+    """All 2**n configurations for one structure and fixed realizations of
+    its elements 0..n-1; bit e of configuration c is element e's coin."""
 
-    def __init__(self, structure, realizations, cap: int = CONFIG_ENUMERATION_CAP) -> None:
-        self.structure = structure
+    def __init__(self, structure, realizations) -> None:
         self.path: SamplePath = build_sample_path(realizations)
         n = self.path.n
-        if n > cap:
-            raise CapExceededError(f"exact enumeration capped at n <= {cap}, got {n}")
-        ground = sorted({r.element for r in realizations})
-        self.elements = ground
-        self.bit_of = {e: i for i, e in enumerate(ground)}
-        self.n = n
-        self.num_configs = 1 << n
-
+        if n > CONFIG_ENUMERATION_CAP:
+            raise CapExceededError(
+                f"exact enumeration capped at n <= {CONFIG_ENUMERATION_CAP}, got {n}"
+            )
+        ids = sorted(r.element for r in realizations)
+        if ids != list(range(structure.ground_size)):
+            raise ValueError(
+                f"realizations must be of the elements 0..{structure.ground_size - 1}, "
+                f"got ids {ids}"
+            )
         entries = self.path.entries
-        self.length = len(entries)
-        self.w_val = np.array([e.value.value for e in entries])
-        # Index of the absent threshold: every positive value precedes it.
-        self.absent = int((self.w_val > 0).sum())
-        self.elem = [e.element for e in entries]
+        elem = [e.element for e in entries]
         self.is_y = np.array([e.label == "Y" for e in entries])
+        y_idx = np.array([[self.path.y_index(e)] for e in range(n)])
+        self._pair_sum = y_idx + np.array(self.path.partner)[y_idx]  # Y index + Z index
 
-        masks = np.arange(self.num_configs, dtype=np.int64)
-        bits = np.array([self.bit_of[e.element] for e in entries])
-        ybit = ((masks[None, :] >> bits[:, None]) & 1).astype(bool)
+        masks = np.arange(1 << n, dtype=np.int64)
+        ybit = ((masks[None, :] >> np.array(elem)[:, None]) & 1).astype(bool)
         # Coin at a Y index is heads exactly when the element bit is set.
-        self.heads = np.where(self.is_y[:, None], ybit, ~ybit)
-        self._init_tables()
+        heads = np.where(self.is_y[:, None], ybit, ~ybit)
+        w_val = np.array([e.value.value for e in entries])
+        # Index of the absent threshold: every positive value precedes it.
+        super().__init__(structure, elem, heads, w_val, int((w_val > 0).sum()), y_idx)
 
-    def y_index(self, e: int) -> int:
-        return self.path.y_index(e)
+    @cached_property
+    def ridx(self) -> np.ndarray:
+        """(n, configs) path index of every element's reward, made when
+        first read, one element at a time from views of `heads`."""
+        z_idx = self._pair_sum - self.y_idx
+        return np.stack([np.where(self.heads[y], y, z) for (y,), (z,) in zip(self.y_idx, z_idx)])
 
-    def reward_index(self, e: int) -> np.ndarray:
-        """Per config, the path index holding element e's reward."""
-        jy = self.path.y_index(e)
-        jz = self.path.partner[jy]
-        return np.where(self.heads[jy], jy, jz)
-
-    def sample_index(self, e: int) -> np.ndarray:
-        """Per config, the path index holding element e's sample."""
-        jy = self.path.y_index(e)
-        jz = self.path.partner[jy]
-        return np.where(self.heads[jy], jz, jy)
+    @property
+    def sidx(self) -> np.ndarray:
+        """(n, configs) path index of every element's sample, derived on
+        each read so that only `ridx` stays alive."""
+        return self._pair_sum - self.ridx
 
     def path_total(self, counts) -> Fraction:
         """Exact sum over path indices of value times count."""
@@ -531,14 +536,7 @@ class TrialBatch(PathBatch):
     def __init__(self, structure, draws: TrialDraws) -> None:
         values, tokens, coins = draws.values, draws.tokens, draws.coins
         n, trials = coins.shape
-        self.structure = structure
-        self.n = n
-        self.elements = list(range(n))
-        self.bit_of = {e: e for e in range(n)}
-        self.length = 2 * n
-        self.num_configs = trials
         self.values, self.tokens = values, tokens
-
         owner = np.tile(np.arange(n), 2)
         # Per trial, the rows in decreasing (value, tiebreak, element) order.
         desc = np.lexsort(
@@ -552,32 +550,15 @@ class TrialBatch(PathBatch):
         z_row = np.where(first, rows + n, rows)
         self.reward_rows = np.where(coins, y_row, z_row)
         self.sample_rows = np.where(coins, z_row, y_row)
-        self._y_index = np.minimum(pos[:n], pos[n:])
-        self._ridx = np.take_along_axis(pos, self.reward_rows, axis=0)
-        self._sidx = np.take_along_axis(pos, self.sample_rows, axis=0)
-
-        self.elem = owner[desc]
-        self.w_val = np.take_along_axis(values, desc, axis=0)
-        self.absent = (values > 0).sum(axis=0)
+        self.ridx = np.take_along_axis(pos, self.reward_rows, axis=0)
+        self.sidx = np.take_along_axis(pos, self.sample_rows, axis=0)
         # A coin shows heads at the path positions that hold rewards.
-        self.heads = np.zeros((2 * n, trials), dtype=bool)
-        np.put_along_axis(self.heads, self._ridx, True, axis=0)
-        self._init_tables()
-
-    def y_index(self, e: int) -> np.ndarray:
-        return self._y_index[e]
-
-    def reward_index(self, e: int) -> np.ndarray:
-        return self._ridx[e]
-
-    def sample_index(self, e: int) -> np.ndarray:
-        return self._sidx[e]
-
-    def reward_indices(self) -> np.ndarray:
-        return self._ridx
-
-    def sample_indices(self) -> np.ndarray:
-        return self._sidx
+        heads = np.zeros((2 * n, trials), dtype=bool)
+        np.put_along_axis(heads, self.ridx, True, axis=0)
+        super().__init__(
+            structure, owner[desc], heads, np.take_along_axis(values, desc, axis=0),
+            (values > 0).sum(axis=0), np.minimum(pos[:n], pos[n:]),
+        )
 
     def tagged(self, t: int) -> tuple[dict[int, TaggedValue], dict[int, TaggedValue]]:
         """Trial t's rewards and samples as tagged values."""
@@ -652,10 +633,10 @@ def transversal_table(t: Transversal) -> np.ndarray:
     return table
 
 
-def tables_fit(fs, n: int, cap: int) -> bool:
+def tables_fit(fs, n: int) -> bool:
     """Whether the subset tables of E_OPT cover this structure: at most
-    `cap` elements, and right nodes that fit a bitmask."""
-    return n <= cap and not (isinstance(fs, Transversal) and fs.right_count > MASK_BITS)
+    EXACT_MODE_CAP elements, and right nodes that fit a bitmask."""
+    return n <= EXACT_MODE_CAP and not (isinstance(fs, Transversal) and fs.right_count > MASK_BITS)
 
 
 def edges_touched(covered: np.ndarray, vmasks) -> np.ndarray:
@@ -664,14 +645,6 @@ def edges_touched(covered: np.ndarray, vmasks) -> np.ndarray:
     for e, m in enumerate(vmasks):
         out |= ((covered & m) != 0).astype(np.int64) << e
     return out
-
-
-def maximal_within(sets: np.ndarray, touched: np.ndarray, within: np.ndarray) -> np.ndarray:
-    """(columns, sets) flags: the set lies inside the column's element mask
-    `within`, and its `touched` mask covers it. For matchings S that says S
-    is a maximal matching of the edges in `within`."""
-    w = within[:, None]
-    return ((sets & ~w) == 0) & ((w & ~touched) == 0)
 
 
 def element_masks(flags: np.ndarray) -> np.ndarray:
@@ -809,8 +782,24 @@ def _exact_winners(
     return keep
 
 
+def maximal_within(
+    sets: np.ndarray, touched: np.ndarray, within: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which sets lie inside an element mask of `within` and have a
+    `touched` mask covering it; for matchings S that says S is a maximal
+    matching of the edges in the mask. Worked out once per distinct mask:
+    returns the (distinct masks, sets) flags and each column's row in them."""
+    masks, row = np.unique(within, return_inverse=True)
+    flags = np.empty((len(masks), len(sets)), dtype=bool)
+    step = max(1, _CHUNK_CELLS // len(sets))
+    for lo in range(0, len(masks), step):
+        w = masks[lo : lo + step, None]
+        flags[lo : lo + step] = ((sets & ~w) == 0) & ((w & ~touched) == 0)
+    return flags, row
+
+
 def _best_sets(
-    batch: PathBatch, ridx: np.ndarray, sets: np.ndarray, minimize: bool = False,
+    batch: PathBatch, sets: np.ndarray, minimize: bool = False,
     within: np.ndarray | None = None, touched: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per column, the first element mask in `sets` with the largest (or
@@ -818,9 +807,13 @@ def _best_sets(
     column) only the sets inside it whose `touched` mask covers it take
     part. Float totals pick the winner; where several lie within a relative
     NEAR_TIE of the best, their exact totals decide."""
-    n, configs = ridx.shape
+    n, configs = batch.ridx.shape
+    if within is not None:
+        allowed, row = maximal_within(sets, touched, within)
+        some = allowed.any(axis=0)  # a set no column allows is not scored
+        sets, allowed = sets[some], allowed[:, some]
     member = element_flags(sets, n).astype(float)  # (n, sets)
-    xval = batch.values_at(ridx)
+    xval = batch.values_at(batch.ridx)
     sign = -1.0 if minimize else 1.0
     chosen = np.empty(configs, dtype=np.int64)
     step = max(1, _CHUNK_CELLS // len(sets))
@@ -828,7 +821,7 @@ def _best_sets(
         hi = min(lo + step, configs)
         score = sign * (xval[:, lo:hi].T @ member)
         if within is not None:
-            score[~maximal_within(sets, touched, within[lo:hi])] = -np.inf
+            score[~allowed[row[lo:hi]]] = -np.inf
         best = score.max(axis=1, keepdims=True)
         near = score >= best - NEAR_TIE * np.abs(best)
         tied = np.flatnonzero(near.sum(axis=1) > 1)
@@ -838,7 +831,7 @@ def _best_sets(
     return chosen
 
 
-def optimum_accepts(batch: PathBatch, ridx: np.ndarray) -> np.ndarray:
+def optimum_accepts(batch: PathBatch) -> np.ndarray:
     """(n, columns) flags of a maximum-weight feasible set per column, for
     matching and transversal structures.
 
@@ -851,7 +844,7 @@ def optimum_accepts(batch: PathBatch, ridx: np.ndarray) -> np.ndarray:
     if isinstance(fs, Transversal):
         matchable = transversal_table(fs)
         chosen = np.zeros(batch.num_configs, dtype=np.int64)
-        for e in np.argsort(ridx, axis=0):  # largest rewards first
+        for e in np.argsort(batch.ridx, axis=0):  # largest rewards first
             grown = chosen | (np.int64(1) << e)
             chosen = np.where(matchable[grown], grown, chosen)
         return element_flags(chosen, n)
@@ -860,10 +853,10 @@ def optimum_accepts(batch: PathBatch, ridx: np.ndarray) -> np.ndarray:
     vmasks = vertex_masks(fs)
     is_matching, covered = matching_table(fs)
     maximal = is_matching & (edges_touched(covered, vmasks) == (1 << n) - 1)
-    return element_flags(_best_sets(batch, ridx, np.flatnonzero(maximal)), n)
+    return element_flags(_best_sets(batch, np.flatnonzero(maximal)), n)
 
 
-def min_maximal_accepts(batch: PathBatch, ridx: np.ndarray, live: np.ndarray) -> np.ndarray:
+def min_maximal_accepts(batch: PathBatch, live: np.ndarray) -> np.ndarray:
     """Batched `min_maximal_matching`: per column, the (n, columns) accepted
     flags of a minimum-weight maximal matching of the live edges, that is,
     of a matching inside the live set that touches every live edge."""
@@ -871,7 +864,7 @@ def min_maximal_accepts(batch: PathBatch, ridx: np.ndarray, live: np.ndarray) ->
     is_matching, covered = matching_table(batch.structure)
     sets = np.flatnonzero(is_matching)
     chosen = _best_sets(
-        batch, ridx, sets, minimize=True, within=element_masks(live),
+        batch, sets, minimize=True, within=element_masks(live),
         touched=edges_touched(covered[sets], vmasks),
     )
     return element_flags(chosen, batch.n)
@@ -895,15 +888,16 @@ class PolicyRun:
 
 def policy_runs(
     batch: PathBatch, policy: str, orders, searching: bool, groupings=(),
-) -> list[PolicyRun]:
+) -> Iterator[PolicyRun]:
     """The policy on every column of the batch: one run, or one run per
     (group, count) grouping for the reduction policies (`group` as in
-    `replay_group_counts`). `orders` holds each column's arrival order
-    (None: by element id). With `searching`, the adversary minimizes: for
-    matching that is a minimum-weight maximal matching of the live edges;
-    for every other policy it is the increasing order, which the caller
-    passes (see policies.adversarial_order). Prices are computed when read:
-    a run holds no (n, columns) table beyond its flags."""
+    `replay_group_counts`), made one at a time as they are read. `orders`
+    holds each column's arrival order (None: by element id). With
+    `searching`, the adversary minimizes: for matching that is a
+    minimum-weight maximal matching of the live edges; for every other
+    policy it is the increasing order, which the caller passes (see
+    policies.adversarial_order). Prices are computed when read: a run holds
+    no (n, columns) table beyond its flags."""
     fs = batch.structure
     if policy == "matching":
         if searching and batch.n > EXACT_MODE_CAP:
@@ -912,36 +906,37 @@ def policy_runs(
             )
         live = batch.matching_exceeds()
         if searching:
-            accepted = min_maximal_accepts(batch, batch.reward_indices(), live)
+            accepted = min_maximal_accepts(batch, live)
         else:
             accepted = replay_resources(live, vertex_masks(fs), orders)
-        return [PolicyRun(accepted, batch.matching_prices)]
-    if policy == "transversal":
+        yield PolicyRun(accepted, batch.matching_prices)
+    elif policy == "transversal":
         targets = batch.transversal_targets()
         nodes = target_bits(targets, fs.right_count)  # unused where targets < 0
-        return [PolicyRun(replay_resources(targets >= 0, nodes, orders), batch.transversal_prices)]
-    if policy == "laminar":
+        yield PolicyRun(replay_resources(targets >= 0, nodes, orders), batch.transversal_prices)
+    elif policy == "laminar":
         accepted = replay_group_counts(
             batch.laminar_accepts(), group_ids(fs.groups, batch.n), fs.group_capacities,
             fs.total_capacity, orders,
         )
-        return [PolicyRun(accepted, None)]
-    if policy == "rank1":
-        # One group of capacity 1: the groups of a truncated partition cover
-        # the ground set with capacities >= 1, so under a total capacity of 1
-        # they accept the same first live arrival.
-        groupings = [(np.zeros(batch.n, dtype=np.int64), 1)]
-    elif policy not in ("reduction-graphic", "reduction-custom"):
-        raise RuntimeError(f"policy {policy!r} has no batched evaluator")
-    ridx = batch.reward_indices()
-    return [_group_run(batch, ridx, group, count, orders) for group, count in groupings]
+        yield PolicyRun(accepted, None)
+    else:
+        if policy == "rank1":
+            # One group of capacity 1: the groups of a truncated partition
+            # cover the ground set with capacities >= 1, so under a total
+            # capacity of 1 they accept the same first live arrival.
+            groupings = [(np.zeros(batch.n, dtype=np.int64), 1)]
+        elif policy not in ("reduction-graphic", "reduction-custom"):
+            raise RuntimeError(f"policy {policy!r} has no batched evaluator")
+        for group, count in groupings:
+            yield _group_run(batch, group, count, orders)
 
 
-def _group_run(batch: PathBatch, ridx: np.ndarray, group, count: int, orders) -> PolicyRun:
+def _group_run(batch: PathBatch, group, count: int, orders) -> PolicyRun:
     """Each group takes its first arrival beating the group's largest sample
     in the tagged order, so a reward worth 0 can beat samples worth 0 by its
     tiebreak, as in the traced policies. Elements in no group stay out."""
-    live = ridx < batch.group_prices(group, count)
+    live = batch.ridx < batch.group_prices(group, count)
     accepted = replay_group_counts(live, group, (1,) * count, count, orders)
     return PolicyRun(accepted, lambda: batch.group_prices(group, count))
 

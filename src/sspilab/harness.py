@@ -95,13 +95,6 @@ def _ratio(e_opt, e_alg) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mean_total(ens: ConfigEnsemble, ridx, runs) -> Fraction:
-    """Exact mean reward total of (n, configs) accepted flags, averaged over
-    the configurations and the runs."""
-    counts = sum(np.bincount(ridx[acc], minlength=ens.length) for acc in runs)
-    return ens.path_total(counts) / (ens.num_configs * len(runs))
-
-
 def _vertex_order_groups(fs: Graphic, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For vertex orders given as the rows of `perms` (first vertex first):
     each vertex's rank, (vertices, orders), and each edge's group, (n,
@@ -126,19 +119,22 @@ def _exact_groupings(policy: str, instance: Instance) -> list:
 
 
 def _exact_alg(
-    ens: ConfigEnsemble, policy: str, adversary: str, instance: Instance, ridx
+    ens: ConfigEnsemble, policy: str, adversary: str, instance: Instance
 ) -> tuple[Fraction, int]:
     """Exact E_ALG and the z-violation count, averaged over every
-    configuration and, for the reductions, every partition."""
+    configuration and, for the reductions, every partition. Runs are summed
+    as they are made, so one is alive at a time."""
+    ridx = ens.ridx
     orders = None if adversary == "fixed" else np.argsort(-ridx, axis=0)
-    runs = [
-        run.accepted for run in policy_runs(
-            ens, policy, orders, adversary == "exhaustive-min", _exact_groupings(policy, instance)
-        )
-    ]
-    below = ridx > ens.sample_indices()  # rewards below their own sample
-    z_violations = sum(int((acc & below).sum()) for acc in runs)
-    return _mean_total(ens, ridx, runs), z_violations
+    counts = np.zeros(ens.length, dtype=np.int64)
+    z_violations = runs = 0
+    for run in policy_runs(
+        ens, policy, orders, adversary == "exhaustive-min", _exact_groupings(policy, instance)
+    ):
+        counts += np.bincount(ridx[run.accepted], minlength=ens.length)
+        z_violations += int((run.accepted & (ridx > ens.sidx)).sum())  # rewards below samples
+        runs += 1
+    return ens.path_total(counts) / (ens.num_configs * runs), z_violations
 
 
 def _exact_opt_prime(ens: ConfigEnsemble) -> Fraction:
@@ -146,10 +142,11 @@ def _exact_opt_prime(ens: ConfigEnsemble) -> Fraction:
     return ens.path_total(counts) / ens.num_configs
 
 
-def _exact_opt(ens: ConfigEnsemble, ridx) -> Fraction:
+def _exact_opt(ens: ConfigEnsemble) -> Fraction:
     if not isinstance(ens.structure, (GeneralMatching, Transversal)):
         return _exact_opt_prime(ens)  # matroid greedy is exact
-    return _mean_total(ens, ridx, [optimum_accepts(ens, ridx)])
+    counts = np.bincount(ens.ridx[optimum_accepts(ens)], minlength=ens.length)
+    return ens.path_total(counts) / ens.num_configs
 
 
 def estimate_ratio_exact(
@@ -168,10 +165,9 @@ def estimate_ratio_exact(
     if n > EXACT_MODE_CAP:
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
     realizations = instance.draw_realizations(trial_rng(seed, 0))
-    ens = ConfigEnsemble(instance.structure, realizations, cap=EXACT_MODE_CAP)
-    ridx = ens.reward_indices()
-    e_opt = _exact_opt(ens, ridx)  # first: its tables hold the bitmask caps
-    e_alg, z_violations = _exact_alg(ens, policy, adversary, instance, ridx)
+    ens = ConfigEnsemble(instance.structure, realizations)
+    e_opt = _exact_opt(ens)  # first: its tables hold the bitmask caps
+    e_alg, z_violations = _exact_alg(ens, policy, adversary, instance)
     e_opt_prime = _exact_opt_prime(ens)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RatioReport(
@@ -222,12 +218,12 @@ class TrialOutcome:
     z_violations: np.ndarray  # (n, trials): accepted rewards below their sample
 
 
-def _mc_optimum(batch: TrialBatch, ridx: np.ndarray) -> np.ndarray:
+def _mc_optimum(batch: TrialBatch) -> np.ndarray:
     """(n, trials) flags of a maximum-weight feasible set per trial, for
     matching and transversal structures: from the subset tables where they
     fit, else from the scalar oracle on each trial's rewards."""
-    if tables_fit(batch.structure, batch.n, EXACT_MODE_CAP):
-        return optimum_accepts(batch, ridx)
+    if tables_fit(batch.structure, batch.n):
+        return optimum_accepts(batch)
     flags = np.zeros((batch.n, batch.num_configs), dtype=bool)
     for t in range(batch.num_configs):
         rewards, _ = batch.tagged(t)
@@ -251,13 +247,13 @@ def _reduction_groupings(instance: Instance, policy: str, draws: TrialDraws | No
     return None, []
 
 
-def optimum_totals(batch: TrialBatch, ridx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def optimum_totals(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
     """Per trial, the float totals of E_OPT (a maximum-weight feasible set
     of the rewards) and of E_OPT_PRIME (the greedy on the rewards, which is
     optimal on a matroid)."""
     opt_prime = batch.path_sums(batch.heads & batch.free("H"))
     if isinstance(batch.structure, (GeneralMatching, Transversal)):
-        return (batch.values_at(ridx) * _mc_optimum(batch, ridx)).sum(axis=0), opt_prime
+        return (batch.values_at(batch.ridx) * _mc_optimum(batch)).sum(axis=0), opt_prime
     return opt_prime, opt_prime
 
 
@@ -276,7 +272,7 @@ def mc_trials(
     draws = draw_trials([instance.distributions[e] for e in range(n)], seed, trials, sizes)
     batch = TrialBatch(fs, draws)
     ranks, groupings = _reduction_groupings(instance, policy, draws)
-    ridx = batch.reward_indices()
+    ridx = batch.ridx
     if adversary == "fixed":
         orders = None
     elif adversary == "random":
@@ -285,7 +281,7 @@ def mc_trials(
         orders = np.argsort(-ridx, axis=0)
     (run,) = policy_runs(batch, policy, orders, adversary == "exhaustive-min", groupings)
     accepted = run.accepted
-    opt, opt_prime = optimum_totals(batch, ridx)
+    opt, opt_prime = optimum_totals(batch)
     return TrialOutcome(
         batch=batch,
         orders=orders,
@@ -294,7 +290,7 @@ def mc_trials(
         alg=(batch.values_at(ridx) * accepted).sum(axis=0),
         opt=opt,
         opt_prime=opt_prime,
-        z_violations=accepted & (ridx > batch.sample_indices()),
+        z_violations=accepted & (ridx > batch.sidx),
     )
 
 

@@ -139,15 +139,15 @@ def optimal_posted_price_revenue(
         else:
             hi = max(hi, -math.log(1e-9) / d.params[0])
     grid = np.linspace(0.0, hi, grid_points + 1).tolist()
-    best_price, best_revenue = 0.0, 0.0
-    for p in sorted(set(grid) | candidates):
-        miss = 1.0
-        for d in distributions.values():
-            miss *= 1.0 - d.prob_at_least(p)
-        revenue = p * (1.0 - miss)
-        if revenue > best_revenue:
-            best_price, best_revenue = p, revenue
-    return best_price, best_revenue
+    prices = np.array(sorted(set(grid) | candidates))
+    miss = np.ones(len(prices))
+    for d in distributions.values():
+        miss *= 1.0 - d.prob_at_least(prices)
+    revenue = prices * (1.0 - miss)
+    best = int(np.argmax(revenue))  # the first of equal maxima
+    if revenue[best] <= 0.0:
+        return 0.0, 0.0
+    return float(prices[best]), float(revenue[best])
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +224,8 @@ def mechanism_trials(
         np.concatenate([pricing_tokens, valuation_tokens]),
         ~beaten, (),
     ))
-    ridx = batch.reward_indices()
     ranks, groupings = _reduction_groupings(instance, policy, draws)
-    (run,) = policy_runs(batch, policy, np.argsort(-ridx, axis=0), False, groupings)
+    (run,) = policy_runs(batch, policy, np.argsort(-batch.ridx, axis=0), False, groupings)
     accepted = run.accepted
     winners = accepted & ~(valuations < reserves)
     critical = (
@@ -252,7 +251,7 @@ def mechanism_trials(
         payments=payments,
         welfare=np.cumsum(np.where(winners, valuations, 0.0), axis=0)[-1],
         revenue=np.cumsum(payments, axis=0)[-1],
-        opt=optimum_totals(batch, ridx)[0],
+        opt=optimum_totals(batch)[0],
     )
 
 

@@ -1,6 +1,7 @@
 """The vectorized configuration tables must agree cell-for-cell with the
 scalar reference implementations."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import sspilab.exact as exact_module
+from sspilab.analysis import verify_lemma
 from sspilab.core import (
     Configuration,
     ElementRealization,
@@ -64,6 +66,17 @@ def test_heads_table_matches_configurations(rng):
         config = Configuration.from_heads_mask(path, mask)
         for j in range(path.length):
             assert bool(ens.heads[j, mask]) == (config.coins[j] == "H")
+
+
+@pytest.mark.parametrize("ids", [(0, 2), (0, 1, 5)], ids=["gap", "beyond"])
+def test_ensemble_rejects_element_ids_it_cannot_index(ids):
+    # Configuration bit e is element e's coin, so the realizations must be of
+    # the elements 0..n-1 of the structure, no fewer and no others.
+    fs = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
+    reals = [ElementRealization(e, tv(0.91 - 0.1 * k, 0.5, e), tv(0.3 - 0.1 * k, 0.25, e))
+             for k, e in enumerate(ids)]
+    with pytest.raises(ValueError, match=re.escape(f"got ids {list(ids)}")):
+        verify_lemma("match-sufficient", fs, reals)
 
 
 # A forest (the walk's shortcut) and a cycle (the relabel loop).
@@ -122,9 +135,8 @@ def test_reward_and_sample_indices(rng):
             reals = inst.draw_realizations(rng)
             path = build_sample_path(reals)
             ens = ConfigEnsemble(inst.structure, reals)
-            ridx = ens.reward_indices()
-            for e in ens.elements:
-                assert (ridx[ens.bit_of[e]] == ens.reward_index(e)).all()
+            ridx, sidx = ens.ridx, ens.sidx
+            assert (np.minimum(ridx, sidx) == ens.y_idx).all()
             for mask in range(ens.num_configs):
                 rewards, samples = {}, {}
                 for r in reals:
@@ -132,15 +144,15 @@ def test_reward_and_sample_indices(rng):
                         rewards[r.element], samples[r.element] = r.y, r.z
                     else:
                         rewards[r.element], samples[r.element] = r.z, r.y
-                for e in ens.elements:
-                    i = int(ens.reward_index(e)[mask])
+                for e in range(ens.n):
+                    i = int(ridx[e, mask])
                     assert path.entries[i].value == rewards[e]
-                    assert path.entries[int(ens.sample_index(e)[mask])].value == samples[e]
+                    assert path.entries[int(sidx[e, mask])].value == samples[e]
                     assert (i < ens.absent) == beats(rewards[e], None)
-                    for f in ens.elements:
-                        j = int(ridx[ens.bit_of[f], mask])
+                    for f in range(ens.n):
+                        j = int(ridx[f, mask])
                         assert (i < j) == (rewards[e] > rewards[f])
-                        s = int(ens.sample_index(f)[mask])
+                        s = int(sidx[f, mask])
                         assert (i < s) == (rewards[e] > samples[f])
 
 
@@ -262,10 +274,9 @@ def test_best_matchings_settle_float_ties():
     g = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
     tiny = 2.0**-53
     ens = ConfigEnsemble(g, make_realizations([(1.0, 1.0), (1.0, 1.0), (tiny, tiny)]))
-    ridx = ens.reward_indices()
     live = np.ones((3, ens.num_configs), dtype=bool)
-    assert element_masks(min_maximal_accepts(ens, ridx, live)).tolist() == [0b010] * ens.num_configs
-    assert element_masks(optimum_accepts(ens, ridx)).tolist() == [0b101] * ens.num_configs
+    assert element_masks(min_maximal_accepts(ens, live)).tolist() == [0b010] * ens.num_configs
+    assert element_masks(optimum_accepts(ens)).tolist() == [0b101] * ens.num_configs
 
 
 @pytest.mark.parametrize("cells", [1 << 20, 1])
@@ -278,10 +289,9 @@ def test_best_matchings_settle_ties_across_wide_exponents(cells, monkeypatch):
     big, tiny = 1e308, 5e-324
     ens = ConfigEnsemble(g, make_realizations([(big, big), (big, big), (tiny, tiny)]))
     assert exact_module._exact_scale(ens.w_val)[2] == 68  # digits
-    ridx = ens.reward_indices()
     live = np.ones((3, ens.num_configs), dtype=bool)
-    assert element_masks(min_maximal_accepts(ens, ridx, live)).tolist() == [0b010] * ens.num_configs
-    assert element_masks(optimum_accepts(ens, ridx)).tolist() == [0b101] * ens.num_configs
+    assert element_masks(min_maximal_accepts(ens, live)).tolist() == [0b010] * ens.num_configs
+    assert element_masks(optimum_accepts(ens)).tolist() == [0b101] * ens.num_configs
 
 
 def _traced_exact_alg(inst, policy, adversary, seed):
@@ -369,7 +379,7 @@ def test_group_thresholds_are_tagged_largest_samples():
         ElementRealization(1, tv(1.0, 0.5, 1), tv(0.0, 0.2, 1)),
     ]
     ens = ConfigEnsemble(fs, reals)
-    (run,) = policy_runs(ens, "rank1", np.argsort(-ens.reward_indices(), axis=0), False)
+    (run,) = policy_runs(ens, "rank1", np.argsort(-ens.ridx, axis=0), False)
     acc = run.accepted
     for mask in range(4):
         rewards, samples = {}, {}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -116,6 +117,24 @@ class TestExactMode:
             acc += rep.e_alg
             count += 1
         assert got.e_alg == acc / count
+
+    def test_exact_reduction_graphic_keeps_one_vertex_order_alive(self):
+        # 720 vertex orders of (11, 2048) flags each: about 16 MB when all
+        # of them are held at once, about 1 MB when each is summed as made.
+        edges = ((3, 5), (2, 5), (0, 4), (1, 3), (3, 4), (0, 4), (3, 1), (0, 4), (2, 4),
+                 (3, 5), (4, 2))
+        inst = Instance("g6", Graphic(6, edges), {e: uniform(0.0, 1.0 + e) for e in range(11)})
+        tracemalloc.start()
+        try:
+            report = estimate_ratio(
+                inst, "reduction-graphic", adversary="increasing", mode="exact", seed=1
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert report.e_alg == Fraction(9660997568636604071, 864691128455135232)
+        assert report.z_violations == 0
 
     def test_exact_mode_caps(self, rng, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "1")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -118,6 +119,69 @@ class TestPostedPriceBenchmark:
         d = discrete([1.0, 4.0], [0.5, 0.5])
         price, revenue = optimal_posted_price_revenue({0: d, 1: d})
         assert price == 4.0 and revenue == pytest.approx(3.0)
+
+    @staticmethod
+    def _prob_at_least(d, x):
+        # The scalar law tails of the price scan below.
+        if d.kind == "point-mass":
+            return 1.0 if d.params[0] >= x else 0.0
+        if d.kind == "discrete":
+            return sum(w for v, w in zip(d.atoms, d.weights) if v >= x)
+        if d.kind == "uniform":
+            a, b = d.params
+            return min(1.0, max(0.0, (b - x) / (b - a)))
+        return math.exp(-d.params[0] * x) if x > 0 else 1.0
+
+    def _scan(self, distributions, grid_points):
+        # The one-price-at-a-time scan that the batched benchmark replaced.
+        candidates, hi = set(), 0.0
+        for d in distributions.values():
+            if d.kind == "point-mass":
+                candidates.add(d.params[0])
+                hi = max(hi, d.params[0])
+            elif d.kind == "discrete":
+                candidates.update(d.atoms)
+                hi = max(hi, max(d.atoms))
+            elif d.kind == "uniform":
+                hi = max(hi, d.params[1])
+            else:
+                hi = max(hi, -math.log(1e-9) / d.params[0])
+        best_price, best_revenue = 0.0, 0.0
+        for p in sorted(set(np.linspace(0.0, hi, grid_points + 1).tolist()) | candidates):
+            miss = 1.0
+            for d in distributions.values():
+                miss *= 1.0 - self._prob_at_least(d, p)
+            revenue = p * (1.0 - miss)
+            if revenue > best_revenue:
+                best_price, best_revenue = p, revenue
+        return best_price, best_revenue
+
+    def test_matches_the_price_scan(self, rng):
+        # Point masses and discrete atoms sit on grid points, where a price
+        # is both a candidate and a grid price and revenues tie.
+        for _ in range(300):
+            hi = float(rng.integers(1, 9))
+            grid_points = int(rng.choice([8, 40, 4000]))
+            on_grid = np.linspace(0.0, hi, grid_points + 1)
+            dists = {0: uniform(0.0, hi)} if rng.random() < 0.5 else {0: point_mass(hi)}
+            for e in range(1, int(rng.integers(1, 6))):
+                kind = rng.integers(4)
+                if kind == 0:
+                    dists[e] = point_mass(float(rng.choice(on_grid)))
+                elif kind == 1:
+                    size = int(rng.integers(1, 4))
+                    atoms = np.sort(rng.choice(on_grid, size=size, replace=False))
+                    weights = rng.dirichlet(np.ones(len(atoms)))
+                    weights[-1] = 1.0 - weights[:-1].sum()
+                    dists[e] = discrete(atoms.tolist(), weights.tolist())
+                elif kind == 2:
+                    a = float(rng.uniform(0.0, hi))
+                    dists[e] = uniform(a, float(rng.uniform(a + 0.1, hi + 1.0)))
+                else:
+                    dists[e] = exponential(float(rng.choice([0.5, 1.0, 2.0, 3.7])))
+            want = self._scan(dists, grid_points)
+            assert optimal_posted_price_revenue(dists, grid_points) == want, dists
+        assert optimal_posted_price_revenue({0: point_mass(0.0)}) == (0.0, 0.0)
 
 
 class TestEstimateRatios:
@@ -362,7 +426,7 @@ def test_prices_are_the_traced_critical_values(policy, rng):
         draws = draw_trials([inst.distributions[e] for e in range(n)], i, range(40), sizes)
         batch = TrialBatch(fs, draws)
         ranks, groupings = _reduction_groupings(inst, policy, draws)
-        orders = np.argsort(-batch.reward_indices(), axis=0)
+        orders = np.argsort(-batch.ridx, axis=0)
         (run,) = policy_runs(batch, policy, orders, False, groupings)
         if run.price is None:  # laminar: a contraction, not a threshold
             critical = mechanism._laminar_critical(batch, run.accepted)
