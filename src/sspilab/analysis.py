@@ -30,8 +30,8 @@ from .core import (
     validate_configuration,
 )
 from .exact import (
-    EXACT_MODE_CAP, ConfigEnsemble, bit_index, edges_touched, element_masks, matching_table,
-    maximal_within, policy_runs, vertex_masks,
+    _CHUNK_CELLS, EXACT_MODE_CAP, ConfigEnsemble, bit_index, edges_touched, element_masks,
+    matching_table, maximal_within, policy_runs, vertex_masks,
 )
 from .feasibility import (
     FeasibilityStructure,
@@ -407,8 +407,13 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
             at.append(np.where(meets != 0, bit_index(meets), n))
         pairs, pair_of = np.unique(np.stack(at), axis=1, return_inverse=True)
         cols = np.flatnonzero(support[j])
-        maximal, live_of = maximal_within(sets, touched, live[cols])  # (lives, sets)
-        reached = maximal @ (pair_of[:, None] == np.arange(pairs.shape[1]))  # (lives, pairs)
+        lives, live_of = np.unique(live[cols], return_inverse=True)
+        onehot = pair_of[:, None] == np.arange(pairs.shape[1])  # (sets, pairs)
+        reached = np.empty((len(lives), pairs.shape[1]), dtype=bool)
+        step = max(1, _CHUNK_CELLS // len(sets))
+        for lo in range(0, len(lives), step):
+            ok = maximal_within(sets, touched, lives[lo : lo + step])  # (lives, sets)
+            reached[lo : lo + step] = ok @ onehot
         total = xval[pairs[0][:, None], cols] + xval[pairs[1][:, None], cols]  # (pairs, cols)
         total[~reached[live_of].T] = np.inf
         worst[j, cols] = total.min(axis=0)

@@ -317,7 +317,7 @@ class PathBatch:
         th = self.transversal_r_thresholds()
         ridx = self.ridx
         out = np.full((self.n, self.num_configs), -1, dtype=np.int64)
-        found = self.sidx < ridx  # a reward below its own sample claims nothing
+        found = ridx > self.y_idx  # a reward at its Z index, below its sample, claims nothing
         for l in range(self.n):
             for r in fs.sorted_neighbors(l):
                 ok = (ridx[l] < th[r]) & ~found[l]
@@ -782,20 +782,12 @@ def _exact_winners(
     return keep
 
 
-def maximal_within(
-    sets: np.ndarray, touched: np.ndarray, within: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which sets lie inside an element mask of `within` and have a
-    `touched` mask covering it; for matchings S that says S is a maximal
-    matching of the edges in the mask. Worked out once per distinct mask:
-    returns the (distinct masks, sets) flags and each column's row in them."""
-    masks, row = np.unique(within, return_inverse=True)
-    flags = np.empty((len(masks), len(sets)), dtype=bool)
-    step = max(1, _CHUNK_CELLS // len(sets))
-    for lo in range(0, len(masks), step):
-        w = masks[lo : lo + step, None]
-        flags[lo : lo + step] = ((sets & ~w) == 0) & ((w & ~touched) == 0)
-    return flags, row
+def maximal_within(sets: np.ndarray, touched: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """(masks, sets) flags: the set lies inside the element mask `within`
+    of the row, and its `touched` mask covers it. For matchings S that says
+    S is a maximal matching of the edges in the mask."""
+    w = within[:, None]
+    return ((sets & ~w) == 0) & ((w & ~touched) == 0)
 
 
 def _best_sets(
@@ -805,29 +797,34 @@ def _best_sets(
     """Per column, the first element mask in `sets` with the largest (or
     smallest) exact reward total. With `within` (one element mask per
     column) only the sets inside it whose `touched` mask covers it take
-    part. Float totals pick the winner; where several lie within a relative
-    NEAR_TIE of the best, their exact totals decide."""
+    part: the columns go in the order of their masks, so a block of them
+    holds few distinct masks, and each block scores only the sets one of
+    its masks allows. Float totals pick the winner; where several lie
+    within a relative NEAR_TIE of the best, their exact totals decide."""
     n, configs = batch.ridx.shape
-    if within is not None:
-        allowed, row = maximal_within(sets, touched, within)
-        some = allowed.any(axis=0)  # a set no column allows is not scored
-        sets, allowed = sets[some], allowed[:, some]
     member = element_flags(sets, n).astype(float)  # (n, sets)
     xval = batch.values_at(batch.ridx)
     sign = -1.0 if minimize else 1.0
     chosen = np.empty(configs, dtype=np.int64)
+    order = np.arange(configs) if within is None else np.argsort(within, kind="stable")
     step = max(1, _CHUNK_CELLS // len(sets))
     for lo in range(0, configs, step):
-        hi = min(lo + step, configs)
-        score = sign * (xval[:, lo:hi].T @ member)
+        cols = order[lo : lo + step]
+        x, scored, flags = xval[:, cols], sets, member
         if within is not None:
-            score[~allowed[row[lo:hi]]] = -np.inf
+            masks, row = np.unique(within[cols], return_inverse=True)
+            allowed = maximal_within(sets, touched, masks)  # (masks, sets)
+            some = allowed.any(axis=0)
+            scored, flags, allowed = sets[some], member[:, some], allowed[:, some]
+        score = sign * (x.T @ flags)
+        if within is not None:
+            score[~allowed[row]] = -np.inf
         best = score.max(axis=1, keepdims=True)
         near = score >= best - NEAR_TIE * np.abs(best)
         tied = np.flatnonzero(near.sum(axis=1) > 1)
         if len(tied):
-            near[tied] = _exact_winners(xval[:, lo + tied], member, near[tied], minimize)
-        chosen[lo:hi] = sets[near.argmax(axis=1)]
+            near[tied] = _exact_winners(x[:, tied], flags, near[tied], minimize)
+        chosen[cols] = scored[near.argmax(axis=1)]
     return chosen
 
 

@@ -132,7 +132,7 @@ def _exact_alg(
         ens, policy, orders, adversary == "exhaustive-min", _exact_groupings(policy, instance)
     ):
         counts += np.bincount(ridx[run.accepted], minlength=ens.length)
-        z_violations += int((run.accepted & (ridx > ens.sidx)).sum())  # rewards below samples
+        z_violations += int((run.accepted & (ridx > ens.y_idx)).sum())  # rewards at Z indices
         runs += 1
     return ens.path_total(counts) / (ens.num_configs * runs), z_violations
 
@@ -290,7 +290,7 @@ def mc_trials(
         alg=(batch.values_at(ridx) * accepted).sum(axis=0),
         opt=opt,
         opt_prime=opt_prime,
-        z_violations=accepted & (ridx > batch.sidx),
+        z_violations=accepted & (ridx > batch.y_idx),
     )
 
 

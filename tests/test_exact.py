@@ -2,6 +2,7 @@
 scalar reference implementations."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -292,6 +293,38 @@ def test_best_matchings_settle_ties_across_wide_exponents(cells, monkeypatch):
     live = np.ones((3, ens.num_configs), dtype=bool)
     assert element_masks(min_maximal_accepts(ens, live)).tolist() == [0b010] * ens.num_configs
     assert element_masks(optimum_accepts(ens)).tolist() == [0b101] * ens.num_configs
+
+
+def test_min_maximal_matchings_do_not_depend_on_the_block_size(monkeypatch):
+    # With one column per block, every block holds one live set.
+    inst = random_instance("matching", 8, np.random.default_rng(7))
+    ens = ConfigEnsemble(inst.structure, inst.draw_realizations(trial_rng(7, 0)))
+    live = ens.matching_exceeds()
+    assert len(np.unique(element_masks(live))) > 1
+    whole = min_maximal_accepts(ens, live)
+    monkeypatch.setattr(exact_module, "_CHUNK_CELLS", 1)
+    assert (min_maximal_accepts(ens, live) == whole).all()
+
+
+def test_matching_search_memory_is_bounded_with_distinct_live_sets():
+    # 13 disjoint edges: each edge is live on its own coin, so all 8,192
+    # configurations have distinct live sets, and all 8,192 edge subsets are
+    # matchings. A (live sets, matchings) table would take 64 MB.
+    k = 13
+    fs = GeneralMatching(2 * k, tuple((2 * i, 2 * i + 1) for i in range(k)))
+    inst = Instance("disjoint", fs, {e: uniform(0.0, 1.0 + e) for e in range(k)})
+    tracemalloc.start()
+    try:
+        worst = estimate_ratio(inst, "matching", adversary="exhaustive-min", mode="exact", seed=1)
+        report = verify_lemma("match-sufficient", fs, inst.draw_realizations(trial_rng(1, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    # Every arrival order accepts every live edge.
+    inc = estimate_ratio(inst, "matching", adversary="increasing", mode="exact", seed=1)
+    assert worst.e_alg == inc.e_alg
+    assert report.passed
 
 
 def _traced_exact_alg(inst, policy, adversary, seed):
