@@ -17,6 +17,7 @@ worker count.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -45,7 +46,10 @@ from .policies import check_policy
 
 EXACT_SIGMA_VERTEX_CAP = 6
 MC_CHUNK = 2048
-TIGHT_CELLS = 1 << 22  # (trial, leaf) cells per tight-example block; caps k
+# (trial, leaf) cells per tight-example block: fixes the draw order, caps k
+TIGHT_CELLS = 1 << 22
+# (trial, leaf) cells per tight-example tile: bounds the memory
+TIGHT_TILE_CELLS = 1 << 15
 WORKERS_ENV = "SSPILAB_WORKERS"
 
 CSV_HEADER = (
@@ -381,8 +385,10 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     collected iff its reward beats its own sample; the center group collects
     the smallest reward beating the largest sample in the group.
 
-    Blocks of at most 20,000 trials and TIGHT_CELLS (trial, leaf) cells bound
-    the memory; they fix the draw order, smaller blocks from k = 210 on.
+    Blocks of at most 20,000 trials and TIGHT_CELLS (trial, leaf) cells fix
+    the draw order (smaller blocks from k = 210 on) and cap k. Each block is
+    evaluated in tiles of about TIGHT_TILE_CELLS cells read from the same
+    stream positions, so the memory is bounded by the tile, not by --trials.
     """
     if k < 2:
         raise ValueError("need k >= 2")
@@ -391,25 +397,40 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     if trials < 1:
         raise ValueError("need trials >= 1")
     start_time = time.perf_counter()
-    rng = np.random.default_rng((seed, 0))
+    bits = np.random.default_rng((seed, 0)).bit_generator
     lo = 1.0 - 1.0 / k
+    tile = max(1, TIGHT_TILE_CELLS // k)
     sums = np.zeros(4)  # alg, alg^2, opt, opt^2
     done = 0
     while done < trials:
         block = min(20_000, TIGHT_CELLS // k, trials - done)
-        rewards = rng.uniform(lo, 1.0, size=(block, k))
-        samples = rng.uniform(lo, 1.0, size=(block, k))
-        center_rank = rng.uniform(size=(block, 1))
-        leaf_rank = rng.uniform(size=(block, k))
-        leaf_owned = leaf_rank < center_rank
-        leaf_take = leaf_owned & (rewards > samples)
-        alg = (rewards * leaf_take).sum(axis=1)
-        center = ~leaf_owned
-        center_threshold = np.where(center, samples, -np.inf).max(axis=1)
-        exceed = center & (rewards > center_threshold[:, None])
-        center_pick = np.where(exceed, rewards, np.inf).min(axis=1)
-        alg += np.where(np.isfinite(center_pick), center_pick, 0.0)
-        opt = rewards.sum(axis=1)
+        cells = block * k
+        # One 64-bit draw per double: the block's rewards, samples, center
+        # ranks and leaf ranks lie back to back in the stream from here.
+        rewards_rng, samples_rng, center_rng, leaf_rng = (
+            np.random.Generator(copy.deepcopy(bits).advance(at))
+            for at in (0, cells, 2 * cells, 2 * cells + block)
+        )
+        bits.advance(3 * cells + block)
+        alg = np.empty(block)
+        opt = np.empty(block)
+        for first in range(0, block, tile):
+            rows = slice(first, min(first + tile, block))
+            shape = (rows.stop - first, k)
+            rewards = rewards_rng.uniform(lo, 1.0, size=shape)
+            samples = samples_rng.uniform(lo, 1.0, size=shape)
+            center_rank = center_rng.random((shape[0], 1))
+            leaf_owned = leaf_rng.random(shape) < center_rank
+            alg[rows] = (rewards * (leaf_owned & (rewards > samples))).sum(axis=1)
+            center = ~leaf_owned
+            # Samples are >= 1 - 1/k > 0: with the leaves' samples zeroed the
+            # max is the center's largest sample (0 if it has none, and then
+            # `exceed` is all False).
+            center_threshold = (samples * center).max(axis=1)
+            exceed = center & (rewards > center_threshold[:, None])
+            center_pick = np.min(rewards, axis=1, where=exceed, initial=np.inf)
+            alg[rows] += np.where(np.isfinite(center_pick), center_pick, 0.0)
+            opt[rows] = rewards.sum(axis=1)
         sums += (alg.sum(), (alg * alg).sum(), opt.sum(), (opt * opt).sum())
         done += block
     means, half = mc_summary(sums, trials)

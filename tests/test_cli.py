@@ -356,6 +356,8 @@ def test_tight_example_k_cap_and_bounded_blocks(capsys):
     assert "capped at k <=" in capsys.readouterr().err
     assert main(["--trials", "1", "tight-example", "--k", str((1 << 22) + 1)]) == 3
     capsys.readouterr()
+    assert main(["--trials", "1", "tight-example", "--k", str(1 << 22)]) == 0
+    capsys.readouterr()
     # 10^4 leaves: blocks of 419 trials instead of 20,000.
     assert main(["--trials", "3", "tight-example", "--k", "10000"]) == 0
     assert json.loads(capsys.readouterr().out)["ratio"]

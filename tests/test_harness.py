@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sspilab import harness
 from sspilab.core import (
     CapExceededError,
     Configuration,
@@ -231,6 +232,28 @@ class TestMonteCarlo:
         assert worst.e_alg == inc.e_alg
 
 
+# (k, trials, seed, E_ALG, E_OPT, E_OPT', ci) of tight_example as it was when
+# it drew and evaluated each block as four whole arrays. 20,001 trials is a
+# multiple of neither the tile nor the block; k = 210 has 19,972-trial blocks
+# and k = 10,000 has 419-trial blocks.
+TIGHT_PINS = [
+    (2, 20_001, 1,
+     0.6953197101554435, 1.499344192359512, 1.499344192359512, 0.008069080921818926),
+    (200, 20_001, 0,
+     50.34755195209542, 199.5000109861865, 199.5000109861865, 0.4065096478855893),
+    (200, 45_000, 3,
+     50.61184727153543, 199.50015213377887, 199.50015213377887, 0.2724412910585794),
+    (210, 40_000, 2,
+     53.05435574572549, 209.50013493675877, 209.50013493675877, 0.30227357800851984),
+    (10_000, 1_000, 5,
+     2579.560038507188, 9999.500082135315, 9999.500082135315, 90.60117452220756),
+    (7, 5_000, 4,
+     2.0814946190236907, 6.49994777900633, 6.49994777900633, 0.038913987055815495),
+    (50, 20_001, 5,
+     12.792058735254269, 49.500327679546174, 49.500327679546174, 0.1067249269431656),
+]
+
+
 class TestTightExample:
     def test_vectorized_rule_matches_traced_policy(self, rng):
         # Same draws fed to both the vectorized simulator's rule and the
@@ -261,6 +284,35 @@ class TestTightExample:
                 if exceed.any():
                     alg += rewards_f[exceed].min()
             assert trace.chosen.total == pytest.approx(alg, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "k, trials, seed, e_alg, e_opt, e_opt_prime, ci", TIGHT_PINS,
+        ids=[f"k{k}-trials{t}-seed{s}" for k, t, s, *_ in TIGHT_PINS],
+    )
+    def test_outputs_are_pinned(self, k, trials, seed, e_alg, e_opt,
+                                e_opt_prime, ci):
+        rep = tight_example(k, trials=trials, seed=seed)
+        assert (rep.e_alg, rep.e_opt, rep.e_opt_prime, rep.ci) == (
+            e_alg, e_opt, e_opt_prime, ci
+        )
+
+    def test_outputs_do_not_depend_on_the_tile(self, monkeypatch):
+        k = 50
+        want = tight_example(k, trials=2_001, seed=9)
+        for cells in (1, 7 * k, 1 << 22):
+            monkeypatch.setattr(harness, "TIGHT_TILE_CELLS", cells)
+            rep = tight_example(k, trials=2_001, seed=9)
+            assert (rep.e_alg, rep.e_opt, rep.ci) == (want.e_alg, want.e_opt, want.ci)
+
+    @pytest.mark.parametrize("k, trials", [(200, 60_000), (10_000, 3)])
+    def test_memory_is_bounded_by_the_tile(self, k, trials):
+        tracemalloc.start()
+        try:
+            tight_example(k, trials=trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_small_k_bracket(self):
         rep = tight_example(2, trials=20_000, seed=1)
