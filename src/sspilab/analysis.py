@@ -3,7 +3,10 @@ nested-bins coin game.
 
 The verifiers enumerate every coin configuration and compare both sides of
 each identity or inequality as exact integer counts (value-weighted sums use
-exact rationals built from the float values). The sufficiency verifiers
+exact rationals built from the float values). The greedy-objective right
+side is counted by a dynamic program over the scalar greedy states along the
+path (`_greedy_recount`), where coin prefixes that leave the same state
+merge, rather than by a walk per configuration. The sufficiency verifiers
 take each supported value's worst case over every arrival order from
 structure: the batched policy (`exact.policy_runs`) under the increasing
 order for transversal and laminar, and the least value over the live
@@ -16,6 +19,7 @@ vectorized tables in `exact` must agree with them, and tests enforce that.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -38,7 +42,6 @@ from .feasibility import (
     GeneralMatching,
     Transversal,
     TruncatedPartition,
-    _greedy_walk,
     greedy_state,
 )
 
@@ -283,29 +286,59 @@ def _verify_forget_z(ens: ConfigEnsemble) -> LemmaReport:
     return LemmaReport("forget-z", passed, y_sum, all_sum / 2, ens.num_configs)
 
 
-def _verify_greedy_objective(ens: ConfigEnsemble) -> LemmaReport:
-    # Left side from the vectorized free-flag tables; right side from the
-    # scalar greedy walk over each configuration's heads entries, an
-    # independent code path.
-    lhs = ens.path_total(_counts(ens.heads & ens.free("H")))
+def _greedy_recount(ens: ConfigEnsemble) -> tuple[list[int], int]:
+    """Per path index j, how many configurations have the heads-side greedy
+    admit the element at j, and how many DP states the count visited.
+
+    A counting DP over the path positions with the scalar greedy states. A
+    DP state is (greedy state, mask of the elements whose heads index is a
+    Z index still to come), weighted by the number of coin prefixes that
+    reach it. An element's coin is set at its Y index, which comes first, so
+    an admission at j is shared by the 2**(n - coins set) configurations that
+    extend the prefix. States with equal keys merge; the counts are exact."""
+    n = ens.n
     recount = [0] * ens.length
-    path = ens.path
-    # Per path entry, (element, value, bit of the element in the heads mask,
-    # whether the entry is heads when that bit is set: Y entries).
-    entries = [
-        (e.element, e.value.value, 1 << e.element, e.label == "Y") for e in path.entries
-    ]
-    y_of = [path.y_index(e) for e in range(ens.n)]
-    for mask in range(ens.num_configs):
-        pairs = [(e, v) for e, v, bit, is_y in entries if bool(mask & bit) == is_y]
-        sol = _greedy_walk(greedy_state(ens.structure), pairs)
-        for e in sol.chosen:
-            jy = y_of[e]
-            recount[jy if mask & (1 << e) else path.partner[jy]] += 1
+    start = greedy_state(ens.structure)
+    states = {start.key(): start}  # one greedy state per key
+    layer = Counter({(start.key(), 0): 1})
+    visited = 1
+    coins_set = 0
+    for j, entry in enumerate(ens.path.entries):
+        e, bit, is_y = entry.element, 1 << entry.element, entry.label == "Y"
+        coins_set += is_y
+        shift = n - coins_set
+        nxt: Counter = Counter()
+        for (skey, pending), count in layer.items():
+            if is_y:
+                nxt[skey, pending | bit] += count  # tails here, heads at Z
+                heads = True
+            else:
+                heads = bool(pending & bit)
+                pending &= ~bit
+            state = states[skey]
+            if heads and state.can_add(e):
+                recount[j] += count << shift
+                state = state.copy()
+                state.add(e)
+                skey = state.key()
+                states.setdefault(skey, state)
+            nxt[skey, pending] += count
+        layer = nxt
+        visited += len(layer)
+    return recount, visited
+
+
+def _verify_greedy_objective(ens: ConfigEnsemble) -> LemmaReport:
+    # Left side from the vectorized free-flag tables; right side counted
+    # from the scalar greedy states (`_greedy_recount`), an independent code
+    # path.
+    lhs = ens.path_total(_counts(ens.heads & ens.free("H")))
+    recount, visited = _greedy_recount(ens)
     rhs = ens.path_total(recount)
     return LemmaReport(
         "greedy-objective", lhs == rhs, lhs, rhs, ens.num_configs,
-        "" if lhs == rhs else "flag-table objective != replayed greedy objective",
+        f"{visited} greedy states over {ens.num_configs} configurations"
+        if lhs == rhs else "flag-table objective != replayed greedy objective",
     )
 
 

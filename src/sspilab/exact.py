@@ -387,9 +387,12 @@ class ConfigEnsemble(PathBatch):
         self._pair_sum = y_idx + np.array(self.path.partner)[y_idx]  # Y index + Z index
 
         masks = np.arange(1 << n, dtype=np.int64)
-        ybit = ((masks[None, :] >> np.array(elem)[:, None]) & 1).astype(bool)
-        # Coin at a Y index is heads exactly when the element bit is set.
-        heads = np.where(self.is_y[:, None], ybit, ~ybit)
+        heads = np.empty((2 * n, 1 << n), dtype=bool)
+        for e, ((y,), (pair_sum,)) in enumerate(zip(y_idx, self._pair_sum)):
+            # Coin at the Y index is heads exactly when the element bit is
+            # set; the Z index shows the other side.
+            np.not_equal((masks >> e) & 1, 0, out=heads[y])
+            np.logical_not(heads[y], out=heads[pair_sum - y])
         w_val = np.array([e.value.value for e in entries])
         # Index of the absent threshold: every positive value precedes it.
         super().__init__(structure, elem, heads, w_val, int((w_val > 0).sum()), y_idx)

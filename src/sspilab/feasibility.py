@@ -295,7 +295,9 @@ def is_independent(fs: FeasibilityStructure, s: Iterable[int]) -> bool:
 # free-index queries and the offline greedy solutions all run. For the
 # transversal system the rule is the ordered-maximal one: an element is
 # addable iff some adjacent right node is currently unmatched, and it gets
-# the smallest such node.
+# the smallest such node. `key()` is a hashable value of exactly what
+# `can_add` reads, so two states with equal keys admit the same elements from
+# then on; `copy()` gives a state that can be stepped independently.
 # ---------------------------------------------------------------------------
 
 
@@ -315,6 +317,14 @@ class _MatchingState:
         self.used.add(u)
         self.used.add(v)
         return None
+
+    def key(self) -> frozenset[int]:
+        return frozenset(self.used)
+
+    def copy(self) -> _MatchingState:
+        new = object.__new__(_MatchingState)
+        new.edges, new.used = self.edges, set(self.used)
+        return new
 
 
 class _TransversalState:
@@ -340,6 +350,14 @@ class _TransversalState:
         self.taken.add(r)
         return r
 
+    def key(self) -> frozenset[int]:
+        return frozenset(self.taken)
+
+    def copy(self) -> _TransversalState:
+        new = object.__new__(_TransversalState)
+        new.adjacency, new.taken = self.adjacency, set(self.taken)
+        return new
+
 
 class _TruncatedPartitionState:
     __slots__ = ("group_of", "caps", "total_cap", "counts", "total")
@@ -360,6 +378,15 @@ class _TruncatedPartitionState:
         self.total += 1
         return None
 
+    def key(self) -> tuple[tuple[int, ...], int]:
+        return tuple(self.counts), self.total
+
+    def copy(self) -> _TruncatedPartitionState:
+        new = object.__new__(_TruncatedPartitionState)
+        new.group_of, new.caps, new.total_cap = self.group_of, self.caps, self.total_cap
+        new.counts, new.total = list(self.counts), self.total
+        return new
+
 
 class _SimplePartitionState:
     __slots__ = ("group_of", "used")
@@ -374,6 +401,14 @@ class _SimplePartitionState:
     def add(self, e: int) -> int | None:
         self.used.add(self.group_of[e])
         return None
+
+    def key(self) -> frozenset[int]:
+        return frozenset(self.used)
+
+    def copy(self) -> _SimplePartitionState:
+        new = object.__new__(_SimplePartitionState)
+        new.group_of, new.used = self.group_of, set(self.used)
+        return new
 
 
 class _GraphicState:
@@ -391,6 +426,17 @@ class _GraphicState:
         u, v = self.edges[e]
         self.uf.union(u, v)
         return None
+
+    def key(self) -> tuple[int, ...]:
+        """Per vertex, the smallest vertex of its component."""
+        first: dict[int, int] = {}
+        return tuple(first.setdefault(self.uf.find(v), v) for v in range(len(self.uf.parent)))
+
+    def copy(self) -> _GraphicState:
+        new = object.__new__(_GraphicState)
+        new.edges, new.uf = self.edges, _UnionFind(0)
+        new.uf.parent = list(self.uf.parent)
+        return new
 
 
 def greedy_state(fs: FeasibilityStructure):

@@ -361,3 +361,18 @@ def test_tight_example_k_cap_and_bounded_blocks(capsys):
     # 10^4 leaves: blocks of 419 trials instead of 20,000.
     assert main(["--trials", "3", "tight-example", "--k", "10000"]) == 0
     assert json.loads(capsys.readouterr().out)["ratio"]
+
+
+@pytest.mark.parametrize("kind", ["matching", "transversal"])
+def test_verify_greedy_objective_at_n18(kind, tmp_path, capsys):
+    # 2^18 configurations: the right side is counted over greedy states, not
+    # replayed configuration by configuration.
+    inst = random_instance(kind, 18, np.random.default_rng(5))
+    path = tmp_path / "n18.json"
+    path.write_text(json.dumps(instance_to_document(inst)))
+    code = main(["--seed", "5", "verify", "--lemma", "greedy-objective", "--instance", str(path)])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True
+    assert payload["configurations"] == 1 << 18
+    assert payload["detail"].endswith("greedy states over 262144 configurations")

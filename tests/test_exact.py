@@ -327,6 +327,25 @@ def test_matching_search_memory_is_bounded_with_distinct_live_sets():
     assert report.passed
 
 
+def test_ensemble_constructor_memory_is_bounded_by_its_coin_table():
+    # The (36, 2^18) coin table is 9 MiB of booleans. Filled row by row, the
+    # constructor peaked at 13.3 MiB; one shifted (36, 2^18) int64 table took
+    # it to 83 MiB.
+    n = 18
+    inst = random_instance("matching", n, np.random.default_rng(5))
+    reals = inst.draw_realizations(trial_rng(5, 0))
+    tracemalloc.start()
+    try:
+        ens = ConfigEnsemble(inst.structure, reals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
+    cols = np.random.default_rng(1).integers(0, 1 << n, size=500)
+    for j, e in enumerate(ens.elem):
+        assert np.array_equal(ens.heads[j, cols], ((cols >> e) & 1 == 1) == ens.is_y[j])
+
+
 def _traced_exact_alg(inst, policy, adversary, seed):
     """E_ALG and z-violations from the traced policies, one configuration
     and one partition at a time, summed as exact fractions."""
