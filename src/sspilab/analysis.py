@@ -477,7 +477,7 @@ def _trans_worst_values(ens: ConfigEnsemble, support: np.ndarray, cand: np.ndarr
     ridx = ens.ridx
     (run,) = policy_runs(ens, "transversal", np.argsort(-ridx, axis=0), False)
     js, cs = np.nonzero(support)
-    node = bit_index(cand[js, cs])
+    node = cand[js, cs]
     got = np.zeros(len(cs))  # 0 when no element takes the node
     for l in range(ens.n):
         hit = run.accepted[l, cs] & (targets[l, cs] == node)
@@ -493,7 +493,7 @@ def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     return _sufficiency_report(
         "trans-sufficient", ens, support, worst < ens.w_val[:, None],
         lambda j, c: (
-            f"node {int(cand[j, c]).bit_length() - 1} matched at "
+            f"node {int(cand[j, c])} matched at "
             f"{float(worst[j, c])} < {float(ens.w_val[j])}"
         ),
     )

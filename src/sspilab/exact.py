@@ -24,15 +24,18 @@ Values are compared by their index on each column's decreasing sample path:
 threshold is the index `absent`, the count of positive values, so beating it
 means having positive value.
 
-No step loops over columns in Python. Online phases are replayed by two
-kernels that step through every column's arrival order at once: one for
-bitmask resources (matching vertices, transversal target nodes) and one for
-group counts (the partition policies). `policy_runs` is the one batched
-form of each policy: its thresholds, its replay and the critical price each
-accepted element beat. E_OPT comes from subset tables, whose
-entry S says whether the element set S is feasible: the matroid greedy for
-transversal systems, and the best maximal matching for matching, where float
-totals within a relative NEAR_TIE of the best are compared exactly.
+No step loops over columns in Python. The first-come greedy of each
+constraint kind is one kernel that steps through elements for every column
+at once: `resource_walk` for bitmask resources (matching vertices) and
+`group_walk` for group capacities under a total one (partitions, transversal
+target nodes, the reductions' groups, the mechanism's contraction). The
+free flags walk the sample path; the replays walk each column's arrival
+order (`_replay`). `policy_runs` is the one batched form of each policy: its
+thresholds, its replay and the critical price each accepted element beat.
+E_OPT comes from subset tables, whose entry S says whether the element set
+S is feasible: the matroid greedy for transversal systems, and the best
+maximal matching for matching, where float totals within a relative NEAR_TIE
+of the best are compared exactly.
 """
 
 from __future__ import annotations
@@ -77,12 +80,6 @@ def group_ids(groups, n: int) -> np.ndarray:
     return ids
 
 
-def _mask_array(masks, width: int) -> np.ndarray:
-    """Bitmasks over `width` resources as int64, or as python ints when
-    they do not fit."""
-    return np.array(masks, dtype=np.int64 if width <= MASK_BITS else object)
-
-
 def _take(table: np.ndarray, row, cols: np.ndarray) -> np.ndarray:
     """Per column, the entry of `table` in `row`: one row for all columns
     (a view, as in exact mode), or rows that broadcast against the columns,
@@ -102,7 +99,7 @@ def bit_index(bits: np.ndarray) -> np.ndarray:
     """Index of the single set bit of each entry."""
     if bits.dtype == object:
         return np.array([int(b).bit_length() - 1 for b in bits], dtype=np.int64)
-    return np.bitwise_count(bits - 1).astype(np.int64)
+    return np.bitwise_count(bits - 1)
 
 
 class PathBatch:
@@ -133,7 +130,7 @@ class PathBatch:
         self.n = self.length // 2
         self.cols = np.arange(self.num_configs)
         self._free: dict[str, np.ndarray] = {}
-        self._candidate: dict[str, np.ndarray] = {}
+        self._candidate: np.ndarray | None = None
         self._vertex_thresholds: np.ndarray | None = None
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
@@ -157,14 +154,17 @@ class PathBatch:
         side_flags = self.heads if side == "H" else ~self.heads
         fs = self.structure
         if isinstance(fs, GeneralMatching):
-            free = self._free_matching(side_flags, fs)
+            free = resource_walk(self.elem, side_flags, vertex_masks(fs))
         elif isinstance(fs, Transversal):
-            free, cand = self._free_transversal(side_flags, fs)
-            self._candidate[side] = cand
+            free = self._free_transversal(side_flags, fs, side == "T")
         elif isinstance(fs, TruncatedPartition):
-            free = self._free_truncated(side_flags, fs)
+            group = group_ids(fs.groups, self.n)
+            free = group_walk(self.elem, side_flags, group, fs.group_capacities, fs.total_capacity)
         elif isinstance(fs, SimplePartition):
-            free = self._free_simple(side_flags, fs)
+            # One slot per group and one for the elements in no group; a
+            # total capacity of the path's length never binds.
+            group, caps = group_ids(fs.groups, self.n), (1,) * (len(fs.groups) + 1)
+            free = group_walk(self.elem, side_flags, group, caps, self.length)
         elif isinstance(fs, Graphic):
             free = self._free_graphic(side_flags, fs)
         else:
@@ -172,62 +172,30 @@ class PathBatch:
         self._free[side] = free
         return free
 
-    def candidate_bits(self, side: str) -> np.ndarray:
-        """Transversal only: per (index, column), the lowest-free-adjacent
-        right node as a single-bit integer (0 when none is free)."""
-        self.free(side)
-        return self._candidate[side]
+    def candidate_nodes(self) -> np.ndarray:
+        """Transversal only: per (index, column), the lowest right node
+        adjacent to the element and not yet taken by the tails-side greedy,
+        or -1 when none is free."""
+        self.free("T")
+        return self._candidate
 
-    def _free_matching(self, side_flags, fs: GeneralMatching) -> np.ndarray:
-        vmask = np.array(vertex_masks(fs), dtype=np.int64)
-        used = np.zeros(self.num_configs, dtype=np.int64)
+    def _free_transversal(self, side_flags, fs: Transversal, with_nodes: bool) -> np.ndarray:
+        wide = fs.right_count > MASK_BITS  # right-node masks as python ints
+        rmask = np.array(neighbor_masks(fs), dtype=object if wide else np.int64)
+        untaken = ~np.zeros(self.num_configs, dtype=rmask.dtype)
         free = np.empty((self.length, self.num_configs), dtype=bool)
+        if with_nodes:
+            nodes = np.empty(free.shape, dtype=np.min_scalar_type(-max(fs.right_count, 1)))
         for j in range(self.length):
-            vm = vmask[self.elem[j]]
-            free[j] = (used & vm) == 0
-            parse = side_flags[j] & free[j]
-            used = np.where(parse, used | vm, used)
-        return free
-
-    def _free_transversal(self, side_flags, fs: Transversal):
-        rmask = _mask_array(neighbor_masks(fs), fs.right_count)
-        taken = np.zeros(self.num_configs, dtype=rmask.dtype)
-        free = np.empty((self.length, self.num_configs), dtype=bool)
-        cand = np.empty((self.length, self.num_configs), dtype=rmask.dtype)
-        for j in range(self.length):
-            avail = rmask[self.elem[j]] & ~taken
+            avail = rmask[self.elem[j]] & untaken
             low = avail & -avail
-            free[j] = avail != 0
-            cand[j] = low
-            parse = side_flags[j] & free[j]
-            taken = np.where(parse, taken | low, taken)
-        return free, cand
-
-    def _free_truncated(self, side_flags, fs: TruncatedPartition) -> np.ndarray:
-        group_of = group_ids(fs.groups, self.n)
-        cols = self.cols
-        counts = np.zeros((len(fs.groups), self.num_configs), dtype=np.int32)
-        total = np.zeros(self.num_configs, dtype=np.int32)
-        caps = np.array(fs.group_capacities)
-        free = np.empty((self.length, self.num_configs), dtype=bool)
-        for j in range(self.length):
-            g = group_of[self.elem[j]]
-            count = _take(counts, g, cols)
-            free[j] = (count < caps[g]) & (total < fs.total_capacity)
-            parse = side_flags[j] & free[j]
-            _put(counts, g, cols, count + parse)
-            total += parse
-        return free
-
-    def _free_simple(self, side_flags, fs: SimplePartition) -> np.ndarray:
-        group_of = group_ids(fs.groups, self.n)
-        cols = self.cols
-        used = np.zeros((len(fs.groups) + 1, self.num_configs), dtype=bool)
-        free = np.empty((self.length, self.num_configs), dtype=bool)
-        for j in range(self.length):
-            g = group_of[self.elem[j]]
-            free[j] = ~_take(used, g, cols)
-            _put(used, g, cols, ~free[j] | side_flags[j])
+            np.not_equal(avail, 0, out=free[j])
+            if with_nodes:
+                nodes[j] = bit_index(low)
+            untaken ^= low * (side_flags[j] & free[j])
+        if with_nodes:
+            np.copyto(nodes, -1, where=~free)
+            self._candidate = nodes
         return free
 
     def _free_graphic(self, side_flags, fs: Graphic) -> np.ndarray:
@@ -297,14 +265,14 @@ class PathBatch:
         ordered-maximal sample matching."""
         fs = self.structure
         free_t = self.free("T")
-        cand = self.candidate_bits("T")
+        cand = self.candidate_nodes()
         tails = ~self.heads
         th = np.empty((fs.right_count, self.num_configs), dtype=np.int64)
         th[:] = self.absent
         for j in range(self.length):
             picked = tails[j] & free_t[j]
             if picked.any():
-                th[bit_index(cand[j, picked]), self.cols[picked]] = j
+                th[cand[j, picked], self.cols[picked]] = j
         return th
 
     def transversal_targets(self) -> np.ndarray:
@@ -465,9 +433,9 @@ class ConfigEnsemble(PathBatch):
 
     def support_transversal(self) -> tuple[np.ndarray, np.ndarray]:
         """Truth table of the right-node supporting event, together with the
-        single-bit candidate node it concerns (r = the online target of j)."""
+        candidate node it concerns (r = the online target of j)."""
         free_t = self.free("T")
-        cand = self.candidate_bits("T")
+        cand = self.candidate_nodes()
         tails = ~self.heads
         support = np.zeros((self.length, self.num_configs), dtype=bool)
         for j in range(self.length):
@@ -476,13 +444,13 @@ class ConfigEnsemble(PathBatch):
             base = free_t[j] & self.heads[j]
             if not base.any():
                 continue
-            rbit = cand[j]
+            r = cand[j]
             active = base.copy()
             satisfied = np.zeros(self.num_configs, dtype=bool)
             for l in range(j + 1, self.length):
                 if not self.is_y[l]:
                     continue
-                hit = active & free_t[l] & (cand[l] == rbit)
+                hit = active & free_t[l] & (cand[l] == r)
                 satisfied |= hit & tails[l]
                 active &= ~hit
                 if not active.any():
@@ -661,65 +629,91 @@ def element_flags(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched replays: each kernel steps through every column's arrival order at
-# once. `live` holds the (element, column) flags of the elements the policy
-# would take if feasible; `orders` holds one arrival order per column (None:
-# by element id). Each returns the (n, columns) accepted flags.
+# First-come greedy kernels, one per constraint kind. Each walks a sequence of
+# steps; step j presents one element, the same in every column ((steps,)
+# `elem`) or one per column ((steps, columns)), and the (steps, columns)
+# `want` flags say which of them claim their resource when it is free. Each
+# returns the (steps, columns) free flags. The free-index tables walk the
+# sample path; `_replay` walks each column's arrival order.
 # ---------------------------------------------------------------------------
 
 
-def target_bits(targets: np.ndarray, width: int) -> np.ndarray:
-    """Single-bit masks of target nodes 0..width-1 (targets < 0 give bit 0,
-    for elements that claim nothing)."""
-    shifts = np.maximum(targets, 0)
-    if width > MASK_BITS:
-        return np.left_shift(np.ones_like(shifts, dtype=object), shifts.astype(object))
-    return np.int64(1) << shifts
+def _flat(rows: np.ndarray) -> np.ndarray:
+    """Flat positions, in a table with the columns of the (k, columns) array
+    `rows`, of the entry in row rows[k, c] of each column c."""
+    pos = np.multiply(rows, rows.shape[1], dtype=np.intp)
+    pos += np.arange(rows.shape[1])
+    return pos
 
 
-def replay_resources(live: np.ndarray, resources, orders=None) -> np.ndarray:
-    """First-come acceptance where each element claims a bitmask resource
-    (an edge claims its two vertices, a left node its target right node): a
-    live arrival is accepted when none of its resource is taken yet.
-    `resources` is (n,) or (n, columns), int64 or python ints."""
-    n, configs = live.shape
-    cols = np.arange(configs)
-    res = np.asarray(resources)
-    if res.dtype != object:
-        res = res.astype(np.int64)
-    res = np.broadcast_to(res.reshape(n, -1), live.shape)
-    taken = np.zeros(configs, dtype=res.dtype)
-    accepted = np.zeros_like(live)
-    for k in range(n):
-        e = k if orders is None else orders[k]
-        mine = res[e, cols]
-        ok = live[e, cols] & ((taken & mine) == 0)
-        taken = taken | np.where(ok, mine, 0)
-        accepted[e, cols] = ok
-    return accepted
+def _at_steps(table: np.ndarray, elem) -> np.ndarray:
+    """Per step, the entry of `table` ((n,) or (n, columns)) at the step's
+    element: (steps,) when both are fixed, else (steps, columns)."""
+    elem = np.asarray(elem)
+    if table.ndim == elem.ndim == 2:
+        return np.take(table, _flat(elem))
+    return table[elem]
 
 
-def replay_group_counts(
-    live: np.ndarray, group, caps, total_cap: int, orders=None
-) -> np.ndarray:
-    """First-come acceptance under per-group capacities and a total one.
-    `group` gives each element's group index, fixed ((n,)) or one per column
-    ((n, columns)); index len(caps) means no group, and those elements are
-    never accepted."""
-    n, configs = live.shape
-    cols = np.arange(configs)
-    group = np.asarray(group)
-    caps = np.array([*caps, 0], dtype=np.int64)  # an extra group of capacity 0
-    counts = np.zeros((len(caps), configs), dtype=np.int64)
-    total = np.zeros(configs, dtype=np.int64)
-    accepted = np.zeros_like(live)
-    for k in range(n):
-        e = k if orders is None else orders[k]
-        g = group[e] if group.ndim == 1 else group[e, cols]
-        ok = live[e, cols] & (counts[g, cols] < caps[g]) & (total < total_cap)
-        counts[g, cols] += ok
-        total += ok
-        accepted[e, cols] = ok
+def resource_walk(elem, want, masks) -> np.ndarray:
+    """First-come greedy over bitmask resources (an edge claims its two
+    vertices): a step is free when none of its element's resource is taken.
+    `masks` holds each element's resource as a non-negative int64."""
+    masks = np.asarray(masks, dtype=np.int64)
+    claims = _at_steps(masks.astype(np.min_scalar_type(masks.max(initial=0))), elem)
+    taken = np.zeros(want.shape[1], dtype=claims.dtype)
+    free = np.empty(want.shape, dtype=bool)
+    for j, mine in enumerate(claims):
+        np.equal(taken & mine, 0, out=free[j])
+        taken |= mine * (want[j] & free[j])
+    return free
+
+
+def group_walk(elem, want, group, caps, total_cap: int) -> np.ndarray:
+    """First-come greedy under per-group capacities and a total one: a step
+    is free while its element's group has taken fewer than its capacity and
+    all groups together fewer than `total_cap`. `group` gives each
+    element's group index, fixed ((n,)) or one per column ((n, columns));
+    `caps` holds one capacity per index that occurs."""
+    steps, configs = want.shape
+    groups = _at_steps(np.asarray(group, dtype=np.intp), elem)
+    caps = np.asarray(caps)
+    # The room left in each (group, column) counts down from its capacity. A
+    # step reads one row of it when its group is fixed (a view), else one
+    # entry per column at flat positions (a gather). A total the steps
+    # cannot reach is not tracked.
+    room_type = np.min_scalar_type(max(int(caps.max(initial=0)), total_cap))
+    room = np.repeat(caps.astype(room_type)[:, None], configs, axis=1)
+    if groups.ndim == 2:  # a gathered copy: turned into flat positions in place
+        groups *= configs
+        groups += np.arange(configs)
+        room = room.reshape(-1)
+    total = np.full(configs, total_cap, dtype=room_type) if total_cap < steps else None
+    free = np.empty(want.shape, dtype=bool)
+    for j, g in enumerate(groups):
+        left = room[g]
+        np.not_equal(left, 0, out=free[j])
+        if total is not None:
+            free[j] &= total != 0
+        took = want[j] & free[j]
+        left -= took
+        room[g] = left
+        if total is not None:
+            total -= took
+    return free
+
+
+def _replay(walk, live: np.ndarray, orders, *rule) -> np.ndarray:
+    """The (n, columns) accepted flags of the kernel `walk` (with the
+    arguments `rule`) over each column's arrival order, `orders` ((n,
+    columns); None: by element id): a live arrival is accepted when the walk
+    finds it free."""
+    if orders is None:
+        return live & walk(np.arange(len(live)), live, *rule)
+    want = np.take(live, _flat(orders))
+    took = want & walk(orders, want, *rule)
+    accepted = np.empty_like(live)
+    np.put(accepted, _flat(orders), took)
     return accepted
 
 
@@ -890,8 +884,9 @@ def policy_runs(
     batch: PathBatch, policy: str, orders, searching: bool, groupings=(),
 ) -> Iterator[PolicyRun]:
     """The policy on every column of the batch: one run, or one run per
-    (group, count) grouping for the reduction policies (`group` as in
-    `replay_group_counts`), made one at a time as they are read. `orders`
+    (group, count) grouping for the reduction policies (`group` gives each
+    element's group index, fixed or one per column, and index `count` means
+    no group), made one at a time as they are read. `orders`
     holds each column's arrival order (None: by element id). With
     `searching`, the adversary minimizes: for matching that is a
     minimum-weight maximal matching of the live edges; for every other
@@ -908,16 +903,21 @@ def policy_runs(
         if searching:
             accepted = min_maximal_accepts(batch, live)
         else:
-            accepted = replay_resources(live, vertex_masks(fs), orders)
+            accepted = _replay(resource_walk, live, orders, vertex_masks(fs))
         yield PolicyRun(accepted, batch.matching_prices)
     elif policy == "transversal":
-        targets = batch.transversal_targets()
-        nodes = target_bits(targets, fs.right_count)  # unused where targets < 0
-        yield PolicyRun(replay_resources(targets >= 0, nodes, orders), batch.transversal_prices)
+        # Each target node is a group of capacity 1; elements with no target
+        # (-1) go to an extra group of capacity 0.
+        group = batch.transversal_targets()
+        live = group >= 0
+        group[~live] = fs.right_count
+        caps = (1,) * fs.right_count + (0,)
+        accepted = _replay(group_walk, live, orders, group, caps, batch.n)
+        yield PolicyRun(accepted, batch.transversal_prices)
     elif policy == "laminar":
-        accepted = replay_group_counts(
-            batch.laminar_accepts(), group_ids(fs.groups, batch.n), fs.group_capacities,
-            fs.total_capacity, orders,
+        accepted = _replay(
+            group_walk, batch.laminar_accepts(), orders, group_ids(fs.groups, batch.n),
+            fs.group_capacities, fs.total_capacity,
         )
         yield PolicyRun(accepted, None)
     else:
@@ -937,13 +937,14 @@ def _group_run(batch: PathBatch, group, count: int, orders) -> PolicyRun:
     in the tagged order, so a reward worth 0 can beat samples worth 0 by its
     tiebreak, as in the traced policies. Elements in no group stay out."""
     live = batch.ridx < batch.group_prices(group, count)
-    accepted = replay_group_counts(live, group, (1,) * count, count, orders)
+    accepted = _replay(group_walk, live, orders, group, (1,) * count + (0,), count)
     return PolicyRun(accepted, lambda: batch.group_prices(group, count))
 
 
 # ---------------------------------------------------------------------------
-# Scalar helper on python ints for one configuration at a time, for the
-# traced Monte Carlo adversary.
+# Scalar helper on python ints for one configuration at a time. Both modes
+# search the matching adversary in batches (`min_maximal_accepts`); only the
+# traced `policies.adversarial_order` calls this one.
 # ---------------------------------------------------------------------------
 
 

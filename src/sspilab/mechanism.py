@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Distribution, TaggedValue, TrialDraws, draw_trials
-from .exact import TrialBatch, group_ids, policy_runs
+from .exact import TrialBatch, group_ids, group_walk, policy_runs
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
 from .harness import (
@@ -158,29 +158,23 @@ def optimal_posted_price_revenue(
 def _laminar_critical(batch: TrialBatch, accepted: np.ndarray) -> np.ndarray:
     """v0 - contraction_optimum for each accepted element: the greedy
     optimum of the samples minus the best sample set that leaves one slot of
-    the element's group and of the total capacity free. Both greedy walks
-    go down the samples in path order and add their values one at a time,
-    as `matroid_greedy_opt` and `contraction_optimum` do."""
+    the element's group and of the total capacity free, that is, the same
+    `group_walk` with both capacities lowered by one and the element left
+    out. cumsum adds the values in path order, one at a time, as
+    `matroid_greedy_opt` and `contraction_optimum` do."""
     fs = batch.structure
     group_of = group_ids(fs.groups, batch.n)
-    caps = np.array(fs.group_capacities)
     samples = ~batch.heads
     v0 = np.cumsum(np.where(samples & batch.free("T"), batch.w_val, 0.0), axis=0)[-1]
     critical = np.zeros(accepted.shape)
     for e in np.flatnonzero(accepted.any(axis=1)):
         cols = np.flatnonzero(accepted[e])
-        k = np.arange(len(cols))
-        room = np.repeat(caps[:, None], len(cols), axis=1)
-        room[group_of[e]] -= 1
-        total_room = np.full(len(cols), fs.total_capacity - 1)
-        value = np.zeros(len(cols))
-        for j in range(batch.length):
-            el = batch.elem[j, cols]
-            g = group_of[el]
-            take = samples[j, cols] & (el != e) & (room[g, k] > 0) & (total_room > 0)
-            room[g, k] -= take
-            total_room -= take
-            value += np.where(take, batch.w_val[j, cols], 0.0)
+        elem = batch.elem[:, cols]
+        want = samples[:, cols] & (elem != e)
+        caps = np.array(fs.group_capacities)
+        caps[group_of[e]] -= 1
+        took = want & group_walk(elem, want, group_of, caps, fs.total_capacity - 1)
+        value = np.cumsum(np.where(took, batch.w_val[:, cols], 0.0), axis=0)[-1]
         critical[e, cols] = v0[cols] - value
     return critical
 

@@ -73,7 +73,7 @@ def all_orders_trans_worst(ens, support, cand):
             for l in perm:
                 got.setdefault(tg[l], xv[l])
             for j in sup_j:
-                r = int(cand[j, c]).bit_length() - 1
+                r = int(cand[j, c])
                 worst[j, c] = min(worst[j, c], got.get(r, 0.0))
     return worst
 
