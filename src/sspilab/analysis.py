@@ -34,8 +34,8 @@ from .core import (
     validate_configuration,
 )
 from .exact import (
-    _CHUNK_CELLS, EXACT_MODE_CAP, ConfigEnsemble, bit_index, edges_touched, element_masks,
-    matching_table, maximal_within, policy_runs, vertex_masks,
+    _CHUNK_CELLS, EXACT_MODE_CAP, INCREASING, ConfigEnsemble, bit_index, element_masks,
+    maximal_within, policy_runs,
 )
 from .feasibility import (
     FeasibilityStructure,
@@ -426,9 +426,7 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
     once per distinct live set."""
     fs = ens.structure
     n = ens.n
-    is_matching, covered = matching_table(fs)
-    sets = np.flatnonzero(is_matching)
-    touched = edges_touched(covered[sets], vertex_masks(fs))
+    sets, touched = ens.tables.matchings
     live = element_masks(ens.matching_exceeds())
     # Row n holds 0.0, the value at a vertex no M-edge meets.
     xval = np.vstack([ens.values_at(ens.ridx), np.zeros(ens.num_configs)])
@@ -475,7 +473,7 @@ def _trans_worst_values(ens: ConfigEnsemble, support: np.ndarray, cand: np.ndarr
     smallest live reward, all nodes at once."""
     targets = ens.transversal_targets()
     ridx = ens.ridx
-    (run,) = policy_runs(ens, "transversal", np.argsort(-ridx, axis=0), False)
+    (run,) = policy_runs(ens, "transversal", INCREASING, False)
     js, cs = np.nonzero(support)
     node = cand[js, cs]
     got = np.zeros(len(cs))  # 0 when no element takes the node
@@ -501,8 +499,7 @@ def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
 
 def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     support = ens.support_laminar()
-    orders = np.argsort(-ens.ridx, axis=0)  # increasing rewards
-    (run,) = policy_runs(ens, "laminar", orders, False)
+    (run,) = policy_runs(ens, "laminar", INCREASING, False)
     return _sufficiency_report(
         "laminar-sufficient", ens, support, support & ~run.accepted[ens.elem],
         lambda j, c: f"element {ens.elem[j]} not collected under the increasing order",

@@ -10,10 +10,13 @@ element, coin and value at each path position, each element's Y index, and
 `ridx` and `sidx`, the (n, columns) path indices of every element's reward
 and sample), and every walk and kernel below:
 
-- `ConfigEnsemble` (exact mode, the lemma verifiers): all 2**n
-  configurations of one draw. Configuration c is identified with the bitmask
-  whose bit e says "element e's larger value is the reward"; the element at
-  each path position is the same in every column.
+- `ConfigEnsemble` (exact mode, the lemma verifiers): the coin
+  configurations lo..hi-1 of one draw, all 2**n of them by default.
+  Configuration c is identified with the bitmask whose bit e says "element
+  e's larger value is the reward"; the element at each path position is the
+  same in every column. Exact `simulate` walks the 2**n configurations in
+  blocks of CONFIG_BLOCK (`config_blocks`), which share one sample path and
+  one set of subset tables, and sums integer counts across them.
 - `TrialBatch` (Monte Carlo mode): one column per trial, each with its own
   draw and coins (`core.draw_trials`). The element at a path position
   differs from column to column.
@@ -29,10 +32,12 @@ constraint kind is one kernel that steps through elements for every column
 at once: `resource_walk` for bitmask resources (matching vertices) and
 `group_walk` for group capacities under a total one (partitions, transversal
 target nodes, the reductions' groups, the mechanism's contraction). The
-free flags walk the sample path; the replays walk each column's arrival
-order (`_replay`). `policy_runs` is the one batched form of each policy: its
-thresholds, its replay and the critical price each accepted element beat.
-E_OPT comes from subset tables, whose entry S says whether the element set
+free flags walk the sample path; the replays walk the arrival order
+(`_replay`). The increasing order needs no order table: it is the sample
+path walked backwards, each element arriving at its reward index.
+`policy_runs` is the one batched form of each policy: its thresholds, its
+replay and the critical price each accepted element beat. E_OPT comes from
+subset tables (`SubsetTables`), whose entry S says whether the element set
 S is feasible: the matroid greedy for transversal systems, and the best
 maximal matching for matching, where float totals within a relative NEAR_TIE
 of the best are compared exactly.
@@ -41,7 +46,7 @@ of the best are compared exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -68,6 +73,8 @@ from .feasibility import (
 _DIGIT_BITS = 31
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 EXACT_MODE_CAP = 16  # elements in a subset table (2**n entries)
+CONFIG_BLOCK = 1 << 13  # configurations per block of exact simulate
+INCREASING = "increasing"  # the `orders` of the increasing-reward order
 MASK_BITS = 62  # resources an int64 bitmask holds; wider masks are python ints
 
 
@@ -80,19 +87,26 @@ def group_ids(groups, n: int) -> np.ndarray:
     return ids
 
 
+def _rows(row, cols: np.ndarray):
+    """The index of `table[...]` that reads, per column, the entry in `row`:
+    one row for all columns (a view, as in exact mode), (k, 1) rows the
+    same in every column (whole rows), or rows that broadcast against the
+    columns, such as one row per column (a gather)."""
+    if np.ndim(row) == 0:
+        return row
+    if row.shape[-1] == 1:
+        return row[..., 0]
+    return row, cols
+
+
 def _take(table: np.ndarray, row, cols: np.ndarray) -> np.ndarray:
-    """Per column, the entry of `table` in `row`: one row for all columns
-    (a view, as in exact mode), or rows that broadcast against the columns,
-    such as one row per column (a gather)."""
-    return table[row] if np.ndim(row) == 0 else table[row, cols]
+    """Per column, the entry of `table` in `row` (see `_rows`)."""
+    return table[_rows(row, cols)]
 
 
 def _put(table: np.ndarray, row, cols: np.ndarray, values) -> None:
     """Set the entries `_take` reads."""
-    if np.ndim(row) == 0:
-        table[row] = values
-    else:
-        table[row, cols] = values
+    table[_rows(row, cols)] = values
 
 
 def bit_index(bits: np.ndarray) -> np.ndarray:
@@ -100,6 +114,21 @@ def bit_index(bits: np.ndarray) -> np.ndarray:
     if bits.dtype == object:
         return np.array([int(b).bit_length() - 1 for b in bits], dtype=np.int64)
     return np.bitwise_count(bits - 1)
+
+
+def _kept(method):
+    """A table method without arguments whose result the batch keeps, read-
+    only, so that it is built once however often it is read."""
+
+    @wraps(method)
+    def kept(self) -> np.ndarray:
+        got = self._built.get(method.__name__)
+        if got is None:
+            got = self._built[method.__name__] = method(self)
+            got.flags.writeable = False
+        return got
+
+    return kept
 
 
 class PathBatch:
@@ -112,32 +141,40 @@ class PathBatch:
     or (2n, columns)), `absent` the index of the absent threshold (an int or
     one per column) and `y_idx` each element's Y index ((n, 1) or (n,
     columns)). `length` (2n), `num_configs` (the column count) and `n`
-    follow from the shape of `heads`. Subclasses provide `ridx` and `sidx`,
-    the (n, columns) path indices of every element's reward and sample.
+    follow from the shape of `heads`. `tables` holds the structure's subset
+    tables (a new `SubsetTables` unless batches share one). Subclasses
+    provide `ridx` and `sidx`, the (n, columns) path indices of every
+    element's reward and sample.
     """
 
     ridx: np.ndarray
     sidx: np.ndarray
 
-    def __init__(self, structure, elem, heads, w_val, absent, y_idx) -> None:
+    def __init__(self, structure, elem, heads, w_val, absent, y_idx, tables=None) -> None:
         self.structure = structure
         self.elem = elem
         self.heads = heads
         self.w_val = w_val
         self.absent = absent
         self.y_idx = y_idx
+        self.tables = tables or SubsetTables(structure)
         self.length, self.num_configs = heads.shape
         self.n = self.length // 2
         self.cols = np.arange(self.num_configs)
         self._free: dict[str, np.ndarray] = {}
         self._candidate: np.ndarray | None = None
-        self._vertex_thresholds: np.ndarray | None = None
+        self._built: dict[str, np.ndarray] = {}  # the `_kept` tables
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         """The path values at (k, columns) path indices."""
         if self.w_val.ndim == 1:
             return self.w_val[idx]
         return np.take_along_axis(self.w_val, idx, axis=0)
+
+    def at_rewards(self, flags: np.ndarray) -> np.ndarray:
+        """Per (element, column), the flag at the element's reward index, of
+        (2n, columns) `flags` set only where `heads` is."""
+        return np.take(flags, _flat(self.ridx))
 
     def path_sums(self, flags: np.ndarray) -> np.ndarray:
         """Per column, the float total of the path values flagged in the
@@ -228,11 +265,10 @@ class PathBatch:
 
     # -- thresholds and policy preprocessing --------------------------------
 
+    @_kept
     def matching_vertex_thresholds(self) -> np.ndarray:
         """(vertices, columns) thresholds (path indices) set by the greedy
         matching on samples."""
-        if self._vertex_thresholds is not None:
-            return self._vertex_thresholds
         fs = self.structure
         ends = np.array(fs.edges, dtype=np.int64).reshape(-1, 2)
         free_t = self.free("T")
@@ -247,7 +283,6 @@ class PathBatch:
             ends_j = ends[self.elem[j]].T.reshape(2, -1)
             for vertex in np.broadcast_to(ends_j, (2, self.num_configs)):
                 th[vertex[picked], cols] = j
-        self._vertex_thresholds = th
         return th
 
     def matching_prices(self) -> np.ndarray:
@@ -260,6 +295,7 @@ class PathBatch:
         """(n, columns) flags: element's reward beats both endpoint thresholds."""
         return self.ridx < self.matching_prices()
 
+    @_kept
     def transversal_r_thresholds(self) -> np.ndarray:
         """(right nodes, columns) thresholds (path indices) from the
         ordered-maximal sample matching."""
@@ -275,6 +311,7 @@ class PathBatch:
                 th[cand[j, picked], self.cols[picked]] = j
         return th
 
+    @_kept
     def transversal_targets(self) -> np.ndarray:
         """(n, columns) int: the right node the online rule would pick for
         each arriving left node (-1 when the threshold scan finds none).
@@ -285,12 +322,12 @@ class PathBatch:
         th = self.transversal_r_thresholds()
         ridx = self.ridx
         out = np.full((self.n, self.num_configs), -1, dtype=np.int64)
-        found = ridx > self.y_idx  # a reward at its Z index, below its sample, claims nothing
         for l in range(self.n):
-            for r in fs.sorted_neighbors(l):
-                ok = (ridx[l] < th[r]) & ~found[l]
-                out[l, ok] = r
-                found[l] |= ok
+            # The last write is the first neighbour whose threshold it beats.
+            for r in reversed(fs.sorted_neighbors(l)):
+                np.copyto(out[l], r, where=ridx[l] < th[r])
+        # A reward at its Z index, below its sample, claims nothing.
+        np.copyto(out, -1, where=ridx > self.y_idx)
         return out
 
     def transversal_prices(self) -> np.ndarray:
@@ -332,30 +369,36 @@ class PathBatch:
 
 
 class ConfigEnsemble(PathBatch):
-    """All 2**n configurations for one structure and fixed realizations of
-    its elements 0..n-1; bit e of configuration c is element e's coin."""
+    """The configurations lo..hi-1 (all 2**n by default) for one structure
+    and fixed realizations of its elements 0..n-1; bit e of configuration c
+    is element e's coin, and column c - lo holds configuration c.
+    `realizations` may also be their sample path, built once for several
+    blocks; `tables` are subset tables the blocks share."""
 
-    def __init__(self, structure, realizations) -> None:
-        self.path: SamplePath = build_sample_path(realizations)
+    def __init__(self, structure, realizations, lo: int = 0, hi: int | None = None,
+                 tables: SubsetTables | None = None) -> None:
+        is_path = isinstance(realizations, SamplePath)
+        self.path = realizations if is_path else build_sample_path(realizations)
         n = self.path.n
         if n > CONFIG_ENUMERATION_CAP:
             raise CapExceededError(
                 f"exact enumeration capped at n <= {CONFIG_ENUMERATION_CAP}, got {n}"
             )
-        ids = sorted(r.element for r in realizations)
+        entries = self.path.entries
+        ids = sorted(e.element for e in entries if e.label == "Y")
         if ids != list(range(structure.ground_size)):
             raise ValueError(
                 f"realizations must be of the elements 0..{structure.ground_size - 1}, "
                 f"got ids {ids}"
             )
-        entries = self.path.entries
         elem = [e.element for e in entries]
         self.is_y = np.array([e.label == "Y" for e in entries])
         y_idx = np.array([[self.path.y_index(e)] for e in range(n)])
         self._pair_sum = y_idx + np.array(self.path.partner)[y_idx]  # Y index + Z index
 
-        masks = np.arange(1 << n, dtype=np.int64)
-        heads = np.empty((2 * n, 1 << n), dtype=bool)
+        hi = 1 << n if hi is None else min(hi, 1 << n)
+        masks = np.arange(lo, hi, dtype=np.int64)
+        heads = np.empty((2 * n, len(masks)), dtype=bool)
         for e, ((y,), (pair_sum,)) in enumerate(zip(y_idx, self._pair_sum)):
             # Coin at the Y index is heads exactly when the element bit is
             # set; the Z index shows the other side.
@@ -363,7 +406,9 @@ class ConfigEnsemble(PathBatch):
             np.logical_not(heads[y], out=heads[pair_sum - y])
         w_val = np.array([e.value.value for e in entries])
         # Index of the absent threshold: every positive value precedes it.
-        super().__init__(structure, elem, heads, w_val, int((w_val > 0).sum()), y_idx)
+        super().__init__(
+            structure, elem, heads, w_val, int((w_val > 0).sum()), y_idx, tables
+        )
 
     @cached_property
     def ridx(self) -> np.ndarray:
@@ -377,6 +422,12 @@ class ConfigEnsemble(PathBatch):
         """(n, configs) path index of every element's sample, derived on
         each read so that only `ridx` stays alive."""
         return self._pair_sum - self.ridx
+
+    def at_rewards(self, flags: np.ndarray) -> np.ndarray:
+        """`PathBatch.at_rewards` from whole rows: a flag at either of an
+        element's indices is at its reward index."""
+        y = self.y_idx[:, 0]
+        return flags[y] | flags[self._pair_sum[:, 0] - y]
 
     def path_total(self, counts) -> Fraction:
         """Exact sum over path indices of value times count."""
@@ -495,6 +546,16 @@ class ConfigEnsemble(PathBatch):
                 ok &= ~fail
             support[j] = ok
         return support
+
+
+def config_blocks(structure, realizations) -> Iterator[ConfigEnsemble]:
+    """All 2**n configurations of the realizations as ensembles of
+    CONFIG_BLOCK consecutive ones, in order, made one at a time as they are
+    read, on one sample path with one set of subset tables."""
+    path = build_sample_path(realizations)
+    tables = SubsetTables(structure)
+    for lo in range(0, 1 << path.n, CONFIG_BLOCK):
+        yield ConfigEnsemble(structure, path, lo, lo + CONFIG_BLOCK, tables)
 
 
 class TrialBatch(PathBatch):
@@ -618,6 +679,34 @@ def edges_touched(covered: np.ndarray, vmasks) -> np.ndarray:
     return out
 
 
+class SubsetTables:
+    """The subset tables of one structure, each built when first read. A
+    batch holds one; the blocks of an exact command share one, so each
+    table is built once per command."""
+
+    def __init__(self, structure) -> None:
+        self.structure = structure
+
+    @cached_property
+    def matchable(self) -> np.ndarray:
+        """Transversal: entry S says whether the left nodes S can be matched."""
+        return transversal_table(self.structure)
+
+    @cached_property
+    def matchings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matching: the edge sets (element masks) that are matchings, and
+        per set the mask of the edges it touches."""
+        is_matching, covered = matching_table(self.structure)
+        sets = np.flatnonzero(is_matching)
+        return sets, edges_touched(covered[sets], vertex_masks(self.structure))
+
+    @cached_property
+    def maximal_matchings(self) -> np.ndarray:
+        """Matching: the edge sets that are maximal matchings of all edges."""
+        sets, touched = self.matchings
+        return sets[touched == (1 << len(self.structure.edges)) - 1]
+
+
 def element_masks(flags: np.ndarray) -> np.ndarray:
     """Per column, the int64 mask of the elements flagged in (n, columns)."""
     return (flags * (np.int64(1) << np.arange(flags.shape[0]))[:, None]).sum(axis=0)
@@ -663,9 +752,9 @@ def resource_walk(elem, want, masks) -> np.ndarray:
     claims = _at_steps(masks.astype(np.min_scalar_type(masks.max(initial=0))), elem)
     taken = np.zeros(want.shape[1], dtype=claims.dtype)
     free = np.empty(want.shape, dtype=bool)
-    for j, mine in enumerate(claims):
-        np.equal(taken & mine, 0, out=free[j])
-        taken |= mine * (want[j] & free[j])
+    for mine, wants, ok in zip(claims, want, free):
+        np.equal(taken & mine, 0, out=ok)
+        taken |= mine * (wants & ok)
     return free
 
 
@@ -679,37 +768,46 @@ def group_walk(elem, want, group, caps, total_cap: int) -> np.ndarray:
     groups = _at_steps(np.asarray(group, dtype=np.intp), elem)
     caps = np.asarray(caps)
     # The room left in each (group, column) counts down from its capacity. A
-    # step reads one row of it when its group is fixed (a view), else one
-    # entry per column at flat positions (a gather). A total the steps
-    # cannot reach is not tracked.
-    room_type = np.min_scalar_type(max(int(caps.max(initial=0)), total_cap))
+    # step reads one row of it when its group is fixed (a view, counted down
+    # in place), else one entry per column at flat positions (a gather,
+    # written back). A total the steps cannot reach is not tracked.
+    tracked = total_cap < steps
+    room_type = np.min_scalar_type(max(int(caps.max(initial=0)), total_cap * tracked))
     room = np.repeat(caps.astype(room_type)[:, None], configs, axis=1)
     if groups.ndim == 2:  # a gathered copy: turned into flat positions in place
         groups *= configs
         groups += np.arange(configs)
         room = room.reshape(-1)
-    total = np.full(configs, total_cap, dtype=room_type) if total_cap < steps else None
+    total = np.full(configs, total_cap, dtype=room_type) if tracked else None
     free = np.empty(want.shape, dtype=bool)
-    for j, g in enumerate(groups):
+    for g, wants, ok in zip(groups, want, free):
         left = room[g]
-        np.not_equal(left, 0, out=free[j])
+        np.not_equal(left, 0, out=ok)
         if total is not None:
-            free[j] &= total != 0
-        took = want[j] & free[j]
+            np.logical_and(ok, total, out=ok)
+        took = wants & ok
         left -= took
-        room[g] = left
+        if groups.ndim == 2:
+            room[g] = left
         if total is not None:
             total -= took
     return free
 
 
-def _replay(walk, live: np.ndarray, orders, *rule) -> np.ndarray:
+def _replay(walk, batch: PathBatch, live: np.ndarray, orders, *rule) -> np.ndarray:
     """The (n, columns) accepted flags of the kernel `walk` (with the
-    arguments `rule`) over each column's arrival order, `orders` ((n,
-    columns); None: by element id): a live arrival is accepted when the walk
-    finds it free."""
+    arguments `rule`) over the arrival order `orders`: a live arrival is
+    accepted when the walk finds it free. `orders` is None (by element id),
+    INCREASING (increasing rewards: the sample path walked backwards, each
+    element arriving at its reward index, where `heads` is set) or (n,
+    columns), each column's arrival order."""
     if orders is None:
         return live & walk(np.arange(len(live)), live, *rule)
+    if isinstance(orders, str):
+        elem = batch.elem[::-1]
+        want = batch.heads[::-1] & _at_steps(live, elem)
+        took = want & walk(elem, want, *rule)
+        return batch.at_rewards(took[::-1])
     want = np.take(live, _flat(orders))
     took = want & walk(orders, want, *rule)
     accepted = np.empty_like(live)
@@ -836,7 +934,7 @@ def optimum_accepts(batch: PathBatch) -> np.ndarray:
     fs = batch.structure
     n = batch.n
     if isinstance(fs, Transversal):
-        matchable = transversal_table(fs)
+        matchable = batch.tables.matchable
         chosen = np.zeros(batch.num_configs, dtype=np.int64)
         for e in np.argsort(batch.ridx, axis=0):  # largest rewards first
             grown = chosen | (np.int64(1) << e)
@@ -844,22 +942,16 @@ def optimum_accepts(batch: PathBatch) -> np.ndarray:
         return element_flags(chosen, n)
     if not isinstance(fs, GeneralMatching):
         raise RuntimeError(f"no batched optimum for {type(fs).__name__}")
-    vmasks = vertex_masks(fs)
-    is_matching, covered = matching_table(fs)
-    maximal = is_matching & (edges_touched(covered, vmasks) == (1 << n) - 1)
-    return element_flags(_best_sets(batch, np.flatnonzero(maximal)), n)
+    return element_flags(_best_sets(batch, batch.tables.maximal_matchings), n)
 
 
 def min_maximal_accepts(batch: PathBatch, live: np.ndarray) -> np.ndarray:
     """Batched `min_maximal_matching`: per column, the (n, columns) accepted
     flags of a minimum-weight maximal matching of the live edges, that is,
     of a matching inside the live set that touches every live edge."""
-    vmasks = vertex_masks(batch.structure)
-    is_matching, covered = matching_table(batch.structure)
-    sets = np.flatnonzero(is_matching)
+    sets, touched = batch.tables.matchings
     chosen = _best_sets(
-        batch, sets, minimize=True, within=element_masks(live),
-        touched=edges_touched(covered[sets], vmasks),
+        batch, sets, minimize=True, within=element_masks(live), touched=touched,
     )
     return element_flags(chosen, batch.n)
 
@@ -886,8 +978,9 @@ def policy_runs(
     """The policy on every column of the batch: one run, or one run per
     (group, count) grouping for the reduction policies (`group` gives each
     element's group index, fixed or one per column, and index `count` means
-    no group), made one at a time as they are read. `orders`
-    holds each column's arrival order (None: by element id). With
+    no group), made one at a time as they are read. `orders` is the arrival
+    order: None (by element id), INCREASING (increasing rewards, read off
+    the sample path) or an (n, columns) array of each column's order. With
     `searching`, the adversary minimizes: for matching that is a
     minimum-weight maximal matching of the live edges; for every other
     policy it is the increasing order, which the caller passes (see
@@ -903,20 +996,20 @@ def policy_runs(
         if searching:
             accepted = min_maximal_accepts(batch, live)
         else:
-            accepted = _replay(resource_walk, live, orders, vertex_masks(fs))
+            accepted = _replay(resource_walk, batch, live, orders, vertex_masks(fs))
         yield PolicyRun(accepted, batch.matching_prices)
     elif policy == "transversal":
         # Each target node is a group of capacity 1; elements with no target
-        # (-1) go to an extra group of capacity 0.
-        group = batch.transversal_targets()
-        live = group >= 0
-        group[~live] = fs.right_count
+        # (-1) go to an extra group of capacity 0. No total binds.
+        targets = batch.transversal_targets()
+        live = targets >= 0
+        group = np.where(live, targets, fs.right_count)
         caps = (1,) * fs.right_count + (0,)
-        accepted = _replay(group_walk, live, orders, group, caps, batch.n)
+        accepted = _replay(group_walk, batch, live, orders, group, caps, batch.length)
         yield PolicyRun(accepted, batch.transversal_prices)
     elif policy == "laminar":
         accepted = _replay(
-            group_walk, batch.laminar_accepts(), orders, group_ids(fs.groups, batch.n),
+            group_walk, batch, batch.laminar_accepts(), orders, group_ids(fs.groups, batch.n),
             fs.group_capacities, fs.total_capacity,
         )
         yield PolicyRun(accepted, None)
@@ -935,9 +1028,10 @@ def policy_runs(
 def _group_run(batch: PathBatch, group, count: int, orders) -> PolicyRun:
     """Each group takes its first arrival beating the group's largest sample
     in the tagged order, so a reward worth 0 can beat samples worth 0 by its
-    tiebreak, as in the traced policies. Elements in no group stay out."""
+    tiebreak, as in the traced policies. Elements in no group stay out.
+    Every group has capacity 1, so no total binds."""
     live = batch.ridx < batch.group_prices(group, count)
-    accepted = _replay(group_walk, live, orders, group, (1,) * count + (0,), count)
+    accepted = _replay(group_walk, batch, live, orders, group, (1,) * count + (0,), batch.length)
     return PolicyRun(accepted, lambda: batch.group_prices(group, count))
 
 

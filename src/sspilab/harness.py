@@ -3,10 +3,13 @@ the star-graph tight example, and report emission.
 
 Both modes evaluate a batch of coin configurations at once with the
 batched policies of `exact.py` (`policy_runs`), one column per
-configuration. Exact mode
-draws one realization set from the instance, evaluates all 2**n coin
-configurations, and reports expectations as exact rationals; the worst-case
-adversary minimizes the policy total per configuration. Monte Carlo mode
+configuration. Exact mode draws one realization set from the instance and
+evaluates its 2**n coin configurations in blocks of `exact.CONFIG_BLOCK`,
+one block at a time; the sample path, the subset tables and the reduction
+partitions are made once per command. It sums integer path-index counts
+over the blocks and reports expectations as exact rationals, the same for
+any block size; the worst-case adversary minimizes the policy total per
+configuration. Monte Carlo mode
 splits its trials into chunks of MC_CHUNK and evaluates each chunk as one
 batch. Trial t still draws from its own stream (seed, t), in the order of
 the scalar code (`core.draw_trials`), so results are those of a trial-by-
@@ -33,8 +36,10 @@ import numpy as np
 from .core import CapExceededError, TrialDraws, draw_trials, trial_rng
 from .exact import (
     EXACT_MODE_CAP,
+    INCREASING,
     ConfigEnsemble,
     TrialBatch,
+    config_blocks,
     group_ids,
     optimum_accepts,
     policy_runs,
@@ -122,35 +127,28 @@ def _exact_groupings(policy: str, instance: Instance) -> list:
     return [(group, fs.vertex_count) for group in np.ascontiguousarray(groups.T)]
 
 
-def _exact_alg(
-    ens: ConfigEnsemble, policy: str, adversary: str, instance: Instance
-) -> tuple[Fraction, int]:
-    """Exact E_ALG and the z-violation count, averaged over every
-    configuration and, for the reductions, every partition. Runs are summed
-    as they are made, so one is alive at a time."""
+def _block_counts(
+    ens: ConfigEnsemble, policy: str, orders, searching: bool, groupings: list
+) -> tuple[np.ndarray, int, int]:
+    """On one block of configurations: the (3, 2n) path-index counts of the
+    rewards of E_ALG (summed over the runs: one, or one per partition for the
+    reductions), E_OPT and E_OPT_PRIME; the number of runs; and the
+    z-violation count. Runs are summed as they are made, so one is alive at
+    a time."""
     ridx = ens.ridx
-    orders = None if adversary == "fixed" else np.argsort(-ridx, axis=0)
-    counts = np.zeros(ens.length, dtype=np.int64)
+    counts = np.zeros((3, ens.length), dtype=np.int64)
+    exact_opt = isinstance(ens.structure, (GeneralMatching, Transversal))
+    if exact_opt:  # first: its tables hold the bitmask caps
+        counts[1] = np.bincount(ridx[optimum_accepts(ens)], minlength=ens.length)
     z_violations = runs = 0
-    for run in policy_runs(
-        ens, policy, orders, adversary == "exhaustive-min", _exact_groupings(policy, instance)
-    ):
-        counts += np.bincount(ridx[run.accepted], minlength=ens.length)
+    for run in policy_runs(ens, policy, orders, searching, groupings):
+        counts[0] += np.bincount(ridx[run.accepted], minlength=ens.length)
         z_violations += int((run.accepted & (ridx > ens.y_idx)).sum())  # rewards at Z indices
         runs += 1
-    return ens.path_total(counts) / (ens.num_configs * runs), z_violations
-
-
-def _exact_opt_prime(ens: ConfigEnsemble) -> Fraction:
-    counts = (ens.heads & ens.free("H")).sum(axis=1)
-    return ens.path_total(counts) / ens.num_configs
-
-
-def _exact_opt(ens: ConfigEnsemble) -> Fraction:
-    if not isinstance(ens.structure, (GeneralMatching, Transversal)):
-        return _exact_opt_prime(ens)  # matroid greedy is exact
-    counts = np.bincount(ens.ridx[optimum_accepts(ens)], minlength=ens.length)
-    return ens.path_total(counts) / ens.num_configs
+    counts[2] = (ens.heads & ens.free("H")).sum(axis=1)
+    if not exact_opt:
+        counts[1] = counts[2]  # the matroid greedy is optimal
+    return counts, runs, z_violations
 
 
 def estimate_ratio_exact(
@@ -160,7 +158,10 @@ def estimate_ratio_exact(
     seed: int = 0,
 ) -> RatioReport:
     """Exact expectations over all configurations for one drawn realization
-    set, with the adversary minimizing per configuration when asked."""
+    set, with the adversary minimizing per configuration when asked. The
+    configurations go in blocks (`exact.config_blocks`); integer path-index
+    counts are summed over the blocks and turned into one Fraction each, so
+    the results do not depend on the block size."""
     start = time.perf_counter()
     check_policy(policy, instance.structure, instance.partition)
     if adversary not in EXACT_ADVERSARIES:
@@ -169,10 +170,20 @@ def estimate_ratio_exact(
     if n > EXACT_MODE_CAP:
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
     realizations = instance.draw_realizations(trial_rng(seed, 0))
-    ens = ConfigEnsemble(instance.structure, realizations)
-    e_opt = _exact_opt(ens)  # first: its tables hold the bitmask caps
-    e_alg, z_violations = _exact_alg(ens, policy, adversary, instance)
-    e_opt_prime = _exact_opt_prime(ens)
+    groupings = _exact_groupings(policy, instance)
+    orders = None if adversary == "fixed" else INCREASING
+    counts = np.zeros((3, 2 * n), dtype=np.int64)
+    z_violations = run_columns = 0
+    for ens in config_blocks(instance.structure, realizations):
+        block, runs, z = _block_counts(
+            ens, policy, orders, adversary == "exhaustive-min", groupings
+        )
+        counts += block
+        z_violations += z
+        run_columns += runs * ens.num_configs
+    e_alg, e_opt, e_opt_prime = (
+        ens.path_total(c) / columns for c, columns in zip(counts, (run_columns, 1 << n, 1 << n))
+    )
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RatioReport(
         policy=policy,
@@ -213,7 +224,9 @@ class TrialOutcome:
     """Per-trial results of one batch of Monte Carlo trials."""
 
     batch: TrialBatch
-    orders: np.ndarray | None  # (n, trials) arrival orders; None: by element id
+    # The arrival order as `policy_runs` reads it: (n, trials) orders for the
+    # random adversary, None by element id (fixed), else exact.INCREASING.
+    orders: np.ndarray | str | None
     vertex_ranks: np.ndarray | None  # reduction-graphic: (vertices, trials)
     accepted: np.ndarray  # (n, trials) flags
     alg: np.ndarray  # (trials,) float totals
@@ -282,7 +295,7 @@ def mc_trials(
     elif adversary == "random":
         orders = draws.permutations[0].T
     else:  # increasing rewards, also the exhaustive-min order outside matching
-        orders = np.argsort(-ridx, axis=0)
+        orders = INCREASING
     (run,) = policy_runs(batch, policy, orders, adversary == "exhaustive-min", groupings)
     accepted = run.accepted
     opt, opt_prime = optimum_totals(batch)

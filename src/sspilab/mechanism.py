@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Distribution, TaggedValue, TrialDraws, draw_trials
-from .exact import TrialBatch, group_ids, group_walk, policy_runs
+from .exact import INCREASING, TrialBatch, group_ids, group_walk, policy_runs
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
 from .harness import (
@@ -219,7 +219,7 @@ def mechanism_trials(
         ~beaten, (),
     ))
     ranks, groupings = _reduction_groupings(instance, policy, draws)
-    (run,) = policy_runs(batch, policy, np.argsort(-batch.ridx, axis=0), False, groupings)
+    (run,) = policy_runs(batch, policy, INCREASING, False, groupings)
     accepted = run.accepted
     winners = accepted & ~(valuations < reserves)
     critical = (

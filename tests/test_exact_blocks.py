@@ -1,0 +1,133 @@
+"""Exact mode in blocks of configurations: block ensembles are slices of the
+full one, the reported expectations do not depend on the block size, the
+memory of exact `simulate` is bounded by the block, and the transversal
+threshold tables are built once per batch."""
+
+import tracemalloc
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import sspilab.exact as exact
+from sspilab.analysis import verify_lemma
+from sspilab.core import trial_rng
+from sspilab.exact import ConfigEnsemble, PathBatch, config_blocks
+from sspilab.feasibility import SimplePartition
+from sspilab.generators import _random_partition, random_instance
+from sspilab.harness import EXACT_ADVERSARIES, estimate_ratio
+from sspilab.mechanism import mechanism_trials
+from sspilab.policies import POLICY_STRUCTURES
+
+KINDS = ("matching", "transversal", "truncated-partition", "simple-partition", "graphic", "rank1")
+
+
+def _instance(kind: str, n: int, seed: int):
+    rng = np.random.default_rng((seed, n))
+    inst = random_instance(kind, n, rng)
+    while kind == "graphic" and inst.structure.vertex_count > 4:  # 24 vertex orders at most
+        inst = random_instance(kind, n, rng)
+    groups = tuple(tuple(g) for g in _random_partition(n, rng))
+    return replace(inst, partition=SimplePartition(groups), partition_alpha=2.0)
+
+
+def _outcome(inst, policy, adversary):
+    report = estimate_ratio(inst, policy, adversary, seed=3, mode="exact")
+    return report.e_alg, report.e_opt, report.e_opt_prime, report.z_violations
+
+
+def test_blocks_are_slices_of_the_full_ensemble():
+    inst = _instance("matching", 7, 1)
+    reals = inst.draw_realizations(trial_rng(1, 0))
+    full = ConfigEnsemble(inst.structure, reals)
+    for lo, hi in ((0, 5), (5, 64), (100, 128), (120, 500)):
+        block = ConfigEnsemble(inst.structure, full.path, lo, hi, full.tables)
+        assert block.num_configs == min(hi, 128) - lo
+        assert np.array_equal(block.heads, full.heads[:, lo:hi])
+        assert np.array_equal(block.ridx, full.ridx[:, lo:hi])
+        for side in "HT":
+            assert np.array_equal(block.free(side), full.free(side)[:, lo:hi])
+
+
+def test_config_blocks_cover_every_configuration_in_order(monkeypatch):
+    monkeypatch.setattr(exact, "CONFIG_BLOCK", 3)
+    inst = _instance("transversal", 5, 2)
+    blocks = list(config_blocks(inst.structure, inst.draw_realizations(trial_rng(2, 0))))
+    assert [b.num_configs for b in blocks] == [3] * 10 + [2]
+    assert len({id(b.path) for b in blocks}) == len({id(b.tables) for b in blocks}) == 1
+    full = ConfigEnsemble(inst.structure, blocks[0].path)
+    assert np.array_equal(np.hstack([b.heads for b in blocks]), full.heads)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_expectations_do_not_depend_on_the_block_size(kind, monkeypatch):
+    for n, sizes in ((6, (1, 3, 64)), (11, (1 << 10, 1 << 11))):
+        inst = _instance(kind, n, KINDS.index(kind))
+        policies = [p for p, applies in POLICY_STRUCTURES.items() if applies(inst.structure)]
+        assert policies
+        for policy in policies:
+            for adversary in EXACT_ADVERSARIES:
+                got = set()
+                for size in sizes:
+                    monkeypatch.setattr(exact, "CONFIG_BLOCK", size)
+                    got.add(_outcome(inst, policy, adversary))
+                assert len(got) == 1, (policy, adversary, got)
+
+
+@pytest.mark.parametrize("policy, kind", [
+    ("rank1", "rank1"), ("laminar", "truncated-partition"),
+    ("transversal", "transversal"), ("matching", "matching"),
+])
+def test_exact_simulate_memory_is_bounded_by_the_block(policy, kind):
+    # All 2^16 configurations at once took 20-56 MiB; a block of 2^13
+    # keeps every table eight times smaller.
+    inst = random_instance(kind, 16, np.random.default_rng(5))
+    for adversary in ("fixed", "increasing"):
+        tracemalloc.start()
+        try:
+            estimate_ratio(inst, policy, adversary, seed=5, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (adversary, peak / 2**20)
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """Count the builds (not the reads) of the transversal threshold tables."""
+    builds = Counter()
+    for name in ("transversal_r_thresholds", "transversal_targets"):
+        build = getattr(PathBatch, name).__wrapped__
+
+        def counted(self, build=build, name=name):
+            builds[name] += 1
+            return build(self)
+
+        counted.__name__ = name
+        monkeypatch.setattr(PathBatch, name, exact._kept(counted))
+    return builds
+
+
+def test_transversal_tables_are_built_once_per_batch(monkeypatch):
+    inst = random_instance("transversal", 8, np.random.default_rng(4))
+    want = mechanism_trials(inst, "transversal", 4, range(64))
+    builds = _count_builds(monkeypatch)
+    got = mechanism_trials(inst, "transversal", 4, range(64))
+    assert builds == {"transversal_r_thresholds": 1, "transversal_targets": 1}
+    for field in ("accepted", "winners", "payments", "welfare", "revenue", "opt"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    builds.clear()
+    report = verify_lemma("trans-sufficient", inst.structure, inst.draw_realizations(trial_rng(4, 0)))
+    assert report.passed
+    assert builds == {"transversal_r_thresholds": 1, "transversal_targets": 1}
+
+
+def test_kept_tables_are_read_only():
+    inst = random_instance("transversal", 6, np.random.default_rng(6))
+    ens = ConfigEnsemble(inst.structure, inst.draw_realizations(trial_rng(6, 0)))
+    targets = ens.transversal_targets()
+    assert ens.transversal_targets() is targets
+    with pytest.raises(ValueError):
+        targets[0] = 0
+    list(exact.policy_runs(ens, "transversal", None, False))  # reads, never writes

@@ -1,6 +1,8 @@
 """The first-come greedy kernels on per-column steps: a TrialBatch's free
-flags against the scalar greedy walk of each trial, both branches of the
-arrival-order replay, and the memory of the transversal candidate table."""
+flags against the scalar greedy walk of each trial, the branches of the
+arrival-order replay (by element id, explicit orders, and the increasing
+order read off the sample path), and the memory of the transversal
+candidate table."""
 
 import tracemalloc
 from dataclasses import replace
@@ -18,10 +20,10 @@ from sspilab.core import (
     point_mass,
     trial_rng,
 )
-from sspilab.exact import ConfigEnsemble, TrialBatch, policy_runs
+from sspilab.exact import INCREASING, ConfigEnsemble, TrialBatch, policy_runs
 from sspilab.feasibility import Graphic, SimplePartition
 from sspilab.generators import _random_partition, random_instance
-from sspilab.harness import _reduction_groupings
+from sspilab.harness import _exact_groupings, _reduction_groupings
 from sspilab.policies import POLICY_STRUCTURES
 
 KINDS = ("matching", "transversal", "truncated-partition", "simple-partition", "graphic")
@@ -123,3 +125,42 @@ def test_greedy_objective_memory_holds_no_candidate_table():
         tracemalloc.stop()
     assert report.passed
     assert peak < 64 * 2**20
+
+
+def _increasing_orders(batch):
+    """The increasing-reward order as an explicit (n, columns) table: the
+    test oracle of the replay along the sample path walked backwards."""
+    return np.argsort(-batch.ridx, axis=0)
+
+
+increasing_cases = st.fixed_dictionaries({
+    "kind": st.sampled_from(KINDS + ("rank1",)),
+    "n": st.integers(1, 7),
+    "seed": st.integers(0, 2**32 - 1),
+    "laws": st.sampled_from(("generated", "point-mass", "discrete")),
+    "block": st.tuples(st.integers(0, 127), st.integers(1, 128)),
+})
+
+
+@given(increasing_cases)
+def test_increasing_replay_along_the_path_equals_the_sorted_orders(case):
+    block = case.pop("block")
+    inst = _instance(**case)
+    fs, n = inst.structure, inst.ground_size
+    draws = _draws(inst, case["seed"])
+    reals = inst.draw_realizations(trial_rng(case["seed"], 0))
+    lo = block[0] % (1 << n)
+    ensembles = (ConfigEnsemble(fs, reals), ConfigEnsemble(fs, reals, lo, lo + block[1]))
+    policies = [p for p, applies in POLICY_STRUCTURES.items() if applies(fs)]
+    assert policies
+    for policy in policies:
+        _, trial_groupings = _reduction_groupings(inst, policy, draws)
+        exact_groupings = _exact_groupings(policy, inst)[::7]  # every 7th vertex order
+        for batch, groupings in ((TrialBatch(fs, draws), trial_groupings),
+                                 *((ens, exact_groupings) for ens in ensembles)):
+            along = list(policy_runs(batch, policy, INCREASING, False, groupings))
+            sorted_ = list(policy_runs(batch, policy, _increasing_orders(batch), False, groupings))
+            assert len(along) == len(sorted_) >= 1
+            for a, b in zip(along, sorted_):
+                assert a.accepted.dtype == bool
+                assert np.array_equal(a.accepted, b.accepted), policy
