@@ -8,10 +8,10 @@ side is counted by a dynamic program over the scalar greedy states along the
 path (`_greedy_recount`), where coin prefixes that leave the same state
 merge, rather than by a walk per configuration. The sufficiency verifiers
 take each supported value's worst case over every arrival order from
-structure: the batched policy (`exact.policy_runs`) under the increasing
-order for transversal and laminar, and the least value over the live
-subgraph's maximal matchings for matching (subset tables, so n <=
-EXACT_MODE_CAP). The scalar
+structure: the batched policy (`exact.policy_runs`) against the
+`exhaustive-min` adversary, which is the increasing order, for transversal
+and laminar, and the least value over the live subgraph's maximal
+matchings for matching (subset tables, so n <= EXACT_MODE_CAP). The scalar
 supporting-event functions here are reference implementations; the
 vectorized tables in `exact` must agree with them, and tests enforce that.
 """
@@ -34,7 +34,7 @@ from .core import (
     validate_configuration,
 )
 from .exact import (
-    _CHUNK_CELLS, EXACT_MODE_CAP, INCREASING, ConfigEnsemble, bit_index, element_masks,
+    _CHUNK_CELLS, EXACT_MODE_CAP, ConfigEnsemble, bit_index, element_masks,
     maximal_within, policy_runs,
 )
 from .feasibility import (
@@ -452,10 +452,6 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
 
 
 def _verify_match_sufficient(ens: ConfigEnsemble) -> LemmaReport:
-    if ens.n > EXACT_MODE_CAP:
-        raise CapExceededError(
-            f"match-sufficient (matching subset tables) capped at n <= {EXACT_MODE_CAP}"
-        )
     support = ens.support_matching()
     worst = _match_worst_values(ens, support)
     return _sufficiency_report(
@@ -473,7 +469,7 @@ def _trans_worst_values(ens: ConfigEnsemble, support: np.ndarray, cand: np.ndarr
     smallest live reward, all nodes at once."""
     targets = ens.transversal_targets()
     ridx = ens.ridx
-    (run,) = policy_runs(ens, "transversal", INCREASING, False)
+    (run,) = policy_runs(ens, "transversal", "exhaustive-min")
     js, cs = np.nonzero(support)
     node = cand[js, cs]
     got = np.zeros(len(cs))  # 0 when no element takes the node
@@ -499,7 +495,7 @@ def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
 
 def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     support = ens.support_laminar()
-    (run,) = policy_runs(ens, "laminar", INCREASING, False)
+    (run,) = policy_runs(ens, "laminar", "exhaustive-min")
     return _sufficiency_report(
         "laminar-sufficient", ens, support, support & ~run.accepted[ens.elem],
         lambda j, c: f"element {ens.elem[j]} not collected under the increasing order",
@@ -543,6 +539,11 @@ def verify_lemma(
         raise TypeError("transversal lemmas need a transversal structure")
     if lemma_id.startswith("laminar") and not isinstance(structure, TruncatedPartition):
         raise TypeError("laminar lemmas need a truncated-partition structure")
+    if lemma_id == "match-sufficient" and structure.ground_size > EXACT_MODE_CAP:
+        # Refused before the ensemble's tables are built.
+        raise CapExceededError(
+            f"match-sufficient (matching subset tables) capped at n <= {EXACT_MODE_CAP}"
+        )
     return _VERIFIERS[lemma_id](ConfigEnsemble(structure, realizations))
 
 

@@ -36,7 +36,8 @@ free flags walk the sample path; the replays walk the arrival order
 (`_replay`). The increasing order needs no order table: it is the sample
 path walked backwards, each element arriving at its reward index.
 `policy_runs` is the one batched form of each policy: its thresholds, its
-replay and the critical price each accepted element beat. E_OPT comes from
+replay against a named adversary and each accepted element's critical
+price. E_OPT comes from
 subset tables (`SubsetTables`), whose entry S says whether the element set
 S is feasible: the matroid greedy for transversal systems, and the best
 maximal matching for matching, where float totals within a relative NEAR_TIE
@@ -74,7 +75,6 @@ _DIGIT_BITS = 31
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 EXACT_MODE_CAP = 16  # elements in a subset table (2**n entries)
 CONFIG_BLOCK = 1 << 13  # configurations per block of exact simulate
-INCREASING = "increasing"  # the `orders` of the increasing-reward order
 MASK_BITS = 62  # resources an int64 bitmask holds; wider masks are python ints
 
 
@@ -794,25 +794,26 @@ def group_walk(elem, want, group, caps, total_cap: int) -> np.ndarray:
     return free
 
 
-def _replay(walk, batch: PathBatch, live: np.ndarray, orders, *rule) -> np.ndarray:
+def _replay(walk, batch: PathBatch, live: np.ndarray, adversary, *rule) -> np.ndarray:
     """The (n, columns) accepted flags of the kernel `walk` (with the
-    arguments `rule`) over the arrival order `orders`: a live arrival is
-    accepted when the walk finds it free. `orders` is None (by element id),
-    INCREASING (increasing rewards: the sample path walked backwards, each
-    element arriving at its reward index, where `heads` is set) or (n,
-    columns), each column's arrival order."""
-    if orders is None:
+    arguments `rule`) against `adversary` (see `policy_runs`): a live
+    arrival is accepted when the walk finds it free. Increasing rewards are
+    the sample path walked backwards, each element arriving at its reward
+    index, where `heads` is set."""
+    if isinstance(adversary, np.ndarray):
+        want = np.take(live, _flat(adversary))
+        took = want & walk(adversary, want, *rule)
+        accepted = np.empty_like(live)
+        np.put(accepted, _flat(adversary), took)
+        return accepted
+    if adversary == "fixed":
         return live & walk(np.arange(len(live)), live, *rule)
-    if isinstance(orders, str):
-        elem = batch.elem[::-1]
-        want = batch.heads[::-1] & _at_steps(live, elem)
-        took = want & walk(elem, want, *rule)
-        return batch.at_rewards(took[::-1])
-    want = np.take(live, _flat(orders))
-    took = want & walk(orders, want, *rule)
-    accepted = np.empty_like(live)
-    np.put(accepted, _flat(orders), took)
-    return accepted
+    if adversary not in ("increasing", "exhaustive-min"):
+        raise RuntimeError(f"unknown adversary {adversary!r}")
+    elem = batch.elem[::-1]
+    want = batch.heads[::-1] & _at_steps(live, elem)
+    took = want & walk(elem, want, *rule)
+    return batch.at_rewards(took[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -965,29 +966,31 @@ def min_maximal_accepts(batch: PathBatch, live: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PolicyRun:
     """The (n, columns) accepted flags, and `price`, which computes the
-    (n, columns) path index of the threshold each accepted element beat, its
-    critical price; None for laminar, whose price is a contraction."""
+    (n, columns) critical prices of the accepted elements: the value of the
+    threshold each one beat, or for laminar a contraction
+    (`_laminar_critical`)."""
 
     accepted: np.ndarray
-    price: Callable[[], np.ndarray] | None
+    price: Callable[[], np.ndarray]
 
 
-def policy_runs(
-    batch: PathBatch, policy: str, orders, searching: bool, groupings=(),
-) -> Iterator[PolicyRun]:
-    """The policy on every column of the batch: one run, or one run per
-    (group, count) grouping for the reduction policies (`group` gives each
-    element's group index, fixed or one per column, and index `count` means
-    no group), made one at a time as they are read. `orders` is the arrival
-    order: None (by element id), INCREASING (increasing rewards, read off
-    the sample path) or an (n, columns) array of each column's order. With
-    `searching`, the adversary minimizes: for matching that is a
-    minimum-weight maximal matching of the live edges; for every other
-    policy it is the increasing order, which the caller passes (see
-    policies.adversarial_order). Prices are computed when read: a run holds
-    no (n, columns) table beyond its flags."""
+def policy_runs(batch: PathBatch, policy: str, adversary, groupings=()) -> Iterator[PolicyRun]:
+    """The policy on every column of the batch against `adversary`: one run,
+    or one run per (group, count) grouping for the reduction policies
+    (`group` gives each element's group index, fixed or one per column, and
+    index `count` means no group), made one at a time as they are read.
+
+    `adversary` is "fixed" (arrivals by element id), "increasing"
+    (increasing rewards, read off the sample path), "exhaustive-min" (the
+    minimum over all arrival orders) or the random adversary's (n, columns)
+    orders. For matching the exhaustive minimum is a minimum-weight maximal
+    matching of the live edges; for every other policy it is the increasing
+    order (see policies.adversarial_order). Any other name is a fault of the
+    program. Prices are computed when read: a run holds no (n, columns)
+    table beyond its flags."""
     fs = batch.structure
     if policy == "matching":
+        searching = isinstance(adversary, str) and adversary == "exhaustive-min"
         if searching and batch.n > EXACT_MODE_CAP:
             raise CapExceededError(
                 f"matching exhaustive-min search capped at n <= {EXACT_MODE_CAP}"
@@ -996,8 +999,8 @@ def policy_runs(
         if searching:
             accepted = min_maximal_accepts(batch, live)
         else:
-            accepted = _replay(resource_walk, batch, live, orders, vertex_masks(fs))
-        yield PolicyRun(accepted, batch.matching_prices)
+            accepted = _replay(resource_walk, batch, live, adversary, vertex_masks(fs))
+        yield PolicyRun(accepted, lambda: batch.values_at(batch.matching_prices()))
     elif policy == "transversal":
         # Each target node is a group of capacity 1; elements with no target
         # (-1) go to an extra group of capacity 0. No total binds.
@@ -1005,14 +1008,14 @@ def policy_runs(
         live = targets >= 0
         group = np.where(live, targets, fs.right_count)
         caps = (1,) * fs.right_count + (0,)
-        accepted = _replay(group_walk, batch, live, orders, group, caps, batch.length)
-        yield PolicyRun(accepted, batch.transversal_prices)
+        accepted = _replay(group_walk, batch, live, adversary, group, caps, batch.length)
+        yield PolicyRun(accepted, lambda: batch.values_at(batch.transversal_prices()))
     elif policy == "laminar":
         accepted = _replay(
-            group_walk, batch, batch.laminar_accepts(), orders, group_ids(fs.groups, batch.n),
-            fs.group_capacities, fs.total_capacity,
+            group_walk, batch, batch.laminar_accepts(), adversary,
+            group_ids(fs.groups, batch.n), fs.group_capacities, fs.total_capacity,
         )
-        yield PolicyRun(accepted, None)
+        yield PolicyRun(accepted, lambda: _laminar_critical(batch, accepted))
     else:
         if policy == "rank1":
             # One group of capacity 1: the groups of a truncated partition
@@ -1022,17 +1025,44 @@ def policy_runs(
         elif policy not in ("reduction-graphic", "reduction-custom"):
             raise RuntimeError(f"policy {policy!r} has no batched evaluator")
         for group, count in groupings:
-            yield _group_run(batch, group, count, orders)
+            yield _group_run(batch, group, count, adversary)
 
 
-def _group_run(batch: PathBatch, group, count: int, orders) -> PolicyRun:
+def _group_run(batch: PathBatch, group, count: int, adversary) -> PolicyRun:
     """Each group takes its first arrival beating the group's largest sample
     in the tagged order, so a reward worth 0 can beat samples worth 0 by its
     tiebreak, as in the traced policies. Elements in no group stay out.
     Every group has capacity 1, so no total binds."""
     live = batch.ridx < batch.group_prices(group, count)
-    accepted = _replay(group_walk, batch, live, orders, group, (1,) * count + (0,), batch.length)
-    return PolicyRun(accepted, lambda: batch.group_prices(group, count))
+    accepted = _replay(group_walk, batch, live, adversary, group, (1,) * count + (0,), batch.length)
+    return PolicyRun(accepted, lambda: batch.values_at(batch.group_prices(group, count)))
+
+
+def _laminar_critical(batch: PathBatch, accepted: np.ndarray) -> np.ndarray:
+    """v0 - contraction_optimum for each accepted element: the greedy
+    optimum of the samples minus the best sample set that leaves one slot of
+    the element's group and of the total capacity free, that is, the same
+    `group_walk` with both capacities lowered by one and the element left
+    out. cumsum adds the values in path order, one at a time, as
+    `matroid_greedy_opt` and `contraction_optimum` do."""
+    fs = batch.structure
+    group_of = group_ids(fs.groups, batch.n)
+    samples = ~batch.heads
+    # Per (index, column) views; exact mode's path is the same in every column.
+    elem = np.broadcast_to(np.reshape(batch.elem, (batch.length, -1)), samples.shape)
+    w_val = np.broadcast_to(batch.w_val.reshape(batch.length, -1), samples.shape)
+    v0 = np.cumsum(np.where(samples & batch.free("T"), w_val, 0.0), axis=0)[-1]
+    critical = np.zeros(accepted.shape)
+    for e in np.flatnonzero(accepted.any(axis=1)):
+        cols = np.flatnonzero(accepted[e])
+        steps = elem[:, cols]
+        want = samples[:, cols] & (steps != e)
+        caps = np.array(fs.group_capacities)
+        caps[group_of[e]] -= 1
+        took = want & group_walk(steps, want, group_of, caps, fs.total_capacity - 1)
+        value = np.cumsum(np.where(took, w_val[:, cols], 0.0), axis=0)[-1]
+        critical[e, cols] = v0[cols] - value
+    return critical
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ import numpy as np
 from .core import CapExceededError, TrialDraws, draw_trials, trial_rng
 from .exact import (
     EXACT_MODE_CAP,
-    INCREASING,
     ConfigEnsemble,
     TrialBatch,
     config_blocks,
@@ -128,7 +127,7 @@ def _exact_groupings(policy: str, instance: Instance) -> list:
 
 
 def _block_counts(
-    ens: ConfigEnsemble, policy: str, orders, searching: bool, groupings: list
+    ens: ConfigEnsemble, policy: str, adversary: str, groupings: list
 ) -> tuple[np.ndarray, int, int]:
     """On one block of configurations: the (3, 2n) path-index counts of the
     rewards of E_ALG (summed over the runs: one, or one per partition for the
@@ -141,7 +140,7 @@ def _block_counts(
     if exact_opt:  # first: its tables hold the bitmask caps
         counts[1] = np.bincount(ridx[optimum_accepts(ens)], minlength=ens.length)
     z_violations = runs = 0
-    for run in policy_runs(ens, policy, orders, searching, groupings):
+    for run in policy_runs(ens, policy, adversary, groupings):
         counts[0] += np.bincount(ridx[run.accepted], minlength=ens.length)
         z_violations += int((run.accepted & (ridx > ens.y_idx)).sum())  # rewards at Z indices
         runs += 1
@@ -171,13 +170,10 @@ def estimate_ratio_exact(
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
     realizations = instance.draw_realizations(trial_rng(seed, 0))
     groupings = _exact_groupings(policy, instance)
-    orders = None if adversary == "fixed" else INCREASING
     counts = np.zeros((3, 2 * n), dtype=np.int64)
     z_violations = run_columns = 0
     for ens in config_blocks(instance.structure, realizations):
-        block, runs, z = _block_counts(
-            ens, policy, orders, adversary == "exhaustive-min", groupings
-        )
+        block, runs, z = _block_counts(ens, policy, adversary, groupings)
         counts += block
         z_violations += z
         run_columns += runs * ens.num_configs
@@ -224,9 +220,9 @@ class TrialOutcome:
     """Per-trial results of one batch of Monte Carlo trials."""
 
     batch: TrialBatch
-    # The arrival order as `policy_runs` reads it: (n, trials) orders for the
-    # random adversary, None by element id (fixed), else exact.INCREASING.
-    orders: np.ndarray | str | None
+    # The adversary as `policy_runs` reads it: (n, trials) orders for the
+    # random adversary, else its name.
+    orders: np.ndarray | str
     vertex_ranks: np.ndarray | None  # reduction-graphic: (vertices, trials)
     accepted: np.ndarray  # (n, trials) flags
     alg: np.ndarray  # (trials,) float totals
@@ -290,13 +286,8 @@ def mc_trials(
     batch = TrialBatch(fs, draws)
     ranks, groupings = _reduction_groupings(instance, policy, draws)
     ridx = batch.ridx
-    if adversary == "fixed":
-        orders = None
-    elif adversary == "random":
-        orders = draws.permutations[0].T
-    else:  # increasing rewards, also the exhaustive-min order outside matching
-        orders = INCREASING
-    (run,) = policy_runs(batch, policy, orders, adversary == "exhaustive-min", groupings)
+    orders = draws.permutations[0].T if adversary == "random" else adversary
+    (run,) = policy_runs(batch, policy, orders, groupings)
     accepted = run.accepted
     opt, opt_prime = optimum_totals(batch)
     return TrialOutcome(

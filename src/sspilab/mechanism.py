@@ -11,7 +11,8 @@ payment rule is a design choice here, and every report flags it.
 batch through the batched policies of Monte Carlo `simulate`
 (`exact.policy_runs`): the pricing values are the samples and the
 valuations the rewards of a `TrialBatch`, and a winner's critical price is
-the threshold its run accepted it at (laminar's is `_laminar_critical`).
+the one its run gives (`PolicyRun.price`): the threshold it beat, or for
+laminar the sample optimum minus the contraction optimum.
 Trial t draws from its own stream (seed, t) in the order of the scalar
 `run_opm` loop (per element pricing, reserve and valuation, each a value
 and its token; then reduction-graphic's vertex order), and chunk sums merge
@@ -29,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Distribution, TaggedValue, TrialDraws, draw_trials
-from .exact import INCREASING, TrialBatch, group_ids, group_walk, policy_runs
+from .exact import TrialBatch, policy_runs
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
 from .harness import (
@@ -155,30 +156,6 @@ def optimal_posted_price_revenue(
 # ---------------------------------------------------------------------------
 
 
-def _laminar_critical(batch: TrialBatch, accepted: np.ndarray) -> np.ndarray:
-    """v0 - contraction_optimum for each accepted element: the greedy
-    optimum of the samples minus the best sample set that leaves one slot of
-    the element's group and of the total capacity free, that is, the same
-    `group_walk` with both capacities lowered by one and the element left
-    out. cumsum adds the values in path order, one at a time, as
-    `matroid_greedy_opt` and `contraction_optimum` do."""
-    fs = batch.structure
-    group_of = group_ids(fs.groups, batch.n)
-    samples = ~batch.heads
-    v0 = np.cumsum(np.where(samples & batch.free("T"), batch.w_val, 0.0), axis=0)[-1]
-    critical = np.zeros(accepted.shape)
-    for e in np.flatnonzero(accepted.any(axis=1)):
-        cols = np.flatnonzero(accepted[e])
-        elem = batch.elem[:, cols]
-        want = samples[:, cols] & (elem != e)
-        caps = np.array(fs.group_capacities)
-        caps[group_of[e]] -= 1
-        took = want & group_walk(elem, want, group_of, caps, fs.total_capacity - 1)
-        value = np.cumsum(np.where(took, batch.w_val[:, cols], 0.0), axis=0)[-1]
-        critical[e, cols] = v0[cols] - value
-    return critical
-
-
 @dataclass
 class MechanismTrials:
     """Per-trial results of one batch of mechanism trials: (n, trials)
@@ -219,13 +196,10 @@ def mechanism_trials(
         ~beaten, (),
     ))
     ranks, groupings = _reduction_groupings(instance, policy, draws)
-    (run,) = policy_runs(batch, policy, INCREASING, False, groupings)
+    (run,) = policy_runs(batch, policy, "increasing", groupings)
     accepted = run.accepted
     winners = accepted & ~(valuations < reserves)
-    critical = (
-        _laminar_critical(batch, accepted) if run.price is None else batch.values_at(run.price())
-    )
-    pay = np.maximum(critical, reserves)
+    pay = np.maximum(run.price(), reserves)
     over = winners & (pay > valuations * (1 + IR_SLACK) + IR_SLACK)
     if over.any():
         e, t = (int(i[0]) for i in np.nonzero(over))

@@ -215,18 +215,34 @@ class TestSupportingEventLaminar:
 
 
 class TestEngineAgreesWithScalarOps:
+    @staticmethod
+    def _matching_reports(fs, reals):
+        """The scalar matching reports of every (configuration, index),
+        each checked against the engine's table."""
+        path = build_sample_path(reals)
+        ens = ConfigEnsemble(fs, reals)
+        table = ens.support_matching()
+        reports = []
+        for mask in range(ens.num_configs):
+            config = Configuration.from_heads_mask(path, mask)
+            for j in range(path.length):
+                got = supporting_event_matching(fs, path, config, j)
+                assert got.holds == bool(table[j, mask])
+                reports.append(got)
+        return reports
+
     def test_matching(self, rng):
         for _ in range(8):
             inst = random_instance("matching", int(rng.integers(1, 6)), rng)
-            reals = inst.draw_realizations(rng)
-            path = build_sample_path(reals)
-            ens = ConfigEnsemble(inst.structure, reals)
-            table = ens.support_matching()
-            for mask in range(ens.num_configs):
-                config = Configuration.from_heads_mask(path, mask)
-                for j in range(path.length):
-                    got = supporting_event_matching(inst.structure, path, config, j)
-                    assert got.holds == bool(table[j, mask])
+            self._matching_reports(inst.structure, inst.draw_realizations(rng))
+        # Edges (0, 1) and (0, 2) meet but are not parallel: where the first
+        # conflicting index after one's Y-value is the other's tails, the
+        # scalar event looks for a second witness.
+        reports = self._matching_reports(
+            GeneralMatching(4, ((0, 1), (0, 2), (1, 3))),
+            make_realizations([(10, 1), (9, 0.5), (8, 0.2)]),
+        )
+        assert any(r.witnesses.get("l2") is not None for r in reports)
 
     def test_transversal(self, rng):
         for _ in range(8):

@@ -6,7 +6,7 @@ import pytest
 from sspilab.analysis import LemmaReport
 from sspilab.cli import main
 from sspilab.instances import instance_to_document
-from sspilab.generators import random_instance
+from sspilab.generators import random_instance, star_graphic_instance
 
 import numpy as np
 from fractions import Fraction
@@ -349,6 +349,21 @@ def test_non_integer_workers_rejected(instance_file, monkeypatch, capsys):
                  "--policy", "matching"])
     assert code == 2
     assert "SSPILAB_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inst, argv", [
+    # 7 vertices: above the exact vertex-order cap of 6.
+    (star_graphic_instance(6),
+     ["simulate", "--policy", "reduction-graphic", "--mode", "exact"]),
+    # 21 elements: above the configuration enumeration cap of 20.
+    (random_instance("rank1", 21, np.random.default_rng(2)),
+     ["verify", "--lemma", "symmetry"]),
+], ids=["vertex-orders", "configurations"])
+def test_exact_enumeration_caps_exit_3(inst, argv, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_document(inst)))
+    assert main([*argv, "--instance", str(path)]) == 3
+    assert "capped" in capsys.readouterr().err
 
 
 def test_tight_example_k_cap_and_bounded_blocks(capsys):

@@ -431,7 +431,7 @@ def test_group_thresholds_are_tagged_largest_samples():
         ElementRealization(1, tv(1.0, 0.5, 1), tv(0.0, 0.2, 1)),
     ]
     ens = ConfigEnsemble(fs, reals)
-    (run,) = policy_runs(ens, "rank1", np.argsort(-ens.ridx, axis=0), False)
+    (run,) = policy_runs(ens, "rank1", np.argsort(-ens.ridx, axis=0))
     acc = run.accepted
     for mask in range(4):
         rewards, samples = {}, {}

@@ -200,9 +200,24 @@ def test_tied_tokens_are_redrawn(monkeypatch, rng):
             value, self.last = self.last, None
             return value
 
+        def permutation(self, size):
+            return self.inner.permutation(size)
+
     monkeypatch.setattr(harness_core, "trial_rng", Repeating)
-    draws = harness_core.draw_trials([uniform(0.0, 1.0)] * 4, 1, range(6))
+    laws = [uniform(0.0, 1.0)] * 4
+    draws = harness_core.draw_trials(laws, 1, range(6))
     assert (draws.tokens[:4] != draws.tokens[4:]).all()
+    # A redrawn trial's permutation follows its realizations and coins in
+    # the scalar stream order.
+    draws = harness_core.draw_trials(laws, 1, range(6), [4])
+    assert (draws.tokens[:4] != draws.tokens[4:]).all()
+    for t in range(6):
+        stream = Repeating(1, t)
+        for e, law in enumerate(laws):
+            harness_core.draw_realization(law, e, stream)
+        for _ in laws:
+            stream.random()
+        assert draws.permutations[0][t].tolist() == stream.permutation(4).tolist()
 
 
 @pytest.mark.parametrize("kind, policy, n", [("transversal", "transversal", 17),

@@ -1,16 +1,19 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+import sspilab.exact as exact
 import sspilab.mechanism as mechanism
 from sspilab.cli import main
 from sspilab.core import (
     TaggedValue, discrete, draw_trials, exponential, point_mass, trial_rng, uniform,
 )
-from sspilab.exact import TrialBatch, policy_runs
+from sspilab.exact import ConfigEnsemble, TrialBatch, policy_runs
 from sspilab.feasibility import (
     GeneralMatching,
     Graphic,
@@ -25,6 +28,8 @@ from sspilab.generators import random_instance, star_graphic_instance
 from sspilab.harness import MC_CHUNK, WORKERS_ENV, _reduction_groupings
 from sspilab.instances import Instance, instance_to_document
 from sspilab.mechanism import (
+    MECHANISM_CSV_HEADER,
+    PAYMENT_RULE,
     RegimeError,
     estimate_mechanism_ratios,
     mechanism_report_fields,
@@ -427,11 +432,8 @@ def test_prices_are_the_traced_critical_values(policy, rng):
         batch = TrialBatch(fs, draws)
         ranks, groupings = _reduction_groupings(inst, policy, draws)
         orders = np.argsort(-batch.ridx, axis=0)
-        (run,) = policy_runs(batch, policy, orders, False, groupings)
-        if run.price is None:  # laminar: a contraction, not a threshold
-            critical = mechanism._laminar_critical(batch, run.accepted)
-        else:
-            critical = batch.values_at(run.price())
+        (run,) = policy_runs(batch, policy, orders, groupings)
+        critical = run.price()
         for t in range(batch.num_configs):
             rewards, samples = batch.tagged(t)
             name, partition = policy, inst.partition
@@ -444,6 +446,29 @@ def test_prices_are_the_traced_critical_values(policy, rng):
             assert set(np.flatnonzero(run.accepted[:, t]).tolist()) == set(want)
             for e, value in want.items():
                 assert critical[e, t] == value, (i, t, e)
+
+
+@pytest.mark.parametrize("policy", [p for p in _KINDS if p != "reduction-graphic"])
+def test_exact_prices_are_the_traced_critical_values(policy, rng):
+    # An exact ensemble has one sample path for all its configurations.
+    for i in range(3):
+        inst = _mechanism_instance(policy, rng)
+        reals = inst.draw_realizations(trial_rng(i, 0))
+        ens = ConfigEnsemble(inst.structure, reals)
+        orders = np.argsort(-ens.ridx, axis=0)
+        (run,) = policy_runs(ens, policy, orders, _reduction_groupings(inst, policy, None)[1])
+        critical = run.price()
+        for mask in range(ens.num_configs):
+            rewards, samples = {}, {}
+            for r in reals:
+                high = (mask >> r.element) & 1
+                rewards[r.element], samples[r.element] = (r.y, r.z) if high else (r.z, r.y)
+            trace = run_policy(policy, inst.structure, samples, rewards,
+                               orders[:, mask].tolist(), partition=inst.partition)
+            want = {d.element: d.critical_value for d in trace.decisions if d.accepted}
+            assert set(np.flatnonzero(run.accepted[:, mask]).tolist()) == set(want)
+            for e, value in want.items():
+                assert critical[e, mask] == value, (i, mask, e)
 
 
 def test_reduction_graphic_draws_its_vertex_order_last(rng):
@@ -480,11 +505,21 @@ def _mechanism_file(tmp_path):
     return str(path)
 
 
+def test_mechanism_csv_report(tmp_path, capsys):
+    code = main(["--trials", "50", "--format", "csv", "mechanism",
+                 "--instance", _mechanism_file(tmp_path), "--policy", "rank1"])
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert tuple(header) == MECHANISM_CSV_HEADER and len(header) == 15
+    assert len(rows) == 1
+    assert dict(zip(header, rows[0]))["payment_rule"] == PAYMENT_RULE
+
+
 def test_individual_rationality_violation_exits_4(tmp_path, monkeypatch, capsys):
     # A critical price above the valuation is a fault of the program: the
     # check raises RuntimeError (kept under python -O), which exits 4.
     monkeypatch.setattr(
-        mechanism, "_laminar_critical", lambda batch, accepted: np.full(accepted.shape, 1e9),
+        exact, "_laminar_critical", lambda batch, accepted: np.full(accepted.shape, 1e9),
     )
     code = main(["--trials", "50", "mechanism", "--instance", _mechanism_file(tmp_path),
                  "--policy", "laminar"])

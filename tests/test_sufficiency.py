@@ -8,6 +8,7 @@ and serves only as the reference.
 """
 
 import json
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -180,3 +181,17 @@ def test_cli_caps_at_17(tmp_path, capsys):
     ):
         assert main(argv) == 3, argv
         assert "capped at n <= 16" in capsys.readouterr().err
+
+
+def test_match_sufficient_refuses_before_building_the_ensemble():
+    # At n = 20 the (40, 2^20) ensemble tables would take tens of MiB.
+    inst = random_instance("matching", 20, np.random.default_rng(9))
+    reals = inst.draw_realizations(trial_rng(0, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="capped at n <= 16"):
+            verify_lemma("match-sufficient", inst.structure, reals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -30,6 +30,7 @@ def test_ziggurat_tables_pass_their_check():
 @pytest.mark.parametrize("seed, trials", [
     (0, range(5)), (909, range(4000, 4004)), (2**40 + 3, range(2)),
     (7, range(2**32 - 1, 2**32 + 2)),  # indices past 32 bits: numpy's own seeding
+    (2**96 + 5, range(3)), (2**200 + 1, range(2)),  # seeds of more than 4 words
 ])
 def test_trial_streams_equal_trial_rng(seed, trials):
     streams = core._TrialStreams(seed, trials)

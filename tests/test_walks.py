@@ -8,6 +8,7 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from sspilab.analysis import _free_flags, verify_lemma
@@ -20,7 +21,7 @@ from sspilab.core import (
     point_mass,
     trial_rng,
 )
-from sspilab.exact import INCREASING, ConfigEnsemble, TrialBatch, policy_runs
+from sspilab.exact import ConfigEnsemble, TrialBatch, policy_runs
 from sspilab.feasibility import Graphic, SimplePartition
 from sspilab.generators import _random_partition, random_instance
 from sspilab.harness import _exact_groupings, _reduction_groupings
@@ -93,12 +94,26 @@ def test_replay_by_element_id_equals_the_identity_orders(case):
             if policy == "reduction-graphic" and batch is ens:
                 continue  # its vertex orders are one per trial
             identity = np.tile(np.arange(n)[:, None], (1, batch.num_configs))
-            by_id = list(policy_runs(batch, policy, None, False, groupings))
-            ordered = list(policy_runs(batch, policy, identity, False, groupings))
+            by_id = list(policy_runs(batch, policy, "fixed", groupings))
+            ordered = list(policy_runs(batch, policy, identity, groupings))
             assert len(by_id) == len(ordered) >= 1
             for a, b in zip(by_id, ordered):
                 assert a.accepted.dtype == bool
                 assert np.array_equal(a.accepted, b.accepted), policy
+
+
+@pytest.mark.parametrize("adversary", ["random", "decreasing", None])
+def test_an_unknown_adversary_is_a_fault_of_the_program(adversary):
+    # The random adversary is passed as its drawn orders, never by name.
+    for kind in KINDS + ("rank1",):
+        inst = _instance(kind, 4, 1, "generated")
+        draws = _draws(inst, 1)
+        batch = TrialBatch(inst.structure, draws)
+        for policy, applies in POLICY_STRUCTURES.items():
+            if applies(inst.structure):
+                _, groupings = _reduction_groupings(inst, policy, draws)
+                with pytest.raises(RuntimeError, match="unknown adversary"):
+                    list(policy_runs(batch, policy, adversary, groupings))
 
 
 def test_transversal_candidates_are_node_indices_on_the_tails_walk_only():
@@ -158,8 +173,8 @@ def test_increasing_replay_along_the_path_equals_the_sorted_orders(case):
         exact_groupings = _exact_groupings(policy, inst)[::7]  # every 7th vertex order
         for batch, groupings in ((TrialBatch(fs, draws), trial_groupings),
                                  *((ens, exact_groupings) for ens in ensembles)):
-            along = list(policy_runs(batch, policy, INCREASING, False, groupings))
-            sorted_ = list(policy_runs(batch, policy, _increasing_orders(batch), False, groupings))
+            along = list(policy_runs(batch, policy, "increasing", groupings))
+            sorted_ = list(policy_runs(batch, policy, _increasing_orders(batch), groupings))
             assert len(along) == len(sorted_) >= 1
             for a, b in zip(along, sorted_):
                 assert a.accepted.dtype == bool
