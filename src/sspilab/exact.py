@@ -15,8 +15,9 @@ and sample), and every walk and kernel below:
   Configuration c is identified with the bitmask whose bit e says "element
   e's larger value is the reward"; the element at each path position is the
   same in every column. Exact `simulate` walks the 2**n configurations in
-  blocks of CONFIG_BLOCK (`config_blocks`), which share one sample path and
-  one set of subset tables, and sums integer counts across them.
+  blocks of CONFIG_BLOCK (`config_blocks`), which share the arrays of one
+  sample path (`PathLayout`) and one set of subset tables, and sums integer
+  counts across them.
 - `TrialBatch` (Monte Carlo mode): one column per trial, each with its own
   draw and coins (`core.draw_trials`). The element at a path position
   differs from column to column.
@@ -26,6 +27,15 @@ Values are compared by their index on each column's decreasing sample path:
 `idx_x < idx_y`. Threshold tables hold path indices, and the absent
 threshold is the index `absent`, the count of positive values, so beating it
 means having positive value.
+
+Every path-index table (`ridx`, `sidx`, `y_idx`, pair sums, `absent` and the
+thresholds, targets and prices made from them) has the batch's index type
+(`index_type`): the smallest signed integer type that holds 4n. A path
+index is below 2n, a pair sum (Y index + Z index) at most 4n - 3, and the
+sentinels are -1 and 2n, so 4n bounds them all: int8 up to n = 31, which
+covers every exact command, and int16 above. The walks keep their
+bitmasks in the smallest unsigned type that holds them. Narrow tables move
+fewer bytes per step of a walk over 2**13 columns.
 
 No step loops over columns in Python. The first-come greedy of each
 constraint kind is one kernel that steps through elements for every column
@@ -76,6 +86,12 @@ _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 EXACT_MODE_CAP = 16  # elements in a subset table (2**n entries)
 CONFIG_BLOCK = 1 << 13  # configurations per block of exact simulate
 MASK_BITS = 62  # resources an int64 bitmask holds; wider masks are python ints
+
+
+def index_type(n: int) -> np.dtype:
+    """The smallest signed integer type that holds 4n: the type of the
+    path-index tables of a batch of n elements (see the module docstring)."""
+    return np.min_scalar_type(-4 * n - 1)
 
 
 def group_ids(groups, n: int) -> np.ndarray:
@@ -141,10 +157,12 @@ class PathBatch:
     or (2n, columns)), `absent` the index of the absent threshold (an int or
     one per column) and `y_idx` each element's Y index ((n, 1) or (n,
     columns)). `length` (2n), `num_configs` (the column count) and `n`
-    follow from the shape of `heads`. `tables` holds the structure's subset
-    tables (a new `SubsetTables` unless batches share one). Subclasses
-    provide `ridx` and `sidx`, the (n, columns) path indices of every
-    element's reward and sample.
+    follow from the shape of `heads`, and `itype`, the type of every
+    path-index table, from n (`index_type`); `absent` and `y_idx` come in
+    that type. `tables` holds the structure's subset tables (a new
+    `SubsetTables` unless batches share one). Subclasses provide `ridx` and
+    `sidx`, the (n, columns) path indices of every element's reward and
+    sample.
     """
 
     ridx: np.ndarray
@@ -160,6 +178,7 @@ class PathBatch:
         self.tables = tables or SubsetTables(structure)
         self.length, self.num_configs = heads.shape
         self.n = self.length // 2
+        self.itype = index_type(self.n)
         self.cols = np.arange(self.num_configs)
         self._free: dict[str, np.ndarray] = {}
         self._candidate: np.ndarray | None = None
@@ -205,7 +224,7 @@ class PathBatch:
         elif isinstance(fs, Graphic):
             free = self._free_graphic(side_flags, fs)
         else:
-            raise TypeError(f"unknown structure {type(fs)!r}")
+            raise RuntimeError(f"unknown structure {type(fs)!r}")
         self._free[side] = free
         return free
 
@@ -217,8 +236,11 @@ class PathBatch:
         return self._candidate
 
     def _free_transversal(self, side_flags, fs: Transversal, with_nodes: bool) -> np.ndarray:
-        wide = fs.right_count > MASK_BITS  # right-node masks as python ints
-        rmask = np.array(neighbor_masks(fs), dtype=object if wide else np.int64)
+        rmask = neighbor_masks(fs)
+        # Right-node masks in the smallest unsigned type, as python ints
+        # when wider than MASK_BITS.
+        wide = fs.right_count > MASK_BITS
+        rmask = np.array(rmask, dtype=object if wide else np.min_scalar_type(max(rmask, default=0)))
         untaken = ~np.zeros(self.num_configs, dtype=rmask.dtype)
         free = np.empty((self.length, self.num_configs), dtype=bool)
         if with_nodes:
@@ -271,18 +293,13 @@ class PathBatch:
         matching on samples."""
         fs = self.structure
         ends = np.array(fs.edges, dtype=np.int64).reshape(-1, 2)
-        free_t = self.free("T")
-        tails = ~self.heads
-        th = np.empty((fs.vertex_count, self.num_configs), dtype=np.int64)
+        picked = self.free("T") & ~self.heads
+        th = np.empty((fs.vertex_count, self.num_configs), dtype=self.itype)
         th[:] = self.absent
-        for j in range(self.length):
-            picked = tails[j] & free_t[j]
-            if not picked.any():
-                continue
-            cols = self.cols[picked]
+        for j, cols in enumerate(map(np.flatnonzero, picked)):
             ends_j = ends[self.elem[j]].T.reshape(2, -1)
             for vertex in np.broadcast_to(ends_j, (2, self.num_configs)):
-                th[vertex[picked], cols] = j
+                th[vertex[cols], cols] = j
         return th
 
     def matching_prices(self) -> np.ndarray:
@@ -300,28 +317,28 @@ class PathBatch:
         """(right nodes, columns) thresholds (path indices) from the
         ordered-maximal sample matching."""
         fs = self.structure
-        free_t = self.free("T")
+        picked = self.free("T") & ~self.heads
         cand = self.candidate_nodes()
-        tails = ~self.heads
-        th = np.empty((fs.right_count, self.num_configs), dtype=np.int64)
+        th = np.empty((fs.right_count, self.num_configs), dtype=self.itype)
         th[:] = self.absent
-        for j in range(self.length):
-            picked = tails[j] & free_t[j]
-            if picked.any():
-                th[cand[j, picked], self.cols[picked]] = j
+        for j, cols in enumerate(map(np.flatnonzero, picked)):
+            th[cand[j, cols], cols] = j
         return th
 
     @_kept
     def transversal_targets(self) -> np.ndarray:
         """(n, columns) int: the right node the online rule would pick for
-        each arriving left node (-1 when the threshold scan finds none).
+        each arriving left node (-1 when the threshold scan finds none), in
+        the index type or the smallest signed type holding every right node
+        when that is wider.
 
         The scan is order-independent: it uses only offline thresholds and
         the element's own sample."""
         fs = self.structure
         th = self.transversal_r_thresholds()
         ridx = self.ridx
-        out = np.full((self.n, self.num_configs), -1, dtype=np.int64)
+        node_type = np.promote_types(self.itype, np.min_scalar_type(-fs.right_count - 1))
+        out = np.full((self.n, self.num_configs), -1, dtype=node_type)
         for l in range(self.n):
             # The last write is the first neighbour whose threshold it beats.
             for r in reversed(fs.sorted_neighbors(l)):
@@ -357,26 +374,31 @@ class PathBatch:
     def group_prices(self, group, count: int) -> np.ndarray:
         """(n, columns) path index of the largest sample in each element's
         group. `group` gives each element's group index, fixed or one per
-        column; index `count` means no group."""
-        cols = self.cols
+        column; index `count` means no group. Fixed groups take one min
+        over their members' sample rows each."""
         group = np.asarray(group)
         sidx = self.sidx
-        thr = np.full((count + 1, self.num_configs), self.length, dtype=np.int64)
+        thr = np.full((count + 1, self.num_configs), self.length, dtype=sidx.dtype)
+        if group.ndim == 1:
+            for g in set(group.tolist()):
+                thr[g] = sidx[group == g].min(axis=0)
+            return thr[group]
+        cols = self.cols
         for e in range(self.n):
             g = group[e]
             _put(thr, g, cols, np.minimum(_take(thr, g, cols), sidx[e]))
-        return thr[group] if group.ndim == 1 else np.take_along_axis(thr, group, axis=0)
+        return np.take_along_axis(thr, group, axis=0)
 
 
-class ConfigEnsemble(PathBatch):
-    """The configurations lo..hi-1 (all 2**n by default) for one structure
-    and fixed realizations of its elements 0..n-1; bit e of configuration c
-    is element e's coin, and column c - lo holds configuration c.
-    `realizations` may also be their sample path, built once for several
-    blocks; `tables` are subset tables the blocks share."""
+class PathLayout:
+    """The arrays of one sample path that every block of its configurations
+    shares, built once: the element at each path position (`elem`), the Y
+    flags (`is_y`) and values (`w_val`) per position, the index of the
+    absent threshold, and per element its Y index and pair sum (Y index +
+    Z index) as (n, 1) path indices of the index type. `realizations` may
+    also be their sample path."""
 
-    def __init__(self, structure, realizations, lo: int = 0, hi: int | None = None,
-                 tables: SubsetTables | None = None) -> None:
+    def __init__(self, structure, realizations) -> None:
         is_path = isinstance(realizations, SamplePath)
         self.path = realizations if is_path else build_sample_path(realizations)
         n = self.path.n
@@ -391,31 +413,54 @@ class ConfigEnsemble(PathBatch):
                 f"realizations must be of the elements 0..{structure.ground_size - 1}, "
                 f"got ids {ids}"
             )
-        elem = [e.element for e in entries]
+        self.elem = [e.element for e in entries]
         self.is_y = np.array([e.label == "Y" for e in entries])
-        y_idx = np.array([[self.path.y_index(e)] for e in range(n)])
-        self._pair_sum = y_idx + np.array(self.path.partner)[y_idx]  # Y index + Z index
+        ys = np.flatnonzero(self.is_y)
+        y_idx = np.empty((n, 1), dtype=index_type(n))
+        y_idx[np.array(self.elem)[ys], 0] = ys
+        self.y_idx = y_idx
+        self.pair_sum = y_idx + np.array(self.path.partner, dtype=y_idx.dtype)[y_idx]
+        self.w_val = np.array([e.value.value for e in entries])
+        # Index of the absent threshold: every positive value precedes it.
+        self.absent = y_idx.dtype.type((self.w_val > 0).sum())
 
+
+class ConfigEnsemble(PathBatch):
+    """The configurations lo..hi-1 (all 2**n by default) for one structure
+    and fixed realizations of its elements 0..n-1; bit e of configuration c
+    is element e's coin, and column c - lo holds configuration c.
+    `realizations` may also be their sample path, or its `PathLayout`,
+    built once for several blocks; `tables` are subset tables the blocks
+    share."""
+
+    def __init__(self, structure, realizations, lo: int = 0, hi: int | None = None,
+                 tables: SubsetTables | None = None) -> None:
+        layout = realizations if isinstance(realizations, PathLayout) else PathLayout(
+            structure, realizations
+        )
+        self.path = layout.path
+        self.is_y = layout.is_y
+        self._pair_sum = layout.pair_sum
+        y_idx = layout.y_idx
+        n = self.path.n
         hi = 1 << n if hi is None else min(hi, 1 << n)
-        masks = np.arange(lo, hi, dtype=np.int64)
+        masks = np.arange(lo, hi, dtype=np.min_scalar_type((1 << n) - 1))
         heads = np.empty((2 * n, len(masks)), dtype=bool)
-        for e, ((y,), (pair_sum,)) in enumerate(zip(y_idx, self._pair_sum)):
+        for e, ((y,), (pair_sum,)) in enumerate(zip(y_idx.tolist(), self._pair_sum.tolist())):
             # Coin at the Y index is heads exactly when the element bit is
             # set; the Z index shows the other side.
             np.not_equal((masks >> e) & 1, 0, out=heads[y])
             np.logical_not(heads[y], out=heads[pair_sum - y])
-        w_val = np.array([e.value.value for e in entries])
-        # Index of the absent threshold: every positive value precedes it.
-        super().__init__(
-            structure, elem, heads, w_val, int((w_val > 0).sum()), y_idx, tables
-        )
+        super().__init__(structure, layout.elem, heads, layout.w_val, layout.absent, y_idx, tables)
 
     @cached_property
     def ridx(self) -> np.ndarray:
         """(n, configs) path index of every element's reward, made when
-        first read, one element at a time from views of `heads`."""
-        z_idx = self._pair_sum - self.y_idx
-        return np.stack([np.where(self.heads[y], y, z) for (y,), (z,) in zip(self.y_idx, z_idx)])
+        first read."""
+        y = self.y_idx
+        z = self._pair_sum - y
+        # heads at the Y index (0 or 1) moves the reward from z to y
+        return z - self.heads[y[:, 0]].view(np.int8) * (z - y)
 
     @property
     def sidx(self) -> np.ndarray:
@@ -430,12 +475,18 @@ class ConfigEnsemble(PathBatch):
         return flags[y] | flags[self._pair_sum[:, 0] - y]
 
     def path_total(self, counts) -> Fraction:
-        """Exact sum over path indices of value times count."""
-        total = Fraction(0)
-        for j, cnt in enumerate(counts):
+        """Exact sum over path indices of value times count. Each value is
+        a ratio p / q with q a power of two, so the sum is one integer over
+        the largest q, reduced once."""
+        num, den = 0, 1
+        for value, cnt in zip(self.w_val.tolist(), np.asarray(counts).tolist()):
             if cnt:
-                total += Fraction(float(self.w_val[j])) * int(cnt)
-        return total
+                p, q = value.as_integer_ratio()
+                if q > den:
+                    num *= q // den
+                    den = q
+                num += p * (den // q) * cnt
+        return Fraction(num, den)
 
     # -- supporting events ---------------------------------------------------
 
@@ -551,11 +602,12 @@ class ConfigEnsemble(PathBatch):
 def config_blocks(structure, realizations) -> Iterator[ConfigEnsemble]:
     """All 2**n configurations of the realizations as ensembles of
     CONFIG_BLOCK consecutive ones, in order, made one at a time as they are
-    read, on one sample path with one set of subset tables."""
-    path = build_sample_path(realizations)
+    read, on one sample path (one `PathLayout`) with one set of subset
+    tables."""
+    layout = PathLayout(structure, realizations)
     tables = SubsetTables(structure)
-    for lo in range(0, 1 << path.n, CONFIG_BLOCK):
-        yield ConfigEnsemble(structure, path, lo, lo + CONFIG_BLOCK, tables)
+    for lo in range(0, 1 << layout.path.n, CONFIG_BLOCK):
+        yield ConfigEnsemble(structure, layout, lo, lo + CONFIG_BLOCK, tables)
 
 
 class TrialBatch(PathBatch):
@@ -574,8 +626,9 @@ class TrialBatch(PathBatch):
         desc = np.lexsort(
             (np.broadcast_to(owner, (trials, 2 * n)), tokens.T, values.T)
         ).T[::-1]
-        pos = np.empty_like(desc)
-        np.put_along_axis(pos, desc, np.arange(2 * n)[:, None], axis=0)
+        itype = index_type(n)
+        pos = np.empty(desc.shape, dtype=itype)
+        np.put_along_axis(pos, desc, np.arange(2 * n, dtype=itype)[:, None], axis=0)
         rows = np.arange(n)[:, None]
         first = pos[:n] < pos[n:]  # draw 0 is the larger value
         y_row = np.where(first, rows, rows + n)
@@ -589,7 +642,7 @@ class TrialBatch(PathBatch):
         np.put_along_axis(heads, self.ridx, True, axis=0)
         super().__init__(
             structure, owner[desc], heads, np.take_along_axis(values, desc, axis=0),
-            (values > 0).sum(axis=0), np.minimum(pos[:n], pos[n:]),
+            (values > 0).sum(axis=0).astype(itype), np.minimum(pos[:n], pos[n:]),
         )
 
     def tagged(self, t: int) -> tuple[dict[int, TaggedValue], dict[int, TaggedValue]]:
@@ -714,7 +767,7 @@ def element_masks(flags: np.ndarray) -> np.ndarray:
 
 def element_flags(masks: np.ndarray, n: int) -> np.ndarray:
     """(n, len(masks)) flags: bit e of each element mask."""
-    return ((masks[None, :] >> np.arange(n)[:, None]) & 1).astype(bool)
+    return ((masks >> np.arange(n, dtype=masks.dtype)[:, None]) & 1) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -765,29 +818,34 @@ def group_walk(elem, want, group, caps, total_cap: int) -> np.ndarray:
     element's group index, fixed ((n,)) or one per column ((n, columns));
     `caps` holds one capacity per index that occurs."""
     steps, configs = want.shape
-    groups = _at_steps(np.asarray(group, dtype=np.intp), elem)
+    groups = _at_steps(np.asarray(group), elem)
     caps = np.asarray(caps)
     # The room left in each (group, column) counts down from its capacity. A
     # step reads one row of it when its group is fixed (a view, counted down
     # in place), else one entry per column at flat positions (a gather,
-    # written back). A total the steps cannot reach is not tracked.
+    # written back), made one step at a time from the group ids in their
+    # own type; each column's groups lie side by side, so that a step's
+    # positions ascend. A total the steps cannot reach is not tracked.
     tracked = total_cap < steps
     room_type = np.min_scalar_type(max(int(caps.max(initial=0)), total_cap * tracked))
-    room = np.repeat(caps.astype(room_type)[:, None], configs, axis=1)
-    if groups.ndim == 2:  # a gathered copy: turned into flat positions in place
-        groups *= configs
-        groups += np.arange(configs)
-        room = room.reshape(-1)
+    per_column = groups.ndim == 2
+    if per_column:
+        room = np.tile(caps.astype(room_type), configs)
+        offsets = np.arange(0, configs * len(caps), len(caps))
+    else:
+        room = np.repeat(caps.astype(room_type)[:, None], configs, axis=1)
     total = np.full(configs, total_cap, dtype=room_type) if tracked else None
     free = np.empty(want.shape, dtype=bool)
     for g, wants, ok in zip(groups, want, free):
+        if per_column:
+            g = g + offsets
         left = room[g]
         np.not_equal(left, 0, out=ok)
         if total is not None:
             np.logical_and(ok, total, out=ok)
         took = wants & ok
         left -= took
-        if groups.ndim == 2:
+        if per_column:
             room[g] = left
         if total is not None:
             total -= took
@@ -930,16 +988,20 @@ def optimum_accepts(batch: PathBatch) -> np.ndarray:
 
     Transversal systems are matroids: the greedy over each column's rewards
     in path-rank order, keeping an element while the set stays matchable, is
-    optimal and integer-exact. For matching, rewards are non-negative, so
-    some maximal matching is optimal."""
+    optimal and integer-exact. It walks the sample path, where the rewards
+    are the entries with `heads` set, largest first; the chosen sets are
+    masks in the smallest unsigned type that holds 2**n - 1. For matching,
+    rewards are non-negative, so some maximal matching is optimal."""
     fs = batch.structure
     n = batch.n
     if isinstance(fs, Transversal):
         matchable = batch.tables.matchable
-        chosen = np.zeros(batch.num_configs, dtype=np.int64)
-        for e in np.argsort(batch.ridx, axis=0):  # largest rewards first
-            grown = chosen | (np.int64(1) << e)
-            chosen = np.where(matchable[grown], grown, chosen)
+        bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+        chosen = np.zeros(batch.num_configs, dtype=bits.dtype)
+        for bit, reward in zip(_at_steps(bits, batch.elem), batch.heads):
+            keep = matchable.take(chosen | bit)
+            keep &= reward
+            chosen |= bit * keep
         return element_flags(chosen, n)
     if not isinstance(fs, GeneralMatching):
         raise RuntimeError(f"no batched optimum for {type(fs).__name__}")
@@ -1006,7 +1068,8 @@ def policy_runs(batch: PathBatch, policy: str, adversary, groupings=()) -> Itera
         # (-1) go to an extra group of capacity 0. No total binds.
         targets = batch.transversal_targets()
         live = targets >= 0
-        group = np.where(live, targets, fs.right_count)
+        group = targets.copy()
+        np.copyto(group, fs.right_count, where=~live)
         caps = (1,) * fs.right_count + (0,)
         accepted = _replay(group_walk, batch, live, adversary, group, caps, batch.length)
         yield PolicyRun(accepted, lambda: batch.values_at(batch.transversal_prices()))

@@ -26,6 +26,7 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,38 +113,49 @@ def _vertex_order_groups(fs: Graphic, perms: np.ndarray) -> tuple[np.ndarray, np
     return ranks, np.where(ranks[u] < ranks[v], u[:, None], v[:, None])
 
 
-def _exact_groupings(policy: str, instance: Instance) -> list:
-    """The reduction policies' partitions as (group, count) pairs: the
-    instance's own, or every vertex-order partition, each equally likely."""
+def _exact_groupings(policy: str, instance: Instance) -> tuple[list, list[int]]:
+    """The reduction policies' partitions as (group, count) pairs, and the
+    weight of each: the instance's own, or each distinct vertex-order
+    partition, weighted by the number of vertex orders that give it.
+
+    Every group has capacity 1, so a partition's runs do not depend on its
+    group labels: the groups are relabelled in order of first occurrence
+    over the elements before equal partitions merge."""
     fs = instance.structure
     if policy != "reduction-graphic":
-        return _reduction_groupings(instance, policy, None)[1]
+        return _reduction_groupings(instance, policy, None)[1], [1]
     if fs.vertex_count > EXACT_SIGMA_VERTEX_CAP:
         raise CapExceededError(
             f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} vertices"
         )
     _, groups = _vertex_order_groups(fs, np.array(list(permutations(range(fs.vertex_count)))))
-    return [(group, fs.vertex_count) for group in np.ascontiguousarray(groups.T)]
+    # Per order, each group's label is its rank among the first occurrences.
+    first = np.argmax(groups[:, None, :] == groups[None, :, :], axis=0)  # (n, orders)
+    labels = np.cumsum(first == np.arange(len(groups))[:, None], axis=0) - 1
+    relabelled = np.take_along_axis(labels, first, axis=0)
+    orders = Counter(map(tuple, relabelled.T.tolist()))
+    return [(np.array(group), fs.vertex_count) for group in orders], list(orders.values())
 
 
 def _block_counts(
-    ens: ConfigEnsemble, policy: str, adversary: str, groupings: list
+    ens: ConfigEnsemble, policy: str, adversary: str, groupings: list, weights: list[int]
 ) -> tuple[np.ndarray, int, int]:
     """On one block of configurations: the (3, 2n) path-index counts of the
     rewards of E_ALG (summed over the runs: one, or one per partition for the
-    reductions), E_OPT and E_OPT_PRIME; the number of runs; and the
-    z-violation count. Runs are summed as they are made, so one is alive at
-    a time."""
+    reductions, each times its weight), E_OPT and E_OPT_PRIME; the weighted
+    number of runs; and the weighted z-violation count. Runs are summed as
+    they are made, so one is alive at a time."""
     ridx = ens.ridx
     counts = np.zeros((3, ens.length), dtype=np.int64)
     exact_opt = isinstance(ens.structure, (GeneralMatching, Transversal))
     if exact_opt:  # first: its tables hold the bitmask caps
         counts[1] = np.bincount(ridx[optimum_accepts(ens)], minlength=ens.length)
     z_violations = runs = 0
-    for run in policy_runs(ens, policy, adversary, groupings):
-        counts[0] += np.bincount(ridx[run.accepted], minlength=ens.length)
-        z_violations += int((run.accepted & (ridx > ens.y_idx)).sum())  # rewards at Z indices
-        runs += 1
+    for run, weight in zip(policy_runs(ens, policy, adversary, groupings), weights):
+        counts[0] += weight * np.bincount(ridx[run.accepted], minlength=ens.length)
+        # rewards at Z indices
+        z_violations += weight * int((run.accepted & (ridx > ens.y_idx)).sum())
+        runs += weight
     counts[2] = (ens.heads & ens.free("H")).sum(axis=1)
     if not exact_opt:
         counts[1] = counts[2]  # the matroid greedy is optimal
@@ -169,11 +181,11 @@ def estimate_ratio_exact(
     if n > EXACT_MODE_CAP:
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
     realizations = instance.draw_realizations(trial_rng(seed, 0))
-    groupings = _exact_groupings(policy, instance)
+    groupings, weights = _exact_groupings(policy, instance)
     counts = np.zeros((3, 2 * n), dtype=np.int64)
     z_violations = run_columns = 0
     for ens in config_blocks(instance.structure, realizations):
-        block, runs, z = _block_counts(ens, policy, adversary, groupings)
+        block, runs, z = _block_counts(ens, policy, adversary, groupings, weights)
         counts += block
         z_violations += z
         run_columns += runs * ens.num_configs
@@ -372,7 +384,7 @@ def estimate_ratio(
         return estimate_ratio_exact(instance, policy, adversary, seed)
     if mode == "mc":
         return estimate_ratio_mc(instance, policy, adversary, trials, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise RuntimeError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +516,7 @@ def render_report(report: RatioReport, fmt: str) -> str:
         return json.dumps(fields, indent=2) + "\n"
     if fmt == "csv":
         return csv_text(CSV_HEADER, fields.values())  # fields come in header order
-    raise ValueError(f"unknown report format {fmt!r}")
+    raise RuntimeError(f"unknown report format {fmt!r}")
 
 
 def emit_report(report: RatioReport, fmt: str, path) -> None:

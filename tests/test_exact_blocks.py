@@ -93,6 +93,46 @@ def test_exact_simulate_memory_is_bounded_by_the_block(policy, kind):
         assert peak < 16 * 2**20, (adversary, peak / 2**20)
 
 
+@pytest.mark.parametrize("policy, kind, bound_mib", [
+    ("rank1", "rank1", 2), ("laminar", "truncated-partition", 2),
+    ("transversal", "transversal", 3),
+])
+def test_exact_simulate_memory_with_narrow_tables(policy, kind, bound_mib):
+    # With int64 path indices, thresholds and group ids these commands
+    # peaked at 3.46, 2.58 and 7.39 MiB; narrow tables and per-step group
+    # positions take them to about 1.5, 1.7 and 2.4 MiB. A first run makes
+    # the one-time imports before tracing starts.
+    inst = random_instance(kind, 16, np.random.default_rng(5))
+    estimate_ratio(inst, policy, "fixed", seed=5, mode="exact")
+    for adversary in ("fixed", "increasing"):
+        tracemalloc.start()
+        try:
+            estimate_ratio(inst, policy, adversary, seed=5, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (adversary, peak / 2**20)
+
+
+def test_path_index_tables_take_the_smallest_type():
+    inst = random_instance("transversal", 9, np.random.default_rng(2))
+    ens = ConfigEnsemble(inst.structure, inst.draw_realizations(trial_rng(2, 0)))
+    assert exact.index_type(31) == np.int8 and exact.index_type(32) == np.int16
+    for table in (ens.ridx, ens.sidx, ens.y_idx, ens.transversal_r_thresholds(),
+                  ens.transversal_targets(), ens.transversal_prices()):
+        assert table.dtype == np.int8
+
+
+def test_unknown_structure_is_a_fault_of_the_program():
+    # Only a fault of the program reaches the free flags with a structure
+    # they do not know; RuntimeError exits 4, not 2.
+    inst = random_instance("rank1", 3, np.random.default_rng(3))
+    ens = ConfigEnsemble(inst.structure, inst.draw_realizations(trial_rng(3, 0)))
+    ens.structure = object()
+    with pytest.raises(RuntimeError, match="unknown structure"):
+        ens.free("H")
+
+
 def _count_builds(monkeypatch) -> Counter:
     """Count the builds (not the reads) of the transversal threshold tables."""
     builds = Counter()

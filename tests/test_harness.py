@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sspilab.exact as exact_module
 from sspilab import harness
 from sspilab.core import (
     CapExceededError,
@@ -118,6 +119,29 @@ class TestExactMode:
             acc += rep.e_alg
             count += 1
         assert got.e_alg == acc / count
+
+    def test_exact_reduction_graphic_replays_each_partition_once(self, monkeypatch):
+        # Groups have capacity 1, so only the edge partition matters, not its
+        # labels: the 3! vertex orders of a triangle give 3 partitions (the
+        # first vertex's two edges, and the third edge), each twice.
+        edges = ((0, 1), (1, 2), (0, 2))
+        inst = Instance("triangle", Graphic(3, edges), {e: uniform(0.0, 1.0 + e) for e in range(3)})
+        groupings, weights = harness._exact_groupings("reduction-graphic", inst)
+        assert weights == [2, 2, 2]
+        assert sorted(sorted(np.bincount(group).tolist()) for group, _ in groupings) == [[1, 2]] * 3
+        runs = []
+        group_run = exact_module._group_run
+        monkeypatch.setattr(exact_module, "_group_run", lambda *a: runs.append(a) or group_run(*a))
+        got = estimate_ratio(inst, "reduction-graphic", adversary="increasing", mode="exact", seed=2)
+        assert len(runs) == 3
+        acc = Fraction(0)
+        for sigma in permutations(range(3)):
+            partition, _ = graphic_partition(inst.structure, sigma=sigma)
+            pinned = Instance(inst.name, inst.structure, inst.distributions, partition, 2.0)
+            acc += estimate_ratio(
+                pinned, "reduction-custom", adversary="increasing", mode="exact", seed=2
+            ).e_alg
+        assert got.e_alg == acc / 6
 
     def test_exact_reduction_graphic_keeps_one_vertex_order_alive(self):
         # 720 vertex orders of (11, 2048) flags each: about 16 MB when all
@@ -357,8 +381,15 @@ class TestReports:
 
     def test_unknown_format(self):
         rep = tight_example(3, trials=200, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError):
             render_report(rep, "xml")
+
+    def test_unknown_mode_is_a_fault_of_the_program(self):
+        # argparse restricts --mode, so only a fault of the program gets
+        # here; RuntimeError exits 4, not 2.
+        inst = random_instance("rank1", 3, np.random.default_rng(1))
+        with pytest.raises(RuntimeError, match="unknown mode"):
+            estimate_ratio(inst, "rank1", mode="exhaustive")
 
 
 def test_worker_count_env(monkeypatch):

@@ -245,6 +245,32 @@ def test_scalar_optimum_equals_tables(kind, policy, rng, monkeypatch):
         assert np.allclose(tables.opt, scalar.opt, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("policy", ["rank1", "laminar", "reduction-custom"])
+@pytest.mark.parametrize("adversary", ["increasing", "random"])
+def test_int16_path_indices_match_traced_policies(policy, adversary, rng):
+    # At n = 40 pair sums (Y index + Z index) pass 127, so the path-index
+    # tables take int16, the next type that holds 4n.
+    inst = _instance(policy, 40, rng, zeros=False)
+    out = mc_trials(inst, policy, adversary, int(rng.integers(0, 99)), range(20))
+    batch = out.batch
+    assert batch.ridx.dtype == batch.sidx.dtype == batch.y_idx.dtype == np.int16
+    assert (batch.ridx + batch.sidx).max() > 127
+    _check_against_traced(inst, policy, adversary, out)
+
+
+def test_target_nodes_wider_than_the_index_type(rng):
+    # 200 right nodes on 6 left nodes: path indices fit int8, but the target
+    # nodes, and the extra group past them, need int16.
+    adjacency = tuple(tuple(sorted(rng.choice(200, size=3, replace=False).tolist()))
+                      for _ in range(6))
+    inst = Instance("wide-200", Transversal(6, 200, adjacency),
+                    {e: uniform(0.0, 1.0) for e in range(6)})
+    out = mc_trials(inst, "transversal", "increasing", 2, range(40))
+    assert out.batch.ridx.dtype == np.int8
+    assert out.batch.transversal_targets().dtype == np.int16
+    _check_against_traced(inst, "transversal", "increasing", out)
+
+
 def test_wide_structures_run_batched(rng):
     # 70 right nodes do not fit an int64 mask: the walks use python ints and
     # E_OPT the scalar oracle. Matching masks cover only touched vertices.

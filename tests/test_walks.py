@@ -170,7 +170,7 @@ def test_increasing_replay_along_the_path_equals_the_sorted_orders(case):
     assert policies
     for policy in policies:
         _, trial_groupings = _reduction_groupings(inst, policy, draws)
-        exact_groupings = _exact_groupings(policy, inst)[::7]  # every 7th vertex order
+        exact_groupings = _exact_groupings(policy, inst)[0][::7]  # every 7th partition
         for batch, groupings in ((TrialBatch(fs, draws), trial_groupings),
                                  *((ens, exact_groupings) for ens in ensembles)):
             along = list(policy_runs(batch, policy, "increasing", groupings))
