@@ -271,10 +271,18 @@ class TrialDraws:
     permutations: tuple[np.ndarray, ...]
 
 
-_ROW_BLOCK = 256  # trials decoded from raw draws at once, to bound the temporaries
-# Fewer trials are drawn by their generators' calls: a decoded block costs
-# about 0.3 ms more up front, and saves about 20 us per trial.
+_BLOCK_CELLS = 65536  # raw draws per block of trials: a 512 KiB table
+# Fewer trials are drawn by their generators' calls: the table's numpy ops
+# cost a few hundred us per call however few the trials. Measured crossover:
+# 12-16 trials, and 20-48 with a 30-element order to decode.
 _MIN_DECODED_TRIALS = 16
+_LANE_CELLS = 4096  # (trial, lane) states stepped by one numpy op in `_TrialStreams.raws`
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy PCG64's LCG step
+_MULTIPLIER_WORDS = (np.uint64(_PCG_MULTIPLIER >> 64), np.uint64(_PCG_MULTIPLIER & (2**64 - 1)))
+# Shift counts and masks as uint64 scalars: with a python int, numpy's ops on
+# uint64 arrays of 256 KiB or more ran about ten times slower.
+_U1, _U3, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 3, 11, 32, 58, 63, 64))
+_WORD, _LEVEL = np.uint64(0xFFFFFFFF), np.uint64(255)
 
 
 @cache
@@ -328,40 +336,113 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
+def _words128(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as (high, low) uint64 word arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64))
+
+
+def _mul128(xh, xl, ch, cl) -> tuple[np.ndarray, np.ndarray]:
+    """x * c mod 2**128 on (high, low) uint64 words. numpy's uint64 products
+    wrap mod 2**64, so only the high word of xl * cl is built from 32-bit
+    halves."""
+    x0, x1, c0, c1 = xl & _WORD, xl >> _U32, cl & _WORD, cl >> _U32
+    low = x0 * c0
+    mid = x1 * c0 + (low >> _U32)
+    cross = x0 * c1 + (mid & _WORD)
+    high = x1 * c1 + (mid >> _U32) + (cross >> _U32) + xl * ch + xh * cl
+    return high, xl * cl
+
+
+def _add128(xh, xl, yh, yl) -> tuple[np.ndarray, np.ndarray]:
+    low = xl + yl
+    return xh + yh + (low < yl), low
+
+
+@cache
+def _lcg_jump(steps: int) -> tuple[int, int]:
+    """(M**steps, 1 + M + ... + M**(steps - 1)) mod 2**128: `steps` PCG64
+    steps s -> M s + inc take a state s to M**steps * s + sum * inc."""
+    if not steps:
+        return 1, 0
+    a, c = _lcg_jump(steps // 2)
+    a, c = a * a % (1 << 128), c * (a + 1) % (1 << 128)
+    if steps % 2:
+        a, c = a * _PCG_MULTIPLIER % (1 << 128), (c * _PCG_MULTIPLIER + 1) % (1 << 128)
+    return a, c
+
+
+@cache
+def _lane_starts(stride: int, lanes: int) -> tuple[np.ndarray, ...]:
+    """The jumps to the first raw draw of each lane l (l * stride + 1
+    steps), as the (high, low) words of their two factors."""
+    step_a, step_c = _lcg_jump(stride)
+    jumps = [_lcg_jump(1)]
+    for _ in range(1, lanes):
+        a, c = jumps[-1]
+        jumps.append((step_a * a % (1 << 128), (step_a * c + step_c) % (1 << 128)))
+    return (*_words128([a for a, _ in jumps]), *_words128([c for _, c in jumps]))
+
+
 class _TrialStreams:
-    """The streams trial_rng(seed, t) of a run of trials on one shared
-    PCG64: each trial's initial (state, inc) is computed as numpy seeds it
-    (SeedSequence, then the PCG64 seeding steps), which costs far less than
-    creating a generator per trial."""
+    """The streams trial_rng(seed, t) of a run of trials: each trial's
+    initial PCG64 (state, inc) is computed as numpy seeds it (SeedSequence,
+    then the PCG64 seeding steps), as (high, low) uint64 word arrays, and
+    `raws` steps all the streams together as numpy arrays. `at` sets one
+    shared generator to a trial's stream, for the few draws not read off
+    the raw table."""
 
-    MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy PCG64's LCG step
-
-    def __init__(self, seed: int, trials: Sequence[int]):
-        self.bit_generator = np.random.PCG64(0)
-        self.rng = np.random.Generator(self.bit_generator)
-        self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
-                       "has_uint32": 0, "uinteger": 0}
-        if seed < 0 or (len(trials) and max(trials) >> 32):  # numpy's own seeding
-            self.states = [(st["state"], st["inc"]) for st in (
-                trial_rng(seed, t).bit_generator.state["state"] for t in trials)]
+    def __init__(self, seed: int, trials: range):
+        if len(trials) and max(trials[0], trials[-1]) >> 32:  # numpy's own seeding
+            states = [trial_rng(seed, t).bit_generator.state["state"] for t in trials]
+            self.state = _words128([st["state"] for st in states])
+            self.inc = _words128([st["inc"] for st in states])
             return
-        entropy = np.array([_uint32_words(seed) + [t] for t in trials], dtype=np.uint32)
-        words = _seed_sequence_states(entropy.reshape(len(trials), -1)).astype(np.uint64)
-        u64 = (words[:, 0::2] | words[:, 1::2] << 32).tolist()
-        mask = (1 << 128) - 1
-        self.states = []
-        for a, b, c, d in u64:
-            inc = ((c << 64 | d) << 1 | 1) & mask
-            state = ((inc + (a << 64 | b)) * self.MULTIPLIER + inc) & mask
-            self.states.append((state, inc))
+        words = _uint32_words(seed)
+        entropy = np.empty((len(trials), len(words) + 1), dtype=np.uint32)
+        entropy[:, :-1] = words
+        entropy[:, -1] = np.arange(trials.start, trials.stop, trials.step)
+        state = _seed_sequence_states(entropy).astype(np.uint64)
+        a, b, c, d = (state[:, 2 * k] | state[:, 2 * k + 1] << _U32 for k in range(4))
+        # PCG64 seeding: inc = 2 (c, d) + 1, then one step from state inc + (a, b).
+        self.inc = (c << _U1 | d >> _U63), (d << _U1 | _U1)
+        self.state = _add128(*_mul128(*_add128(a, b, *self.inc), *_MULTIPLIER_WORDS), *self.inc)
+
+    def raws(self, width: int) -> np.ndarray:
+        """The first `width` raw draws of every trial's stream, one row per
+        trial, as PCG64's `random_raw` makes them: a step s -> M s + inc,
+        then the XSL-RR output of s. The columns are cut into lanes of
+        `stride` columns that start from jumped states and step together,
+        so that each numpy op spans about _LANE_CELLS states however few
+        the trials."""
+        count = len(self.inc[0])
+        lanes = max(1, min(width, _LANE_CELLS // max(count, 1)))
+        stride = -(-width // lanes)
+        ih, il = (x[:, None] for x in self.inc)
+        ah, al, ch, cl = _lane_starts(stride, lanes)
+        sh, sl = _add128(*_mul128(self.state[0][:, None], self.state[1][:, None], ah, al),
+                         *_mul128(ih, il, ch, cl))
+        table = np.empty((count, lanes, stride), dtype=np.uint64)
+        for k in range(stride):
+            if k:
+                sh, sl = _add128(*_mul128(sh, sl, *_MULTIPLIER_WORDS), ih, il)
+            x, rot = sh ^ sl, sh >> _U58
+            table[:, :, k] = x >> rot | x << (_U64 - rot & _U63)
+        return table.reshape(count, -1)[:, :width]
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(0))
 
     def at(self, i: int, position: int) -> np.random.Generator:
         """The shared generator at raw draw `position` of trial i's stream."""
-        self._state["state"]["state"], self._state["state"]["inc"] = self.states[i]
-        self.bit_generator.state = self._state
-        if position:
-            self.bit_generator.advance(position)
-        return self.rng
+        state = int(self.state[0][i]) << 64 | int(self.state[1][i])
+        inc = int(self.inc[0][i]) << 64 | int(self.inc[1][i])
+        a, c = _lcg_jump(position)
+        self._rng.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": (a * state + c * inc) % (1 << 128), "inc": inc}}
+        return self._rng
 
 
 def _draw_runs(rng: np.random.Generator, plan: Sequence[Sequence[int]], row: np.ndarray) -> None:
@@ -377,21 +458,47 @@ def _decode_raw(raws: np.ndarray, is_exp: np.ndarray, streams: _TrialStreams, ta
     its stream, `raws`, one per entry of `is_exp` (a standard exponential,
     else a double), as `rng.standard_exponential` and `rng.random` make
     them. A double takes one raw draw u: (u >> 11) / 2**53. An exponential
-    takes one on the ziggurat's fast path (`_ziggurat`); off it (about 2 %
-    of draws) the stream's generator makes the draw itself, and the draws
-    after it move along by the raw draws it took. Returns the draws and per
-    trial the raw position after them, -1 when they need more raw draws than
-    the row holds."""
+    takes one on the ziggurat's fast path (`_ziggurat`); a row with one off
+    it (about 2 % of draws) is read by `_decode_shifted`. Returns the draws
+    and per trial the raw position after them, -1 when they need more raw
+    draws than the row holds."""
+    count, width = raws.shape
+    draws = len(is_exp)
+    ri = raws >> _U11
+    out = ri[:, :draws] * 2.0**-53
+    ends = np.full(count, draws)
+    if not is_exp.any():
+        return out, ends
+    ke, we = tables
+    (cols,) = np.nonzero(is_exp)
+    level = (raws[:, cols] >> _U3 & _LEVEL).astype(np.intp)
+    fast = ri[:, cols]
+    out[:, cols] = fast * we[level]
+    rows = np.flatnonzero((fast >= ke[level]).any(axis=1))
+    if len(rows):
+        out[rows], ends[rows] = _decode_shifted(raws[rows], rows, is_exp, streams, tables)
+    return out, ends
+
+
+def _decode_shifted(raws: np.ndarray, rows: np.ndarray, is_exp: np.ndarray,
+                    streams: _TrialStreams, tables) -> tuple:
+    """`_decode_raw` on rows (trials `rows` of `streams`) that hold an
+    exponential off the ziggurat's fast path: the stream's generator makes
+    that draw itself, and the draws after it move along by the raw draws it
+    took."""
     ke, we = tables
     count, width = raws.shape
     draws = len(is_exp)
-    ri = raws >> 11
-    level = ((raws >> 3) & 255).astype(np.intp)
-    exps = ri * we[level]
+    ri = raws >> _U11
+    level = (raws >> _U3 & _LEVEL).astype(np.intp)
     extra = np.zeros((count, draws), dtype=np.int64)  # raw draws taken beyond one
     ends = [draws] * count
     made = []  # (trial, column, draw) made by the generator
-    slow_rows, slow_at = np.nonzero(ri >= ke[level])
+    slow = ri >= ke[level]
+    # Up to a row's first exponential off the fast path each draw reads its
+    # own column, so the raw draws off it before then start no exponential.
+    slow &= np.logical_or.accumulate(slow & np.pad(is_exp, (0, width - draws)), axis=1)
+    slow_rows, slow_at = np.nonzero(slow)
     columns = is_exp.tolist()
     i0 = rng_row = -1
     for i, p in zip(slow_rows.tolist(), slow_at.tolist()):
@@ -401,7 +508,7 @@ def _decode_raw(raws: np.ndarray, is_exp: np.ndarray, streams: _TrialStreams, ta
         if ends[i] < 0 or p < unread or c >= draws or not columns[c]:
             continue  # no exponential starts at p
         if rng_row != i:
-            rng, row, rng_row, at = streams.at(i, p), raws[i], i, p
+            rng, row, rng_row, at = streams.at(rows[i], p), raws[i], i, p
         elif p != at:  # back one raw draw when p is the one read after the last
             rng.bit_generator.advance((p - at) % (1 << 128))
         made.append((i, c, rng.standard_exponential()))
@@ -416,11 +523,72 @@ def _decode_raw(raws: np.ndarray, is_exp: np.ndarray, streams: _TrialStreams, ta
             ends[i] = -1
     pos = np.arange(draws) + np.cumsum(extra, axis=1) - extra
     flat = (np.minimum(pos, width - 1) + np.arange(0, count * width, width)[:, None]).ravel()
-    out = np.where(is_exp, exps.ravel()[flat].reshape(count, draws),
-                   ri.ravel()[flat].reshape(count, draws) * 2.0**-53)
+    scale = np.where(is_exp, we[level.ravel()[flat]].reshape(count, draws), 2.0**-53)
+    out = ri.ravel()[flat].reshape(count, draws) * scale
     for i, c, x in made:
         out[i, c] = x
     return out, np.array(ends)
+
+
+def _permutation_width(sizes: Sequence[int]) -> int:
+    """Raw draws kept per trial for `_decode_permutations`. Its steps take
+    on average at most 1.47 words (32-bit halves) each, with a standard
+    deviation below 0.9 sqrt(steps) words over all steps; the room is 1.5
+    words a step plus 4 sqrt(steps) + 16. A row that needs more is drawn by
+    its generator."""
+    steps = sum(max(size - 1, 0) for size in sizes)
+    return (3 * steps // 2 + 4 * math.isqrt(steps) + 16) // 2 if steps else 0
+
+
+def _window(raws: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
+    """Per row, the `width` raw draws from its position `ends` (0 for a row
+    at -1) on, split into 32-bit halves, low half first."""
+    at = np.maximum(ends, 0)[:, None] + np.arange(width)
+    return np.take_along_axis(raws, at, axis=1).astype("<u8", copy=False).view("<u4")
+
+
+def _decode_permutations(words: np.ndarray, sizes: Sequence[int]) -> tuple[list, np.ndarray]:
+    """`rng.permutation(size)` for each of `sizes` in turn, per trial: a
+    column of `words`, its 32-bit words in the order numpy's `next_uint32`
+    hands them out (the low half of a raw draw, then its high half, which
+    carries over into the next permutation). numpy shuffles arange(size) by
+    Fisher-Yates from the last index i down to 1, swapping it with j =
+    `random_interval(i)`: the next word masked to the bits of i, read again
+    while it exceeds i. The picks of all trials are read one word (row) at
+    a time, each trial at its own step. Returns the permutations ((trials,
+    size) each) and per trial whether its words sufficed; the permutations
+    of the other trials are garbage. `words` is overwritten."""
+    bounds = [i for size in sizes for i in range(size - 1, 0, -1)]
+    steps = len(bounds)
+    bound = np.array(bounds + [-1])  # a row past its last step takes no word
+    mask = np.array([(1 << i.bit_length()) - 1 for i in bounds] + [0], dtype=np.uint32)
+    taken = np.zeros(words.shape, dtype=bool)
+    count = words.shape[1]
+    step = np.zeros(count, dtype=np.intp)
+    for q, word in enumerate(words):
+        word &= mask[step]  # the word becomes its masked pick
+        np.less_equal(word, bound[step], out=taken[q])
+        step += taken[q]
+        if q >= steps and q % 16 == 15 and step.min() == steps:
+            words, taken = words[:q + 1], taken[:q + 1]
+            break
+    done = step == steps
+    j = words.T[done][taken.T[done]].reshape(done.sum(), steps)
+    perms, at = [], 0
+    for size in sizes:
+        perm = np.empty((count, size), dtype=np.int64)
+        shuffled = np.tile(np.arange(size), (len(j), 1))
+        flat = shuffled.ravel()
+        base = np.arange(len(j)) * size
+        for i in range(size - 1, 0, -1):
+            target = base + j[:, at]
+            at += 1
+            picked = flat[target]
+            flat[target] = shuffled[:, i]
+            shuffled[:, i] = picked
+        perm[done] = shuffled
+        perms.append(perm)
+    return perms, done
 
 
 @cache
@@ -429,11 +597,12 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray] | None:
     u with ri = u >> 11 and level i = (u >> 3) & 255 gives the draw
     ri * we[i] by itself when ri < ke[i]; else the draw takes more raw
     draws. Both tables are read off a PCG64 set so that its next raw draw is
-    a chosen one. None when draws decoded with them differ from the scalar
+    a chosen one. None when draws read off `_TrialStreams.raws` with them
+    (doubles, exponentials, then two permutations) differ from the scalar
     calls on trial_rng's streams, so `draw_trials` falls back to those."""
     bg = np.random.PCG64(0)
     rng = np.random.Generator(bg)
-    inverse = pow(_TrialStreams.MULTIPLIER, -1, 1 << 128)
+    inverse = pow(_PCG_MULTIPLIER, -1, 1 << 128)
     state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
              "has_uint32": 0, "uinteger": 0}
 
@@ -464,13 +633,16 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray] | None:
         ke[i] = lo
 
     is_exp = np.array([True, False] * 150 + [True] * 300)
+    sizes = (9, 65)
     streams = _TrialStreams(0, range(4))
-    raws = np.stack([streams.at(t, 0).bit_generator.random_raw(700) for t in range(4)])
-    got, ends = _decode_raw(raws, is_exp, streams, (ke, we))
+    raws = streams.raws(700 + _permutation_width(sizes))
+    got, ends = _decode_raw(raws[:, :700], is_exp, streams, (ke, we))
+    perms, done = _decode_permutations(_window(raws, ends, _permutation_width(sizes)).T, sizes)
     for t in range(4):
         r = trial_rng(0, t)
         want = [r.standard_exponential() if k else r.random() for k in is_exp]
-        if ends[t] < 0 or got[t].tolist() != want:
+        if ends[t] < 0 or got[t].tolist() != want or not done[t] or any(
+                p[t].tolist() != r.permutation(size).tolist() for p, size in zip(perms, sizes)):
             return None
     return ke, we
 
@@ -488,16 +660,16 @@ def draw_trials(
     (`rng.permutation`) come last.
 
     Point masses take no draw, exponential values one standard exponential
-    draw each and every other value or token one double. Each trial's raw
-    64-bit draws are one call on a shared generator (`_TrialStreams`), and
-    are decoded for a block of trials at once (`_decode_raw`): creating a
-    generator per trial costs about 14 us, and where exponentials and tokens
-    alternate one call per draw costs about 1 us. A trial whose draws
-    outrun its raw draws, and every trial of a run of fewer than
-    _MIN_DECODED_TRIALS, is made by its own generator, one call per run of
-    draws of one kind. The draws become values for all trials at once. With
-    the realization layout, a trial whose two tokens of an element tie is
-    drawn again by the scalar code, which redraws the second token."""
+    draw each and every other value or token one double. The raw 64-bit
+    draws of a block of trials are one numpy table (`_TrialStreams.raws`):
+    no generator is set to any trial's state. The draws are decoded off it
+    for the whole block (`_decode_raw`), and the permutations off the raw
+    draws after them (`_decode_permutations`). A trial whose draws outrun
+    the table is made by its own generator, one call per run of draws of
+    one kind, and so are all trials when the decoding's check at first use
+    fails (`_ziggurat`). The draws become values for all trials at once.
+    With the realization layout, a trial whose two tokens of an element tie
+    is drawn again by the scalar code, which redraws the second token."""
     n = len(distributions)
     realization = layout == REALIZATION_LAYOUT
     # Per draw in stream order, its kind: 1 a standard exponential draw, 0 a
@@ -524,27 +696,36 @@ def draw_trials(
 
     count = len(trials)
     raw = np.empty((count, len(kinds)))
-    perms = tuple(np.empty((count, size), dtype=np.int64) for size in permutation_sizes)
+    perms = [np.empty((count, size), dtype=np.int64) for size in permutation_sizes]
+    ends = np.full(count, -1)
     tables = _ziggurat() if count >= _MIN_DECODED_TRIALS else None
-    is_exp = np.array(kinds, dtype=bool)
-    width = len(kinds) + 8 + len(kinds) // 8  # room for draws off the fast path
-    for start in range(0, count, _ROW_BLOCK):
-        block = trials[start:start + _ROW_BLOCK]
-        if tables is None:
-            ends = np.full(len(block), -1)
-        else:
-            streams = _TrialStreams(seed, block)
-            raws = np.stack([streams.at(j, 0).bit_generator.random_raw(width)
-                             for j in range(len(block))])
-            raw[start:start + len(block)], ends = _decode_raw(raws, is_exp, streams, tables)
-        for j, t in enumerate(block):
-            if ends[j] < 0:
-                rng = trial_rng(seed, t)
-                _draw_runs(rng, plan, raw[start + j])
-            elif perms:
-                rng = streams.at(j, int(ends[j]))
-            for perm, size in zip(perms, permutation_sizes):
-                perm[start + j] = rng.permutation(size)
+    if tables is not None:
+        is_exp = np.array(kinds, dtype=bool)
+        # room for exponentials off the fast path
+        width = len(kinds) + (8 + len(kinds) // 8 if is_exp.any() else 0)
+        perm_width = _permutation_width(permutation_sizes)
+        words = np.empty((2 * perm_width, count), dtype=np.uint32)
+        block = max(1, _BLOCK_CELLS // (width + perm_width))
+        for start in range(0, count, block):
+            rows = slice(start, min(start + block, count))
+            streams = _TrialStreams(seed, trials[rows])
+            raws = streams.raws(width + perm_width)
+            raw[rows], ends[rows] = _decode_raw(raws[:, :width], is_exp, streams, tables)
+            if perms:
+                words[:, rows] = _window(raws, ends[rows], perm_width).T
+        if perms:
+            perms, done = _decode_permutations(words, permutation_sizes)
+            for i in np.flatnonzero(~done & (ends >= 0)):
+                rng = trial_rng(seed, trials[i])
+                rng.bit_generator.advance(int(ends[i]))
+                for perm, size in zip(perms, permutation_sizes):
+                    perm[i] = rng.permutation(size)
+    for i in np.flatnonzero(ends < 0):
+        rng = trial_rng(seed, trials[i])
+        _draw_runs(rng, plan, raw[i])
+        for perm, size in zip(perms, permutation_sizes):
+            perm[i] = rng.permutation(size)
+    perms = tuple(perms)
 
     is_value = np.array([kind == "v" for kind in layout])
     values = np.ascontiguousarray(raw[:, cols[is_value].ravel()].T)

@@ -1,13 +1,14 @@
 """Bulk trial draws against the generators' own calls.
 
-With exponential laws `core.draw_trials` reads each trial's draws off the raw
-64-bit draws of its stream instead of calling the generator once per run of
-draws; the reference is the generator of `trial_rng(seed, t)` itself, called
-draw by draw in stream order.
+`core.draw_trials` computes the raw 64-bit draws of every trial's stream as
+one numpy table and reads the doubles, exponentials and permutations off it
+instead of calling a generator per trial; the reference is the generator of
+`trial_rng(seed, t)` itself, called draw by draw in stream order.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sspilab.core as core
 from sspilab.core import discrete, draw_trials, exponential, point_mass, trial_rng, uniform
@@ -27,17 +28,79 @@ def test_ziggurat_tables_pass_their_check():
     assert core._ziggurat() is not None
 
 
-@pytest.mark.parametrize("seed, trials", [
+STREAM_CASES = [
     (0, range(5)), (909, range(4000, 4004)), (2**40 + 3, range(2)),
     (7, range(2**32 - 1, 2**32 + 2)),  # indices past 32 bits: numpy's own seeding
     (2**96 + 5, range(3)), (2**200 + 1, range(2)),  # seeds of more than 4 words
-])
+]
+
+
+@pytest.mark.parametrize("seed, trials", STREAM_CASES)
 def test_trial_streams_equal_trial_rng(seed, trials):
     streams = core._TrialStreams(seed, trials)
     for i, t in enumerate(trials):
         want = trial_rng(seed, t).bit_generator.random_raw(12)
         assert streams.at(i, 0).bit_generator.random_raw(12).tolist() == want.tolist()
         assert streams.at(i, 5).bit_generator.random_raw() == want[5]
+
+
+@pytest.mark.parametrize("width", [1, 7, 335])
+@pytest.mark.parametrize("seed, trials", STREAM_CASES)
+def test_raw_table_equals_random_raw(seed, trials, width):
+    got = core._TrialStreams(seed, trials).raws(width)
+    want = [trial_rng(seed, t).bit_generator.random_raw(width) for t in trials]
+    assert np.array_equal(got, want)
+
+
+def _permutation_words(rng, count):
+    """The next `count` 32-bit words numpy's `next_uint32` hands out from a
+    fresh state of `rng`: each raw draw's low half, then its high half."""
+    raws = rng.bit_generator.random_raw(-(-count // 2))
+    return np.array([w for r in raws.tolist() for w in (r & 0xFFFFFFFF, r >> 32)][:count],
+                    dtype=np.uint32)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 9, 33, 64, 65, 201])
+def test_decoded_permutations_equal_generator(size):
+    words = 2 * core._permutation_width([size]) or 2
+    columns = np.stack([_permutation_words(trial_rng(8, t), words) for t in range(40)], axis=1)
+    (perms,), done = core._decode_permutations(columns, [size])
+    assert done.all()
+    for t in range(40):
+        assert perms[t].tolist() == trial_rng(8, t).permutation(size).tolist()
+
+
+def test_decoded_permutations_carry_the_high_half():
+    # An odd count of words per permutation leaves the high half of a raw
+    # draw for the next one; numpy hands it out before drawing again.
+    sizes = [3, 6, 2, 9]
+    columns = np.stack([_permutation_words(trial_rng(4, t), 80) for t in range(64)], axis=1)
+    perms, done = core._decode_permutations(columns, sizes)
+    assert done.all()
+    for t in range(64):
+        rng = trial_rng(4, t)
+        for perm, size in zip(perms, sizes):
+            assert perm[t].tolist() == rng.permutation(size).tolist()
+
+
+def test_rows_whose_words_run_out_are_flagged():
+    # All ones mask to 3 at i = 2 of a 3-permutation and so are never taken.
+    columns = np.stack([_permutation_words(trial_rng(2, 0), 40),
+                        np.full(40, 0xFFFFFFFF, dtype=np.uint32)], axis=1)
+    (perms,), done = core._decode_permutations(columns, [3])
+    assert done.tolist() == [True, False]
+    assert perms[0].tolist() == trial_rng(2, 0).permutation(3).tolist()
+
+
+def test_permutations_past_the_table_come_from_the_generator(monkeypatch):
+    # Room for two words holds none of the rows' 15 picks, so every row's
+    # permutations are made by its own generator, after the draws.
+    monkeypatch.setattr(core, "_permutation_width", lambda sizes: 1)
+    dists = [exponential(1.0), uniform(0.0, 1.0)] * 4
+    got = draw_trials(dists, 6, range(40), [8, 9])
+    want = _scalar_draws(dists, 6, range(40), [8, 9], core.REALIZATION_LAYOUT)
+    for a, b in zip(got.permutations, want.permutations):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("width", [560, 510])
@@ -91,3 +154,25 @@ def test_draw_trials_equal_scalar_calls(layout, laws):
             assert np.array_equal(got.coins, want.coins)
         for a, b in zip(got.permutations, want.permutations):
             assert np.array_equal(a, b)
+
+
+@settings(max_examples=120)
+@given(
+    laws=st.lists(st.sampled_from(LAWS), min_size=1, max_size=12),
+    seed=st.integers(0, 2**70),
+    start=st.integers(0, 10**6),
+    count=st.integers(1, 300),
+    sizes=st.lists(st.integers(0, 40), max_size=3),
+    layout=st.sampled_from(["vvtt", "vtvtvt"]),
+)
+def test_draw_trials_equal_scalar_calls_property(laws, seed, start, count, sizes, layout):
+    trials = range(start, start + count)
+    got = draw_trials(laws, seed, trials, sizes, layout)
+    want = _scalar_draws(laws, seed, trials, sizes, layout)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.tokens, want.tokens)
+    assert (got.coins is None) == (want.coins is None)
+    if got.coins is not None:
+        assert np.array_equal(got.coins, want.coins)
+    for a, b in zip(got.permutations, want.permutations, strict=True):
+        assert np.array_equal(a, b)
