@@ -534,8 +534,8 @@ def _permutation_width(sizes: Sequence[int]) -> int:
     """Raw draws kept per trial for `_decode_permutations`. Its steps take
     on average at most 1.47 words (32-bit halves) each, with a standard
     deviation below 0.9 sqrt(steps) words over all steps; the room is 1.5
-    words a step plus 4 sqrt(steps) + 16. A row that needs more is drawn by
-    its generator."""
+    words a step plus 4 sqrt(steps) + 16. A row that needs more is drawn
+    again in full by its generator."""
     steps = sum(max(size - 1, 0) for size in sizes)
     return (3 * steps // 2 + 4 * math.isqrt(steps) + 16) // 2 if steps else 0
 
@@ -715,11 +715,7 @@ def draw_trials(
                 words[:, rows] = _window(raws, ends[rows], perm_width).T
         if perms:
             perms, done = _decode_permutations(words, permutation_sizes)
-            for i in np.flatnonzero(~done & (ends >= 0)):
-                rng = trial_rng(seed, trials[i])
-                rng.bit_generator.advance(int(ends[i]))
-                for perm, size in zip(perms, permutation_sizes):
-                    perm[i] = rng.permutation(size)
+            ends[~done] = -1
     for i in np.flatnonzero(ends < 0):
         rng = trial_rng(seed, trials[i])
         _draw_runs(rng, plan, raw[i])

@@ -93,8 +93,10 @@ def test_rows_whose_words_run_out_are_flagged():
 
 
 def test_permutations_past_the_table_come_from_the_generator(monkeypatch):
-    # Room for two words holds none of the rows' 15 picks, so every row's
-    # permutations are made by its own generator, after the draws.
+    # Room for two words holds none of the rows' 15 picks, so every row is
+    # drawn again in full by its own generator. The decoding's check at first
+    # use must have run before the width is cut, or it fails and is cached.
+    assert core._ziggurat() is not None
     monkeypatch.setattr(core, "_permutation_width", lambda sizes: 1)
     dists = [exponential(1.0), uniform(0.0, 1.0)] * 4
     got = draw_trials(dists, 6, range(40), [8, 9])
