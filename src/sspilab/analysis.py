@@ -8,7 +8,7 @@ side is counted by a dynamic program over the scalar greedy states along the
 path (`_greedy_recount`), where coin prefixes that leave the same state
 merge, rather than by a walk per configuration. The sufficiency verifiers
 take each supported value's worst case over every arrival order from
-structure: the batched policy (`exact.policy_runs`) against the
+structure: the batched policy (`exact.policy_run`) against the
 `exhaustive-min` adversary, which is the increasing order, for transversal
 and laminar, and the least value over the live subgraph's maximal
 matchings for matching (subset tables, so n <= EXACT_MODE_CAP). The scalar
@@ -34,8 +34,8 @@ from .core import (
     validate_configuration,
 )
 from .exact import (
-    _CHUNK_CELLS, EXACT_MODE_CAP, ConfigEnsemble, bit_index, element_masks,
-    maximal_within, policy_runs,
+    CHUNK_CELLS, EXACT_MODE_CAP, ConfigEnsemble, bit_index, element_masks,
+    maximal_within, policy_run,
 )
 from .feasibility import (
     FeasibilityStructure,
@@ -441,7 +441,7 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
         lives, live_of = np.unique(live[cols], return_inverse=True)
         onehot = pair_of[:, None] == np.arange(pairs.shape[1])  # (sets, pairs)
         reached = np.empty((len(lives), pairs.shape[1]), dtype=bool)
-        step = max(1, _CHUNK_CELLS // len(sets))
+        step = max(1, CHUNK_CELLS // len(sets))
         for lo in range(0, len(lives), step):
             ok = maximal_within(sets, touched, lives[lo : lo + step])  # (lives, sets)
             reached[lo : lo + step] = ok @ onehot
@@ -469,7 +469,7 @@ def _trans_worst_values(ens: ConfigEnsemble, support: np.ndarray, cand: np.ndarr
     smallest live reward, all nodes at once."""
     targets = ens.transversal_targets()
     ridx = ens.ridx
-    (run,) = policy_runs(ens, "transversal", "exhaustive-min")
+    run = policy_run(ens, "transversal", "exhaustive-min")
     js, cs = np.nonzero(support)
     node = cand[js, cs]
     got = np.zeros(len(cs))  # 0 when no element takes the node
@@ -495,7 +495,7 @@ def _verify_trans_sufficient(ens: ConfigEnsemble) -> LemmaReport:
 
 def _verify_laminar_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     support = ens.support_laminar()
-    (run,) = policy_runs(ens, "laminar", "exhaustive-min")
+    run = policy_run(ens, "laminar", "exhaustive-min")
     return _sufficiency_report(
         "laminar-sufficient", ens, support, support & ~run.accepted[ens.elem],
         lambda j, c: f"element {ens.elem[j]} not collected under the increasing order",

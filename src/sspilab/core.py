@@ -49,7 +49,7 @@ def exact_integers(values: Sequence[float]) -> list[int]:
     return [p << (shift - q.bit_length()) for p, q in ratios]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class TaggedValue:
     """A non-negative real value with a tie-break token and element identity.
 
@@ -72,18 +72,6 @@ class TaggedValue:
     @property
     def key(self) -> tuple[float, float, int]:
         return (self.value, self.tiebreak, self.element)
-
-    def __lt__(self, other: "TaggedValue") -> bool:
-        return self.key < other.key
-
-    def __le__(self, other: "TaggedValue") -> bool:
-        return self.key <= other.key
-
-    def __gt__(self, other: "TaggedValue") -> bool:
-        return self.key > other.key
-
-    def __ge__(self, other: "TaggedValue") -> bool:
-        return self.key >= other.key
 
 
 def compare(a: TaggedValue, b: TaggedValue) -> int:
@@ -832,9 +820,6 @@ class Configuration:
     def __post_init__(self) -> None:
         if any(c not in (HEADS, TAILS) for c in self.coins):
             raise ValueError("coins must be 'H' or 'T'")
-
-    def is_heads(self, j: int) -> bool:
-        return self.coins[j] == HEADS
 
     @classmethod
     def from_heads_mask(cls, path: SamplePath, mask: int) -> "Configuration":

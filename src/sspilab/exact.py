@@ -45,20 +45,26 @@ target nodes, the reductions' groups, the mechanism's contraction). The
 free flags walk the sample path; the replays walk the arrival order
 (`_replay`). The increasing order needs no order table: it is the sample
 path walked backwards, each element arriving at its reward index.
-`policy_runs` is the one batched form of each policy: its thresholds, its
+`policy_run` is the one batched form of each policy: its thresholds, its
 replay against a named adversary and each accepted element's critical
-price. E_OPT comes from
-subset tables (`SubsetTables`), whose entry S says whether the element set
-S is feasible: the matroid greedy for transversal systems, and the best
-maximal matching for matching, where float totals within a relative NEAR_TIE
-of the best are compared exactly.
+price, on one of the reduction policies' partitions (`reduction_partitions`
+builds them). `optimum_accepts` decides E_OPT for every batch. On partitions
+and graphic matroids the greedy on the rewards (the heads-side free flags)
+is optimal and E_OPT needs nothing more. Else it comes from subset tables
+(`SubsetTables`), whose entry S says whether the element set S is feasible:
+the matroid greedy for transversal systems, and the best maximal matching
+for matching, where float totals within a relative NEAR_TIE of the best are
+compared exactly. Monte Carlo batches past the tables' caps take the scalar
+`exact_optimum` per trial.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Iterator
 
 import numpy as np
@@ -78,12 +84,14 @@ from .feasibility import (
     SimplePartition,
     Transversal,
     TruncatedPartition,
+    exact_optimum,
     is_independent,
 )
 
 _DIGIT_BITS = 31
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 EXACT_MODE_CAP = 16  # elements in a subset table (2**n entries)
+EXACT_SIGMA_VERTEX_CAP = 6  # vertices whose orders exact reduction-graphic enumerates
 CONFIG_BLOCK = 1 << 13  # configurations per block of exact simulate
 MASK_BITS = 62  # resources an int64 bitmask holds; wider masks are python ints
 
@@ -718,12 +726,6 @@ def transversal_table(t: Transversal) -> np.ndarray:
     return table
 
 
-def tables_fit(fs, n: int) -> bool:
-    """Whether the subset tables of E_OPT cover this structure: at most
-    EXACT_MODE_CAP elements, and right nodes that fit a bitmask."""
-    return n <= EXACT_MODE_CAP and not (isinstance(fs, Transversal) and fs.right_count > MASK_BITS)
-
-
 def edges_touched(covered: np.ndarray, vmasks) -> np.ndarray:
     """Per entry, the mask of the edges with an endpoint among `covered`."""
     out = np.zeros_like(covered)
@@ -854,7 +856,7 @@ def group_walk(elem, want, group, caps, total_cap: int) -> np.ndarray:
 
 def _replay(walk, batch: PathBatch, live: np.ndarray, adversary, *rule) -> np.ndarray:
     """The (n, columns) accepted flags of the kernel `walk` (with the
-    arguments `rule`) against `adversary` (see `policy_runs`): a live
+    arguments `rule`) against `adversary` (see `policy_run`): a live
     arrival is accepted when the walk finds it free. Increasing rewards are
     the sample path walked backwards, each element arriving at its reward
     index, where `heads` is set."""
@@ -879,7 +881,7 @@ def _replay(walk, batch: PathBatch, live: np.ndarray, adversary, *rule) -> np.nd
 # ---------------------------------------------------------------------------
 
 NEAR_TIE = 1e-9  # relative gap under which float totals are compared exactly
-_CHUNK_CELLS = 1 << 20  # (column, candidate set) cells per float block
+CHUNK_CELLS = 1 << 20  # (column, candidate set) cells per float block
 
 
 def _exact_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -912,13 +914,13 @@ def _exact_winners(
     smallest) exact reward total, for the (n, rows) reward values `xval`.
     The totals are summed digit by digit in base 2**31 (`_digits`); every
     float product involved is an exact integer. Only the candidates near in some
-    row take part, and rows go in blocks of at most _CHUNK_CELLS (row,
+    row take part, and rows go in blocks of at most CHUNK_CELLS (row,
     candidate, digit) cells."""
     cols = np.flatnonzero(near.any(axis=0))
     member = member[:, cols]
     mant, k, width = _exact_scale(xval)
     keep = np.zeros_like(near)
-    step = max(1, _CHUNK_CELLS // (len(cols) * width))
+    step = max(1, CHUNK_CELLS // (len(cols) * width))
     for lo in range(0, near.shape[0], step):
         hi = min(lo + step, near.shape[0])
         digits = _digits(mant[:, lo:hi], k[:, lo:hi], width)  # (n, rows, D)
@@ -961,7 +963,7 @@ def _best_sets(
     sign = -1.0 if minimize else 1.0
     chosen = np.empty(configs, dtype=np.int64)
     order = np.arange(configs) if within is None else np.argsort(within, kind="stable")
-    step = max(1, _CHUNK_CELLS // len(sets))
+    step = max(1, CHUNK_CELLS // len(sets))
     for lo in range(0, configs, step):
         cols = order[lo : lo + step]
         x, scored, flags = xval[:, cols], sets, member
@@ -982,18 +984,33 @@ def _best_sets(
     return chosen
 
 
-def optimum_accepts(batch: PathBatch) -> np.ndarray:
-    """(n, columns) flags of a maximum-weight feasible set per column, for
-    matching and transversal structures.
+def optimum_accepts(batch: PathBatch) -> np.ndarray | None:
+    """(n, columns) flags of a maximum-weight feasible set per column, or
+    None where the greedy on the rewards (`free("H")`) is optimal, so that
+    E_OPT = E_OPT': on partitions and graphic matroids.
 
-    Transversal systems are matroids: the greedy over each column's rewards
-    in path-rank order, keeping an element while the set stays matchable, is
-    optimal and integer-exact. It walks the sample path, where the rewards
-    are the entries with `heads` set, largest first; the chosen sets are
-    masks in the smallest unsigned type that holds 2**n - 1. For matching,
-    rewards are non-negative, so some maximal matching is optimal."""
+    Transversal systems are matroids too, but their heads-side walk follows
+    the ordered rule, not the matroid greedy. That greedy over each column's
+    rewards in path-rank order, keeping an element while the set stays
+    matchable, is optimal and integer-exact. It walks the sample path, where
+    the rewards are the entries with `heads` set, largest first; the chosen
+    sets are masks in the smallest unsigned type that holds 2**n - 1. For
+    matching, rewards are non-negative, so some maximal matching is optimal.
+    Both read subset tables, whose caps apply to every exact batch. Monte
+    Carlo trials past them (more than EXACT_MODE_CAP elements, or right
+    nodes past a bitmask) take the scalar `exact_optimum` on each trial's
+    rewards."""
     fs = batch.structure
     n = batch.n
+    if not isinstance(fs, (GeneralMatching, Transversal)):
+        return None
+    wide = isinstance(fs, Transversal) and fs.right_count > MASK_BITS
+    if isinstance(batch, TrialBatch) and (n > EXACT_MODE_CAP or wide):
+        flags = np.zeros((n, batch.num_configs), dtype=bool)
+        for t in range(batch.num_configs):
+            rewards, _ = batch.tagged(t)
+            flags[sorted(exact_optimum(fs, rewards).chosen), t] = True
+        return flags
     if isinstance(fs, Transversal):
         matchable = batch.tables.matchable
         bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
@@ -1003,8 +1020,6 @@ def optimum_accepts(batch: PathBatch) -> np.ndarray:
             keep &= reward
             chosen |= bit * keep
         return element_flags(chosen, n)
-    if not isinstance(fs, GeneralMatching):
-        raise RuntimeError(f"no batched optimum for {type(fs).__name__}")
     return element_flags(_best_sets(batch, batch.tables.maximal_matchings), n)
 
 
@@ -1036,11 +1051,12 @@ class PolicyRun:
     price: Callable[[], np.ndarray]
 
 
-def policy_runs(batch: PathBatch, policy: str, adversary, groupings=()) -> Iterator[PolicyRun]:
-    """The policy on every column of the batch against `adversary`: one run,
-    or one run per (group, count) grouping for the reduction policies
-    (`group` gives each element's group index, fixed or one per column, and
-    index `count` means no group), made one at a time as they are read.
+def policy_run(batch: PathBatch, policy: str, adversary, grouping=None) -> PolicyRun:
+    """The policy on every column of the batch against `adversary`. The
+    reduction policies take one of their partitions as `grouping`, a
+    (group, count) pair from `reduction_partitions`: `group` gives each
+    element's group index, fixed or one per column, and index `count` means
+    no group.
 
     `adversary` is "fixed" (arrivals by element id), "increasing"
     (increasing rewards, read off the sample path), "exhaustive-min" (the
@@ -1062,8 +1078,8 @@ def policy_runs(batch: PathBatch, policy: str, adversary, groupings=()) -> Itera
             accepted = min_maximal_accepts(batch, live)
         else:
             accepted = _replay(resource_walk, batch, live, adversary, vertex_masks(fs))
-        yield PolicyRun(accepted, lambda: batch.values_at(batch.matching_prices()))
-    elif policy == "transversal":
+        return PolicyRun(accepted, lambda: batch.values_at(batch.matching_prices()))
+    if policy == "transversal":
         # Each target node is a group of capacity 1; elements with no target
         # (-1) go to an extra group of capacity 0. No total binds.
         targets = batch.transversal_targets()
@@ -1072,33 +1088,74 @@ def policy_runs(batch: PathBatch, policy: str, adversary, groupings=()) -> Itera
         np.copyto(group, fs.right_count, where=~live)
         caps = (1,) * fs.right_count + (0,)
         accepted = _replay(group_walk, batch, live, adversary, group, caps, batch.length)
-        yield PolicyRun(accepted, lambda: batch.values_at(batch.transversal_prices()))
-    elif policy == "laminar":
+        return PolicyRun(accepted, lambda: batch.values_at(batch.transversal_prices()))
+    if policy == "laminar":
         accepted = _replay(
             group_walk, batch, batch.laminar_accepts(), adversary,
             group_ids(fs.groups, batch.n), fs.group_capacities, fs.total_capacity,
         )
-        yield PolicyRun(accepted, lambda: _laminar_critical(batch, accepted))
-    else:
-        if policy == "rank1":
-            # One group of capacity 1: the groups of a truncated partition
-            # cover the ground set with capacities >= 1, so under a total
-            # capacity of 1 they accept the same first live arrival.
-            groupings = [(np.zeros(batch.n, dtype=np.int64), 1)]
-        elif policy not in ("reduction-graphic", "reduction-custom"):
-            raise RuntimeError(f"policy {policy!r} has no batched evaluator")
-        for group, count in groupings:
-            yield _group_run(batch, group, count, adversary)
-
-
-def _group_run(batch: PathBatch, group, count: int, adversary) -> PolicyRun:
-    """Each group takes its first arrival beating the group's largest sample
-    in the tagged order, so a reward worth 0 can beat samples worth 0 by its
-    tiebreak, as in the traced policies. Elements in no group stay out.
-    Every group has capacity 1, so no total binds."""
+        return PolicyRun(accepted, lambda: _laminar_critical(batch, accepted))
+    if policy == "rank1":
+        # One group of capacity 1: the groups of a truncated partition
+        # cover the ground set with capacities >= 1, so under a total
+        # capacity of 1 they accept the same first live arrival.
+        grouping = (np.zeros(batch.n, dtype=np.int64), 1)
+    elif policy not in ("reduction-graphic", "reduction-custom"):
+        raise RuntimeError(f"policy {policy!r} has no batched evaluator")
+    # Each group takes its first arrival beating the group's largest sample
+    # in the tagged order, so a reward worth 0 can beat samples worth 0 by
+    # its tiebreak, as in the traced policies. Elements in no group stay
+    # out. Every group has capacity 1, so no total binds.
+    group, count = grouping
     live = batch.ridx < batch.group_prices(group, count)
     accepted = _replay(group_walk, batch, live, adversary, group, (1,) * count + (0,), batch.length)
     return PolicyRun(accepted, lambda: batch.values_at(batch.group_prices(group, count)))
+
+
+def reduction_partitions(instance, policy: str, draws: TrialDraws | None = None) -> tuple:
+    """(ranks, partitions): the partitions a policy's runs take, as
+    (grouping, weight) pairs for `policy_run`, and for reduction-graphic on
+    drawn vertex orders each vertex's rank in its column's order, (vertices,
+    columns), else None.
+
+    - reduction-custom: the instance's partition;
+    - reduction-graphic with `draws`: each trial's vertex-order partition
+      (`graphic_partition`'s rule: an edge joins the group of its endpoint
+      ranked first), one group per column, from the last permutation drawn
+      (first vertex first);
+    - reduction-graphic without: each distinct vertex-order partition,
+      weighted by the number of the vertex orders that give it (capped at
+      EXACT_SIGMA_VERTEX_CAP vertices). Every group has capacity 1, so a
+      partition's runs do not depend on its group labels: the groups are
+      relabelled in order of first occurrence over the elements before
+      equal partitions merge;
+    - every other policy: one run with no grouping."""
+    fs = instance.structure
+    if policy == "reduction-custom":
+        groups = instance.partition.groups
+        return None, [((group_ids(groups, instance.ground_size), len(groups)), 1)]
+    if policy != "reduction-graphic":
+        return None, [(None, 1)]
+    count = fs.vertex_count
+    if draws is None:
+        if count > EXACT_SIGMA_VERTEX_CAP:
+            raise CapExceededError(
+                f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} vertices"
+            )
+        orders = np.array(list(permutations(range(count))))
+    else:
+        orders = draws.permutations[-1]
+    ranks = np.argsort(orders, axis=1).T
+    u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
+    groups = np.where(ranks[u] < ranks[v], u[:, None], v[:, None])  # (n, orders)
+    if draws is not None:
+        return ranks, [((groups, count), 1)]
+    # Per order, each group's label is its rank among the first occurrences.
+    first = np.argmax(groups[:, None, :] == groups[None, :, :], axis=0)  # (n, orders)
+    labels = np.cumsum(first == np.arange(len(groups))[:, None], axis=0) - 1
+    relabelled = np.take_along_axis(labels, first, axis=0)
+    weights = Counter(map(tuple, relabelled.T.tolist()))
+    return None, [((np.array(group), count), weight) for group, weight in weights.items()]
 
 
 def _laminar_critical(batch: PathBatch, accepted: np.ndarray) -> np.ndarray:

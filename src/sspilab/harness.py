@@ -2,20 +2,22 @@
 the star-graph tight example, and report emission.
 
 Both modes evaluate a batch of coin configurations at once with the
-batched policies of `exact.py` (`policy_runs`), one column per
-configuration. Exact mode draws one realization set from the instance and
-evaluates its 2**n coin configurations in blocks of `exact.CONFIG_BLOCK`,
-one block at a time; the sample path, the subset tables and the reduction
-partitions are made once per command. It sums integer path-index counts
-over the blocks and reports expectations as exact rationals, the same for
-any block size; the worst-case adversary minimizes the policy total per
-configuration. Monte Carlo mode
-splits its trials into chunks of MC_CHUNK and evaluates each chunk as one
-batch. Trial t still draws from its own stream (seed, t), in the order of
-the scalar code (`core.draw_trials`), so results are those of a trial-by-
-trial run; a trial's values, tokens and coins do not depend on the
-adversary. Chunk sums merge in chunk order, so results do not depend on the
-worker count.
+batched policies of `exact.py` (`policy_run`), one column per
+configuration. `exact.py` also builds the reduction partitions
+(`reduction_partitions`) and decides E_OPT (`optimum_accepts`); this module
+drives the batches and aggregates. Exact mode draws one realization set from
+the instance and evaluates its 2**n coin configurations in blocks of
+`exact.CONFIG_BLOCK`, one block at a time, with one run per partition; the
+sample path, the subset tables and the reduction partitions are made once
+per command. It sums integer path-index counts over the blocks and reports
+expectations as exact rationals, the same for any block size; the
+worst-case adversary minimizes the policy total per configuration. Monte
+Carlo mode splits its trials into chunks of MC_CHUNK and evaluates each
+chunk as one batch. Trial t still draws from its own stream (seed, t), in
+the order of the scalar code (`core.draw_trials`), so results are those of
+a trial-by-trial run; a trial's values, tokens and coins do not depend on
+the adversary. Chunk sums merge in chunk order, so results do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -26,30 +28,25 @@ import io
 import json
 import os
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
-from .core import CapExceededError, TrialDraws, draw_trials, trial_rng
+from .core import CapExceededError, draw_trials, trial_rng
 from .exact import (
     EXACT_MODE_CAP,
     ConfigEnsemble,
     TrialBatch,
     config_blocks,
-    group_ids,
     optimum_accepts,
-    policy_runs,
-    tables_fit,
+    policy_run,
+    reduction_partitions,
 )
-from .feasibility import GeneralMatching, Graphic, Transversal, exact_optimum
 from .instances import Instance
 from .policies import check_policy
 
-EXACT_SIGMA_VERTEX_CAP = 6
 MC_CHUNK = 2048
 # (trial, leaf) cells per tight-example block: fixes the draw order, caps k
 TIGHT_CELLS = 1 << 22
@@ -93,7 +90,9 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _ratio(e_opt, e_alg) -> float:
+def competitive_ratio(e_opt, e_alg) -> float:
+    """E_OPT / E_ALG as a float: inf for a positive E_OPT over 0, and 1 for
+    0 / 0."""
     if e_alg == 0:
         return float("inf") if e_opt > 0 else 1.0
     return float(e_opt / e_alg) if isinstance(e_opt, Fraction) else e_opt / e_alg
@@ -104,61 +103,26 @@ def _ratio(e_opt, e_alg) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_order_groups(fs: Graphic, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For vertex orders given as the rows of `perms` (first vertex first):
-    each vertex's rank, (vertices, orders), and each edge's group, (n,
-    orders): its endpoint ranked first, as in `graphic_partition`."""
-    ranks = np.argsort(perms, axis=1).T
-    u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
-    return ranks, np.where(ranks[u] < ranks[v], u[:, None], v[:, None])
-
-
-def _exact_groupings(policy: str, instance: Instance) -> tuple[list, list[int]]:
-    """The reduction policies' partitions as (group, count) pairs, and the
-    weight of each: the instance's own, or each distinct vertex-order
-    partition, weighted by the number of vertex orders that give it.
-
-    Every group has capacity 1, so a partition's runs do not depend on its
-    group labels: the groups are relabelled in order of first occurrence
-    over the elements before equal partitions merge."""
-    fs = instance.structure
-    if policy != "reduction-graphic":
-        return _reduction_groupings(instance, policy, None)[1], [1]
-    if fs.vertex_count > EXACT_SIGMA_VERTEX_CAP:
-        raise CapExceededError(
-            f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} vertices"
-        )
-    _, groups = _vertex_order_groups(fs, np.array(list(permutations(range(fs.vertex_count)))))
-    # Per order, each group's label is its rank among the first occurrences.
-    first = np.argmax(groups[:, None, :] == groups[None, :, :], axis=0)  # (n, orders)
-    labels = np.cumsum(first == np.arange(len(groups))[:, None], axis=0) - 1
-    relabelled = np.take_along_axis(labels, first, axis=0)
-    orders = Counter(map(tuple, relabelled.T.tolist()))
-    return [(np.array(group), fs.vertex_count) for group in orders], list(orders.values())
-
-
 def _block_counts(
-    ens: ConfigEnsemble, policy: str, adversary: str, groupings: list, weights: list[int]
+    ens: ConfigEnsemble, policy: str, adversary: str, partitions: list
 ) -> tuple[np.ndarray, int, int]:
     """On one block of configurations: the (3, 2n) path-index counts of the
-    rewards of E_ALG (summed over the runs: one, or one per partition for the
-    reductions, each times its weight), E_OPT and E_OPT_PRIME; the weighted
-    number of runs; and the weighted z-violation count. Runs are summed as
-    they are made, so one is alive at a time."""
+    rewards of E_ALG (summed over the runs, one per partition, each times
+    its weight), E_OPT and E_OPT_PRIME; the weighted number of runs; and the
+    weighted z-violation count. Runs are summed as they are made, so one is
+    alive at a time."""
     ridx = ens.ridx
     counts = np.zeros((3, ens.length), dtype=np.int64)
-    exact_opt = isinstance(ens.structure, (GeneralMatching, Transversal))
-    if exact_opt:  # first: its tables hold the bitmask caps
-        counts[1] = np.bincount(ridx[optimum_accepts(ens)], minlength=ens.length)
+    opt = optimum_accepts(ens)  # first: its tables hold the bitmask caps
     z_violations = runs = 0
-    for run, weight in zip(policy_runs(ens, policy, adversary, groupings), weights):
+    for grouping, weight in partitions:
+        run = policy_run(ens, policy, adversary, grouping)
         counts[0] += weight * np.bincount(ridx[run.accepted], minlength=ens.length)
         # rewards at Z indices
         z_violations += weight * int((run.accepted & (ridx > ens.y_idx)).sum())
         runs += weight
     counts[2] = (ens.heads & ens.free("H")).sum(axis=1)
-    if not exact_opt:
-        counts[1] = counts[2]  # the matroid greedy is optimal
+    counts[1] = counts[2] if opt is None else np.bincount(ridx[opt], minlength=ens.length)
     return counts, runs, z_violations
 
 
@@ -181,11 +145,11 @@ def estimate_ratio_exact(
     if n > EXACT_MODE_CAP:
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
     realizations = instance.draw_realizations(trial_rng(seed, 0))
-    groupings, weights = _exact_groupings(policy, instance)
+    _, partitions = reduction_partitions(instance, policy)
     counts = np.zeros((3, 2 * n), dtype=np.int64)
     z_violations = run_columns = 0
     for ens in config_blocks(instance.structure, realizations):
-        block, runs, z = _block_counts(ens, policy, adversary, groupings, weights)
+        block, runs, z = _block_counts(ens, policy, adversary, partitions)
         counts += block
         z_violations += z
         run_columns += runs * ens.num_configs
@@ -200,7 +164,7 @@ def estimate_ratio_exact(
         e_alg=e_alg,
         e_opt=e_opt,
         e_opt_prime=e_opt_prime,
-        ratio=_ratio(e_opt, e_alg),
+        ratio=competitive_ratio(e_opt, e_alg),
         ci=None,
         seed=seed,
         wall_ms=wall_ms,
@@ -232,8 +196,8 @@ class TrialOutcome:
     """Per-trial results of one batch of Monte Carlo trials."""
 
     batch: TrialBatch
-    # The adversary as `policy_runs` reads it: (n, trials) orders for the
-    # random adversary, else its name.
+    # The adversary as `exact.policy_run` reads it: (n, trials) orders for
+    # the random adversary, else its name.
     orders: np.ndarray | str
     vertex_ranks: np.ndarray | None  # reduction-graphic: (vertices, trials)
     accepted: np.ndarray  # (n, trials) flags
@@ -243,43 +207,15 @@ class TrialOutcome:
     z_violations: np.ndarray  # (n, trials): accepted rewards below their sample
 
 
-def _mc_optimum(batch: TrialBatch) -> np.ndarray:
-    """(n, trials) flags of a maximum-weight feasible set per trial, for
-    matching and transversal structures: from the subset tables where they
-    fit, else from the scalar oracle on each trial's rewards."""
-    if tables_fit(batch.structure, batch.n):
-        return optimum_accepts(batch)
-    flags = np.zeros((batch.n, batch.num_configs), dtype=bool)
-    for t in range(batch.num_configs):
-        rewards, _ = batch.tagged(t)
-        flags[sorted(exact_optimum(batch.structure, rewards).chosen), t] = True
-    return flags
-
-
-def _reduction_groupings(instance: Instance, policy: str, draws: TrialDraws | None) -> tuple:
-    """(ranks, groupings): for reduction-graphic, each vertex's position in
-    each trial's vertex order (the last permutation drawn), (vertices,
-    trials), else None; and the reduction policies' partitions as one
-    (group, count) pair for `policy_runs`: the instance's own, or for
-    reduction-graphic each trial's vertex-order partition."""
-    fs = instance.structure
-    if policy == "reduction-graphic":
-        ranks, group = _vertex_order_groups(fs, draws.permutations[-1])
-        return ranks, [(group, fs.vertex_count)]
-    if policy == "reduction-custom":
-        groups = instance.partition.groups
-        return None, [(group_ids(groups, instance.ground_size), len(groups))]
-    return None, []
-
-
 def optimum_totals(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
     """Per trial, the float totals of E_OPT (a maximum-weight feasible set
-    of the rewards) and of E_OPT_PRIME (the greedy on the rewards, which is
-    optimal on a matroid)."""
+    of the rewards, `exact.optimum_accepts`) and of E_OPT_PRIME (the greedy
+    on the rewards)."""
     opt_prime = batch.path_sums(batch.heads & batch.free("H"))
-    if isinstance(batch.structure, (GeneralMatching, Transversal)):
-        return (batch.values_at(batch.ridx) * _mc_optimum(batch)).sum(axis=0), opt_prime
-    return opt_prime, opt_prime
+    opt = optimum_accepts(batch)
+    if opt is None:
+        return opt_prime, opt_prime
+    return (batch.values_at(batch.ridx) * opt).sum(axis=0), opt_prime
 
 
 def mc_trials(
@@ -296,11 +232,10 @@ def mc_trials(
         sizes.append(fs.vertex_count)
     draws = draw_trials([instance.distributions[e] for e in range(n)], seed, trials, sizes)
     batch = TrialBatch(fs, draws)
-    ranks, groupings = _reduction_groupings(instance, policy, draws)
+    ranks, ((grouping, _),) = reduction_partitions(instance, policy, draws)
     ridx = batch.ridx
     orders = draws.permutations[0].T if adversary == "random" else adversary
-    (run,) = policy_runs(batch, policy, orders, groupings)
-    accepted = run.accepted
+    accepted = policy_run(batch, policy, orders, grouping).accepted
     opt, opt_prime = optimum_totals(batch)
     return TrialOutcome(
         batch=batch,
@@ -362,7 +297,7 @@ def estimate_ratio_mc(
         e_alg=float(means[0]),
         e_opt=float(means[1]),
         e_opt_prime=float(means[2]),
-        ratio=_ratio(float(means[1]), float(means[0])),
+        ratio=competitive_ratio(float(means[1]), float(means[0])),
         ci=float(half[0]),
         seed=seed,
         wall_ms=wall_ms,
@@ -459,7 +394,7 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
         e_alg=mean_alg,
         e_opt=mean_opt,
         e_opt_prime=mean_opt,
-        ratio=_ratio(mean_opt, mean_alg),
+        ratio=competitive_ratio(mean_opt, mean_alg),
         ci=float(half[0]),
         seed=seed,
         wall_ms=wall_ms,
@@ -473,7 +408,7 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
+def fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
@@ -482,7 +417,7 @@ def _fmt_quantity(q) -> str:
         return ""
     if isinstance(q, Fraction):
         return f"{q.numerator}/{q.denominator}"
-    return _fmt_float(q)
+    return fmt_float(q)
 
 
 def report_fields(report: RatioReport) -> dict[str, object]:
@@ -494,7 +429,7 @@ def report_fields(report: RatioReport) -> dict[str, object]:
         "E_ALG": _fmt_quantity(report.e_alg),
         "E_OPT": _fmt_quantity(report.e_opt),
         "E_OPT_PRIME": _fmt_quantity(report.e_opt_prime),
-        "ratio": _fmt_float(report.ratio),
+        "ratio": fmt_float(report.ratio),
         "ci": _fmt_quantity(report.ci),
         "seed": report.seed,
         "wall_ms": round(report.wall_ms, 3),

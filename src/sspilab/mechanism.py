@@ -9,7 +9,8 @@ payment rule is a design choice here, and every report flags it.
 
 `estimate_mechanism_ratios` evaluates each chunk of MC_CHUNK trials as one
 batch through the batched policies of Monte Carlo `simulate`
-(`exact.policy_runs`): the pricing values are the samples and the
+(`exact.policy_run`, on the partitions of `exact.reduction_partitions`):
+the pricing values are the samples and the
 valuations the rewards of a `TrialBatch`, and a winner's critical price is
 the one its run gives (`PolicyRun.price`): the threshold it beat, or for
 laminar the sample optimum minus the contraction optimum.
@@ -30,12 +31,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Distribution, TaggedValue, TrialDraws, draw_trials
-from .exact import TrialBatch, policy_runs
+from .exact import TrialBatch, policy_run, reduction_partitions
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
-from .harness import (
-    _fmt_float, _reduction_groupings, _ratio, mc_summary, optimum_totals, run_chunks,
-)
+from .harness import competitive_ratio, fmt_float, mc_summary, optimum_totals, run_chunks
 
 PAYMENT_RULE = "max(critical-price-at-acceptance, lazy-reserve)"
 MECHANISM_LAYOUT = "vtvtvt"  # per element: pricing, reserve, valuation; each value, token
@@ -195,8 +194,8 @@ def mechanism_trials(
         np.concatenate([pricing_tokens, valuation_tokens]),
         ~beaten, (),
     ))
-    ranks, groupings = _reduction_groupings(instance, policy, draws)
-    (run,) = policy_runs(batch, policy, "increasing", groupings)
+    ranks, ((grouping, _),) = reduction_partitions(instance, policy, draws)
+    run = policy_run(batch, policy, "increasing", grouping)
     accepted = run.accepted
     winners = accepted & ~(valuations < reserves)
     pay = np.maximum(run.price(), reserves)
@@ -294,7 +293,7 @@ def estimate_mechanism_ratios(
         sums += partial
     means, hw = mc_summary(sums, trials)
     mech_w, revenue, opt_w = (float(x) for x in means)
-    welfare_ratio = _ratio(opt_w, mech_w)
+    welfare_ratio = competitive_ratio(opt_w, mech_w)
     if mech_w > 0 and opt_w > 0:
         rel = math.sqrt((hw[0] / mech_w) ** 2 + (hw[2] / opt_w) ** 2)
         welfare_hw = welfare_ratio * rel
@@ -306,7 +305,7 @@ def estimate_mechanism_ratios(
     else:
         benchmark = opt_w
         benchmark_kind = "welfare-optimum-upper-bound"
-    revenue_ratio = _ratio(benchmark, revenue)
+    revenue_ratio = competitive_ratio(benchmark, revenue)
     if policy == "reduction-custom":
         bound = None if instance.partition_alpha is None else 4.0 * instance.partition_alpha
     else:
@@ -345,15 +344,15 @@ def mechanism_report_fields(report: MechanismReport) -> dict[str, object]:
         "policy": report.policy,
         "regime": report.regime,
         "trials": report.trials,
-        "welfare_ratio": _fmt_float(report.welfare_ratio),
-        "welfare_ratio_halfwidth": _fmt_float(report.welfare_ratio_halfwidth),
-        "mech_welfare": _fmt_float(report.mech_welfare),
-        "opt_welfare": _fmt_float(report.opt_welfare),
-        "revenue": _fmt_float(report.revenue),
-        "revenue_ratio": _fmt_float(report.revenue_ratio),
-        "revenue_benchmark": _fmt_float(report.revenue_benchmark),
+        "welfare_ratio": fmt_float(report.welfare_ratio),
+        "welfare_ratio_halfwidth": fmt_float(report.welfare_ratio_halfwidth),
+        "mech_welfare": fmt_float(report.mech_welfare),
+        "opt_welfare": fmt_float(report.opt_welfare),
+        "revenue": fmt_float(report.revenue),
+        "revenue_ratio": fmt_float(report.revenue_ratio),
+        "revenue_benchmark": fmt_float(report.revenue_benchmark),
         "revenue_benchmark_kind": report.revenue_benchmark_kind,
-        "table_bound": "" if report.table_bound is None else _fmt_float(report.table_bound),
+        "table_bound": "" if report.table_bound is None else fmt_float(report.table_bound),
         "payment_rule": report.payment_rule,
         "seed": report.seed,
         "wall_ms": round(report.wall_ms, 3),

@@ -86,9 +86,6 @@ class PolicyTrace:
     decisions: list[PolicyDecision] = field(default_factory=list)
     chosen: Solution = field(default_factory=lambda: Solution(frozenset(), 0.0))
 
-    def accepted_elements(self) -> frozenset[int]:
-        return self.chosen.chosen
-
 
 def beats(x: TaggedValue, threshold: TaggedValue | None) -> bool:
     """Strictly exceed a threshold; the absent threshold means zero, which a

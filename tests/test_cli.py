@@ -257,6 +257,85 @@ def test_non_lists_and_non_booleans_rejected(doc, policy, field, tmp_path, capsy
     assert field in capsys.readouterr().err
 
 
+def _edges_document(edges):
+    return {
+        "name": "g",
+        "structure": {"kind": "graphic", "vertices": 3, "edges": edges},
+        "distributions": {str(e): UNIT_UNIFORM for e in range(len(edges))},
+    }
+
+
+def _groups_document(groups):
+    doc = _rank1_document(UNIT_UNIFORM)
+    doc["structure"]["groups"] = groups
+    return doc
+
+
+def _missing_edges():
+    doc = _matching_document(2)
+    del doc["structure"]["edges"]
+    return doc
+
+
+@pytest.mark.parametrize("argv, doc, field", [
+    (["simulate", "--policy", "matching"], _missing_edges(), "structure"),
+    (["simulate", "--policy", "rank1"], _edges_document([[0, 1, 2]]), "structure.edges[0]"),
+    (["simulate", "--policy", "rank1"], _edges_document([[1, 1]]), "structure.edges[0]"),
+    (["simulate", "--policy", "transversal"], _transversal_document(["a"], [["a"], ["a"]]),
+     "structure.adjacency"),
+    (["simulate", "--policy", "transversal"], _transversal_document(["a"], [["b"]]),
+     "structure.adjacency[0]"),
+    (["simulate", "--policy", "transversal"], _transversal_document(["a"], [["a", "a"]]),
+     "structure.adjacency[0]"),
+    (["simulate", "--policy", "rank1"], _capacities([1, 1], 1), "structure.group_capacities"),
+    (["simulate", "--policy", "rank1"], _groups_document([[0, 2]]), "structure.groups"),
+    (["simulate", "--policy", "rank1"], _rank1_document({"kind": "cauchy"}), "distributions.0"),
+    (["simulate", "--policy", "rank1"], [], "$"),
+    (["simulate", "--policy", "rank1"],
+     {**_rank1_document(UNIT_UNIFORM), "distributions": {"0": UNIT_UNIFORM, "one": UNIT_UNIFORM}},
+     "distributions.one"),
+    (["simulate", "--policy", "reduction-custom"],
+     _rank1_document(UNIT_UNIFORM, partition={"alpha": 2.0, "groups": [[0], [2]]}),
+     "partition.groups"),
+    (["verify", "--lemma", "symmetry"], None, "--instance"),
+], ids=[
+    "missing-field", "edge-not-a-pair", "self-loop", "adjacency-rows", "unknown-right-node",
+    "right-node-twice", "capacity-count", "groups-not-0..n-1", "distribution-kind",
+    "top-level-list", "element-key", "partition-outside-ground", "verify-without-instance",
+])
+def test_rejections_exit_2_and_name_the_field(argv, doc, field, tmp_path, capsys):
+    if doc is not None:
+        path = tmp_path / "rejected.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--instance", str(path)]
+    assert main(["--trials", "5", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    # 63 right nodes: past the int64 right-node bitmasks of exact E_OPT.
+    ({"name": "t63", "structure": {"kind": "transversal", "left": 2,
+                                   "right_order": [str(r) for r in range(63)],
+                                   "adjacency": [["0", "62"], ["62"]]},
+      "distributions": {"0": UNIT_UNIFORM, "1": UNIT_UNIFORM}},
+     ["simulate", "--policy", "transversal", "--mode", "exact"], "right-node bitmasks"),
+    # 32 disjoint edges touch 64 vertices: past the matching's vertex bitmasks.
+    ({"name": "m64", "structure": {"kind": "matching", "vertices": 64,
+                                   "edges": [[2 * e, 2 * e + 1] for e in range(32)]},
+      "distributions": {str(e): UNIT_UNIFORM for e in range(32)}},
+     ["simulate", "--policy", "matching", "--mode", "mc"], "vertex bitmasks"),
+], ids=["exact-transversal-right-nodes", "mc-matching-vertices"])
+def test_bitmask_caps_exit_3(doc, argv, message, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--trials", "5", *argv, "--instance", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_unexpected_error_exits_4_without_traceback(instance_file, monkeypatch, capsys):
     import sspilab.cli as cli
 

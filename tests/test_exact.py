@@ -28,7 +28,7 @@ from sspilab.exact import (
     matching_table,
     min_maximal_accepts,
     optimum_accepts,
-    policy_runs,
+    policy_run,
     transversal_table,
 )
 from sspilab.feasibility import (
@@ -285,7 +285,7 @@ def test_best_matchings_settle_ties_across_wide_exponents(cells, monkeypatch):
     # A subnormal point mass beside two of 1e308: the float totals of {0, 2}
     # and {1} tie, and their exact totals need 68 base-2**31 digits. With
     # one cell per block, every tied row is settled in a block of its own.
-    monkeypatch.setattr(exact_module, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(exact_module, "CHUNK_CELLS", cells)
     g = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
     big, tiny = 1e308, 5e-324
     ens = ConfigEnsemble(g, make_realizations([(big, big), (big, big), (tiny, tiny)]))
@@ -302,7 +302,7 @@ def test_min_maximal_matchings_do_not_depend_on_the_block_size(monkeypatch):
     live = ens.matching_exceeds()
     assert len(np.unique(element_masks(live))) > 1
     whole = min_maximal_accepts(ens, live)
-    monkeypatch.setattr(exact_module, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(exact_module, "CHUNK_CELLS", 1)
     assert (min_maximal_accepts(ens, live) == whole).all()
 
 
@@ -431,7 +431,7 @@ def test_group_thresholds_are_tagged_largest_samples():
         ElementRealization(1, tv(1.0, 0.5, 1), tv(0.0, 0.2, 1)),
     ]
     ens = ConfigEnsemble(fs, reals)
-    (run,) = policy_runs(ens, "rank1", np.argsort(-ens.ridx, axis=0))
+    run = policy_run(ens, "rank1", np.argsort(-ens.ridx, axis=0))
     acc = run.accepted
     for mask in range(4):
         rewards, samples = {}, {}

@@ -170,4 +170,4 @@ def test_kept_tables_are_read_only():
     assert ens.transversal_targets() is targets
     with pytest.raises(ValueError):
         targets[0] = 0
-    list(exact.policy_runs(ens, "transversal", "fixed"))  # reads, never writes
+    exact.policy_run(ens, "transversal", "fixed")  # reads, never writes

@@ -126,12 +126,14 @@ class TestExactMode:
         # first vertex's two edges, and the third edge), each twice.
         edges = ((0, 1), (1, 2), (0, 2))
         inst = Instance("triangle", Graphic(3, edges), {e: uniform(0.0, 1.0 + e) for e in range(3)})
-        groupings, weights = harness._exact_groupings("reduction-graphic", inst)
-        assert weights == [2, 2, 2]
-        assert sorted(sorted(np.bincount(group).tolist()) for group, _ in groupings) == [[1, 2]] * 3
+        _, partitions = exact_module.reduction_partitions(inst, "reduction-graphic")
+        assert [weight for _, weight in partitions] == [2, 2, 2]
+        assert sorted(
+            sorted(np.bincount(group).tolist()) for (group, _), _ in partitions
+        ) == [[1, 2]] * 3
         runs = []
-        group_run = exact_module._group_run
-        monkeypatch.setattr(exact_module, "_group_run", lambda *a: runs.append(a) or group_run(*a))
+        policy_run = harness.policy_run
+        monkeypatch.setattr(harness, "policy_run", lambda *a: runs.append(a) or policy_run(*a))
         got = estimate_ratio(inst, "reduction-graphic", adversary="increasing", mode="exact", seed=2)
         assert len(runs) == 3
         acc = Fraction(0)

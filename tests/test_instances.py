@@ -133,6 +133,7 @@ class TestParse:
         inst = parse_instance(doc_bytes(doc))
         assert inst.partition_alpha == 1.5
         assert inst.partition.groups == ((0,), (1,))
+        assert parse_instance(doc_bytes(instance_to_document(inst))) == inst
 
     def test_round_trip(self, rng):
         for kind in (

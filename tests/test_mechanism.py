@@ -13,7 +13,7 @@ from sspilab.cli import main
 from sspilab.core import (
     TaggedValue, discrete, draw_trials, exponential, point_mass, trial_rng, uniform,
 )
-from sspilab.exact import ConfigEnsemble, TrialBatch, policy_runs
+from sspilab.exact import ConfigEnsemble, TrialBatch, policy_run, reduction_partitions
 from sspilab.feasibility import (
     GeneralMatching,
     Graphic,
@@ -25,7 +25,7 @@ from sspilab.feasibility import (
     graphic_partition,
 )
 from sspilab.generators import random_instance, star_graphic_instance
-from sspilab.harness import MC_CHUNK, WORKERS_ENV, _reduction_groupings
+from sspilab.harness import MC_CHUNK, WORKERS_ENV
 from sspilab.instances import Instance, instance_to_document
 from sspilab.mechanism import (
     MECHANISM_CSV_HEADER,
@@ -430,9 +430,9 @@ def test_prices_are_the_traced_critical_values(policy, rng):
         sizes = [fs.vertex_count] if policy == "reduction-graphic" else []
         draws = draw_trials([inst.distributions[e] for e in range(n)], i, range(40), sizes)
         batch = TrialBatch(fs, draws)
-        ranks, groupings = _reduction_groupings(inst, policy, draws)
+        ranks, ((grouping, _),) = reduction_partitions(inst, policy, draws)
         orders = np.argsort(-batch.ridx, axis=0)
-        (run,) = policy_runs(batch, policy, orders, groupings)
+        run = policy_run(batch, policy, orders, grouping)
         critical = run.price()
         for t in range(batch.num_configs):
             rewards, samples = batch.tagged(t)
@@ -456,7 +456,8 @@ def test_exact_prices_are_the_traced_critical_values(policy, rng):
         reals = inst.draw_realizations(trial_rng(i, 0))
         ens = ConfigEnsemble(inst.structure, reals)
         orders = np.argsort(-ens.ridx, axis=0)
-        (run,) = policy_runs(ens, policy, orders, _reduction_groupings(inst, policy, None)[1])
+        ((grouping, _),) = reduction_partitions(inst, policy)[1]
+        run = policy_run(ens, policy, orders, grouping)
         critical = run.price()
         for mask in range(ens.num_configs):
             rewards, samples = {}, {}

@@ -21,10 +21,9 @@ from sspilab.core import (
     point_mass,
     trial_rng,
 )
-from sspilab.exact import ConfigEnsemble, TrialBatch, policy_runs
+from sspilab.exact import ConfigEnsemble, TrialBatch, policy_run, reduction_partitions
 from sspilab.feasibility import Graphic, SimplePartition
 from sspilab.generators import _random_partition, random_instance
-from sspilab.harness import _exact_groupings, _reduction_groupings
 from sspilab.policies import POLICY_STRUCTURES
 
 KINDS = ("matching", "transversal", "truncated-partition", "simple-partition", "graphic")
@@ -89,17 +88,15 @@ def test_replay_by_element_id_equals_the_identity_orders(case):
     policies = [p for p, applies in POLICY_STRUCTURES.items() if applies(fs)]
     assert policies
     for policy in policies:
-        _, groupings = _reduction_groupings(inst, policy, draws)
+        _, ((grouping, _),) = reduction_partitions(inst, policy, draws)
         for batch in (TrialBatch(fs, draws), ens):
             if policy == "reduction-graphic" and batch is ens:
                 continue  # its vertex orders are one per trial
             identity = np.tile(np.arange(n)[:, None], (1, batch.num_configs))
-            by_id = list(policy_runs(batch, policy, "fixed", groupings))
-            ordered = list(policy_runs(batch, policy, identity, groupings))
-            assert len(by_id) == len(ordered) >= 1
-            for a, b in zip(by_id, ordered):
-                assert a.accepted.dtype == bool
-                assert np.array_equal(a.accepted, b.accepted), policy
+            a = policy_run(batch, policy, "fixed", grouping)
+            b = policy_run(batch, policy, identity, grouping)
+            assert a.accepted.dtype == bool
+            assert np.array_equal(a.accepted, b.accepted), policy
 
 
 @pytest.mark.parametrize("adversary", ["random", "decreasing", None])
@@ -111,9 +108,9 @@ def test_an_unknown_adversary_is_a_fault_of_the_program(adversary):
         batch = TrialBatch(inst.structure, draws)
         for policy, applies in POLICY_STRUCTURES.items():
             if applies(inst.structure):
-                _, groupings = _reduction_groupings(inst, policy, draws)
+                _, ((grouping, _),) = reduction_partitions(inst, policy, draws)
                 with pytest.raises(RuntimeError, match="unknown adversary"):
-                    list(policy_runs(batch, policy, adversary, groupings))
+                    policy_run(batch, policy, adversary, grouping)
 
 
 def test_transversal_candidates_are_node_indices_on_the_tails_walk_only():
@@ -169,13 +166,13 @@ def test_increasing_replay_along_the_path_equals_the_sorted_orders(case):
     policies = [p for p, applies in POLICY_STRUCTURES.items() if applies(fs)]
     assert policies
     for policy in policies:
-        _, trial_groupings = _reduction_groupings(inst, policy, draws)
-        exact_groupings = _exact_groupings(policy, inst)[0][::7]  # every 7th partition
-        for batch, groupings in ((TrialBatch(fs, draws), trial_groupings),
-                                 *((ens, exact_groupings) for ens in ensembles)):
-            along = list(policy_runs(batch, policy, "increasing", groupings))
-            sorted_ = list(policy_runs(batch, policy, _increasing_orders(batch), groupings))
-            assert len(along) == len(sorted_) >= 1
-            for a, b in zip(along, sorted_):
+        _, trial_partitions = reduction_partitions(inst, policy, draws)
+        exact_partitions = reduction_partitions(inst, policy)[1][::7]  # every 7th partition
+        for batch, partitions in ((TrialBatch(fs, draws), trial_partitions),
+                                  *((ens, exact_partitions) for ens in ensembles)):
+            assert len(partitions) >= 1
+            for grouping, _ in partitions:
+                a = policy_run(batch, policy, "increasing", grouping)
+                b = policy_run(batch, policy, _increasing_orders(batch), grouping)
                 assert a.accepted.dtype == bool
                 assert np.array_equal(a.accepted, b.accepted), policy
