@@ -38,11 +38,8 @@ from .feasibility import (
     greedy_on_path,
     greedy_prophet,
     is_independent,
-    matroid_greedy_opt,
-    maximal_matching,
     optimal_matching,
     optimal_transversal,
-    ordered_maximal_matching,
 )
 from .policies import (
     ArrivalOrder,

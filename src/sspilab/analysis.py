@@ -4,8 +4,9 @@ nested-bins coin game.
 The verifiers enumerate every coin configuration and compare both sides of
 each identity or inequality as exact integer counts (value-weighted sums use
 exact rationals built from the float values). The greedy-objective right
-side is counted by a dynamic program over the scalar greedy states along the
-path (`_greedy_recount`), where coin prefixes that leave the same state
+side is counted by a dynamic program along the path (`_greedy_recount`)
+whose layers are keyed by the scalar greedy rule's state values
+(`feasibility.greedy_rule`), so coin prefixes that reach the same state
 merge, rather than by a walk per configuration. The sufficiency verifiers
 take each supported value's worst case over every arrival order from
 structure: the batched policy (`exact.policy_run`) against the
@@ -42,7 +43,7 @@ from .feasibility import (
     GeneralMatching,
     Transversal,
     TruncatedPartition,
-    greedy_state,
+    greedy_rule,
 )
 
 LEMMA_IDS = (
@@ -76,13 +77,14 @@ class SupportReport:
 
 def _free_flags(fs, path: SamplePath, config: Configuration, side: str) -> list[bool]:
     """Free flags for every path index in one greedy pass."""
-    state = greedy_state(fs)
+    rule = greedy_rule(fs)
+    state = rule.start
     flags: list[bool] = []
     for j, entry in enumerate(path.entries):
-        free = state.can_add(entry.element)
+        free = rule.can_add(state, entry.element)
         flags.append(free)
         if config.coins[j] == side and free:
-            state.add(entry.element)
+            state = rule.add(state, entry.element)
     return flags
 
 
@@ -91,13 +93,14 @@ def _transversal_targets_on_path(
 ) -> list[int | None]:
     """Per index, the right node the sample-side greedy would use (None when
     the index is not free with respect to tails)."""
-    state = greedy_state(t)
+    rule = greedy_rule(t)
+    state = rule.start
     targets: list[int | None] = []
     for j, entry in enumerate(path.entries):
-        r = state.target(entry.element)
+        r = rule.target(state, entry.element)
         targets.append(r)
         if config.coins[j] == "T" and r is not None:
-            state.add(entry.element)
+            state = rule.add(state, entry.element)
     return targets
 
 
@@ -290,17 +293,17 @@ def _greedy_recount(ens: ConfigEnsemble) -> tuple[list[int], int]:
     """Per path index j, how many configurations have the heads-side greedy
     admit the element at j, and how many DP states the count visited.
 
-    A counting DP over the path positions with the scalar greedy states. A
+    A counting DP over the path positions with the scalar greedy rule. A
     DP state is (greedy state, mask of the elements whose heads index is a
     Z index still to come), weighted by the number of coin prefixes that
     reach it. An element's coin is set at its Y index, which comes first, so
     an admission at j is shared by the 2**(n - coins set) configurations that
-    extend the prefix. States with equal keys merge; the counts are exact."""
+    extend the prefix. Equal states merge; the counts are exact."""
     n = ens.n
     recount = [0] * ens.length
-    start = greedy_state(ens.structure)
-    states = {start.key(): start}  # one greedy state per key
-    layer = Counter({(start.key(), 0): 1})
+    rule = greedy_rule(ens.structure)
+    can_add, add = rule.can_add, rule.add
+    layer = Counter({(rule.start, 0): 1})
     visited = 1
     coins_set = 0
     for j, entry in enumerate(ens.path.entries):
@@ -308,21 +311,17 @@ def _greedy_recount(ens: ConfigEnsemble) -> tuple[list[int], int]:
         coins_set += is_y
         shift = n - coins_set
         nxt: Counter = Counter()
-        for (skey, pending), count in layer.items():
+        for (state, pending), count in layer.items():
             if is_y:
-                nxt[skey, pending | bit] += count  # tails here, heads at Z
+                nxt[state, pending | bit] += count  # tails here, heads at Z
                 heads = True
             else:
                 heads = bool(pending & bit)
                 pending &= ~bit
-            state = states[skey]
-            if heads and state.can_add(e):
+            if heads and can_add(state, e):
                 recount[j] += count << shift
-                state = state.copy()
-                state.add(e)
-                skey = state.key()
-                states.setdefault(skey, state)
-            nxt[skey, pending] += count
+                state = add(state, e)
+            nxt[state, pending] += count
         layer = nxt
         visited += len(layer)
     return recount, visited
@@ -330,7 +329,7 @@ def _greedy_recount(ens: ConfigEnsemble) -> tuple[list[int], int]:
 
 def _verify_greedy_objective(ens: ConfigEnsemble) -> LemmaReport:
     # Left side from the vectorized free-flag tables; right side counted
-    # from the scalar greedy states (`_greedy_recount`), an independent code
+    # from the scalar greedy rule (`_greedy_recount`), an independent code
     # path.
     lhs = ens.path_total(_counts(ens.heads & ens.free("H")))
     recount, visited = _greedy_recount(ens)

@@ -870,14 +870,12 @@ def assign_coins(
     return rewards, samples, Configuration.from_heads_mask(path, mask)
 
 
-def enumerate_configurations(
-    path: SamplePath, cap: int = CONFIG_ENUMERATION_CAP
-) -> Iterator[Configuration]:
+def enumerate_configurations(path: SamplePath) -> Iterator[Configuration]:
     """Yield each of the 2**n feasible configurations exactly once."""
     n = path.n
-    if n > cap:
+    if n > CONFIG_ENUMERATION_CAP:
         raise CapExceededError(
-            f"configuration enumeration capped at n <= {cap}, got n = {n}"
+            f"configuration enumeration capped at n <= {CONFIG_ENUMERATION_CAP}, got n = {n}"
         )
     for mask in range(1 << n):
         yield Configuration.from_heads_mask(path, mask)

@@ -1164,7 +1164,7 @@ def _laminar_critical(batch: PathBatch, accepted: np.ndarray) -> np.ndarray:
     the element's group and of the total capacity free, that is, the same
     `group_walk` with both capacities lowered by one and the element left
     out. cumsum adds the values in path order, one at a time, as
-    `matroid_greedy_opt` and `contraction_optimum` do."""
+    `greedy_prophet` and `contraction_optimum` do."""
     fs = batch.structure
     group_of = group_ids(fs.groups, batch.n)
     samples = ~batch.heads

@@ -6,11 +6,14 @@ order on right nodes), truncated partition matroids (per-group plus global
 capacities), simple partition matroids (at most one element per group), and
 graphic matroids (elements are edges, independent sets are forests).
 
-Alongside the independence checks this module houses the parameterized greedy
-on sample paths, free-index queries, and the offline solutions policies are
-measured against: greedy maximal matching, ordered-maximal bipartite matching,
-matroid greedy, and exact optima (branch-and-bound for general matching, the
-matroid greedy with augmenting paths for transversal systems).
+Alongside the independence checks this module houses one greedy rule per
+structure kind, with hashable state values, and the one greedy walk over it.
+The walk runs the parameterized greedy on sample paths, the free-index queries
+and the greedy-like offline solution (`greedy_prophet`: the greedy maximal
+matching, the ordered-maximal bipartite matching or the matroid greedy). The
+exact optima policies are measured against are here too: branch-and-bound for
+general matching, the matroid greedy with augmenting paths for transversal
+systems, and the matroid greedy itself for the other kinds.
 """
 
 from __future__ import annotations
@@ -209,27 +212,6 @@ def _check_elements(fs: FeasibilityStructure, s: Iterable[int]) -> list[int]:
     return elems
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
 def _augment(t: Transversal, match_of_r: dict[int, int], l: int, visited: set[int]) -> bool:
     """Match left node l by an augmenting path, updating `match_of_r` only
     on success."""
@@ -280,183 +262,130 @@ def is_independent(fs: FeasibilityStructure, s: Iterable[int]) -> bool:
             counts[fs.group_of(e)] += 1
         return all(c <= 1 for c in counts)
     if isinstance(fs, Graphic):
-        uf = _UnionFind(fs.vertex_count)
+        parent = list(range(fs.vertex_count))
+
+        def root(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
         for e in elems:
-            u, v = fs.edges[e]
-            if not uf.union(u, v):
+            ru, rv = (root(x) for x in fs.edges[e])
+            if ru == rv:
                 return False
+            parent[ru] = rv
         return True
     raise TypeError(f"unknown structure {type(fs)!r}")
 
 
 # ---------------------------------------------------------------------------
-# Incremental greedy states. These implement the "can this element still be
-# added" question of the one greedy walk, which the path greedy, the
-# free-index queries and the offline greedy solutions all run. For the
-# transversal system the rule is the ordered-maximal one: an element is
-# addable iff some adjacent right node is currently unmatched, and it gets
-# the smallest such node. `key()` is a hashable value of exactly what
-# `can_add` reads, so two states with equal keys admit the same elements from
-# then on; `copy()` gives a state that can be stepped independently.
+# Greedy rules. One rule per structure kind answers the "can this element
+# still be added" question of the one greedy walk, which the path greedy, the
+# free-index queries and the offline greedy solution all run. A rule's states
+# are hashable, immutable values: it gives `start`, `can_add(state, e)` and
+# `add(state, e)`, which returns the next state. Equal states admit the same
+# elements from then on, so a walk can be forked by keeping its state, and
+# walks that reach equal states can be merged. For the transversal system
+# the rule is the ordered-maximal one: an element is addable iff some
+# adjacent right node is still free, and it takes the smallest such node.
 # ---------------------------------------------------------------------------
 
 
-class _MatchingState:
-    __slots__ = ("edges", "used")
+class _Claims:
+    """Matching and simple partition: the state is a bitmask of the used
+    vertices or groups, and each element claims a fixed mask of them."""
 
-    def __init__(self, fs: GeneralMatching) -> None:
-        self.edges = fs.edges
-        self.used: set[int] = set()
+    start = 0
 
-    def can_add(self, e: int) -> bool:
-        u, v = self.edges[e]
-        return u not in self.used and v not in self.used
+    def __init__(self, masks) -> None:
+        self.masks = masks
 
-    def add(self, e: int) -> int | None:
-        u, v = self.edges[e]
-        self.used.add(u)
-        self.used.add(v)
-        return None
+    def can_add(self, used: int, e: int) -> bool:
+        return not used & self.masks[e]
 
-    def key(self) -> frozenset[int]:
-        return frozenset(self.used)
-
-    def copy(self) -> _MatchingState:
-        new = object.__new__(_MatchingState)
-        new.edges, new.used = self.edges, set(self.used)
-        return new
+    def add(self, used: int, e: int) -> int:
+        return used | self.masks[e]
 
 
-class _TransversalState:
-    __slots__ = ("adjacency", "taken")
+class _LowestFree:
+    """Transversal: the state is a bitmask of the taken right nodes, and an
+    element takes its lowest free neighbour."""
 
-    def __init__(self, fs: Transversal) -> None:
-        self.adjacency = tuple(fs.sorted_neighbors(l) for l in range(fs.left_count))
-        self.taken: set[int] = set()
+    start = 0
 
-    def target(self, l: int) -> int | None:
-        for r in self.adjacency[l]:
-            if r not in self.taken:
-                return r
-        return None
+    def __init__(self, t: Transversal) -> None:
+        self.nbrs = [sum(1 << r for r in adj) for adj in t.adjacency]
 
-    def can_add(self, l: int) -> bool:
-        return self.target(l) is not None
+    def target(self, taken: int, l: int) -> int | None:
+        free = self.nbrs[l] & ~taken
+        return (free & -free).bit_length() - 1 if free else None
 
-    def add(self, l: int) -> int | None:
-        r = self.target(l)
-        if r is None:
-            raise AssertionError("add called on an infeasible element")
-        self.taken.add(r)
-        return r
+    def can_add(self, taken: int, l: int) -> bool:
+        return bool(self.nbrs[l] & ~taken)
 
-    def key(self) -> frozenset[int]:
-        return frozenset(self.taken)
-
-    def copy(self) -> _TransversalState:
-        new = object.__new__(_TransversalState)
-        new.adjacency, new.taken = self.adjacency, set(self.taken)
-        return new
+    def add(self, taken: int, l: int) -> int:
+        free = self.nbrs[l] & ~taken
+        return taken | (free & -free)
 
 
-class _TruncatedPartitionState:
-    __slots__ = ("group_of", "caps", "total_cap", "counts", "total")
+class _Counts:
+    """Truncated partition: the state is the tuple of group counts, then the
+    total."""
 
     def __init__(self, fs: TruncatedPartition) -> None:
         self.group_of = fs.group_index
         self.caps = fs.group_capacities
         self.total_cap = fs.total_capacity
-        self.counts = [0] * len(fs.groups)
-        self.total = 0
+        self.start = (0,) * (len(fs.groups) + 1)
 
-    def can_add(self, e: int) -> bool:
+    def can_add(self, counts: tuple[int, ...], e: int) -> bool:
         g = self.group_of[e]
-        return self.counts[g] < self.caps[g] and self.total < self.total_cap
+        return counts[g] < self.caps[g] and counts[-1] < self.total_cap
 
-    def add(self, e: int) -> int | None:
-        self.counts[self.group_of[e]] += 1
-        self.total += 1
-        return None
-
-    def key(self) -> tuple[tuple[int, ...], int]:
-        return tuple(self.counts), self.total
-
-    def copy(self) -> _TruncatedPartitionState:
-        new = object.__new__(_TruncatedPartitionState)
-        new.group_of, new.caps, new.total_cap = self.group_of, self.caps, self.total_cap
-        new.counts, new.total = list(self.counts), self.total
-        return new
+    def add(self, counts: tuple[int, ...], e: int) -> tuple[int, ...]:
+        g = self.group_of[e]
+        return (*counts[:g], counts[g] + 1, *counts[g + 1 : -1], counts[-1] + 1)
 
 
-class _SimplePartitionState:
-    __slots__ = ("group_of", "used")
+class _Components:
+    """Graphic: the state gives, per vertex, the smallest vertex of its
+    component."""
 
-    def __init__(self, fs: SimplePartition) -> None:
-        self.group_of = fs.group_index
-        self.used: set[int] = set()
+    def __init__(self, g: Graphic) -> None:
+        self.edges = g.edges
+        self.start = tuple(range(g.vertex_count))
 
-    def can_add(self, e: int) -> bool:
-        return self.group_of[e] not in self.used
-
-    def add(self, e: int) -> int | None:
-        self.used.add(self.group_of[e])
-        return None
-
-    def key(self) -> frozenset[int]:
-        return frozenset(self.used)
-
-    def copy(self) -> _SimplePartitionState:
-        new = object.__new__(_SimplePartitionState)
-        new.group_of, new.used = self.group_of, set(self.used)
-        return new
-
-
-class _GraphicState:
-    __slots__ = ("edges", "uf")
-
-    def __init__(self, fs: Graphic) -> None:
-        self.edges = fs.edges
-        self.uf = _UnionFind(fs.vertex_count)
-
-    def can_add(self, e: int) -> bool:
+    def can_add(self, comp: tuple[int, ...], e: int) -> bool:
         u, v = self.edges[e]
-        return self.uf.find(u) != self.uf.find(v)
+        return comp[u] != comp[v]
 
-    def add(self, e: int) -> int | None:
+    def add(self, comp: tuple[int, ...], e: int) -> tuple[int, ...]:
         u, v = self.edges[e]
-        self.uf.union(u, v)
-        return None
-
-    def key(self) -> tuple[int, ...]:
-        """Per vertex, the smallest vertex of its component."""
-        first: dict[int, int] = {}
-        return tuple(first.setdefault(self.uf.find(v), v) for v in range(len(self.uf.parent)))
-
-    def copy(self) -> _GraphicState:
-        new = object.__new__(_GraphicState)
-        new.edges, new.uf = self.edges, _UnionFind(0)
-        new.uf.parent = list(self.uf.parent)
-        return new
+        keep, drop = sorted((comp[u], comp[v]))
+        return tuple(keep if c == drop else c for c in comp)
 
 
-def greedy_state(fs: FeasibilityStructure):
+def greedy_rule(fs: FeasibilityStructure):
+    """The greedy rule of the structure's kind."""
     if isinstance(fs, GeneralMatching):
-        return _MatchingState(fs)
-    if isinstance(fs, Transversal):
-        return _TransversalState(fs)
-    if isinstance(fs, TruncatedPartition):
-        return _TruncatedPartitionState(fs)
+        return _Claims([(1 << u) | (1 << v) for u, v in fs.edges])
     if isinstance(fs, SimplePartition):
-        return _SimplePartitionState(fs)
+        return _Claims({e: 1 << g for e, g in fs.group_index.items()})
+    if isinstance(fs, Transversal):
+        return _LowestFree(fs)
+    if isinstance(fs, TruncatedPartition):
+        return _Counts(fs)
     if isinstance(fs, Graphic):
-        return _GraphicState(fs)
+        return _Components(fs)
     raise TypeError(f"unknown structure {type(fs)!r}")
 
 
-def _greedy_walk(state, pairs: Iterable[tuple[int, float]]) -> Solution:
-    """Admit each (element, value) pair in turn when `state` can still add
-    the element, summing the admitted values in walk order. A transversal
-    walk also records each admitted element's right node."""
+def _greedy_walk(rule, state, pairs: Iterable[tuple[int, float]]):
+    """Admit each (element, value) pair in turn when `rule` can still add the
+    element to `state`, summing the admitted values in walk order. Returns
+    the solution and the state the walk ends in. A transversal walk also
+    records each admitted element's right node."""
+    assigns = isinstance(rule, _LowestFree)
     chosen: set[int] = set()
     assignment: dict[int, int] = {}
     total = 0.0
@@ -465,14 +394,13 @@ def _greedy_walk(state, pairs: Iterable[tuple[int, float]]) -> Solution:
         # and the pairing constraint puts one H and one T per element, so the
         # same element can never be parsed twice on one side of a path.
         assert e not in chosen
-        if state.can_add(e):
-            r = state.add(e)
+        if rule.can_add(state, e):
+            if assigns:
+                assignment[e] = rule.target(state, e)
+            state = rule.add(state, e)
             chosen.add(e)
             total += value
-            if r is not None:
-                assignment[e] = r
-    transversal = isinstance(state, _TransversalState)
-    return Solution(frozenset(chosen), total, assignment if transversal else None)
+    return Solution(frozenset(chosen), total, assignment if assigns else None), state
 
 
 def _parsed(path: SamplePath, config: Configuration, side: str, stop: int | None = None):
@@ -490,7 +418,8 @@ def greedy_on_path(
     """Run the greedy over the path, parsing only indices whose coin shows
     `side`, adding each parsed element when feasible."""
     validate_configuration(path, config)
-    return _greedy_walk(greedy_state(fs), _parsed(path, config, side))
+    rule = greedy_rule(fs)
+    return _greedy_walk(rule, rule.start, _parsed(path, config, side))[0]
 
 
 def free_index(
@@ -505,29 +434,16 @@ def free_index(
     validate_configuration(path, config)
     if not 0 <= j < path.length:
         raise IndexError(f"path index {j} out of range")
-    state = greedy_state(fs)
-    _greedy_walk(state, _parsed(path, config, side, j))
-    return state.can_add(path.entries[j].element)
+    rule = greedy_rule(fs)
+    _, state = _greedy_walk(rule, rule.start, _parsed(path, config, side, j))
+    return rule.can_add(state, path.entries[j].element)
 
 
 def _sorted_desc(weights: Mapping[int, TaggedValue], elements: Iterable[int]) -> list[int]:
     return sorted(elements, key=lambda e: weights[e].key, reverse=True)
 
 
-def maximal_matching(g: GeneralMatching, weights: Mapping[int, TaggedValue]) -> Solution:
-    """Greedy maximal matching: scan edges in decreasing weight order, keep
-    each edge whose endpoints are both unmatched. Always worth at least half
-    of the optimal matching."""
-    if not isinstance(g, GeneralMatching):
-        raise TypeError("maximal matching needs a general-matching structure")
-    return greedy_prophet(g, weights)
-
-
-def optimal_matching(
-    g: GeneralMatching,
-    weights: Mapping[int, TaggedValue],
-    cap: int = MATCHING_EXACT_EDGE_CAP,
-) -> Solution:
+def optimal_matching(g: GeneralMatching, weights: Mapping[int, TaggedValue]) -> Solution:
     """Exact maximum-weight matching by branch and bound over edges sorted in
     decreasing weight, pruning with suffix weight sums.
 
@@ -536,8 +452,10 @@ def optimal_matching(
     exact bound cannot beat the best total. The reported total is the float
     sum in the order the edges were picked."""
     n = len(g.edges)
-    if n > cap:
-        raise CapExceededError(f"exact matching capped at {cap} edges, got {n}")
+    if n > MATCHING_EXACT_EDGE_CAP:
+        raise CapExceededError(
+            f"exact matching capped at {MATCHING_EXACT_EDGE_CAP} edges, got {n}"
+        )
     order = _sorted_desc(weights, range(n))
     vals = [weights[e].value for e in order]
     exact = exact_integers(vals)
@@ -567,16 +485,6 @@ def optimal_matching(
     return Solution(frozenset(best_set), best_total)
 
 
-def ordered_maximal_matching(
-    t: Transversal, weights: Mapping[int, TaggedValue]
-) -> Solution:
-    """Process left nodes in decreasing weight order, matching each to the
-    smallest unmatched adjacent right node (or leaving it unmatched)."""
-    if not isinstance(t, Transversal):
-        raise TypeError("ordered-maximal matching needs a transversal structure")
-    return greedy_prophet(t, weights)
-
-
 def optimal_transversal(t: Transversal, weights: Mapping[int, TaggedValue]) -> Solution:
     """Exact maximum-weight independent set of the transversal system.
 
@@ -597,37 +505,16 @@ def optimal_transversal(t: Transversal, weights: Mapping[int, TaggedValue]) -> S
     return Solution(frozenset(chosen), total, assignment)
 
 
-def matroid_greedy_opt(
-    fs: TruncatedPartition | SimplePartition | Graphic,
-    weights: Mapping[int, TaggedValue],
-) -> Solution:
-    """Standard matroid greedy; exact for maximum-weight independent sets."""
-    if not isinstance(fs, MATROID_KINDS):
-        raise TypeError("matroid greedy needs a matroid structure")
-    return greedy_prophet(fs, weights)
-
-
 def contraction_optimum(
     fs: TruncatedPartition, e: int, weights: Mapping[int, TaggedValue]
 ) -> float:
-    """Maximum weight over sets S avoiding e with S + {e} feasible, i.e. the
-    greedy optimum after reserving one capacity slot for e."""
-    g = fs.group_of(e)
-    caps = list(fs.group_capacities)
-    caps[g] -= 1
-    total_cap = fs.total_capacity - 1
-    counts = [0] * len(fs.groups)
-    total = 0
-    value = 0.0
-    for x in _sorted_desc(weights, range(fs.ground_size)):
-        if x == e:
-            continue
-        gx = fs.group_of(x)
-        if counts[gx] < caps[gx] and total < total_cap:
-            counts[gx] += 1
-            total += 1
-            value += weights[x].value
-    return value
+    """Maximum weight over sets S avoiding e with S + {e} feasible: the
+    greedy walk started from the state that already holds e."""
+    rule = greedy_rule(fs)
+    rest = (
+        (x, weights[x].value) for x in _sorted_desc(weights, range(fs.ground_size)) if x != e
+    )
+    return _greedy_walk(rule, rule.add(rule.start, e), rest)[0].total
 
 
 def graphic_partition(
@@ -661,12 +548,13 @@ def graphic_partition(
 
 def greedy_prophet(fs: FeasibilityStructure, weights: Mapping[int, TaggedValue]) -> Solution:
     """The greedy-like offline solution: admit elements in decreasing tagged
-    order while the structure's greedy state allows, which is the maximal
-    matching, the ordered-maximal matching or the matroid greedy."""
+    order while the structure's greedy rule allows. That is the greedy
+    maximal matching (at least half the optimal matching), the ordered-maximal
+    matching of a transversal system, or the matroid greedy, which is exact."""
+    rule = greedy_rule(fs)
     elements = fs.ground_set if isinstance(fs, SimplePartition) else range(fs.ground_size)
-    return _greedy_walk(
-        greedy_state(fs), ((e, weights[e].value) for e in _sorted_desc(weights, elements))
-    )
+    pairs = ((e, weights[e].value) for e in _sorted_desc(weights, elements))
+    return _greedy_walk(rule, rule.start, pairs)[0]
 
 
 def exact_optimum(fs: FeasibilityStructure, weights: Mapping[int, TaggedValue]) -> Solution:
@@ -675,4 +563,4 @@ def exact_optimum(fs: FeasibilityStructure, weights: Mapping[int, TaggedValue]) 
         return optimal_matching(fs, weights)
     if isinstance(fs, Transversal):
         return optimal_transversal(fs, weights)
-    return matroid_greedy_opt(fs, weights)
+    return greedy_prophet(fs, weights)  # the matroid greedy is exact

@@ -107,6 +107,13 @@ def _list(raw, path: str) -> list:
     return raw
 
 
+def _object(raw, path: str) -> dict:
+    """A JSON object; lists, strings and numbers are rejected, not indexed."""
+    if not isinstance(raw, dict):
+        raise InstanceFormatError(path, f"expected an object, got {raw!r}")
+    return raw
+
+
 def _parse_edge_list(raw, vertices: int, path: str) -> tuple[tuple[int, int], ...]:
     edges = []
     for i, pair in enumerate(raw):
@@ -194,8 +201,8 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
     raise InstanceFormatError("structure.kind", f"unknown structure kind {kind!r}")
 
 
-def _parse_distribution(raw: dict, path: str) -> Distribution:
-    kind = _require(raw, "kind", path)
+def _parse_distribution(raw, path: str) -> Distribution:
+    kind = _require(_object(raw, path), "kind", path)
     mhr = raw.get("mhr", kind == "exponential")
     if not isinstance(mhr, bool):
         raise InstanceFormatError(f"{path}.mhr", f"expected true or false, got {mhr!r}")
@@ -234,13 +241,15 @@ def parse_instance(data: bytes | str) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceFormatError("$", "top level must be an object")
     name = str(doc.get("name", "unnamed"))
-    structure, right_labels = _parse_structure(_require(doc, "structure", "$"))
+    structure, right_labels = _parse_structure(
+        _object(_require(doc, "structure", "$"), "structure")
+    )
     if "elements" in doc and _integer(doc["elements"], "elements") != structure.ground_size:
         raise InstanceFormatError(
             "elements",
             f"declared {doc['elements']} elements, structure has {structure.ground_size}",
         )
-    raw_dists = _require(doc, "distributions", "$")
+    raw_dists = _object(_require(doc, "distributions", "$"), "distributions")
     dists: dict[int, Distribution] = {}
     for key, raw in raw_dists.items():
         try:
@@ -266,7 +275,7 @@ def parse_instance(data: bytes | str) -> Instance:
     partition = None
     alpha = None
     if "partition" in doc:
-        raw_part = doc["partition"]
+        raw_part = _object(doc["partition"], "partition")
         groups = _parse_groups(_require(raw_part, "groups", "partition"), "partition.groups")
         for grp in groups:
             for e in grp:

@@ -28,9 +28,7 @@ from .feasibility import (
     Solution,
     contraction_optimum,
     graphic_partition,
-    matroid_greedy_opt,
-    maximal_matching,
-    ordered_maximal_matching,
+    greedy_prophet,
 )
 
 # The structures each policy applies to. reduction-custom also needs a
@@ -137,7 +135,7 @@ def matching_thresholds(
     thresholds: dict[int, TaggedValue | None] = {
         u: None for u in range(g.vertex_count)
     }
-    for e in maximal_matching(g, samples).chosen:
+    for e in greedy_prophet(g, samples).chosen:
         u, v = g.edges[e]
         thresholds[u] = samples[e]
         thresholds[v] = samples[e]
@@ -203,7 +201,7 @@ def transversal_policy(
     node whose threshold (and its own sample) its reward beats. If that node
     is already matched online the element is skipped.
     """
-    offline = ordered_maximal_matching(t, samples)
+    offline = greedy_prophet(t, samples)
     thresholds: dict[int, TaggedValue | None] = {
         r: None for r in range(t.right_count)
     }
@@ -259,7 +257,7 @@ def laminar_policy(
     the totals comparison; comparing float totals instead would both reject
     strict tie-token improvements and not be expressible pairwise.
     """
-    base = matroid_greedy_opt(fs, samples)
+    base = greedy_prophet(fs, samples)
     v0 = base.total
     trace = PolicyTrace("laminar", {"sample-optimum": v0})
     counts = [0] * len(fs.groups)
@@ -280,7 +278,7 @@ def laminar_policy(
             continue
         swapped = dict(samples)
         swapped[element] = reward
-        if element in matroid_greedy_opt(fs, swapped).chosen:
+        if element in greedy_prophet(fs, swapped).chosen:
             counts[g] += 1
             taken += 1
             chosen.add(element)

@@ -20,10 +20,9 @@ from sspilab.analysis import (
 from sspilab.core import trial_rng
 from sspilab.feasibility import (
     Transversal,
-    maximal_matching,
+    greedy_prophet,
     optimal_matching,
     optimal_transversal,
-    ordered_maximal_matching,
 )
 from sspilab.core import TaggedValue, exponential
 from sspilab.generators import random_instance, star_graphic_instance
@@ -285,7 +284,7 @@ def test_criterion_7_oracle_halves():
             e: TaggedValue(float(rng.integers(0, 64)) / 4.0, rng.random(), e)
             for e in range(inst.ground_size)
         }
-        if maximal_matching(inst.structure, w).total < optimal_matching(
+        if greedy_prophet(inst.structure, w).total < optimal_matching(
             inst.structure, w
         ).total / 2 - 1e-9:
             bad_matching += 1
@@ -295,7 +294,7 @@ def test_criterion_7_oracle_halves():
             e: TaggedValue(float(rng.integers(0, 64)) / 4.0, rng.random(), e)
             for e in range(inst.ground_size)
         }
-        if ordered_maximal_matching(inst.structure, w).total < optimal_transversal(
+        if greedy_prophet(inst.structure, w).total < optimal_transversal(
             inst.structure, w
         ).total / 2 - 1e-9:
             bad_transversal += 1

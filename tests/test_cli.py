@@ -298,10 +298,21 @@ def _missing_edges():
      _rank1_document(UNIT_UNIFORM, partition={"alpha": 2.0, "groups": [[0], [2]]}),
      "partition.groups"),
     (["verify", "--lemma", "symmetry"], None, "--instance"),
+    (["simulate", "--policy", "rank1"], {**_rank1_document(UNIT_UNIFORM), "structure": "kind"},
+     "structure"),
+    (["simulate", "--policy", "rank1"], {**_rank1_document(UNIT_UNIFORM), "distributions": []},
+     "distributions"),
+    (["simulate", "--policy", "rank1"], _rank1_document(5), "distributions.0"),
+    (["simulate", "--policy", "rank1"], _rank1_document(UNIT_UNIFORM, partition=[]),
+     "partition"),
+    (["simulate", "--policy", "rank1"], _rank1_document(UNIT_UNIFORM, partition="groups"),
+     "partition"),
 ], ids=[
     "missing-field", "edge-not-a-pair", "self-loop", "adjacency-rows", "unknown-right-node",
     "right-node-twice", "capacity-count", "groups-not-0..n-1", "distribution-kind",
     "top-level-list", "element-key", "partition-outside-ground", "verify-without-instance",
+    "structure-not-an-object", "distributions-not-an-object", "distribution-not-an-object",
+    "partition-list", "partition-string",
 ])
 def test_rejections_exit_2_and_name_the_field(argv, doc, field, tmp_path, capsys):
     if doc is not None:

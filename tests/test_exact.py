@@ -179,7 +179,7 @@ def test_greedy_totals_match_flag_tables(rng):
 
 
 def test_matching_exceeds_flags(rng):
-    from sspilab.feasibility import maximal_matching
+    from sspilab.feasibility import greedy_prophet
 
     inst = random_instance("matching", 4, rng)
     reals = inst.draw_realizations(rng)
@@ -192,7 +192,7 @@ def test_matching_exceeds_flags(rng):
                 rewards[r.element], samples[r.element] = r.y, r.z
             else:
                 rewards[r.element], samples[r.element] = r.z, r.y
-        offline = maximal_matching(inst.structure, samples)
+        offline = greedy_prophet(inst.structure, samples)
         thr = {u: None for u in range(inst.structure.vertex_count)}
         for e in offline.chosen:
             u, v = inst.structure.edges[e]
@@ -204,7 +204,7 @@ def test_matching_exceeds_flags(rng):
 
 
 def test_transversal_targets_match_policy_scan(rng):
-    from sspilab.feasibility import ordered_maximal_matching
+    from sspilab.feasibility import greedy_prophet
 
     inst = random_instance("transversal", 4, rng)
     t = inst.structure
@@ -218,7 +218,7 @@ def test_transversal_targets_match_policy_scan(rng):
                 rewards[r.element], samples[r.element] = r.y, r.z
             else:
                 rewards[r.element], samples[r.element] = r.z, r.y
-        offline = ordered_maximal_matching(t, samples)
+        offline = greedy_prophet(t, samples)
         thr = {r: None for r in range(t.right_count)}
         for l, r in offline.assignment.items():
             thr[r] = samples[l]

@@ -24,12 +24,10 @@ from sspilab.feasibility import (
     graphic_partition,
     greedy_on_path,
     greedy_prophet,
+    greedy_rule,
     is_independent,
-    matroid_greedy_opt,
-    maximal_matching,
     optimal_matching,
     optimal_transversal,
-    ordered_maximal_matching,
 )
 from sspilab.exact import min_maximal_matching
 from sspilab.generators import random_instance
@@ -189,13 +187,13 @@ def brute_force_matching(g, w):
 class TestMatchingOracles:
     def test_maximal_path_graph(self):
         g = GeneralMatching(3, ((0, 1), (1, 2)))
-        sol = maximal_matching(g, weights([3, 2]))
+        sol = greedy_prophet(g, weights([3, 2]))
         assert sol.chosen == frozenset({0}) and sol.total == 3
 
     def test_maximal_half_of_optimal_on_path4(self):
         g = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
         w = weights([2, 3, 2])
-        sol = maximal_matching(g, w)
+        sol = greedy_prophet(g, w)
         assert sol.chosen == frozenset({1}) and sol.total == 3
         opt = optimal_matching(g, w)
         assert opt.chosen == frozenset({0, 2}) and opt.total == 4
@@ -203,7 +201,7 @@ class TestMatchingOracles:
 
     def test_single_edge(self):
         g = GeneralMatching(2, ((0, 1),))
-        assert maximal_matching(g, weights([7])).total == 7
+        assert greedy_prophet(g, weights([7])).total == 7
 
     def test_optimal_triangle(self):
         assert optimal_matching(TRIANGLE, weights([6, 5, 4])).total == 6
@@ -261,7 +259,7 @@ class TestTransversalOracles:
     def test_ordered_maximal_hand_trace(self):
         t = Transversal(2, 2, ((0, 1), (0,)))
         w = weights([5, 4])
-        sol = ordered_maximal_matching(t, w)
+        sol = greedy_prophet(t, w)
         assert sol.assignment == {0: 0} and sol.total == 5
         opt = optimal_transversal(t, w)
         assert opt.total == 9
@@ -269,9 +267,9 @@ class TestTransversalOracles:
 
     def test_singletons(self):
         t = Transversal(1, 1, ((0,),))
-        assert ordered_maximal_matching(t, weights([3])).total == 3
+        assert greedy_prophet(t, weights([3])).total == 3
         lonely = Transversal(1, 1, ((),))
-        assert ordered_maximal_matching(lonely, weights([3])).total == 0
+        assert greedy_prophet(lonely, weights([3])).total == 0
 
     def test_optimal_matches_brute_force(self, rng):
         for _ in range(40):
@@ -312,16 +310,16 @@ class TestTransversalOracles:
 class TestMatroidGreedy:
     def test_truncated_hand_trace(self):
         fs = TruncatedPartition(((0, 1), (2,)), (1, 1), 2)
-        sol = matroid_greedy_opt(fs, weights([4, 2, 3]))
+        sol = greedy_prophet(fs, weights([4, 2, 3]))
         assert sol.chosen == frozenset({0, 2}) and sol.total == 7
 
     def test_simple_partition(self):
         sp = SimplePartition(((0, 1),))
-        assert matroid_greedy_opt(sp, weights([1, 5])).chosen == frozenset({1})
+        assert greedy_prophet(sp, weights([1, 5])).chosen == frozenset({1})
 
     def test_graphic_triangle(self):
         g = Graphic(3, ((0, 1), (1, 2), (0, 2)))
-        sol = matroid_greedy_opt(g, weights([6, 5, 4]))
+        sol = greedy_prophet(g, weights([6, 5, 4]))
         assert sol.total == 11 and len(sol.chosen) == 2
 
     def test_matches_exhaustive_maximum(self, rng):
@@ -337,7 +335,7 @@ class TestMatroidGreedy:
                     for sub in combinations(range(n), r):
                         if is_independent(fs, sub):
                             best = max(best, sum(w[e].value for e in sub))
-                got = matroid_greedy_opt(fs, w)
+                got = greedy_prophet(fs, w)
                 assert abs(got.total - best) < 1e-9
 
     def test_contraction_optimum_is_acceptance_threshold(self, rng):
@@ -346,13 +344,13 @@ class TestMatroidGreedy:
             fs = inst.structure
             w = {e: tv(float(rng.integers(1, 10)), rng.random(), e)
                  for e in range(fs.ground_size)}
-            v0 = matroid_greedy_opt(fs, w).total
+            v0 = greedy_prophet(fs, w).total
             for e in range(fs.ground_size):
                 k_e = contraction_optimum(fs, e, w)
                 for x in (0.5, 4.5, 11.0):
                     swapped = dict(w)
                     swapped[e] = tv(x, 0.99, e)
-                    replaced = matroid_greedy_opt(fs, swapped).total
+                    replaced = greedy_prophet(fs, swapped).total
                     assert (replaced > v0) == (x + k_e > v0)
 
 
@@ -467,27 +465,18 @@ def _greedy_cases(draw):
 def _reference_greedy(fs, w):
     """Admit each element in decreasing tagged order when the selection stays
     independent; a transversal left node takes its smallest free right node."""
-    chosen, taken, total = [], set(), 0.0
+    chosen, assignment, total = [], {}, 0.0
     for e in sorted(w, key=lambda e: w[e].key, reverse=True):
         if isinstance(fs, Transversal):
-            free = [r for r in sorted(fs.adjacency[e]) if r not in taken]
+            free = [r for r in sorted(fs.adjacency[e]) if r not in assignment.values()]
             if not free:
                 continue
-            taken.add(free[0])
+            assignment[e] = free[0]
         elif not is_independent(fs, chosen + [e]):
             continue
         chosen.append(e)
         total += w[e].value
-    return frozenset(chosen), total
-
-
-_NAMED_GREEDY = {
-    GeneralMatching: maximal_matching,
-    Transversal: ordered_maximal_matching,
-    TruncatedPartition: matroid_greedy_opt,
-    SimplePartition: matroid_greedy_opt,
-    Graphic: matroid_greedy_opt,
-}
+    return frozenset(chosen), total, assignment if isinstance(fs, Transversal) else None
 
 
 @given(_greedy_cases())
@@ -495,18 +484,27 @@ _NAMED_GREEDY = {
 def test_greedy_walk_matches_reference_greedy(case):
     fs, w = case
     want = _reference_greedy(fs, w)
-    for sol in (greedy_prophet(fs, w), _NAMED_GREEDY[type(fs)](fs, w)):
-        assert (sol.chosen, sol.total) == want
-        if isinstance(fs, Transversal):
-            assert sorted(sol.assignment) == sorted(sol.chosen)
-            assert is_independent(fs, sol.chosen)
+    sol = greedy_prophet(fs, w)
+    assert (sol.chosen, sol.total, sol.assignment) == want
+    if isinstance(fs, Transversal):
+        assert is_independent(fs, sol.chosen)
 
 
-def test_named_greedies_reject_other_structures():
-    w = weights([1.0])
-    with pytest.raises(TypeError):
-        maximal_matching(Transversal(1, 1, ((0,),)), w)
-    with pytest.raises(TypeError):
-        ordered_maximal_matching(GeneralMatching(2, ((0, 1),)), w)
-    with pytest.raises(TypeError):
-        matroid_greedy_opt(GeneralMatching(2, ((0, 1),)), w)
+@given(_greedy_cases(), st.data())
+@settings(max_examples=150)
+def test_rule_admits_what_the_oracle_accepts(case, data):
+    # Walk the kind's rule over a random element sequence (repeats and
+    # skipped elements included) and, at every state, ask it about each
+    # element not yet admitted. The ordered transversal rule admits a subset
+    # of the matchable extensions: its earlier nodes are fixed.
+    fs, w = case
+    rule = greedy_rule(fs)
+    state, admitted = rule.start, []
+    for e in data.draw(st.lists(st.sampled_from(sorted(w)), max_size=2 * len(w))):
+        hash(state)
+        for x in sorted(set(w) - set(admitted)):
+            can, ok = rule.can_add(state, x), is_independent(fs, admitted + [x])
+            assert (not can or ok) if isinstance(fs, Transversal) else can == ok
+        if e not in admitted and rule.can_add(state, e):
+            state = rule.add(state, e)
+            admitted.append(e)
