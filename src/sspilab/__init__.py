@@ -16,7 +16,6 @@ from .core import (
     TaggedValue,
     assign_coins,
     build_sample_path,
-    compare,
     discrete,
     draw_realization,
     enumerate_configurations,
@@ -70,7 +69,6 @@ from .analysis import (
 from .instances import Instance, InstanceFormatError, load_instance, parse_instance
 from .harness import (
     RatioReport,
-    emit_report,
     estimate_ratio,
     render_report,
     tight_example,

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    EXACT_MODE_CAP,
     CapExceededError,
     Configuration,
     ElementRealization,
@@ -35,7 +36,7 @@ from .core import (
     validate_configuration,
 )
 from .exact import (
-    CHUNK_CELLS, EXACT_MODE_CAP, ConfigEnsemble, bit_index, element_masks,
+    CHUNK_CELLS, ConfigEnsemble, bit_index, element_masks,
     maximal_within, policy_run,
 )
 from .feasibility import (
@@ -646,98 +647,33 @@ def play_coin_game(
     return winner, state
 
 
-GAME_COIN_BLOCK = 1 << 14  # coins drawn at a time; bounds the game's memory
-
-
-class _CoinBlock:
-    """One block of coins (True: heads), indexed to find the k-th head or
-    tail from any position at once."""
-
-    def __init__(self, heads: np.ndarray) -> None:
-        self.size = len(heads)
-        self.heads_before = np.concatenate(([0], np.cumsum(heads)))
-        # Per side, the positions of its coins and then `size`: "not here".
-        self.pos = [np.append(np.flatnonzero(side), self.size) for side in (heads, ~heads)]
-
-    def count_before(self, side: int, at):
-        """Heads (side 0) or tails (side 1) before position `at`."""
-        heads = self.heads_before[at]
-        return heads if side == 0 else at - heads
-
-    def kth(self, side: int, at, k: int):
-        """Position of the k-th coin of `side` from position `at` on, or
-        `size` when the block has fewer."""
-        pos = self.pos[side]
-        return pos[np.minimum(self.count_before(side, at) + (k - 1), len(pos) - 1)]
-
-    def phase_end(self, at, cap_h: int, cap_t: int):
-        """A phase from position `at` that ends at its cap_h-th head or its
-        cap_t-th tail: the position of its last coin (`size` when the block
-        ends first) and whether tails ended it."""
-        h, t = self.kth(0, at, cap_h), self.kth(1, at, cap_t)
-        return np.minimum(h, t), t < h
-
-
-def _play_on(block: _CoinBlock, r_r: int, r_b: int, state: tuple, at: int):
-    """Continue one B-first game from position `at`. `state` is (phase,
-    heads, tails) so far: phase 0 fills bin B and, once B saturates with
-    tails, phase 1 fills R. Returns the position after the game's last coin
-    and whether P2 won, or None and the state when the block ends first."""
-    phase, h, t = state
-    while True:
-        cap = r_b if phase == 0 else r_r
-        last, by_tails = (int(x) for x in block.phase_end(at, cap - h, cap - t))
-        if last == block.size:
-            heads = int(block.count_before(0, last) - block.count_before(0, at))
-            return None, (phase, h + heads, t + (last - at - heads))
-        if not by_tails or phase == 1:  # heads saturation, or R saturates too
-            return last + 1, by_tails
-        phase, h, t, at = 1, 0, 0, last + 1
+GAME_BLOCK = 1 << 16  # games drawn at a time; bounds memory, changes no result
+GAME_MC_CAP = 1 << 62  # largest capacity whose race length 2r - 1 is an int64
 
 
 def game_monte_carlo(r_r: int, r_b: int, trials: int, seed: int) -> float:
-    """P2 win frequency of the B-first strategy over `trials` games played
-    in turn on one coin stream from default_rng(seed), each coin one
-    `rng.random() < 0.5` (heads), consumed as `play_coin_game` consumes it.
+    """P2 win frequency of the B-first strategy over `trials` games.
 
-    Under B-first every toss lands in B until B saturates; heads end the
-    game there, else every later toss lands in R until R saturates, and P2
-    wins on tails. So a game is a phase up to the r_b-th head or tail and,
-    after tails, one up to the r_r-th head or tail. The coins come in blocks
-    of GAME_COIN_BLOCK, the same doubles as one `rng.random()` call each.
-    Within a block the end of a game from every position is found at once,
-    and the games are chained from the first; a game that runs past the
-    block carries its counts into the next one."""
+    Under B-first bin B takes every toss until its first 2*r_b - 1 tosses
+    decide it: it saturates with tails exactly when at least r_b of them
+    are tails. Heads end the game; otherwise R takes every later toss and
+    its next 2*r_r - 1 decide it the same way, so P2 wins exactly when both
+    races go to tails. Each game draws its two tails counts, game after
+    game, from default_rng(seed): rows of
+    `rng.binomial((2*r_b - 1, 2*r_r - 1), 0.5, size=(rows, 2))`, GAME_BLOCK
+    games at a time."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     _check_bins(r_r, r_b)
+    for flag, cap in (("--rr", r_r), ("--rb", r_b)):
+        if cap > GAME_MC_CAP:
+            raise ValueError(f"{flag}: Monte Carlo capacity capped at 2**62, got {cap}")
     rng = np.random.default_rng(seed)
-    wins = played = 0
-    state = None  # the game left open at the end of the last block
-    while played < trials:
-        block = _CoinBlock(rng.random(GAME_COIN_BLOCK) < 0.5)
-        at = 0
-        if state is not None:
-            end, outcome = _play_on(block, r_r, r_b, state, 0)
-            if end is None:  # the open game runs past this block too
-                state = outcome
-                continue
-            wins += outcome
-            played += 1
-            state = None
-            at = end
-        last_b, b_tails = block.phase_end(np.arange(block.size), r_b, r_b)
-        last_r, r_tails = block.phase_end(np.minimum(last_b + 1, block.size), r_r, r_r)
-        after = (np.where(b_tails, last_r, last_b) + 1).tolist()  # size + 1: open
-        chain = []
-        while at < block.size and played + len(chain) < trials:
-            if after[at] > block.size:
-                state = _play_on(block, r_r, r_b, (0, 0, 0), at)[1]
-                break
-            chain.append(at)
-            at = after[at]
-        wins += int((b_tails & r_tails)[chain].sum())
-        played += len(chain)
+    wins = 0
+    for lo in range(0, trials, GAME_BLOCK):
+        rows = min(GAME_BLOCK, trials - lo)
+        tails = rng.binomial((2 * r_b - 1, 2 * r_r - 1), 0.5, size=(rows, 2))
+        wins += int((tails >= (r_b, r_r)).all(axis=1).sum())
     return wins / trials
 
 

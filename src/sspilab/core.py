@@ -24,6 +24,7 @@ HEADS = "H"
 TAILS = "T"
 
 CONFIG_ENUMERATION_CAP = 20
+EXACT_MODE_CAP = 16  # elements in a subset table (2**n entries)
 
 
 class CapExceededError(Exception):
@@ -72,17 +73,6 @@ class TaggedValue:
     @property
     def key(self) -> tuple[float, float, int]:
         return (self.value, self.tiebreak, self.element)
-
-
-def compare(a: TaggedValue, b: TaggedValue) -> int:
-    """Strict total order on tagged values: -1 if a < b, +1 if a > b.
-
-    Never reports equality: distinct element ids always order, and two tagged
-    values with the same element id must differ in value or tiebreak.
-    """
-    if a.key == b.key:
-        raise ValueError(f"cannot order identical tagged values: {a}")
-    return -1 if a.key < b.key else 1
 
 
 _DIST_KINDS = ("point-mass", "discrete", "uniform", "exponential")
@@ -161,17 +151,6 @@ class Distribution:
             a, b = self.params
             return a + (b - a) * u
         raise ValueError(f"{self.kind} draws do not come from one uniform double")
-
-    def cdf(self, x: float) -> float:
-        if self.kind == "point-mass":
-            return 1.0 if x >= self.params[0] else 0.0
-        if self.kind == "discrete":
-            return sum(w for v, w in zip(self.atoms, self.weights) if v <= x)
-        if self.kind == "uniform":
-            a, b = self.params
-            return min(1.0, max(0.0, (x - a) / (b - a)))
-        rate = self.params[0]
-        return 1.0 - math.exp(-rate * x) if x > 0 else 0.0
 
     def prob_at_least(self, x) -> np.ndarray:
         """P[draw >= x] at each price of the array `x`, counting any atom at
@@ -832,13 +811,6 @@ class Configuration:
             else:
                 coins.append(TAILS if bit else HEADS)
         return cls(tuple(coins))
-
-    def heads_mask(self, path: SamplePath) -> int:
-        mask = 0
-        for j, entry in enumerate(path.entries):
-            if entry.label == "Y" and self.coins[j] == HEADS:
-                mask |= 1 << entry.element
-        return mask
 
 
 def validate_configuration(path: SamplePath, config: Configuration) -> None:

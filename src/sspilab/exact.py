@@ -71,12 +71,12 @@ import numpy as np
 
 from .core import (
     CONFIG_ENUMERATION_CAP,
+    EXACT_MODE_CAP,
     CapExceededError,
     SamplePath,
     TaggedValue,
     TrialDraws,
     build_sample_path,
-    exact_integers,
 )
 from .feasibility import (
     GeneralMatching,
@@ -90,7 +90,6 @@ from .feasibility import (
 
 _DIGIT_BITS = 31
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
-EXACT_MODE_CAP = 16  # elements in a subset table (2**n entries)
 EXACT_SIGMA_VERTEX_CAP = 6  # vertices whose orders exact reduction-graphic enumerates
 CONFIG_BLOCK = 1 << 13  # configurations per block of exact simulate
 MASK_BITS = 62  # resources an int64 bitmask holds; wider masks are python ints
@@ -1024,7 +1023,7 @@ def optimum_accepts(batch: PathBatch) -> np.ndarray | None:
 
 
 def min_maximal_accepts(batch: PathBatch, live: np.ndarray) -> np.ndarray:
-    """Batched `min_maximal_matching`: per column, the (n, columns) accepted
+    """Batched `policies.min_maximal_matching`: per column, the (n, columns) accepted
     flags of a minimum-weight maximal matching of the live edges, that is,
     of a matching inside the live set that touches every live edge."""
     sets, touched = batch.tables.matchings
@@ -1183,44 +1182,3 @@ def _laminar_critical(batch: PathBatch, accepted: np.ndarray) -> np.ndarray:
         value = np.cumsum(np.where(took, w_val[:, cols], 0.0), axis=0)[-1]
         critical[e, cols] = v0[cols] - value
     return critical
-
-
-# ---------------------------------------------------------------------------
-# Scalar helper on python ints for one configuration at a time. Both modes
-# search the matching adversary in batches (`min_maximal_accepts`); only the
-# traced `policies.adversarial_order` calls this one.
-# ---------------------------------------------------------------------------
-
-
-def min_maximal_matching(live: int, vmasks, xvals) -> int:
-    """Accepted mask of a minimum-weight maximal matching of the live edges.
-
-    First-come acceptance over a fixed live set ends in a maximal matching of
-    the live subgraph under every arrival order, and any maximal matching is
-    reached by letting its edges arrive first; so this is the adversary's
-    minimum over all orders. It walks the matchings of the live subgraph
-    (at most 2**live of them) instead of live! orders. Totals are exact
-    integer sums (`exact_integers`), so float near ties cannot pick a
-    heavier set. Rewards are non-negative, so a partial total at or above
-    the best one is cut.
-    """
-    edges = [e for e in range(len(vmasks)) if (live >> e) & 1]
-    weights = exact_integers(xvals)
-    best_total = None
-    best_acc = 0
-
-    def walk(i: int, matched: int, total: int, acc: int) -> None:
-        nonlocal best_total, best_acc
-        if best_total is not None and total >= best_total:
-            return
-        if i == len(edges):
-            if all(matched & vmasks[f] for f in edges):  # maximal
-                best_total, best_acc = total, acc
-            return
-        e = edges[i]
-        if not matched & vmasks[e]:
-            walk(i + 1, matched | vmasks[e], total + weights[e], acc | (1 << e))
-        walk(i + 1, matched, total, acc)
-
-    walk(0, 0, 0, 0)
-    return best_acc

@@ -34,9 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CapExceededError, draw_trials, trial_rng
+from .core import EXACT_MODE_CAP, CapExceededError, draw_trials, trial_rng
 from .exact import (
-    EXACT_MODE_CAP,
     ConfigEnsemble,
     TrialBatch,
     config_blocks,
@@ -44,7 +43,7 @@ from .exact import (
     policy_run,
     reduction_partitions,
 )
-from .instances import Instance
+from .instances import Instance, InstanceFormatError
 from .policies import check_policy
 
 MC_CHUNK = 2048
@@ -179,9 +178,20 @@ def estimate_ratio_exact(
 # ---------------------------------------------------------------------------
 
 
-def mc_summary(sums: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
+def mc_summary(partials, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Means and 95% normal half-widths (1.96 standard errors) of several
-    quantities from running sums laid out as (sum, sum of squares) pairs."""
+    quantities from the chunks' running sums, each laid out as (sum, sum of
+    squares) pairs and added in chunk order. A sum that is not finite
+    (values so large that they or their squares overflow) is an input error
+    that names `distributions`."""
+    sums = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for partial in partials:
+            sums = sums + np.asarray(partial)
+    if not np.isfinite(sums).all():
+        raise InstanceFormatError(
+            "distributions", "values too large: a Monte Carlo sum overflows"
+        )
     means = sums[0::2] / trials
     if trials > 1:
         variances = (sums[1::2] - trials * means**2) / (trials - 1)
@@ -250,10 +260,12 @@ def mc_trials(
 
 
 def _mc_chunk(args) -> tuple[np.ndarray, int]:
-    """Running sums of one chunk of trials."""
+    """Running sums of one chunk of trials. Sums that overflow are left to
+    `mc_summary` to reject, with no warning."""
     (instance, policy, adversary, seed, start, stop) = args
-    out = mc_trials(instance, policy, adversary, seed, range(start, stop))
-    sums = [s for x in (out.alg, out.opt, out.opt_prime) for s in (x.sum(), (x * x).sum())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = mc_trials(instance, policy, adversary, seed, range(start, stop))
+        sums = [s for x in (out.alg, out.opt, out.opt_prime) for s in (x.sum(), (x * x).sum())]
     return np.array(sums), int(out.z_violations.sum())
 
 
@@ -283,12 +295,8 @@ def estimate_ratio_mc(
     if trials < 1:
         raise ValueError("need trials >= 1")
     results = run_chunks(_mc_chunk, trials, (instance, policy, adversary, seed))
-    sums = np.zeros(6)
-    z_violations = 0
-    for partial, z in results:
-        sums += partial
-        z_violations += z
-    means, half = mc_summary(sums, trials)
+    means, half = mc_summary([partial for partial, _ in results], trials)
+    z_violations = sum(z for _, z in results)
     wall_ms = (time.perf_counter() - start_time) * 1000.0
     return RatioReport(
         policy=policy,
@@ -351,7 +359,7 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     bits = np.random.default_rng((seed, 0)).bit_generator
     lo = 1.0 - 1.0 / k
     tile = max(1, TIGHT_TILE_CELLS // k)
-    sums = np.zeros(4)  # alg, alg^2, opt, opt^2
+    partials = []  # per block: alg, alg^2, opt, opt^2
     done = 0
     while done < trials:
         block = min(20_000, TIGHT_CELLS // k, trials - done)
@@ -382,9 +390,9 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
             center_pick = np.min(rewards, axis=1, where=exceed, initial=np.inf)
             alg[rows] += np.where(np.isfinite(center_pick), center_pick, 0.0)
             opt[rows] = rewards.sum(axis=1)
-        sums += (alg.sum(), (alg * alg).sum(), opt.sum(), (opt * opt).sum())
+        partials.append((alg.sum(), (alg * alg).sum(), opt.sum(), (opt * opt).sum()))
         done += block
-    means, half = mc_summary(sums, trials)
+    means, half = mc_summary(partials, trials)
     mean_alg, mean_opt = (float(x) for x in means)
     wall_ms = (time.perf_counter() - start_time) * 1000.0
     return RatioReport(
@@ -452,10 +460,3 @@ def render_report(report: RatioReport, fmt: str) -> str:
     if fmt == "csv":
         return csv_text(CSV_HEADER, fields.values())  # fields come in header order
     raise RuntimeError(f"unknown report format {fmt!r}")
-
-
-def emit_report(report: RatioReport, fmt: str, path) -> None:
-    """Write a report; I/O failures propagate verbatim."""
-    text = render_report(report, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -267,6 +267,8 @@ def parse_instance(data: bytes | str) -> Instance:
             )
     else:
         ground = set(range(structure.ground_size))
+    if not ground:
+        raise InstanceFormatError("structure", "the ground set has no elements")
     if set(dists) != ground:
         raise InstanceFormatError(
             "distributions",

@@ -225,13 +225,20 @@ def mechanism_trials(
 def _mechanism_chunk(args) -> np.ndarray:
     """Welfare, revenue and E_OPT sums, each with its sum of squares, over
     one chunk, added trial by trial. Squares use Python's `**` (C pow),
-    which can differ from x * x in the last bit, as the scalar loop did."""
+    which can differ from x * x in the last bit, as the scalar loop did.
+    Sums that overflow are left to `mc_summary` to reject, with no
+    warning."""
     (instance, policy, seed, start, stop) = args
-    out = mechanism_trials(instance, policy, seed, range(start, stop))
-    rows = []
-    for x in (out.welfare, out.revenue, out.opt):
-        rows += [x, np.array([v**2 for v in x.tolist()])]
-    return np.cumsum(rows, axis=1)[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = mechanism_trials(instance, policy, seed, range(start, stop))
+        rows = []
+        for x in (out.welfare, out.revenue, out.opt):
+            try:
+                squares = np.array([v**2 for v in x.tolist()])
+            except OverflowError:  # `**` raises past the float range
+                squares = np.full(len(x), np.inf)
+            rows += [x, squares]
+        return np.cumsum(rows, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -288,10 +295,9 @@ def estimate_mechanism_ratios(
     if resolved == "mhr" and not all(d.mhr for d in instance.distributions.values()):
         raise RegimeError("mhr regime needs every distribution flagged mhr")
 
-    sums = np.zeros(6)  # welfare, welfare^2, revenue, revenue^2, opt, opt^2
-    for partial in run_chunks(_mechanism_chunk, trials, (instance, policy, seed)):
-        sums += partial
-    means, hw = mc_summary(sums, trials)
+    # welfare, welfare^2, revenue, revenue^2, opt, opt^2
+    partials = run_chunks(_mechanism_chunk, trials, (instance, policy, seed))
+    means, hw = mc_summary(partials, trials)
     mech_w, revenue, opt_w = (float(x) for x in means)
     welfare_ratio = competitive_ratio(opt_w, mech_w)
     if mech_w > 0 and opt_w > 0:

@@ -15,8 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CapExceededError, TaggedValue
-from .exact import EXACT_MODE_CAP, min_maximal_matching
+from .core import EXACT_MODE_CAP, CapExceededError, TaggedValue, exact_integers
 from .feasibility import (
     MATROID_KINDS,
     FeasibilityStructure,
@@ -433,3 +432,38 @@ def adversarial_order(
         rest = [e for e in elements if not (acc >> e) & 1]
         return ArrivalOrder(tuple(first + rest), "exhaustive-min")
     raise ValueError(f"unknown arrival-order mode {mode!r}")
+
+
+def min_maximal_matching(live: int, vmasks, xvals) -> int:
+    """Accepted mask of a minimum-weight maximal matching of the live edges.
+
+    First-come acceptance over a fixed live set ends in a maximal matching of
+    the live subgraph under every arrival order, and any maximal matching is
+    reached by letting its edges arrive first; so this is the adversary's
+    minimum over all orders. It walks the matchings of the live subgraph
+    (at most 2**live of them) instead of live! orders. Totals are exact
+    integer sums (`exact_integers`), so float near ties cannot pick a
+    heavier set. Rewards are non-negative, so a partial total at or above
+    the best one is cut. The batched modes search with
+    `exact.min_maximal_accepts` instead.
+    """
+    edges = [e for e in range(len(vmasks)) if (live >> e) & 1]
+    weights = exact_integers(xvals)
+    best_total = None
+    best_acc = 0
+
+    def walk(i: int, matched: int, total: int, acc: int) -> None:
+        nonlocal best_total, best_acc
+        if best_total is not None and total >= best_total:
+            return
+        if i == len(edges):
+            if all(matched & vmasks[f] for f in edges):  # maximal
+                best_total, best_acc = total, acc
+            return
+        e = edges[i]
+        if not matched & vmasks[e]:
+            walk(i + 1, matched | vmasks[e], total + weights[e], acc | (1 << e))
+        walk(i + 1, matched, total, acc)
+
+    walk(0, 0, 0, 0)
+    return best_acc

@@ -1,7 +1,7 @@
+import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import sspilab.analysis as analysis
@@ -20,6 +20,7 @@ from sspilab.analysis import (
     supporting_event_transversal,
     verify_lemma,
 )
+from sspilab.cli import main
 from sspilab.core import (
     CapExceededError,
     Configuration,
@@ -389,42 +390,42 @@ class TestCoinGame:
             game_monte_carlo(1, 2, 0, seed=0)
 
 
-def _scalar_game_frequency(r_r, r_b, trials, seed):
-    """`play_coin_game` under B-first, game after game on one coin stream."""
-    rng = np.random.default_rng(seed)
-
-    def coins():
-        while True:
-            yield "H" if rng.random() < 0.5 else "T"
-
-    stream = coins()
-    wins = sum(
-        play_coin_game(r_r, r_b, b_first_strategy, stream)[0] == "P2" for _ in range(trials)
-    )
-    return wins / trials
-
-
-_BINS = [(r_r, r_b) for r_b in range(2, 6) for r_r in range(1, r_b)] + [(3, 40)]
-
-
-@pytest.mark.parametrize("r_r, r_b", _BINS)
-def test_batched_game_equals_scalar_games(r_r, r_b, monkeypatch):
-    # Blocks of 16 coins: games straddle blocks, and a (3, 40) game spans
-    # several of them.
-    monkeypatch.setattr(analysis, "GAME_COIN_BLOCK", 16)
-    for seed in range(5):
-        for trials in (1, 9, 61):
-            want = _scalar_game_frequency(r_r, r_b, trials, seed)
-            assert game_monte_carlo(r_r, r_b, trials, seed) == want, (seed, trials)
+def test_b_first_game_is_two_races():
+    # Under B-first, B's first 2*r_b - 1 coins decide it, and after B's
+    # saturating toss R's next 2*r_r - 1 coins decide R: P2 wins exactly when
+    # both races go to tails.
+    for r_b in range(2, 5):
+        for r_r in range(1, r_b):
+            for seq in itertools.product("HT", repeat=2 * r_b + 2 * r_r - 2):
+                saturating = next(
+                    k for k in range(len(seq))
+                    if max(seq[:k + 1].count("H"), seq[:k + 1].count("T")) == r_b
+                )
+                r_race = seq[saturating + 1:saturating + 2 * r_r]
+                want = seq[:2 * r_b - 1].count("T") >= r_b and r_race.count("T") >= r_r
+                winner, _ = play_coin_game(r_r, r_b, b_first_strategy, iter(seq))
+                assert (winner == "P2") == want, (r_r, r_b, seq)
 
 
-def test_batched_game_straddles_the_default_block():
-    # About 3 coins a game: 12,000 games read past two blocks of the default
-    # size.
-    assert 3 * 12_000 > 2 * analysis.GAME_COIN_BLOCK
-    for seed in range(2):
-        want = _scalar_game_frequency(1, 2, 12_000, seed)
-        assert game_monte_carlo(1, 2, 12_000, seed) == want
+@pytest.mark.parametrize("r_r, r_b", [(1, 2), (3, 40)])
+def test_game_block_changes_no_result(r_r, r_b, monkeypatch):
+    results = []
+    for block in (1, 7, 1 << 20):
+        monkeypatch.setattr(analysis, "GAME_BLOCK", block)
+        results.append([game_monte_carlo(r_r, r_b, trials, seed)
+                         for seed in range(3) for trials in (1, 9, 61)])
+    assert results[0] == results[1] == results[2]
+
+
+def test_game_capacity_past_int64_exits_2(capsys):
+    # 2 * r - 1 must be an int64 for the race draws.
+    assert main(["--trials", "5", "game", "--rr", "1", "--rb", str(2**62), "--mode", "mc"]) == 0
+    capsys.readouterr()
+    argv = ["game", "--rr", "1", "--rb", "100000000000000000000", "--mode", "mc"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rb: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestAllTiesStress:

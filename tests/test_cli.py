@@ -277,6 +277,25 @@ def _missing_edges():
     return doc
 
 
+def _empty_document(structure):
+    return {"name": "empty", "structure": structure, "distributions": {}}
+
+
+def _huge_rank1():
+    # The values fit a float, their squares do not.
+    return _rank1_document({"kind": "uniform", "a": 1e200, "b": 2e200, "mhr": True},
+                           {"kind": "point-mass", "value": 3e200, "mhr": True})
+
+
+def _huge_matching():
+    # Two values near 1e308 sum past the float range.
+    doc = _matching_document(4)
+    doc["structure"]["edges"] = [[0, 1], [2, 3]]
+    wide = {"kind": "uniform", "a": 0.0, "b": 1e308}
+    doc["distributions"] = {"0": wide, "1": wide}
+    return doc
+
+
 @pytest.mark.parametrize("argv, doc, field", [
     (["simulate", "--policy", "matching"], _missing_edges(), "structure"),
     (["simulate", "--policy", "rank1"], _edges_document([[0, 1, 2]]), "structure.edges[0]"),
@@ -307,13 +326,27 @@ def _missing_edges():
      "partition"),
     (["simulate", "--policy", "rank1"], _rank1_document(UNIT_UNIFORM, partition="groups"),
      "partition"),
+    (["mechanism", "--policy", "matching", "--regime", "iid-regular"],
+     _empty_document({"kind": "matching", "vertices": 2, "edges": []}), "structure"),
+    (["simulate", "--policy", "transversal", "--mode", "exact"],
+     _empty_document({"kind": "transversal", "left": 0, "right_order": ["a"],
+                      "adjacency": []}), "structure"),
+    (["simulate", "--policy", "rank1"],
+     _empty_document({"kind": "truncated-partition", "groups": [], "group_capacities": [],
+                      "total_capacity": 1}), "structure"),
+    (["simulate", "--policy", "rank1"], _huge_rank1(), "distributions"),
+    (["simulate", "--policy", "matching"], _huge_matching(), "distributions"),
+    (["mechanism", "--policy", "rank1"], _huge_rank1(), "distributions"),
 ], ids=[
     "missing-field", "edge-not-a-pair", "self-loop", "adjacency-rows", "unknown-right-node",
     "right-node-twice", "capacity-count", "groups-not-0..n-1", "distribution-kind",
     "top-level-list", "element-key", "partition-outside-ground", "verify-without-instance",
     "structure-not-an-object", "distributions-not-an-object", "distribution-not-an-object",
-    "partition-list", "partition-string",
+    "partition-list", "partition-string", "empty-matching", "empty-transversal",
+    "empty-truncated-partition", "squares-overflow", "sums-overflow",
+    "mechanism-squares-overflow",
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejections_exit_2_and_name_the_field(argv, doc, field, tmp_path, capsys):
     if doc is not None:
         path = tmp_path / "rejected.json"
@@ -322,6 +355,15 @@ def test_rejections_exit_2_and_name_the_field(argv, doc, field, tmp_path, capsys
     assert main(["--trials", "5", *argv]) == 2
     err = capsys.readouterr().err
     assert f"error: {field}: " in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["--out", str(out), "game", "--rr", "1", "--rb", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from sspilab.core import (
     CapExceededError,
     Configuration,
     ElementRealization,
-    TaggedValue,
     assign_coins,
     build_sample_path,
-    compare,
     discrete,
     draw_realization,
     enumerate_configurations,
@@ -25,42 +22,17 @@ from conftest import make_realizations, tv
 
 class TestCompare:
     def test_tiebreak_decides_equal_values(self):
-        assert compare(tv(5.0, 0.3, 1), tv(5.0, 0.7, 2)) == -1
+        assert tv(5.0, 0.3, 1) < tv(5.0, 0.7, 2)
 
     def test_value_dominates(self):
-        assert compare(tv(5.0, 0.3, 1), tv(4.0, 0.9, 2)) == 1
+        assert tv(5.0, 0.3, 1) > tv(4.0, 0.9, 2)
 
     def test_element_id_is_final_tiebreak(self):
-        assert compare(tv(5.0, 0.3, 1), tv(5.0, 0.3, 2)) == -1
-
-    def test_identical_rejected(self):
-        a = tv(5.0, 0.3, 1)
-        with pytest.raises(ValueError):
-            compare(a, tv(5.0, 0.3, 1))
+        assert tv(5.0, 0.3, 1) < tv(5.0, 0.3, 2)
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             tv(-1.0)
-
-    tagged = st.builds(
-        TaggedValue,
-        value=st.sampled_from([0.0, 1.0, 2.0, 2.5]),
-        tiebreak=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-        element=st.integers(0, 3),
-    )
-
-    @given(tagged, tagged)
-    def test_antisymmetry(self, a, b):
-        if a.key == b.key:
-            return
-        assert compare(a, b) == -compare(b, a)
-
-    @given(tagged, tagged, tagged)
-    def test_transitivity(self, a, b, c):
-        if len({a.key, b.key, c.key}) < 3:
-            return
-        if compare(a, b) == -1 and compare(b, c) == -1:
-            assert compare(a, c) == -1
 
 
 class TestDistributions:
@@ -84,11 +56,9 @@ class TestDistributions:
 
     def test_cdf_and_tail(self):
         d = discrete([1.0, 3.0], [0.25, 0.75])
-        assert d.cdf(2.0) == 0.25
         assert d.prob_at_least(3.0) == 0.75
         assert d.prob_at_least(1.0) == 1.0
         u = uniform(0.0, 2.0)
-        assert u.cdf(1.0) == 0.5
         assert u.prob_at_least(1.5) == 0.25
 
     @pytest.mark.parametrize("dist", [
@@ -200,13 +170,6 @@ class TestConfigurations:
         path = build_sample_path(make_realizations([(5, 2)]))
         with pytest.raises(ValueError):
             validate_configuration(path, Configuration(("H", "H")))
-
-    def test_mask_round_trip(self, rng):
-        reals = [draw_realization(uniform(0, 1), e, rng) for e in range(4)]
-        path = build_sample_path(reals)
-        for mask in range(16):
-            config = Configuration.from_heads_mask(path, mask)
-            assert config.heads_mask(path) == mask
 
 
 class TestAssignCoins:

@@ -29,7 +29,7 @@ from sspilab.feasibility import (
     optimal_matching,
     optimal_transversal,
 )
-from sspilab.exact import min_maximal_matching
+from sspilab.policies import min_maximal_matching
 from sspilab.generators import random_instance
 
 from conftest import make_realizations, tv

@@ -23,7 +23,6 @@ from sspilab.harness import (
     CSV_HEADER,
     WORKERS_ENV,
     RatioReport,
-    emit_report,
     estimate_ratio,
     render_report,
     report_fields,
@@ -372,14 +371,6 @@ class TestReports:
         fields = report_fields(rep)
         assert fields["E_ALG"] == "5/2"
         assert fields["ci"] == ""
-
-    def test_emit_to_file_and_unwritable_path(self, tmp_path):
-        rep = tight_example(3, trials=200, seed=0)
-        target = tmp_path / "report.csv"
-        emit_report(rep, "csv", target)
-        assert target.read_text().startswith("policy,")
-        with pytest.raises(OSError):
-            emit_report(rep, "csv", tmp_path / "missing" / "report.csv")
 
     def test_unknown_format(self):
         rep = tight_example(3, trials=200, seed=0)
