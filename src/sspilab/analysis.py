@@ -2,8 +2,11 @@
 nested-bins coin game.
 
 The verifiers enumerate every coin configuration and compare both sides of
-each identity or inequality as exact integer counts (value-weighted sums use
-exact rationals built from the float values). The greedy-objective right
+each identity or inequality as exact integer counts. Value-weighted sums,
+and the matched values that match-sufficient compares with its need, add
+the path values' `core.exact_integers` (through `ConfigEnsemble.path_total`
+and `exact.exact_table`: int64 while the sums fit, python ints past that),
+so no comparison rounds. The greedy-objective right
 side is counted by a dynamic program along the path (`_greedy_recount`)
 whose layers are keyed by the scalar greedy rule's state values
 (`feasibility.greedy_rule`), so coin prefixes that reach the same state
@@ -37,7 +40,7 @@ from .core import (
 )
 from .exact import (
     CHUNK_CELLS, ConfigEnsemble, bit_index, element_masks,
-    maximal_within, policy_run,
+    exact_table, maximal_within, policy_run,
 )
 from .feasibility import (
     FeasibilityStructure,
@@ -415,8 +418,9 @@ def _sufficiency_report(
 
 def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
     """(2n, configs): at each supported (j, c), the least value matched at
-    the two endpoints of e_j over every arrival order of the live edges; inf
-    elsewhere.
+    the two endpoints of e_j over every arrival order of the live edges, an
+    exact sum of two path values' `exact_table(ens.w_val, 2)` integers;
+    elsewhere a number above every such sum.
 
     The orders reach exactly the maximal matchings M of the live subgraph
     (`min_maximal_accepts`), and one M-edge at most meets each vertex, so the
@@ -428,9 +432,11 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
     n = ens.n
     sets, touched = ens.tables.matchings
     live = element_masks(ens.matching_exceeds())
-    # Row n holds 0.0, the value at a vertex no M-edge meets.
-    xval = np.vstack([ens.values_at(ens.ridx), np.zeros(ens.num_configs)])
-    worst = np.full(support.shape, np.inf)
+    values, _ = exact_table(ens.w_val, 2)
+    # Row n holds 0, the value at a vertex no M-edge meets.
+    xval = np.vstack([values[ens.ridx], np.zeros((1, ens.num_configs), dtype=values.dtype)])
+    above = 2 * values.max() + 1
+    worst = np.full(support.shape, above, dtype=values.dtype)
     for j in np.flatnonzero(support.any(axis=1)):
         at = []  # per set, the edge meeting each endpoint of e_j (n: none)
         for x in fs.edges[ens.elem[j]]:
@@ -446,7 +452,7 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
             ok = maximal_within(sets, touched, lives[lo : lo + step])  # (lives, sets)
             reached[lo : lo + step] = ok @ onehot
         total = xval[pairs[0][:, None], cols] + xval[pairs[1][:, None], cols]  # (pairs, cols)
-        total[~reached[live_of].T] = np.inf
+        total[~reached[live_of].T] = above
         worst[j, cols] = total.min(axis=0)
     return worst
 
@@ -454,9 +460,10 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
 def _verify_match_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     support = ens.support_matching()
     worst = _match_worst_values(ens, support)
+    values, scale = exact_table(ens.w_val, 2)
     return _sufficiency_report(
-        "match-sufficient", ens, support, worst < ens.w_val[:, None],
-        lambda j, c: f"matched value {float(worst[j, c])} < {float(ens.w_val[j])}",
+        "match-sufficient", ens, support, worst < values[:, None],
+        lambda j, c: f"matched value {int(worst[j, c]) / 2**scale} < {float(ens.w_val[j])}",
     )
 
 

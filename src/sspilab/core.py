@@ -42,12 +42,14 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def exact_integers(values: Sequence[float]) -> list[int]:
-    """The values times one shared power of two, as exact python integers:
-    sums and comparisons of them are exact where float ones round."""
+def exact_integers(values: Sequence[float]) -> tuple[list[int], int]:
+    """The values times 2**scale, the least power of two that makes every
+    one an integer, as exact python integers, and `scale`: sums and
+    comparisons of them are exact where float ones round. This is the one
+    place where floats become exact integers."""
     ratios = [float(v).as_integer_ratio() for v in values]
-    shift = max((q.bit_length() for _, q in ratios), default=1)
-    return [p << (shift - q.bit_length()) for p, q in ratios]
+    scale = max((q.bit_length() for _, q in ratios), default=1) - 1
+    return [p << (scale + 1 - q.bit_length()) for p, q in ratios], scale
 
 
 @dataclass(frozen=True, slots=True, order=True)

@@ -53,9 +53,16 @@ and graphic matroids the greedy on the rewards (the heads-side free flags)
 is optimal and E_OPT needs nothing more. Else it comes from subset tables
 (`SubsetTables`), whose entry S says whether the element set S is feasible:
 the matroid greedy for transversal systems, and the best maximal matching
-for matching, where float totals within a relative NEAR_TIE of the best are
-compared exactly. Monte Carlo batches past the tables' caps take the scalar
-`exact_optimum` per trial.
+for matching, where float totals within a relative NEAR_TIE of the best, or
+tied at an overflowed inf, are compared exactly. Monte Carlo batches past
+the tables' caps take the scalar `exact_optimum` per trial.
+
+Exact sums follow one rule: `core.exact_integers` turns the path values
+into integers over one shared power of two, and `exact_table` holds them
+in int64 while a sum of the terms it is asked for stays below
+2**MASK_BITS, as python ints (object dtype) past that. E_OPT's and the
+matching adversary's near ties, `ConfigEnsemble.path_total` and the
+match-sufficient verifier all sum those integers.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from typing import Callable, Iterator
 
 import numpy as np
@@ -77,6 +85,7 @@ from .core import (
     TaggedValue,
     TrialDraws,
     build_sample_path,
+    exact_integers,
 )
 from .feasibility import (
     GeneralMatching,
@@ -88,11 +97,9 @@ from .feasibility import (
     is_independent,
 )
 
-_DIGIT_BITS = 31
-_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 EXACT_SIGMA_VERTEX_CAP = 6  # vertices whose orders exact reduction-graphic enumerates
 CONFIG_BLOCK = 1 << 13  # configurations per block of exact simulate
-MASK_BITS = 62  # resources an int64 bitmask holds; wider masks are python ints
+MASK_BITS = 62  # bits an int64 holds with room: wider masks and sums are python ints
 
 
 def index_type(n: int) -> np.dtype:
@@ -482,18 +489,11 @@ class ConfigEnsemble(PathBatch):
         return flags[y] | flags[self._pair_sum[:, 0] - y]
 
     def path_total(self, counts) -> Fraction:
-        """Exact sum over path indices of value times count. Each value is
-        a ratio p / q with q a power of two, so the sum is one integer over
-        the largest q, reduced once."""
-        num, den = 0, 1
-        for value, cnt in zip(self.w_val.tolist(), np.asarray(counts).tolist()):
-            if cnt:
-                p, q = value.as_integer_ratio()
-                if q > den:
-                    num *= q // den
-                    den = q
-                num += p * (den // q) * cnt
-        return Fraction(num, den)
+        """Exact sum over path indices of value times count: one integer
+        sum of the values' `exact_integers` over their shared 2**scale."""
+        counts = np.asarray(counts).tolist()
+        ints, scale = exact_integers([v for v, c in zip(self.w_val.tolist(), counts) if c])
+        return Fraction(sum(map(mul, ints, filter(None, counts))), 1 << scale)
 
     # -- supporting events ---------------------------------------------------
 
@@ -883,57 +883,38 @@ NEAR_TIE = 1e-9  # relative gap under which float totals are compared exactly
 CHUNK_CELLS = 1 << 20  # (column, candidate set) cells per float block
 
 
-def _exact_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Non-negative floats as value * 2**s = mant * 2**k, an exact integer,
-    for the least s shared by all of them; and the base-2**31 digit count
-    of the largest such integer."""
-    frac, expo = np.frexp(values)
-    mant = (frac * 2.0**53).astype(np.int64)
-    low = expo.astype(np.int64) - 53  # value = mant * 2**low
-    pos = mant > 0
-    trailing = np.bitwise_count((mant & -mant) - 1).astype(np.int64)
-    shift = int(np.max(-(low + trailing), where=pos, initial=0))
-    k = low + shift
-    bits = int(np.max(53 + k, where=pos, initial=0))
-    return mant, k, max(1, -(-bits // _DIGIT_BITS))
-
-
-def _digits(mant: np.ndarray, k: np.ndarray, width: int) -> np.ndarray:
-    """Digits (last axis, lowest first) of the integers mant * 2**k."""
-    at = _DIGIT_BITS * np.arange(width) - k[..., None]  # digit d's lowest bit
-    m = mant[..., None]
-    out = np.where(at >= 0, m >> np.clip(at, 0, 63), m << np.clip(-at, 0, 63))
-    return (out & _DIGIT_MASK).astype(float)
+def exact_table(values: np.ndarray, terms: int) -> tuple[np.ndarray, int]:
+    """Non-negative float `values` times 2**scale as exact integers
+    (`core.exact_integers`), and `scale`: int64 where a sum of `terms` of
+    them stays below 2**MASK_BITS, python ints (object dtype) otherwise."""
+    ints, scale = exact_integers(values.ravel().tolist())
+    fits = terms * max(ints, default=0) < 1 << MASK_BITS
+    return np.array(ints, dtype=np.int64 if fits else object).reshape(values.shape), scale
 
 
 def _exact_winners(
-    xval: np.ndarray, member: np.ndarray, near: np.ndarray, minimize: bool,
+    batch: PathBatch, cols: np.ndarray, member: np.ndarray, near: np.ndarray, minimize: bool,
 ) -> np.ndarray:
-    """Narrow each row of `near` to the candidates with the largest (or
-    smallest) exact reward total, for the (n, rows) reward values `xval`.
-    The totals are summed digit by digit in base 2**31 (`_digits`); every
-    float product involved is an exact integer. Only the candidates near in some
-    row take part, and rows go in blocks of at most CHUNK_CELLS (row,
-    candidate, digit) cells."""
-    cols = np.flatnonzero(near.any(axis=0))
-    member = member[:, cols]
-    mant, k, width = _exact_scale(xval)
+    """Narrow each row of `near`, one per batch column in `cols`, to the
+    candidates with the largest (or smallest) exact reward total. Each
+    total sums the candidate's rewards, the path values' `exact_table`
+    integers gathered through `ridx`; only the candidates near in some
+    row are scored."""
+    some = np.flatnonzero(near.any(axis=0))
+    w_val = batch.w_val if batch.w_val.ndim == 1 else batch.w_val[:, cols]
+    ints, _ = exact_table(w_val, batch.n)
+    ridx = batch.ridx[:, cols]
+    totals = np.empty((len(cols), len(some)), dtype=ints.dtype)
+    for k, members in enumerate(member[:, some].T != 0):
+        at = ridx[members]
+        x = ints[at] if ints.ndim == 1 else np.take_along_axis(ints, at, axis=0)
+        totals[:, k] = x.sum(axis=0)
+    if minimize:
+        totals = totals.max() - totals  # the least total is now the largest
+    block = near[:, some]
+    top = np.where(block, totals, -1).max(axis=1, keepdims=True)
     keep = np.zeros_like(near)
-    step = max(1, CHUNK_CELLS // (len(cols) * width))
-    for lo in range(0, near.shape[0], step):
-        hi = min(lo + step, near.shape[0])
-        digits = _digits(mant[:, lo:hi], k[:, lo:hi], width)  # (n, rows, D)
-        sums = [(digits[:, :, d].T @ member).astype(np.int64) for d in range(width)]
-        for d in range(width - 1):  # carry into the next digit
-            sums[d + 1] += sums[d] >> _DIGIT_BITS
-            sums[d] &= _DIGIT_MASK
-        block = near[lo:hi, cols]
-        for s in reversed(sums):  # most significant digit first
-            if minimize:
-                s = -s
-            top = np.where(block, s, np.iinfo(np.int64).min).max(axis=1, keepdims=True)
-            block &= s == top
-        keep[lo:hi, cols] = block
+    keep[:, some] = block & (totals == top)
     return keep
 
 
@@ -955,7 +936,8 @@ def _best_sets(
     part: the columns go in the order of their masks, so a block of them
     holds few distinct masks, and each block scores only the sets one of
     its masks allows. Float totals pick the winner; where several lie
-    within a relative NEAR_TIE of the best, their exact totals decide."""
+    within a relative NEAR_TIE of the best, or tie at an overflowed inf,
+    their exact totals decide."""
     n, configs = batch.ridx.shape
     member = element_flags(sets, n).astype(float)  # (n, sets)
     xval = batch.values_at(batch.ridx)
@@ -970,15 +952,21 @@ def _best_sets(
             masks, row = np.unique(within[cols], return_inverse=True)
             allowed = maximal_within(sets, touched, masks)  # (masks, sets)
             some = allowed.any(axis=0)
-            scored, flags, allowed = sets[some], member[:, some], allowed[:, some]
-        score = sign * (x.T @ flags)
+            scored, flags, allowed = sets[some], member[:, some], allowed[:, some][row]
+        with np.errstate(over="ignore", invalid="ignore"):  # totals past the range are inf
+            score = sign * (x.T @ flags)
+            if within is not None:
+                score[~allowed] = -np.inf
+            best = score.max(axis=1, keepdims=True)
+            limit = best - NEAR_TIE * np.abs(best)
+        # Where the best total overflowed, every set that scores it ties.
+        np.copyto(limit, best, where=np.abs(best) == np.inf)
+        near = score >= limit
         if within is not None:
-            score[~allowed[row]] = -np.inf
-        best = score.max(axis=1, keepdims=True)
-        near = score >= best - NEAR_TIE * np.abs(best)
+            near &= allowed
         tied = np.flatnonzero(near.sum(axis=1) > 1)
         if len(tied):
-            near[tied] = _exact_winners(x[:, tied], flags, near[tied], minimize)
+            near[tied] = _exact_winners(batch, cols[tied], flags, near[tied], minimize)
         chosen[cols] = scored[near.argmax(axis=1)]
     return chosen
 

@@ -458,7 +458,7 @@ def optimal_matching(g: GeneralMatching, weights: Mapping[int, TaggedValue]) -> 
         )
     order = _sorted_desc(weights, range(n))
     vals = [weights[e].value for e in order]
-    exact = exact_integers(vals)
+    exact, _ = exact_integers(vals)
     vmasks = []
     for e in order:
         u, v = g.edges[e]

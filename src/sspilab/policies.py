@@ -448,7 +448,7 @@ def min_maximal_matching(live: int, vmasks, xvals) -> int:
     `exact.min_maximal_accepts` instead.
     """
     edges = [e for e in range(len(vmasks)) if (live >> e) & 1]
-    weights = exact_integers(xvals)
+    weights, _ = exact_integers(xvals)
     best_total = None
     best_acc = 0
 

@@ -283,13 +283,13 @@ def test_best_matchings_settle_float_ties():
 @pytest.mark.parametrize("cells", [1 << 20, 1])
 def test_best_matchings_settle_ties_across_wide_exponents(cells, monkeypatch):
     # A subnormal point mass beside two of 1e308: the float totals of {0, 2}
-    # and {1} tie, and their exact totals need 68 base-2**31 digits. With
+    # and {1} tie, and their exact totals need 2,098 bits, past int64. With
     # one cell per block, every tied row is settled in a block of its own.
     monkeypatch.setattr(exact_module, "CHUNK_CELLS", cells)
     g = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
     big, tiny = 1e308, 5e-324
     ens = ConfigEnsemble(g, make_realizations([(big, big), (big, big), (tiny, tiny)]))
-    assert exact_module._exact_scale(ens.w_val)[2] == 68  # digits
+    assert exact_module.exact_table(ens.w_val, 3)[0].dtype == object  # python ints
     live = np.ones((3, ens.num_configs), dtype=bool)
     assert element_masks(min_maximal_accepts(ens, live)).tolist() == [0b010] * ens.num_configs
     assert element_masks(optimum_accepts(ens)).tolist() == [0b101] * ens.num_configs

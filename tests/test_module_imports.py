@@ -47,3 +47,24 @@ def test_traced_oracles_import_nothing_from_the_engine():
     # batched engine in exact.py is tested against.
     for name in ("policies.py", "feasibility.py"):
         assert _names_from_exact(PACKAGE / name) == [], name
+
+
+def _float_splits(path: Path) -> list[str]:
+    """Uses in `path` of `frexp` or `as_integer_ratio`, which split a float
+    into exact integer parts."""
+    names = {"frexp", "as_integer_ratio"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name in names:
+            found.append(f"{path.name}:{node.lineno} uses {name}")
+    return found
+
+
+def test_floats_become_exact_integers_only_in_core():
+    # `core.exact_integers` is the one exactness rule; every other module
+    # sums and compares its integers.
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _float_splits(path)]
+    assert hits and all(hit.startswith("core.py:") for hit in hits), hits

@@ -9,6 +9,7 @@ and serves only as the reference.
 
 import json
 import tracemalloc
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -22,25 +23,30 @@ from sspilab.analysis import (
 )
 from sspilab.cli import main
 from sspilab.core import CapExceededError, point_mass, trial_rng
-from sspilab.exact import ConfigEnsemble
+from sspilab.exact import ConfigEnsemble, exact_table
+from sspilab.feasibility import GeneralMatching
 from sspilab.generators import random_instance
 from sspilab.harness import WORKERS_ENV, estimate_ratio
 from sspilab.instances import Instance, instance_to_document
 
+from conftest import make_realizations
+
 
 def all_orders_match_worst(ens, support):
     """Per supported (j, c), the minimum over every order of the live edges
-    of the first-come values matched at e_j's two endpoints."""
+    of the first-come values matched at e_j's two endpoints, summed exactly
+    as Fractions; inf elsewhere."""
     edges = ens.structure.edges
     live_flags = ens.matching_exceeds()
     xvals = ens.w_val[ens.ridx]
-    worst = np.full(support.shape, np.inf)
+    worst = np.full(support.shape, np.inf, dtype=object)
     for c in range(ens.num_configs):
         sup_j = np.flatnonzero(support[:, c]).tolist()
         if not sup_j:
             continue
         xv = xvals[:, c].tolist()
         live = [e for e in range(ens.n) if live_flags[e, c]]
+        reached = {j: set() for j in sup_j}  # (value at u, value at v) pairs
         for perm in permutations(live):
             val_at = [0.0] * ens.structure.vertex_count
             matched = 0
@@ -52,7 +58,9 @@ def all_orders_match_worst(ens, support):
                     val_at[u] = val_at[v] = xv[e]
             for j in sup_j:
                 u, v = edges[ens.elem[j]]
-                worst[j, c] = min(worst[j, c], val_at[u] + val_at[v])
+                reached[j].add((val_at[u], val_at[v]))
+        for j in sup_j:
+            worst[j, c] = min(Fraction(a) + Fraction(b) for a, b in reached[j])
     return worst
 
 
@@ -98,13 +106,17 @@ def test_worst_values_equal_all_orders_oracle(kind, lemma):
         ens = ConfigEnsemble(inst.structure, reals)
         if kind == "matching":
             support = ens.support_matching()
-            got = _match_worst_values(ens, support)
+            worst = _match_worst_values(ens, support)
+            scale = exact_table(ens.w_val, 2)[1]
+            got = np.full(support.shape, np.inf, dtype=object)
+            got[support] = [Fraction(int(t), 1 << scale) for t in worst[support]]
             want = all_orders_match_worst(ens, support)
         else:
             support, cand = ens.support_transversal()
             got = _trans_worst_values(ens, support, cand)
             want = all_orders_trans_worst(ens, support, cand)
-        # Bit for bit on every supported cell, inf on the rest.
+        # Exactly (bit for bit for transversal) on every supported cell, inf
+        # on the rest.
         assert np.array_equal(got, want), inst.name
         cells += int(support.sum())
         report = verify_lemma(lemma, inst.structure, reals)
@@ -130,6 +142,24 @@ def test_failure_names_first_cell_in_config_order(monkeypatch):
     report = verify_lemma("match-sufficient", inst.structure, reals)
     assert not report.passed
     assert report.detail == f"config {c}, index {j}: matched value 0.0 < {float(ens.w_val[j])}"
+
+
+def test_matched_values_are_summed_exactly(monkeypatch):
+    # Path 0-1-2-3 with point masses a, c, b on its edges: 1 + (2**-53 +
+    # 2**-60) rounds to 1 + 2**-52 in floats, but exactly it is less. With
+    # edges 0 and 2 live and edge 1's Y index supported, the one maximal
+    # matching leaves a + b at edge 1's endpoints, short of c.
+    a, b, c = 1.0, 2.0**-53 + 2.0**-60, 1.0 + 2.0**-52
+    assert a + b == c
+    g = GeneralMatching(4, ((0, 1), (1, 2), (2, 3)))
+    reals = make_realizations([(a, a), (c, c), (b, b)])
+    monkeypatch.setattr(ConfigEnsemble, "matching_exceeds", lambda ens: np.repeat(
+        np.array([[True], [False], [True]]), ens.num_configs, axis=1))
+    monkeypatch.setattr(ConfigEnsemble, "support_matching", lambda ens: np.repeat(
+        (np.array(ens.elem) == 1)[:, None] & ens.is_y[:, None], ens.num_configs, axis=1))
+    report = verify_lemma("match-sufficient", g, reals)
+    assert not report.passed
+    assert report.detail.startswith("config 0, index 0: matched value ")
 
 
 @pytest.mark.parametrize("kind, lemma", [("matching", "match-sufficient"),
