@@ -463,7 +463,8 @@ def _verify_match_sufficient(ens: ConfigEnsemble) -> LemmaReport:
     values, scale = exact_table(ens.w_val, 2)
     return _sufficiency_report(
         "match-sufficient", ens, support, worst < values[:, None],
-        lambda j, c: f"matched value {int(worst[j, c]) / 2**scale} < {float(ens.w_val[j])}",
+        lambda j, c: (f"matched value {Fraction(int(worst[j, c]), 1 << scale)}"
+                      f" < {Fraction(int(values[j]), 1 << scale)}"),
     )
 
 

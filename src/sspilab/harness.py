@@ -22,15 +22,16 @@ the worker count.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -47,8 +48,9 @@ from .instances import Instance, InstanceFormatError
 from .policies import check_policy
 
 MC_CHUNK = 2048
-# (trial, leaf) cells per tight-example block: fixes the draw order, caps k
-TIGHT_CELLS = 1 << 22
+TIGHT_K_CAP = 1 << 22
+# Trials per tight-example block: one draw of the leaf counts, one partial sum
+TIGHT_BLOCK = 20_000
 # (trial, leaf) cells per tight-example tile: bounds the memory
 TIGHT_TILE_CELLS = 1 << 15
 WORKERS_ENV = "SSPILAB_WORKERS"
@@ -269,16 +271,24 @@ def _mc_chunk(args) -> tuple[np.ndarray, int]:
     return np.array(sums), int(out.z_violations.sum())
 
 
-def run_chunks(chunk_fn, trials: int, head: tuple) -> list:
-    """chunk_fn((*head, start, stop)) for each chunk of MC_CHUNK trials, in
-    chunk order; in a pool of worker processes when there are several
-    chunks and workers (see worker_count)."""
-    chunks = [(*head, lo, min(lo + MC_CHUNK, trials)) for lo in range(0, trials, MC_CHUNK)]
+def run_chunks(chunk_fn, trials: int, head: tuple):
+    """Yield chunk_fn((*head, start, stop)) for each chunk of MC_CHUNK
+    trials, in chunk order, as the caller asks for them; in a pool of worker
+    processes when there are several chunks and workers (see worker_count),
+    with at most two chunks per worker in flight. So the memory does not grow
+    with the number of chunks when the caller folds the results as they come."""
+    chunks = ((*head, lo, min(lo + MC_CHUNK, trials)) for lo in range(0, trials, MC_CHUNK))
     nworkers = worker_count()
-    if nworkers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            return list(pool.map(chunk_fn, chunks))
-    return [chunk_fn(c) for c in chunks]
+    if nworkers == 1 or trials <= MC_CHUNK:
+        yield from map(chunk_fn, chunks)
+        return
+    with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        window = deque(pool.submit(chunk_fn, c) for c in islice(chunks, 2 * nworkers))
+        while window:
+            result = window.popleft().result()
+            for c in islice(chunks, 1):
+                window.append(pool.submit(chunk_fn, c))
+            yield result
 
 
 def estimate_ratio_mc(
@@ -294,9 +304,15 @@ def estimate_ratio_mc(
         raise ValueError(f"mc mode supports adversaries {MC_ADVERSARIES}")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    results = run_chunks(_mc_chunk, trials, (instance, policy, adversary, seed))
-    means, half = mc_summary([partial for partial, _ in results], trials)
-    z_violations = sum(z for _, z in results)
+    z_violations = 0
+
+    def partials():
+        nonlocal z_violations
+        for partial, z in run_chunks(_mc_chunk, trials, (instance, policy, adversary, seed)):
+            z_violations += z
+            yield partial
+
+    means, half = mc_summary(partials(), trials)
     wall_ms = (time.perf_counter() - start_time) * 1000.0
     return RatioReport(
         policy=policy,
@@ -335,64 +351,110 @@ def estimate_ratio(
 # ---------------------------------------------------------------------------
 
 
+def _segments(ufunc, values: np.ndarray, counts: np.ndarray, empty: float) -> np.ndarray:
+    """ufunc.reduce over the consecutive segments of `values` with the given
+    lengths, and `empty` for a segment of none. reduceat gets the starts of
+    the non-empty segments only: it would give an empty segment the value at
+    its start, and an empty last segment starts out of range."""
+    out = np.full(len(counts), empty)
+    some = counts > 0
+    out[some] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[some])
+    return out
+
+
+def tight_tile(
+    leaves: np.ndarray,
+    leaf_rewards: np.ndarray,
+    leaf_samples: np.ndarray,
+    center_rewards: np.ndarray,
+    center_samples: np.ndarray,
+    lo: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, the totals (alg, opt) of the reduction policy and of the
+    optimum on a star with k leaf edges, under the increasing order.
+
+    In trial t the vertex order puts `leaves[t]` leaves before the center:
+    those leaves own their edges, each a group of its own that collects its
+    reward iff it beats its own sample, and the center owns the other
+    k - leaves[t] edges as one group that collects the smallest reward
+    beating the group's largest sample. The leaf arrays hold the draws of
+    the leaf-owned edges trial after trial, `leaves[t]` each; the center
+    arrays hold the center's, k - leaves[t] each. Draws are uniforms u on
+    [0, 1), and an edge's value is lo + (1 - lo)·u, as `Generator.uniform`
+    makes it; the map is increasing, so the draws are compared as drawn and
+    only the rewards are mapped, in place. The sample arrays are overwritten.
+    """
+    trials = len(leaves)
+    k = (len(leaf_rewards) + len(center_rewards)) // trials
+    center = k - leaves
+    beats = leaf_rewards > leaf_samples
+    threshold = _segments(np.maximum, center_samples, center, -np.inf)
+    # One trial compares with its threshold by broadcasting, so a one-trial
+    # tile at the k cap holds no per-cell copy of it.
+    exceeds = center_rewards > (threshold if trials == 1 else np.repeat(threshold, center))
+    for rewards in (leaf_rewards, center_rewards):
+        rewards *= 1.0 - lo
+        rewards += lo
+    opt = _segments(np.add, leaf_rewards, leaves, 0.0) + _segments(
+        np.add, center_rewards, center, 0.0
+    )
+    np.multiply(leaf_rewards, beats, out=leaf_samples)
+    alg = _segments(np.add, leaf_samples, leaves, 0.0)
+    center_samples.fill(np.inf)
+    np.copyto(center_samples, center_rewards, where=exceeds)
+    pick = _segments(np.minimum, center_samples, center, np.inf)
+    alg += np.where(pick < np.inf, pick, 0.0)
+    return alg, opt
+
+
+def _tight_blocks(k: int, trials: int, seed: int):
+    """Per block of TIGHT_BLOCK trials, the sums of alg, alg², opt and opt².
+
+    Five streams spawned from SeedSequence((seed, 0)) hold, in this order:
+    each trial's number of leaves before the center (one `integers` call per
+    block), the leaf-owned edges' rewards, their samples, the center's
+    rewards and its samples, trial after trial. Each block is evaluated in
+    tiles of about TIGHT_TILE_CELLS cells, so the memory is bounded by the
+    tile, not by --trials; a tile reads the next draws of each stream, so the
+    results do not depend on it."""
+    counts_rng, *draw_rngs = (
+        np.random.default_rng(s) for s in np.random.SeedSequence((seed, 0)).spawn(5)
+    )
+    lo = 1.0 - 1.0 / k
+    tile = max(1, TIGHT_TILE_CELLS // k)
+    for start in range(0, trials, TIGHT_BLOCK):
+        leaves = counts_rng.integers(0, k + 1, size=min(TIGHT_BLOCK, trials - start))
+        alg = np.empty(len(leaves))
+        opt = np.empty(len(leaves))
+        for first in range(0, len(leaves), tile):
+            rows = slice(first, first + tile)
+            lead = leaves[rows]
+            split = int(lead.sum())
+            rewards, samples = np.empty(len(lead) * k), np.empty(len(lead) * k)
+            parts = (rewards[:split], samples[:split], rewards[split:], samples[split:])
+            for rng, part in zip(draw_rngs, parts):
+                rng.random(out=part)
+            alg[rows], opt[rows] = tight_tile(lead, *parts, lo)
+        yield alg.sum(), (alg * alg).sum(), opt.sum(), (opt * opt).sum()
+
+
 def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     """Star graph with IID uniform [1-1/k, 1] edges under the random-vertex
     partition: the ratio approaches 4 from below as k grows.
 
-    Vectorized rule-for-rule port of the reduction policy on this family
-    (tests pin it against the traced policy): an edge owned by its leaf is
-    collected iff its reward beats its own sample; the center group collects
-    the smallest reward beating the largest sample in the group.
-
-    Blocks of at most 20,000 trials and TIGHT_CELLS (trial, leaf) cells fix
-    the draw order (smaller blocks from k = 210 on) and cap k. Each block is
-    evaluated in tiles of about TIGHT_TILE_CELLS cells read from the same
-    stream positions, so the memory is bounded by the tile, not by --trials.
+    The partition depends only on how many leaves precede the center in the
+    vertex order, uniform on 0..k; the edges are IID, so by exchangeability
+    the first that many edges can be the leaf-owned ones (`tight_tile`;
+    tests check it against the traced policy and `estimate_ratio`).
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    if k > TIGHT_CELLS:
-        raise CapExceededError(f"tight example capped at k <= {TIGHT_CELLS}")
+    if k > TIGHT_K_CAP:
+        raise CapExceededError(f"tight example capped at k <= {TIGHT_K_CAP}")
     if trials < 1:
         raise ValueError("need trials >= 1")
     start_time = time.perf_counter()
-    bits = np.random.default_rng((seed, 0)).bit_generator
-    lo = 1.0 - 1.0 / k
-    tile = max(1, TIGHT_TILE_CELLS // k)
-    partials = []  # per block: alg, alg^2, opt, opt^2
-    done = 0
-    while done < trials:
-        block = min(20_000, TIGHT_CELLS // k, trials - done)
-        cells = block * k
-        # One 64-bit draw per double: the block's rewards, samples, center
-        # ranks and leaf ranks lie back to back in the stream from here.
-        rewards_rng, samples_rng, center_rng, leaf_rng = (
-            np.random.Generator(copy.deepcopy(bits).advance(at))
-            for at in (0, cells, 2 * cells, 2 * cells + block)
-        )
-        bits.advance(3 * cells + block)
-        alg = np.empty(block)
-        opt = np.empty(block)
-        for first in range(0, block, tile):
-            rows = slice(first, min(first + tile, block))
-            shape = (rows.stop - first, k)
-            rewards = rewards_rng.uniform(lo, 1.0, size=shape)
-            samples = samples_rng.uniform(lo, 1.0, size=shape)
-            center_rank = center_rng.random((shape[0], 1))
-            leaf_owned = leaf_rng.random(shape) < center_rank
-            alg[rows] = (rewards * (leaf_owned & (rewards > samples))).sum(axis=1)
-            center = ~leaf_owned
-            # Samples are >= 1 - 1/k > 0: with the leaves' samples zeroed the
-            # max is the center's largest sample (0 if it has none, and then
-            # `exceed` is all False).
-            center_threshold = (samples * center).max(axis=1)
-            exceed = center & (rewards > center_threshold[:, None])
-            center_pick = np.min(rewards, axis=1, where=exceed, initial=np.inf)
-            alg[rows] += np.where(np.isfinite(center_pick), center_pick, 0.0)
-            opt[rows] = rewards.sum(axis=1)
-        partials.append((alg.sum(), (alg * alg).sum(), opt.sum(), (opt * opt).sum()))
-        done += block
-    means, half = mc_summary(partials, trials)
+    means, half = mc_summary(_tight_blocks(k, trials, seed), trials)
     mean_alg, mean_opt = (float(x) for x in means)
     wall_ms = (time.perf_counter() - start_time) * 1000.0
     return RatioReport(

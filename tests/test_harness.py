@@ -257,58 +257,67 @@ class TestMonteCarlo:
         assert worst.e_alg == inc.e_alg
 
 
-# (k, trials, seed, E_ALG, E_OPT, E_OPT', ci) of tight_example as it was when
-# it drew and evaluated each block as four whole arrays. 20,001 trials is a
-# multiple of neither the tile nor the block; k = 210 has 19,972-trial blocks
-# and k = 10,000 has 419-trial blocks.
+# (k, trials, seed, E_ALG, E_OPT, E_OPT', ci) of tight_example with one
+# stream per kind of draw (`harness._tight_blocks`). 20,001 trials is a
+# multiple of neither the tile nor the block; k = 10,000 has 3-trial tiles.
 TIGHT_PINS = [
     (2, 20_001, 1,
-     0.6953197101554435, 1.499344192359512, 1.499344192359512, 0.008069080921818926),
+     0.710816816396878, 1.5033987672329232, 1.5033987672329232, 0.008110112919305733),
     (200, 20_001, 0,
-     50.34755195209542, 199.5000109861865, 199.5000109861865, 0.4065096478855893),
+     50.5242411573459, 199.50005100326538, 199.50005100326538, 0.40826600786271516),
     (200, 45_000, 3,
-     50.61184727153543, 199.50015213377887, 199.50015213377887, 0.2724412910585794),
+     50.528064290678856, 199.49994891982422, 199.49994891982422, 0.2711391334988649),
     (210, 40_000, 2,
-     53.05435574572549, 209.50013493675877, 209.50013493675877, 0.30227357800851984),
+     52.777317177417196, 209.500044061257, 209.500044061257, 0.302576128412121),
     (10_000, 1_000, 5,
-     2579.560038507188, 9999.500082135315, 9999.500082135315, 90.60117452220756),
+     2463.598860716789, 9999.49996112758, 9999.49996112758, 88.6635948956201),
     (7, 5_000, 4,
-     2.0814946190236907, 6.49994777900633, 6.49994777900633, 0.038913987055815495),
+     2.1042747249599865, 6.501521282385459, 6.501521282385459, 0.03937307899054421),
     (50, 20_001, 5,
-     12.792058735254269, 49.500327679546174, 49.500327679546174, 0.1067249269431656),
+     12.941723744499349, 49.499712181706094, 49.499712181706094, 0.10689325260188091),
 ]
 
 
 class TestTightExample:
     def test_vectorized_rule_matches_traced_policy(self, rng):
-        # Same draws fed to both the vectorized simulator's rule and the
-        # traced reduction policy with the partition pinned to the same
-        # vertex ranks.
+        # Hand-built draws fed to the kernel and to the traced reduction
+        # policy. In trial t the policy's vertex order puts the leaves of the
+        # first leaves[t] edges before the center.
         k = 4
         g = Graphic(k + 1, tuple((0, i + 1) for i in range(k)))
         lo = 1.0 - 1.0 / k
-        for trial in range(40):
-            rewards_f = rng.uniform(lo, 1.0, size=k)
-            samples_f = rng.uniform(lo, 1.0, size=k)
-            ranks = rng.uniform(size=k + 1)  # position 0 is the center
-            sigma = tuple(int(v) for v in np.argsort(ranks))
+        leaves = np.arange(40) % (k + 1)  # every count from 0 to k
+        rewards = rng.random((len(leaves), k))
+        samples = rng.random((len(leaves), k))
+        lead = np.arange(k) < leaves[:, None]
+        alg, opt = harness.tight_tile(
+            leaves, rewards[lead], samples[lead], rewards[~lead], samples[~lead], lo
+        )
+        for t, p in enumerate(leaves.tolist()):
+            sigma = (*range(1, p + 1), 0, *range(p + 1, k + 1))
             partition, _ = graphic_partition(g, sigma=sigma)
-            rewards = {e: tv(rewards_f[e], 0.5, e) for e in range(k)}
-            samples = {e: tv(samples_f[e], 0.5, e) for e in range(k)}
-            order = sorted(range(k), key=lambda e: rewards[e].key)
+            values = lo + (1.0 - lo) * rewards[t]
+            reward = {e: tv(values[e], 0.5, e) for e in range(k)}
+            sample = {e: tv(lo + (1.0 - lo) * samples[t, e], 0.5, e) for e in range(k)}
+            order = sorted(range(k), key=lambda e: reward[e].key)
             trace = run_policy(
-                "reduction-custom", g, samples, rewards, order,
-                partition=partition,
+                "reduction-custom", g, sample, reward, order, partition=partition,
             )
-            leaf_owned = ranks[1:] < ranks[0]
-            alg = float((rewards_f * (leaf_owned & (rewards_f > samples_f))).sum())
-            center = ~leaf_owned
-            if center.any():
-                thr = samples_f[center].max()
-                exceed = center & (rewards_f > thr)
-                if exceed.any():
-                    alg += rewards_f[exceed].min()
-            assert trace.chosen.total == pytest.approx(alg, rel=1e-12, abs=1e-12)
+            assert alg[t] == pytest.approx(trace.chosen.total, rel=1e-12, abs=1e-12)
+            assert opt[t] == pytest.approx(values.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("k, seed", [(3, 31), (8, 38)])
+    def test_agrees_with_the_general_path(self, k, seed):
+        # Drawing the vertex order (estimate_ratio) and drawing only the
+        # number of leaves before the center give the same expectations.
+        trials = 20_000
+        fast = tight_example(k, trials=trials, seed=seed)
+        general = estimate_ratio(star_graphic_instance(k), "reduction-graphic",
+                                 "increasing", trials=trials, seed=seed, mode="mc")
+        assert abs(fast.e_alg - general.e_alg) <= 4 * math.hypot(fast.ci, general.ci)
+        # E_OPT sums k uniforms on an interval of width 1/k.
+        opt_half = 1.96 * math.sqrt(k / 12) / k / math.sqrt(trials)
+        assert abs(fast.e_opt - general.e_opt) <= 4 * math.sqrt(2) * opt_half
 
     @pytest.mark.parametrize(
         "k, trials, seed, e_alg, e_opt, e_opt_prime, ci", TIGHT_PINS,
@@ -338,6 +347,20 @@ class TestTightExample:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_memory_at_the_k_cap(self, seed):
+        # One trial of 2**22 leaves: two float buffers of one row (64 MiB)
+        # and the comparison flags. One more float array of the larger group
+        # would exceed the bound: the leaf-owned edges are 80% of the row at
+        # seed 0, and the center's are 98.5% at seed 1.
+        tracemalloc.start()
+        try:
+            tight_example(harness.TIGHT_K_CAP, trials=1, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2**20
 
     def test_small_k_bracket(self):
         rep = tight_example(2, trials=20_000, seed=1)
@@ -394,3 +417,31 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
     monkeypatch.delenv("SSPILAB_WORKERS")
     assert worker_count() >= 1
+
+
+class _ChunkLimit(Exception):
+    pass
+
+
+def _stop_after_three_chunks(args):
+    start, stop = args
+    if start >= 3 * harness.MC_CHUNK:
+        raise _ChunkLimit(start)
+    return np.array([stop - start, 0.0])
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_chunks_memory_does_not_grow_with_the_chunks(monkeypatch, workers):
+    # 10**6 chunks: the chunks are made and folded as they come, so the
+    # fold reaches the fourth chunk's error with little memory in use.
+    monkeypatch.setenv(WORKERS_ENV, workers)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_ChunkLimit):
+            harness.mc_summary(
+                harness.run_chunks(_stop_after_three_chunks, 2048 * 10**6, ()), 2048 * 10**6
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20

@@ -141,7 +141,7 @@ def test_failure_names_first_cell_in_config_order(monkeypatch):
     )
     report = verify_lemma("match-sufficient", inst.structure, reals)
     assert not report.passed
-    assert report.detail == f"config {c}, index {j}: matched value 0.0 < {float(ens.w_val[j])}"
+    assert report.detail == f"config {c}, index {j}: matched value 0 < {Fraction(ens.w_val[j])}"
 
 
 def test_matched_values_are_summed_exactly(monkeypatch):
@@ -159,7 +159,9 @@ def test_matched_values_are_summed_exactly(monkeypatch):
         (np.array(ens.elem) == 1)[:, None] & ens.is_y[:, None], ens.num_configs, axis=1))
     report = verify_lemma("match-sufficient", g, reals)
     assert not report.passed
-    assert report.detail.startswith("config 0, index 0: matched value ")
+    assert report.detail == (
+        f"config 0, index 0: matched value {Fraction(a) + Fraction(b)} < {Fraction(c)}"
+    )
 
 
 @pytest.mark.parametrize("kind, lemma", [("matching", "match-sufficient"),
