@@ -18,10 +18,15 @@ and laminar, and the least value over the live subgraph's maximal
 matchings for matching (subset tables, so n <= EXACT_MODE_CAP). The scalar
 supporting-event functions here are reference implementations; the
 vectorized tables in `exact` must agree with them, and tests enforce that.
+
+The coin game's exact values are one loop of backward induction over count
+states (minimax) and the product of B-first's two binomial races (`_races`);
+the scalar `play_coin_game` is their test oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -542,11 +547,11 @@ def verify_lemma(
     if structure is None or realizations is None:
         raise ValueError(f"lemma {lemma_id!r} needs a structure and realizations")
     if lemma_id.startswith("match") and not isinstance(structure, GeneralMatching):
-        raise TypeError("matching lemmas need a general-matching structure")
+        raise TypeError("--lemma: matching lemmas need a general-matching structure")
     if lemma_id.startswith("trans") and not isinstance(structure, Transversal):
-        raise TypeError("transversal lemmas need a transversal structure")
+        raise TypeError("--lemma: transversal lemmas need a transversal structure")
     if lemma_id.startswith("laminar") and not isinstance(structure, TruncatedPartition):
-        raise TypeError("laminar lemmas need a truncated-partition structure")
+        raise TypeError("--lemma: laminar lemmas need a truncated-partition structure")
     if lemma_id == "match-sufficient" and structure.ground_size > EXACT_MODE_CAP:
         # Refused before the ensemble's tables are built.
         raise CapExceededError(
@@ -655,6 +660,12 @@ def play_coin_game(
     return winner, state
 
 
+def _races(r_r: int, r_b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two races of a B-first game: B's first 2*r_b - 1 tosses, then R's
+    next 2*r_r - 1, and the tails counts r_b and r_r that win each for P2."""
+    return (2 * r_b - 1, 2 * r_r - 1), (r_b, r_r)
+
+
 GAME_BLOCK = 1 << 16  # games drawn at a time; bounds memory, changes no result
 GAME_MC_CAP = 1 << 62  # largest capacity whose race length 2r - 1 is an int64
 
@@ -671,89 +682,75 @@ def game_monte_carlo(r_r: int, r_b: int, trials: int, seed: int) -> float:
     `rng.binomial((2*r_b - 1, 2*r_r - 1), 0.5, size=(rows, 2))`, GAME_BLOCK
     games at a time."""
     if trials < 1:
-        raise ValueError("need trials >= 1")
+        raise ValueError("--trials: need trials >= 1")
     _check_bins(r_r, r_b)
     for flag, cap in (("--rr", r_r), ("--rb", r_b)):
         if cap > GAME_MC_CAP:
             raise ValueError(f"{flag}: Monte Carlo capacity capped at 2**62, got {cap}")
+    tosses, need = _races(r_r, r_b)
     rng = np.random.default_rng(seed)
     wins = 0
     for lo in range(0, trials, GAME_BLOCK):
         rows = min(GAME_BLOCK, trials - lo)
-        tails = rng.binomial((2 * r_b - 1, 2 * r_r - 1), 0.5, size=(rows, 2))
-        wins += int((tails >= (r_b, r_r)).all(axis=1).sum())
+        tails = rng.binomial(tosses, 0.5, size=(rows, 2))
+        wins += int((tails >= need).all(axis=1).sum())
     return wins / trials
 
 
 def exhaustive_game_value(
     r_r: int, r_b: int, strategy: str = "optimal"
 ) -> Fraction:
-    """Exact P2-win probability by backward induction over count states.
+    """Exact P2-win probability of the game with bins r_r < r_b.
 
-    `optimal` lets the first player minimize; `b-first` pins the first player
-    to saturating B before touching R.
+    `optimal` lets the first player minimize, by backward induction over the
+    count states (hr, tr, hb, tb) from the most counts recorded down: a bin
+    saturated with heads is worth 0, both saturated with tails 1, and else
+    the least, over the open bins, of a toss's average outcome there.
+    `b-first` is the product of its two races' tails probabilities (`_races`).
     """
     _check_bins(r_r, r_b)
+    if strategy not in ("optimal", "b-first"):
+        raise ValueError(f"unknown game strategy {strategy!r}")
     if r_r > GAME_RR_CAP or r_b > GAME_RB_CAP:
         raise CapExceededError(
             f"game value capped at r_r <= {GAME_RR_CAP}, r_b <= {GAME_RB_CAP}"
         )
-    memo: dict[tuple[int, int, int, int], Fraction] = {}
-
-    def sat(h: int, t: int, cap: int) -> str | None:
-        if h >= cap:
-            return "H"
-        if t >= cap:
-            return "T"
-        return None
-
-    def value(hr: int, tr: int, hb: int, tb: int) -> Fraction:
-        key = (hr, tr, hb, tb)
-        if key in memo:
-            return memo[key]
-        sr = sat(hr, tr, r_r)
-        sb = sat(hb, tb, r_b)
-        if sr and sb:
-            result = Fraction(1) if (sr == "T" and sb == "T") else Fraction(0)
+    if strategy == "b-first":
+        win = Fraction(1)
+        for tosses, need in zip(*_races(r_r, r_b)):
+            tails = sum(math.comb(tosses, k) for k in range(need, tosses + 1))
+            win *= Fraction(tails, 2**tosses)
+        return win
+    value: dict[tuple[int, int, int, int], Fraction] = {}
+    states = itertools.product(range(r_r + 1), range(r_r + 1), range(r_b + 1), range(r_b + 1))
+    for hr, tr, hb, tb in sorted(states, key=sum, reverse=True):
+        r_open = max(hr, tr) < r_r
+        b_open = max(hb, tb) < r_b
+        if hr == r_r or hb == r_b:
+            value[hr, tr, hb, tb] = Fraction(0)
+        elif not (r_open or b_open):
+            value[hr, tr, hb, tb] = Fraction(1)
         else:
-            options = []
-            if sr is None:
-                # A toss aimed at R also lands in B while B still counts.
-                if sb is None:
-                    options.append(
-                        ("R", lambda: (value(hr + 1, tr, hb + 1, tb)
-                                       + value(hr, tr + 1, hb, tb + 1)) / 2)
-                    )
-                else:
-                    options.append(
-                        ("R", lambda: (value(hr + 1, tr, hb, tb)
-                                       + value(hr, tr + 1, hb, tb)) / 2)
-                    )
-            if sb is None:
-                options.append(
-                    ("B", lambda: (value(hr, tr, hb + 1, tb)
-                                   + value(hr, tr, hb, tb + 1)) / 2)
-                )
-            if strategy == "b-first":
-                pick = "B" if sb is None else "R"
-                result = next(f for name, f in options if name == pick)()
-            else:
-                result = min(f() for _, f in options)
-        memo[key] = result
-        return result
-
-    return value(0, 0, 0, 0)
+            sums = []
+            if r_open:
+                db = int(b_open)  # a toss at R also lands in B while B is open
+                sums.append(value[hr + 1, tr, hb + db, tb] + value[hr, tr + 1, hb, tb + db])
+            if b_open:
+                sums.append(value[hr, tr, hb + 1, tb] + value[hr, tr, hb, tb + 1])
+            value[hr, tr, hb, tb] = min(sums) / 2
+    return value[0, 0, 0, 0]
 
 
 def _verify_game_value() -> LemmaReport:
-    fail = None
-    for r_r in range(1, GAME_RR_CAP + 1):
-        for r_b in range(r_r + 1, GAME_RB_CAP + 1):
-            opt = exhaustive_game_value(r_r, r_b, "optimal")
-            bf = exhaustive_game_value(r_r, r_b, "b-first")
-            if opt != Fraction(1, 4) or bf != Fraction(1, 4):
-                fail = f"(r_r={r_r}, r_b={r_b}): optimal={opt}, b-first={bf}"
-                break
+    fail = ""
+    pairs = [(r_r, r_b) for r_r in range(1, GAME_RR_CAP + 1)
+             for r_b in range(r_r + 1, GAME_RB_CAP + 1)]
+    for r_r, r_b in pairs:
+        opt = exhaustive_game_value(r_r, r_b, "optimal")
+        bf = exhaustive_game_value(r_r, r_b, "b-first")
+        if opt != Fraction(1, 4) or bf != Fraction(1, 4):
+            fail = f"(r_r={r_r}, r_b={r_b}): optimal={opt}, b-first={bf}"
+            break
     return LemmaReport(
-        "game-value", fail is None, Fraction(1, 4), Fraction(1, 4), 0, fail or "",
+        "game-value", not fail, Fraction(1, 4), Fraction(1, 4), 0, fail,
     )

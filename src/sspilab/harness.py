@@ -141,7 +141,7 @@ def estimate_ratio_exact(
     start = time.perf_counter()
     check_policy(policy, instance.structure, instance.partition)
     if adversary not in EXACT_ADVERSARIES:
-        raise ValueError(f"exact mode supports adversaries {EXACT_ADVERSARIES}")
+        raise ValueError(f"--adversary: exact mode supports adversaries {EXACT_ADVERSARIES}")
     n = instance.ground_size
     if n > EXACT_MODE_CAP:
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
@@ -303,7 +303,7 @@ def estimate_ratio_mc(
     if adversary not in MC_ADVERSARIES:
         raise ValueError(f"mc mode supports adversaries {MC_ADVERSARIES}")
     if trials < 1:
-        raise ValueError("need trials >= 1")
+        raise ValueError("--trials: need trials >= 1")
     z_violations = 0
 
     def partials():
@@ -448,11 +448,11 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     tests check it against the traced policy and `estimate_ratio`).
     """
     if k < 2:
-        raise ValueError("need k >= 2")
+        raise ValueError("--k: need k >= 2")
     if k > TIGHT_K_CAP:
         raise CapExceededError(f"tight example capped at k <= {TIGHT_K_CAP}")
     if trials < 1:
-        raise ValueError("need trials >= 1")
+        raise ValueError("--trials: need trials >= 1")
     start_time = time.perf_counter()
     means, half = mc_summary(_tight_blocks(k, trials, seed), trials)
     mean_alg, mean_opt = (float(x) for x in means)

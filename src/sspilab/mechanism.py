@@ -279,7 +279,7 @@ def estimate_mechanism_ratios(
     start_time = time.perf_counter()
     check_policy(policy, instance.structure, instance.partition)
     if trials < 1:
-        raise ValueError("need trials >= 1")
+        raise ValueError("--trials: need trials >= 1")
     resolved = regime or instance.regime()
     if resolved is None:
         raise RegimeError(

@@ -52,7 +52,9 @@ def check_policy(
     if applies is None:
         raise ValueError(f"unknown policy {policy!r}")
     if not applies(structure):
-        raise TypeError(f"policy {policy!r} does not apply to {type(structure).__name__}")
+        raise TypeError(
+            f"--policy: policy {policy!r} does not apply to {type(structure).__name__}"
+        )
     if policy == "reduction-custom" and partition is None:
         raise ValueError("reduction-custom needs a partition block in the instance")
 

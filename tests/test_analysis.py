@@ -381,6 +381,42 @@ class TestCoinGame:
         with pytest.raises(CapExceededError):
             exhaustive_game_value(3, 5)
 
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="'greedy'"):
+            exhaustive_game_value(1, 2, "greedy")
+
+    def test_b_first_value_is_the_played_probability(self):
+        # Every B-first game ends within 2*r_b + 2*r_r - 2 tosses, so the
+        # equally likely sequences of that length give its exact P2-win odds.
+        for r_r in range(1, GAME_RR_CAP + 1):
+            for r_b in range(r_r + 1, GAME_RB_CAP + 1):
+                length = 2 * r_b + 2 * r_r - 2
+                wins = sum(
+                    play_coin_game(r_r, r_b, b_first_strategy, seq)[0] == "P2"
+                    for seq in itertools.product("HT", repeat=length)
+                )
+                assert Fraction(wins, 2**length) == exhaustive_game_value(
+                    r_r, r_b, "b-first"
+                ), (r_r, r_b)
+
+    def test_quarter_past_the_shipped_caps(self, monkeypatch):
+        monkeypatch.setattr(analysis, "GAME_RR_CAP", 7)
+        monkeypatch.setattr(analysis, "GAME_RB_CAP", 8)
+        pairs = [(r_r, r_b) for r_r in range(1, 8) for r_b in range(r_r + 1, 9)]
+        assert len(pairs) == 28
+        for r_r, r_b in pairs:
+            for strategy in ("optimal", "b-first"):
+                assert exhaustive_game_value(r_r, r_b, strategy) == Fraction(1, 4)
+
+    def test_verify_reports_the_first_failing_pair(self, monkeypatch):
+        def value(r_r, r_b, strategy="optimal"):
+            return Fraction(0) if (r_r, r_b) in ((1, 3), (2, 4)) else Fraction(1, 4)
+
+        monkeypatch.setattr(analysis, "exhaustive_game_value", value)
+        report = verify_lemma("game-value")
+        assert not report.passed
+        assert report.detail.startswith("(r_r=1, r_b=3)")
+
     def test_monte_carlo_close(self):
         freq = game_monte_carlo(1, 2, 40_000, seed=21)
         assert abs(freq - 0.25) < 0.01

@@ -169,6 +169,27 @@ def test_zero_trials_rejected(argv, tmp_path, capsys):
     assert "need trials >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--trials", "0", "simulate", "--instance", "{rank1}", "--policy", "rank1"], "--trials"),
+    (["--trials", "0", "mechanism", "--instance", "{rank1}", "--policy", "rank1"], "--trials"),
+    (["--trials", "0", "tight-example", "--k", "5"], "--trials"),
+    (["--trials", "0", "game", "--rr", "1", "--rb", "2", "--mode", "mc"], "--trials"),
+    (["tight-example", "--k", "1"], "--k"),
+    (["simulate", "--instance", "{rank1}", "--policy", "rank1", "--mode", "exact",
+      "--adversary", "random"], "--adversary"),
+    (["simulate", "--instance", "{rank1}", "--policy", "matching"], "--policy"),
+    (["verify", "--lemma", "match-prob", "--instance", "{rank1}"], "--lemma"),
+    (["verify", "--lemma", "trans-unique", "--instance", "{rank1}"], "--lemma"),
+])
+def test_usage_error_names_its_flag(argv, flag, tmp_path, capsys):
+    exp = {"kind": "exponential", "rate": 1.0}  # mhr by default
+    path = tmp_path / "rank1.json"
+    path.write_text(json.dumps(_rank1_document(exp, exp)))
+    argv = [a.replace("{rank1}", str(path)) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
 def _matching_document(vertices):
     return {
         "name": "m",
