@@ -609,9 +609,9 @@ def _check_bins(r_r: int, r_b: int) -> None:
     """Bin capacities of a game: 1 <= r_r < r_b (the CLI's --rr and --rb)."""
     for flag, cap in (("--rr", r_r), ("--rb", r_b)):
         if cap < 1:
-            raise ValueError(f"{flag} must be at least 1, got {cap}")
+            raise ValueError(f"{flag}: must be at least 1, got {cap}")
     if not r_r < r_b:
-        raise ValueError("need r_r < r_b")
+        raise ValueError("--rb: need r_r < r_b")
 
 
 def b_first_strategy(state: GameState) -> str:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from collections import deque
@@ -49,8 +50,9 @@ from .policies import check_policy
 
 MC_CHUNK = 2048
 TIGHT_K_CAP = 1 << 22
-# Trials per tight-example block: one draw of the leaf counts, one partial sum
-TIGHT_BLOCK = 20_000
+# Trials per tight-example block: one call per per-trial stream, one partial
+# sum. Its per-trial arrays and the tile bound the memory.
+TIGHT_BLOCK = 4096
 # (trial, leaf) cells per tight-example tile: bounds the memory
 TIGHT_TILE_CELLS = 1 << 15
 WORKERS_ENV = "SSPILAB_WORKERS"
@@ -362,80 +364,140 @@ def _segments(ufunc, values: np.ndarray, counts: np.ndarray, empty: float) -> np
     return out
 
 
-def tight_tile(
-    leaves: np.ndarray,
-    leaf_rewards: np.ndarray,
-    leaf_samples: np.ndarray,
-    center_rewards: np.ndarray,
-    center_samples: np.ndarray,
-    lo: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def tight_tile(counts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per trial, the totals (alg, opt) of the reduction policy and of the
-    optimum on a star with k leaf edges, under the increasing order.
+    optimum on a star, under the increasing order.
 
-    In trial t the vertex order puts `leaves[t]` leaves before the center:
-    those leaves own their edges, each a group of its own that collects its
-    reward iff it beats its own sample, and the center owns the other
-    k - leaves[t] edges as one group that collects the smallest reward
-    beating the group's largest sample. The leaf arrays hold the draws of
-    the leaf-owned edges trial after trial, `leaves[t]` each; the center
-    arrays hold the center's, k - leaves[t] each. Draws are uniforms u on
-    [0, 1), and an edge's value is lo + (1 - lo)·u, as `Generator.uniform`
-    makes it; the map is increasing, so the draws are compared as drawn and
-    only the rewards are mapped, in place. The sample arrays are overwritten.
+    Each leaf before the center in the vertex order owns its edge, a group of
+    its own that collects its reward iff it beats its own sample; the center
+    owns the other edges as one group that collects the smallest reward above
+    T, the largest of the group's samples. `counts` holds per trial, row by
+    row, the number of leaf-owned edges that beat their sample (winners) and
+    that do not (losers), and of the center's rewards above T and below it.
+    `values` holds the rewards kind by kind in that order, each kind trial
+    after trial.
     """
-    trials = len(leaves)
-    k = (len(leaf_rewards) + len(center_rewards)) // trials
-    center = k - leaves
-    beats = leaf_rewards > leaf_samples
-    threshold = _segments(np.maximum, center_samples, center, -np.inf)
-    # One trial compares with its threshold by broadcasting, so a one-trial
-    # tile at the k cap holds no per-cell copy of it.
-    exceeds = center_rewards > (threshold if trials == 1 else np.repeat(threshold, center))
-    for rewards in (leaf_rewards, center_rewards):
-        rewards *= 1.0 - lo
-        rewards += lo
-    opt = _segments(np.add, leaf_rewards, leaves, 0.0) + _segments(
-        np.add, center_rewards, center, 0.0
-    )
-    np.multiply(leaf_rewards, beats, out=leaf_samples)
-    alg = _segments(np.add, leaf_samples, leaves, 0.0)
-    center_samples.fill(np.inf)
-    np.copyto(center_samples, center_rewards, where=exceeds)
-    pick = _segments(np.minimum, center_samples, center, np.inf)
-    alg += np.where(pick < np.inf, pick, 0.0)
-    return alg, opt
+    sums = _segments(np.add, values, counts.ravel(), 0.0).reshape(counts.shape)
+    high = counts[2]
+    first = counts[:2].sum()
+    pick = _segments(np.minimum, values[first:first + high.sum()], high, np.inf)
+    return sums[0] + np.where(high > 0, pick, 0.0), sums.sum(axis=0)
 
 
-def _tight_blocks(k: int, trials: int, seed: int):
-    """Per block of TIGHT_BLOCK trials, the sums of alg, alg², opt and opt².
+def _winners(rng: np.random.Generator, leaves: np.ndarray, k: int) -> np.ndarray:
+    """Per trial with L = `leaves` leaf-owned edges, how many beat their
+    sample, W ~ Bin(L, ½): the set bits among L bits of ceil(k/64) raw
+    64-bit draws, the top bits of each. The raw draws are held a tile's
+    worth at a time."""
+    words = -(-k // 64)
+    rows = max(1, TIGHT_TILE_CELLS // words)
+    ends = 64 * np.arange(1, words + 1)
+    won = np.empty(len(leaves), dtype=np.int64)
+    for first in range(0, len(leaves), rows):
+        part = leaves[first:first + rows]
+        bits = rng.bit_generator.random_raw((len(part), words))
+        bits >>= np.clip(ends - part[:, None], 0, 64).astype(np.uint64)  # >> 64 gives 0
+        won[first:first + rows] = np.bitwise_count(bits).sum(axis=1)
+    return won
 
-    Five streams spawned from SeedSequence((seed, 0)) hold, in this order:
-    each trial's number of leaves before the center (one `integers` call per
-    block), the leaf-owned edges' rewards, their samples, the center's
-    rewards and its samples, trial after trial. Each block is evaluated in
-    tiles of about TIGHT_TILE_CELLS cells, so the memory is bounded by the
-    tile, not by --trials; a tile reads the next draws of each stream, so the
-    results do not depend on it."""
-    counts_rng, *draw_rngs = (
-        np.random.default_rng(s) for s in np.random.SeedSequence((seed, 0)).spawn(5)
-    )
+
+def _center_draws(
+    threshold_rng: np.random.Generator, above_rng: np.random.Generator, center: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial with m = `center` center-owned edges, T, the largest of
+    their samples, and A ~ Bin(m, 1 - T), how many of their rewards exceed
+    it. T is V^(1/m) by `math.pow`, as numpy's vectorized exp and log round
+    differently on CPUs with AVX-512. A is drawn by inversion from one
+    uniform U: P(A = 0) = T^m = V and P(A = a + 1) / P(A = a) =
+    (m - a) / (a + 1) · (1 - T) / T. A is about geometric, so the loop runs
+    a few dozen steps at most. A trial with no center edges draws a V and a
+    U it never reads."""
+    v = threshold_rng.random(len(center))
+    # Python floats, not `astype`: the Monte Carlo commands make no other
+    # int-to-float array cast, and numpy's cast code adds 64 KB of resident
+    # memory to the process.
+    m = np.fromiter(memoryview(np.maximum(center, 1)), float, len(center))
+    threshold = np.fromiter(map(math.pow, memoryview(v), memoryview(1.0 / m)), float, len(v))
+    with np.errstate(divide="ignore"):  # V = 0 gives T = 0
+        odds = (1.0 - threshold) / threshold
+    above = np.zeros(len(center), dtype=np.int64)
+    live = np.flatnonzero(center)
+    u, mass = above_rng.random(len(center))[live], v[live]
+    total = mass.copy()
+    a = 0  # every live trial has had the same number of steps
+    while True:
+        going = (u >= total) & (center[live] > a) & (mass > 0)
+        if not going.any():
+            break
+        live, u, mass, total = live[going], u[going], mass[going], total[going]
+        mass *= (m[live] - a) / (a + 1) * odds[live]
+        total += mass
+        a += 1
+        above[live] = a
+    return threshold, above
+
+
+def _as_values(values: np.ndarray, counts: np.ndarray, threshold: np.ndarray, k: int) -> None:
+    """Maps a tile's uniforms V, laid out as `tight_tile` reads its values,
+    to values in place. In u-space, a winner's reward is the larger of two
+    uniforms, √V, and a loser's the smaller, 1 - √V; the center's rewards
+    are uniform on (T, 1) above T and on (0, T) below it. An edge's value is
+    lo + u/k with lo = 1 - 1/k. A one-trial tile scales by broadcasting, so
+    at the k cap it holds no per-cell copy of T."""
+    won, lost, high, low = np.cumsum(counts.sum(axis=1))
+    np.sqrt(values[:lost], out=values[:lost])
+    np.subtract(1.0, values[won:lost], out=values[won:lost])
+    above, below = values[lost:high], values[high:low]
+    top = bottom = threshold
+    if len(threshold) > 1:
+        top, bottom = np.repeat(threshold, counts[2]), np.repeat(threshold, counts[3])
+    above *= 1.0 - top
+    above += top
+    below *= bottom
     lo = 1.0 - 1.0 / k
+    values *= 1.0 - lo
+    values += lo
+
+
+def _tight_trials(k: int, trials: int, seed: int):
+    """Per block of TIGHT_BLOCK trials, the trials' totals (alg, opt).
+
+    Each trial draws only the order statistics that the policy reads. It
+    puts L ~ U{0..k} leaves before the center; W ~ Bin(L, ½) of their edges
+    beat their sample (`_winners`); T is the largest of the center's
+    m = k - L samples, and A ~ Bin(m, 1 - T) of its rewards exceed T
+    (`_center_draws`); then the k rewards are drawn by kind (`_as_values`).
+    That is k + 3 draws and ceil(k/64) raw words, against 2k draws for
+    every reward and sample. Eight streams spawned from
+    SeedSequence((seed, 0)) hold, in this order: L, W, T and A (drawn per
+    block), then the winners', losers', above-T and below-T rewards, trial
+    after trial. Each block is evaluated in tiles of about TIGHT_TILE_CELLS
+    cells, one float buffer for all k rewards of the tile's trials, so the
+    memory is bounded by the tile, not by --trials; every call reads the
+    next draws of its stream, so each trial's totals depend on neither the
+    tile nor the block."""
+    leaves_rng, winners_rng, threshold_rng, above_rng, *value_rngs = (
+        np.random.default_rng(s) for s in np.random.SeedSequence((seed, 0)).spawn(8)
+    )
     tile = max(1, TIGHT_TILE_CELLS // k)
     for start in range(0, trials, TIGHT_BLOCK):
-        leaves = counts_rng.integers(0, k + 1, size=min(TIGHT_BLOCK, trials - start))
+        leaves = leaves_rng.integers(0, k + 1, size=min(TIGHT_BLOCK, trials - start))
+        won = _winners(winners_rng, leaves, k)
+        center = k - leaves
+        threshold, above = _center_draws(threshold_rng, above_rng, center)
+        counts = np.stack((won, leaves - won, above, center - above))
         alg = np.empty(len(leaves))
         opt = np.empty(len(leaves))
         for first in range(0, len(leaves), tile):
             rows = slice(first, first + tile)
-            lead = leaves[rows]
-            split = int(lead.sum())
-            rewards, samples = np.empty(len(lead) * k), np.empty(len(lead) * k)
-            parts = (rewards[:split], samples[:split], rewards[split:], samples[split:])
-            for rng, part in zip(draw_rngs, parts):
-                rng.random(out=part)
-            alg[rows], opt[rows] = tight_tile(lead, *parts, lo)
-        yield alg.sum(), (alg * alg).sum(), opt.sum(), (opt * opt).sum()
+            tile_counts = counts[:, rows]
+            values = np.empty(tile_counts.shape[1] * k)
+            ends = np.cumsum(tile_counts.sum(axis=1))
+            for rng, begin, end in zip(value_rngs, (0, *ends[:3]), ends):
+                rng.random(out=values[begin:end])
+            _as_values(values, tile_counts, threshold[rows], k)
+            alg[rows], opt[rows] = tight_tile(tile_counts, values)
+        yield alg, opt
 
 
 def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
@@ -444,8 +506,11 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
 
     The partition depends only on how many leaves precede the center in the
     vertex order, uniform on 0..k; the edges are IID, so by exchangeability
-    the first that many edges can be the leaf-owned ones (`tight_tile`;
-    tests check it against the traced policy and `estimate_ratio`).
+    the first that many edges can be the leaf-owned ones, and the policy
+    reads only order statistics of their rewards and samples, which each
+    trial draws directly (`_tight_trials`; tests check `tight_tile` against
+    the traced policy, the draws' law against brute force, and the results
+    against `estimate_ratio` and the exact E_ALG).
     """
     if k < 2:
         raise ValueError("--k: need k >= 2")
@@ -454,7 +519,9 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     if trials < 1:
         raise ValueError("--trials: need trials >= 1")
     start_time = time.perf_counter()
-    means, half = mc_summary(_tight_blocks(k, trials, seed), trials)
+    sums = ((alg.sum(), (alg * alg).sum(), opt.sum(), (opt * opt).sum())
+            for alg, opt in _tight_trials(k, trials, seed))
+    means, half = mc_summary(sums, trials)
     mean_alg, mean_opt = (float(x) for x in means)
     wall_ms = (time.perf_counter() - start_time) * 1000.0
     return RatioReport(

@@ -180,6 +180,8 @@ def test_zero_trials_rejected(argv, tmp_path, capsys):
     (["simulate", "--instance", "{rank1}", "--policy", "matching"], "--policy"),
     (["verify", "--lemma", "match-prob", "--instance", "{rank1}"], "--lemma"),
     (["verify", "--lemma", "trans-unique", "--instance", "{rank1}"], "--lemma"),
+    (["game", "--rr", "3", "--rb", "2"], "--rb"),
+    (["game", "--rr", "0", "--rb", "2"], "--rr"),
 ])
 def test_usage_error_names_its_flag(argv, flag, tmp_path, capsys):
     exp = {"kind": "exponential", "rate": 1.0}  # mhr by default

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -258,31 +259,55 @@ class TestMonteCarlo:
 
 
 # (k, trials, seed, E_ALG, E_OPT, E_OPT', ci) of tight_example with one
-# stream per kind of draw (`harness._tight_blocks`). 20,001 trials is a
+# stream per per-trial count and per kind of reward (`harness._tight_trials`),
+# each trial drawing k + 3 values and ceil(k/64) raw words. 20,001 trials is a
 # multiple of neither the tile nor the block; k = 10,000 has 3-trial tiles.
 TIGHT_PINS = [
     (2, 20_001, 1,
-     0.710816816396878, 1.5033987672329232, 1.5033987672329232, 0.008110112919305733),
+     0.7038125076944156, 1.5016703572344337, 1.5016703572344337, 0.008056621620863309),
     (200, 20_001, 0,
-     50.5242411573459, 199.50005100326538, 199.50005100326538, 0.40826600786271516),
+     50.49324307416565, 199.49991429838929, 199.49991429838929, 0.4082214298239461),
     (200, 45_000, 3,
-     50.528064290678856, 199.49994891982422, 199.49994891982422, 0.2711391334988649),
+     50.54373462587874, 199.49988284206034, 199.49988284206034, 0.27158335114981746),
     (210, 40_000, 2,
-     52.777317177417196, 209.500044061257, 209.500044061257, 0.302576128412121),
+     52.78578141658031, 209.50002963605422, 209.50002963605422, 0.30300670894240994),
     (10_000, 1_000, 5,
-     2463.598860716789, 9999.49996112758, 9999.49996112758, 88.6635948956201),
+     2464.2238529285464, 9999.499962174476, 9999.499962174476, 88.66355099235825),
     (7, 5_000, 4,
-     2.1042747249599865, 6.501521282385459, 6.501521282385459, 0.03937307899054421),
+     2.0887226518528466, 6.500161363701303, 6.500161363701303, 0.03957144550520947),
     (50, 20_001, 5,
-     12.941723744499349, 49.499712181706094, 49.499712181706094, 0.10689325260188091),
+     12.952831142775292, 49.49997078915123, 49.49997078915123, 0.10706791345755856),
 ]
+
+
+def star_e_alg(k: int) -> Fraction:
+    """Exact E_ALG of the star tight example with k leaf edges.
+
+    L ~ U{0..k} leaves precede the center. A leaf edge collects its reward
+    when it beats its sample: probability 1/2, mean u of 2/3. Among the 2m
+    sorted u-values of the center's m = k - L edges every value after the
+    last sample is a reward, so the pick is the value just after it: the last
+    sample sits at rank p with probability C(p-1, m-1)/C(2m, m), and
+    E[U_(p+1)] = (p+1)/(2m+1); p = 2m picks nothing. A value is lo + u/k."""
+    lo = 1 - Fraction(1, k)
+    total = Fraction(0)
+    for leaves in range(k + 1):
+        total += Fraction(leaves, 2) * (lo + Fraction(2, 3 * k))
+        m = k - leaves
+        if m:
+            ranks = range(m, 2 * m)  # the last sample's rank, below 2m
+            ways = sum(comb(p - 1, m - 1) for p in ranks)
+            rank_sum = sum(comb(p - 1, m - 1) * (p + 1) for p in ranks)
+            total += (Fraction(ways) * lo + Fraction(rank_sum, (2 * m + 1) * k)) / comb(2 * m, m)
+    return total / (k + 1)
 
 
 class TestTightExample:
     def test_vectorized_rule_matches_traced_policy(self, rng):
-        # Hand-built draws fed to the kernel and to the traced reduction
-        # policy. In trial t the policy's vertex order puts the leaves of the
-        # first leaves[t] edges before the center.
+        # Hand-built rewards and samples fed to the traced reduction policy,
+        # and, sorted into the kernel's kinds, to the kernel. In trial t the
+        # policy's vertex order puts the leaves of the first leaves[t] edges
+        # before the center.
         k = 4
         g = Graphic(k + 1, tuple((0, i + 1) for i in range(k)))
         lo = 1.0 - 1.0 / k
@@ -290,21 +315,74 @@ class TestTightExample:
         rewards = rng.random((len(leaves), k))
         samples = rng.random((len(leaves), k))
         lead = np.arange(k) < leaves[:, None]
+        beats = rewards > samples
+        threshold = np.where(lead, -np.inf, samples).max(axis=1)
+        high = ~lead & (rewards > threshold[:, None])
+        kinds = (lead & beats, lead & ~beats, high, ~lead & ~high)
+        counts = np.array([kind.sum(axis=1) for kind in kinds])
         alg, opt = harness.tight_tile(
-            leaves, rewards[lead], samples[lead], rewards[~lead], samples[~lead], lo
+            counts, np.concatenate([lo + rewards[kind] / k for kind in kinds])
         )
         for t, p in enumerate(leaves.tolist()):
             sigma = (*range(1, p + 1), 0, *range(p + 1, k + 1))
             partition, _ = graphic_partition(g, sigma=sigma)
-            values = lo + (1.0 - lo) * rewards[t]
+            values = lo + rewards[t] / k
             reward = {e: tv(values[e], 0.5, e) for e in range(k)}
-            sample = {e: tv(lo + (1.0 - lo) * samples[t, e], 0.5, e) for e in range(k)}
+            sample = {e: tv(lo + samples[t, e] / k, 0.5, e) for e in range(k)}
             order = sorted(range(k), key=lambda e: reward[e].key)
             trace = run_policy(
                 "reduction-custom", g, sample, reward, order, partition=partition,
             )
             assert alg[t] == pytest.approx(trace.chosen.total, rel=1e-12, abs=1e-12)
             assert opt[t] == pytest.approx(values.sum(), rel=1e-12)
+
+    def test_draws_follow_the_star_law(self):
+        # The order statistics each trial draws, against brute-force draws of
+        # every reward and sample (two-sample KS tests, fixed seeds): how many
+        # of L leaf edges beat their sample (Bin(L, ½), with L past one raw
+        # word), a leaf edge's reward when it beats its sample (√V) and when
+        # not (1 - √V); for m center edges the largest sample T (V^(1/m)),
+        # how many rewards exceed it (Bin(m, 1 - T)), where the rewards above
+        # and below it fall in (T, 1) and (0, T), and the smallest reward
+        # above it and the sum of the rewards as the kernel reads them.
+        # k = 1 keeps the values in u-space (lo = 0).
+        stats = pytest.importorskip("scipy.stats")
+        n = 4_000
+        brute = np.random.default_rng(71)
+        pairs = brute.random((2 * n, 2))
+        won = pairs[:, 0] > pairs[:, 1]
+        for leaves in (1, 70):
+            count = harness._winners(np.random.default_rng(70 + leaves), np.full(n, leaves), 100)
+            rewards, samples = brute.random((2, n, leaves))
+            assert stats.kstest(count, (rewards > samples).sum(axis=1),
+                                method="asymp").pvalue > 0.01
+        drawn = np.random.default_rng(72).random(2 * n)
+        harness._as_values(drawn, np.array([[n], [n], [0], [0]]), np.zeros(1), 1)
+        assert stats.kstest(drawn[:n], pairs[won, 0]).pvalue > 0.01
+        assert stats.kstest(drawn[n:], pairs[~won, 0]).pvalue > 0.01
+        for m in (1, 5, 40):
+            samples, rewards = brute.random((2, n, m))
+            top = samples.max(axis=1)
+            above = rewards > top[:, None]
+            threshold, count = harness._center_draws(
+                np.random.default_rng(73 + m), np.random.default_rng(74 + m), np.full(n, m)
+            )
+            assert stats.kstest(threshold, top).pvalue > 0.01
+            assert stats.kstest(count, above.sum(axis=1), method="asymp").pvalue > 0.01
+            counts = np.array([np.zeros(n, int), np.zeros(n, int), count, m - count])
+            drawn = np.random.default_rng(75 + m).random(n * m)
+            harness._as_values(drawn, counts, threshold, 1)
+            high = count.sum()
+            top_drawn = np.repeat(threshold, count), np.repeat(threshold, m - count)
+            assert stats.kstest((drawn[:high] - top_drawn[0]) / (1.0 - top_drawn[0]),
+                                ((rewards - top[:, None]) / (1.0 - top[:, None]))[above]
+                                ).pvalue > 0.01
+            assert stats.kstest(drawn[high:] / top_drawn[1],
+                                (rewards / top[:, None])[~above]).pvalue > 0.01
+            alg, opt = harness.tight_tile(counts, drawn)
+            brute_alg = np.where(above, rewards, np.inf).min(axis=1)
+            assert stats.kstest(alg[count > 0], brute_alg[above.any(axis=1)]).pvalue > 0.01
+            assert stats.kstest(opt, rewards.sum(axis=1)).pvalue > 0.01
 
     @pytest.mark.parametrize("k, seed", [(3, 31), (8, 38)])
     def test_agrees_with_the_general_path(self, k, seed):
@@ -338,6 +416,40 @@ class TestTightExample:
             rep = tight_example(k, trials=2_001, seed=9)
             assert (rep.e_alg, rep.e_opt, rep.ci) == (want.e_alg, want.e_opt, want.ci)
 
+    def test_outputs_do_not_depend_on_the_block(self, monkeypatch):
+        # Every trial's totals are the same for any block size; only the
+        # float sums over the blocks are added in another order.
+        k = 50
+
+        def run():
+            totals = harness._tight_trials(k, 2_001, 9)
+            return [np.concatenate(kind) for kind in zip(*totals)], tight_example(
+                k, trials=2_001, seed=9
+            )
+
+        want, want_rep = run()
+        for block in (1, 7 * k, 1 << 20):
+            monkeypatch.setattr(harness, "TIGHT_BLOCK", block)
+            got, rep = run()
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert (rep.e_alg, rep.e_opt, rep.ci) == pytest.approx(
+                (want_rep.e_alg, want_rep.e_opt, want_rep.ci), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("k, seed", [(2, 41), (3, 42), (8, 43), (50, 44), (200, 45)])
+    def test_matches_the_exact_expectations(self, k, seed):
+        trials = 20_000
+        rep = tight_example(k, trials=trials, seed=seed)
+        assert abs(rep.e_alg - float(star_e_alg(k))) <= 4 * rep.ci
+        # E_OPT sums k uniforms on an interval of width 1/k: k - 1/2.
+        opt_half = 1.96 * math.sqrt(k / 12) / k / math.sqrt(trials)
+        assert abs(rep.e_opt - (k - 0.5)) <= 4 * opt_half
+
+    def test_exact_e_alg_values(self):
+        assert star_e_alg(2) == Fraction(7, 10)
+        for k, value in ((3, 1.007738), (8, 2.350717), (50, 12.906247), (200, 50.414123)):
+            assert round(float(star_e_alg(k)), 6) == value
+
     @pytest.mark.parametrize("k, trials", [(200, 60_000), (10_000, 3)])
     def test_memory_is_bounded_by_the_tile(self, k, trials):
         tracemalloc.start()
@@ -350,17 +462,17 @@ class TestTightExample:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_memory_at_the_k_cap(self, seed):
-        # One trial of 2**22 leaves: two float buffers of one row (64 MiB)
-        # and the comparison flags. One more float array of the larger group
-        # would exceed the bound: the leaf-owned edges are 80% of the row at
-        # seed 0, and the center's are 98.5% at seed 1.
+        # One trial of 2**22 leaves: one float buffer of k cells (32 MiB)
+        # for all its rewards, mapped in place. One more float array of the
+        # larger group would exceed the bound: the leaf-owned edges are 80%
+        # of the row at seed 0, and the center's are 98.5% at seed 1.
         tracemalloc.start()
         try:
             tight_example(harness.TIGHT_K_CAP, trials=1, seed=seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * 2**20
+        assert peak <= 40 * 2**20
 
     def test_small_k_bracket(self):
         rep = tight_example(2, trials=20_000, seed=1)
