@@ -34,28 +34,32 @@ thresholds, targets and prices made from them) has the batch's index type
 index is below 2n, a pair sum (Y index + Z index) at most 4n - 3, and the
 sentinels are -1 and 2n, so 4n bounds them all: int8 up to n = 31, which
 covers every exact command, and int16 above. The walks keep their
-bitmasks in the smallest unsigned type that holds them. Narrow tables move
-fewer bytes per step of a walk over 2**13 columns.
+bitmasks in the smallest unsigned type that holds them (`mask_array`).
+Narrow tables move fewer bytes per step of a walk over 2**13 columns.
 
 No step loops over columns in Python. The first-come greedy of each
 constraint kind is one kernel that steps through elements for every column
-at once: `resource_walk` for bitmask resources (matching vertices) and
-`group_walk` for group capacities under a total one (partitions, transversal
-target nodes, the reductions' groups, the mechanism's contraction). The
-free flags walk the sample path; the replays walk the arrival order
-(`_replay`). The increasing order needs no order table: it is the sample
-path walked backwards, each element arriving at its reward index.
-`policy_run` is the one batched form of each policy: its thresholds, its
-replay against a named adversary and each accepted element's critical
-price, on one of the reduction policies' partitions (`reduction_partitions`
-builds them). `optimum_accepts` decides E_OPT for every batch. On partitions
-and graphic matroids the greedy on the rewards (the heads-side free flags)
-is optimal and E_OPT needs nothing more. Else it comes from subset tables
-(`SubsetTables`), whose entry S says whether the element set S is feasible:
-the matroid greedy for transversal systems, and the best maximal matching
-for matching, where float totals within a relative NEAR_TIE of the best, or
-tied at an overflowed inf, are compared exactly. Monte Carlo batches past
-the tables' caps take the scalar `exact_optimum` per trial.
+at once: `resource_walk` for bitmask resources (matching vertices,
+transversal target nodes) and `group_walk` for group capacities under a
+total one (partitions, the reductions' groups, the mechanism's
+contraction). The free flags walk the sample path; the replays walk the
+arrival order (`_replay`). The increasing order needs no order table: it
+is the sample path walked backwards, each element arriving at its reward
+index. `policy_run` is the one batched form of each policy: its
+thresholds, its replay against a named adversary and each accepted
+element's critical price, on one of the reduction policies' partitions
+(`reduction_partitions` builds them). The matching and transversal
+policies read their live flags and target nodes off the tails-side free
+flags (see the thresholds section of `PathBatch`); their threshold tables
+serve only the prices. `optimum_accepts` decides E_OPT for every batch. On
+partitions and graphic matroids the greedy on the rewards (the heads-side
+free flags) is optimal and E_OPT needs nothing more. Else it comes from
+subset tables (`SubsetTables`), whose entry S says whether the element set
+S is feasible: the matroid greedy for transversal systems, and the best
+maximal matching for matching, where float totals within a relative
+NEAR_TIE of the best, or tied at an overflowed inf, are compared exactly.
+Monte Carlo batches past the tables' caps take the scalar `exact_optimum`
+per trial.
 
 Exact sums follow one rule: `core.exact_integers` turns the path values
 into integers over one shared power of two, and `exact_table` holds them
@@ -139,11 +143,21 @@ def _put(table: np.ndarray, row, cols: np.ndarray, values) -> None:
     table[_rows(row, cols)] = values
 
 
+_bit_length = np.frompyfunc(lambda b: int(b).bit_length(), 1, 1)
+
+
 def bit_index(bits: np.ndarray) -> np.ndarray:
-    """Index of the single set bit of each entry."""
+    """Index of the single set bit of each entry, of an array of any shape."""
     if bits.dtype == object:
-        return np.array([int(b).bit_length() - 1 for b in bits], dtype=np.int64)
+        return _bit_length(bits).astype(np.int64) - 1
     return np.bitwise_count(bits - 1)
+
+
+def mask_array(masks) -> np.ndarray:
+    """Bitmasks (non-negative ints) in the smallest unsigned type that holds
+    them all, as python ints (object dtype) when wider than MASK_BITS."""
+    top = max(masks, default=0)
+    return np.array(masks, dtype=object if top >> MASK_BITS else np.min_scalar_type(top))
 
 
 def _kept(method):
@@ -224,7 +238,7 @@ class PathBatch:
         side_flags = self.heads if side == "H" else ~self.heads
         fs = self.structure
         if isinstance(fs, GeneralMatching):
-            free = resource_walk(self.elem, side_flags, vertex_masks(fs))
+            free = resource_walk(self.elem, side_flags, mask_array(vertex_masks(fs)))
         elif isinstance(fs, Transversal):
             free = self._free_transversal(side_flags, fs, side == "T")
         elif isinstance(fs, TruncatedPartition):
@@ -250,24 +264,20 @@ class PathBatch:
         return self._candidate
 
     def _free_transversal(self, side_flags, fs: Transversal, with_nodes: bool) -> np.ndarray:
-        rmask = neighbor_masks(fs)
-        # Right-node masks in the smallest unsigned type, as python ints
-        # when wider than MASK_BITS.
-        wide = fs.right_count > MASK_BITS
-        rmask = np.array(rmask, dtype=object if wide else np.min_scalar_type(max(rmask, default=0)))
+        rmask = mask_array(neighbor_masks(fs))
         untaken = ~np.zeros(self.num_configs, dtype=rmask.dtype)
         free = np.empty((self.length, self.num_configs), dtype=bool)
         if with_nodes:
             nodes = np.empty(free.shape, dtype=np.min_scalar_type(-max(fs.right_count, 1)))
         for j in range(self.length):
             avail = rmask[self.elem[j]] & untaken
-            low = avail & -avail
+            low = avail & -avail  # the lowest free node, 0 for none
             np.not_equal(avail, 0, out=free[j])
             if with_nodes:
                 nodes[j] = bit_index(low)
-            untaken ^= low * (side_flags[j] & free[j])
+                nodes[j] |= free[j].view(np.int8) - 1  # -1 where none is free
+            untaken ^= low * side_flags[j]
         if with_nodes:
-            np.copyto(nodes, -1, where=~free)
             self._candidate = nodes
         return free
 
@@ -300,6 +310,14 @@ class PathBatch:
         return free
 
     # -- thresholds and policy preprocessing --------------------------------
+    #
+    # The greedy on the samples sets each threshold: a vertex's (or right
+    # node's) is the index of the sample that took it, or `absent`. So a
+    # reward at index x beats the thresholds of the vertices that no sample
+    # before x took, the ones the tails-side walk leaves free at x, unless
+    # it is worth 0 (x >= absent): then it beats only those that samples
+    # after x set. The policies read their live flags and targets off the
+    # walk; the threshold tables remain for the critical prices.
 
     @_kept
     def matching_vertex_thresholds(self) -> np.ndarray:
@@ -323,8 +341,19 @@ class PathBatch:
         return np.minimum(th[u], th[v])
 
     def matching_exceeds(self) -> np.ndarray:
-        """(n, columns) flags: element's reward beats both endpoint thresholds."""
-        return self.ridx < self.matching_prices()
+        """(n, columns) flags: element's reward beats both endpoint
+        thresholds. Its index is free on the tails-side walk, and a reward
+        worth 0 needs both endpoints taken by samples after it."""
+        masks = mask_array(vertex_masks(self.structure))
+        free = self.free("T")
+        flags = free & self.heads
+        later = np.zeros(self.num_configs, dtype=masks.dtype)  # taken after j
+        # The positions that hold 0 in some column, last first.
+        for j in range(self.length - 1, int(np.min(self.absent)) - 1, -1):
+            mine = masks[self.elem[j]]
+            flags[j] &= ((mine & ~later) == 0) | (j < self.absent)
+            later |= mine * (free[j] & ~self.heads[j])
+        return self.at_rewards(flags)
 
     @_kept
     def transversal_r_thresholds(self) -> np.ndarray:
@@ -342,24 +371,22 @@ class PathBatch:
     @_kept
     def transversal_targets(self) -> np.ndarray:
         """(n, columns) int: the right node the online rule would pick for
-        each arriving left node (-1 when the threshold scan finds none), in
-        the index type or the smallest signed type holding every right node
-        when that is wider.
+        each arriving left node, the first neighbour whose threshold its
+        reward beats (-1 when none), in the index type or the smallest
+        signed type holding every right node when that is wider.
 
-        The scan is order-independent: it uses only offline thresholds and
-        the element's own sample."""
-        fs = self.structure
-        th = self.transversal_r_thresholds()
-        ridx = self.ridx
-        node_type = np.promote_types(self.itype, np.min_scalar_type(-fs.right_count - 1))
-        out = np.full((self.n, self.num_configs), -1, dtype=node_type)
-        for l in range(self.n):
-            # The last write is the first neighbour whose threshold it beats.
-            for r in reversed(fs.sorted_neighbors(l)):
-                np.copyto(out[l], r, where=ridx[l] < th[r])
-        # A reward at its Z index, below its sample, claims nothing.
-        np.copyto(out, -1, where=ridx > self.y_idx)
-        return out
+        That is the candidate node at the reward's index: the lowest
+        neighbour that the tails-side walk leaves free there. A reward
+        worth 0 beats it too, since a later sample takes it: the element's
+        own, unless an earlier one did. A reward at its Z index, below its
+        sample, claims nothing. The rule is order-independent: it reads
+        only the samples and the element's own reward."""
+        cand = self.candidate_nodes()
+        jy, cols = self.y_idx, self.cols
+        node_type = np.promote_types(self.itype, cand.dtype)
+        targets = _take(cand, jy, cols).astype(node_type, copy=False)
+        targets |= _take(self.heads, jy, cols).view(np.int8) - 1  # -1 for a Z reward
+        return targets
 
     def transversal_prices(self) -> np.ndarray:
         """(n, columns) the threshold index of each element's target node,
@@ -486,7 +513,9 @@ class ConfigEnsemble(PathBatch):
         """`PathBatch.at_rewards` from whole rows: a flag at either of an
         element's indices is at its reward index."""
         y = self.y_idx[:, 0]
-        return flags[y] | flags[self._pair_sum[:, 0] - y]
+        out = flags[y]
+        out |= flags[self._pair_sum[:, 0] - y]
+        return out
 
     def path_total(self, counts) -> Fraction:
         """Exact sum over path indices of value times count: one integer
@@ -686,6 +715,14 @@ def neighbor_masks(t: Transversal) -> list[int]:
     return [sum(1 << r for r in nbrs) for nbrs in t.adjacency]
 
 
+def node_masks(targets: np.ndarray, right_count: int) -> np.ndarray:
+    """The one-bit mask of each right node in `targets`, in the type of the
+    right-node masks (`mask_array`). An entry -1 (no target) gets node 1's,
+    which no replay claims: an element with no target is not live."""
+    one = np.ones((), dtype=mask_array([1 << max(right_count - 1, 0)]).dtype)
+    return np.left_shift(one, np.abs(targets).astype(one.dtype))
+
+
 def subset_union(masks) -> np.ndarray:
     """Entry S: the OR of masks[e] over the elements e of S."""
     table = np.zeros(1 << len(masks), dtype=np.int64)
@@ -800,11 +837,13 @@ def _at_steps(table: np.ndarray, elem) -> np.ndarray:
 
 def resource_walk(elem, want, masks) -> np.ndarray:
     """First-come greedy over bitmask resources (an edge claims its two
-    vertices): a step is free when none of its element's resource is taken.
-    `masks` holds each element's resource as a non-negative int64."""
-    masks = np.asarray(masks, dtype=np.int64)
-    claims = _at_steps(masks.astype(np.min_scalar_type(masks.max(initial=0))), elem)
-    taken = np.zeros(want.shape[1], dtype=claims.dtype)
+    vertices, a transversal arrival its target node): a step is free when
+    none of its element's resources is taken. `masks` holds each element's
+    resources, fixed ((n,)) or one per column ((n, columns)), in any
+    unsigned type or as python ints (object dtype; see `mask_array`)."""
+    # Fixed elements read their rows of `masks` one step at a time, as views.
+    claims = (masks[e] for e in elem) if np.ndim(elem) == 1 else _at_steps(masks, elem)
+    taken = np.zeros(want.shape[1], dtype=masks.dtype)
     free = np.empty(want.shape, dtype=bool)
     for mine, wants, ok in zip(claims, want, free):
         np.equal(taken & mine, 0, out=ok)
@@ -870,8 +909,9 @@ def _replay(walk, batch: PathBatch, live: np.ndarray, adversary, *rule) -> np.nd
     if adversary not in ("increasing", "exhaustive-min"):
         raise RuntimeError(f"unknown adversary {adversary!r}")
     elem = batch.elem[::-1]
-    want = batch.heads[::-1] & _at_steps(live, elem)
-    took = want & walk(elem, want, *rule)
+    want = _at_steps(live, elem)
+    want &= batch.heads[::-1]
+    took = np.logical_and(walk(elem, want, *rule), want, out=want)
     return batch.at_rewards(took[::-1])
 
 
@@ -1064,17 +1104,15 @@ def policy_run(batch: PathBatch, policy: str, adversary, grouping=None) -> Polic
         if searching:
             accepted = min_maximal_accepts(batch, live)
         else:
-            accepted = _replay(resource_walk, batch, live, adversary, vertex_masks(fs))
+            accepted = _replay(
+                resource_walk, batch, live, adversary, mask_array(vertex_masks(fs))
+            )
         return PolicyRun(accepted, lambda: batch.values_at(batch.matching_prices()))
     if policy == "transversal":
-        # Each target node is a group of capacity 1; elements with no target
-        # (-1) go to an extra group of capacity 0. No total binds.
+        # Each live element claims its target node; the others never claim.
         targets = batch.transversal_targets()
-        live = targets >= 0
-        group = targets.copy()
-        np.copyto(group, fs.right_count, where=~live)
-        caps = (1,) * fs.right_count + (0,)
-        accepted = _replay(group_walk, batch, live, adversary, group, caps, batch.length)
+        masks = node_masks(targets, fs.right_count)
+        accepted = _replay(resource_walk, batch, targets >= 0, adversary, masks)
         return PolicyRun(accepted, lambda: batch.values_at(batch.transversal_prices()))
     if policy == "laminar":
         accepted = _replay(

@@ -1,8 +1,9 @@
 """The first-come greedy kernels on per-column steps: a TrialBatch's free
 flags against the scalar greedy walk of each trial, the branches of the
 arrival-order replay (by element id, explicit orders, and the increasing
-order read off the sample path), and the memory of the transversal
-candidate table."""
+order read off the sample path), the matching and transversal live flags
+read off the tails-side walk against the threshold tables, and the memory
+of the transversal candidate table."""
 
 import tracemalloc
 from dataclasses import replace
@@ -21,8 +22,14 @@ from sspilab.core import (
     point_mass,
     trial_rng,
 )
-from sspilab.exact import ConfigEnsemble, TrialBatch, policy_run, reduction_partitions
-from sspilab.feasibility import Graphic, SimplePartition
+from sspilab.exact import (
+    ConfigEnsemble,
+    TrialBatch,
+    bit_index,
+    policy_run,
+    reduction_partitions,
+)
+from sspilab.feasibility import Graphic, SimplePartition, Transversal
 from sspilab.generators import _random_partition, random_instance
 from sspilab.policies import POLICY_STRUCTURES
 
@@ -43,6 +50,12 @@ def _instance(kind: str, n: int, seed: int, laws: str):
         inst = replace(inst, distributions={
             e: discrete([1.0, 2.0], [0.5, 0.5]) for e in range(n)
         })
+    elif laws == "zero-atoms":
+        inst = replace(inst, distributions={
+            e: discrete([0.0, float(rng.integers(1, 3))], [0.5, 0.5]) for e in range(n)
+        })
+    elif laws == "all-zero":
+        inst = replace(inst, distributions={e: point_mass(0.0) for e in range(n)})
     groups = tuple(tuple(g) for g in _random_partition(n, rng))
     return replace(inst, partition=SimplePartition(groups))
 
@@ -124,6 +137,25 @@ def test_transversal_candidates_are_node_indices_on_the_tails_walk_only():
     assert ((nodes[free_t] >= 0) & (nodes[free_t] < inst.structure.right_count)).all()
 
 
+@pytest.mark.parametrize("lemma, bound_mib", [("trans-unique", 2.6), ("trans-prob", 3.0)])
+def test_transversal_support_memory_keeps_one_narrow_candidate_table(lemma, bound_mib):
+    # The candidate table holds one int8 node index per (index, config);
+    # with it these verifiers peak at 2.43 and 2.82 MiB on this n = 14
+    # instance. A (28, 2^14) uint16 table of the free right nodes, kept
+    # beside it, passes the bounds. A first run makes the one-time imports.
+    inst = random_instance("transversal", 14, np.random.default_rng(0))
+    reals = inst.draw_realizations(trial_rng(0, 0))
+    verify_lemma(lemma, inst.structure, reals)
+    tracemalloc.start()
+    try:
+        report = verify_lemma(lemma, inst.structure, reals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < bound_mib * 2**20, peak / 2**20
+
+
 def test_greedy_objective_memory_holds_no_candidate_table():
     # A (36, 2^18) int64 candidate table per side would take the verifier
     # past 100 MiB; only the tails walk keeps a table, of int8 node indices.
@@ -176,3 +208,60 @@ def test_increasing_replay_along_the_path_equals_the_sorted_orders(case):
                 b = policy_run(batch, policy, _increasing_orders(batch), grouping)
                 assert a.accepted.dtype == bool
                 assert np.array_equal(a.accepted, b.accepted), policy
+
+
+def _wide_transversal(n: int, seed: int) -> Transversal:
+    """A transversal system on 70 right nodes, the last one adjacent to left
+    node 0, so that its masks pass an int64."""
+    rng = np.random.default_rng(seed)
+    adjacency = [set(rng.choice(70, size=int(rng.integers(0, 5)), replace=False).tolist())
+                 for _ in range(n)]
+    adjacency[0].add(69)
+    return Transversal(n, 70, tuple(tuple(sorted(a)) for a in adjacency))
+
+
+def _scanned_targets(batch) -> np.ndarray:
+    """Per (element, column), the first sorted neighbour whose sample
+    threshold the reward beats, -1 for none or a reward at its Z index."""
+    fs, ridx = batch.structure, batch.ridx
+    th = batch.transversal_r_thresholds()
+    want = np.full(ridx.shape, -1)
+    for l in range(batch.n):
+        for r in reversed(fs.sorted_neighbors(l)):
+            np.copyto(want[l], r, where=ridx[l] < th[r])
+    np.copyto(want, -1, where=ridx > batch.y_idx)
+    return want
+
+
+walk_cases = st.fixed_dictionaries({
+    "kind": st.sampled_from(("matching", "transversal", "wide-transversal")),
+    "n": st.integers(1, 7),
+    "seed": st.integers(0, 2**32 - 1),
+    "laws": st.sampled_from(("generated", "point-mass", "zero-atoms", "all-zero")),
+})
+
+
+@given(walk_cases)
+def test_walk_read_live_flags_equal_the_threshold_tables(case):
+    # A reward beats the thresholds of the sample greedy where the
+    # tails-side walk is free at its index; a reward worth 0 beats only
+    # those that later samples set. The threshold tables are the oracle.
+    wide = case["kind"] == "wide-transversal"
+    inst = _instance("transversal" if wide else case["kind"], case["n"], case["seed"],
+                     case["laws"])
+    if wide:
+        inst = replace(inst, structure=_wide_transversal(case["n"], case["seed"]))
+    fs = inst.structure
+    reals = inst.draw_realizations(trial_rng(case["seed"], 0))
+    for batch in (ConfigEnsemble(fs, reals), TrialBatch(fs, _draws(inst, case["seed"]))):
+        if case["kind"] == "matching":
+            want = batch.ridx < batch.matching_prices()
+            assert np.array_equal(batch.matching_exceeds(), want)
+        else:
+            assert np.array_equal(batch.transversal_targets(), _scanned_targets(batch))
+
+
+def test_bit_index_reads_object_arrays_of_any_shape():
+    bits = np.array([[1, 1 << 70], [1 << 5, 1 << 62]], dtype=object)
+    assert bit_index(bits).tolist() == [[0, 70], [5, 62]]
+    assert bit_index(np.array([[1, 8], [2, 4]], dtype=np.uint8)).tolist() == [[0, 3], [1, 2]]
