@@ -12,6 +12,7 @@ from .core import (
     Configuration,
     Distribution,
     ElementRealization,
+    InputError,
     SamplePath,
     TaggedValue,
     assign_coins,
@@ -66,17 +67,15 @@ from .analysis import (
     supporting_event_transversal,
     verify_lemma,
 )
-from .instances import Instance, InstanceFormatError, load_instance, parse_instance
+from .instances import Instance, load_instance, parse_instance
 from .harness import (
     RatioReport,
     estimate_ratio,
-    render_report,
     tight_example,
 )
 from .mechanism import (
     MechanismOutcome,
     MechanismReport,
-    RegimeError,
     estimate_mechanism_ratios,
     optimal_posted_price_revenue,
     run_opm,

@@ -40,6 +40,7 @@ from .core import (
     CapExceededError,
     Configuration,
     ElementRealization,
+    InputError,
     SamplePath,
     validate_configuration,
 )
@@ -541,17 +542,17 @@ def verify_lemma(
     fixed set of realizations (one per ground-set element).
     """
     if lemma_id not in LEMMA_IDS:
-        raise ValueError(f"unknown lemma id {lemma_id!r}")
+        raise InputError("--lemma", f"unknown lemma id {lemma_id!r}")
     if lemma_id == "game-value":
         return _verify_game_value()
     if structure is None or realizations is None:
         raise ValueError(f"lemma {lemma_id!r} needs a structure and realizations")
     if lemma_id.startswith("match") and not isinstance(structure, GeneralMatching):
-        raise TypeError("--lemma: matching lemmas need a general-matching structure")
+        raise InputError("--lemma", "matching lemmas need a general-matching structure")
     if lemma_id.startswith("trans") and not isinstance(structure, Transversal):
-        raise TypeError("--lemma: transversal lemmas need a transversal structure")
+        raise InputError("--lemma", "transversal lemmas need a transversal structure")
     if lemma_id.startswith("laminar") and not isinstance(structure, TruncatedPartition):
-        raise TypeError("--lemma: laminar lemmas need a truncated-partition structure")
+        raise InputError("--lemma", "laminar lemmas need a truncated-partition structure")
     if lemma_id == "match-sufficient" and structure.ground_size > EXACT_MODE_CAP:
         # Refused before the ensemble's tables are built.
         raise CapExceededError(
@@ -609,9 +610,9 @@ def _check_bins(r_r: int, r_b: int) -> None:
     """Bin capacities of a game: 1 <= r_r < r_b (the CLI's --rr and --rb)."""
     for flag, cap in (("--rr", r_r), ("--rb", r_b)):
         if cap < 1:
-            raise ValueError(f"{flag}: must be at least 1, got {cap}")
+            raise InputError(flag, f"must be at least 1, got {cap}")
     if not r_r < r_b:
-        raise ValueError("--rb: need r_r < r_b")
+        raise InputError("--rb", "need r_r < r_b")
 
 
 def b_first_strategy(state: GameState) -> str:
@@ -682,11 +683,11 @@ def game_monte_carlo(r_r: int, r_b: int, trials: int, seed: int) -> float:
     `rng.binomial((2*r_b - 1, 2*r_r - 1), 0.5, size=(rows, 2))`, GAME_BLOCK
     games at a time."""
     if trials < 1:
-        raise ValueError("--trials: need trials >= 1")
+        raise InputError("--trials", "need trials >= 1")
     _check_bins(r_r, r_b)
     for flag, cap in (("--rr", r_r), ("--rb", r_b)):
         if cap > GAME_MC_CAP:
-            raise ValueError(f"{flag}: Monte Carlo capacity capped at 2**62, got {cap}")
+            raise InputError(flag, f"Monte Carlo capacity capped at 2**62, got {cap}")
     tosses, need = _races(r_r, r_b)
     rng = np.random.default_rng(seed)
     wins = 0
@@ -721,7 +722,15 @@ def exhaustive_game_value(
             tails = sum(math.comb(tosses, k) for k in range(need, tosses + 1))
             win *= Fraction(tails, 2**tosses)
         return win
+    return _game_table(r_r, r_b)[0][0, 0, 0, 0]
+
+
+def _game_table(r_r: int, r_b: int) -> tuple[dict, dict]:
+    """The `optimal` game's backward induction: per count state (hr, tr,
+    hb, tb), its value, and for an undecided state the sum of a toss's two
+    outcomes at each open bin ("R", "B"), whose least halved is its value."""
     value: dict[tuple[int, int, int, int], Fraction] = {}
+    moves: dict[tuple[int, int, int, int], dict[str, Fraction]] = {}
     states = itertools.product(range(r_r + 1), range(r_r + 1), range(r_b + 1), range(r_b + 1))
     for hr, tr, hb, tb in sorted(states, key=sum, reverse=True):
         r_open = max(hr, tr) < r_r
@@ -731,14 +740,14 @@ def exhaustive_game_value(
         elif not (r_open or b_open):
             value[hr, tr, hb, tb] = Fraction(1)
         else:
-            sums = []
+            toss = moves[hr, tr, hb, tb] = {}
             if r_open:
                 db = int(b_open)  # a toss at R also lands in B while B is open
-                sums.append(value[hr + 1, tr, hb + db, tb] + value[hr, tr + 1, hb, tb + db])
+                toss["R"] = value[hr + 1, tr, hb + db, tb] + value[hr, tr + 1, hb, tb + db]
             if b_open:
-                sums.append(value[hr, tr, hb + 1, tb] + value[hr, tr, hb, tb + 1])
-            value[hr, tr, hb, tb] = min(sums) / 2
-    return value[0, 0, 0, 0]
+                toss["B"] = value[hr, tr, hb + 1, tb] + value[hr, tr, hb, tb + 1]
+            value[hr, tr, hb, tb] = min(toss.values()) / 2
+    return value, moves
 
 
 def _verify_game_value() -> LemmaReport:

@@ -8,13 +8,17 @@ Subcommands:
   mechanism      posted-price mechanism welfare/revenue estimation
 
 Exit codes: 0 success, 1 a verification failed (lemma or game value), 2 usage
-or input error, 3 a size cap was exceeded, 4 an unexpected internal error.
+or input error (an `InputError` naming its field or flag, an argparse error,
+or an OSError), 3 a size cap was exceeded, 4 any other exception: a fault of
+the program.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -25,18 +29,17 @@ from .analysis import (
     game_monte_carlo,
     verify_lemma,
 )
-from .core import CapExceededError, trial_rng
+from .core import CapExceededError, InputError, trial_rng
 from .harness import (
+    CSV_HEADER,
     MC_ADVERSARIES,
-    csv_text,
     estimate_ratio,
-    render_report,
+    report_fields,
     tight_example,
 )
-from .instances import InstanceFormatError, load_instance
+from .instances import load_instance
 from .mechanism import (
     MECHANISM_CSV_HEADER,
-    RegimeError,
     estimate_mechanism_ratios,
     mechanism_report_fields,
 )
@@ -49,12 +52,22 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
+def _csv(header, fields: dict) -> str:
+    """A header line and the row of the fields, which come in header order."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows((header, fields.values()))
+    return buf.getvalue()
+
+
+def _emit(args, fields: dict, text: str) -> None:
+    """Every command's one way out: its report's fields as JSON, or its text
+    form (a CSV row or a one-line summary), to --out or stdout."""
+    body = json.dumps(fields, indent=2) + "\n" if args.format == "json" else text
+    if args.out is None or args.out == "-":
+        sys.stdout.write(body)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(body)
 
 
 def _cmd_simulate(args) -> int:
@@ -67,7 +80,8 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         mode=args.mode,
     )
-    _write(render_report(report, args.format), args.out)
+    fields = report_fields(report)
+    _emit(args, fields, _csv(CSV_HEADER, fields))
     return EXIT_OK
 
 
@@ -76,7 +90,7 @@ def _cmd_verify(args) -> int:
         report = verify_lemma("game-value")
     else:
         if args.instance is None:
-            raise InstanceFormatError("--instance", "this lemma needs an instance file")
+            raise InputError("--instance", "this lemma needs an instance file")
         instance = load_instance(args.instance)
         realizations = instance.draw_realizations(trial_rng(args.seed, 0))
         report = verify_lemma(args.lemma, instance.structure, realizations)
@@ -87,7 +101,7 @@ def _cmd_verify(args) -> int:
     )
     if report.detail:
         line += f" ({report.detail})"
-    payload = {
+    fields = {
         "lemma": report.lemma,
         "passed": report.passed,
         "lhs": str(report.lhs),
@@ -95,15 +109,11 @@ def _cmd_verify(args) -> int:
         "configurations": report.configurations,
         "detail": report.detail,
     }
-    if args.format == "json":
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _write(line + "\n", args.out)
+    _emit(args, fields, line + "\n")
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_game(args) -> int:
-    expected = Fraction(1, 4)
     if args.mode == "mc":
         value: object = game_monte_carlo(args.rr, args.rb, args.trials, args.seed)
         passed = True
@@ -111,27 +121,21 @@ def _cmd_game(args) -> int:
         strategy = "optimal" if args.mode == "optimal" else "b-first"
         exact = exhaustive_game_value(args.rr, args.rb, strategy)
         value = f"{exact.numerator}/{exact.denominator}"
-        passed = exact == expected
-    payload = {
+        passed = exact == Fraction(1, 4)
+    fields = {
         "rr": args.rr,
         "rb": args.rb,
         "mode": args.mode,
         "p2_win": value,
         "expected": "1/4",
     }
-    if args.format == "json":
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _write(
-            f"game rr={args.rr} rb={args.rb} mode={args.mode} p2_win={value}\n",
-            args.out,
-        )
+    _emit(args, fields, f"game rr={args.rr} rb={args.rb} mode={args.mode} p2_win={value}\n")
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_tight_example(args) -> int:
-    report = tight_example(args.k, trials=args.trials, seed=args.seed)
-    _write(render_report(report, args.format), args.out)
+    fields = report_fields(tight_example(args.k, trials=args.trials, seed=args.seed))
+    _emit(args, fields, _csv(CSV_HEADER, fields))
     return EXIT_OK
 
 
@@ -142,11 +146,7 @@ def _cmd_mechanism(args) -> int:
         regime=args.regime,
     )
     fields = mechanism_report_fields(report)
-    if args.format == "json":
-        _write(json.dumps(fields, indent=2) + "\n", args.out)
-    else:
-        row = [fields[k] for k in MECHANISM_CSV_HEADER]
-        _write(csv_text(MECHANISM_CSV_HEADER, row), args.out)
+    _emit(args, fields, _csv(MECHANISM_CSV_HEADER, fields))
     return EXIT_OK
 
 
@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InstanceFormatError, RegimeError, ValueError, TypeError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault of the program, not of its input

@@ -31,6 +31,16 @@ class CapExceededError(Exception):
     """An exhaustive routine was asked to exceed its size cap."""
 
 
+class InputError(ValueError):
+    """Outside input that is rejected: an instance field, a command-line
+    flag or an environment variable, named by `field`."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Random stream derived from (seed, index).
 
@@ -122,6 +132,8 @@ class Distribution:
             (rate,) = self.params
             if rate <= 0:
                 raise ValueError("exponential requires rate > 0")
+            if not math.isfinite(1.0 / rate):
+                raise InputError("rate", f"scale 1/rate overflows, got rate {rate!r}")
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "point-mass":

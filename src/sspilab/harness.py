@@ -1,5 +1,5 @@
 """Experiment harness: exact and Monte Carlo competitive-ratio estimation,
-the star-graph tight example, and report emission.
+the star-graph tight example, and the fields of their reports.
 
 Both modes evaluate a batch of coin configurations at once with the
 batched policies of `exact.py` (`policy_run`), one column per
@@ -22,9 +22,6 @@ the worker count.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import os
 import time
@@ -36,7 +33,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import EXACT_MODE_CAP, CapExceededError, draw_trials, trial_rng
+from .core import EXACT_MODE_CAP, CapExceededError, InputError, draw_trials, trial_rng
 from .exact import (
     ConfigEnsemble,
     TrialBatch,
@@ -45,7 +42,7 @@ from .exact import (
     policy_run,
     reduction_partitions,
 )
-from .instances import Instance, InstanceFormatError
+from .instances import Instance
 from .policies import check_policy
 
 MC_CHUNK = 2048
@@ -89,7 +86,7 @@ def worker_count() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+            raise InputError(WORKERS_ENV, f"must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -143,7 +140,7 @@ def estimate_ratio_exact(
     start = time.perf_counter()
     check_policy(policy, instance.structure, instance.partition)
     if adversary not in EXACT_ADVERSARIES:
-        raise ValueError(f"--adversary: exact mode supports adversaries {EXACT_ADVERSARIES}")
+        raise InputError("--adversary", f"exact mode supports adversaries {EXACT_ADVERSARIES}")
     n = instance.ground_size
     if n > EXACT_MODE_CAP:
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
@@ -193,7 +190,7 @@ def mc_summary(partials, trials: int) -> tuple[np.ndarray, np.ndarray]:
         for partial in partials:
             sums = sums + np.asarray(partial)
     if not np.isfinite(sums).all():
-        raise InstanceFormatError(
+        raise InputError(
             "distributions", "values too large: a Monte Carlo sum overflows"
         )
     means = sums[0::2] / trials
@@ -303,9 +300,9 @@ def estimate_ratio_mc(
     start_time = time.perf_counter()
     check_policy(policy, instance.structure, instance.partition)
     if adversary not in MC_ADVERSARIES:
-        raise ValueError(f"mc mode supports adversaries {MC_ADVERSARIES}")
+        raise InputError("--adversary", f"mc mode supports adversaries {MC_ADVERSARIES}")
     if trials < 1:
-        raise ValueError("--trials: need trials >= 1")
+        raise InputError("--trials", "need trials >= 1")
     z_violations = 0
 
     def partials():
@@ -513,11 +510,11 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
     against `estimate_ratio` and the exact E_ALG).
     """
     if k < 2:
-        raise ValueError("--k: need k >= 2")
+        raise InputError("--k", "need k >= 2")
     if k > TIGHT_K_CAP:
         raise CapExceededError(f"tight example capped at k <= {TIGHT_K_CAP}")
     if trials < 1:
-        raise ValueError("--trials: need trials >= 1")
+        raise InputError("--trials", "need trials >= 1")
     start_time = time.perf_counter()
     sums = ((alg.sum(), (alg * alg).sum(), opt.sum(), (opt * opt).sum())
             for alg, opt in _tight_trials(k, trials, seed))
@@ -541,7 +538,7 @@ def tight_example(k: int, trials: int = 100_000, seed: int = 0) -> RatioReport:
 
 
 # ---------------------------------------------------------------------------
-# Report emission
+# Report fields
 # ---------------------------------------------------------------------------
 
 
@@ -558,7 +555,7 @@ def _fmt_quantity(q) -> str:
 
 
 def report_fields(report: RatioReport) -> dict[str, object]:
-    """Deterministic serialization order shared by csv and json."""
+    """The report's fields in CSV_HEADER order, shared by CSV and JSON."""
     return {
         "policy": report.policy,
         "adversary": report.adversary,
@@ -571,21 +568,3 @@ def report_fields(report: RatioReport) -> dict[str, object]:
         "seed": report.seed,
         "wall_ms": round(report.wall_ms, 3),
     }
-
-
-def csv_text(header, row) -> str:
-    """A header line and one row of CSV."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return buf.getvalue()
-
-
-def render_report(report: RatioReport, fmt: str) -> str:
-    fields = report_fields(report)
-    if fmt == "json":
-        return json.dumps(fields, indent=2) + "\n"
-    if fmt == "csv":
-        return csv_text(CSV_HEADER, fields.values())  # fields come in header order
-    raise RuntimeError(f"unknown report format {fmt!r}")

@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     Distribution,
     ElementRealization,
+    InputError,
     discrete,
     draw_realization,
     exponential,
@@ -44,14 +45,6 @@ from .feasibility import (
     Transversal,
     TruncatedPartition,
 )
-
-
-class InstanceFormatError(ValueError):
-    """Schema violation in an instance document, with a field path."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 @dataclass(frozen=True)
@@ -83,47 +76,47 @@ class Instance:
 
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
-        raise InstanceFormatError(path, f"missing field {key!r}")
+        raise InputError(path, f"missing field {key!r}")
     return obj[key]
 
 
 def _number(raw, path: str):
     """A JSON number; strings and booleans are rejected, not converted."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise InstanceFormatError(path, f"expected a number, got {raw!r}")
+        raise InputError(path, f"expected a number, got {raw!r}")
     return raw
 
 
 def _integer(raw, path: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise InstanceFormatError(path, f"expected an integer, got {raw!r}")
+        raise InputError(path, f"expected an integer, got {raw!r}")
     return raw
 
 
 def _list(raw, path: str) -> list:
     """A JSON list; strings and objects are rejected, not iterated."""
     if not isinstance(raw, list):
-        raise InstanceFormatError(path, f"expected a list, got {raw!r}")
+        raise InputError(path, f"expected a list, got {raw!r}")
     return raw
 
 
 def _object(raw, path: str) -> dict:
     """A JSON object; lists, strings and numbers are rejected, not indexed."""
     if not isinstance(raw, dict):
-        raise InstanceFormatError(path, f"expected an object, got {raw!r}")
+        raise InputError(path, f"expected an object, got {raw!r}")
     return raw
 
 
 def _parse_edge_list(raw, vertices: int, path: str) -> tuple[tuple[int, int], ...]:
     edges = []
-    for i, pair in enumerate(raw):
+    for i, pair in enumerate(_list(raw, path)):
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise InstanceFormatError(f"{path}[{i}]", "edge must be a [u, v] pair")
+            raise InputError(f"{path}[{i}]", "edge must be a [u, v] pair")
         u, v = (_integer(x, f"{path}[{i}]") for x in pair)
         if not (0 <= u < vertices and 0 <= v < vertices):
-            raise InstanceFormatError(f"{path}[{i}]", f"dangling vertex in ({u},{v})")
+            raise InputError(f"{path}[{i}]", f"dangling vertex in ({u},{v})")
         if u == v:
-            raise InstanceFormatError(f"{path}[{i}]", "self-loops are not allowed")
+            raise InputError(f"{path}[{i}]", "self-loops are not allowed")
         edges.append((u, v))
     return tuple(edges)
 
@@ -131,11 +124,11 @@ def _parse_edge_list(raw, vertices: int, path: str) -> tuple[tuple[int, int], ..
 def _parse_groups(raw, path: str) -> tuple[tuple[int, ...], ...]:
     groups = []
     seen: set[int] = set()
-    for i, grp in enumerate(raw):
+    for i, grp in enumerate(_list(raw, path)):
         for e in _list(grp, f"{path}[{i}]"):
             _integer(e, f"{path}[{i}]")
             if e in seen:
-                raise InstanceFormatError(f"{path}[{i}]", f"element {e} in two groups")
+                raise InputError(f"{path}[{i}]", f"element {e} in two groups")
             seen.add(e)
         groups.append(tuple(grp))
     return tuple(groups)
@@ -153,13 +146,13 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
         right_order = _list(_require(raw, "right_order", "structure"), "structure.right_order")
         labels = [str(r) for r in right_order]
         if len(set(labels)) != len(labels):
-            raise InstanceFormatError(
+            raise InputError(
                 "structure.right_order", "right-node order is not a permutation"
             )
         pos = {lab: i for i, lab in enumerate(labels)}
         raw_adj = _list(_require(raw, "adjacency", "structure"), "structure.adjacency")
         if len(raw_adj) != left:
-            raise InstanceFormatError(
+            raise InputError(
                 "structure.adjacency", f"need one neighbor list per left node ({left})"
             )
         adjacency = []
@@ -168,12 +161,12 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
             for r in _list(nbrs, f"structure.adjacency[{l}]"):
                 lab = str(r)
                 if lab not in pos:
-                    raise InstanceFormatError(
+                    raise InputError(
                         f"structure.adjacency[{l}]", f"unknown right node {r!r}"
                     )
                 row.append(pos[lab])
             if len(set(row)) != len(row):
-                raise InstanceFormatError(
+                raise InputError(
                     f"structure.adjacency[{l}]", "right node listed twice"
                 )
             adjacency.append(tuple(row))
@@ -182,7 +175,7 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
         groups = _parse_groups(_require(raw, "groups", "structure"), "structure.groups")
         raw_caps = _require(raw, "group_capacities", "structure")
         if not isinstance(raw_caps, list) or len(raw_caps) != len(groups):
-            raise InstanceFormatError("structure.group_capacities", "one capacity per group")
+            raise InputError("structure.group_capacities", "one capacity per group")
         caps = tuple(
             _integer(c, f"structure.group_capacities[{i}]") for i, c in enumerate(raw_caps)
         )
@@ -190,22 +183,22 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
             _require(raw, "total_capacity", "structure"), "structure.total_capacity"
         )
         if min(caps, default=1) < 1 or total < 1:
-            raise InstanceFormatError("structure", "capacity must be >= 1")
+            raise InputError("structure", "capacity must be >= 1")
         try:
             return TruncatedPartition(groups, caps, total), None
         except ValueError as exc:
-            raise InstanceFormatError("structure.groups", str(exc)) from exc
+            raise InputError("structure.groups", str(exc)) from exc
     if kind == "simple-partition":
         groups = _parse_groups(_require(raw, "groups", "structure"), "structure.groups")
         return SimplePartition(groups), None
-    raise InstanceFormatError("structure.kind", f"unknown structure kind {kind!r}")
+    raise InputError("structure.kind", f"unknown structure kind {kind!r}")
 
 
 def _parse_distribution(raw, path: str) -> Distribution:
     kind = _require(_object(raw, path), "kind", path)
     mhr = raw.get("mhr", kind == "exponential")
     if not isinstance(mhr, bool):
-        raise InstanceFormatError(f"{path}.mhr", f"expected true or false, got {mhr!r}")
+        raise InputError(f"{path}.mhr", f"expected true or false, got {mhr!r}")
 
     def number(key: str):
         return _number(_require(raw, key, path), f"{path}.{key}")
@@ -214,38 +207,40 @@ def _parse_distribution(raw, path: str) -> Distribution:
         values = _list(_require(raw, key, path), f"{path}.{key}")
         return [_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
 
+    if kind == "point-mass":
+        make, args = point_mass, (number("value"),)
+    elif kind == "discrete":
+        make, args = discrete, (numbers("values"), numbers("weights"))
+    elif kind == "uniform":
+        make, args = uniform, (number("a"), number("b"))
+    elif kind == "exponential":
+        make, args = exponential, (number("rate"),)
+    else:
+        raise InputError(path, f"unknown distribution kind {kind!r}")
     try:
-        if kind == "point-mass":
-            return point_mass(number("value"), mhr=mhr)
-        if kind == "discrete":
-            return discrete(numbers("values"), numbers("weights"), mhr=mhr)
-        if kind == "uniform":
-            return uniform(number("a"), number("b"), mhr=mhr)
-        if kind == "exponential":
-            return exponential(number("rate"), mhr=mhr)
-    except InstanceFormatError:
-        raise
+        return make(*args, mhr=mhr)
+    except InputError as exc:  # names one parameter of the law
+        raise InputError(f"{path}.{exc.field}", exc.message) from exc
     except ValueError as exc:
-        raise InstanceFormatError(path, str(exc)) from exc
-    raise InstanceFormatError(path, f"unknown distribution kind {kind!r}")
+        raise InputError(path, str(exc)) from exc
 
 
 def parse_instance(data: bytes | str) -> Instance:
     """Parse and fully validate an instance document."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+        raise InputError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too long a number, too deep
+        raise InputError("$", str(exc)) from None
     if not isinstance(doc, dict):
-        raise InstanceFormatError("$", "top level must be an object")
+        raise InputError("$", "top level must be an object")
     name = str(doc.get("name", "unnamed"))
     structure, right_labels = _parse_structure(
         _object(_require(doc, "structure", "$"), "structure")
     )
     if "elements" in doc and _integer(doc["elements"], "elements") != structure.ground_size:
-        raise InstanceFormatError(
+        raise InputError(
             "elements",
             f"declared {doc['elements']} elements, structure has {structure.ground_size}",
         )
@@ -255,22 +250,22 @@ def parse_instance(data: bytes | str) -> Instance:
         try:
             e = int(key)
         except ValueError:
-            raise InstanceFormatError(
+            raise InputError(
                 f"distributions.{key}", "element key must be an integer"
             ) from None
         dists[e] = _parse_distribution(raw, f"distributions.{key}")
     if isinstance(structure, SimplePartition):
         ground = set(structure.ground_set)
         if ground != set(range(len(ground))):
-            raise InstanceFormatError(
+            raise InputError(
                 "structure.groups", "ground set must be exactly 0..n-1"
             )
     else:
         ground = set(range(structure.ground_size))
     if not ground:
-        raise InstanceFormatError("structure", "the ground set has no elements")
+        raise InputError("structure", "the ground set has no elements")
     if set(dists) != ground:
-        raise InstanceFormatError(
+        raise InputError(
             "distributions",
             f"must cover exactly the ground set ({sorted(ground)}), got {sorted(dists)}",
         )
@@ -282,12 +277,12 @@ def parse_instance(data: bytes | str) -> Instance:
         for grp in groups:
             for e in grp:
                 if e not in ground:
-                    raise InstanceFormatError(
+                    raise InputError(
                         "partition.groups", f"element {e} outside the ground set"
                     )
         alpha = float(_number(_require(raw_part, "alpha", "partition"), "partition.alpha"))
         if not math.isfinite(alpha) or alpha < 1:
-            raise InstanceFormatError(
+            raise InputError(
                 "partition.alpha", "alpha must be a finite number >= 1"
             )
         partition = SimplePartition(groups)

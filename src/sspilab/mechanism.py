@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Distribution, TaggedValue, TrialDraws, draw_trials
+from .core import Distribution, InputError, TaggedValue, TrialDraws, draw_trials
 from .exact import TrialBatch, policy_run, reduction_partitions
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
@@ -50,10 +50,6 @@ WELFARE_BOUNDS = {
     "laminar": 16.0,
     "reduction-graphic": 8.0,
 }
-
-
-class RegimeError(ValueError):
-    """The run cannot be labeled against a table bound."""
 
 
 @dataclass(frozen=True)
@@ -279,21 +275,22 @@ def estimate_mechanism_ratios(
     start_time = time.perf_counter()
     check_policy(policy, instance.structure, instance.partition)
     if trials < 1:
-        raise ValueError("--trials: need trials >= 1")
+        raise InputError("--trials", "need trials >= 1")
+    # The run must be labeled against a table bound.
     resolved = regime or instance.regime()
     if resolved is None:
-        raise RegimeError(
-            "no regime: need all distributions flagged mhr, or an explicit "
-            "identical-regular declaration"
+        raise InputError(
+            "--regime", "no regime: need all distributions flagged mhr, or an "
+            "explicit identical-regular declaration"
         )
     if resolved == "iid-regular":
         dists = list(instance.distributions.values())
         if any(d != dists[0] for d in dists):
-            raise RegimeError("identical-regular declared but distributions differ")
+            raise InputError("--regime", "identical-regular declared but distributions differ")
     elif resolved != "mhr":
-        raise RegimeError(f"unknown regime {resolved!r}")
+        raise InputError("--regime", f"unknown regime {resolved!r}")
     if resolved == "mhr" and not all(d.mhr for d in instance.distributions.values()):
-        raise RegimeError("mhr regime needs every distribution flagged mhr")
+        raise InputError("--regime", "mhr regime needs every distribution flagged mhr")
 
     # welfare, welfare^2, revenue, revenue^2, opt, opt^2
     partials = run_chunks(_mechanism_chunk, trials, (instance, policy, seed))

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import EXACT_MODE_CAP, CapExceededError, TaggedValue, exact_integers
+from .core import EXACT_MODE_CAP, CapExceededError, InputError, TaggedValue, exact_integers
 from .feasibility import (
     MATROID_KINDS,
     FeasibilityStructure,
@@ -46,17 +46,19 @@ POLICY_NAMES = tuple(POLICY_STRUCTURES)
 def check_policy(
     policy: str, structure: FeasibilityStructure, partition: SimplePartition | None
 ) -> None:
-    """Reject an unknown policy (ValueError), a structure the policy does not
-    apply to (TypeError), and reduction-custom without a partition."""
+    """Reject (InputError) an unknown policy, a structure the policy does
+    not apply to, and reduction-custom without a partition."""
     applies = POLICY_STRUCTURES.get(policy)
     if applies is None:
-        raise ValueError(f"unknown policy {policy!r}")
+        raise InputError("--policy", f"unknown policy {policy!r}")
     if not applies(structure):
-        raise TypeError(
-            f"--policy: policy {policy!r} does not apply to {type(structure).__name__}"
+        raise InputError(
+            "--policy", f"policy {policy!r} does not apply to {type(structure).__name__}"
         )
     if policy == "reduction-custom" and partition is None:
-        raise ValueError("reduction-custom needs a partition block in the instance")
+        raise InputError(
+            "partition", "reduction-custom needs a partition block in the instance"
+        )
 
 
 @dataclass(frozen=True)

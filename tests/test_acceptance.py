@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sspilab.exact as exact
 from sspilab.analysis import (
     GAME_RB_CAP,
     GAME_RR_CAP,
@@ -29,6 +30,8 @@ from sspilab.generators import random_instance, star_graphic_instance
 from sspilab.harness import estimate_ratio
 from sspilab.instances import Instance
 from sspilab.mechanism import estimate_mechanism_ratios
+
+from all_orders import ORACLE_MAX_N, order_search_misses
 
 
 def _criterion(num, name, ok, detail=""):
@@ -116,8 +119,9 @@ def test_criterion_2_coin_game():
 # Criteria 3, 4, 8: exact adversarial competitive bounds. The adversary is
 # almighty: the policy total is minimized over arrival orders separately in
 # every configuration. For the truncated partition and the reductions the
-# increasing order is the per-configuration minimizer (validated below and
-# in criterion 5), so it stands in for the full search.
+# increasing order is the per-configuration minimizer (checked below and in
+# criterion 5 against the all-orders oracle), so it stands in for the full
+# search.
 # ---------------------------------------------------------------------------
 
 BOUND_RUNS = [
@@ -158,11 +162,8 @@ def rank1_results():
             inst, "rank1", adversary="increasing", mode="exact", seed=4000 + i
         )
         rows.append(rep)
-        if n <= 6:
-            worst = estimate_ratio(
-                inst, "rank1", adversary="exhaustive-min", mode="exact", seed=4000 + i
-            )
-            equal_checks.append(worst.e_alg == rep.e_alg)
+        if n <= ORACLE_MAX_N:
+            equal_checks.append(not order_search_misses(inst, "rank1", "increasing", 4000 + i))
     return rows, equal_checks
 
 
@@ -173,18 +174,12 @@ def test_criterion_3_competitive_bounds(bound_results):
             if rep.e_opt > bound * rep.e_alg:
                 failures.append((policy, rep.instance, float(rep.ratio)))
     # The increasing order is the exact per-configuration minimizer for the
-    # reduction: cross-checked against the full order search at small n.
+    # reduction: checked against the all-orders oracle at small n.
     rng = np.random.default_rng(305)
     reduction_equal = []
     for i in range(10):
         inst = random_instance("graphic", int(rng.integers(2, 6)), rng)
-        inc = estimate_ratio(
-            inst, "reduction-graphic", adversary="increasing", mode="exact", seed=i
-        )
-        worst = estimate_ratio(
-            inst, "reduction-graphic", adversary="exhaustive-min", mode="exact", seed=i
-        )
-        reduction_equal.append(worst.e_alg == inc.e_alg)
+        reduction_equal.append(not order_search_misses(inst, "reduction-graphic", "increasing", i))
     ok = not failures and all(reduction_equal)
     _criterion(
         3, "competitive bounds", ok,
@@ -219,30 +214,56 @@ def test_criterion_8_z_rejection(bound_results, rank1_results):
 
 
 # ---------------------------------------------------------------------------
-# Criterion 5: the increasing order attains the per-configuration minimum of
-# the truncated-partition policy (equality of exact expectations implies the
-# pointwise claim because the minimum never exceeds the increasing order).
+# Criterion 5: the exhaustive-min adversary attains the per-configuration
+# minimum over all n! arrival orders, for every policy and every reduction
+# partition, by the all-orders oracle (tests/all_orders.py).
 # ---------------------------------------------------------------------------
+
+WORST_ORDER_KINDS = {
+    "rank1": "rank1",
+    "laminar": "truncated-partition",
+    "matching": "matching",
+    "transversal": "transversal",
+    "reduction-graphic": "graphic",
+    "reduction-custom": "simple-partition",
+}
 
 
 def test_criterion_5_worst_case_order():
     rng = np.random.default_rng(505)
-    mismatches = []
-    for i in range(40):
-        n = int(rng.integers(2, 7))
-        inst = random_instance("truncated-partition", n, rng)
-        inc = estimate_ratio(
-            inst, "laminar", adversary="increasing", mode="exact", seed=5000 + i
-        )
-        worst = estimate_ratio(
-            inst, "laminar", adversary="exhaustive-min", mode="exact", seed=5000 + i
-        )
-        if worst.e_alg != inc.e_alg:
-            mismatches.append((inst.name, float(worst.e_alg), float(inc.e_alg)))
+    misses = []
+    for policy, kind in WORST_ORDER_KINDS.items():
+        for i in range(6):
+            inst = random_instance(kind, int(rng.integers(2, ORACLE_MAX_N + 1)), rng)
+            if policy == "reduction-custom":  # its own groups: a valid partition
+                inst = Instance(inst.name, inst.structure, inst.distributions,
+                                inst.structure, 1.0)
+            missed = order_search_misses(inst, policy, "exhaustive-min", 5000 + i)
+            if missed:
+                misses.append((policy, inst.name, missed))
     _criterion(
-        5, "increasing order is worst case", not mismatches,
-        f"40 instances, all n! orders per configuration; mismatches: {mismatches[:3]}",
+        5, "exhaustive-min is the worst case", not misses,
+        f"6 instances per policy (n<={ORACLE_MAX_N}), all n! orders per configuration "
+        f"and partition; misses: {misses[:3]}",
     )
+
+
+def _forward_replay(walk, batch, live, adversary, *rule):
+    """`exact._replay` with a planted defect: the named adversaries walk the
+    sample path forwards, so "increasing" replays decreasing rewards."""
+    if not isinstance(adversary, str) or adversary == "fixed":
+        return _REPLAY(walk, batch, live, adversary, *rule)
+    want = exact._at_steps(live, batch.elem) & batch.heads
+    return batch.at_rewards(walk(batch.elem, want, *rule) & want)
+
+
+_REPLAY = exact._replay
+
+
+def test_criterion_5_catches_a_forward_path_walk(monkeypatch):
+    monkeypatch.setattr(exact, "_replay", _forward_replay)
+    with pytest.raises(AssertionError, match="criterion 5"):
+        test_criterion_5_worst_case_order()
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from sspilab.cli import main
 from sspilab.core import (
     CapExceededError,
     Configuration,
+    InputError,
     build_sample_path,
     trial_rng,
 )
@@ -318,13 +319,13 @@ class TestVerifyLemma:
                 assert verify_lemma(lemma, inst.structure, reals).passed
 
     def test_unknown_lemma(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="--lemma"):
             verify_lemma("not-a-lemma")
 
     def test_structure_mismatch(self, rng):
         inst = random_instance("matching", 2, rng)
         reals = inst.draw_realizations(rng)
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError, match="--lemma"):
             verify_lemma("trans-prob", inst.structure, reals)
 
     def test_sufficiency_order_cap(self, rng):
@@ -407,6 +408,22 @@ class TestCoinGame:
         for r_r, r_b in pairs:
             for strategy in ("optimal", "b-first"):
                 assert exhaustive_game_value(r_r, r_b, strategy) == Fraction(1, 4)
+
+    def test_a_toss_at_r_also_lands_in_b(self):
+        # The root value is 1/4 whether or not a toss at R also counts in B,
+        # and so is every state's; the move values tell the two games
+        # apart. Nested, a first toss at R is strictly worse for player one
+        # than one at B; if R's tosses skipped B, both would be worth 1/4.
+        first_r = {}
+        for r_r in range(1, GAME_RR_CAP + 1):
+            for r_b in range(r_r + 1, GAME_RB_CAP + 1):
+                value, moves = analysis._game_table(r_r, r_b)
+                assert moves[0, 0, 0, 0]["B"] / 2 == value[0, 0, 0, 0] == Fraction(1, 4)
+                first_r[r_r, r_b] = moves[0, 0, 0, 0]["R"] / 2
+        assert first_r == {
+            (1, 2): Fraction(3, 8), (1, 3): Fraction(11, 32), (1, 4): Fraction(21, 64),
+            (2, 3): Fraction(19, 64), (2, 4): Fraction(37, 128),
+        }
 
     def test_verify_reports_the_first_failing_pair(self, monkeypatch):
         def value(r_r, r_b, strategy="optimal"):

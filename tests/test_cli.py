@@ -294,6 +294,10 @@ def _groups_document(groups):
     return doc
 
 
+def _with_structure(doc, **fields):
+    return {**doc, "structure": {**doc["structure"], **fields}}
+
+
 def _missing_edges():
     doc = _matching_document(2)
     del doc["structure"]["edges"]
@@ -360,6 +364,18 @@ def _huge_matching():
     (["simulate", "--policy", "rank1"], _huge_rank1(), "distributions"),
     (["simulate", "--policy", "matching"], _huge_matching(), "distributions"),
     (["mechanism", "--policy", "rank1"], _huge_rank1(), "distributions"),
+    (["simulate", "--policy", "rank1"], _groups_document(7), "structure.groups"),
+    (["simulate", "--policy", "rank1"],
+     _rank1_document(UNIT_UNIFORM, partition={"alpha": 2.0, "groups": 7}), "partition.groups"),
+    (["simulate", "--policy", "matching"],
+     _with_structure(_matching_document(2), edges=None), "structure.edges"),
+    (["simulate", "--policy", "matching"],
+     _with_structure(_matching_document(2), edges={"0": [0, 1]}), "structure.edges"),
+    # 1/rate overflows: exact mode once failed turning the draws into integers.
+    (["simulate", "--policy", "rank1", "--mode", "exact"],
+     _rank1_document({"kind": "exponential", "rate": 1e-320}), "distributions.0.rate"),
+    (["simulate", "--policy", "rank1"],
+     _rank1_document({"kind": "exponential", "rate": 1e-320}), "distributions.0.rate"),
 ], ids=[
     "missing-field", "edge-not-a-pair", "self-loop", "adjacency-rows", "unknown-right-node",
     "right-node-twice", "capacity-count", "groups-not-0..n-1", "distribution-kind",
@@ -367,7 +383,8 @@ def _huge_matching():
     "structure-not-an-object", "distributions-not-an-object", "distribution-not-an-object",
     "partition-list", "partition-string", "empty-matching", "empty-transversal",
     "empty-truncated-partition", "squares-overflow", "sums-overflow",
-    "mechanism-squares-overflow",
+    "mechanism-squares-overflow", "groups-int", "partition-groups-int", "edges-null",
+    "edges-object", "rate-scale-overflow-exact", "rate-scale-overflow-mc",
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejections_exit_2_and_name_the_field(argv, doc, field, tmp_path, capsys):
@@ -380,6 +397,22 @@ def test_rejections_exit_2_and_name_the_field(argv, doc, field, tmp_path, capsys
     assert f"error: {field}: " in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+_POINT_MASS = json.dumps(_rank1_document({"kind": "point-mass", "value": 1.0}))
+
+
+@pytest.mark.parametrize("data, message", [
+    (_POINT_MASS.replace('"r1"', '"r\u00e9"').encode("latin-1"), "utf-8"),
+    (_POINT_MASS.replace("1.0", "1" * 5000).encode(), "digits"),
+    (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+], ids=["not-utf8", "5000-digit-number", "nested-too-deep"])
+def test_unreadable_documents_exit_2(data, message, tmp_path, capsys):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    assert main(["simulate", "--instance", str(path), "--policy", "rank1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $: ") and message in err
 
 
 def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
@@ -474,6 +507,25 @@ def test_internal_fault_in_engine_exits_4(mode, instance_file, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("error: internal error: RuntimeError: ")
     assert "no-such-policy" in err
+
+
+@pytest.mark.parametrize("fault", [ValueError, TypeError])
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_internal_value_and_type_errors_exit_4(fault, mode, instance_file, monkeypatch,
+                                               capsys):
+    # Only an InputError is a rejection of the input; any other ValueError
+    # or TypeError is a fault of the program.
+    import sspilab.harness as harness
+
+    def broken(*args, **kwargs):
+        raise fault("simulated fault")
+
+    monkeypatch.setattr(harness, "optimum_accepts", broken)
+    code = main(["--trials", "5", "simulate", "--instance", instance_file,
+                 "--policy", "matching", "--mode", mode])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == f"error: internal error: {fault.__name__}: simulated fault\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

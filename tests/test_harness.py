@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,9 +11,11 @@ import pytest
 
 import sspilab.exact as exact_module
 from sspilab import harness
+from sspilab.cli import main
 from sspilab.core import (
     CapExceededError,
     Configuration,
+    InputError,
     build_sample_path,
     discrete,
     trial_rng,
@@ -25,11 +28,10 @@ from sspilab.harness import (
     WORKERS_ENV,
     RatioReport,
     estimate_ratio,
-    render_report,
     report_fields,
     tight_example,
 )
-from sspilab.instances import Instance, load_instance
+from sspilab.instances import Instance, instance_to_document, load_instance
 from sspilab.policies import run_policy
 
 from conftest import tv
@@ -186,18 +188,18 @@ class TestExactMode:
 
     def test_exact_rejects_random_adversary(self, rng):
         inst = random_instance("rank1", 3, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="--adversary"):
             estimate_ratio(inst, "rank1", adversary="random", mode="exact", seed=0)
 
     def test_reduction_custom_needs_partition(self, rng):
         inst = random_instance("simple-partition", 3, rng)
         for mode in ("exact", "mc"):
-            with pytest.raises(ValueError, match="partition block"):
+            with pytest.raises(InputError, match="partition block"):
                 estimate_ratio(inst, "reduction-custom", mode=mode, trials=5, seed=0)
 
     def test_policy_structure_mismatch(self, rng):
         inst = random_instance("matching", 3, rng)
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError, match="--policy"):
             estimate_ratio(inst, "laminar", mode="exact", seed=0)
 
 
@@ -479,21 +481,23 @@ class TestTightExample:
         assert 1.0 < rep.ratio < 4.0
 
     def test_k_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="--k"):
             tight_example(1)
 
 
 class TestReports:
-    def test_csv_header_and_shape(self):
-        rep = tight_example(3, trials=500, seed=0)
-        text = render_report(rep, "csv")
-        lines = text.strip().split("\n")
+    def test_csv_header_and_shape(self, capsys):
+        assert main(["--trials", "500", "--format", "csv", "tight-example", "--k", "3"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 2
 
-    def test_json_field_order(self):
-        rep = estimate_ratio(RANK1_TWO_POINT, "rank1", mode="exact", seed=0)
-        text = render_report(rep, "json")
+    def test_json_field_order(self, tmp_path, capsys):
+        path = tmp_path / "rank1.json"
+        path.write_text(json.dumps(instance_to_document(RANK1_TWO_POINT)))
+        assert main(["simulate", "--instance", str(path), "--policy", "rank1",
+                     "--mode", "exact"]) == 0
+        text = capsys.readouterr().out
         keys = [line.split('"')[1] for line in text.splitlines() if '":' in line]
         assert keys == [
             "policy", "adversary", "mode", "E_ALG", "E_OPT", "E_OPT_PRIME",
@@ -506,11 +510,6 @@ class TestReports:
         fields = report_fields(rep)
         assert fields["E_ALG"] == "5/2"
         assert fields["ci"] == ""
-
-    def test_unknown_format(self):
-        rep = tight_example(3, trials=200, seed=0)
-        with pytest.raises(RuntimeError):
-            render_report(rep, "xml")
 
     def test_unknown_mode_is_a_fault_of_the_program(self):
         # argparse restricts --mode, so only a fault of the program gets

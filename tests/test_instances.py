@@ -4,9 +4,9 @@ import pytest
 
 from sspilab.feasibility import GeneralMatching, Transversal, TruncatedPartition
 from sspilab.generators import random_instance, star_graphic_instance
+from sspilab.core import InputError
 from sspilab.instances import (
     Instance,
-    InstanceFormatError,
     instance_to_document,
     parse_instance,
 )
@@ -50,7 +50,7 @@ class TestParse:
                 "1": {"kind": "point-mass", "value": 1},
             },
         }
-        with pytest.raises(InstanceFormatError, match="capacity must be >= 1"):
+        with pytest.raises(InputError, match="capacity must be >= 1"):
             parse_instance(doc_bytes(doc))
 
     def test_right_order_not_permutation(self):
@@ -64,7 +64,7 @@ class TestParse:
             },
             "distributions": {"0": {"kind": "point-mass", "value": 1}},
         }
-        with pytest.raises(InstanceFormatError, match="not a permutation"):
+        with pytest.raises(InputError, match="not a permutation"):
             parse_instance(doc_bytes(doc))
 
     def test_overlapping_groups(self):
@@ -76,7 +76,7 @@ class TestParse:
                 "1": {"kind": "point-mass", "value": 1},
             },
         }
-        with pytest.raises(InstanceFormatError, match="two groups"):
+        with pytest.raises(InputError, match="two groups"):
             parse_instance(doc_bytes(doc))
 
     def test_dangling_vertex(self):
@@ -85,17 +85,17 @@ class TestParse:
             "structure": {"kind": "matching", "vertices": 2, "edges": [[0, 5]]},
             "distributions": {"0": {"kind": "point-mass", "value": 1}},
         }
-        with pytest.raises(InstanceFormatError, match="dangling"):
+        with pytest.raises(InputError, match="dangling"):
             parse_instance(doc_bytes(doc))
 
     def test_distribution_coverage(self):
         doc = dict(TRIANGLE_DOC)
         doc["distributions"] = {"0": {"kind": "point-mass", "value": 1}}
-        with pytest.raises(InstanceFormatError, match="cover exactly"):
+        with pytest.raises(InputError, match="cover exactly"):
             parse_instance(doc_bytes(doc))
 
     def test_syntax_error_carries_line(self):
-        with pytest.raises(InstanceFormatError, match="line"):
+        with pytest.raises(InputError, match="line"):
             parse_instance(b'{"name": "x",\n  broken')
 
     def test_transversal_labels_and_order(self):
@@ -171,7 +171,7 @@ def test_optional_elements_count_checked():
     doc["elements"] = 3
     parse_instance(doc_bytes(doc))
     doc["elements"] = 5
-    with pytest.raises(InstanceFormatError, match="declared 5"):
+    with pytest.raises(InputError, match="declared 5"):
         parse_instance(doc_bytes(doc))
 
 
@@ -184,5 +184,5 @@ def test_sparse_simple_partition_ground_rejected():
             "2": {"kind": "point-mass", "value": 1},
         },
     }
-    with pytest.raises(InstanceFormatError, match="0..n-1"):
+    with pytest.raises(InputError, match="0..n-1"):
         parse_instance(doc_bytes(doc))

@@ -11,7 +11,8 @@ import sspilab.exact as exact
 import sspilab.mechanism as mechanism
 from sspilab.cli import main
 from sspilab.core import (
-    TaggedValue, discrete, draw_trials, exponential, point_mass, trial_rng, uniform,
+    InputError, TaggedValue, discrete, draw_trials, exponential, point_mass, trial_rng,
+    uniform,
 )
 from sspilab.exact import ConfigEnsemble, TrialBatch, policy_run, reduction_partitions
 from sspilab.feasibility import (
@@ -30,7 +31,6 @@ from sspilab.instances import Instance, instance_to_document
 from sspilab.mechanism import (
     MECHANISM_CSV_HEADER,
     PAYMENT_RULE,
-    RegimeError,
     estimate_mechanism_ratios,
     mechanism_report_fields,
     mechanism_trials,
@@ -192,7 +192,7 @@ class TestPostedPriceBenchmark:
 class TestEstimateRatios:
     def test_regime_required(self):
         inst = star_graphic_instance(3)  # uniform, not flagged mhr
-        with pytest.raises(RegimeError):
+        with pytest.raises(InputError, match="--regime"):
             estimate_mechanism_ratios(inst, "reduction-graphic", trials=10, seed=0)
 
     def test_iid_regular_declaration_checked(self):
@@ -201,7 +201,7 @@ class TestEstimateRatios:
             TruncatedPartition(((0, 1),), (1,), 1),
             {0: uniform(0, 1), 1: uniform(0, 2)},
         )
-        with pytest.raises(RegimeError):
+        with pytest.raises(InputError, match="--regime"):
             estimate_mechanism_ratios(bad, "rank1", trials=10, seed=0, regime="iid-regular")
 
     def test_rank1_bound_and_fields(self):

@@ -8,6 +8,7 @@ import pytest
 from sspilab.core import (
     CapExceededError,
     Configuration,
+    InputError,
     build_sample_path,
     trial_rng,
 )
@@ -384,11 +385,11 @@ class TestRunPolicyPartitions:
         samples = {0: tv(1, 0.5, 0)}
         rewards = {0: tv(2, 0.6, 0)}
         g = GeneralMatching(2, ((0, 1),))
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError, match="--policy"):
             run_policy("laminar", g, samples, rewards, (0,))
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError, match="--policy"):
             run_policy("rank1", g, samples, rewards, (0,))
-        with pytest.raises(ValueError, match="partition block"):
+        with pytest.raises(InputError, match="partition block"):
             run_policy("reduction-custom", Graphic(2, ((0, 1),)), samples, rewards, (0,))
-        with pytest.raises(ValueError, match="unknown policy"):
+        with pytest.raises(InputError, match="unknown policy"):
             run_policy("no-such-policy", g, samples, rewards, (0,))
