@@ -8,9 +8,10 @@ Subcommands:
   mechanism      posted-price mechanism welfare/revenue estimation
 
 Exit codes: 0 success, 1 a verification failed (lemma or game value), 2 usage
-or input error (an `InputError` naming its field or flag, an argparse error,
-or an OSError), 3 a size cap was exceeded, 4 any other exception: a fault of
-the program.
+or input error (an `InputError` naming its field or flag, as for an
+`--instance` that cannot be read or an `--out` that cannot be written, or an
+argparse error), 3 a size cap was exceeded, 4 any other exception: a fault
+of the program.
 """
 
 from __future__ import annotations
@@ -65,9 +66,12 @@ def _emit(args, fields: dict, text: str) -> None:
     body = json.dumps(fields, indent=2) + "\n" if args.format == "json" else text
     if args.out is None or args.out == "-":
         sys.stdout.write(body)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
+    except OSError as exc:
+        raise InputError("--out", f"cannot write {args.out!r}: {exc.strerror or exc}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -229,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InputError, OSError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault of the program, not of its input

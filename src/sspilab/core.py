@@ -242,20 +242,19 @@ REALIZATION_LAYOUT = "vvtt"  # `draw_realization`: two values, then two tokens
 class TrialDraws:
     """The draws of a run of trials, per trial (last axis): the values and
     the tie-break tokens of every element, value slot d of element e in row
-    d * n + e (and likewise for tokens); with the realization layout one
-    coin per element (heads: the larger value is the reward), else None; and
-    one permutation per requested size ((trials, size) each)."""
+    d * n + e (and likewise for tokens), and with the realization layout one
+    coin per element (heads: the larger value is the reward), else None.
+    Orders are not trial draws (`chunk_orders`)."""
 
     values: np.ndarray
     tokens: np.ndarray
     coins: np.ndarray | None
-    permutations: tuple[np.ndarray, ...]
 
 
 _BLOCK_CELLS = 65536  # raw draws per block of trials: a 512 KiB table
 # Fewer trials are drawn by their generators' calls: the table's numpy ops
 # cost a few hundred us per call however few the trials. Measured crossover:
-# 12-16 trials, and 20-48 with a 30-element order to decode.
+# 12-16 trials.
 _MIN_DECODED_TRIALS = 16
 _LANE_CELLS = 4096  # (trial, lane) states stepped by one numpy op in `_TrialStreams.raws`
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy PCG64's LCG step
@@ -511,67 +510,6 @@ def _decode_shifted(raws: np.ndarray, rows: np.ndarray, is_exp: np.ndarray,
     return out, np.array(ends)
 
 
-def _permutation_width(sizes: Sequence[int]) -> int:
-    """Raw draws kept per trial for `_decode_permutations`. Its steps take
-    on average at most 1.47 words (32-bit halves) each, with a standard
-    deviation below 0.9 sqrt(steps) words over all steps; the room is 1.5
-    words a step plus 4 sqrt(steps) + 16. A row that needs more is drawn
-    again in full by its generator."""
-    steps = sum(max(size - 1, 0) for size in sizes)
-    return (3 * steps // 2 + 4 * math.isqrt(steps) + 16) // 2 if steps else 0
-
-
-def _window(raws: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
-    """Per row, the `width` raw draws from its position `ends` (0 for a row
-    at -1) on, split into 32-bit halves, low half first."""
-    at = np.maximum(ends, 0)[:, None] + np.arange(width)
-    return np.take_along_axis(raws, at, axis=1).astype("<u8", copy=False).view("<u4")
-
-
-def _decode_permutations(words: np.ndarray, sizes: Sequence[int]) -> tuple[list, np.ndarray]:
-    """`rng.permutation(size)` for each of `sizes` in turn, per trial: a
-    column of `words`, its 32-bit words in the order numpy's `next_uint32`
-    hands them out (the low half of a raw draw, then its high half, which
-    carries over into the next permutation). numpy shuffles arange(size) by
-    Fisher-Yates from the last index i down to 1, swapping it with j =
-    `random_interval(i)`: the next word masked to the bits of i, read again
-    while it exceeds i. The picks of all trials are read one word (row) at
-    a time, each trial at its own step. Returns the permutations ((trials,
-    size) each) and per trial whether its words sufficed; the permutations
-    of the other trials are garbage. `words` is overwritten."""
-    bounds = [i for size in sizes for i in range(size - 1, 0, -1)]
-    steps = len(bounds)
-    bound = np.array(bounds + [-1])  # a row past its last step takes no word
-    mask = np.array([(1 << i.bit_length()) - 1 for i in bounds] + [0], dtype=np.uint32)
-    taken = np.zeros(words.shape, dtype=bool)
-    count = words.shape[1]
-    step = np.zeros(count, dtype=np.intp)
-    for q, word in enumerate(words):
-        word &= mask[step]  # the word becomes its masked pick
-        np.less_equal(word, bound[step], out=taken[q])
-        step += taken[q]
-        if q >= steps and q % 16 == 15 and step.min() == steps:
-            words, taken = words[:q + 1], taken[:q + 1]
-            break
-    done = step == steps
-    j = words.T[done][taken.T[done]].reshape(done.sum(), steps)
-    perms, at = [], 0
-    for size in sizes:
-        perm = np.empty((count, size), dtype=np.int64)
-        shuffled = np.tile(np.arange(size), (len(j), 1))
-        flat = shuffled.ravel()
-        base = np.arange(len(j)) * size
-        for i in range(size - 1, 0, -1):
-            target = base + j[:, at]
-            at += 1
-            picked = flat[target]
-            flat[target] = shuffled[:, i]
-            shuffled[:, i] = picked
-        perm[done] = shuffled
-        perms.append(perm)
-    return perms, done
-
-
 @cache
 def _ziggurat() -> tuple[np.ndarray, np.ndarray] | None:
     """numpy's ziggurat for `standard_exponential`, as (ke, we): a raw draw
@@ -579,8 +517,8 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray] | None:
     ri * we[i] by itself when ri < ke[i]; else the draw takes more raw
     draws. Both tables are read off a PCG64 set so that its next raw draw is
     a chosen one. None when draws read off `_TrialStreams.raws` with them
-    (doubles, exponentials, then two permutations) differ from the scalar
-    calls on trial_rng's streams, so `draw_trials` falls back to those."""
+    (doubles and exponentials) differ from the scalar calls on trial_rng's
+    streams, so `draw_trials` falls back to those."""
     bg = np.random.PCG64(0)
     rng = np.random.Generator(bg)
     inverse = pow(_PCG_MULTIPLIER, -1, 1 << 128)
@@ -614,40 +552,35 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray] | None:
         ke[i] = lo
 
     is_exp = np.array([True, False] * 150 + [True] * 300)
-    sizes = (9, 65)
     streams = _TrialStreams(0, range(4))
-    raws = streams.raws(700 + _permutation_width(sizes))
-    got, ends = _decode_raw(raws[:, :700], is_exp, streams, (ke, we))
-    perms, done = _decode_permutations(_window(raws, ends, _permutation_width(sizes)).T, sizes)
+    got, ends = _decode_raw(streams.raws(700), is_exp, streams, (ke, we))
     for t in range(4):
         r = trial_rng(0, t)
         want = [r.standard_exponential() if k else r.random() for k in is_exp]
-        if ends[t] < 0 or got[t].tolist() != want or not done[t] or any(
-                p[t].tolist() != r.permutation(size).tolist() for p, size in zip(perms, sizes)):
+        if ends[t] < 0 or got[t].tolist() != want:
             return None
     return ke, we
 
 
 def draw_trials(
     distributions: Sequence[Distribution], seed: int, trials: range,
-    permutation_sizes: Sequence[int] = (), layout: str = REALIZATION_LAYOUT,
+    layout: str = REALIZATION_LAYOUT,
 ) -> TrialDraws:
     """Trial t's draws from its own stream trial_rng(seed, t), in the order
     of the scalar code. `layout` lists one element's draws in stream order:
     `v` a value (`Distribution.sample`), `t` a tie-break token (one double).
     The realization layout is followed by one coin per element
     (`assign_coins`); the mechanism's "vtvtvt" (pricing, reserve and
-    valuation, each a value and its token) draws no coins. The permutations
-    (`rng.permutation`) come last.
+    valuation, each a value and its token) draws no coins. Orders come from
+    streams of their own (`chunk_orders`).
 
     Point masses take no draw, exponential values one standard exponential
     draw each and every other value or token one double. The raw 64-bit
     draws of a block of trials are one numpy table (`_TrialStreams.raws`):
     no generator is set to any trial's state. The draws are decoded off it
-    for the whole block (`_decode_raw`), and the permutations off the raw
-    draws after them (`_decode_permutations`). A trial whose draws outrun
-    the table is made by its own generator, one call per run of draws of
-    one kind, and so are all trials when the decoding's check at first use
+    for the whole block (`_decode_raw`). A trial whose draws outrun the
+    table is made by its own generator, one call per run of draws of one
+    kind, and so are all trials when the decoding's check at first use
     fails (`_ziggurat`). The draws become values for all trials at once.
     With the realization layout, a trial whose two tokens of an element tie
     is drawn again by the scalar code, which redraws the second token."""
@@ -677,32 +610,19 @@ def draw_trials(
 
     count = len(trials)
     raw = np.empty((count, len(kinds)))
-    perms = [np.empty((count, size), dtype=np.int64) for size in permutation_sizes]
     ends = np.full(count, -1)
     tables = _ziggurat() if count >= _MIN_DECODED_TRIALS else None
     if tables is not None:
         is_exp = np.array(kinds, dtype=bool)
         # room for exponentials off the fast path
         width = len(kinds) + (8 + len(kinds) // 8 if is_exp.any() else 0)
-        perm_width = _permutation_width(permutation_sizes)
-        words = np.empty((2 * perm_width, count), dtype=np.uint32)
-        block = max(1, _BLOCK_CELLS // (width + perm_width))
+        block = max(1, _BLOCK_CELLS // width)
         for start in range(0, count, block):
             rows = slice(start, min(start + block, count))
             streams = _TrialStreams(seed, trials[rows])
-            raws = streams.raws(width + perm_width)
-            raw[rows], ends[rows] = _decode_raw(raws[:, :width], is_exp, streams, tables)
-            if perms:
-                words[:, rows] = _window(raws, ends[rows], perm_width).T
-        if perms:
-            perms, done = _decode_permutations(words, permutation_sizes)
-            ends[~done] = -1
+            raw[rows], ends[rows] = _decode_raw(streams.raws(width), is_exp, streams, tables)
     for i in np.flatnonzero(ends < 0):
-        rng = trial_rng(seed, trials[i])
-        _draw_runs(rng, plan, raw[i])
-        for perm, size in zip(perms, permutation_sizes):
-            perm[i] = rng.permutation(size)
-    perms = tuple(perms)
+        _draw_runs(trial_rng(seed, trials[i]), plan, raw[i])
 
     is_value = np.array([kind == "v" for kind in layout])
     values = np.ascontiguousarray(raw[:, cols[is_value].ravel()].T)
@@ -716,7 +636,7 @@ def draw_trials(
             drawn[:] = dist.from_uniform(drawn)
     tokens = np.ascontiguousarray(raw[:, cols[~is_value].ravel()].T)
     if not realization:
-        return TrialDraws(values, tokens, None, perms)
+        return TrialDraws(values, tokens, None)
 
     coins = (raw[:, coin_cols] < 0.5).T
     for i in np.flatnonzero((tokens[:n] == tokens[n:]).any(axis=0)):
@@ -726,9 +646,23 @@ def draw_trials(
             values[[e, n + e], i] = r.y.value, r.z.value
             tokens[[e, n + e], i] = r.y.tiebreak, r.z.tiebreak
         coins[:, i] = [rng.random() < 0.5 for _ in range(n)]
-        for perm, size in zip(perms, permutation_sizes):
-            perm[i] = rng.permutation(size)
-    return TrialDraws(values, tokens, coins, perms)
+    return TrialDraws(values, tokens, coins)
+
+
+ARRIVAL_ORDERS, VERTEX_ORDERS = 0, 1  # the last spawn-key word of each order stream
+
+
+def chunk_orders(seed: int, trials: range, size: int, kind: int) -> np.ndarray:
+    """(size, trials) uniformly random permutations of 0..size-1, one per
+    trial (column) of a chunk, made by one `Generator.permuted` call on the
+    chunk's own stream SeedSequence(seed, spawn_key=(trials.start, kind)),
+    `kind` being ARRIVAL_ORDERS or VERTEX_ORDERS. A spawn key sets the
+    stream apart from every trial's stream (seed, t), so the orders leave
+    the trials' values, tokens and coins as they are, and the vertex orders
+    do not depend on the adversary. Chunks start at fixed trials, so the
+    orders do not depend on the worker count."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trials.start, kind)))
+    return rng.permuted(np.tile(np.arange(size)[:, None], (1, len(trials))), axis=0)
 
 
 @dataclass(frozen=True, slots=True)

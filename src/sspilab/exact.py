@@ -101,7 +101,7 @@ from .feasibility import (
     is_independent,
 )
 
-EXACT_SIGMA_VERTEX_CAP = 6  # vertices whose orders exact reduction-graphic enumerates
+EXACT_SIGMA_VERTEX_CAP = 6  # touched vertices whose orders exact reduction-graphic enumerates
 CONFIG_BLOCK = 1 << 13  # configurations per block of exact simulate
 MASK_BITS = 62  # bits an int64 holds with room: wider masks and sums are python ints
 
@@ -288,10 +288,10 @@ class PathBatch:
             free = side_flags.copy()
             _put(free, self.y_idx, self.cols, True)
             return free
-        # Component labels per (column, vertex); joining relabels one side.
-        ends = np.array(fs.edges, dtype=np.int64).reshape(-1, 2)
+        # Component labels per (column, touched vertex); joining relabels one side.
+        count, ends = edge_ends(fs)
         cols = self.cols
-        comp = np.tile(np.arange(fs.vertex_count, dtype=np.int16), (self.num_configs, 1))
+        comp = np.tile(np.arange(count, dtype=ends.dtype), (self.num_configs, 1))
         free = np.empty((self.length, self.num_configs), dtype=bool)
         for j in range(self.length):
             u, v = ends[self.elem[j]].T
@@ -321,12 +321,11 @@ class PathBatch:
 
     @_kept
     def matching_vertex_thresholds(self) -> np.ndarray:
-        """(vertices, columns) thresholds (path indices) set by the greedy
-        matching on samples."""
-        fs = self.structure
-        ends = np.array(fs.edges, dtype=np.int64).reshape(-1, 2)
+        """(touched vertices, columns) thresholds (path indices) set by the
+        greedy matching on samples, by the vertex numbers of `edge_ends`."""
+        count, ends = edge_ends(self.structure)
         picked = self.free("T") & ~self.heads
-        th = np.empty((fs.vertex_count, self.num_configs), dtype=self.itype)
+        th = np.empty((count, self.num_configs), dtype=self.itype)
         th[:] = self.absent
         for j, cols in enumerate(map(np.flatnonzero, picked)):
             ends_j = ends[self.elem[j]].T.reshape(2, -1)
@@ -337,7 +336,7 @@ class PathBatch:
     def matching_prices(self) -> np.ndarray:
         """(n, columns) the smaller threshold index of each edge's endpoints."""
         th = self.matching_vertex_thresholds()
-        u, v = np.array(self.structure.edges, dtype=np.int64).reshape(-1, 2).T
+        u, v = edge_ends(self.structure)[1].T
         return np.minimum(th[u], th[v])
 
     def matching_exceeds(self) -> np.ndarray:
@@ -700,14 +699,27 @@ class TrialBatch(PathBatch):
 # ---------------------------------------------------------------------------
 
 
-def vertex_masks(g: GeneralMatching) -> list[int]:
-    """Per edge, the bitmask of its two endpoints, over the vertices that
-    some edge touches (in id order)."""
+def edge_ends(g: GeneralMatching | Graphic) -> tuple[int, np.ndarray]:
+    """(count, ends): the number of vertices that some edge touches, and per
+    edge its two endpoints numbered 0..count-1 among those vertices in id
+    order, (n, 2) in the smallest unsigned type that holds `count`. Every
+    per-vertex table (bitmasks, component labels, thresholds, vertex orders)
+    is over these numbers: an isolated vertex owns no edge and changes no
+    result, so a table is as large as the edges make it, whatever the
+    declared vertex count."""
     touched = sorted({v for edge in g.edges for v in edge})
-    if len(touched) > MASK_BITS:
+    number = {v: i for i, v in enumerate(touched)}
+    ends = [number[v] for edge in g.edges for v in edge]
+    return len(touched), np.array(ends, dtype=np.min_scalar_type(len(touched))).reshape(-1, 2)
+
+
+def vertex_masks(g: GeneralMatching) -> list[int]:
+    """Per edge, the bitmask of its two endpoints, bit v for vertex number v
+    of `edge_ends`."""
+    count, ends = edge_ends(g)
+    if count > MASK_BITS:
         raise CapExceededError(f"vertex bitmasks support up to {MASK_BITS} vertices")
-    bit = {v: i for i, v in enumerate(touched)}
-    return [(1 << bit[u]) | (1 << bit[v]) for u, v in g.edges]
+    return [(1 << u) | (1 << v) for u, v in ends.tolist()]
 
 
 def neighbor_masks(t: Transversal) -> list[int]:
@@ -1137,20 +1149,21 @@ def policy_run(batch: PathBatch, policy: str, adversary, grouping=None) -> Polic
     return PolicyRun(accepted, lambda: batch.values_at(batch.group_prices(group, count)))
 
 
-def reduction_partitions(instance, policy: str, draws: TrialDraws | None = None) -> tuple:
-    """(ranks, partitions): the partitions a policy's runs take, as
-    (grouping, weight) pairs for `policy_run`, and for reduction-graphic on
-    drawn vertex orders each vertex's rank in its column's order, (vertices,
-    columns), else None.
+def reduction_partitions(instance, policy: str, ranks: np.ndarray | None = None) -> list:
+    """The partitions a policy's runs take, as (grouping, weight) pairs for
+    `policy_run`.
 
     - reduction-custom: the instance's partition;
-    - reduction-graphic with `draws`: each trial's vertex-order partition
+    - reduction-graphic with `ranks`, each touched vertex's rank (by the
+      numbers of `edge_ends`) in its column's vertex order, (touched
+      vertices, columns): each column's vertex-order partition
       (`graphic_partition`'s rule: an edge joins the group of its endpoint
-      ranked first), one group per column, from the last permutation drawn
-      (first vertex first);
+      ranked first), one group per column;
     - reduction-graphic without: each distinct vertex-order partition,
-      weighted by the number of the vertex orders that give it (capped at
-      EXACT_SIGMA_VERTEX_CAP vertices). Every group has capacity 1, so a
+      weighted by the number of the orders of the touched vertices that
+      give it (capped at EXACT_SIGMA_VERTEX_CAP touched vertices). An
+      isolated vertex owns no edge, so the orders of all vertices give each
+      partition the same share. Every group has capacity 1, so a
       partition's runs do not depend on its group labels: the groups are
       relabelled in order of first occurrence over the elements before
       equal partitions merge;
@@ -1158,29 +1171,25 @@ def reduction_partitions(instance, policy: str, draws: TrialDraws | None = None)
     fs = instance.structure
     if policy == "reduction-custom":
         groups = instance.partition.groups
-        return None, [((group_ids(groups, instance.ground_size), len(groups)), 1)]
+        return [((group_ids(groups, instance.ground_size), len(groups)), 1)]
     if policy != "reduction-graphic":
-        return None, [(None, 1)]
-    count = fs.vertex_count
-    if draws is None:
-        if count > EXACT_SIGMA_VERTEX_CAP:
-            raise CapExceededError(
-                f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} vertices"
-            )
-        orders = np.array(list(permutations(range(count))))
-    else:
-        orders = draws.permutations[-1]
-    ranks = np.argsort(orders, axis=1).T
-    u, v = np.array(fs.edges, dtype=np.int64).reshape(-1, 2).T
+        return [(None, 1)]
+    count, ends = edge_ends(fs)
+    u, v = ends.T
+    if ranks is not None:
+        return [((np.where(ranks[u] < ranks[v], u[:, None], v[:, None]), count), 1)]
+    if count > EXACT_SIGMA_VERTEX_CAP:
+        raise CapExceededError(
+            f"exact vertex-order enumeration capped at {EXACT_SIGMA_VERTEX_CAP} touched vertices"
+        )
+    ranks = np.argsort(np.array(list(permutations(range(count)))), axis=1).T
     groups = np.where(ranks[u] < ranks[v], u[:, None], v[:, None])  # (n, orders)
-    if draws is not None:
-        return ranks, [((groups, count), 1)]
     # Per order, each group's label is its rank among the first occurrences.
     first = np.argmax(groups[:, None, :] == groups[None, :, :], axis=0)  # (n, orders)
     labels = np.cumsum(first == np.arange(len(groups))[:, None], axis=0) - 1
     relabelled = np.take_along_axis(labels, first, axis=0)
     weights = Counter(map(tuple, relabelled.T.tolist()))
-    return None, [((np.array(group), count), weight) for group, weight in weights.items()]
+    return [((np.array(group), count), weight) for group, weight in weights.items()]
 
 
 def _laminar_critical(batch: PathBatch, accepted: np.ndarray) -> np.ndarray:

@@ -262,10 +262,10 @@ def is_independent(fs: FeasibilityStructure, s: Iterable[int]) -> bool:
             counts[fs.group_of(e)] += 1
         return all(c <= 1 for c in counts)
     if isinstance(fs, Graphic):
-        parent = list(range(fs.vertex_count))
+        parent: dict[int, int] = {}  # touched vertices only: a root maps to nothing
 
         def root(x: int) -> int:
-            while parent[x] != x:
+            while x in parent:
                 x = parent[x]
             return x
 

@@ -13,11 +13,14 @@ per command. It sums integer path-index counts over the blocks and reports
 expectations as exact rationals, the same for any block size; the
 worst-case adversary minimizes the policy total per configuration. Monte
 Carlo mode splits its trials into chunks of MC_CHUNK and evaluates each
-chunk as one batch. Trial t still draws from its own stream (seed, t), in
-the order of the scalar code (`core.draw_trials`), so results are those of
-a trial-by-trial run; a trial's values, tokens and coins do not depend on
-the adversary. Chunk sums merge in chunk order, so results do not depend on
-the worker count.
+chunk as one batch. Trial t still draws its values, tokens and coins from
+its own stream (seed, t), in the order of the scalar code
+(`core.draw_trials`), so they are those of a trial-by-trial run. The
+random adversary's orders and the reduction-graphic vertex orders come
+from the chunk's own order streams (`core.chunk_orders`), so a trial's
+values, tokens, coins and vertex order do not depend on the adversary.
+Chunk sums merge in chunk order, so results do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -33,11 +36,21 @@ from itertools import islice
 
 import numpy as np
 
-from .core import EXACT_MODE_CAP, CapExceededError, InputError, draw_trials, trial_rng
+from .core import (
+    ARRIVAL_ORDERS,
+    EXACT_MODE_CAP,
+    VERTEX_ORDERS,
+    CapExceededError,
+    InputError,
+    chunk_orders,
+    draw_trials,
+    trial_rng,
+)
 from .exact import (
     ConfigEnsemble,
     TrialBatch,
     config_blocks,
+    edge_ends,
     optimum_accepts,
     policy_run,
     reduction_partitions,
@@ -145,7 +158,7 @@ def estimate_ratio_exact(
     if n > EXACT_MODE_CAP:
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
     realizations = instance.draw_realizations(trial_rng(seed, 0))
-    _, partitions = reduction_partitions(instance, policy)
+    partitions = reduction_partitions(instance, policy)
     counts = np.zeros((3, 2 * n), dtype=np.int64)
     z_violations = run_columns = 0
     for ens in config_blocks(instance.structure, realizations):
@@ -210,7 +223,7 @@ class TrialOutcome:
     # The adversary as `exact.policy_run` reads it: (n, trials) orders for
     # the random adversary, else its name.
     orders: np.ndarray | str
-    vertex_ranks: np.ndarray | None  # reduction-graphic: (vertices, trials)
+    vertex_ranks: np.ndarray | None  # reduction-graphic: (touched vertices, trials)
     accepted: np.ndarray  # (n, trials) flags
     alg: np.ndarray  # (trials,) float totals
     opt: np.ndarray
@@ -232,20 +245,22 @@ def optimum_totals(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
 def mc_trials(
     instance: Instance, policy: str, adversary: str, seed: int, trials: range
 ) -> TrialOutcome:
-    """Evaluate the given trials as one batch. Trial t draws from the stream
-    (seed, t): values, tokens and coins, then the random adversary's order,
-    then the reduction-graphic vertex order, so the values, tokens and coins
-    do not depend on the adversary."""
+    """Evaluate the given trials as one batch. Trial t draws its values,
+    tokens and coins from the stream (seed, t); the random adversary's
+    orders and the reduction-graphic vertex orders (as ranks of the touched
+    vertices) come from the chunk's order streams (`core.chunk_orders`,
+    keyed by the first trial of `trials`). So the values, tokens, coins and
+    vertex orders do not depend on the adversary."""
     fs = instance.structure
     n = instance.ground_size
-    sizes = [n] if adversary == "random" else []
-    if policy == "reduction-graphic":
-        sizes.append(fs.vertex_count)
-    draws = draw_trials([instance.distributions[e] for e in range(n)], seed, trials, sizes)
+    draws = draw_trials([instance.distributions[e] for e in range(n)], seed, trials)
     batch = TrialBatch(fs, draws)
-    ranks, ((grouping, _),) = reduction_partitions(instance, policy, draws)
+    ranks = None
+    if policy == "reduction-graphic":
+        ranks = chunk_orders(seed, trials, edge_ends(fs)[0], VERTEX_ORDERS)
+    ((grouping, _),) = reduction_partitions(instance, policy, ranks)
     ridx = batch.ridx
-    orders = draws.permutations[0].T if adversary == "random" else adversary
+    orders = chunk_orders(seed, trials, n, ARRIVAL_ORDERS) if adversary == "random" else adversary
     accepted = policy_run(batch, policy, orders, grouping).accepted
     opt, opt_prime = optimum_totals(batch)
     return TrialOutcome(

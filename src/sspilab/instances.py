@@ -290,8 +290,14 @@ def parse_instance(data: bytes | str) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "rb") as fh:
-        return parse_instance(fh.read())
+    """The instance in the file `path` (the `--instance` flag)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        message = f"cannot read {str(path)!r}: {exc.strerror or exc}"
+        raise InputError("--instance", message) from None
+    return parse_instance(data)
 
 
 def instance_to_document(inst: Instance) -> dict:

@@ -16,9 +16,10 @@ the one its run gives (`PolicyRun.price`): the threshold it beat, or for
 laminar the sample optimum minus the contraction optimum.
 Trial t draws from its own stream (seed, t) in the order of the scalar
 `run_opm` loop (per element pricing, reserve and valuation, each a value
-and its token; then reduction-graphic's vertex order), and chunk sums merge
-in chunk order. `run_opm` over the traced policies is the per-trial
-reference.
+and its token); reduction-graphic's vertex orders come from the chunk's
+vertex-order stream (`core.chunk_orders`), and chunk sums merge in chunk
+order. `run_opm` over the traced policies is the per-trial reference,
+handed each trial's vertex order as its partition.
 """
 
 from __future__ import annotations
@@ -30,8 +31,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Distribution, InputError, TaggedValue, TrialDraws, draw_trials
-from .exact import TrialBatch, policy_run, reduction_partitions
+from .core import (
+    VERTEX_ORDERS,
+    Distribution,
+    InputError,
+    TaggedValue,
+    TrialDraws,
+    chunk_orders,
+    draw_trials,
+)
+from .exact import TrialBatch, edge_ends, policy_run, reduction_partitions
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
 from .harness import competitive_ratio, fmt_float, mc_summary, optimum_totals, run_chunks
@@ -157,7 +166,7 @@ class MechanismTrials:
     arrays by element and (trials,) totals."""
 
     batch: TrialBatch  # pricing as the samples, valuations as the rewards
-    vertex_ranks: np.ndarray | None  # reduction-graphic: (vertices, trials)
+    vertex_ranks: np.ndarray | None  # reduction-graphic: (touched vertices, trials)
     reserves: np.ndarray
     accepted: np.ndarray  # the policy's picks, before the reserve filter
     winners: np.ndarray
@@ -174,9 +183,8 @@ def mechanism_trials(
     increasing-valuation order."""
     fs = instance.structure
     n = instance.ground_size
-    sizes = [fs.vertex_count] if policy == "reduction-graphic" else []
     draws = draw_trials(
-        [instance.distributions[e] for e in range(n)], seed, trials, sizes, MECHANISM_LAYOUT
+        [instance.distributions[e] for e in range(n)], seed, trials, MECHANISM_LAYOUT
     )
     pricing, reserves, valuations = np.split(draws.values, 3)
     pricing_tokens, _, valuation_tokens = np.split(draws.tokens, 3)
@@ -188,9 +196,12 @@ def mechanism_trials(
     batch = TrialBatch(fs, TrialDraws(
         np.concatenate([pricing, valuations]),
         np.concatenate([pricing_tokens, valuation_tokens]),
-        ~beaten, (),
+        ~beaten,
     ))
-    ranks, ((grouping, _),) = reduction_partitions(instance, policy, draws)
+    ranks = None
+    if policy == "reduction-graphic":
+        ranks = chunk_orders(seed, trials, edge_ends(fs)[0], VERTEX_ORDERS)
+    ((grouping, _),) = reduction_partitions(instance, policy, ranks)
     run = policy_run(batch, policy, "increasing", grouping)
     accepted = run.accepted
     winners = accepted & ~(valuations < reserves)

@@ -29,7 +29,7 @@ def order_search_misses(instance, policy: str, adversary: str, seed: int) -> int
     assert n <= ORACLE_MAX_N, f"the all-orders oracle takes n <= {ORACLE_MAX_N}, got {n}"
     ens = ConfigEnsemble(instance.structure, instance.draw_realizations(trial_rng(seed, 0)))
     values = ens.values_at(ens.ridx)  # (n, configurations) rewards
-    _, partitions = reduction_partitions(instance, policy)
+    partitions = reduction_partitions(instance, policy)
     misses = 0
     for grouping, _ in partitions:
         least = np.full(ens.num_configs, np.inf)

@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -376,6 +378,10 @@ def _huge_matching():
      _rank1_document({"kind": "exponential", "rate": 1e-320}), "distributions.0.rate"),
     (["simulate", "--policy", "rank1"],
      _rank1_document({"kind": "exponential", "rate": 1e-320}), "distributions.0.rate"),
+    (["simulate", "--policy", "rank1", "--instance", "no-such-dir/instance.json"], None,
+     "--instance"),
+    (["mechanism", "--policy", "rank1", "--instance", "."], None, "--instance"),
+    (["--out", "no-such-dir/report.json", "game", "--rr", "1", "--rb", "2"], None, "--out"),
 ], ids=[
     "missing-field", "edge-not-a-pair", "self-loop", "adjacency-rows", "unknown-right-node",
     "right-node-twice", "capacity-count", "groups-not-0..n-1", "distribution-kind",
@@ -385,6 +391,7 @@ def _huge_matching():
     "empty-truncated-partition", "squares-overflow", "sums-overflow",
     "mechanism-squares-overflow", "groups-int", "partition-groups-int", "edges-null",
     "edges-object", "rate-scale-overflow-exact", "rate-scale-overflow-mc",
+    "instance-missing", "instance-a-directory", "out-in-a-missing-directory",
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejections_exit_2_and_name_the_field(argv, doc, field, tmp_path, capsys):
@@ -598,3 +605,36 @@ def test_verify_greedy_objective_at_n18(kind, tmp_path, capsys):
     assert payload["passed"] is True
     assert payload["configurations"] == 1 << 18
     assert payload["detail"].endswith("greedy states over 262144 configurations")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+README_TRIALS = 2000  # a cap on each README command's --trials, to keep it quick
+
+
+def _readme_commands() -> list[list[str]]:
+    """The `sspi-lab` lines of the sh block under README's "## CLI", with
+    line continuations joined and comments dropped."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("sspi-lab ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_has_cli_commands():
+    assert len(README_COMMANDS) >= 8
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_cli_commands_run(argv, monkeypatch, capsys):
+    # README's commands, from the repository root, with --trials capped.
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("SSPILAB_WORKERS", "1")
+    argv = argv[1:]
+    if "--trials" in argv:
+        at = argv.index("--trials") + 1
+        argv[at] = str(min(int(argv[at]), README_TRIALS))
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip()

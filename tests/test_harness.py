@@ -128,7 +128,7 @@ class TestExactMode:
         # first vertex's two edges, and the third edge), each twice.
         edges = ((0, 1), (1, 2), (0, 2))
         inst = Instance("triangle", Graphic(3, edges), {e: uniform(0.0, 1.0 + e) for e in range(3)})
-        _, partitions = exact_module.reduction_partitions(inst, "reduction-graphic")
+        partitions = exact_module.reduction_partitions(inst, "reduction-graphic")
         assert [weight for _, weight in partitions] == [2, 2, 2]
         assert sorted(
             sorted(np.bincount(group).tolist()) for (group, _), _ in partitions
@@ -164,6 +164,56 @@ class TestExactMode:
         assert peak < 8 * 2**20
         assert report.e_alg == Fraction(9660997568636604071, 864691128455135232)
         assert report.z_violations == 0
+
+    @pytest.mark.parametrize("vertices, edges", [
+        (10, ((2, 5), (5, 9), (2, 9), (9, 7))),  # 4 of 10 vertices touched
+        (7, ((0, 1), (1, 2), (2, 3), (3, 5), (5, 6), (0, 6), (1, 5))),  # vertex 4 isolated
+    ], ids=["10-declared-4-touched", "7-declared-6-touched"])
+    def test_exact_reduction_graphic_ignores_isolated_vertices(self, vertices, edges):
+        # An isolated vertex owns no edge, so every vertex-order partition
+        # keeps its probability: the Fractions are those of the graph
+        # relabelled onto its touched vertices, and the enumeration cap
+        # counts touched vertices (7 declared ones exited 3 once).
+        touched = sorted({v for edge in edges for v in edge})
+        label = {v: i for i, v in enumerate(touched)}
+        relabelled = tuple((label[u], label[v]) for u, v in edges)
+        laws = {e: uniform(0.0, 1.0 + e) for e in range(len(edges))}
+        for adversary in ("fixed", "increasing", "exhaustive-min"):
+            got, want = (
+                estimate_ratio(Instance("g", g, laws), "reduction-graphic",
+                               adversary=adversary, mode="exact", seed=5)
+                for g in (Graphic(vertices, edges), Graphic(len(touched), relabelled))
+            )
+            assert (got.e_alg, got.e_opt, got.e_opt_prime, got.z_violations) == (
+                want.e_alg, want.e_opt, want.e_opt_prime, want.z_violations)
+        seven = Instance("g7", Graphic(7, ((0, 1), (2, 3), (4, 5), (5, 6))), laws)
+        with pytest.raises(CapExceededError, match="touched vertices"):
+            estimate_ratio(seven, "reduction-graphic", mode="exact", seed=5)
+
+    def test_vertex_ids_past_int16_are_their_own_vertices(self, tmp_path, capsys, monkeypatch):
+        # Vertex 65,536 once took vertex 0's int16 component label, which
+        # closed a cycle that is not there: exact E_OPT read 0.739 and
+        # Monte Carlo E_ALG exceeded E_OPT. Vertices are numbered among the
+        # touched ones, so the reports are those of the relabelled graph.
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        rows = []
+        for vertices, far in ((70_000, 65_536), (4, 3)):
+            edges = [[0, 1], [1, 2], [0, 2], [0, far]]
+            doc = {"name": "wrap", "structure": {"kind": "graphic", "vertices": vertices,
+                                                 "edges": edges},
+                   "distributions": {str(e): {"kind": "uniform", "a": 0.0, "b": 1.0}
+                                     for e in range(4)},
+                   "partition": {"alpha": 2.0, "groups": [[e] for e in range(4)]}}
+            path = tmp_path / f"wrap-{vertices}.json"
+            path.write_text(json.dumps(doc))
+            for mode in ("exact", "mc"):
+                assert main(["--seed", "3", "--trials", "2000", "--format", "csv", "simulate",
+                             "--instance", str(path), "--policy", "reduction-custom",
+                             "--mode", mode]) == 0
+                rows.append(capsys.readouterr().out.strip().split("\n")[-1].rsplit(",", 1)[0])
+        assert rows[:2] == rows[2:]
+        e_opt = Fraction(rows[0].split(",")[4])
+        assert e_opt == Fraction(5618368661442455, 4503599627370496)
 
     def test_exact_mode_caps(self, rng, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "1")

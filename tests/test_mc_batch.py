@@ -6,6 +6,7 @@ trial's tagged rewards and samples are the reference.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,13 @@ import pytest
 
 import sspilab.core as harness_core
 import sspilab.harness as harness
-from sspilab.core import discrete, exponential, point_mass, trial_rng, uniform
+from sspilab.core import (
+    ARRIVAL_ORDERS, VERTEX_ORDERS, chunk_orders, discrete, exponential, point_mass, trial_rng,
+    uniform,
+)
 from sspilab.feasibility import (
     GeneralMatching,
+    Graphic,
     SimplePartition,
     Transversal,
     exact_optimum,
@@ -27,7 +32,7 @@ from sspilab.harness import MC_CHUNK, WORKERS_ENV, estimate_ratio, mc_trials, re
 from sspilab.instances import Instance
 from sspilab.policies import adversarial_order, run_policy
 
-from conftest import several_group_rank1
+from conftest import several_group_rank1, vertex_order
 
 KINDS = {
     "matching": "matching",
@@ -75,8 +80,7 @@ def _check_against_traced(inst, policy, adversary, out):
             order = adversarial_order(policy, fs, samples, rewards, adversary).order
         name, partition = policy, inst.partition
         if policy == "reduction-graphic":
-            sigma = tuple(int(v) for v in np.argsort(out.vertex_ranks[:, t]))
-            partition, _ = graphic_partition(fs, sigma=sigma)
+            partition, _ = graphic_partition(fs, sigma=vertex_order(fs, out.vertex_ranks[:, t]))
             name = "reduction-custom"
         chosen = run_policy(name, fs, samples, rewards, order, partition=partition).chosen.chosen
         got = set(np.flatnonzero(out.accepted[:, t]).tolist())
@@ -113,6 +117,9 @@ def test_rank1_on_several_groups_matches_traced_policy(adversary, rng):
 
 
 def test_draws_do_not_depend_on_adversary(rng):
+    # The random adversary's orders come from a stream of their own, so
+    # every trial's values, tokens, coins and vertex ranks are the same
+    # under all four adversaries.
     inst = random_instance("graphic", 6, rng)
     outs = [
         mc_trials(inst, "reduction-graphic", a, 5, range(50))
@@ -120,10 +127,9 @@ def test_draws_do_not_depend_on_adversary(rng):
     ]
     for out in outs[1:]:
         assert np.array_equal(out.batch.values, outs[0].batch.values)
+        assert np.array_equal(out.batch.tokens, outs[0].batch.tokens)
         assert np.array_equal(out.batch.reward_rows, outs[0].batch.reward_rows)
         assert np.array_equal(out.opt, outs[0].opt)
-    # Only the random adversary draws an order, after the coins.
-    for out in (outs[1], outs[3]):
         assert np.array_equal(out.vertex_ranks, outs[0].vertex_ranks)
 
 
@@ -145,19 +151,30 @@ def test_exhaustive_min_at_most_increasing(policy, rng, monkeypatch):
 
 
 def test_reproducible_across_workers_and_chunks(rng, monkeypatch):
-    inst = random_instance("transversal", 5, rng)
-    fields = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv(WORKERS_ENV, workers)
-        rep = estimate_ratio(inst, "transversal", adversary="random", trials=MC_CHUNK + 3, seed=4)
-        fields.append({**report_fields(rep), "wall_ms": None})
-    assert fields[0] == fields[1]
+    # The second chunk's orders come from its own streams, keyed by its
+    # first trial, whichever worker draws them.
+    for kind, policy in (("transversal", "transversal"), ("graphic", "reduction-graphic")):
+        inst = random_instance(kind, 5, rng)
+        fields = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            rep = estimate_ratio(inst, policy, adversary="random", trials=MC_CHUNK + 3, seed=4)
+            fields.append({**report_fields(rep), "wall_ms": None})
+        assert fields[0] == fields[1], policy
+
+
+def _order_stream(seed, first, kind, size, count):
+    """The orders of the chunk that starts at trial `first`, as laid out:
+    one `permuted` call on SeedSequence(seed, spawn_key=(first, kind))."""
+    stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first, kind)))
+    return stream.permuted(np.tile(np.arange(size)[:, None], (1, count)), axis=0)
 
 
 @pytest.mark.parametrize("adversary", ["increasing", "random"])
 def test_draws_are_the_scalar_streams(adversary, rng):
     # Trial t's draws are those of the scalar code on the stream (seed, t):
-    # realizations, then coins, then the random order, then the vertex order.
+    # realizations, then coins. The random orders (key 0) and the vertex
+    # orders (key 1) come from the chunk's own streams.
     inst = random_instance("graphic", 7, rng)
     dists = dict(inst.distributions)
     dists[1], dists[4] = point_mass(2.0), exponential(0.5)
@@ -172,10 +189,10 @@ def test_draws_are_the_scalar_streams(adversary, rng):
         rewards, samples = batch.tagged(i)
         for r, h in zip(reals, heads):
             assert (rewards[r.element], samples[r.element]) == ((r.y, r.z) if h else (r.z, r.y))
-        if adversary == "random":
-            assert out.orders[:, i].tolist() == stream.permutation(n).tolist()
-        sigma = stream.permutation(inst.structure.vertex_count)
-        assert np.argsort(out.vertex_ranks[:, i]).tolist() == sigma.tolist()
+    if adversary == "random":
+        assert np.array_equal(out.orders, _order_stream(7, 40, ARRIVAL_ORDERS, n, 30))
+    touched = len({v for edge in inst.structure.edges for v in edge})
+    assert np.array_equal(out.vertex_ranks, _order_stream(7, 40, VERTEX_ORDERS, touched, 30))
 
 
 def test_tied_tokens_are_redrawn(monkeypatch, rng):
@@ -200,24 +217,24 @@ def test_tied_tokens_are_redrawn(monkeypatch, rng):
             value, self.last = self.last, None
             return value
 
-        def permutation(self, size):
-            return self.inner.permutation(size)
-
     monkeypatch.setattr(harness_core, "trial_rng", Repeating)
     laws = [uniform(0.0, 1.0)] * 4
     draws = harness_core.draw_trials(laws, 1, range(6))
     assert (draws.tokens[:4] != draws.tokens[4:]).all()
-    # A redrawn trial's permutation follows its realizations and coins in
-    # the scalar stream order.
-    draws = harness_core.draw_trials(laws, 1, range(6), [4])
-    assert (draws.tokens[:4] != draws.tokens[4:]).all()
-    for t in range(6):
-        stream = Repeating(1, t)
-        for e, law in enumerate(laws):
-            harness_core.draw_realization(law, e, stream)
-        for _ in laws:
-            stream.random()
-        assert draws.permutations[0][t].tolist() == stream.permutation(4).tolist()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 40])
+def test_every_drawn_order_is_a_permutation(size):
+    for first, count in ((0, 1), (2048, 300)):
+        for kind in (ARRIVAL_ORDERS, VERTEX_ORDERS):
+            orders = chunk_orders(3, range(first, first + count), size, kind)
+            assert orders.shape == (size, count)
+            assert (np.sort(orders, axis=0) == np.arange(size)[:, None]).all()
+    # The two kinds and two chunks draw different orders.
+    if size > 2:
+        a, b = (chunk_orders(3, range(300), size, k) for k in (ARRIVAL_ORDERS, VERTEX_ORDERS))
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, chunk_orders(3, range(1, 301), size, ARRIVAL_ORDERS))
 
 
 @pytest.mark.parametrize("kind, policy, n", [("transversal", "transversal", 17),
@@ -284,3 +301,18 @@ def test_wide_structures_run_batched(rng):
                    {e: uniform(0.0, 1.0) for e in range(4)})
     out = mc_trials(far, "matching", "exhaustive-min", 1, range(40))
     _check_against_traced(far, "matching", "exhaustive-min", out)
+
+
+def test_isolated_vertices_take_no_memory():
+    # 2 edges on 10**5 vertices: the vertex orders and the component labels
+    # once held a row per declared vertex, 875 MiB at 256 trials.
+    inst = Instance("sparse", Graphic(10**5, ((0, 1), (2, 3))),
+                    {e: uniform(0.0, 1.0) for e in range(2)})
+    mc_trials(inst, "reduction-graphic", "random", 1, range(256))  # first calls untraced
+    tracemalloc.start()
+    try:
+        mc_trials(inst, "reduction-graphic", "random", 1, range(256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import sspilab.exact as exact
 import sspilab.mechanism as mechanism
 from sspilab.cli import main
 from sspilab.core import (
-    InputError, TaggedValue, discrete, draw_trials, exponential, point_mass, trial_rng,
-    uniform,
+    VERTEX_ORDERS, InputError, TaggedValue, chunk_orders, discrete, draw_trials, exponential,
+    point_mass, trial_rng, uniform,
 )
 from sspilab.exact import ConfigEnsemble, TrialBatch, policy_run, reduction_partitions
 from sspilab.feasibility import (
@@ -39,7 +40,7 @@ from sspilab.mechanism import (
 )
 from sspilab.policies import PolicyDecision, PolicyTrace, run_policy
 
-from conftest import tv
+from conftest import tv, vertex_order
 
 
 RANK1 = Instance(
@@ -318,10 +319,11 @@ MECHANISM_PINS = {
         revenue_benchmark=4.961554601805538, revenue_benchmark_kind=_UPPER,
         table_bound=16.0,
     ),
+    # Re-recorded when the vertex orders moved to the chunks' order streams.
     "reduction-graphic": dict(
-        welfare_ratio=2.361308765205708, welfare_ratio_halfwidth=0.5363845872935338,
-        mech_welfare=2.095686386283612, opt_welfare=4.9485626330537675,
-        revenue=1.346689866503687, revenue_ratio=3.674611917813981,
+        welfare_ratio=2.513983510546827, welfare_ratio_halfwidth=0.55273071638635,
+        mech_welfare=1.9684149129432376, opt_welfare=4.9485626330537675,
+        revenue=1.2717659985281926, revenue_ratio=3.891095247695496,
         revenue_benchmark=4.9485626330537675, revenue_benchmark_kind=_UPPER,
         table_bound=8.0,
     ),
@@ -381,8 +383,10 @@ def _mechanism_instance(policy, rng):
     return inst
 
 
-def _scalar_trial(inst, policy, seed, t):
-    """Trial t of the scalar loop: its draws, run_opm and the optimum."""
+def _scalar_trial(inst, policy, seed, t, vertex_ranks=None):
+    """Trial t of the scalar loop: its draws, run_opm and the optimum. A
+    reduction-graphic trial runs on the partition of its vertex order,
+    given as its column of the batch's `vertex_ranks`."""
     rng = trial_rng(seed, t)
     draws = ({}, {}, {})  # pricing, reserve, valuations
     for e in range(inst.ground_size):
@@ -391,7 +395,11 @@ def _scalar_trial(inst, policy, seed, t):
             vector[e] = TaggedValue(d.sample(rng), rng.random(), e)
     pricing, reserve, valuations = draws
     order = sorted(range(inst.ground_size), key=lambda e: valuations[e].key)
-    out = run_opm(inst, policy, pricing, reserve, valuations, order, rng=rng)
+    if policy == "reduction-graphic":
+        sigma = vertex_order(inst.structure, vertex_ranks)
+        partition, _ = graphic_partition(inst.structure, sigma=sigma)
+        inst, policy = dataclasses.replace(inst, partition=partition), "reduction-custom"
+    out = run_opm(inst, policy, pricing, reserve, valuations, order)
     return draws, out, exact_optimum(inst.structure, valuations).total
 
 
@@ -407,7 +415,8 @@ def test_batch_matches_scalar_mechanism(policy, rng):
         trials = range(25 * i, 25 * i + 25)
         got = mechanism_trials(inst, policy, seed, trials)
         for k, t in enumerate(trials):
-            (pricing, reserve, valuations), want, opt = _scalar_trial(inst, policy, seed, t)
+            ranks = None if got.vertex_ranks is None else got.vertex_ranks[:, k]
+            (pricing, reserve, valuations), want, opt = _scalar_trial(inst, policy, seed, t, ranks)
             rewards, samples = got.batch.tagged(k)
             assert (samples, rewards) == (pricing, valuations)
             assert got.reserves[:, k].tolist() == [reserve[e].value for e in sorted(reserve)]
@@ -427,10 +436,12 @@ def test_prices_are_the_traced_critical_values(policy, rng):
     for i in range(4):
         inst = _mechanism_instance(policy, rng)
         fs, n = inst.structure, inst.ground_size
-        sizes = [fs.vertex_count] if policy == "reduction-graphic" else []
-        draws = draw_trials([inst.distributions[e] for e in range(n)], i, range(40), sizes)
+        draws = draw_trials([inst.distributions[e] for e in range(n)], i, range(40))
         batch = TrialBatch(fs, draws)
-        ranks, ((grouping, _),) = reduction_partitions(inst, policy, draws)
+        ranks = None
+        if policy == "reduction-graphic":
+            ranks = chunk_orders(i, range(40), exact.edge_ends(fs)[0], VERTEX_ORDERS)
+        ((grouping, _),) = reduction_partitions(inst, policy, ranks)
         orders = np.argsort(-batch.ridx, axis=0)
         run = policy_run(batch, policy, orders, grouping)
         critical = run.price()
@@ -438,7 +449,7 @@ def test_prices_are_the_traced_critical_values(policy, rng):
             rewards, samples = batch.tagged(t)
             name, partition = policy, inst.partition
             if policy == "reduction-graphic":
-                partition, _ = graphic_partition(fs, sigma=np.argsort(ranks[:, t]).tolist())
+                partition, _ = graphic_partition(fs, sigma=vertex_order(fs, ranks[:, t]))
                 name = "reduction-custom"
             trace = run_policy(name, fs, samples, rewards, orders[:, t].tolist(),
                                partition=partition)
@@ -456,7 +467,7 @@ def test_exact_prices_are_the_traced_critical_values(policy, rng):
         reals = inst.draw_realizations(trial_rng(i, 0))
         ens = ConfigEnsemble(inst.structure, reals)
         orders = np.argsort(-ens.ridx, axis=0)
-        ((grouping, _),) = reduction_partitions(inst, policy)[1]
+        ((grouping, _),) = reduction_partitions(inst, policy)
         run = policy_run(ens, policy, orders, grouping)
         critical = run.price()
         for mask in range(ens.num_configs):
@@ -473,27 +484,49 @@ def test_exact_prices_are_the_traced_critical_values(policy, rng):
 
 
 def test_reduction_graphic_draws_its_vertex_order_last(rng):
+    # A trial's stream holds its pricing, reserve and valuation draws only;
+    # the vertex orders come from the chunk's vertex-order stream, keyed by
+    # its first trial.
     inst = _mechanism_instance("reduction-graphic", rng)
     got = mechanism_trials(inst, "reduction-graphic", 3, range(30))
     for t in range(30):
         stream = trial_rng(3, t)
-        for e in range(inst.ground_size):
-            for _ in range(3):  # pricing, reserve, valuation: a value and its token
-                inst.distributions[e].sample(stream)
-                stream.random()
-        sigma = stream.permutation(inst.structure.vertex_count)
-        assert np.argsort(got.vertex_ranks[:, t]).tolist() == sigma.tolist()
+        valuations, pricing = got.batch.tagged(t)
+        for e, law in inst.distributions.items():
+            (p, pt), (r, _), (v, vt) = [(law.sample(stream), stream.random()) for _ in range(3)]
+            assert pricing[e] == TaggedValue(p, pt, e) and valuations[e] == TaggedValue(v, vt, e)
+            assert got.reserves[e, t] == r
+    order_stream = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0, VERTEX_ORDERS)))
+    touched = exact.edge_ends(inst.structure)[0]
+    want = order_stream.permuted(np.tile(np.arange(touched)[:, None], (1, 30)), axis=0)
+    assert np.array_equal(got.vertex_ranks, want)
+
+
+def test_isolated_vertices_take_no_memory():
+    # 2 matching edges on 10**5 vertices: the vertex thresholds once held a
+    # row per declared vertex, 24.5 MiB at 256 trials.
+    inst = Instance("sparse", GeneralMatching(10**5, ((0, 1), (2, 3))),
+                    {e: uniform(0.0, 1.0) for e in range(2)})
+    mechanism_trials(inst, "matching", 1, range(256))  # first calls untraced
+    tracemalloc.start()
+    try:
+        mechanism_trials(inst, "matching", 1, range(256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_mechanism_reports_agree_across_workers(monkeypatch, rng):
-    inst = random_instance("transversal", 5, rng)
-    inst = dataclasses.replace(inst, distributions={e: exponential(1.0) for e in range(5)})
-    reports = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv(WORKERS_ENV, workers)
-        rep = estimate_mechanism_ratios(inst, "transversal", trials=MC_CHUNK + 3, seed=4)
-        reports.append({**dataclasses.asdict(rep), "wall_ms": None})
-    assert reports[0] == reports[1]
+    for kind, policy in (("transversal", "transversal"), ("graphic", "reduction-graphic")):
+        inst = random_instance(kind, 5, rng)
+        inst = dataclasses.replace(inst, distributions={e: exponential(1.0) for e in range(5)})
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            rep = estimate_mechanism_ratios(inst, policy, trials=MC_CHUNK + 3, seed=4)
+            reports.append({**dataclasses.asdict(rep), "wall_ms": None})
+        assert reports[0] == reports[1], policy
 
 
 def _mechanism_file(tmp_path):

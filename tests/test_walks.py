@@ -14,9 +14,11 @@ from hypothesis import given, strategies as st
 
 from sspilab.analysis import _free_flags, verify_lemma
 from sspilab.core import (
+    VERTEX_ORDERS,
     Configuration,
     ElementRealization,
     build_sample_path,
+    chunk_orders,
     discrete,
     draw_trials,
     point_mass,
@@ -26,10 +28,11 @@ from sspilab.exact import (
     ConfigEnsemble,
     TrialBatch,
     bit_index,
+    edge_ends,
     policy_run,
     reduction_partitions,
 )
-from sspilab.feasibility import Graphic, SimplePartition, Transversal
+from sspilab.feasibility import SimplePartition, Transversal
 from sspilab.generators import _random_partition, random_instance
 from sspilab.policies import POLICY_STRUCTURES
 
@@ -61,10 +64,17 @@ def _instance(kind: str, n: int, seed: int, laws: str):
 
 
 def _draws(inst, seed: int):
-    fs = inst.structure
-    sizes = [fs.vertex_count] if isinstance(fs, Graphic) else []
     dists = [inst.distributions[e] for e in range(inst.ground_size)]
-    return draw_trials(dists, seed, range(TRIALS), sizes)
+    return draw_trials(dists, seed, range(TRIALS))
+
+
+def _trial_partitions(inst, policy: str, seed: int) -> list:
+    """The policy's partitions on the trials of `_draws`: for
+    reduction-graphic, one vertex order per trial from the chunk's stream."""
+    ranks = None
+    if policy == "reduction-graphic":
+        ranks = chunk_orders(seed, range(TRIALS), edge_ends(inst.structure)[0], VERTEX_ORDERS)
+    return reduction_partitions(inst, policy, ranks)
 
 
 cases = st.fixed_dictionaries({
@@ -101,7 +111,7 @@ def test_replay_by_element_id_equals_the_identity_orders(case):
     policies = [p for p, applies in POLICY_STRUCTURES.items() if applies(fs)]
     assert policies
     for policy in policies:
-        _, ((grouping, _),) = reduction_partitions(inst, policy, draws)
+        ((grouping, _),) = _trial_partitions(inst, policy, case["seed"])
         for batch in (TrialBatch(fs, draws), ens):
             if policy == "reduction-graphic" and batch is ens:
                 continue  # its vertex orders are one per trial
@@ -121,7 +131,7 @@ def test_an_unknown_adversary_is_a_fault_of_the_program(adversary):
         batch = TrialBatch(inst.structure, draws)
         for policy, applies in POLICY_STRUCTURES.items():
             if applies(inst.structure):
-                _, ((grouping, _),) = reduction_partitions(inst, policy, draws)
+                ((grouping, _),) = _trial_partitions(inst, policy, 1)
                 with pytest.raises(RuntimeError, match="unknown adversary"):
                     policy_run(batch, policy, adversary, grouping)
 
@@ -198,8 +208,8 @@ def test_increasing_replay_along_the_path_equals_the_sorted_orders(case):
     policies = [p for p, applies in POLICY_STRUCTURES.items() if applies(fs)]
     assert policies
     for policy in policies:
-        _, trial_partitions = reduction_partitions(inst, policy, draws)
-        exact_partitions = reduction_partitions(inst, policy)[1][::7]  # every 7th partition
+        trial_partitions = _trial_partitions(inst, policy, case["seed"])
+        exact_partitions = reduction_partitions(inst, policy)[::7]  # every 7th partition
         for batch, partitions in ((TrialBatch(fs, draws), trial_partitions),
                                   *((ens, exact_partitions) for ens in ensembles)):
             assert len(partitions) >= 1
