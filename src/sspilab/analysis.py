@@ -368,17 +368,15 @@ def _prob_report(name: str, ens: ConfigEnsemble, support: np.ndarray, factor: in
 def _verify_match_unique(ens: ConfigEnsemble) -> LemmaReport:
     fs = ens.structure
     support = ens.support_matching()
+    ends = fs.edge_ends[1][ens.elem]  # per path index, its edge's vertex numbers
     worst = 0
     fail = None
-    for u in range(fs.vertex_count):
-        rows = [j for j in range(ens.length) if u in fs.edges[ens.elem[j]]]
-        if not rows:
-            continue
-        sim = support[rows].sum(axis=0)
+    for u, vertex in enumerate(fs.touched_vertices):
+        sim = support[(ends == u).any(axis=1)].sum(axis=0)
         m = int(sim.max(initial=0))
         worst = max(worst, m)
         if m > 1 and fail is None:
-            fail = f"vertex {u} supported by {m} indices in one configuration"
+            fail = f"vertex {vertex} supported by {m} indices in one configuration"
     return LemmaReport(
         "match-unique", worst <= 1, Fraction(worst), Fraction(1),
         ens.num_configs, fail or "",
@@ -436,7 +434,7 @@ def _match_worst_values(ens: ConfigEnsemble, support: np.ndarray) -> np.ndarray:
     once per distinct live set."""
     fs = ens.structure
     n = ens.n
-    sets, touched = ens.tables.matchings
+    sets, touched = fs.matchings
     live = element_masks(ens.matching_exceeds())
     values, _ = exact_table(ens.w_val, 2)
     # Row n holds 0, the value at a vertex no M-edge meets.

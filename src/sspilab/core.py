@@ -25,6 +25,7 @@ TAILS = "T"
 
 CONFIG_ENUMERATION_CAP = 20
 EXACT_MODE_CAP = 16  # elements in a subset table (2**n entries)
+MASK_BITS = 62  # bits an int64 holds with room: wider masks and sums are python ints
 
 
 class CapExceededError(Exception):

@@ -16,8 +16,7 @@ and sample), and every walk and kernel below:
   e's larger value is the reward"; the element at each path position is the
   same in every column. Exact `simulate` walks the 2**n configurations in
   blocks of CONFIG_BLOCK (`config_blocks`), which share the arrays of one
-  sample path (`PathLayout`) and one set of subset tables, and sums integer
-  counts across them.
+  sample path (`PathLayout`), and sums integer counts across them.
 - `TrialBatch` (Monte Carlo mode): one column per trial, each with its own
   draw and coins (`core.draw_trials`). The element at a path position
   differs from column to column.
@@ -54,9 +53,10 @@ flags (see the thresholds section of `PathBatch`); their threshold tables
 serve only the prices. `optimum_accepts` decides E_OPT for every batch. On
 partitions and graphic matroids the greedy on the rewards (the heads-side
 free flags) is optimal and E_OPT needs nothing more. Else it comes from
-subset tables (`SubsetTables`), whose entry S says whether the element set
-S is feasible: the matroid greedy for transversal systems, and the best
-maximal matching for matching, where float totals within a relative
+the structure's subset tables (`Transversal.matchable`,
+`GeneralMatching.maximal_matchings`), built once per structure and shared
+by every batch of it: the matroid greedy for transversal systems, and the
+best maximal matching for matching, where float totals within a relative
 NEAR_TIE of the best, or tied at an overflowed inf, are compared exactly.
 Monte Carlo batches past the tables' caps take the scalar `exact_optimum`
 per trial.
@@ -84,6 +84,7 @@ import numpy as np
 from .core import (
     CONFIG_ENUMERATION_CAP,
     EXACT_MODE_CAP,
+    MASK_BITS,
     CapExceededError,
     SamplePath,
     TaggedValue,
@@ -103,7 +104,6 @@ from .feasibility import (
 
 EXACT_SIGMA_VERTEX_CAP = 6  # touched vertices whose orders exact reduction-graphic enumerates
 CONFIG_BLOCK = 1 << 13  # configurations per block of exact simulate
-MASK_BITS = 62  # bits an int64 holds with room: wider masks and sums are python ints
 
 
 def index_type(n: int) -> np.dtype:
@@ -160,6 +160,23 @@ def mask_array(masks) -> np.ndarray:
     return np.array(masks, dtype=object if top >> MASK_BITS else np.min_scalar_type(top))
 
 
+def vertex_mask_array(g: GeneralMatching) -> np.ndarray:
+    """The edges' `vertex_masks` as the batched kernels take them, in the
+    smallest unsigned type that holds them (`mask_array`). The kernels'
+    vertex bitmasks are capped at MASK_BITS touched vertices."""
+    if g.edge_ends[0] > MASK_BITS:
+        raise CapExceededError(f"vertex bitmasks support up to {MASK_BITS} vertices")
+    return mask_array(g.vertex_masks)
+
+
+def node_masks(targets: np.ndarray, right_count: int) -> np.ndarray:
+    """The one-bit mask of each right node in `targets`, in the type of the
+    right-node masks (`mask_array`). An entry -1 (no target) gets node 1's,
+    which no replay claims: an element with no target is not live."""
+    one = np.ones((), dtype=mask_array([1 << max(right_count - 1, 0)]).dtype)
+    return np.left_shift(one, np.abs(targets).astype(one.dtype))
+
+
 def _kept(method):
     """A table method without arguments whose result the batch keeps, read-
     only, so that it is built once however often it is read."""
@@ -187,23 +204,20 @@ class PathBatch:
     columns)). `length` (2n), `num_configs` (the column count) and `n`
     follow from the shape of `heads`, and `itype`, the type of every
     path-index table, from n (`index_type`); `absent` and `y_idx` come in
-    that type. `tables` holds the structure's subset tables (a new
-    `SubsetTables` unless batches share one). Subclasses provide `ridx` and
-    `sidx`, the (n, columns) path indices of every element's reward and
-    sample.
+    that type. Subclasses provide `ridx` and `sidx`, the (n, columns) path
+    indices of every element's reward and sample.
     """
 
     ridx: np.ndarray
     sidx: np.ndarray
 
-    def __init__(self, structure, elem, heads, w_val, absent, y_idx, tables=None) -> None:
+    def __init__(self, structure, elem, heads, w_val, absent, y_idx) -> None:
         self.structure = structure
         self.elem = elem
         self.heads = heads
         self.w_val = w_val
         self.absent = absent
         self.y_idx = y_idx
-        self.tables = tables or SubsetTables(structure)
         self.length, self.num_configs = heads.shape
         self.n = self.length // 2
         self.itype = index_type(self.n)
@@ -238,7 +252,7 @@ class PathBatch:
         side_flags = self.heads if side == "H" else ~self.heads
         fs = self.structure
         if isinstance(fs, GeneralMatching):
-            free = resource_walk(self.elem, side_flags, mask_array(vertex_masks(fs)))
+            free = resource_walk(self.elem, side_flags, vertex_mask_array(fs))
         elif isinstance(fs, Transversal):
             free = self._free_transversal(side_flags, fs, side == "T")
         elif isinstance(fs, TruncatedPartition):
@@ -264,7 +278,7 @@ class PathBatch:
         return self._candidate
 
     def _free_transversal(self, side_flags, fs: Transversal, with_nodes: bool) -> np.ndarray:
-        rmask = mask_array(neighbor_masks(fs))
+        rmask = mask_array(fs.neighbor_masks)
         untaken = ~np.zeros(self.num_configs, dtype=rmask.dtype)
         free = np.empty((self.length, self.num_configs), dtype=bool)
         if with_nodes:
@@ -289,7 +303,7 @@ class PathBatch:
             _put(free, self.y_idx, self.cols, True)
             return free
         # Component labels per (column, touched vertex); joining relabels one side.
-        count, ends = edge_ends(fs)
+        count, ends = fs.edge_ends
         cols = self.cols
         comp = np.tile(np.arange(count, dtype=ends.dtype), (self.num_configs, 1))
         free = np.empty((self.length, self.num_configs), dtype=bool)
@@ -323,7 +337,7 @@ class PathBatch:
     def matching_vertex_thresholds(self) -> np.ndarray:
         """(touched vertices, columns) thresholds (path indices) set by the
         greedy matching on samples, by the vertex numbers of `edge_ends`."""
-        count, ends = edge_ends(self.structure)
+        count, ends = self.structure.edge_ends
         picked = self.free("T") & ~self.heads
         th = np.empty((count, self.num_configs), dtype=self.itype)
         th[:] = self.absent
@@ -336,14 +350,14 @@ class PathBatch:
     def matching_prices(self) -> np.ndarray:
         """(n, columns) the smaller threshold index of each edge's endpoints."""
         th = self.matching_vertex_thresholds()
-        u, v = edge_ends(self.structure)[1].T
+        u, v = self.structure.edge_ends[1].T
         return np.minimum(th[u], th[v])
 
     def matching_exceeds(self) -> np.ndarray:
         """(n, columns) flags: element's reward beats both endpoint
         thresholds. Its index is free on the tails-side walk, and a reward
         worth 0 needs both endpoints taken by samples after it."""
-        masks = mask_array(vertex_masks(self.structure))
+        masks = vertex_mask_array(self.structure)
         free = self.free("T")
         flags = free & self.heads
         later = np.zeros(self.num_configs, dtype=masks.dtype)  # taken after j
@@ -470,11 +484,9 @@ class ConfigEnsemble(PathBatch):
     and fixed realizations of its elements 0..n-1; bit e of configuration c
     is element e's coin, and column c - lo holds configuration c.
     `realizations` may also be their sample path, or its `PathLayout`,
-    built once for several blocks; `tables` are subset tables the blocks
-    share."""
+    built once for several blocks."""
 
-    def __init__(self, structure, realizations, lo: int = 0, hi: int | None = None,
-                 tables: SubsetTables | None = None) -> None:
+    def __init__(self, structure, realizations, lo: int = 0, hi: int | None = None) -> None:
         layout = realizations if isinstance(realizations, PathLayout) else PathLayout(
             structure, realizations
         )
@@ -491,7 +503,7 @@ class ConfigEnsemble(PathBatch):
             # set; the Z index shows the other side.
             np.not_equal((masks >> e) & 1, 0, out=heads[y])
             np.logical_not(heads[y], out=heads[pair_sum - y])
-        super().__init__(structure, layout.elem, heads, layout.w_val, layout.absent, y_idx, tables)
+        super().__init__(structure, layout.elem, heads, layout.w_val, layout.absent, y_idx)
 
     @cached_property
     def ridx(self) -> np.ndarray:
@@ -637,12 +649,10 @@ class ConfigEnsemble(PathBatch):
 def config_blocks(structure, realizations) -> Iterator[ConfigEnsemble]:
     """All 2**n configurations of the realizations as ensembles of
     CONFIG_BLOCK consecutive ones, in order, made one at a time as they are
-    read, on one sample path (one `PathLayout`) with one set of subset
-    tables."""
+    read, on one sample path (one `PathLayout`)."""
     layout = PathLayout(structure, realizations)
-    tables = SubsetTables(structure)
     for lo in range(0, 1 << layout.path.n, CONFIG_BLOCK):
-        yield ConfigEnsemble(structure, layout, lo, lo + CONFIG_BLOCK, tables)
+        yield ConfigEnsemble(structure, layout, lo, lo + CONFIG_BLOCK)
 
 
 class TrialBatch(PathBatch):
@@ -690,124 +700,6 @@ class TrialBatch(PathBatch):
             }
 
         return pick(self.reward_rows), pick(self.sample_rows)
-
-
-# ---------------------------------------------------------------------------
-# Subset tables. Entry S of a table (S a bitmask over the elements) answers
-# one question about the element set S; each table is built in n doubling
-# steps over its 2**n entries.
-# ---------------------------------------------------------------------------
-
-
-def edge_ends(g: GeneralMatching | Graphic) -> tuple[int, np.ndarray]:
-    """(count, ends): the number of vertices that some edge touches, and per
-    edge its two endpoints numbered 0..count-1 among those vertices in id
-    order, (n, 2) in the smallest unsigned type that holds `count`. Every
-    per-vertex table (bitmasks, component labels, thresholds, vertex orders)
-    is over these numbers: an isolated vertex owns no edge and changes no
-    result, so a table is as large as the edges make it, whatever the
-    declared vertex count."""
-    touched = sorted({v for edge in g.edges for v in edge})
-    number = {v: i for i, v in enumerate(touched)}
-    ends = [number[v] for edge in g.edges for v in edge]
-    return len(touched), np.array(ends, dtype=np.min_scalar_type(len(touched))).reshape(-1, 2)
-
-
-def vertex_masks(g: GeneralMatching) -> list[int]:
-    """Per edge, the bitmask of its two endpoints, bit v for vertex number v
-    of `edge_ends`."""
-    count, ends = edge_ends(g)
-    if count > MASK_BITS:
-        raise CapExceededError(f"vertex bitmasks support up to {MASK_BITS} vertices")
-    return [(1 << u) | (1 << v) for u, v in ends.tolist()]
-
-
-def neighbor_masks(t: Transversal) -> list[int]:
-    """Per left node, the bitmask of its right neighbours."""
-    return [sum(1 << r for r in nbrs) for nbrs in t.adjacency]
-
-
-def node_masks(targets: np.ndarray, right_count: int) -> np.ndarray:
-    """The one-bit mask of each right node in `targets`, in the type of the
-    right-node masks (`mask_array`). An entry -1 (no target) gets node 1's,
-    which no replay claims: an element with no target is not live."""
-    one = np.ones((), dtype=mask_array([1 << max(right_count - 1, 0)]).dtype)
-    return np.left_shift(one, np.abs(targets).astype(one.dtype))
-
-
-def subset_union(masks) -> np.ndarray:
-    """Entry S: the OR of masks[e] over the elements e of S."""
-    table = np.zeros(1 << len(masks), dtype=np.int64)
-    for e, m in enumerate(masks):
-        half = 1 << e
-        table[half : 2 * half] = table[:half] | m
-    return table
-
-
-def _set_sizes(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
-
-
-def matching_table(g: GeneralMatching) -> tuple[np.ndarray, np.ndarray]:
-    """Entry S: whether the edge set S is a matching, and the vertices it
-    covers. Edges have two distinct endpoints, so S is a matching exactly
-    when it covers 2|S| vertices."""
-    covered = subset_union(vertex_masks(g))
-    sizes = _set_sizes(len(g.edges))
-    return np.bitwise_count(covered) == 2 * sizes, covered
-
-
-def transversal_table(t: Transversal) -> np.ndarray:
-    """Entry S: whether the left nodes S can be matched into right nodes.
-
-    By Hall's condition, S can be matched iff every subset T of S has at
-    least |T| neighbours; the count test per set is closed under subsets,
-    one element at a time."""
-    if t.right_count > MASK_BITS:
-        raise CapExceededError(f"right-node bitmasks support up to {MASK_BITS} nodes")
-    n = t.left_count
-    table = np.bitwise_count(subset_union(neighbor_masks(t))) >= _set_sizes(n)
-    for e in range(n):
-        half = 1 << e
-        blocks = table.reshape(-1, 2 * half)  # second halves hold bit e
-        blocks[:, half:] &= blocks[:, :half]
-    return table
-
-
-def edges_touched(covered: np.ndarray, vmasks) -> np.ndarray:
-    """Per entry, the mask of the edges with an endpoint among `covered`."""
-    out = np.zeros_like(covered)
-    for e, m in enumerate(vmasks):
-        out |= ((covered & m) != 0).astype(np.int64) << e
-    return out
-
-
-class SubsetTables:
-    """The subset tables of one structure, each built when first read. A
-    batch holds one; the blocks of an exact command share one, so each
-    table is built once per command."""
-
-    def __init__(self, structure) -> None:
-        self.structure = structure
-
-    @cached_property
-    def matchable(self) -> np.ndarray:
-        """Transversal: entry S says whether the left nodes S can be matched."""
-        return transversal_table(self.structure)
-
-    @cached_property
-    def matchings(self) -> tuple[np.ndarray, np.ndarray]:
-        """Matching: the edge sets (element masks) that are matchings, and
-        per set the mask of the edges it touches."""
-        is_matching, covered = matching_table(self.structure)
-        sets = np.flatnonzero(is_matching)
-        return sets, edges_touched(covered[sets], vertex_masks(self.structure))
-
-    @cached_property
-    def maximal_matchings(self) -> np.ndarray:
-        """Matching: the edge sets that are maximal matchings of all edges."""
-        sets, touched = self.matchings
-        return sets[touched == (1 << len(self.structure.edges)) - 1]
 
 
 def element_masks(flags: np.ndarray) -> np.ndarray:
@@ -1035,10 +927,10 @@ def optimum_accepts(batch: PathBatch) -> np.ndarray | None:
     the rewards are the entries with `heads` set, largest first; the chosen
     sets are masks in the smallest unsigned type that holds 2**n - 1. For
     matching, rewards are non-negative, so some maximal matching is optimal.
-    Both read subset tables, whose caps apply to every exact batch. Monte
-    Carlo trials past them (more than EXACT_MODE_CAP elements, or right
-    nodes past a bitmask) take the scalar `exact_optimum` on each trial's
-    rewards."""
+    Both read the structure's subset tables, whose caps apply to every
+    exact batch. Monte Carlo trials past them (more than EXACT_MODE_CAP
+    elements, or right nodes past a bitmask) take the scalar
+    `exact_optimum` on each trial's rewards."""
     fs = batch.structure
     n = batch.n
     if not isinstance(fs, (GeneralMatching, Transversal)):
@@ -1051,7 +943,7 @@ def optimum_accepts(batch: PathBatch) -> np.ndarray | None:
             flags[sorted(exact_optimum(fs, rewards).chosen), t] = True
         return flags
     if isinstance(fs, Transversal):
-        matchable = batch.tables.matchable
+        matchable = fs.matchable
         bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
         chosen = np.zeros(batch.num_configs, dtype=bits.dtype)
         for bit, reward in zip(_at_steps(bits, batch.elem), batch.heads):
@@ -1059,14 +951,14 @@ def optimum_accepts(batch: PathBatch) -> np.ndarray | None:
             keep &= reward
             chosen |= bit * keep
         return element_flags(chosen, n)
-    return element_flags(_best_sets(batch, batch.tables.maximal_matchings), n)
+    return element_flags(_best_sets(batch, fs.maximal_matchings), n)
 
 
 def min_maximal_accepts(batch: PathBatch, live: np.ndarray) -> np.ndarray:
     """Batched `policies.min_maximal_matching`: per column, the (n, columns) accepted
     flags of a minimum-weight maximal matching of the live edges, that is,
     of a matching inside the live set that touches every live edge."""
-    sets, touched = batch.tables.matchings
+    sets, touched = batch.structure.matchings
     chosen = _best_sets(
         batch, sets, minimize=True, within=element_masks(live), touched=touched,
     )
@@ -1116,9 +1008,7 @@ def policy_run(batch: PathBatch, policy: str, adversary, grouping=None) -> Polic
         if searching:
             accepted = min_maximal_accepts(batch, live)
         else:
-            accepted = _replay(
-                resource_walk, batch, live, adversary, mask_array(vertex_masks(fs))
-            )
+            accepted = _replay(resource_walk, batch, live, adversary, vertex_mask_array(fs))
         return PolicyRun(accepted, lambda: batch.values_at(batch.matching_prices()))
     if policy == "transversal":
         # Each live element claims its target node; the others never claim.
@@ -1174,7 +1064,7 @@ def reduction_partitions(instance, policy: str, ranks: np.ndarray | None = None)
         return [((group_ids(groups, instance.ground_size), len(groups)), 1)]
     if policy != "reduction-graphic":
         return [(None, 1)]
-    count, ends = edge_ends(fs)
+    count, ends = fs.edge_ends
     u, v = ends.T
     if ranks is not None:
         return [((np.where(ranks[u] < ranks[v], u[:, None], v[:, None]), count), 1)]

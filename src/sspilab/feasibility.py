@@ -6,6 +6,19 @@ order on right nodes), truncated partition matroids (per-group plus global
 capacities), simple partition matroids (at most one element per group), and
 graphic matroids (elements are edges, independent sets are forests).
 
+Each frozen structure owns its facts as properties built once, on first
+read, and read by every layer, scalar and batched:
+- the graphs (matching and graphic): `touched_vertices`, the vertices
+  some edge touches, `edge_ends`, the edges' endpoints numbered among
+  them, and `vertex_masks`, the edges' endpoint bitmasks over those
+  numbers; a declared `vertex_count` only bounds the endpoint ids;
+- matching: the subset tables `matchings` and `maximal_matchings`;
+- transversal: `neighbor_masks` and the subset table `matchable`;
+- the partitions: `group_index` and `group_of`.
+A subset table's entry S (a bitmask over the elements) answers one
+question about the element set S; it is built in n doubling steps over its
+2**n entries.
+
 Alongside the independence checks this module houses one greedy rule per
 structure kind, with hashable state values, and the one greedy walk over it.
 The walk runs the parameterized greedy on sample paths, the free-index queries
@@ -25,6 +38,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .core import (
+    MASK_BITS,
     CapExceededError,
     Configuration,
     SamplePath,
@@ -37,11 +51,13 @@ MATCHING_EXACT_EDGE_CAP = 24
 
 
 @dataclass(frozen=True)
-class GeneralMatching:
-    """Undirected graph; elements are edges, feasible sets are matchings.
+class _Graph:
+    """An undirected graph on the vertex ids 0..vertex_count-1; elements are
+    edges. Parallel edges are allowed; self-loops are rejected.
 
-    Parallel edges are allowed; self-loops are rejected.
-    """
+    `vertex_count` only bounds the endpoint ids. Every per-vertex table
+    counts the vertices some edge touches (`edge_ends`): an isolated vertex
+    owns no edge and changes no result."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
@@ -56,6 +72,67 @@ class GeneralMatching:
     @property
     def ground_size(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def touched_vertices(self) -> tuple[int, ...]:
+        """The ids of the vertices some edge touches, ascending."""
+        return tuple(sorted({v for edge in self.edges for v in edge}))
+
+    @cached_property
+    def edge_ends(self) -> tuple[int, np.ndarray]:
+        """(count, ends): the number of touched vertices, and per edge its
+        two endpoints numbered 0..count-1 in the order of
+        `touched_vertices`, (n, 2) in the smallest unsigned type that holds
+        `count`. Every per-vertex table (bitmasks, component labels,
+        thresholds, vertex orders) is over these numbers."""
+        count = len(self.touched_vertices)
+        number = {v: i for i, v in enumerate(self.touched_vertices)}
+        ends = [number[v] for edge in self.edges for v in edge]
+        return count, np.array(ends, dtype=np.min_scalar_type(count)).reshape(-1, 2)
+
+    @cached_property
+    def vertex_masks(self) -> list[int]:
+        """Per edge, the bitmask of its two endpoints, bit v for vertex
+        number v of `edge_ends`."""
+        return [(1 << u) | (1 << v) for u, v in self.edge_ends[1].tolist()]
+
+
+def _subset_union(masks) -> np.ndarray:
+    """Entry S (S a bitmask over the elements): the OR of masks[e] over the
+    elements e of S, built in one doubling step per element."""
+    table = np.zeros(1 << len(masks), dtype=np.int64)
+    for e, m in enumerate(masks):
+        half = 1 << e
+        table[half : 2 * half] = table[:half] | m
+    return table
+
+
+def _set_sizes(n: int) -> np.ndarray:
+    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class GeneralMatching(_Graph):
+    """Undirected graph; elements are edges, feasible sets are matchings."""
+
+    @cached_property
+    def matchings(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge sets (element masks) that are matchings, and per set the
+        mask of the edges it touches. Edges have two distinct endpoints, so
+        S is a matching exactly when it covers 2|S| vertices."""
+        covered = _subset_union(self.vertex_masks)
+        sets = np.flatnonzero(np.bitwise_count(covered) == 2 * _set_sizes(len(self.edges)))
+        covered = covered[sets]
+        touched = np.zeros_like(covered)
+        for e, m in enumerate(self.vertex_masks):
+            touched |= ((covered & m) != 0).astype(np.int64) << e
+        return sets, touched
+
+    @cached_property
+    def maximal_matchings(self) -> np.ndarray:
+        """The edge sets that are maximal matchings of all edges."""
+        sets, touched = self.matchings
+        return sets[touched == (1 << len(self.edges)) - 1]
 
 
 @dataclass(frozen=True)
@@ -88,13 +165,58 @@ class Transversal:
     def sorted_neighbors(self, l: int) -> tuple[int, ...]:
         return tuple(sorted(self.adjacency[l]))
 
+    @cached_property
+    def neighbor_masks(self) -> list[int]:
+        """Per left node, the bitmask of its right neighbours."""
+        return [sum(1 << r for r in nbrs) for nbrs in self.adjacency]
+
+    @cached_property
+    def matchable(self) -> np.ndarray:
+        """Entry S (a bitmask over the left nodes): whether the left nodes S
+        can be matched into right nodes.
+
+        By Hall's condition, S can be matched iff every subset T of S has at
+        least |T| neighbours; the count test per set is closed under
+        subsets, one element at a time."""
+        if self.right_count > MASK_BITS:
+            raise CapExceededError(f"right-node bitmasks support up to {MASK_BITS} nodes")
+        n = self.left_count
+        table = np.bitwise_count(_subset_union(self.neighbor_masks)) >= _set_sizes(n)
+        for e in range(n):
+            half = 1 << e
+            blocks = table.reshape(-1, 2 * half)  # second halves hold bit e
+            blocks[:, half:] &= blocks[:, :half]
+        return table
+
 
 @dataclass(frozen=True)
-class TruncatedPartition:
+class _Groups:
+    """Disjoint groups of elements."""
+
+    groups: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        seen: set[int] = set()
+        for g in self.groups:
+            for e in g:
+                if e in seen:
+                    raise ValueError(f"element {e} appears in two groups")
+                seen.add(e)
+
+    @cached_property
+    def group_index(self) -> dict[int, int]:
+        """Element -> index of its group, built once per structure."""
+        return {e: i for i, g in enumerate(self.groups) for e in g}
+
+    def group_of(self, e: int) -> int:
+        return self.group_index[e]
+
+
+@dataclass(frozen=True)
+class TruncatedPartition(_Groups):
     """Disjoint groups covering the ground set, each with a capacity, plus a
     global capacity on the whole selection (a two-layer laminar matroid)."""
 
-    groups: tuple[tuple[int, ...], ...]
     group_capacities: tuple[int, ...]
     total_capacity: int
 
@@ -105,44 +227,21 @@ class TruncatedPartition:
             raise ValueError("capacity must be >= 1")
         if self.total_capacity < 1:
             raise ValueError("capacity must be >= 1")
-        seen: set[int] = set()
-        for g in self.groups:
-            for e in g:
-                if e in seen:
-                    raise ValueError(f"element {e} appears in two groups")
-                seen.add(e)
-        if seen != set(range(len(seen))):
+        super().__post_init__()
+        if set(self.group_index) != set(range(len(self.group_index))):
             raise ValueError("groups must partition 0..n-1")
 
     @property
     def ground_size(self) -> int:
         return sum(len(g) for g in self.groups)
 
-    @cached_property
-    def group_index(self) -> dict[int, int]:
-        """Element -> index of its group, built once per structure."""
-        return {e: i for i, g in enumerate(self.groups) for e in g}
-
-    def group_of(self, e: int) -> int:
-        return self.group_index[e]
-
 
 @dataclass(frozen=True)
-class SimplePartition:
+class SimplePartition(_Groups):
     """Disjoint groups; feasible sets take at most one element per group.
 
     The ground set is the union of the groups (empty groups are permitted,
     e.g. the vertex groups of a graphic-matroid partition)."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for g in self.groups:
-            for e in g:
-                if e in seen:
-                    raise ValueError(f"element {e} appears in two groups")
-                seen.add(e)
 
     @property
     def ground_set(self) -> frozenset[int]:
@@ -152,32 +251,10 @@ class SimplePartition:
     def ground_size(self) -> int:
         return len(self.ground_set)
 
-    @cached_property
-    def group_index(self) -> dict[int, int]:
-        """Element -> index of its group, built once per structure."""
-        return {e: i for i, g in enumerate(self.groups) for e in g}
-
-    def group_of(self, e: int) -> int:
-        return self.group_index[e]
-
 
 @dataclass(frozen=True)
-class Graphic:
+class Graphic(_Graph):
     """Graphic matroid: elements are edges, independent sets are forests."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u},{v}) has a dangling vertex")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-
-    @property
-    def ground_size(self) -> int:
-        return len(self.edges)
 
 
 FeasibilityStructure = Union[
@@ -314,7 +391,7 @@ class _LowestFree:
     start = 0
 
     def __init__(self, t: Transversal) -> None:
-        self.nbrs = [sum(1 << r for r in adj) for adj in t.adjacency]
+        self.nbrs = t.neighbor_masks
 
     def target(self, taken: int, l: int) -> int | None:
         free = self.nbrs[l] & ~taken
@@ -348,19 +425,20 @@ class _Counts:
 
 
 class _Components:
-    """Graphic: the state gives, per vertex, the smallest vertex of its
-    component."""
+    """Graphic: the state gives, per touched vertex (by the numbers of
+    `edge_ends`), the smallest vertex of its component."""
 
     def __init__(self, g: Graphic) -> None:
-        self.edges = g.edges
-        self.start = tuple(range(g.vertex_count))
+        count, ends = g.edge_ends
+        self.ends = ends.tolist()
+        self.start = tuple(range(count))
 
     def can_add(self, comp: tuple[int, ...], e: int) -> bool:
-        u, v = self.edges[e]
+        u, v = self.ends[e]
         return comp[u] != comp[v]
 
     def add(self, comp: tuple[int, ...], e: int) -> tuple[int, ...]:
-        u, v = self.edges[e]
+        u, v = self.ends[e]
         keep, drop = sorted((comp[u], comp[v]))
         return tuple(keep if c == drop else c for c in comp)
 
@@ -368,7 +446,7 @@ class _Components:
 def greedy_rule(fs: FeasibilityStructure):
     """The greedy rule of the structure's kind."""
     if isinstance(fs, GeneralMatching):
-        return _Claims([(1 << u) | (1 << v) for u, v in fs.edges])
+        return _Claims(fs.vertex_masks)
     if isinstance(fs, SimplePartition):
         return _Claims({e: 1 << g for e, g in fs.group_index.items()})
     if isinstance(fs, Transversal):
@@ -459,10 +537,7 @@ def optimal_matching(g: GeneralMatching, weights: Mapping[int, TaggedValue]) -> 
     order = _sorted_desc(weights, range(n))
     vals = [weights[e].value for e in order]
     exact, _ = exact_integers(vals)
-    vmasks = []
-    for e in order:
-        u, v = g.edges[e]
-        vmasks.append((1 << u) | (1 << v))
+    vmasks = [g.vertex_masks[e] for e in order]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + exact[i]
@@ -522,25 +597,27 @@ def graphic_partition(
     rng: np.random.Generator | None = None,
     sigma: Sequence[int] | None = None,
 ) -> tuple[SimplePartition, tuple[int, ...]]:
-    """Partition the edges by a (uniformly random) vertex ordering: each edge
-    joins the group of its endpoint that comes earlier in the ordering.
+    """Partition the edges by a (uniformly random) order of the touched
+    vertices, numbered as in `edge_ends`: each edge joins the group of its
+    endpoint that comes earlier in the order.
 
     Every transversal of the resulting groups is a forest. Returns the
-    partition (one group per vertex, possibly empty) and the ordering used.
+    partition (one group per touched vertex) and the order used.
     """
+    count, ends = g.edge_ends
     if sigma is None:
         if rng is None:
             raise ValueError("need an rng or an explicit vertex ordering")
-        sigma = tuple(int(v) for v in rng.permutation(g.vertex_count))
+        sigma = tuple(int(v) for v in rng.permutation(count))
     else:
         sigma = tuple(sigma)
-        if sorted(sigma) != list(range(g.vertex_count)):
-            raise ValueError("sigma must be a permutation of the vertices")
-    rank = [0] * g.vertex_count
+        if sorted(sigma) != list(range(count)):
+            raise ValueError("sigma must be a permutation of the touched vertices")
+    rank = [0] * count
     for pos, v in enumerate(sigma):
         rank[v] = pos
-    groups: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e, (u, v) in enumerate(g.edges):
+    groups: list[list[int]] = [[] for _ in range(count)]
+    for e, (u, v) in enumerate(ends.tolist()):
         owner = u if rank[u] < rank[v] else v
         groups[owner].append(e)
     return SimplePartition(tuple(tuple(grp) for grp in groups)), sigma

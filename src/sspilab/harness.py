@@ -8,7 +8,7 @@ configuration. `exact.py` also builds the reduction partitions
 drives the batches and aggregates. Exact mode draws one realization set from
 the instance and evaluates its 2**n coin configurations in blocks of
 `exact.CONFIG_BLOCK`, one block at a time, with one run per partition; the
-sample path, the subset tables and the reduction partitions are made once
+sample path and the reduction partitions are made once
 per command. It sums integer path-index counts over the blocks and reports
 expectations as exact rationals, the same for any block size; the
 worst-case adversary minimizes the policy total per configuration. Monte
@@ -50,7 +50,6 @@ from .exact import (
     ConfigEnsemble,
     TrialBatch,
     config_blocks,
-    edge_ends,
     optimum_accepts,
     policy_run,
     reduction_partitions,
@@ -93,14 +92,24 @@ class RatioReport:
     instance: str = ""
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the
+    platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count() -> int:
+    """The workers asked for: SSPILAB_WORKERS (at least 1), else
+    `usable_cpus`. `run_chunks` bounds the pool further."""
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise InputError(WORKERS_ENV, f"must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return usable_cpus()
 
 
 def competitive_ratio(e_opt, e_alg) -> float:
@@ -257,7 +266,7 @@ def mc_trials(
     batch = TrialBatch(fs, draws)
     ranks = None
     if policy == "reduction-graphic":
-        ranks = chunk_orders(seed, trials, edge_ends(fs)[0], VERTEX_ORDERS)
+        ranks = chunk_orders(seed, trials, fs.edge_ends[0], VERTEX_ORDERS)
     ((grouping, _),) = reduction_partitions(instance, policy, ranks)
     ridx = batch.ridx
     orders = chunk_orders(seed, trials, n, ARRIVAL_ORDERS) if adversary == "random" else adversary
@@ -288,12 +297,14 @@ def _mc_chunk(args) -> tuple[np.ndarray, int]:
 def run_chunks(chunk_fn, trials: int, head: tuple):
     """Yield chunk_fn((*head, start, stop)) for each chunk of MC_CHUNK
     trials, in chunk order, as the caller asks for them; in a pool of worker
-    processes when there are several chunks and workers (see worker_count),
-    with at most two chunks per worker in flight. So the memory does not grow
-    with the number of chunks when the caller folds the results as they come."""
+    processes when there are several chunks and workers, with at most two
+    chunks per worker in flight. So the memory does not grow with the number
+    of chunks when the caller folds the results as they come. The pool
+    starts all its workers at once, so it has no more of them than the
+    chunks, the CPUs this process may use or `worker_count` allow."""
     chunks = ((*head, lo, min(lo + MC_CHUNK, trials)) for lo in range(0, trials, MC_CHUNK))
-    nworkers = worker_count()
-    if nworkers == 1 or trials <= MC_CHUNK:
+    nworkers = min(worker_count(), -(-trials // MC_CHUNK), usable_cpus())
+    if nworkers <= 1:
         yield from map(chunk_fn, chunks)
         return
     with ProcessPoolExecutor(max_workers=nworkers) as pool:

@@ -40,7 +40,7 @@ from .core import (
     chunk_orders,
     draw_trials,
 )
-from .exact import TrialBatch, edge_ends, policy_run, reduction_partitions
+from .exact import TrialBatch, policy_run, reduction_partitions
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
 from .harness import competitive_ratio, fmt_float, mc_summary, optimum_totals, run_chunks
@@ -200,7 +200,7 @@ def mechanism_trials(
     ))
     ranks = None
     if policy == "reduction-graphic":
-        ranks = chunk_orders(seed, trials, edge_ends(fs)[0], VERTEX_ORDERS)
+        ranks = chunk_orders(seed, trials, fs.edge_ends[0], VERTEX_ORDERS)
     ((grouping, _),) = reduction_partitions(instance, policy, ranks)
     run = policy_run(batch, policy, "increasing", grouping)
     accepted = run.accepted

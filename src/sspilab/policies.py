@@ -133,11 +133,10 @@ def rank1_policy(
 def matching_thresholds(
     g: GeneralMatching, samples: Mapping[int, TaggedValue]
 ) -> dict[int, TaggedValue | None]:
-    """Vertex thresholds: the sample of the greedy sample-matching edge at
-    each vertex, None at unmatched vertices."""
-    thresholds: dict[int, TaggedValue | None] = {
-        u: None for u in range(g.vertex_count)
-    }
+    """Vertex thresholds, one per touched vertex (`touched_vertices`): the
+    sample of the greedy sample-matching edge at each vertex, None at
+    unmatched vertices."""
+    thresholds: dict[int, TaggedValue | None] = dict.fromkeys(g.touched_vertices)
     for e in greedy_prophet(g, samples).chosen:
         u, v = g.edges[e]
         thresholds[u] = samples[e]
@@ -430,8 +429,9 @@ def adversarial_order(
             1 << e for e in elements
             if edge_live(structure, thresholds, e, rewards[e])
         )
-        vmasks = [(1 << u) | (1 << v) for u, v in structure.edges]
-        acc = min_maximal_matching(live, vmasks, [rewards[e].value for e in elements])
+        acc = min_maximal_matching(
+            live, structure.vertex_masks, [rewards[e].value for e in elements]
+        )
         first = [e for e in elements if (acc >> e) & 1]
         rest = [e for e in elements if not (acc >> e) & 1]
         return ArrivalOrder(tuple(first + rest), "exhaustive-min")

@@ -44,14 +44,11 @@ def several_group_rank1(n, rng, zeros):
     return replace(inst, structure=TruncatedPartition(groups, caps, 1), distributions=dists)
 
 
-def vertex_order(graph, ranks):
-    """An order of all of `graph`'s vertices, as a scalar oracle takes it
-    (`graphic_partition(g, sigma=...)`): the touched vertices in the order
-    of `ranks`, one rank per touched vertex in id order (the numbers of
-    `exact.edge_ends`), then the isolated ones, which own no edge."""
-    touched = sorted({v for edge in graph.edges for v in edge})
-    isolated = sorted(set(range(graph.vertex_count)) - set(touched))
-    return [touched[i] for i in np.argsort(ranks).tolist()] + isolated
+def vertex_order(ranks):
+    """The order of the touched vertices, by their numbers in the graph's
+    `edge_ends`, that gives each one its rank in `ranks`, as a scalar oracle
+    takes it (`graphic_partition(g, sigma=...)`)."""
+    return np.argsort(ranks).tolist()
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """The CLI's exit-code contract as a property over generated input.
 
 Two kinds of input, each run in both modes: argument lists over the five
-subcommands, with flag values that are 0, negative, huge or not numbers;
-and instance documents mutated from the fixtures (dropped or retyped
+subcommands, with flag values that are 0, negative, huge or not numbers,
+an `--out` that is stdout, a file, a file in a missing directory or a
+directory, and an `SSPILAB_WORKERS` that is unset, small, huge or not an
+integer; and instance documents mutated from the fixtures (dropped or retyped
 fields, non-finite numbers, out-of-range ids, empty groups). Whatever the
 input, the exit code is 0, 1, 2 or 3, never 4 (a fault of the program);
 stderr holds no traceback; an exit-2 message starts with the field or the
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from sspilab.analysis import LEMMA_IDS
 from sspilab.cli import main
-from sspilab.harness import MC_ADVERSARIES
+from sspilab.harness import MC_ADVERSARIES, WORKERS_ENV
 from sspilab.instances import load_instance
 from sspilab.policies import POLICY_NAMES, POLICY_STRUCTURES
 
@@ -84,7 +86,12 @@ INTEGERS = st.one_of(
     ]),
     st.integers(-3, 9).map(str),
 )
+# `--trials` is always given and at most 5, a single chunk, so no worker
+# pool starts whatever SSPILAB_WORKERS asks for.
 SMALL_TRIALS = st.sampled_from(["0", "-1", "-50", "1", "2", "5", "x", "2.5"])
+# `{tmp}` stands for the test's temporary directory.
+OUT = st.sampled_from(["-", "{tmp}/report.out", "{tmp}/missing/report.out", "{tmp}"])
+WORKERS = st.sampled_from([None, "1", "2", "0", "-3", "abc", "1e3", "1000000"])
 
 
 def maybe(flag: str, values) -> st.SearchStrategy:
@@ -115,16 +122,22 @@ SUBCOMMANDS = {
 @st.composite
 def argument_lists(draw) -> list[str]:
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
-    argv = [*draw(maybe("--seed", INTEGERS)), *draw(maybe("--trials", SMALL_TRIALS)),
-            *draw(maybe("--format", st.sampled_from(["json", "csv"]))), command]
+    argv = [*draw(maybe("--seed", INTEGERS)), "--trials", draw(SMALL_TRIALS),
+            *draw(maybe("--format", st.sampled_from(["json", "csv"]))),
+            *draw(maybe("--out", OUT)), command]
     for flag in SUBCOMMANDS[command]:
         argv += draw(flag)
     return argv
 
 
 @ARGV_SETTINGS
-@given(argv=argument_lists())
-def test_argument_lists_keep_the_exit_contract(argv):
+@given(argv=argument_lists(), workers=WORKERS)
+def test_argument_lists_keep_the_exit_contract(argv, workers, tmp_path, monkeypatch):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if workers is None:
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(WORKERS_ENV, workers)
     code, err = run(argv)
     check_contract(argv, code, err)
 

@@ -25,11 +25,9 @@ from sspilab.exact import (
     ConfigEnsemble,
     TrialBatch,
     element_masks,
-    matching_table,
     min_maximal_accepts,
     optimum_accepts,
     policy_run,
-    transversal_table,
 )
 from sspilab.feasibility import (
     GeneralMatching,
@@ -257,8 +255,11 @@ def test_exact_opt_matches_config_brute_force(rng):
 
 
 def test_subset_tables_match_is_independent(rng):
-    for kind, table_of in (("matching", lambda s: matching_table(s)[0]),
-                           ("transversal", transversal_table)):
+    def matching_table(s):
+        return np.isin(np.arange(1 << s.ground_size), s.matchings[0])
+
+    for kind, table_of in (("matching", matching_table),
+                           ("transversal", lambda s: s.matchable)):
         for _ in range(12):
             structure = random_instance(kind, int(rng.integers(1, 11)), rng).structure
             table = table_of(structure)
@@ -355,7 +356,7 @@ def _traced_exact_alg(inst, policy, adversary, seed):
         g = inst.structure
         partitions = [
             graphic_partition(g, sigma=sigma)[0]
-            for sigma in permutations(range(g.vertex_count))
+            for sigma in permutations(range(g.edge_ends[0]))
         ]
     else:
         partitions = [inst.partition]

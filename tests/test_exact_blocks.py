@@ -1,7 +1,8 @@
 """Exact mode in blocks of configurations: block ensembles are slices of the
 full one, the reported expectations do not depend on the block size, the
-memory of exact `simulate` is bounded by the block, and the transversal
-threshold tables are built once per batch."""
+memory of exact `simulate` is bounded by the block, the subset tables are
+built once per structure and the transversal threshold tables once per
+batch."""
 
 import tracemalloc
 from collections import Counter
@@ -11,12 +12,13 @@ import numpy as np
 import pytest
 
 import sspilab.exact as exact
+import sspilab.feasibility as feasibility
 from sspilab.analysis import verify_lemma
 from sspilab.core import trial_rng
 from sspilab.exact import ConfigEnsemble, PathBatch, config_blocks
 from sspilab.feasibility import SimplePartition
 from sspilab.generators import _random_partition, random_instance
-from sspilab.harness import EXACT_ADVERSARIES, estimate_ratio
+from sspilab.harness import EXACT_ADVERSARIES, MC_CHUNK, WORKERS_ENV, estimate_ratio
 from sspilab.mechanism import mechanism_trials
 from sspilab.policies import POLICY_STRUCTURES
 
@@ -42,7 +44,7 @@ def test_blocks_are_slices_of_the_full_ensemble():
     reals = inst.draw_realizations(trial_rng(1, 0))
     full = ConfigEnsemble(inst.structure, reals)
     for lo, hi in ((0, 5), (5, 64), (100, 128), (120, 500)):
-        block = ConfigEnsemble(inst.structure, full.path, lo, hi, full.tables)
+        block = ConfigEnsemble(inst.structure, full.path, lo, hi)
         assert block.num_configs == min(hi, 128) - lo
         assert np.array_equal(block.heads, full.heads[:, lo:hi])
         assert np.array_equal(block.ridx, full.ridx[:, lo:hi])
@@ -55,9 +57,26 @@ def test_config_blocks_cover_every_configuration_in_order(monkeypatch):
     inst = _instance("transversal", 5, 2)
     blocks = list(config_blocks(inst.structure, inst.draw_realizations(trial_rng(2, 0))))
     assert [b.num_configs for b in blocks] == [3] * 10 + [2]
-    assert len({id(b.path) for b in blocks}) == len({id(b.tables) for b in blocks}) == 1
+    assert len({id(b.path) for b in blocks}) == 1
     full = ConfigEnsemble(inst.structure, blocks[0].path)
     assert np.array_equal(np.hstack([b.heads for b in blocks]), full.heads)
+
+
+@pytest.mark.parametrize("kind", ["transversal", "matching"])
+def test_subset_tables_are_built_once_per_structure(kind, monkeypatch):
+    # The structure owns its subset tables, so every block of an exact
+    # command and every chunk of a one-worker Monte Carlo one reads the
+    # same table. Each table build takes one subset union.
+    builds = []
+    union = feasibility._subset_union
+    monkeypatch.setattr(feasibility, "_subset_union", lambda m: builds.append(1) or union(m))
+    monkeypatch.setattr(exact, "CONFIG_BLOCK", 3)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    estimate_ratio(_instance(kind, 5, 2), kind, "exhaustive-min", seed=2, mode="exact")
+    assert len(builds) == 1
+    builds.clear()
+    estimate_ratio(_instance(kind, 5, 3), kind, "fixed", trials=MC_CHUNK + 5, seed=2, mode="mc")
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -379,9 +379,9 @@ class TestGraphicPartition:
         for _ in range(15):
             inst = random_instance("graphic", int(rng.integers(1, 7)), rng)
             g = inst.structure
-            if g.vertex_count > 6:
+            if g.edge_ends[0] > 6:
                 continue
-            for sigma in permutations(range(g.vertex_count)):
+            for sigma in permutations(range(g.edge_ends[0])):
                 partition, _ = graphic_partition(g, sigma=sigma)
                 nonempty = [grp for grp in partition.groups if grp]
                 for pick in _transversals(nonempty):

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -577,7 +578,43 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SSPILAB_WORKERS", "0")
     assert worker_count() == 1
     monkeypatch.delenv("SSPILAB_WORKERS")
-    assert worker_count() >= 1
+    assert worker_count() == harness.usable_cpus()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and runs each chunk when it is submitted, so no process starts."""
+
+    def __init__(self, sizes: list, max_workers: int) -> None:
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def submit(self, fn, arg) -> Future:
+        future = Future()
+        future.set_result(fn(arg))
+        return future
+
+
+@pytest.mark.parametrize("cpus, pool", [(1, None), (2, 2), (64, 3)])
+def test_pool_is_bounded_by_the_chunks_and_the_cpus(monkeypatch, cpus, pool):
+    # A pool starts all its workers at once: 10**6 asked for over 3 chunks
+    # get at most 3, and no more than the CPUs this process may use.
+    inst = random_instance("matching", 4, np.random.default_rng(8))
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    want = report_fields(estimate_ratio(inst, "matching", "random", 3 * harness.MC_CHUNK, 6))
+    sizes = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: _InlinePool(
+        sizes, max_workers))
+    monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+    monkeypatch.setenv(WORKERS_ENV, "1000000")
+    got = report_fields(estimate_ratio(inst, "matching", "random", 3 * harness.MC_CHUNK, 6))
+    assert sizes == ([] if pool is None else [pool])
+    assert {**got, "wall_ms": None} == {**want, "wall_ms": None}
 
 
 class _ChunkLimit(Exception):

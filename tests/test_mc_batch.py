@@ -80,7 +80,7 @@ def _check_against_traced(inst, policy, adversary, out):
             order = adversarial_order(policy, fs, samples, rewards, adversary).order
         name, partition = policy, inst.partition
         if policy == "reduction-graphic":
-            partition, _ = graphic_partition(fs, sigma=vertex_order(fs, out.vertex_ranks[:, t]))
+            partition, _ = graphic_partition(fs, sigma=vertex_order(out.vertex_ranks[:, t]))
             name = "reduction-custom"
         chosen = run_policy(name, fs, samples, rewards, order, partition=partition).chosen.chosen
         got = set(np.flatnonzero(out.accepted[:, t]).tolist())

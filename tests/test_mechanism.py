@@ -396,7 +396,7 @@ def _scalar_trial(inst, policy, seed, t, vertex_ranks=None):
     pricing, reserve, valuations = draws
     order = sorted(range(inst.ground_size), key=lambda e: valuations[e].key)
     if policy == "reduction-graphic":
-        sigma = vertex_order(inst.structure, vertex_ranks)
+        sigma = vertex_order(vertex_ranks)
         partition, _ = graphic_partition(inst.structure, sigma=sigma)
         inst, policy = dataclasses.replace(inst, partition=partition), "reduction-custom"
     out = run_opm(inst, policy, pricing, reserve, valuations, order)
@@ -440,7 +440,7 @@ def test_prices_are_the_traced_critical_values(policy, rng):
         batch = TrialBatch(fs, draws)
         ranks = None
         if policy == "reduction-graphic":
-            ranks = chunk_orders(i, range(40), exact.edge_ends(fs)[0], VERTEX_ORDERS)
+            ranks = chunk_orders(i, range(40), fs.edge_ends[0], VERTEX_ORDERS)
         ((grouping, _),) = reduction_partitions(inst, policy, ranks)
         orders = np.argsort(-batch.ridx, axis=0)
         run = policy_run(batch, policy, orders, grouping)
@@ -449,7 +449,7 @@ def test_prices_are_the_traced_critical_values(policy, rng):
             rewards, samples = batch.tagged(t)
             name, partition = policy, inst.partition
             if policy == "reduction-graphic":
-                partition, _ = graphic_partition(fs, sigma=vertex_order(fs, ranks[:, t]))
+                partition, _ = graphic_partition(fs, sigma=vertex_order(ranks[:, t]))
                 name = "reduction-custom"
             trace = run_policy(name, fs, samples, rewards, orders[:, t].tolist(),
                                partition=partition)
@@ -497,7 +497,7 @@ def test_reduction_graphic_draws_its_vertex_order_last(rng):
             assert pricing[e] == TaggedValue(p, pt, e) and valuations[e] == TaggedValue(v, vt, e)
             assert got.reserves[e, t] == r
     order_stream = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0, VERTEX_ORDERS)))
-    touched = exact.edge_ends(inst.structure)[0]
+    touched = inst.structure.edge_ends[0]
     want = order_stream.permuted(np.tile(np.arange(touched)[:, None], (1, 30)), axis=0)
     assert np.array_equal(got.vertex_ranks, want)
 

@@ -28,7 +28,6 @@ from sspilab.exact import (
     ConfigEnsemble,
     TrialBatch,
     bit_index,
-    edge_ends,
     policy_run,
     reduction_partitions,
 )
@@ -73,7 +72,7 @@ def _trial_partitions(inst, policy: str, seed: int) -> list:
     reduction-graphic, one vertex order per trial from the chunk's stream."""
     ranks = None
     if policy == "reduction-graphic":
-        ranks = chunk_orders(seed, range(TRIALS), edge_ends(inst.structure)[0], VERTEX_ORDERS)
+        ranks = chunk_orders(seed, range(TRIALS), inst.structure.edge_ends[0], VERTEX_ORDERS)
     return reduction_partitions(inst, policy, ranks)
 
 
