@@ -56,21 +56,6 @@ from .feasibility import (
     greedy_rule,
 )
 
-LEMMA_IDS = (
-    "symmetry",
-    "forget-z",
-    "greedy-objective",
-    "match-unique",
-    "match-sufficient",
-    "match-prob",
-    "trans-unique",
-    "trans-sufficient",
-    "trans-prob",
-    "laminar-sufficient",
-    "laminar-prob",
-    "game-value",
-)
-
 GAME_RR_CAP = 2
 GAME_RB_CAP = 4
 
@@ -479,7 +464,7 @@ def _trans_worst_values(ens: ConfigEnsemble, support: np.ndarray, cand: np.ndarr
     Every live element claims one fixed node, and the first live arrival
     aimed at a node takes it, so the increasing order leaves each node its
     smallest live reward, all nodes at once."""
-    targets = ens.transversal_targets()
+    targets = ens.transversal_targets
     ridx = ens.ridx
     run = policy_run(ens, "transversal", "exhaustive-min")
     js, cs = np.nonzero(support)
@@ -527,6 +512,7 @@ _VERIFIERS: dict[str, Callable[[ConfigEnsemble], LemmaReport]] = {
     "laminar-sufficient": _verify_laminar_sufficient,
     "laminar-prob": lambda ens: _prob_report("laminar-prob", ens, ens.support_laminar(), 4),
 }
+LEMMA_IDS = (*_VERIFIERS, "game-value")
 
 
 def verify_lemma(

@@ -8,7 +8,13 @@ policy accepts and the prophet's optimal sets. Elements are the ids 0..n-1
 of the structure. Two kinds of batch share one layout, `PathBatch` (the
 element, coin and value at each path position, each element's Y index, and
 `ridx` and `sidx`, the (n, columns) path indices of every element's reward
-and sample), and every walk and kernel below:
+and sample), and every walk and kernel below.
+
+Both follow one deferred-decision rule: each element has two values, and a
+fair coin decides which one is the reward; the other is the sample.
+`reward_index` is the one place that applies it, on an element's two path
+indices and a flag that says the first is the reward; the sample's index
+is the pair sum minus the reward's.
 
 - `ConfigEnsemble` (exact mode, the lemma verifiers): the coin
   configurations lo..hi-1 of one draw, all 2**n of them by default.
@@ -17,9 +23,11 @@ and sample), and every walk and kernel below:
   same in every column. Exact `simulate` walks the 2**n configurations in
   blocks of CONFIG_BLOCK (`config_blocks`), which share the arrays of one
   sample path (`PathLayout`), and sums integer counts across them.
-- `TrialBatch` (Monte Carlo mode): one column per trial, each with its own
-  draw and coins (`core.draw_trials`). The element at a path position
-  differs from column to column.
+- `TrialBatch` (Monte Carlo mode, the mechanism): one column per trial,
+  each with its own draws (`core.draw_trials`). The element at a path
+  position differs from column to column. With coins, heads makes the
+  larger value the reward; draws with no coins (the mechanism's valuations
+  and pricing samples) make draw 0 the reward.
 
 Values are compared by their index on each column's decreasing sample path:
 "x beats y" in the tagged order (value, tiebreak, element) is
@@ -73,7 +81,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from fractions import Fraction
 from itertools import permutations
 from operator import mul
@@ -177,19 +185,20 @@ def node_masks(targets: np.ndarray, right_count: int) -> np.ndarray:
     return np.left_shift(one, np.abs(targets).astype(one.dtype))
 
 
-def _kept(method):
-    """A table method without arguments whose result the batch keeps, read-
-    only, so that it is built once however often it is read."""
+def reward_index(first: np.ndarray, second: np.ndarray, first_rewarded) -> np.ndarray:
+    """The deferred-decision rule, the one place a batch splits rewards from
+    samples: per element, the path index of its reward, of the path indices
+    `first` and `second` of its two values and flags that say the value at
+    `first` is the reward (a fair coin per element). The sample's index is
+    the pair sum first + second minus it (`PathBatch.sidx`)."""
+    return second - first_rewarded * (second - first)
 
-    @wraps(method)
-    def kept(self) -> np.ndarray:
-        got = self._built.get(method.__name__)
-        if got is None:
-            got = self._built[method.__name__] = method(self)
-            got.flags.writeable = False
-        return got
 
-    return kept
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """`table`, made read-only: a batch's cached tables are built once and
+    shared by every reader."""
+    table.flags.writeable = False
+    return table
 
 
 class PathBatch:
@@ -200,31 +209,40 @@ class PathBatch:
     sequence when it is the same in every column, else (2n, columns).
     `heads` is the (2n, columns) coin table, `w_val` the path values ((2n,)
     or (2n, columns)), `absent` the index of the absent threshold (an int or
-    one per column) and `y_idx` each element's Y index ((n, 1) or (n,
-    columns)). `length` (2n), `num_configs` (the column count) and `n`
-    follow from the shape of `heads`, and `itype`, the type of every
-    path-index table, from n (`index_type`); `absent` and `y_idx` come in
-    that type. Subclasses provide `ridx` and `sidx`, the (n, columns) path
-    indices of every element's reward and sample.
+    one per column), and `y_idx` and `pair_sum` each element's Y index and
+    the sum of its two path indices ((n, 1) or (n, columns)). `length`
+    (2n), `num_configs` (the column count) and `n` follow from the shape of
+    `heads`, and `itype`, the type of every path-index table, from n
+    (`index_type`); `absent`, `y_idx` and `pair_sum` come in that type.
+    Subclasses provide `ridx`, the (n, columns) path index of every
+    element's reward, made by `reward_index`; `sidx`, that of its sample, is
+    the pair sum minus it.
+
+    The derived tables are read-only cached properties, built when first
+    read; the free flags are built per side by `free`.
     """
 
     ridx: np.ndarray
-    sidx: np.ndarray
 
-    def __init__(self, structure, elem, heads, w_val, absent, y_idx) -> None:
+    def __init__(self, structure, elem, heads, w_val, absent, y_idx, pair_sum) -> None:
         self.structure = structure
         self.elem = elem
         self.heads = heads
         self.w_val = w_val
         self.absent = absent
         self.y_idx = y_idx
+        self.pair_sum = pair_sum
         self.length, self.num_configs = heads.shape
         self.n = self.length // 2
         self.itype = index_type(self.n)
         self.cols = np.arange(self.num_configs)
         self._free: dict[str, np.ndarray] = {}
-        self._candidate: np.ndarray | None = None
-        self._built: dict[str, np.ndarray] = {}  # the `_kept` tables
+
+    @property
+    def sidx(self) -> np.ndarray:
+        """(n, columns) path index of every element's sample, derived on
+        each read so that only `ridx` stays alive."""
+        return self.pair_sum - self.ridx
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         """The path values at (k, columns) path indices."""
@@ -254,7 +272,7 @@ class PathBatch:
         if isinstance(fs, GeneralMatching):
             free = resource_walk(self.elem, side_flags, vertex_mask_array(fs))
         elif isinstance(fs, Transversal):
-            free = self._free_transversal(side_flags, fs, side == "T")
+            free = self.candidate_nodes >= 0 if side == "T" else self._transversal_walk(side_flags)
         elif isinstance(fs, TruncatedPartition):
             group = group_ids(fs.groups, self.n)
             free = group_walk(self.elem, side_flags, group, fs.group_capacities, fs.total_capacity)
@@ -270,30 +288,33 @@ class PathBatch:
         self._free[side] = free
         return free
 
+    @cached_property
     def candidate_nodes(self) -> np.ndarray:
         """Transversal only: per (index, column), the lowest right node
         adjacent to the element and not yet taken by the tails-side greedy,
-        or -1 when none is free."""
-        self.free("T")
-        return self._candidate
+        or -1 when none is free. The tails-side free flags are where it is
+        not -1."""
+        return _read_only(self._transversal_walk(~self.heads, with_nodes=True))
 
-    def _free_transversal(self, side_flags, fs: Transversal, with_nodes: bool) -> np.ndarray:
+    def _transversal_walk(self, side_flags, with_nodes: bool = False) -> np.ndarray:
+        """The greedy where `side_flags` is set claims each element's lowest
+        free neighbour: per (index, column), the free flags, or with
+        `with_nodes` the node that is free (-1 for none)."""
+        fs = self.structure
         rmask = mask_array(fs.neighbor_masks)
         untaken = ~np.zeros(self.num_configs, dtype=rmask.dtype)
-        free = np.empty((self.length, self.num_configs), dtype=bool)
-        if with_nodes:
-            nodes = np.empty(free.shape, dtype=np.min_scalar_type(-max(fs.right_count, 1)))
+        kind = np.min_scalar_type(-max(fs.right_count, 1)) if with_nodes else bool
+        table = np.empty((self.length, self.num_configs), dtype=kind)
         for j in range(self.length):
             avail = rmask[self.elem[j]] & untaken
             low = avail & -avail  # the lowest free node, 0 for none
-            np.not_equal(avail, 0, out=free[j])
             if with_nodes:
-                nodes[j] = bit_index(low)
-                nodes[j] |= free[j].view(np.int8) - 1  # -1 where none is free
+                table[j] = bit_index(low)
+                table[j] |= (avail != 0).view(np.int8) - 1  # -1 where none is free
+            else:
+                np.not_equal(avail, 0, out=table[j])
             untaken ^= low * side_flags[j]
-        if with_nodes:
-            self._candidate = nodes
-        return free
+        return table
 
     def _free_graphic(self, side_flags, fs: Graphic) -> np.ndarray:
         if is_independent(fs, range(self.n)):
@@ -333,7 +354,7 @@ class PathBatch:
     # after x set. The policies read their live flags and targets off the
     # walk; the threshold tables remain for the critical prices.
 
-    @_kept
+    @cached_property
     def matching_vertex_thresholds(self) -> np.ndarray:
         """(touched vertices, columns) thresholds (path indices) set by the
         greedy matching on samples, by the vertex numbers of `edge_ends`."""
@@ -345,11 +366,11 @@ class PathBatch:
             ends_j = ends[self.elem[j]].T.reshape(2, -1)
             for vertex in np.broadcast_to(ends_j, (2, self.num_configs)):
                 th[vertex[cols], cols] = j
-        return th
+        return _read_only(th)
 
     def matching_prices(self) -> np.ndarray:
         """(n, columns) the smaller threshold index of each edge's endpoints."""
-        th = self.matching_vertex_thresholds()
+        th = self.matching_vertex_thresholds
         u, v = self.structure.edge_ends[1].T
         return np.minimum(th[u], th[v])
 
@@ -368,20 +389,20 @@ class PathBatch:
             later |= mine * (free[j] & ~self.heads[j])
         return self.at_rewards(flags)
 
-    @_kept
+    @cached_property
     def transversal_r_thresholds(self) -> np.ndarray:
         """(right nodes, columns) thresholds (path indices) from the
         ordered-maximal sample matching."""
         fs = self.structure
         picked = self.free("T") & ~self.heads
-        cand = self.candidate_nodes()
+        cand = self.candidate_nodes
         th = np.empty((fs.right_count, self.num_configs), dtype=self.itype)
         th[:] = self.absent
         for j, cols in enumerate(map(np.flatnonzero, picked)):
             th[cand[j, cols], cols] = j
-        return th
+        return _read_only(th)
 
-    @_kept
+    @cached_property
     def transversal_targets(self) -> np.ndarray:
         """(n, columns) int: the right node the online rule would pick for
         each arriving left node, the first neighbour whose threshold its
@@ -394,12 +415,12 @@ class PathBatch:
         own, unless an earlier one did. A reward at its Z index, below its
         sample, claims nothing. The rule is order-independent: it reads
         only the samples and the element's own reward."""
-        cand = self.candidate_nodes()
+        cand = self.candidate_nodes
         jy, cols = self.y_idx, self.cols
         node_type = np.promote_types(self.itype, cand.dtype)
         targets = _take(cand, jy, cols).astype(node_type, copy=False)
         targets |= _take(self.heads, jy, cols).view(np.int8) - 1  # -1 for a Z reward
-        return targets
+        return _read_only(targets)
 
     def transversal_prices(self) -> np.ndarray:
         """(n, columns) the threshold index of each element's target node,
@@ -408,8 +429,8 @@ class PathBatch:
         below the sample index: that sample took the lowest neighbour still
         free or found all of them taken by larger samples, and the target is
         that neighbour or an earlier one."""
-        targets = self.transversal_targets()
-        node = np.take_along_axis(self.transversal_r_thresholds(), np.maximum(targets, 0), axis=0)
+        targets = self.transversal_targets
+        node = np.take_along_axis(self.transversal_r_thresholds, np.maximum(targets, 0), axis=0)
         return np.where(targets >= 0, node, self.sidx)
 
     def laminar_accepts(self) -> np.ndarray:
@@ -492,40 +513,34 @@ class ConfigEnsemble(PathBatch):
         )
         self.path = layout.path
         self.is_y = layout.is_y
-        self._pair_sum = layout.pair_sum
         y_idx = layout.y_idx
         n = self.path.n
         hi = 1 << n if hi is None else min(hi, 1 << n)
         masks = np.arange(lo, hi, dtype=np.min_scalar_type((1 << n) - 1))
         heads = np.empty((2 * n, len(masks)), dtype=bool)
-        for e, ((y,), (pair_sum,)) in enumerate(zip(y_idx.tolist(), self._pair_sum.tolist())):
+        for e, ((y,), (pair_sum,)) in enumerate(zip(y_idx.tolist(), layout.pair_sum.tolist())):
             # Coin at the Y index is heads exactly when the element bit is
             # set; the Z index shows the other side.
             np.not_equal((masks >> e) & 1, 0, out=heads[y])
             np.logical_not(heads[y], out=heads[pair_sum - y])
-        super().__init__(structure, layout.elem, heads, layout.w_val, layout.absent, y_idx)
+        super().__init__(
+            structure, layout.elem, heads, layout.w_val, layout.absent, y_idx, layout.pair_sum
+        )
 
     @cached_property
     def ridx(self) -> np.ndarray:
         """(n, configs) path index of every element's reward, made when
-        first read."""
+        first read: the Y value is the reward where its element's bit is
+        set, that is, where the coin at its index shows heads."""
         y = self.y_idx
-        z = self._pair_sum - y
-        # heads at the Y index (0 or 1) moves the reward from z to y
-        return z - self.heads[y[:, 0]].view(np.int8) * (z - y)
-
-    @property
-    def sidx(self) -> np.ndarray:
-        """(n, configs) path index of every element's sample, derived on
-        each read so that only `ridx` stays alive."""
-        return self._pair_sum - self.ridx
+        return reward_index(y, self.pair_sum - y, self.heads[y[:, 0]])
 
     def at_rewards(self, flags: np.ndarray) -> np.ndarray:
         """`PathBatch.at_rewards` from whole rows: a flag at either of an
         element's indices is at its reward index."""
         y = self.y_idx[:, 0]
         out = flags[y]
-        out |= flags[self._pair_sum[:, 0] - y]
+        out |= flags[self.pair_sum[:, 0] - y]
         return out
 
     def path_total(self, counts) -> Fraction:
@@ -584,7 +599,7 @@ class ConfigEnsemble(PathBatch):
         """Truth table of the right-node supporting event, together with the
         candidate node it concerns (r = the online target of j)."""
         free_t = self.free("T")
-        cand = self.candidate_nodes()
+        cand = self.candidate_nodes
         tails = ~self.heads
         support = np.zeros((self.length, self.num_configs), dtype=bool)
         for j in range(self.length):
@@ -658,13 +673,16 @@ def config_blocks(structure, realizations) -> Iterator[ConfigEnsemble]:
 class TrialBatch(PathBatch):
     """Monte Carlo trials, one column each, from the bulk draws of
     `core.draw_trials`: per trial, two values and two tie-break tokens per
-    element (draw d of element e in row d * n + e) and one coin per element,
-    heads making the larger value the reward, as in `assign_coins`.
+    element, draw d of element e in row d * n + e. With coins (one per
+    element, the realization layout) heads makes the larger value the
+    reward, as in `assign_coins`; draws with no coins (`coins` None, as the
+    mechanism lays them out) make draw 0 the reward. `reward_index` splits
+    them: `draw0_rewarded` holds its flags, (n, trials) or True.
     """
 
     def __init__(self, structure, draws: TrialDraws) -> None:
         values, tokens, coins = draws.values, draws.tokens, draws.coins
-        n, trials = coins.shape
+        n, trials = len(values) // 2, values.shape[1]
         self.values, self.tokens = values, tokens
         owner = np.tile(np.arange(n), 2)
         # Per trial, the rows in decreasing (value, tiebreak, element) order.
@@ -674,32 +692,30 @@ class TrialBatch(PathBatch):
         itype = index_type(n)
         pos = np.empty(desc.shape, dtype=itype)
         np.put_along_axis(pos, desc, np.arange(2 * n, dtype=itype)[:, None], axis=0)
-        rows = np.arange(n)[:, None]
-        first = pos[:n] < pos[n:]  # draw 0 is the larger value
-        y_row = np.where(first, rows, rows + n)
-        z_row = np.where(first, rows + n, rows)
-        self.reward_rows = np.where(coins, y_row, z_row)
-        self.sample_rows = np.where(coins, z_row, y_row)
-        self.ridx = np.take_along_axis(pos, self.reward_rows, axis=0)
-        self.sidx = np.take_along_axis(pos, self.sample_rows, axis=0)
+        first, second = pos[:n], pos[n:]  # the path indices of draws 0 and 1
+        # Heads makes the larger value, the one first on the path, the reward.
+        self.draw0_rewarded = True if coins is None else (first < second) == coins
+        self.ridx = reward_index(first, second, self.draw0_rewarded)
         # A coin shows heads at the path positions that hold rewards.
         heads = np.zeros((2 * n, trials), dtype=bool)
         np.put_along_axis(heads, self.ridx, True, axis=0)
         super().__init__(
             structure, owner[desc], heads, np.take_along_axis(values, desc, axis=0),
-            (values > 0).sum(axis=0).astype(itype), np.minimum(pos[:n], pos[n:]),
+            (values > 0).sum(axis=0).astype(itype), np.minimum(first, second), first + second,
         )
 
     def tagged(self, t: int) -> tuple[dict[int, TaggedValue], dict[int, TaggedValue]]:
         """Trial t's rewards and samples as tagged values."""
+        draw1_rewarded = ~np.broadcast_to(self.draw0_rewarded, self.ridx.shape)[:, t]
+        rows = np.arange(self.n)
 
-        def pick(rows: np.ndarray) -> dict[int, TaggedValue]:
+        def pick(draw: np.ndarray) -> dict[int, TaggedValue]:
             return {
                 e: TaggedValue(float(self.values[r, t]), float(self.tokens[r, t]), e)
-                for e, r in enumerate(rows[:, t].tolist())
+                for e, r in enumerate((rows + self.n * draw).tolist())
             }
 
-        return pick(self.reward_rows), pick(self.sample_rows)
+        return pick(draw1_rewarded), pick(~draw1_rewarded)
 
 
 def element_masks(flags: np.ndarray) -> np.ndarray:
@@ -1012,7 +1028,7 @@ def policy_run(batch: PathBatch, policy: str, adversary, grouping=None) -> Polic
         return PolicyRun(accepted, lambda: batch.values_at(batch.matching_prices()))
     if policy == "transversal":
         # Each live element claims its target node; the others never claim.
-        targets = batch.transversal_targets()
+        targets = batch.transversal_targets
         masks = node_masks(targets, fs.right_count)
         accepted = _replay(resource_walk, batch, targets >= 0, adversary, masks)
         return PolicyRun(accepted, lambda: batch.values_at(batch.transversal_prices()))
@@ -1095,7 +1111,7 @@ def _laminar_critical(batch: PathBatch, accepted: np.ndarray) -> np.ndarray:
     # Per (index, column) views; exact mode's path is the same in every column.
     elem = np.broadcast_to(np.reshape(batch.elem, (batch.length, -1)), samples.shape)
     w_val = np.broadcast_to(batch.w_val.reshape(batch.length, -1), samples.shape)
-    v0 = np.cumsum(np.where(samples & batch.free("T"), w_val, 0.0), axis=0)[-1]
+    v0 = np.cumsum(w_val * (samples & batch.free("T")), axis=0)[-1]
     critical = np.zeros(accepted.shape)
     for e in np.flatnonzero(accepted.any(axis=1)):
         cols = np.flatnonzero(accepted[e])
@@ -1104,6 +1120,6 @@ def _laminar_critical(batch: PathBatch, accepted: np.ndarray) -> np.ndarray:
         caps = np.array(fs.group_capacities)
         caps[group_of[e]] -= 1
         took = want & group_walk(steps, want, group_of, caps, fs.total_capacity - 1)
-        value = np.cumsum(np.where(took, w_val[:, cols], 0.0), axis=0)[-1]
+        value = np.cumsum(w_val[:, cols] * took, axis=0)[-1]
         critical[e, cols] = v0[cols] - value
     return critical

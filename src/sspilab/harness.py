@@ -294,6 +294,19 @@ def _mc_chunk(args) -> tuple[np.ndarray, int]:
     return np.array(sums), int(out.z_violations.sum())
 
 
+_worker_job: tuple | None = None  # a pool worker's (chunk_fn, head), set once
+
+
+def _start_worker(chunk_fn, head: tuple) -> None:
+    global _worker_job
+    _worker_job = (chunk_fn, head)
+
+
+def _worker_chunk(bounds: tuple[int, int]):
+    chunk_fn, head = _worker_job
+    return chunk_fn((*head, *bounds))
+
+
 def run_chunks(chunk_fn, trials: int, head: tuple):
     """Yield chunk_fn((*head, start, stop)) for each chunk of MC_CHUNK
     trials, in chunk order, as the caller asks for them; in a pool of worker
@@ -301,18 +314,22 @@ def run_chunks(chunk_fn, trials: int, head: tuple):
     chunks per worker in flight. So the memory does not grow with the number
     of chunks when the caller folds the results as they come. The pool
     starts all its workers at once, so it has no more of them than the
-    chunks, the CPUs this process may use or `worker_count` allow."""
-    chunks = ((*head, lo, min(lo + MC_CHUNK, trials)) for lo in range(0, trials, MC_CHUNK))
+    chunks, the CPUs this process may use or `worker_count` allow. Each
+    worker gets chunk_fn and `head` (the instance and its cached tables
+    with it) once, when it starts; a chunk sends only (start, stop)."""
+    bounds = ((lo, min(lo + MC_CHUNK, trials)) for lo in range(0, trials, MC_CHUNK))
     nworkers = min(worker_count(), -(-trials // MC_CHUNK), usable_cpus())
     if nworkers <= 1:
-        yield from map(chunk_fn, chunks)
+        yield from (chunk_fn((*head, *b)) for b in bounds)
         return
-    with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        window = deque(pool.submit(chunk_fn, c) for c in islice(chunks, 2 * nworkers))
+    with ProcessPoolExecutor(
+        max_workers=nworkers, initializer=_start_worker, initargs=(chunk_fn, head)
+    ) as pool:
+        window = deque(pool.submit(_worker_chunk, b) for b in islice(bounds, 2 * nworkers))
         while window:
             result = window.popleft().result()
-            for c in islice(chunks, 1):
-                window.append(pool.submit(chunk_fn, c))
+            for b in islice(bounds, 1):
+                window.append(pool.submit(_worker_chunk, b))
             yield result
 
 

@@ -10,8 +10,8 @@ payment rule is a design choice here, and every report flags it.
 `estimate_mechanism_ratios` evaluates each chunk of MC_CHUNK trials as one
 batch through the batched policies of Monte Carlo `simulate`
 (`exact.policy_run`, on the partitions of `exact.reduction_partitions`):
-the pricing values are the samples and the
-valuations the rewards of a `TrialBatch`, and a winner's critical price is
+the valuations are draw 0 of a `TrialBatch` with no coins, so they are its
+rewards and the pricing values its samples, and a winner's critical price is
 the one its run gives (`PolicyRun.price`): the threshold it beat, or for
 laminar the sample optimum minus the contraction optimum.
 Trial t draws from its own stream (seed, t) in the order of the scalar
@@ -187,17 +187,9 @@ def mechanism_trials(
         [instance.distributions[e] for e in range(n)], seed, trials, MECHANISM_LAYOUT
     )
     pricing, reserves, valuations = np.split(draws.values, 3)
-    pricing_tokens, _, valuation_tokens = np.split(draws.tokens, 3)
-    # Heads makes the larger value the reward, so the valuation is the reward
-    # unless its pricing sample beats it in the tagged order.
-    beaten = (pricing > valuations) | (
-        (pricing == valuations) & (pricing_tokens > valuation_tokens)
-    )
-    batch = TrialBatch(fs, TrialDraws(
-        np.concatenate([pricing, valuations]),
-        np.concatenate([pricing_tokens, valuation_tokens]),
-        ~beaten,
-    ))
+    # Draws with no coins make draw 0, here the valuation, the reward.
+    rows = np.r_[2 * n:3 * n, :n]  # valuations, then pricing
+    batch = TrialBatch(fs, TrialDraws(draws.values[rows], draws.tokens[rows], None))
     ranks = None
     if policy == "reduction-graphic":
         ranks = chunk_orders(seed, trials, fs.edge_ends[0], VERTEX_ORDERS)
@@ -213,7 +205,7 @@ def mechanism_trials(
             f"individual rationality violated: element {e} pays {pay[e, t]!r} "
             f"above its valuation {valuations[e, t]!r} in trial {trials[t]}"
         )
-    payments = np.where(winners, np.minimum(pay, valuations), 0.0)
+    payments = np.minimum(pay, valuations) * winners
     # cumsum adds the elements one at a time, as the scalar loop adds floats
     # (numpy's sum pairs them up).
     return MechanismTrials(
@@ -223,7 +215,7 @@ def mechanism_trials(
         accepted=accepted,
         winners=winners,
         payments=payments,
-        welfare=np.cumsum(np.where(winners, valuations, 0.0), axis=0)[-1],
+        welfare=np.cumsum(valuations * winners, axis=0)[-1],
         revenue=np.cumsum(payments, axis=0)[-1],
         opt=optimum_totals(batch)[0],
     )

@@ -208,7 +208,7 @@ def test_transversal_targets_match_policy_scan(rng):
     t = inst.structure
     reals = inst.draw_realizations(rng)
     ens = ConfigEnsemble(t, reals)
-    targets = ens.transversal_targets()
+    targets = ens.transversal_targets
     for mask in range(ens.num_configs):
         rewards, samples = {}, {}
         for r in reals:

@@ -7,6 +7,7 @@ batch."""
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -137,8 +138,8 @@ def test_path_index_tables_take_the_smallest_type():
     inst = random_instance("transversal", 9, np.random.default_rng(2))
     ens = ConfigEnsemble(inst.structure, inst.draw_realizations(trial_rng(2, 0)))
     assert exact.index_type(31) == np.int8 and exact.index_type(32) == np.int16
-    for table in (ens.ridx, ens.sidx, ens.y_idx, ens.transversal_r_thresholds(),
-                  ens.transversal_targets(), ens.transversal_prices()):
+    for table in (ens.ridx, ens.sidx, ens.y_idx, ens.transversal_r_thresholds,
+                  ens.transversal_targets, ens.transversal_prices()):
         assert table.dtype == np.int8
 
 
@@ -156,14 +157,15 @@ def _count_builds(monkeypatch) -> Counter:
     """Count the builds (not the reads) of the transversal threshold tables."""
     builds = Counter()
     for name in ("transversal_r_thresholds", "transversal_targets"):
-        build = getattr(PathBatch, name).__wrapped__
+        build = PathBatch.__dict__[name].func
 
         def counted(self, build=build, name=name):
             builds[name] += 1
             return build(self)
 
-        counted.__name__ = name
-        monkeypatch.setattr(PathBatch, name, exact._kept(counted))
+        table = cached_property(counted)
+        table.__set_name__(PathBatch, name)
+        monkeypatch.setattr(PathBatch, name, table)
     return builds
 
 
@@ -187,8 +189,16 @@ def test_transversal_tables_are_built_once_per_batch(monkeypatch):
 def test_kept_tables_are_read_only():
     inst = random_instance("transversal", 6, np.random.default_rng(6))
     ens = ConfigEnsemble(inst.structure, inst.draw_realizations(trial_rng(6, 0)))
-    targets = ens.transversal_targets()
-    assert ens.transversal_targets() is targets
-    with pytest.raises(ValueError):
-        targets[0] = 0
+    for name in ("transversal_targets", "candidate_nodes"):
+        table = getattr(ens, name)
+        assert getattr(ens, name) is table
+        with pytest.raises(ValueError):
+            table[0] = 0
     exact.policy_run(ens, "transversal", "fixed")  # reads, never writes
+    inst = random_instance("matching", 6, np.random.default_rng(6))
+    ens = ConfigEnsemble(inst.structure, inst.draw_realizations(trial_rng(6, 0)))
+    thresholds = ens.matching_vertex_thresholds
+    assert ens.matching_vertex_thresholds is thresholds
+    with pytest.raises(ValueError):
+        thresholds[0] = 0
+    exact.policy_run(ens, "matching", "fixed").price()

@@ -1,6 +1,9 @@
 import json
 import math
+import multiprocessing
+import os
 import tracemalloc
+from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
 from itertools import permutations
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 import sspilab.exact as exact_module
+import sspilab.feasibility as feasibility
 from sspilab import harness
 from sspilab.cli import main
 from sspilab.core import (
@@ -583,10 +587,12 @@ def test_worker_count_env(monkeypatch):
 
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records the pool size it is asked
-    for and runs each chunk when it is submitted, so no process starts."""
+    for, runs the initializer once and each chunk when it is submitted, so
+    no process starts."""
 
-    def __init__(self, sizes: list, max_workers: int) -> None:
+    def __init__(self, sizes: list, max_workers: int, initializer, initargs) -> None:
         sizes.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -608,12 +614,45 @@ def test_pool_is_bounded_by_the_chunks_and_the_cpus(monkeypatch, cpus, pool):
     monkeypatch.setenv(WORKERS_ENV, "1")
     want = report_fields(estimate_ratio(inst, "matching", "random", 3 * harness.MC_CHUNK, 6))
     sizes = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: _InlinePool(
-        sizes, max_workers))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: _InlinePool(sizes, **kw))
     monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
     monkeypatch.setenv(WORKERS_ENV, "1000000")
     got = report_fields(estimate_ratio(inst, "matching", "random", 3 * harness.MC_CHUNK, 6))
     assert sizes == ([] if pool is None else [pool])
+    assert {**got, "wall_ms": None} == {**want, "wall_ms": None}
+
+
+@pytest.mark.skipif(harness.usable_cpus() < 2, reason="needs two CPUs")
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patch reaches the workers only when they fork")
+def test_pool_workers_receive_the_command_once(monkeypatch, tmp_path):
+    # Each worker gets the instance once, so it builds the structure's
+    # subset tables once, not once per chunk. The patch is made before the
+    # pool forks; a fresh instance keeps the tables of the 1-worker run out
+    # of the workers.
+    trials = 8 * harness.MC_CHUNK
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    args = ("matching", "fixed", trials, 31)
+
+    def report():
+        inst = random_instance("matching", 16, np.random.default_rng(31))
+        return report_fields(estimate_ratio(inst, *args))
+
+    want = report()
+    log = tmp_path / "builds"
+    union = feasibility._subset_union
+
+    def logged(masks):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return union(masks)
+
+    monkeypatch.setattr(feasibility, "_subset_union", logged)
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    got = report()
+    builds = Counter(log.read_text().split())
+    assert builds and max(builds.values()) == 1 and len(builds) <= 2
+    assert str(os.getpid()) not in builds
     assert {**got, "wall_ms": None} == {**want, "wall_ms": None}
 
 

@@ -15,9 +15,10 @@ import pytest
 import sspilab.core as harness_core
 import sspilab.harness as harness
 from sspilab.core import (
-    ARRIVAL_ORDERS, VERTEX_ORDERS, chunk_orders, discrete, exponential, point_mass, trial_rng,
-    uniform,
+    ARRIVAL_ORDERS, VERTEX_ORDERS, TaggedValue, TrialDraws, chunk_orders, discrete, exponential,
+    point_mass, trial_rng, uniform,
 )
+from sspilab.exact import TrialBatch
 from sspilab.feasibility import (
     GeneralMatching,
     Graphic,
@@ -116,6 +117,28 @@ def test_rank1_on_several_groups_matches_traced_policy(adversary, rng):
         _check_against_traced(inst, "rank1", adversary, out)
 
 
+def test_draws_without_coins_reward_draw_zero(rng):
+    # The mechanism's layout: no coins, so draw 0 is the reward and draw 1
+    # the sample, whichever is larger. Point masses tie the two values, and
+    # their tokens decide the path order.
+    n, trials = 7, 40
+    inst = random_instance("transversal", n, rng)
+    values = rng.random((2 * n, trials))
+    point = rng.random(n) < 0.5
+    values[n:][point] = values[:n][point] = rng.choice([0.0, 0.5], size=(int(point.sum()), 1))
+    tokens = rng.random((2 * n, trials))
+    batch = TrialBatch(inst.structure, TrialDraws(values, tokens, None))
+    assert np.array_equal(batch.values_at(batch.ridx), values[:n])
+    assert np.array_equal(batch.values_at(batch.sidx), values[n:])
+    for t in range(trials):
+        path = sorted(((values[r, t], tokens[r, t], r % n), r) for r in range(2 * n))[::-1]
+        at = {r: j for j, (_, r) in enumerate(path)}
+        assert batch.ridx[:, t].tolist() == [at[e] for e in range(n)]
+        assert batch.sidx[:, t].tolist() == [at[e + n] for e in range(n)]
+        for got, rows in zip(batch.tagged(t), (range(n), range(n, 2 * n))):
+            assert got == {r % n: TaggedValue(values[r, t], tokens[r, t], r % n) for r in rows}
+
+
 def test_draws_do_not_depend_on_adversary(rng):
     # The random adversary's orders come from a stream of their own, so
     # every trial's values, tokens, coins and vertex ranks are the same
@@ -128,7 +151,7 @@ def test_draws_do_not_depend_on_adversary(rng):
     for out in outs[1:]:
         assert np.array_equal(out.batch.values, outs[0].batch.values)
         assert np.array_equal(out.batch.tokens, outs[0].batch.tokens)
-        assert np.array_equal(out.batch.reward_rows, outs[0].batch.reward_rows)
+        assert np.array_equal(out.batch.ridx, outs[0].batch.ridx)
         assert np.array_equal(out.opt, outs[0].opt)
         assert np.array_equal(out.vertex_ranks, outs[0].vertex_ranks)
 
@@ -284,7 +307,7 @@ def test_target_nodes_wider_than_the_index_type(rng):
                     {e: uniform(0.0, 1.0) for e in range(6)})
     out = mc_trials(inst, "transversal", "increasing", 2, range(40))
     assert out.batch.ridx.dtype == np.int8
-    assert out.batch.transversal_targets().dtype == np.int16
+    assert out.batch.transversal_targets.dtype == np.int16
     _check_against_traced(inst, "transversal", "increasing", out)
 
 

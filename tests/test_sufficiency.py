@@ -67,7 +67,7 @@ def all_orders_match_worst(ens, support):
 def all_orders_trans_worst(ens, support, cand):
     """Per supported (j, c), the minimum over every order of the live left
     nodes of the first-come reward matched at e_j's candidate node."""
-    targets = ens.transversal_targets()
+    targets = ens.transversal_targets
     xvals = ens.w_val[ens.ridx]
     worst = np.full(support.shape, np.inf)
     for c in range(ens.num_configs):

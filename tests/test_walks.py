@@ -139,8 +139,8 @@ def test_transversal_candidates_are_node_indices_on_the_tails_walk_only():
     inst = random_instance("transversal", 6, np.random.default_rng(3))
     ens = ConfigEnsemble(inst.structure, inst.draw_realizations(trial_rng(3, 0)))
     ens.free("H")
-    assert ens._candidate is None
-    nodes = ens.candidate_nodes()
+    assert "candidate_nodes" not in vars(ens)
+    nodes = ens.candidate_nodes
     free_t = ens.free("T")
     assert (nodes[~free_t] == -1).all()
     assert ((nodes[free_t] >= 0) & (nodes[free_t] < inst.structure.right_count)).all()
@@ -233,7 +233,7 @@ def _scanned_targets(batch) -> np.ndarray:
     """Per (element, column), the first sorted neighbour whose sample
     threshold the reward beats, -1 for none or a reward at its Z index."""
     fs, ridx = batch.structure, batch.ridx
-    th = batch.transversal_r_thresholds()
+    th = batch.transversal_r_thresholds
     want = np.full(ridx.shape, -1)
     for l in range(batch.n):
         for r in reversed(fs.sorted_neighbors(l)):
@@ -267,7 +267,7 @@ def test_walk_read_live_flags_equal_the_threshold_tables(case):
             want = batch.ridx < batch.matching_prices()
             assert np.array_equal(batch.matching_exceeds(), want)
         else:
-            assert np.array_equal(batch.transversal_targets(), _scanned_targets(batch))
+            assert np.array_equal(batch.transversal_targets, _scanned_targets(batch))
 
 
 def test_bit_index_reads_object_arrays_of_any_shape():
