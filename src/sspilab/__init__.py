@@ -15,11 +15,9 @@ from .core import (
     InputError,
     SamplePath,
     TaggedValue,
-    assign_coins,
     build_sample_path,
     discrete,
     draw_realization,
-    enumerate_configurations,
     exponential,
     point_mass,
     trial_rng,
@@ -33,13 +31,12 @@ from .feasibility import (
     Transversal,
     TruncatedPartition,
     exact_optimum,
-    free_index,
     graphic_partition,
-    greedy_on_path,
     greedy_prophet,
     is_independent,
     optimal_matching,
     optimal_transversal,
+    path_walk,
 )
 from .policies import (
     ArrivalOrder,

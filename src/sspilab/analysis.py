@@ -42,7 +42,6 @@ from .core import (
     ElementRealization,
     InputError,
     SamplePath,
-    validate_configuration,
 )
 from .exact import (
     CHUNK_CELLS, ConfigEnsemble, bit_index, element_masks,
@@ -54,6 +53,7 @@ from .feasibility import (
     Transversal,
     TruncatedPartition,
     greedy_rule,
+    path_walk,
 )
 
 GAME_RR_CAP = 2
@@ -70,35 +70,6 @@ class SupportReport:
     witnesses: dict
 
 
-def _free_flags(fs, path: SamplePath, config: Configuration, side: str) -> list[bool]:
-    """Free flags for every path index in one greedy pass."""
-    rule = greedy_rule(fs)
-    state = rule.start
-    flags: list[bool] = []
-    for j, entry in enumerate(path.entries):
-        free = rule.can_add(state, entry.element)
-        flags.append(free)
-        if config.coins[j] == side and free:
-            state = rule.add(state, entry.element)
-    return flags
-
-
-def _transversal_targets_on_path(
-    t: Transversal, path: SamplePath, config: Configuration
-) -> list[int | None]:
-    """Per index, the right node the sample-side greedy would use (None when
-    the index is not free with respect to tails)."""
-    rule = greedy_rule(t)
-    state = rule.start
-    targets: list[int | None] = []
-    for j, entry in enumerate(path.entries):
-        r = rule.target(state, entry.element)
-        targets.append(r)
-        if config.coins[j] == "T" and r is not None:
-            state = rule.add(state, entry.element)
-    return targets
-
-
 def supporting_event_matching(
     fs: GeneralMatching, path: SamplePath, config: Configuration, j: int
 ) -> SupportReport:
@@ -108,8 +79,7 @@ def supporting_event_matching(
     first (and, if needed, second) later free-for-tails index conflicting
     with its edge shows tails.
     """
-    validate_configuration(path, config)
-    free_t = _free_flags(fs, path, config, "T")
+    free_t = path_walk(fs, path, config, "T").free
     entry = path.entries[j]
     witnesses: dict = {"l1": None, "l2": None}
     base = entry.label == "Y" and free_t[j] and config.coins[j] == "H"
@@ -149,16 +119,14 @@ def candidate_node(
     """The right node that would take element e_j in the sample-side
     ordered-maximal matching if its coin were tails; None when the index is
     not free for tails."""
-    validate_configuration(path, config)
-    return _transversal_targets_on_path(t, path, config)[j]
+    return path_walk(t, path, config, "T").targets[j]
 
 
 def supporting_event_transversal(
     t: Transversal, path: SamplePath, config: Configuration, j: int, r: int
 ) -> SupportReport:
     """The right-node supporting event at (j, r)."""
-    validate_configuration(path, config)
-    targets = _transversal_targets_on_path(t, path, config)
+    targets = path_walk(t, path, config, "T").targets
     entry = path.entries[j]
     witnesses: dict = {"r": r, "l": None}
     base = (
@@ -192,8 +160,7 @@ def saturation_index(
 
     Qualifying means free with respect to tails at that index.
     """
-    validate_configuration(path, config)
-    free_t = _free_flags(fs, path, config, "T")
+    free_t = path_walk(fs, path, config, "T").free
     if group is None:
         members = None
         cap = fs.total_capacity
@@ -218,8 +185,7 @@ def supporting_event_laminar(
     fs: TruncatedPartition, path: SamplePath, config: Configuration, j: int
 ) -> SupportReport:
     """The two-layer saturation supporting event at index j."""
-    validate_configuration(path, config)
-    free_t = _free_flags(fs, path, config, "T")
+    free_t = path_walk(fs, path, config, "T").free
     entry = path.entries[j]
     g = fs.group_of(entry.element)
     witnesses: dict = {"group": g}

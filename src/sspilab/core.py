@@ -1,5 +1,6 @@
 """Values with tie-breaking, reward/sample generation by deferred decisions,
-greedy sample paths, and exact enumeration of coin configurations.
+the batched draws of Monte Carlo trials, greedy sample paths, and coin
+configurations on them.
 
 Every reward distribution is paired with a uniform tie-break token so that any
 finite collection of draws is strictly totally ordered. Rewards and samples
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -570,10 +571,11 @@ def draw_trials(
     """Trial t's draws from its own stream trial_rng(seed, t), in the order
     of the scalar code. `layout` lists one element's draws in stream order:
     `v` a value (`Distribution.sample`), `t` a tie-break token (one double).
-    The realization layout is followed by one coin per element
-    (`assign_coins`); the mechanism's "vtvtvt" (pricing, reserve and
-    valuation, each a value and its token) draws no coins. Orders come from
-    streams of their own (`chunk_orders`).
+    The realization layout is followed by one coin per element: a double
+    below 0.5 is heads, which makes the larger value the reward. The
+    mechanism's "vtvtvt" (pricing, reserve and valuation, each a value and
+    its token) draws no coins. Orders come from streams of their own
+    (`chunk_orders`).
 
     Point masses take no draw, exponential values one standard exponential
     draw each and every other value or token one double. The raw 64-bit
@@ -768,35 +770,3 @@ def validate_configuration(path: SamplePath, config: Configuration) -> None:
     for j, p in enumerate(path.partner):
         if config.coins[j] == config.coins[p]:
             raise ValueError(f"coins at partner indices {j},{p} must differ")
-
-
-def assign_coins(
-    realizations: Sequence[ElementRealization], rng: np.random.Generator
-) -> tuple[dict[int, TaggedValue], dict[int, TaggedValue], Configuration]:
-    """Flip one fair coin per element to split (Y, Z) into (reward, sample).
-
-    Heads keeps the larger value as the reward. The returned configuration
-    records the outcome at both path indices of every element.
-    """
-    path = build_sample_path(realizations)
-    rewards: dict[int, TaggedValue] = {}
-    samples: dict[int, TaggedValue] = {}
-    mask = 0
-    for r in realizations:
-        if rng.random() < 0.5:
-            mask |= 1 << r.element
-            rewards[r.element], samples[r.element] = r.y, r.z
-        else:
-            rewards[r.element], samples[r.element] = r.z, r.y
-    return rewards, samples, Configuration.from_heads_mask(path, mask)
-
-
-def enumerate_configurations(path: SamplePath) -> Iterator[Configuration]:
-    """Yield each of the 2**n feasible configurations exactly once."""
-    n = path.n
-    if n > CONFIG_ENUMERATION_CAP:
-        raise CapExceededError(
-            f"configuration enumeration capped at n <= {CONFIG_ENUMERATION_CAP}, got n = {n}"
-        )
-    for mask in range(1 << n):
-        yield Configuration.from_heads_mask(path, mask)

@@ -94,7 +94,6 @@ from .core import (
     EXACT_MODE_CAP,
     MASK_BITS,
     CapExceededError,
-    SamplePath,
     TaggedValue,
     TrialDraws,
     build_sample_path,
@@ -470,12 +469,10 @@ class PathLayout:
     shares, built once: the element at each path position (`elem`), the Y
     flags (`is_y`) and values (`w_val`) per position, the index of the
     absent threshold, and per element its Y index and pair sum (Y index +
-    Z index) as (n, 1) path indices of the index type. `realizations` may
-    also be their sample path."""
+    Z index) as (n, 1) path indices of the index type."""
 
     def __init__(self, structure, realizations) -> None:
-        is_path = isinstance(realizations, SamplePath)
-        self.path = realizations if is_path else build_sample_path(realizations)
+        self.path = build_sample_path(realizations)
         n = self.path.n
         if n > CONFIG_ENUMERATION_CAP:
             raise CapExceededError(
@@ -504,8 +501,8 @@ class ConfigEnsemble(PathBatch):
     """The configurations lo..hi-1 (all 2**n by default) for one structure
     and fixed realizations of its elements 0..n-1; bit e of configuration c
     is element e's coin, and column c - lo holds configuration c.
-    `realizations` may also be their sample path, or its `PathLayout`,
-    built once for several blocks."""
+    `realizations` may also be their `PathLayout`, built once for several
+    blocks."""
 
     def __init__(self, structure, realizations, lo: int = 0, hi: int | None = None) -> None:
         layout = realizations if isinstance(realizations, PathLayout) else PathLayout(
@@ -675,7 +672,7 @@ class TrialBatch(PathBatch):
     `core.draw_trials`: per trial, two values and two tie-break tokens per
     element, draw d of element e in row d * n + e. With coins (one per
     element, the realization layout) heads makes the larger value the
-    reward, as in `assign_coins`; draws with no coins (`coins` None, as the
+    reward and tails the smaller; draws with no coins (`coins` None, as the
     mechanism lays them out) make draw 0 the reward. `reward_index` splits
     them: `draw0_rewarded` holds its flags, (n, trials) or True.
     """

@@ -21,9 +21,10 @@ question about the element set S; it is built in n doubling steps over its
 
 Alongside the independence checks this module houses one greedy rule per
 structure kind, with hashable state values, and the one greedy walk over it.
-The walk runs the parameterized greedy on sample paths, the free-index queries
-and the greedy-like offline solution (`greedy_prophet`: the greedy maximal
-matching, the ordered-maximal bipartite matching or the matroid greedy). The
+The walk runs the greedy along a sample path (`path_walk`: per index the free
+flag and the transversal target node, and the side's solution) and the
+greedy-like offline solution (`greedy_prophet`: the greedy maximal matching,
+the ordered-maximal bipartite matching or the matroid greedy). The
 exact optima policies are measured against are here too: branch-and-bound for
 general matching, the matroid greedy with augmenting paths for transversal
 systems, and the matroid greedy itself for the other kinds.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -357,8 +358,8 @@ def is_independent(fs: FeasibilityStructure, s: Iterable[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Greedy rules. One rule per structure kind answers the "can this element
-# still be added" question of the one greedy walk, which the path greedy, the
-# free-index queries and the offline greedy solution all run. A rule's states
+# still be added" question of the one greedy walk, which the walk along a
+# sample path and the offline greedy solution both run. A rule's states
 # are hashable, immutable values: it gives `start`, `can_add(state, e)` and
 # `add(state, e)`, which returns the next state. Equal states admit the same
 # elements from then on, so a walk can be forked by keeping its state, and
@@ -458,63 +459,63 @@ def greedy_rule(fs: FeasibilityStructure):
     raise TypeError(f"unknown structure {type(fs)!r}")
 
 
-def _greedy_walk(rule, state, pairs: Iterable[tuple[int, float]]):
-    """Admit each (element, value) pair in turn when `rule` can still add the
-    element to `state`, summing the admitted values in walk order. Returns
-    the solution and the state the walk ends in. A transversal walk also
-    records each admitted element's right node."""
+class GreedyWalk(NamedTuple):
+    """What one greedy walk found (`_greedy_walk`)."""
+
+    free: list[bool]  # per step: could the greedy still add its element there
+    targets: list[int | None] | None  # transversal: per step, the node it would take
+    solution: Solution
+
+
+def _greedy_walk(rule, state, steps: Iterable[tuple[int, float, bool]]):
+    """Walk (element, value, parsed) steps in turn. An element is free when
+    `rule` can still add it to `state`; a parsed free element is added and
+    its value summed in walk order. Gives the free flag of every step, for
+    a transversal rule the right node each step's element would take (None
+    where no node is free; the targets are None for other rules), and the
+    solution, which for a transversal walk records each admitted element's
+    node."""
     assigns = isinstance(rule, _LowestFree)
     chosen: set[int] = set()
     assignment: dict[int, int] = {}
     total = 0.0
-    for e, value in pairs:
-        # Walks never repeat an element: the offline greedy visits each once,
-        # and the pairing constraint puts one H and one T per element, so the
-        # same element can never be parsed twice on one side of a path.
+    free: list[bool] = []
+    targets: list[int | None] | None = [] if assigns else None
+    for e, value, parsed in steps:
+        free.append(rule.can_add(state, e))
+        if assigns:
+            targets.append(rule.target(state, e))
+        if not parsed:
+            continue
+        # Walks never parse an element twice: the offline greedy visits each
+        # once, and the pairing constraint puts one H and one T per element,
+        # so one side of a path parses each element once.
         assert e not in chosen
-        if rule.can_add(state, e):
+        if free[-1]:
             if assigns:
-                assignment[e] = rule.target(state, e)
+                assignment[e] = targets[-1]
             state = rule.add(state, e)
             chosen.add(e)
             total += value
-    return Solution(frozenset(chosen), total, assignment if assigns else None), state
+    solution = Solution(frozenset(chosen), total, assignment if assigns else None)
+    return GreedyWalk(free, targets, solution)
 
 
-def _parsed(path: SamplePath, config: Configuration, side: str, stop: int | None = None):
-    """(element, value) of the path entries before `stop` whose coin shows
-    `side`, in path order."""
-    return (pair for pair, coin in zip(path.pairs[:stop], config.coins) if coin == side)
-
-
-def greedy_on_path(
+def path_walk(
     fs: FeasibilityStructure,
     path: SamplePath,
     config: Configuration,
     side: str,
-) -> Solution:
-    """Run the greedy over the path, parsing only indices whose coin shows
-    `side`, adding each parsed element when feasible."""
+) -> GreedyWalk:
+    """The greedy over the path, parsing only the indices whose coin shows
+    `side`, in one pass. Per index j it gives whether e_j is free there
+    (could still be added: this reads only the coins before j) and, for a
+    transversal system, the right node e_j would take; it also gives the
+    solution the side's greedy collects."""
     validate_configuration(path, config)
     rule = greedy_rule(fs)
-    return _greedy_walk(rule, rule.start, _parsed(path, config, side))[0]
-
-
-def free_index(
-    fs: FeasibilityStructure,
-    path: SamplePath,
-    config: Configuration,
-    j: int,
-    side: str,
-) -> bool:
-    """Whether element e_j could still be added by the greedy restricted to
-    `side` coins when it reaches position j. Depends only on coins before j."""
-    validate_configuration(path, config)
-    if not 0 <= j < path.length:
-        raise IndexError(f"path index {j} out of range")
-    rule = greedy_rule(fs)
-    _, state = _greedy_walk(rule, rule.start, _parsed(path, config, side, j))
-    return rule.can_add(state, path.entries[j].element)
+    steps = ((e, value, coin == side) for (e, value), coin in zip(path.pairs, config.coins))
+    return _greedy_walk(rule, rule.start, steps)
 
 
 def _sorted_desc(weights: Mapping[int, TaggedValue], elements: Iterable[int]) -> list[int]:
@@ -587,9 +588,10 @@ def contraction_optimum(
     greedy walk started from the state that already holds e."""
     rule = greedy_rule(fs)
     rest = (
-        (x, weights[x].value) for x in _sorted_desc(weights, range(fs.ground_size)) if x != e
+        (x, weights[x].value, True)
+        for x in _sorted_desc(weights, range(fs.ground_size)) if x != e
     )
-    return _greedy_walk(rule, rule.add(rule.start, e), rest)[0].total
+    return _greedy_walk(rule, rule.add(rule.start, e), rest).solution.total
 
 
 def graphic_partition(
@@ -630,8 +632,8 @@ def greedy_prophet(fs: FeasibilityStructure, weights: Mapping[int, TaggedValue])
     matching of a transversal system, or the matroid greedy, which is exact."""
     rule = greedy_rule(fs)
     elements = fs.ground_set if isinstance(fs, SimplePartition) else range(fs.ground_size)
-    pairs = ((e, weights[e].value) for e in _sorted_desc(weights, elements))
-    return _greedy_walk(rule, rule.start, pairs)[0]
+    steps = ((e, weights[e].value, True) for e in _sorted_desc(weights, elements))
+    return _greedy_walk(rule, rule.start, steps).solution
 
 
 def exact_optimum(fs: FeasibilityStructure, weights: Mapping[int, TaggedValue]) -> Solution:

@@ -388,11 +388,10 @@ def adversarial_order(
     samples: Mapping[int, TaggedValue],
     rewards: Mapping[int, TaggedValue],
     mode: str,
-    *,
-    seed: int | None = None,
 ) -> ArrivalOrder:
     """Produce an arrival order: fixed (by element id), increasing rewards,
-    seeded random, or the minimizer of the policy total over all n! orders.
+    or the minimizer of the policy total over all n! orders. The random
+    adversary's orders are drawn per chunk of trials (`core.chunk_orders`).
 
     Thresholds are set offline, so online every policy is a first-come
     greedy over a fixed live set. For the matroid policies (rank1, laminar,
@@ -412,11 +411,6 @@ def adversarial_order(
         elements.sort(key=lambda e: rewards[e].key)
         provenance = "increasing-rewards" if mode == "increasing" else mode
         return ArrivalOrder(tuple(elements), provenance)
-    if mode == "random":
-        stream = np.random.default_rng(seed)
-        return ArrivalOrder(
-            tuple(int(e) for e in stream.permutation(n)), f"random({seed})"
-        )
     if mode == "exhaustive-min":
         if n > EXACT_MODE_CAP:
             raise CapExceededError(

@@ -32,6 +32,7 @@ from sspilab.instances import Instance
 from sspilab.mechanism import estimate_mechanism_ratios
 
 from all_orders import ORACLE_MAX_N, order_search_misses
+from test_harness import star_e_alg
 
 
 def _criterion(num, name, ok, detail=""):
@@ -271,9 +272,13 @@ def test_criterion_5_catches_a_forward_path_walk(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+CRITERION_6_WINDOW = (3.5, 4.05)  # the k = 200 ratio's window
+
+
 def test_criterion_6_tight_example():
     rep200 = _tight(200, 100_000, seed=606)
-    in_window = 3.5 <= rep200.ratio <= 4.05
+    lo, hi = CRITERION_6_WINDOW
+    in_window = lo <= rep200.ratio <= hi
     rep10 = _tight(10, 100_000, seed=607)
     m200 = rep200.ratio * (rep200.ci / rep200.e_alg)
     m10 = rep10.ratio * (rep10.ci / rep10.e_alg)
@@ -283,6 +288,15 @@ def test_criterion_6_tight_example():
         f"k=200 ratio {rep200.ratio:.3f} in [3.5, 4.05]; "
         f"k=10 ratio {rep10.ratio:.3f} below with disjoint intervals",
     )
+
+
+def test_criterion_6_window_holds_the_exact_ratio():
+    # The window holds the ratio itself, not only an estimate: E_OPT is
+    # k - 1/2 exactly, over the exact E_ALG.
+    ratio = (200 - Fraction(1, 2)) / star_e_alg(200)
+    lo, hi = CRITERION_6_WINDOW
+    assert lo <= ratio <= hi
+    assert round(float(ratio), 3) == 3.957
 
 
 def _tight(k, trials, seed):

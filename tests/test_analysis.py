@@ -33,6 +33,7 @@ from sspilab.feasibility import (
     GeneralMatching,
     Transversal,
     TruncatedPartition,
+    path_walk,
 )
 from sspilab.generators import random_instance
 
@@ -119,12 +120,10 @@ class TestSupportingEventTransversal:
                 rep = supporting_event_transversal(t, path, config, j, 0)
                 per_config += rep.holds
                 support_counts[j] += rep.holds
-                from sspilab.feasibility import free_index
-
                 if path.entries[j].label == "Y":
-                    baseline[j] += config.coins[j] == "H" and free_index(
-                        t, path, config, j, "H"
-                    )
+                    baseline[j] += config.coins[j] == "H" and path_walk(
+                        t, path, config, "H"
+                    ).free[j]
             assert per_config <= 1
         for j in range(path.length):
             if path.entries[j].label == "Y":
@@ -153,8 +152,6 @@ class TestSaturationIndex:
     def test_matches_independent_rescan(self, rng):
         # Second implementation: gather qualifying indices, then take the
         # capacity-th one.
-        from sspilab.feasibility import free_index
-
         for _ in range(12):
             inst = random_instance("truncated-partition", int(rng.integers(1, 6)), rng)
             fs = inst.structure
@@ -175,7 +172,7 @@ class TestSaturationIndex:
                         if path.entries[i].label == "Y"
                         and path.entries[i].element in members
                         and config.coins[i] == side
-                        and free_index(fs, path, config, i, "T")
+                        and path_walk(fs, path, config, "T").free[i]
                     ]
                     want = qualifying[cap - 1] if len(qualifying) >= cap else math.inf
                     assert saturation_index(fs, path, config, j, gid, side) == want
@@ -197,8 +194,6 @@ class TestSupportingEventLaminar:
         ).holds
 
     def test_three_element_probability_bound(self):
-        from sspilab.feasibility import free_index
-
         fs = TruncatedPartition(((0, 1), (2,)), (1, 1), 2)
         reals = make_realizations([(9, 4), (7, 3), (6, 2)])
         path = build_sample_path(reals)
@@ -210,9 +205,7 @@ class TestSupportingEventLaminar:
             for mask in range(8):
                 config = Configuration.from_heads_mask(path, mask)
                 support += supporting_event_laminar(fs, path, config, j).holds
-                baseline += config.coins[j] == "H" and free_index(
-                    fs, path, config, j, "H"
-                )
+                baseline += config.coins[j] == "H" and path_walk(fs, path, config, "H").free[j]
             assert 4 * support >= baseline
 
 

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from sspilab.core import (
-    CapExceededError,
     Configuration,
     ElementRealization,
-    assign_coins,
     build_sample_path,
     discrete,
     draw_realization,
-    enumerate_configurations,
     exponential,
     point_mass,
     trial_rng,
@@ -141,73 +138,10 @@ class TestSamplePath:
 
 
 class TestConfigurations:
-    def test_n1_enumeration(self):
-        path = build_sample_path(make_realizations([(5, 2)]))
-        coins = {c.coins for c in enumerate_configurations(path)}
-        assert coins == {("H", "T"), ("T", "H")}
-
-    def test_n2_count(self):
-        path = build_sample_path(make_realizations([(10, 3), (7, 1)]))
-        assert len(list(enumerate_configurations(path))) == 4
-
-    def test_n3_distinct_and_paired(self):
-        path = build_sample_path(make_realizations([(9, 1), (8, 2), (7, 3)]))
-        seen = set()
-        for config in enumerate_configurations(path):
-            assert config.coins not in seen
-            seen.add(config.coins)
-            validate_configuration(path, config)
-        assert len(seen) == 8
-
-    def test_cap(self):
-        path = build_sample_path(
-            make_realizations([(100 - e, 50 - e) for e in range(21)])
-        )
-        with pytest.raises(CapExceededError):
-            list(enumerate_configurations(path))
-
     def test_partner_coin_mismatch_rejected(self):
         path = build_sample_path(make_realizations([(5, 2)]))
         with pytest.raises(ValueError):
             validate_configuration(path, Configuration(("H", "H")))
-
-
-class TestAssignCoins:
-    def test_deferred_decision_semantics(self, rng):
-        reals = make_realizations([(5, 2)])
-        for _ in range(20):
-            rewards, samples, config = assign_coins(reals, rng)
-            if config.coins[0] == "H":
-                assert rewards[0].value == 5 and samples[0].value == 2
-            else:
-                assert rewards[0].value == 2 and samples[0].value == 5
-
-    def test_four_configurations_equiprobable(self):
-        reals = make_realizations([(10, 3), (7, 1)])
-        path = build_sample_path(reals)
-        stream = np.random.default_rng(5)
-        counts = {}
-        trials = 100_000
-        for _ in range(trials):
-            _, _, config = assign_coins(reals, stream)
-            counts[config.coins] = counts.get(config.coins, 0) + 1
-        assert len(counts) == 4
-        for c in counts.values():
-            assert abs(c / trials - 0.25) < 0.01
-
-    def test_marginals_and_independence(self):
-        reals = make_realizations([(9, 1), (8, 2), (7, 3)])
-        stream = np.random.default_rng(9)
-        trials = 100_000
-        flips = np.empty((trials, 3))
-        for t in range(trials):
-            rewards, _, _ = assign_coins(reals, stream)
-            flips[t] = [rewards[e].value == reals[e].y.value for e in range(3)]
-        means = flips.mean(axis=0)
-        assert np.all(np.abs(means - 0.5) < 0.01)
-        corr = np.corrcoef(flips, rowvar=False)
-        off = corr[~np.eye(3, dtype=bool)]
-        assert np.all(np.abs(off) < 0.02)
 
 
 def test_trial_streams_reproducible():

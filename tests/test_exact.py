@@ -35,10 +35,9 @@ from sspilab.feasibility import (
     SimplePartition,
     Transversal,
     TruncatedPartition,
-    free_index,
     graphic_partition,
-    greedy_on_path,
     is_independent,
+    path_walk,
 )
 from sspilab.generators import random_instance
 from sspilab.harness import estimate_ratio
@@ -86,18 +85,19 @@ CYCLE = Instance("cycle", Graphic(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))),
 
 
 def _assert_free_tables(fs, path, table_of, columns):
-    """`table_of(side)` against the scalar free_index, per (column, mask)."""
+    """`table_of(side)` against the scalar path walk, per (column, mask)."""
     for side in "HT":
         table = table_of(side)
         for col, mask in columns:
             config = Configuration.from_heads_mask(path, mask)
+            free = path_walk(fs, path, config, side).free
             for j in range(path.length):
-                assert bool(table[j, col]) == free_index(fs, path, config, j, side), (
+                assert bool(table[j, col]) == free[j], (
                     side, mask, j,
                 )
 
 
-def test_free_tables_match_scalar_free_index(rng):
+def test_free_tables_match_scalar_path_walk(rng):
     drawn = (random_instance(kind, int(rng.integers(1, 6)), rng)
              for kind in ALL_KINDS for _ in range(6))
     for inst in chain(drawn, (STAR, CYCLE)):
@@ -108,7 +108,7 @@ def test_free_tables_match_scalar_free_index(rng):
 
 
 @pytest.mark.parametrize("inst", [STAR, CYCLE], ids=["star", "cycle"])
-def test_trial_free_tables_match_scalar_free_index(inst):
+def test_trial_free_tables_match_scalar_path_walk(inst):
     n = inst.ground_size
     batch = TrialBatch(inst.structure, draw_trials([inst.distributions[e] for e in range(n)],
                                                    5, range(40)))
@@ -167,7 +167,7 @@ def test_greedy_totals_match_flag_tables(rng):
             side_flags = ens.heads if side == "H" else ~ens.heads
             for mask in range(ens.num_configs):
                 config = Configuration.from_heads_mask(path, mask)
-                sol = greedy_on_path(inst.structure, path, config, side)
+                sol = path_walk(inst.structure, path, config, side).solution
                 picked = {
                     path.entries[j].element
                     for j in range(path.length)

@@ -45,7 +45,7 @@ def test_blocks_are_slices_of_the_full_ensemble():
     reals = inst.draw_realizations(trial_rng(1, 0))
     full = ConfigEnsemble(inst.structure, reals)
     for lo, hi in ((0, 5), (5, 64), (100, 128), (120, 500)):
-        block = ConfigEnsemble(inst.structure, full.path, lo, hi)
+        block = ConfigEnsemble(inst.structure, reals, lo, hi)
         assert block.num_configs == min(hi, 128) - lo
         assert np.array_equal(block.heads, full.heads[:, lo:hi])
         assert np.array_equal(block.ridx, full.ridx[:, lo:hi])
@@ -56,10 +56,11 @@ def test_blocks_are_slices_of_the_full_ensemble():
 def test_config_blocks_cover_every_configuration_in_order(monkeypatch):
     monkeypatch.setattr(exact, "CONFIG_BLOCK", 3)
     inst = _instance("transversal", 5, 2)
-    blocks = list(config_blocks(inst.structure, inst.draw_realizations(trial_rng(2, 0))))
+    reals = inst.draw_realizations(trial_rng(2, 0))
+    blocks = list(config_blocks(inst.structure, reals))
     assert [b.num_configs for b in blocks] == [3] * 10 + [2]
     assert len({id(b.path) for b in blocks}) == 1
-    full = ConfigEnsemble(inst.structure, blocks[0].path)
+    full = ConfigEnsemble(inst.structure, reals)
     assert np.array_equal(np.hstack([b.heads for b in blocks]), full.heads)
 
 

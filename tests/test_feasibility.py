@@ -20,14 +20,13 @@ from sspilab.feasibility import (
     TruncatedPartition,
     contraction_optimum,
     exact_optimum,
-    free_index,
     graphic_partition,
-    greedy_on_path,
     greedy_prophet,
     greedy_rule,
     is_independent,
     optimal_matching,
     optimal_transversal,
+    path_walk,
 )
 from sspilab.policies import min_maximal_matching
 from sspilab.generators import random_instance
@@ -87,8 +86,8 @@ class TestGreedyOnPath:
         fs = TruncatedPartition(((0,),), (1,), 1)
         path = build_sample_path(make_realizations([(5, 2)]))
         config = Configuration(("H", "T"))
-        assert greedy_on_path(fs, path, config, "H").total == 5
-        assert greedy_on_path(fs, path, config, "T").total == 2
+        assert path_walk(fs, path, config, "H").solution.total == 5
+        assert path_walk(fs, path, config, "T").solution.total == 2
 
     def test_matching_triangle_hand_trace(self):
         # Y-values 6,5,4; Z-values 3,2,1; all Y coins heads: greedy on the
@@ -96,14 +95,14 @@ class TestGreedyOnPath:
         reals = make_realizations([(6, 3), (5, 2), (4, 1)])
         path = build_sample_path(reals)
         config = Configuration.from_heads_mask(path, 0b111)
-        sol = greedy_on_path(TRIANGLE, path, config, "H")
+        sol = path_walk(TRIANGLE, path, config, "H").solution
         assert sol.chosen == frozenset({0}) and sol.total == 6
 
     def test_transversal_assignment_recorded(self):
         t = Transversal(2, 2, ((0, 1), (0,)))
         path = build_sample_path(make_realizations([(5, 1), (4, 2)]))
         config = Configuration.from_heads_mask(path, 0b11)
-        sol = greedy_on_path(t, path, config, "H")
+        sol = path_walk(t, path, config, "H").solution
         assert sol.assignment == {0: 0, 1: 1} or sol.assignment == {0: 0}
         assert is_independent(t, sol.chosen)
 
@@ -116,7 +115,7 @@ class TestGreedyOnPath:
                 mask = int(rng.integers(0, 1 << path.n))
                 config = Configuration.from_heads_mask(path, mask)
                 for side in "HT":
-                    sol = greedy_on_path(inst.structure, path, config, side)
+                    sol = path_walk(inst.structure, path, config, side).solution
                     assert is_independent(inst.structure, sol.chosen)
 
 
@@ -125,14 +124,14 @@ class TestFreeIndex:
         path = build_sample_path(make_realizations([(5, 2)]))
         fs = TruncatedPartition(((0,),), (1,), 1)
         config = Configuration(("H", "T"))
-        assert free_index(fs, path, config, 0, "H")
-        assert free_index(fs, path, config, 0, "T")
+        assert path_walk(fs, path, config, "H").free[0]
+        assert path_walk(fs, path, config, "T").free[0]
 
     def test_rank1_sample_fills_capacity(self):
         fs = TruncatedPartition(((0,),), (1,), 1)
         path = build_sample_path(make_realizations([(5, 2)]))
         config = Configuration(("T", "H"))
-        assert not free_index(fs, path, config, 1, "T")
+        assert not path_walk(fs, path, config, "T").free[1]
 
     def test_matching_triangle_tails_block(self):
         # Edge 0's Y-coin tails puts it in the tails-side matching, blocking
@@ -141,13 +140,7 @@ class TestFreeIndex:
         path = build_sample_path(reals)
         config = Configuration.from_heads_mask(path, 0b110)  # element 0 tails
         j = path.y_index(1)
-        assert not free_index(TRIANGLE, path, config, j, "T")
-
-    def test_out_of_range(self):
-        path = build_sample_path(make_realizations([(5, 2)]))
-        fs = TruncatedPartition(((0,),), (1,), 1)
-        with pytest.raises(IndexError):
-            free_index(fs, path, Configuration(("H", "T")), 2, "H")
+        assert not path_walk(TRIANGLE, path, config, "T").free[j]
 
     def test_suffix_coin_invariance(self, rng):
         # The free flag at j may depend only on coins before j: flipping the
@@ -169,9 +162,21 @@ class TestFreeIndex:
                         flip |= 1 << e
                 flipped = Configuration.from_heads_mask(path, mask ^ flip)
                 for side in "HT":
-                    assert free_index(inst.structure, path, config, j, side) == (
-                        free_index(inst.structure, path, flipped, j, side)
+                    assert path_walk(inst.structure, path, config, side).free[j] == (
+                        path_walk(inst.structure, path, flipped, side).free[j]
                     )
+
+    def test_transversal_targets_exactly_at_free_indices(self, rng):
+        # A left node is free exactly when some neighbour is still untaken,
+        # which is when the walk names the node it would take.
+        for _ in range(12):
+            inst = random_instance("transversal", int(rng.integers(1, 7)), rng)
+            path = build_sample_path(inst.draw_realizations(rng))
+            config = Configuration.from_heads_mask(path, int(rng.integers(0, 1 << path.n)))
+            for side in "HT":
+                walk = path_walk(inst.structure, path, config, side)
+                assert len(walk.targets) == len(walk.free) == path.length
+                assert [r is not None for r in walk.targets] == walk.free
 
 
 def brute_force_matching(g, w):

@@ -6,29 +6,23 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 import sspilab.analysis as analysis
-from sspilab.core import discrete, point_mass, trial_rng
+from sspilab.core import Configuration, discrete, point_mass, trial_rng
 from sspilab.exact import ConfigEnsemble
-from sspilab.feasibility import _greedy_walk, greedy_rule
+from sspilab.feasibility import path_walk
 from sspilab.generators import STRUCTURE_KINDS, random_instance
 from sspilab.instances import Instance
 
 
 def enumerated_recount(ens: ConfigEnsemble) -> list[int]:
     """Per path index, the configurations whose heads-side greedy admits the
-    element there: the scalar greedy walk over each configuration's heads
-    entries, one configuration at a time."""
+    element there: the scalar walk along the path (`path_walk`), one
+    configuration at a time."""
     path = ens.path
-    # Per path entry, (element, value, bit of the element in the heads mask,
-    # whether the entry is heads when that bit is set: Y entries).
-    entries = [
-        (e.element, e.value.value, 1 << e.element, e.label == "Y") for e in path.entries
-    ]
     y_of = [path.y_index(e) for e in range(ens.n)]
     recount = [0] * ens.length
-    rule = greedy_rule(ens.structure)
     for mask in range(ens.num_configs):
-        pairs = [(e, v) for e, v, bit, is_y in entries if bool(mask & bit) == is_y]
-        sol, _ = _greedy_walk(rule, rule.start, pairs)
+        config = Configuration.from_heads_mask(path, mask)
+        sol = path_walk(ens.structure, path, config, "H").solution
         for e in sol.chosen:
             jy = y_of[e]
             recount[jy if mask & (1 << e) else path.partner[jy]] += 1

@@ -26,7 +26,7 @@ from sspilab.core import (
     trial_rng,
     uniform,
 )
-from sspilab.feasibility import Graphic, TruncatedPartition, graphic_partition
+from sspilab.feasibility import Graphic, SimplePartition, TruncatedPartition, graphic_partition
 from sspilab.generators import random_instance, star_graphic_instance
 from sspilab.harness import (
     CSV_HEADER,
@@ -37,7 +37,7 @@ from sspilab.harness import (
     tight_example,
 )
 from sspilab.instances import Instance, instance_to_document, load_instance
-from sspilab.policies import run_policy
+from sspilab.policies import reduction_policy, run_policy
 
 from conftest import tv
 
@@ -359,7 +359,37 @@ def star_e_alg(k: int) -> Fraction:
     return total / (k + 1)
 
 
+def brute_star_e_alg(k: int) -> Fraction:
+    """Exact E_ALG of the star tight example by brute force over orders.
+
+    The k rewards and k samples are IID, so each of their (2k)! relative
+    orders is equally likely, and given the order the draw of rank r (1 the
+    least) has mean u r/(2k + 1), a value lo + r/((2k + 1)k). The policy
+    only compares draws, so given the order its mean total is its total at
+    those means. The center's place in the vertex order is uniform, so L
+    leaves, for each L in 0..k, own an edge each, and the center owns the
+    rest. The traced reduction runs with those groups and increasing
+    rewards."""
+    lo = 1 - Fraction(1, k)
+    mean = [lo + Fraction(r, (2 * k + 1) * k) for r in range(2 * k + 1)]
+    total, runs = Fraction(0), 0
+    for rank in permutations(range(1, 2 * k + 1)):  # rewards, then samples
+        rewards = {e: tv(float(mean[rank[e]]), 0.5, e) for e in range(k)}
+        samples = {e: tv(float(mean[rank[k + e]]), 0.5, e) for e in range(k)}
+        arrivals = sorted(rewards.items(), key=lambda item: item[1])
+        for leaves in range(k + 1):
+            groups = (*((e,) for e in range(leaves)), tuple(range(leaves, k)))
+            trace = reduction_policy(SimplePartition(groups), samples, arrivals)
+            total += sum(mean[rank[e]] for e in trace.chosen.chosen)
+            runs += 1
+    return total / runs
+
+
 class TestTightExample:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_exact_e_alg_equals_a_brute_force_over_orders(self, k):
+        assert brute_star_e_alg(k) == star_e_alg(k)
+
     def test_vectorized_rule_matches_traced_policy(self, rng):
         # Hand-built rewards and samples fed to the traced reduction policy,
         # and, sorted into the kernel's kinds, to the kernel. In trial t the
@@ -450,6 +480,7 @@ class TestTightExample:
         general = estimate_ratio(star_graphic_instance(k), "reduction-graphic",
                                  "increasing", trials=trials, seed=seed, mode="mc")
         assert abs(fast.e_alg - general.e_alg) <= 4 * math.hypot(fast.ci, general.ci)
+        assert abs(general.e_alg - float(star_e_alg(k))) <= 4 * general.ci
         # E_OPT sums k uniforms on an interval of width 1/k.
         opt_half = 1.96 * math.sqrt(k / 12) / k / math.sqrt(trials)
         assert abs(fast.e_opt - general.e_opt) <= 4 * math.sqrt(2) * opt_half

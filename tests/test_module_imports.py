@@ -49,6 +49,41 @@ def test_traced_oracles_import_nothing_from_the_engine():
         assert _names_from_exact(PACKAGE / name) == [], name
 
 
+SCALAR_WALKS = {
+    "feasibility.py": ("path_walk",),
+    "analysis.py": ("candidate_node", "saturation_index", "supporting_event_matching",
+                    "supporting_event_transversal", "supporting_event_laminar"),
+}
+
+
+def _names_read(path: Path, roots) -> set[str]:
+    """The names the bodies of the functions `roots` of `path` read, and of
+    the functions of `path` that they call, to any depth."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo, names = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        read = {node.id for node in ast.walk(bodies[name]) if isinstance(node, ast.Name)}
+        names |= read
+        todo += sorted(read & set(bodies))
+    return names
+
+
+def test_scalar_walks_use_nothing_from_the_engine():
+    # analysis.py imports the engine for its verifiers, so the module rule
+    # above cannot hold its scalar supporting-event functions apart from it:
+    # they and the scalar path walk they read are the oracles of the
+    # engine's free-flag and supporting-event tables.
+    engine = set(_names_from_exact(PACKAGE / "analysis.py"))
+    assert "ConfigEnsemble" in engine
+    for module, roots in SCALAR_WALKS.items():
+        assert _names_read(PACKAGE / module, roots) & engine == set(), module
+
+
 def _float_splits(path: Path) -> list[str]:
     """Uses in `path` of `frexp` or `as_integer_ratio`, which split a float
     into exact integer parts."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sspilab.analysis import _free_flags, verify_lemma
+from sspilab.analysis import verify_lemma
 from sspilab.core import (
     VERTEX_ORDERS,
     Configuration,
@@ -31,7 +31,7 @@ from sspilab.exact import (
     policy_run,
     reduction_partitions,
 )
-from sspilab.feasibility import SimplePartition, Transversal
+from sspilab.feasibility import SimplePartition, Transversal, path_walk
 from sspilab.generators import _random_partition, random_instance
 from sspilab.policies import POLICY_STRUCTURES
 
@@ -85,7 +85,7 @@ cases = st.fixed_dictionaries({
 
 
 @given(cases)
-def test_trial_free_flags_equal_the_scalar_walk(case):
+def test_trial_free_tables_equal_the_scalar_walk(case):
     inst = _instance(**case)
     fs, n = inst.structure, inst.ground_size
     batch = TrialBatch(fs, _draws(inst, case["seed"]))
@@ -98,7 +98,7 @@ def test_trial_free_flags_equal_the_scalar_walk(case):
         mask = sum(1 << e for e in range(n) if rewards[e] == reals[e].y)
         config = Configuration.from_heads_mask(path, mask)
         for side in "HT":
-            assert batch.free(side)[:, t].tolist() == _free_flags(fs, path, config, side)
+            assert batch.free(side)[:, t].tolist() == path_walk(fs, path, config, side).free
 
 
 @given(cases)
