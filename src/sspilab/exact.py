@@ -52,7 +52,10 @@ total one (partitions, the reductions' groups, the mechanism's
 contraction). The free flags walk the sample path; the replays walk the
 arrival order (`_replay`). The increasing order needs no order table: it
 is the sample path walked backwards, each element arriving at its reward
-index. `policy_run` is the one batched form of each policy: its
+index. The lemma verifiers' supporting events are one race kernel,
+`_heads_among_first`, whose rule (for laminar the 2r - 1 rule of
+`analysis._races`) the supporting-events section of `ConfigEnsemble`
+states. `policy_run` is the one batched form of each policy: its
 thresholds, its replay against a named adversary and each accepted
 element's critical price, on one of the reduction policies' partitions
 (`reduction_partitions` builds them). The matching and transversal
@@ -548,48 +551,33 @@ class ConfigEnsemble(PathBatch):
         return Fraction(sum(map(mul, ints, filter(None, counts))), 1 << scale)
 
     # -- supporting events ---------------------------------------------------
+    #
+    # Each supporting event at a Y index j that is free for tails and shows
+    # heads is one race (`_heads_among_first`): among the later indices that
+    # compete with j for its resource and are free for tails, count the heads
+    # among the first few. Transversal: the first later Y index whose
+    # candidate node is j's must not show heads. Laminar: in j's group and in
+    # the whole ground set, a capacity-r scope saturates with tails first iff
+    # fewer than r of its first 2r - 1 competing Y indices show heads, the
+    # rule of the nested-bins coin game (`analysis._races`). Matching: none of
+    # the first two indices whose edge meets e_j (its own Z index included)
+    # may show heads. The scalar event stops at a first one with e_j's two
+    # endpoints (its own Z or a parallel edge); the race needs no such rule,
+    # since that index with tails takes both endpoints in the tails walk and
+    # leaves no later index that meets e_j free.
 
     def support_matching(self) -> np.ndarray:
         """(2n, configs) truth table of the matching supporting event."""
-        fs = self.structure
         free_t = self.free("T")
-        tails = ~self.heads
-        edges = fs.edges
+        ends = [set(self.structure.edges[e]) for e in self.elem]
         support = np.zeros((self.length, self.num_configs), dtype=bool)
-        endpoints = [set(edges[self.elem[j]]) for j in range(self.length)]
-        for j in range(self.length):
-            if not self.is_y[j]:
-                continue
+        for j in np.flatnonzero(self.is_y).tolist():
             base = free_t[j] & self.heads[j]
-            if not base.any():
-                continue
-            ej = self.elem[j]
-            ej_ends = endpoints[j]
-            looking1 = base.copy()
-            looking2 = np.zeros(self.num_configs, dtype=bool)
-            satisfied = np.zeros(self.num_configs, dtype=bool)
-            for l in range(j + 1, self.length):
-                el = self.elem[l]
-                shares = el == ej or bool(ej_ends & endpoints[l])
-                if not shares:
-                    continue
-                ft = free_t[l]
-                # Second conflicting index first: it must postdate the first.
-                hit2 = looking2 & ft
-                satisfied |= hit2 & tails[l]
-                looking2 &= ~hit2
-                hit1 = looking1 & ft
-                ok = hit1 & tails[l]
-                if el == ej or endpoints[l] == ej_ends:
-                    satisfied |= ok
-                else:
-                    looking2 |= ok
-                looking1 &= ~hit1
-            # A Y-value always meets a conflicting free index (its own other
-            # value at the latest), so nothing may still be waiting.
-            assert not looking1.any(), "first conflicting index missing for a Y-value"
-            satisfied |= looking2  # no second conflicting index exists
-            support[j] = satisfied
+            rows = [l for l in range(j + 1, self.length) if ends[j] & ends[l]]
+            count, left = _heads_among_first(self.heads, base, rows, free_t.__getitem__, 2)
+            # A Y-value always meets a free competitor (its own Z at the latest).
+            assert not (left == 2).any(), "first conflicting index missing for a Y-value"
+            support[j] = base & (count == 0)
         return support
 
     def support_transversal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -597,64 +585,31 @@ class ConfigEnsemble(PathBatch):
         candidate node it concerns (r = the online target of j)."""
         free_t = self.free("T")
         cand = self.candidate_nodes
-        tails = ~self.heads
+        ys = np.flatnonzero(self.is_y)
         support = np.zeros((self.length, self.num_configs), dtype=bool)
-        for j in range(self.length):
-            if not self.is_y[j]:
-                continue
+        for j in ys.tolist():
             base = free_t[j] & self.heads[j]
-            if not base.any():
-                continue
-            r = cand[j]
-            active = base.copy()
-            satisfied = np.zeros(self.num_configs, dtype=bool)
-            for l in range(j + 1, self.length):
-                if not self.is_y[l]:
-                    continue
-                hit = active & free_t[l] & (cand[l] == r)
-                satisfied |= hit & tails[l]
-                active &= ~hit
-                if not active.any():
-                    break
-            satisfied |= active  # no later index competes for r
-            support[j] = satisfied
+            rows = ys[ys > j].tolist()
+            # A node index is set only where the index is free for tails.
+            count, _ = _heads_among_first(self.heads, base, rows, lambda l: cand[l] == cand[j], 1)
+            support[j] = base & (count == 0)
         return support, cand
 
     def support_laminar(self) -> np.ndarray:
         """Truth table of the two-layer saturation supporting event."""
         fs = self.structure
         free_t = self.free("T")
-        group_of = fs.group_index
+        ys = np.flatnonzero(self.is_y).tolist()
+        group = [fs.group_index[e] for e in self.elem]
         support = np.zeros((self.length, self.num_configs), dtype=bool)
-        for j in range(self.length):
-            if not self.is_y[j]:
-                continue
+        for j in ys:
             base = free_t[j] & self.heads[j]
-            if not base.any():
-                continue
-            gj = group_of[self.elem[j]]
-            ok = base.copy()
-            for scope, r_cap in (("group", fs.group_capacities[gj]), ("all", fs.total_capacity)):
-                cnt_h = np.zeros(self.num_configs, dtype=np.int32)
-                cnt_t = np.zeros(self.num_configs, dtype=np.int32)
-                decided = np.zeros(self.num_configs, dtype=bool)
-                fail = np.zeros(self.num_configs, dtype=bool)
-                for l in range(j + 1, self.length):
-                    if not self.is_y[l]:
-                        continue
-                    if scope == "group" and group_of[self.elem[l]] != gj:
-                        continue
-                    qual = free_t[l] & ~decided
-                    is_h = self.heads[l]
-                    cnt_h += qual & is_h
-                    cnt_t += qual & ~is_h
-                    new_h = ~decided & (cnt_h == r_cap)
-                    new_t = ~decided & (cnt_t == r_cap)
-                    fail |= new_h
-                    decided |= new_h | new_t
-                # Undecided configs never saturate either way: event intact.
-                ok &= ~fail
-            support[j] = ok
+            later = [l for l in ys if l > j]
+            mine = [l for l in later if group[l] == group[j]]
+            for rows, r in ((mine, fs.group_capacities[group[j]]), (later, fs.total_capacity)):
+                count, _ = _heads_among_first(self.heads, base, rows, free_t.__getitem__, 2 * r - 1)
+                base &= count < r
+            support[j] = base
         return support
 
 
@@ -807,6 +762,23 @@ def group_walk(elem, want, group, caps, total_cap: int) -> np.ndarray:
         if total is not None:
             total -= took
     return free
+
+
+def _heads_among_first(heads, base, rows, competes, first: int):
+    """The race of a supporting event: per column that `base` sets, the
+    number of heads among the first `first` of the path indices `rows`
+    (ascending) where the row `competes(l)` is set. Returns the counts and
+    the competitor places still open (`first` where none came, 0 off
+    `base`)."""
+    left = base * np.min_scalar_type(first).type(first)
+    count = np.zeros_like(left)
+    for l in rows:
+        if not left.any():
+            break
+        hit = np.logical_and(competes(l), left)
+        count += hit & heads[l]
+        left -= hit
+    return count, left
 
 
 def _replay(walk, batch: PathBatch, live: np.ndarray, adversary, *rule) -> np.ndarray:

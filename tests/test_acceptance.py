@@ -4,7 +4,6 @@ Heavy exact runs are shared through module-scoped fixtures; criterion 8
 audits the accept decisions recorded during criteria 3 and 4.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np

@@ -1,8 +1,11 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sspilab.analysis as analysis
 from sspilab.analysis import (
@@ -26,6 +29,7 @@ from sspilab.core import (
     Configuration,
     InputError,
     build_sample_path,
+    point_mass,
     trial_rng,
 )
 from sspilab.exact import ConfigEnsemble
@@ -238,39 +242,123 @@ class TestEngineAgreesWithScalarOps:
             make_realizations([(10, 1), (9, 0.5), (8, 0.2)]),
         )
         assert any(r.witnesses.get("l2") is not None for r in reports)
+        # Edge (1, 2) meets edge (0, 1) after the latter's Z index, which is
+        # the first conflicting index and closes the race on its own.
+        reports = self._matching_reports(
+            GeneralMatching(3, ((0, 1), (1, 2))), make_realizations([(10, 9), (8, 1)])
+        )
+        assert any(r.index == 0 and r.holds and r.witnesses["l1"] == 1 for r in reports)
 
     def test_transversal(self, rng):
+        cases = []
         for _ in range(8):
             inst = random_instance("transversal", int(rng.integers(1, 5)), rng)
-            reals = inst.draw_realizations(rng)
+            cases.append((inst.structure, inst.draw_realizations(rng)))
+        # No later Y-value wants element 0's node: its event holds with no
+        # competitor.
+        cases.append((Transversal(2, 2, ((0,), (1,))), make_realizations([(5, 2), (4, 1)])))
+        reports = []
+        for fs, reals in cases:
             path = build_sample_path(reals)
-            ens = ConfigEnsemble(inst.structure, reals)
+            ens = ConfigEnsemble(fs, reals)
             table, cand = ens.support_transversal()
             for mask in range(ens.num_configs):
                 config = Configuration.from_heads_mask(path, mask)
                 for j in range(path.length):
-                    cand_scalar = candidate_node(inst.structure, path, config, j)
+                    cand_scalar = candidate_node(fs, path, config, j)
                     if cand_scalar is not None:
                         assert int(cand[j, mask]) == cand_scalar
-                    for r in range(inst.structure.right_count):
-                        got = supporting_event_transversal(
-                            inst.structure, path, config, j, r
-                        )
+                    for r in range(fs.right_count):
+                        got = supporting_event_transversal(fs, path, config, j, r)
                         expect = bool(table[j, mask]) and int(cand[j, mask]) == r
                         assert got.holds == expect
+                        reports.append(got)
+        assert any(r.holds and r.witnesses["l"] is None for r in reports)
 
     def test_laminar(self, rng):
+        cases = []
         for _ in range(8):
             inst = random_instance("truncated-partition", int(rng.integers(1, 6)), rng)
-            reals = inst.draw_realizations(rng)
+            cases.append((inst.structure, inst.draw_realizations(rng)))
+        # One element: no competitor after its Y-value. Three elements under
+        # capacities 2 and 3: fewer than 2r - 1 later Y-values in each scope.
+        cases.append((TruncatedPartition(((0,),), (1,), 1), make_realizations([(5, 2)])))
+        cases.append((
+            TruncatedPartition(((0, 1, 2),), (2,), 3),
+            make_realizations([(9, 4), (7, 3), (6, 2)]),
+        ))
+        for fs, reals in cases:
             path = build_sample_path(reals)
-            ens = ConfigEnsemble(inst.structure, reals)
+            ens = ConfigEnsemble(fs, reals)
             table = ens.support_laminar()
             for mask in range(ens.num_configs):
                 config = Configuration.from_heads_mask(path, mask)
                 for j in range(path.length):
-                    got = supporting_event_laminar(inst.structure, path, config, j)
+                    got = supporting_event_laminar(fs, path, config, j)
                     assert got.holds == bool(table[j, mask])
+
+
+support_cases = st.fixed_dictionaries({
+    "kind": st.sampled_from(("matching", "transversal", "truncated-partition")),
+    "n": st.integers(1, 7),
+    "seed": st.integers(0, 2**32 - 1),
+    "point_masses": st.booleans(),
+})
+
+
+def _support_instance(kind, n, seed, point_masses):
+    """A generated structure and its realizations: matching graphs copy
+    earlier edges into parallel ones, truncated partitions take capacities
+    2-3 (races of 3-5 competitors), and point masses make ties."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(kind, n, rng)
+    fs = inst.structure
+    if kind == "matching":
+        edges = list(fs.edges)
+        for e in range(1, n):
+            if rng.random() < 0.5:
+                u, v = edges[int(rng.integers(e))]
+                edges[e] = (u, v) if rng.random() < 0.5 else (v, u)
+        fs = GeneralMatching(fs.vertex_count, tuple(edges))
+    elif kind == "truncated-partition":
+        caps = tuple(int(c) for c in rng.integers(2, 4, size=len(fs.groups)))
+        fs = TruncatedPartition(fs.groups, caps, int(rng.integers(2, 4)))
+    if point_masses:
+        inst = replace(inst, distributions={
+            e: point_mass(float(rng.integers(0, 3))) for e in range(n)
+        })
+    return fs, inst.draw_realizations(trial_rng(seed, 0))
+
+
+def _transversal_event(fs, path, config, j):
+    r = candidate_node(fs, path, config, j)
+    return r is not None and supporting_event_transversal(fs, path, config, j, r).holds
+
+
+SUPPORT_ORACLES = {
+    "matching": (
+        lambda ens: ens.support_matching(),
+        lambda *args: supporting_event_matching(*args).holds,
+    ),
+    "transversal": (lambda ens: ens.support_transversal()[0], _transversal_event),
+    "truncated-partition": (
+        lambda ens: ens.support_laminar(),
+        lambda *args: supporting_event_laminar(*args).holds,
+    ),
+}
+
+
+@settings(max_examples=100)
+@given(support_cases)
+def test_support_tables_equal_the_scalar_events(case):
+    table_of, event = SUPPORT_ORACLES[case["kind"]]
+    fs, reals = _support_instance(**case)
+    path = build_sample_path(reals)
+    table = table_of(ConfigEnsemble(fs, reals))
+    for mask in range(1 << len(reals)):
+        config = Configuration.from_heads_mask(path, mask)
+        for j in range(path.length):
+            assert bool(table[j, mask]) == event(fs, path, config, j), (mask, j)
 
 
 class TestVerifyLemma:

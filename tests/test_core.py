@@ -3,7 +3,6 @@ import pytest
 
 from sspilab.core import (
     Configuration,
-    ElementRealization,
     build_sample_path,
     discrete,
     draw_realization,

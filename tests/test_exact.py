@@ -33,7 +33,6 @@ from sspilab.feasibility import (
     GeneralMatching,
     Graphic,
     SimplePartition,
-    Transversal,
     TruncatedPartition,
     graphic_partition,
     is_independent,

@@ -9,8 +9,6 @@ from sspilab.core import (
     Configuration,
     TaggedValue,
     build_sample_path,
-    draw_realization,
-    uniform,
 )
 from sspilab.feasibility import (
     GeneralMatching,

@@ -19,7 +19,6 @@ from sspilab import harness
 from sspilab.cli import main
 from sspilab.core import (
     CapExceededError,
-    Configuration,
     InputError,
     build_sample_path,
     discrete,
@@ -31,7 +30,6 @@ from sspilab.generators import random_instance, star_graphic_instance
 from sspilab.harness import (
     CSV_HEADER,
     WORKERS_ENV,
-    RatioReport,
     estimate_ratio,
     report_fields,
     tight_example,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sspilab.feasibility import GeneralMatching, Transversal, TruncatedPartition
+from sspilab.feasibility import GeneralMatching, Transversal
 from sspilab.generators import random_instance, star_graphic_instance
 from sspilab.core import InputError
 from sspilab.instances import (

@@ -5,13 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from sspilab.core import (
-    CapExceededError,
-    Configuration,
-    InputError,
-    build_sample_path,
-    trial_rng,
-)
+from sspilab.core import CapExceededError, InputError
 from sspilab.feasibility import (
     GeneralMatching,
     Graphic,
@@ -217,7 +211,7 @@ class TestAdversarialOrder:
         )
         assert order.order == (0,)
 
-    def test_fixed_and_random(self):
+    def test_fixed_order(self):
         fs = TruncatedPartition(((0, 1),), (1,), 1)
         samples = {e: tv(1, 0.4, e) for e in range(2)}
         rewards = {e: tv(2, 0.5, e) for e in range(2)}
