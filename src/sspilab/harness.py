@@ -13,14 +13,15 @@ per command. It sums integer path-index counts over the blocks and reports
 expectations as exact rationals, the same for any block size; the
 worst-case adversary minimizes the policy total per configuration. Monte
 Carlo mode splits its trials into chunks of MC_CHUNK and evaluates each
-chunk as one batch. Trial t still draws its values, tokens and coins from
-its own stream (seed, t), in the order of the scalar code
-(`core.draw_trials`), so they are those of a trial-by-trial run. The
-random adversary's orders and the reduction-graphic vertex orders come
-from the chunk's own order streams (`core.chunk_orders`), so a trial's
-values, tokens, coins and vertex order do not depend on the adversary.
-Chunk sums merge in chunk order, so results do not depend on the worker
-count.
+chunk as one batch with `mc_trials`, the one chunk evaluator, which the
+mechanism (`mechanism.py`) also runs on its own draws. Trial t still draws
+its values, tokens and coins from its own stream (seed, t), in the order
+of the scalar code (`core.draw_trials`), so they are those of a
+trial-by-trial run. The random adversary's orders and the
+reduction-graphic vertex orders come from the chunk's own order streams
+(`core.chunk_orders`), so a trial's values, tokens, coins and vertex order
+do not depend on the adversary. Chunk sums merge in chunk order, so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .core import (
     VERTEX_ORDERS,
     CapExceededError,
     InputError,
+    TrialDraws,
     chunk_orders,
     draw_trials,
     trial_rng,
@@ -226,7 +229,11 @@ def mc_summary(partials, trials: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TrialOutcome:
-    """Per-trial results of one batch of Monte Carlo trials."""
+    """Per-trial results of one batch of Monte Carlo trials: the output of
+    `mc_trials`, the one evaluator of a chunk for Monte Carlo `simulate` and
+    for `mechanism`. E_OPT is the total of a maximum-weight feasible set of
+    the rewards (`exact.optimum_accepts`), E_OPT_PRIME that of the greedy on
+    the rewards."""
 
     batch: TrialBatch
     # The adversary as `exact.policy_run` reads it: (n, trials) orders for
@@ -234,35 +241,29 @@ class TrialOutcome:
     orders: np.ndarray | str
     vertex_ranks: np.ndarray | None  # reduction-graphic: (touched vertices, trials)
     accepted: np.ndarray  # (n, trials) flags
+    price: Callable[[], np.ndarray]  # the run's critical prices (`PolicyRun.price`)
     alg: np.ndarray  # (trials,) float totals
     opt: np.ndarray
     opt_prime: np.ndarray
     z_violations: np.ndarray  # (n, trials): accepted rewards below their sample
 
 
-def optimum_totals(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Per trial, the float totals of E_OPT (a maximum-weight feasible set
-    of the rewards, `exact.optimum_accepts`) and of E_OPT_PRIME (the greedy
-    on the rewards)."""
-    opt_prime = batch.path_sums(batch.heads & batch.free("H"))
-    opt = optimum_accepts(batch)
-    if opt is None:
-        return opt_prime, opt_prime
-    return (batch.values_at(batch.ridx) * opt).sum(axis=0), opt_prime
-
-
 def mc_trials(
-    instance: Instance, policy: str, adversary: str, seed: int, trials: range
+    instance: Instance, policy: str, adversary: str, seed: int, trials: range,
+    draws: TrialDraws | None = None,
 ) -> TrialOutcome:
     """Evaluate the given trials as one batch. Trial t draws its values,
-    tokens and coins from the stream (seed, t); the random adversary's
-    orders and the reduction-graphic vertex orders (as ranks of the touched
-    vertices) come from the chunk's order streams (`core.chunk_orders`,
-    keyed by the first trial of `trials`). So the values, tokens, coins and
-    vertex orders do not depend on the adversary."""
+    tokens and coins from the stream (seed, t), unless the caller hands in
+    its own `draws` (the mechanism's: valuations as draw 0 and pricing as
+    draw 1, no coins). The random adversary's orders and the
+    reduction-graphic vertex orders (as ranks of the touched vertices) come
+    from the chunk's order streams (`core.chunk_orders`, keyed by the first
+    trial of `trials`). So the values, tokens, coins and vertex orders do
+    not depend on the adversary."""
     fs = instance.structure
     n = instance.ground_size
-    draws = draw_trials([instance.distributions[e] for e in range(n)], seed, trials)
+    if draws is None:
+        draws = draw_trials([instance.distributions[e] for e in range(n)], seed, trials)
     batch = TrialBatch(fs, draws)
     ranks = None
     if policy == "reduction-graphic":
@@ -270,17 +271,20 @@ def mc_trials(
     ((grouping, _),) = reduction_partitions(instance, policy, ranks)
     ridx = batch.ridx
     orders = chunk_orders(seed, trials, n, ARRIVAL_ORDERS) if adversary == "random" else adversary
-    accepted = policy_run(batch, policy, orders, grouping).accepted
-    opt, opt_prime = optimum_totals(batch)
+    run = policy_run(batch, policy, orders, grouping)
+    rewards = batch.values_at(ridx)
+    opt_prime = batch.path_sums(batch.heads & batch.free("H"))
+    opt = optimum_accepts(batch)
     return TrialOutcome(
         batch=batch,
         orders=orders,
         vertex_ranks=ranks,
-        accepted=accepted,
-        alg=(batch.values_at(ridx) * accepted).sum(axis=0),
-        opt=opt,
+        accepted=run.accepted,
+        price=run.price,
+        alg=(rewards * run.accepted).sum(axis=0),
+        opt=opt_prime if opt is None else (rewards * opt).sum(axis=0),
         opt_prime=opt_prime,
-        z_violations=accepted & (ridx > batch.y_idx),
+        z_violations=run.accepted & (ridx > batch.y_idx),
     )
 
 

@@ -7,19 +7,21 @@ winner pays the larger of the critical price it beat at acceptance and its
 reserve. Only the allocation filter is forced by the welfare analysis; the
 payment rule is a design choice here, and every report flags it.
 
-`estimate_mechanism_ratios` evaluates each chunk of MC_CHUNK trials as one
-batch through the batched policies of Monte Carlo `simulate`
-(`exact.policy_run`, on the partitions of `exact.reduction_partitions`):
-the valuations are draw 0 of a `TrialBatch` with no coins, so they are its
-rewards and the pricing values its samples, and a winner's critical price is
-the one its run gives (`PolicyRun.price`): the threshold it beat, or for
-laminar the sample optimum minus the contraction optimum.
+`estimate_mechanism_ratios` evaluates each chunk of MC_CHUNK trials with the
+chunk evaluator of Monte Carlo `simulate`, `harness.mc_trials`, under the
+increasing order, on the mechanism's own draws: the valuations are draw 0
+with no coins, so they are the rewards and the pricing values the samples.
+That one function makes the batch, the reduction-graphic vertex orders
+(the chunk's vertex-order stream, `core.chunk_orders`), the partition, the
+policy run and E_OPT; this module adds only the reserve filter, the
+individual-rationality check, payments, welfare and revenue. A winner's
+critical price is the one its run gives (`PolicyRun.price`): the threshold
+it beat, or for laminar the sample optimum minus the contraction optimum.
 Trial t draws from its own stream (seed, t) in the order of the scalar
 `run_opm` loop (per element pricing, reserve and valuation, each a value
-and its token); reduction-graphic's vertex orders come from the chunk's
-vertex-order stream (`core.chunk_orders`), and chunk sums merge in chunk
-order. `run_opm` over the traced policies is the per-trial reference,
-handed each trial's vertex order as its partition.
+and its token), and chunk sums merge in chunk order. `run_opm` over the
+traced policies is the per-trial reference, handed each trial's vertex
+order as its partition.
 """
 
 from __future__ import annotations
@@ -31,19 +33,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    VERTEX_ORDERS,
-    Distribution,
-    InputError,
-    TaggedValue,
-    TrialDraws,
-    chunk_orders,
-    draw_trials,
-)
-from .exact import TrialBatch, policy_run, reduction_partitions
+from .core import Distribution, InputError, TaggedValue, TrialDraws, draw_trials
 from .instances import Instance
 from .policies import POLICY_STRUCTURES, PolicyTrace, check_policy, run_policy
-from .harness import competitive_ratio, fmt_float, mc_summary, optimum_totals, run_chunks
+from .harness import TrialOutcome, competitive_ratio, fmt_float, mc_summary, mc_trials, run_chunks
 
 PAYMENT_RULE = "max(critical-price-at-acceptance, lazy-reserve)"
 MECHANISM_LAYOUT = "vtvtvt"  # per element: pricing, reserve, valuation; each value, token
@@ -161,19 +154,19 @@ def optimal_posted_price_revenue(
 
 
 @dataclass
-class MechanismTrials:
-    """Per-trial results of one batch of mechanism trials: (n, trials)
-    arrays by element and (trials,) totals."""
+class MechanismTrials(TrialOutcome):
+    """Per-trial results of one batch of mechanism trials: the chunk of
+    Monte Carlo `simulate` (`harness.mc_trials`) run on the mechanism's
+    draws, with the valuations as the rewards and the pricing values as the
+    samples, plus the reserve filter. (n, trials) arrays by element and
+    (trials,) totals; `accepted` holds the policy's picks before the
+    filter, and `opt` is E_OPT of the valuations."""
 
-    batch: TrialBatch  # pricing as the samples, valuations as the rewards
-    vertex_ranks: np.ndarray | None  # reduction-graphic: (touched vertices, trials)
     reserves: np.ndarray
-    accepted: np.ndarray  # the policy's picks, before the reserve filter
     winners: np.ndarray
     payments: np.ndarray  # 0 outside the winners
     welfare: np.ndarray
     revenue: np.ndarray
-    opt: np.ndarray
 
 
 def mechanism_trials(
@@ -181,7 +174,6 @@ def mechanism_trials(
 ) -> MechanismTrials:
     """Run the mechanism on the given trials as one batch, under the
     increasing-valuation order."""
-    fs = instance.structure
     n = instance.ground_size
     draws = draw_trials(
         [instance.distributions[e] for e in range(n)], seed, trials, MECHANISM_LAYOUT
@@ -189,15 +181,10 @@ def mechanism_trials(
     pricing, reserves, valuations = np.split(draws.values, 3)
     # Draws with no coins make draw 0, here the valuation, the reward.
     rows = np.r_[2 * n:3 * n, :n]  # valuations, then pricing
-    batch = TrialBatch(fs, TrialDraws(draws.values[rows], draws.tokens[rows], None))
-    ranks = None
-    if policy == "reduction-graphic":
-        ranks = chunk_orders(seed, trials, fs.edge_ends[0], VERTEX_ORDERS)
-    ((grouping, _),) = reduction_partitions(instance, policy, ranks)
-    run = policy_run(batch, policy, "increasing", grouping)
-    accepted = run.accepted
-    winners = accepted & ~(valuations < reserves)
-    pay = np.maximum(run.price(), reserves)
+    out = mc_trials(instance, policy, "increasing", seed, trials,
+                    TrialDraws(draws.values[rows], draws.tokens[rows], None))
+    winners = out.accepted & ~(valuations < reserves)
+    pay = np.maximum(out.price(), reserves)
     over = winners & (pay > valuations * (1 + IR_SLACK) + IR_SLACK)
     if over.any():
         e, t = (int(i[0]) for i in np.nonzero(over))
@@ -209,15 +196,12 @@ def mechanism_trials(
     # cumsum adds the elements one at a time, as the scalar loop adds floats
     # (numpy's sum pairs them up).
     return MechanismTrials(
-        batch=batch,
-        vertex_ranks=ranks,
+        **vars(out),
         reserves=reserves,
-        accepted=accepted,
         winners=winners,
         payments=payments,
         welfare=np.cumsum(valuations * winners, axis=0)[-1],
         revenue=np.cumsum(payments, axis=0)[-1],
-        opt=optimum_totals(batch)[0],
     )
 
 

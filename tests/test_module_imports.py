@@ -103,3 +103,19 @@ def test_floats_become_exact_integers_only_in_core():
     # sums and compares its integers.
     hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _float_splits(path)]
     assert hits and all(hit.startswith("core.py:") for hit in hits), hits
+
+
+def _imported_names(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_mechanism_runs_the_monte_carlo_chunk_of_simulate():
+    # A mechanism chunk is `harness.mc_trials` on the mechanism's draws:
+    # the batch, the orders, the policy run and E_OPT are made there only.
+    chunk = {"TrialBatch", "policy_run", "reduction_partitions", "optimum_accepts",
+             "chunk_orders", "VERTEX_ORDERS", "ARRIVAL_ORDERS"}
+    names = _imported_names(PACKAGE / "mechanism.py")
+    assert names & chunk == set()
+    assert "mc_trials" in names
