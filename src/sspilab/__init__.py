@@ -9,7 +9,6 @@ sample reserves.
 
 from .core import (
     CapExceededError,
-    Configuration,
     Distribution,
     ElementRealization,
     InputError,

@@ -18,6 +18,8 @@ and laminar, and the least value over the live subgraph's maximal
 matchings for matching (subset tables, so n <= EXACT_MODE_CAP). The scalar
 supporting-event functions here are reference implementations; the
 vectorized tables in `exact` must agree with them, and tests enforce that.
+They take a configuration as its heads mask (`core.SamplePath.heads`),
+which is also its column in a `ConfigEnsemble` of all 2**n of them.
 
 The coin game's exact values are one loop of backward induction over count
 states (minimax) and the product of B-first's two binomial races (`_races`);
@@ -38,7 +40,6 @@ import numpy as np
 from .core import (
     EXACT_MODE_CAP,
     CapExceededError,
-    Configuration,
     ElementRealization,
     InputError,
     SamplePath,
@@ -71,18 +72,19 @@ class SupportReport:
 
 
 def supporting_event_matching(
-    fs: GeneralMatching, path: SamplePath, config: Configuration, j: int
+    fs: GeneralMatching, path: SamplePath, mask: int, j: int
 ) -> SupportReport:
-    """The matching supporting event at index j.
+    """The matching supporting event at index j in configuration `mask`.
 
     Holds when j is a free-for-tails Y-value whose coin is heads, and the
     first (and, if needed, second) later free-for-tails index conflicting
     with its edge shows tails.
     """
-    free_t = path_walk(fs, path, config, "T").free
+    free_t = path_walk(fs, path, mask, "T").free
+    heads = path.heads(mask)
     entry = path.entries[j]
     witnesses: dict = {"l1": None, "l2": None}
-    base = entry.label == "Y" and free_t[j] and config.coins[j] == "H"
+    base = entry.label == "Y" and free_t[j] and heads[j]
     if not base:
         return SupportReport(j, "matching", False, witnesses)
     ej = entry.element
@@ -97,7 +99,7 @@ def supporting_event_matching(
     # free for tails, so the first conflicting index must exist.
     assert l1 is not None, "no conflicting free index after a Y-value"
     witnesses["l1"] = l1
-    if config.coins[l1] != "T":
+    if heads[l1]:
         return SupportReport(j, "matching", False, witnesses)
     el1 = path.entries[l1].element
     if el1 == ej or set(fs.edges[el1]) == ends_j:
@@ -109,32 +111,28 @@ def supporting_event_matching(
             l2 = l
             break
     witnesses["l2"] = l2
-    holds = l2 is None or config.coins[l2] == "T"
+    holds = l2 is None or not heads[l2]
     return SupportReport(j, "matching", holds, witnesses)
 
 
 def candidate_node(
-    t: Transversal, path: SamplePath, config: Configuration, j: int
+    t: Transversal, path: SamplePath, mask: int, j: int
 ) -> int | None:
     """The right node that would take element e_j in the sample-side
-    ordered-maximal matching if its coin were tails; None when the index is
-    not free for tails."""
-    return path_walk(t, path, config, "T").targets[j]
+    ordered-maximal matching of configuration `mask` if its coin were tails;
+    None when the index is not free for tails."""
+    return path_walk(t, path, mask, "T").targets[j]
 
 
 def supporting_event_transversal(
-    t: Transversal, path: SamplePath, config: Configuration, j: int, r: int
+    t: Transversal, path: SamplePath, mask: int, j: int, r: int
 ) -> SupportReport:
-    """The right-node supporting event at (j, r)."""
-    targets = path_walk(t, path, config, "T").targets
+    """The right-node supporting event at (j, r) in configuration `mask`."""
+    targets = path_walk(t, path, mask, "T").targets
+    heads = path.heads(mask)
     entry = path.entries[j]
     witnesses: dict = {"r": r, "l": None}
-    base = (
-        entry.label == "Y"
-        and targets[j] is not None
-        and config.coins[j] == "H"
-        and targets[j] == r
-    )
+    base = entry.label == "Y" and targets[j] is not None and heads[j] and targets[j] == r
     if not base:
         return SupportReport(j, "transversal", False, witnesses)
     for l in range(j + 1, path.length):
@@ -142,25 +140,28 @@ def supporting_event_transversal(
             continue
         if targets[l] is not None and targets[l] == r:
             witnesses["l"] = l
-            return SupportReport(j, "transversal", config.coins[l] == "T", witnesses)
+            return SupportReport(j, "transversal", not heads[l], witnesses)
     return SupportReport(j, "transversal", True, witnesses)
 
 
 def saturation_index(
     fs: TruncatedPartition,
     path: SamplePath,
-    config: Configuration,
+    mask: int,
     j: int,
     group: int | None,
     side: str,
 ) -> float:
     """First index after j by which the group (or the whole ground set when
     group is None) accumulates capacity-many qualifying Y-values whose coins
-    show `side`; math.inf when it never does.
+    show `side` ("H" or "T") in configuration `mask`; math.inf when it never
+    does.
 
     Qualifying means free with respect to tails at that index.
     """
-    free_t = path_walk(fs, path, config, "T").free
+    free_t = path_walk(fs, path, mask, "T").free
+    heads = path.heads(mask)
+    want = side == "H"
     if group is None:
         members = None
         cap = fs.total_capacity
@@ -174,7 +175,7 @@ def saturation_index(
             continue
         if members is not None and entry.element not in members:
             continue
-        if config.coins[i] == side and free_t[i]:
+        if heads[i] == want and free_t[i]:
             count += 1
             if count == cap:
                 return i
@@ -182,23 +183,25 @@ def saturation_index(
 
 
 def supporting_event_laminar(
-    fs: TruncatedPartition, path: SamplePath, config: Configuration, j: int
+    fs: TruncatedPartition, path: SamplePath, mask: int, j: int
 ) -> SupportReport:
-    """The two-layer saturation supporting event at index j."""
-    free_t = path_walk(fs, path, config, "T").free
+    """The two-layer saturation supporting event at index j in
+    configuration `mask`."""
+    free_t = path_walk(fs, path, mask, "T").free
+    heads = path.heads(mask)
     entry = path.entries[j]
     g = fs.group_of(entry.element)
     witnesses: dict = {"group": g}
-    if not (entry.label == "Y" and free_t[j] and config.coins[j] == "H"):
+    if not (entry.label == "Y" and free_t[j] and heads[j]):
         return SupportReport(j, "laminar", False, witnesses)
     holds = True
     for scope, gid in (("group", g), ("all", None)):
-        i_t = saturation_index(fs, path, config, j, gid, "T")
-        i_h = saturation_index(fs, path, config, j, gid, "H")
+        i_t = saturation_index(fs, path, mask, j, gid, "T")
+        i_h = saturation_index(fs, path, mask, j, gid, "H")
         first = min(i_t, i_h)
         witnesses[f"{scope}_sat_T"] = i_t
         witnesses[f"{scope}_sat_H"] = i_h
-        if first != math.inf and config.coins[int(first)] != "T":
+        if first != math.inf and heads[int(first)]:
             holds = False
     return SupportReport(j, "laminar", holds, witnesses)
 
@@ -336,17 +339,17 @@ def _verify_match_unique(ens: ConfigEnsemble) -> LemmaReport:
 
 def _verify_trans_unique(ens: ConfigEnsemble) -> LemmaReport:
     support, cand = ens.support_transversal()
-    worst = 1 if support.any() else 0
+    rows = np.flatnonzero(support.any(axis=1)).tolist()
+    worst = 0
     fail = None
-    ys = [j for j in range(ens.length) if ens.is_y[j]]
-    for a in range(len(ys)):
-        for b in range(a + 1, len(ys)):
-            j1, j2 = ys[a], ys[b]
-            viol = support[j1] & support[j2] & (cand[j1] == cand[j2])
-            if viol.any():
-                worst = 2
-                if fail is None:
-                    fail = f"indices {j1},{j2} both support one right node"
+    for r in range(ens.structure.right_count):
+        count = np.zeros(ens.num_configs, dtype=np.uint8)  # supporting indices per config
+        for j in rows:
+            count += support[j] & (cand[j] == r)
+        m = int(count.max(initial=0))
+        worst = max(worst, m)
+        if m > 1 and fail is None:
+            fail = f"right node {r} supported by {m} indices in one configuration"
     return LemmaReport(
         "trans-unique", worst <= 1, Fraction(worst), Fraction(1),
         ens.num_configs, fail or "",

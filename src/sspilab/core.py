@@ -7,9 +7,9 @@ finite collection of draws is strictly totally ordered. Rewards and samples
 are generated by the deferred-decision trick: draw two values per element,
 relabel the larger one Y and the smaller one Z, and let an independent fair
 coin decide which is the reward and which the sample. The 2n values of all
-elements, sorted in decreasing order, form the sample path; the coin vector
-over path positions is a configuration, and exactly 2**n configurations are
-feasible, each equiprobable.
+elements, sorted in decreasing order, form the sample path. A configuration
+is one of the 2**n equiprobable coin vectors, named by its heads mask: bit e
+set means element e's Y value is the reward (`SamplePath.heads`).
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
-
-HEADS = "H"
-TAILS = "T"
 
 CONFIG_ENUMERATION_CAP = 20
 EXACT_MODE_CAP = 16  # elements in a subset table (2**n entries)
@@ -680,7 +677,8 @@ class SamplePath:
     """The 2n tagged values of all elements in strictly decreasing order.
 
     `partner[j]` is the index of the other value of the same element; the
-    Y index of every element precedes its Z index.
+    Y index of every element precedes its Z index. A configuration on the
+    path is its heads mask over the elements (`heads`).
     """
 
     entries: tuple[PathEntry, ...]
@@ -704,6 +702,14 @@ class SamplePath:
     def pairs(self) -> tuple[tuple[int, float], ...]:
         """(element, value) of every entry, built once for the path greedy."""
         return tuple(zip(self.elements(), self.values()))
+
+    def heads(self, mask: int) -> tuple[bool, ...]:
+        """Per path index, whether its coin shows heads in configuration
+        `mask`: bit e set means element e's Y value is the reward, so its Y
+        index shows heads and its Z index tails."""
+        if not 0 <= mask < 1 << self.n:
+            raise ValueError(f"configuration mask {mask} is outside 0..2**{self.n} - 1")
+        return tuple(bool(mask >> e.element & 1) == (e.label == "Y") for e in self.entries)
 
     def y_index(self, element: int) -> int:
         for j, e in enumerate(self.entries):
@@ -739,34 +745,3 @@ def build_sample_path(realizations: Sequence[ElementRealization]) -> SamplePath:
         if where[(r.element, "Y")] >= where[(r.element, "Z")]:
             raise AssertionError("Y index must precede Z index")
     return path
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """One coin-flip outcome per path position; partners always differ."""
-
-    coins: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if any(c not in (HEADS, TAILS) for c in self.coins):
-            raise ValueError("coins must be 'H' or 'T'")
-
-    @classmethod
-    def from_heads_mask(cls, path: SamplePath, mask: int) -> "Configuration":
-        """Mask bit e set means element e's Y value is the reward (heads)."""
-        coins = []
-        for entry in path.entries:
-            bit = (mask >> entry.element) & 1
-            if entry.label == "Y":
-                coins.append(HEADS if bit else TAILS)
-            else:
-                coins.append(TAILS if bit else HEADS)
-        return cls(tuple(coins))
-
-
-def validate_configuration(path: SamplePath, config: Configuration) -> None:
-    if len(config.coins) != path.length:
-        raise ValueError("configuration length does not match the path")
-    for j, p in enumerate(path.partner):
-        if config.coins[j] == config.coins[p]:
-            raise ValueError(f"coins at partner indices {j},{p} must differ")

@@ -17,12 +17,13 @@ indices and a flag that says the first is the reward; the sample's index
 is the pair sum minus the reward's.
 
 - `ConfigEnsemble` (exact mode, the lemma verifiers): the coin
-  configurations lo..hi-1 of one draw, all 2**n of them by default.
-  Configuration c is identified with the bitmask whose bit e says "element
-  e's larger value is the reward"; the element at each path position is the
-  same in every column. Exact `simulate` walks the 2**n configurations in
-  blocks of CONFIG_BLOCK (`config_blocks`), which share the arrays of one
-  sample path (`PathLayout`), and sums integer counts across them.
+  configurations lo..hi-1 of one draw, all 2**n of them by default. A
+  configuration is its heads mask, whose bit e says "element e's larger
+  value is the reward" (`core.SamplePath.heads`); the element at each path
+  position is the same in every column. Exact `simulate` walks the 2**n
+  configurations in blocks of CONFIG_BLOCK (`config_blocks`), which share
+  the arrays of one sample path (`PathLayout`), and sums integer counts
+  across them.
 - `TrialBatch` (Monte Carlo mode, the mechanism): one column per trial,
   each with its own draws (`core.draw_trials`). The element at a path
   position differs from column to column. With coins, heads makes the
@@ -325,25 +326,18 @@ class PathBatch:
             free = side_flags.copy()
             _put(free, self.y_idx, self.cols, True)
             return free
-        # Component labels per (column, touched vertex); joining relabels one side.
+        # Component labels per (touched vertex, column). Parsing an edge
+        # relabels v's component to u's in place: the labels are unsigned,
+        # so adding cu - cv wraps each label cv to cu, and adds 0 where the
+        # index is not free (cu == cv).
         count, ends = fs.edge_ends
-        cols = self.cols
-        comp = np.tile(np.arange(count, dtype=ends.dtype), (self.num_configs, 1))
+        comp = np.tile(np.arange(count, dtype=ends.dtype)[:, None], (1, self.num_configs))
         free = np.empty((self.length, self.num_configs), dtype=bool)
         for j in range(self.length):
             u, v = ends[self.elem[j]].T
-            cu, cv = _take(comp.T, u, cols), _take(comp.T, v, cols)
+            cu, cv = _take(comp, u, self.cols), _take(comp, v, self.cols)
             free[j] = cu != cv
-            parse = side_flags[j] & free[j]
-            if parse.any():
-                rows = np.nonzero(parse)[0]
-                sub = comp[rows]
-                old = cv[rows]
-                new = cu[rows]
-                sub[sub == old[:, None]] = np.broadcast_to(
-                    new[:, None], sub.shape
-                )[sub == old[:, None]]
-                comp[rows] = sub
+            comp += ((comp == cv) & side_flags[j]) * (cu - cv)
         return free
 
     # -- thresholds and policy preprocessing --------------------------------

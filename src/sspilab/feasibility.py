@@ -41,11 +41,9 @@ import numpy as np
 from .core import (
     MASK_BITS,
     CapExceededError,
-    Configuration,
     SamplePath,
     TaggedValue,
     exact_integers,
-    validate_configuration,
 )
 
 MATCHING_EXACT_EDGE_CAP = 24
@@ -504,17 +502,17 @@ def _greedy_walk(rule, state, steps: Iterable[tuple[int, float, bool]]):
 def path_walk(
     fs: FeasibilityStructure,
     path: SamplePath,
-    config: Configuration,
+    mask: int,
     side: str,
 ) -> GreedyWalk:
     """The greedy over the path, parsing only the indices whose coin shows
-    `side`, in one pass. Per index j it gives whether e_j is free there
-    (could still be added: this reads only the coins before j) and, for a
-    transversal system, the right node e_j would take; it also gives the
-    solution the side's greedy collects."""
-    validate_configuration(path, config)
+    `side` ("H" or "T") in configuration `mask`, in one pass. Per index j it
+    gives whether e_j is free there (could still be added: this reads only
+    the coins before j) and, for a transversal system, the right node e_j
+    would take; it also gives the solution the side's greedy collects."""
     rule = greedy_rule(fs)
-    steps = ((e, value, coin == side) for (e, value), coin in zip(path.pairs, config.coins))
+    want = side == "H"
+    steps = ((e, value, h == want) for (e, value), h in zip(path.pairs, path.heads(mask)))
     return _greedy_walk(rule, rule.start, steps)
 
 

@@ -10,7 +10,10 @@ from sspilab.generators import random_instance
 
 # No per-example deadline (a loaded machine can stall any example) and a
 # fixed example sequence, so property tests draw the same cases every run.
+# `pytest --hypothesis-profile=explore --hypothesis-seed=N` draws new cases
+# for each seed N.
 settings.register_profile("sspilab", deadline=None, derandomize=True)
+settings.register_profile("explore", deadline=None)
 settings.load_profile("sspilab")
 
 

@@ -26,7 +26,6 @@ from sspilab.analysis import (
 from sspilab.cli import main
 from sspilab.core import (
     CapExceededError,
-    Configuration,
     InputError,
     build_sample_path,
     point_mass,
@@ -50,14 +49,14 @@ SINGLE_EDGE = GeneralMatching(2, ((0, 1),))
 class TestSupportingEventMatching:
     def test_single_edge_heads_holds(self):
         path = build_sample_path(make_realizations([(5, 2)]))
-        config = Configuration(("H", "T"))
-        report = supporting_event_matching(SINGLE_EDGE, path, config, 0)
+        mask = 0b1
+        report = supporting_event_matching(SINGLE_EDGE, path, mask, 0)
         assert report.holds and report.witnesses["l1"] == 1
 
     def test_single_edge_tails_fails(self):
         path = build_sample_path(make_realizations([(5, 2)]))
-        config = Configuration(("T", "H"))
-        assert not supporting_event_matching(SINGLE_EDGE, path, config, 0).holds
+        mask = 0b0
+        assert not supporting_event_matching(SINGLE_EDGE, path, mask, 0).holds
 
     def test_triangle_probability_bound(self):
         # Count over all 8 configurations at the top Y-index: the supporting
@@ -68,9 +67,8 @@ class TestSupportingEventMatching:
         support = 0
         baseline = 0
         for mask in range(8):
-            config = Configuration.from_heads_mask(path, mask)
-            support += supporting_event_matching(g, path, config, 0).holds
-            baseline += config.coins[0] == "H"  # index 0 is always free
+            support += supporting_event_matching(g, path, mask, 0).holds
+            baseline += path.heads(mask)[0]  # index 0 is always free
         assert 4 * support >= baseline
 
 
@@ -78,26 +76,26 @@ class TestCandidateNode:
     def test_first_index_gets_first_node(self):
         t = Transversal(1, 1, ((0,),))
         path = build_sample_path(make_realizations([(5, 2)]))
-        config = Configuration(("H", "T"))
-        assert candidate_node(t, path, config, 0) == 0
+        mask = 0b1
+        assert candidate_node(t, path, mask, 0) == 0
 
     def test_none_when_blocked(self):
         t = Transversal(2, 1, ((0,), (0,)))
         # Element 0 (larger) takes the single node on the tails side.
         path = build_sample_path(make_realizations([(9, 4), (7, 3)]))
-        config = Configuration.from_heads_mask(path, 0b00)  # both Y coins tails
+        mask = 0b00  # both Y coins tails
         j_small_y = path.y_index(1)
-        assert candidate_node(t, path, config, j_small_y) is None
+        assert candidate_node(t, path, mask, j_small_y) is None
 
     def test_ordered_rule_picks_smallest_free(self):
         t = Transversal(2, 2, ((0, 1), (0,)))
         path = build_sample_path(make_realizations([(9, 4), (7, 3)]))
         # Element 0's Y-coin heads leaves node 0 free for element 1's Y-index.
-        config = Configuration.from_heads_mask(path, 0b01)
-        assert candidate_node(t, path, config, path.y_index(1)) == 0
+        mask = 0b01
+        assert candidate_node(t, path, mask, path.y_index(1)) == 0
         # Element 0's Y-coin tails occupies node 0 first.
-        config = Configuration.from_heads_mask(path, 0b10)
-        assert candidate_node(t, path, config, path.y_index(0)) == 0
+        mask = 0b10
+        assert candidate_node(t, path, mask, path.y_index(0)) == 0
 
 
 class TestSupportingEventTransversal:
@@ -105,10 +103,10 @@ class TestSupportingEventTransversal:
         t = Transversal(1, 1, ((0,),))
         path = build_sample_path(make_realizations([(5, 2)]))
         assert supporting_event_transversal(
-            t, path, Configuration(("H", "T")), 0, 0
+            t, path, 0b1, 0, 0
         ).holds
         assert not supporting_event_transversal(
-            t, path, Configuration(("T", "H")), 0, 0
+            t, path, 0b0, 0, 0
         ).holds
 
     def test_two_left_one_right_uniqueness_and_bound(self):
@@ -118,15 +116,14 @@ class TestSupportingEventTransversal:
         support_counts = [0] * path.length
         baseline = [0] * path.length
         for mask in range(4):
-            config = Configuration.from_heads_mask(path, mask)
             per_config = 0
             for j in range(path.length):
-                rep = supporting_event_transversal(t, path, config, j, 0)
+                rep = supporting_event_transversal(t, path, mask, j, 0)
                 per_config += rep.holds
                 support_counts[j] += rep.holds
                 if path.entries[j].label == "Y":
-                    baseline[j] += config.coins[j] == "H" and path_walk(
-                        t, path, config, "H"
+                    baseline[j] += path.heads(mask)[j] and path_walk(
+                        t, path, mask, "H"
                     ).free[j]
             assert per_config <= 1
         for j in range(path.length):
@@ -142,16 +139,16 @@ class TestSaturationIndex:
         path = build_sample_path(reals)
         # All Y coins heads: after index 0, the first heads-free Y-index in
         # the group saturates it (capacity 1).
-        config = Configuration.from_heads_mask(path, 0b111)
-        got = saturation_index(self.FS, path, config, 0, 0, "H")
+        mask = 0b111
+        got = saturation_index(self.FS, path, mask, 0, 0, "H")
         assert got == path.y_index(1)
 
     def test_infinite_when_never_reached(self):
         reals = make_realizations([(9, 4)])
         fs = TruncatedPartition(((0,),), (1,), 1)
         path = build_sample_path(reals)
-        config = Configuration.from_heads_mask(path, 0b1)
-        assert saturation_index(fs, path, config, 0, 0, "H") == math.inf
+        mask = 0b1
+        assert saturation_index(fs, path, mask, 0, 0, "H") == math.inf
 
     def test_matches_independent_rescan(self, rng):
         # Second implementation: gather qualifying indices, then take the
@@ -162,7 +159,6 @@ class TestSaturationIndex:
             reals = inst.draw_realizations(rng)
             path = build_sample_path(reals)
             mask = int(rng.integers(0, 1 << path.n))
-            config = Configuration.from_heads_mask(path, mask)
             j = int(rng.integers(0, path.length))
             for gid, members, cap in [
                 (None, set(range(path.n)), fs.total_capacity)
@@ -175,18 +171,18 @@ class TestSaturationIndex:
                         for i in range(j + 1, path.length)
                         if path.entries[i].label == "Y"
                         and path.entries[i].element in members
-                        and config.coins[i] == side
-                        and path_walk(fs, path, config, "T").free[i]
+                        and path.heads(mask)[i] == (side == "H")
+                        and path_walk(fs, path, mask, "T").free[i]
                     ]
                     want = qualifying[cap - 1] if len(qualifying) >= cap else math.inf
-                    assert saturation_index(fs, path, config, j, gid, side) == want
+                    assert saturation_index(fs, path, mask, j, gid, side) == want
 
 
 class TestSupportingEventLaminar:
     def test_single_element_holds_on_heads(self):
         fs = TruncatedPartition(((0,),), (1,), 1)
         path = build_sample_path(make_realizations([(5, 2)]))
-        rep = supporting_event_laminar(fs, path, Configuration(("H", "T")), 0)
+        rep = supporting_event_laminar(fs, path, 0b1, 0)
         assert rep.holds
         assert rep.witnesses["group_sat_T"] == math.inf
 
@@ -194,7 +190,7 @@ class TestSupportingEventLaminar:
         fs = TruncatedPartition(((0,),), (1,), 1)
         path = build_sample_path(make_realizations([(5, 2)]))
         assert not supporting_event_laminar(
-            fs, path, Configuration(("T", "H")), 0
+            fs, path, 0b0, 0
         ).holds
 
     def test_three_element_probability_bound(self):
@@ -207,9 +203,8 @@ class TestSupportingEventLaminar:
             support = 0
             baseline = 0
             for mask in range(8):
-                config = Configuration.from_heads_mask(path, mask)
-                support += supporting_event_laminar(fs, path, config, j).holds
-                baseline += config.coins[j] == "H" and path_walk(fs, path, config, "H").free[j]
+                support += supporting_event_laminar(fs, path, mask, j).holds
+                baseline += path.heads(mask)[j] and path_walk(fs, path, mask, "H").free[j]
             assert 4 * support >= baseline
 
 
@@ -223,9 +218,8 @@ class TestEngineAgreesWithScalarOps:
         table = ens.support_matching()
         reports = []
         for mask in range(ens.num_configs):
-            config = Configuration.from_heads_mask(path, mask)
             for j in range(path.length):
-                got = supporting_event_matching(fs, path, config, j)
+                got = supporting_event_matching(fs, path, mask, j)
                 assert got.holds == bool(table[j, mask])
                 reports.append(got)
         return reports
@@ -263,13 +257,12 @@ class TestEngineAgreesWithScalarOps:
             ens = ConfigEnsemble(fs, reals)
             table, cand = ens.support_transversal()
             for mask in range(ens.num_configs):
-                config = Configuration.from_heads_mask(path, mask)
                 for j in range(path.length):
-                    cand_scalar = candidate_node(fs, path, config, j)
+                    cand_scalar = candidate_node(fs, path, mask, j)
                     if cand_scalar is not None:
                         assert int(cand[j, mask]) == cand_scalar
                     for r in range(fs.right_count):
-                        got = supporting_event_transversal(fs, path, config, j, r)
+                        got = supporting_event_transversal(fs, path, mask, j, r)
                         expect = bool(table[j, mask]) and int(cand[j, mask]) == r
                         assert got.holds == expect
                         reports.append(got)
@@ -292,9 +285,8 @@ class TestEngineAgreesWithScalarOps:
             ens = ConfigEnsemble(fs, reals)
             table = ens.support_laminar()
             for mask in range(ens.num_configs):
-                config = Configuration.from_heads_mask(path, mask)
                 for j in range(path.length):
-                    got = supporting_event_laminar(fs, path, config, j)
+                    got = supporting_event_laminar(fs, path, mask, j)
                     assert got.holds == bool(table[j, mask])
 
 
@@ -334,9 +326,9 @@ def _support_instance(kind, n, seed, point_masses, parallel):
     return fs, inst.draw_realizations(trial_rng(seed, 0))
 
 
-def _transversal_event(fs, path, config, j):
-    r = candidate_node(fs, path, config, j)
-    return r is not None and supporting_event_transversal(fs, path, config, j, r).holds
+def _transversal_event(fs, path, mask, j):
+    r = candidate_node(fs, path, mask, j)
+    return r is not None and supporting_event_transversal(fs, path, mask, j, r).holds
 
 
 SUPPORT_ORACLES = {
@@ -365,9 +357,8 @@ def test_support_tables_equal_the_scalar_events(case):
     path = build_sample_path(reals)
     table = table_of(ConfigEnsemble(fs, reals))
     for mask in range(1 << len(reals)):
-        config = Configuration.from_heads_mask(path, mask)
         for j in range(path.length):
-            assert bool(table[j, mask]) == event(fs, path, config, j), (mask, j)
+            assert bool(table[j, mask]) == event(fs, path, mask, j), (mask, j)
 
 
 class TestVerifyLemma:
@@ -407,6 +398,20 @@ class TestVerifyLemma:
             reals = inst.draw_realizations(rng)
             for lemma in ("symmetry", "forget-z", "greedy-objective"):
                 assert verify_lemma(lemma, inst.structure, reals).passed
+
+    def test_trans_unique_reports_the_worst_count(self, monkeypatch):
+        # All three Y indices support right node 0 in configuration 5: the
+        # report counts three, not just that two indices share the node.
+        def support(ens):
+            table = np.zeros((ens.length, ens.num_configs), dtype=bool)
+            table[ens.is_y, 5] = True
+            return table, np.zeros(table.shape, dtype=np.int8)
+
+        monkeypatch.setattr(ConfigEnsemble, "support_transversal", support)
+        t = Transversal(3, 1, ((0,), (0,), (0,)))
+        report = verify_lemma("trans-unique", t, make_realizations([(9, 4), (7, 3), (6, 2)]))
+        assert not report.passed and report.lhs == 3
+        assert report.detail == "right node 0 supported by 3 indices in one configuration"
 
     def test_unknown_lemma(self):
         with pytest.raises(InputError, match="--lemma"):

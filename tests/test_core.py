@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sspilab.core import (
-    Configuration,
     build_sample_path,
     discrete,
     draw_realization,
@@ -10,7 +10,6 @@ from sspilab.core import (
     point_mass,
     trial_rng,
     uniform,
-    validate_configuration,
 )
 
 from conftest import make_realizations, tv
@@ -137,10 +136,26 @@ class TestSamplePath:
 
 
 class TestConfigurations:
-    def test_partner_coin_mismatch_rejected(self):
-        path = build_sample_path(make_realizations([(5, 2)]))
-        with pytest.raises(ValueError):
-            validate_configuration(path, Configuration(("H", "H")))
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans())
+    def test_heads_mask_is_one_coin_vector(self, n, seed, ties):
+        # Partners show opposite coins, element e's Y index shows heads iff
+        # bit e is set, and the 2**n masks give 2**n distinct coin vectors.
+        rng = np.random.default_rng(seed)
+        dist = discrete([1.0, 2.0], [0.5, 0.5]) if ties else uniform(0.0, 1.0)
+        path = build_sample_path([draw_realization(dist, e, rng) for e in range(n)])
+        vectors = set()
+        for mask in range(1 << n):
+            heads = path.heads(mask)
+            assert len(heads) == path.length
+            assert all(heads[j] != heads[p] for j, p in enumerate(path.partner))
+            assert [heads[path.y_index(e)] for e in range(n)] == [
+                bool(mask >> e & 1) for e in range(n)
+            ]
+            vectors.add(heads)
+        assert len(vectors) == 1 << n
+        for mask in (-1, 1 << n):
+            with pytest.raises(ValueError):
+                path.heads(mask)
 
 
 def test_trial_streams_reproducible():

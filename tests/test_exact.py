@@ -13,7 +13,6 @@ import pytest
 import sspilab.exact as exact_module
 from sspilab.analysis import verify_lemma
 from sspilab.core import (
-    Configuration,
     ElementRealization,
     build_sample_path,
     draw_trials,
@@ -60,9 +59,8 @@ def test_heads_table_matches_configurations(rng):
     path = build_sample_path(reals)
     ens = ConfigEnsemble(inst.structure, reals)
     for mask in range(ens.num_configs):
-        config = Configuration.from_heads_mask(path, mask)
         for j in range(path.length):
-            assert bool(ens.heads[j, mask]) == (config.coins[j] == "H")
+            assert bool(ens.heads[j, mask]) == path.heads(mask)[j]
 
 
 @pytest.mark.parametrize("ids", [(0, 2), (0, 1, 5)], ids=["gap", "beyond"])
@@ -88,8 +86,7 @@ def _assert_free_tables(fs, path, table_of, columns):
     for side in "HT":
         table = table_of(side)
         for col, mask in columns:
-            config = Configuration.from_heads_mask(path, mask)
-            free = path_walk(fs, path, config, side).free
+            free = path_walk(fs, path, mask, side).free
             for j in range(path.length):
                 assert bool(table[j, col]) == free[j], (
                     side, mask, j,
@@ -165,8 +162,7 @@ def test_greedy_totals_match_flag_tables(rng):
             table = ens.free(side)
             side_flags = ens.heads if side == "H" else ~ens.heads
             for mask in range(ens.num_configs):
-                config = Configuration.from_heads_mask(path, mask)
-                sol = path_walk(inst.structure, path, config, side).solution
+                sol = path_walk(inst.structure, path, mask, side).solution
                 picked = {
                     path.entries[j].element
                     for j in range(path.length)

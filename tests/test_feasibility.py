@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from sspilab.core import (
     CapExceededError,
-    Configuration,
     TaggedValue,
     build_sample_path,
 )
@@ -83,24 +82,24 @@ class TestGreedyOnPath:
     def test_rank1_both_sides(self):
         fs = TruncatedPartition(((0,),), (1,), 1)
         path = build_sample_path(make_realizations([(5, 2)]))
-        config = Configuration(("H", "T"))
-        assert path_walk(fs, path, config, "H").solution.total == 5
-        assert path_walk(fs, path, config, "T").solution.total == 2
+        mask = 0b1
+        assert path_walk(fs, path, mask, "H").solution.total == 5
+        assert path_walk(fs, path, mask, "T").solution.total == 2
 
     def test_matching_triangle_hand_trace(self):
         # Y-values 6,5,4; Z-values 3,2,1; all Y coins heads: greedy on the
         # heads side takes edge 0 (value 6) and rejects the other two.
         reals = make_realizations([(6, 3), (5, 2), (4, 1)])
         path = build_sample_path(reals)
-        config = Configuration.from_heads_mask(path, 0b111)
-        sol = path_walk(TRIANGLE, path, config, "H").solution
+        mask = 0b111
+        sol = path_walk(TRIANGLE, path, mask, "H").solution
         assert sol.chosen == frozenset({0}) and sol.total == 6
 
     def test_transversal_assignment_recorded(self):
         t = Transversal(2, 2, ((0, 1), (0,)))
         path = build_sample_path(make_realizations([(5, 1), (4, 2)]))
-        config = Configuration.from_heads_mask(path, 0b11)
-        sol = path_walk(t, path, config, "H").solution
+        mask = 0b11
+        sol = path_walk(t, path, mask, "H").solution
         assert sol.assignment == {0: 0, 1: 1} or sol.assignment == {0: 0}
         assert is_independent(t, sol.chosen)
 
@@ -111,9 +110,8 @@ class TestGreedyOnPath:
                 reals = inst.draw_realizations(rng)
                 path = build_sample_path(reals)
                 mask = int(rng.integers(0, 1 << path.n))
-                config = Configuration.from_heads_mask(path, mask)
                 for side in "HT":
-                    sol = path_walk(inst.structure, path, config, side).solution
+                    sol = path_walk(inst.structure, path, mask, side).solution
                     assert is_independent(inst.structure, sol.chosen)
 
 
@@ -121,24 +119,24 @@ class TestFreeIndex:
     def test_first_index_always_free(self):
         path = build_sample_path(make_realizations([(5, 2)]))
         fs = TruncatedPartition(((0,),), (1,), 1)
-        config = Configuration(("H", "T"))
-        assert path_walk(fs, path, config, "H").free[0]
-        assert path_walk(fs, path, config, "T").free[0]
+        mask = 0b1
+        assert path_walk(fs, path, mask, "H").free[0]
+        assert path_walk(fs, path, mask, "T").free[0]
 
     def test_rank1_sample_fills_capacity(self):
         fs = TruncatedPartition(((0,),), (1,), 1)
         path = build_sample_path(make_realizations([(5, 2)]))
-        config = Configuration(("T", "H"))
-        assert not path_walk(fs, path, config, "T").free[1]
+        mask = 0b0
+        assert not path_walk(fs, path, mask, "T").free[1]
 
     def test_matching_triangle_tails_block(self):
         # Edge 0's Y-coin tails puts it in the tails-side matching, blocking
         # edge 1's Y-index for tails.
         reals = make_realizations([(6, 3), (5, 2), (4, 1)])
         path = build_sample_path(reals)
-        config = Configuration.from_heads_mask(path, 0b110)  # element 0 tails
+        mask = 0b110  # element 0 tails
         j = path.y_index(1)
-        assert not path_walk(TRIANGLE, path, config, "T").free[j]
+        assert not path_walk(TRIANGLE, path, mask, "T").free[j]
 
     def test_suffix_coin_invariance(self, rng):
         # The free flag at j may depend only on coins before j: flipping the
@@ -149,7 +147,6 @@ class TestFreeIndex:
                 reals = inst.draw_realizations(rng)
                 path = build_sample_path(reals)
                 mask = int(rng.integers(0, 1 << path.n))
-                config = Configuration.from_heads_mask(path, mask)
                 j = int(rng.integers(0, path.length))
                 late = [e for e in range(path.n) if path.y_index(e) >= j]
                 if not late:
@@ -158,9 +155,9 @@ class TestFreeIndex:
                 for e in late:
                     if rng.random() < 0.5:
                         flip |= 1 << e
-                flipped = Configuration.from_heads_mask(path, mask ^ flip)
+                flipped = mask ^ flip
                 for side in "HT":
-                    assert path_walk(inst.structure, path, config, side).free[j] == (
+                    assert path_walk(inst.structure, path, mask, side).free[j] == (
                         path_walk(inst.structure, path, flipped, side).free[j]
                     )
 
@@ -170,9 +167,9 @@ class TestFreeIndex:
         for _ in range(12):
             inst = random_instance("transversal", int(rng.integers(1, 7)), rng)
             path = build_sample_path(inst.draw_realizations(rng))
-            config = Configuration.from_heads_mask(path, int(rng.integers(0, 1 << path.n)))
+            mask = int(rng.integers(0, 1 << path.n))
             for side in "HT":
-                walk = path_walk(inst.structure, path, config, side)
+                walk = path_walk(inst.structure, path, mask, side)
                 assert len(walk.targets) == len(walk.free) == path.length
                 assert [r is not None for r in walk.targets] == walk.free
 

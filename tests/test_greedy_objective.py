@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 import sspilab.analysis as analysis
-from sspilab.core import Configuration, discrete, point_mass, trial_rng
+from sspilab.core import discrete, point_mass, trial_rng
 from sspilab.exact import ConfigEnsemble
 from sspilab.feasibility import path_walk
 from sspilab.generators import STRUCTURE_KINDS, random_instance
@@ -21,8 +21,7 @@ def enumerated_recount(ens: ConfigEnsemble) -> list[int]:
     y_of = [path.y_index(e) for e in range(ens.n)]
     recount = [0] * ens.length
     for mask in range(ens.num_configs):
-        config = Configuration.from_heads_mask(path, mask)
-        sol = path_walk(ens.structure, path, config, "H").solution
+        sol = path_walk(ens.structure, path, mask, "H").solution
         for e in sol.chosen:
             jy = y_of[e]
             recount[jy if mask & (1 << e) else path.partner[jy]] += 1

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from sspilab.analysis import verify_lemma
 from sspilab.core import (
     VERTEX_ORDERS,
-    Configuration,
     ElementRealization,
     build_sample_path,
     chunk_orders,
@@ -96,9 +95,8 @@ def test_trial_free_tables_equal_the_scalar_walk(case):
         path = build_sample_path(reals)
         assert batch.elem[:, t].tolist() == [x.element for x in path.entries]
         mask = sum(1 << e for e in range(n) if rewards[e] == reals[e].y)
-        config = Configuration.from_heads_mask(path, mask)
         for side in "HT":
-            assert batch.free(side)[:, t].tolist() == path_walk(fs, path, config, side).free
+            assert batch.free(side)[:, t].tolist() == path_walk(fs, path, mask, side).free
 
 
 @given(cases)
