@@ -722,11 +722,9 @@ def build_sample_path(realizations: Sequence[ElementRealization]) -> SamplePath:
     """Sort all Y/Z values into the decreasing path and wire up partners."""
     if not realizations:
         raise ValueError("need at least one realization")
-    seen: set[int] = set()
-    for r in realizations:
-        if r.element in seen:
-            raise ValueError(f"duplicate element id {r.element}")
-        seen.add(r.element)
+    ids = sorted(r.element for r in realizations)
+    if ids != list(range(len(ids))):  # `heads` reads bit e for element e
+        raise ValueError(f"realizations must be of the elements 0..{len(ids) - 1}, got ids {ids}")
 
     tagged: list[PathEntry] = []
     for r in realizations:
@@ -740,8 +738,4 @@ def build_sample_path(realizations: Sequence[ElementRealization]) -> SamplePath:
     partner = tuple(
         where[(e.element, "Z" if e.label == "Y" else "Y")] for e in tagged
     )
-    path = SamplePath(entries=tuple(tagged), partner=partner)
-    for r in realizations:
-        if where[(r.element, "Y")] >= where[(r.element, "Z")]:
-            raise AssertionError("Y index must precede Z index")
-    return path
+    return SamplePath(entries=tuple(tagged), partner=partner)

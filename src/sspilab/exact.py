@@ -476,12 +476,8 @@ class PathLayout:
                 f"exact enumeration capped at n <= {CONFIG_ENUMERATION_CAP}, got {n}"
             )
         entries = self.path.entries
-        ids = sorted(e.element for e in entries if e.label == "Y")
-        if ids != list(range(structure.ground_size)):
-            raise ValueError(
-                f"realizations must be of the elements 0..{structure.ground_size - 1}, "
-                f"got ids {ids}"
-            )
+        if n != structure.ground_size:
+            raise ValueError(f"need realizations of {structure.ground_size} elements, got {n}")
         self.elem = [e.element for e in entries]
         self.is_y = np.array([e.label == "Y" for e in entries])
         ys = np.flatnonzero(self.is_y)

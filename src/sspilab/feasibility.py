@@ -6,6 +6,10 @@ order on right nodes), truncated partition matroids (per-group plus global
 capacities), simple partition matroids (at most one element per group), and
 graphic matroids (elements are edges, independent sets are forests).
 
+Each constructor is the one check of its structure's facts. It raises an
+`InputError` naming its own field at fault (`edges[0]`, `groups[1]`, or empty
+for the whole structure); the instance parser puts the document path in front.
+
 Each frozen structure owns its facts as properties built once, on first
 read, and read by every layer, scalar and batched:
 - the graphs (matching and graphic): `touched_vertices`, the vertices
@@ -41,6 +45,7 @@ import numpy as np
 from .core import (
     MASK_BITS,
     CapExceededError,
+    InputError,
     SamplePath,
     TaggedValue,
     exact_integers,
@@ -62,11 +67,11 @@ class _Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u},{v}) has a dangling vertex")
+                raise InputError(f"edges[{i}]", f"dangling vertex in ({u},{v})")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
+                raise InputError(f"edges[{i}]", "self-loops are not allowed")
 
     @property
     def ground_size(self) -> int:
@@ -149,13 +154,15 @@ class Transversal:
 
     def __post_init__(self) -> None:
         if len(self.adjacency) != self.left_count:
-            raise ValueError("adjacency must list neighbors for every left node")
+            raise InputError(
+                "adjacency", f"need one neighbor list per left node ({self.left_count})"
+            )
         for l, nbrs in enumerate(self.adjacency):
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"left node {l} lists a right node twice")
             for r in nbrs:
                 if not 0 <= r < self.right_count:
-                    raise ValueError(f"left node {l} adjacent to unknown right node {r}")
+                    raise InputError(f"adjacency[{l}]", f"unknown right node {r}")
+            if len(set(nbrs)) != len(nbrs):
+                raise InputError(f"adjacency[{l}]", "right node listed twice")
 
     @property
     def ground_size(self) -> int:
@@ -196,10 +203,10 @@ class _Groups:
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
-        for g in self.groups:
+        for i, g in enumerate(self.groups):
             for e in g:
                 if e in seen:
-                    raise ValueError(f"element {e} appears in two groups")
+                    raise InputError(f"groups[{i}]", f"element {e} in two groups")
                 seen.add(e)
 
     @cached_property
@@ -220,15 +227,13 @@ class TruncatedPartition(_Groups):
     total_capacity: int
 
     def __post_init__(self) -> None:
-        if len(self.groups) != len(self.group_capacities):
-            raise ValueError("one capacity per group required")
-        if any(c < 1 for c in self.group_capacities):
-            raise ValueError("capacity must be >= 1")
-        if self.total_capacity < 1:
-            raise ValueError("capacity must be >= 1")
         super().__post_init__()
+        if len(self.group_capacities) != len(self.groups):
+            raise InputError("group_capacities", "one capacity per group")
+        if min(self.group_capacities, default=1) < 1 or self.total_capacity < 1:
+            raise InputError("", "capacity must be >= 1")  # the whole structure
         if set(self.group_index) != set(range(len(self.group_index))):
-            raise ValueError("groups must partition 0..n-1")
+            raise InputError("groups", "groups must partition 0..n-1")
 
     @property
     def ground_size(self) -> int:

@@ -17,6 +17,11 @@ Example:
 
 Transversal structures carry an explicit "right_order" list; its positions
 define the fixed priority order and adjacency entries refer to its labels.
+
+The parser checks only what the document alone tells: JSON types and shapes,
+element keys in plain decimal, the `right_order` labels, the coverage of the
+ground set, the partition block's place in it, and alpha. A structure's own
+facts are checked by its constructor; `_built` names them under the document path.
 """
 
 from __future__ import annotations
@@ -107,40 +112,40 @@ def _object(raw, path: str) -> dict:
     return raw
 
 
-def _parse_edge_list(raw, vertices: int, path: str) -> tuple[tuple[int, int], ...]:
+def _built(make, prefix: str, *args):
+    """The structure `make(*args)`. Its constructor names the field it
+    rejects within the structure (empty for the whole structure); the
+    document path `prefix` goes in front."""
+    try:
+        return make(*args)
+    except InputError as exc:
+        field = f"{prefix}.{exc.field}" if exc.field else prefix
+        raise InputError(field, exc.message) from None
+
+
+def _parse_edge_list(raw, path: str) -> tuple[tuple[int, int], ...]:
     edges = []
     for i, pair in enumerate(_list(raw, path)):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InputError(f"{path}[{i}]", "edge must be a [u, v] pair")
-        u, v = (_integer(x, f"{path}[{i}]") for x in pair)
-        if not (0 <= u < vertices and 0 <= v < vertices):
-            raise InputError(f"{path}[{i}]", f"dangling vertex in ({u},{v})")
-        if u == v:
-            raise InputError(f"{path}[{i}]", "self-loops are not allowed")
-        edges.append((u, v))
+        edges.append(tuple(_integer(x, f"{path}[{i}]") for x in pair))
     return tuple(edges)
 
 
 def _parse_groups(raw, path: str) -> tuple[tuple[int, ...], ...]:
-    groups = []
-    seen: set[int] = set()
-    for i, grp in enumerate(_list(raw, path)):
-        for e in _list(grp, f"{path}[{i}]"):
-            _integer(e, f"{path}[{i}]")
-            if e in seen:
-                raise InputError(f"{path}[{i}]", f"element {e} in two groups")
-            seen.add(e)
-        groups.append(tuple(grp))
-    return tuple(groups)
+    return tuple(
+        tuple(_integer(e, f"{path}[{i}]") for e in _list(grp, f"{path}[{i}]"))
+        for i, grp in enumerate(_list(raw, path))
+    )
 
 
 def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] | None]:
     kind = _require(raw, "kind", "structure")
     if kind == "matching" or kind == "graphic":
         vertices = _integer(_require(raw, "vertices", "structure"), "structure.vertices")
-        edges = _parse_edge_list(_require(raw, "edges", "structure"), vertices, "structure.edges")
+        edges = _parse_edge_list(_require(raw, "edges", "structure"), "structure.edges")
         cls = GeneralMatching if kind == "matching" else Graphic
-        return cls(vertices, edges), None
+        return _built(cls, "structure", vertices, edges), None
     if kind == "transversal":
         left = _integer(_require(raw, "left", "structure"), "structure.left")
         right_order = _list(_require(raw, "right_order", "structure"), "structure.right_order")
@@ -151,10 +156,6 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
             )
         pos = {lab: i for i, lab in enumerate(labels)}
         raw_adj = _list(_require(raw, "adjacency", "structure"), "structure.adjacency")
-        if len(raw_adj) != left:
-            raise InputError(
-                "structure.adjacency", f"need one neighbor list per left node ({left})"
-            )
         adjacency = []
         for l, nbrs in enumerate(raw_adj):
             row = []
@@ -165,16 +166,12 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
                         f"structure.adjacency[{l}]", f"unknown right node {r!r}"
                     )
                 row.append(pos[lab])
-            if len(set(row)) != len(row):
-                raise InputError(
-                    f"structure.adjacency[{l}]", "right node listed twice"
-                )
             adjacency.append(tuple(row))
-        return Transversal(left, len(labels), tuple(adjacency)), tuple(labels)
+        return _built(Transversal, "structure", left, len(labels), tuple(adjacency)), tuple(labels)
     if kind == "truncated-partition":
         groups = _parse_groups(_require(raw, "groups", "structure"), "structure.groups")
         raw_caps = _require(raw, "group_capacities", "structure")
-        if not isinstance(raw_caps, list) or len(raw_caps) != len(groups):
+        if not isinstance(raw_caps, list):
             raise InputError("structure.group_capacities", "one capacity per group")
         caps = tuple(
             _integer(c, f"structure.group_capacities[{i}]") for i, c in enumerate(raw_caps)
@@ -182,15 +179,10 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
         total = _integer(
             _require(raw, "total_capacity", "structure"), "structure.total_capacity"
         )
-        if min(caps, default=1) < 1 or total < 1:
-            raise InputError("structure", "capacity must be >= 1")
-        try:
-            return TruncatedPartition(groups, caps, total), None
-        except ValueError as exc:
-            raise InputError("structure.groups", str(exc)) from exc
+        return _built(TruncatedPartition, "structure", groups, caps, total), None
     if kind == "simple-partition":
         groups = _parse_groups(_require(raw, "groups", "structure"), "structure.groups")
-        return SimplePartition(groups), None
+        return _built(SimplePartition, "structure", groups), None
     raise InputError("structure.kind", f"unknown structure kind {kind!r}")
 
 
@@ -253,15 +245,12 @@ def parse_instance(data: bytes | str) -> Instance:
             raise InputError(
                 f"distributions.{key}", "element key must be an integer"
             ) from None
+        if key != str(e):  # one spelling per id; int() also reads "01", "+1", " 1", "1_0"
+            raise InputError(f"distributions.{key}", f"element key must be written {str(e)!r}")
         dists[e] = _parse_distribution(raw, f"distributions.{key}")
-    if isinstance(structure, SimplePartition):
-        ground = set(structure.ground_set)
-        if ground != set(range(len(ground))):
-            raise InputError(
-                "structure.groups", "ground set must be exactly 0..n-1"
-            )
-    else:
-        ground = set(range(structure.ground_size))
+    ground = set(range(structure.ground_size))
+    if isinstance(structure, SimplePartition) and structure.ground_set != ground:
+        raise InputError("structure.groups", "ground set must be exactly 0..n-1")
     if not ground:
         raise InputError("structure", "the ground set has no elements")
     if set(dists) != ground:
@@ -274,18 +263,15 @@ def parse_instance(data: bytes | str) -> Instance:
     if "partition" in doc:
         raw_part = _object(doc["partition"], "partition")
         groups = _parse_groups(_require(raw_part, "groups", "partition"), "partition.groups")
-        for grp in groups:
-            for e in grp:
-                if e not in ground:
-                    raise InputError(
-                        "partition.groups", f"element {e} outside the ground set"
-                    )
+        partition = _built(SimplePartition, "partition", groups)
+        for e in partition.group_index:
+            if e not in ground:
+                raise InputError("partition.groups", f"element {e} outside the ground set")
         alpha = float(_number(_require(raw_part, "alpha", "partition"), "partition.alpha"))
         if not math.isfinite(alpha) or alpha < 1:
             raise InputError(
                 "partition.alpha", "alpha must be a finite number >= 1"
             )
-        partition = SimplePartition(groups)
     return Instance(name, structure, dists, partition, alpha, right_labels)
 
 

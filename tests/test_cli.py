@@ -310,6 +310,11 @@ def _empty_document(structure):
     return {"name": "empty", "structure": structure, "distributions": {}}
 
 
+def _keyed(*keys):
+    # The rank1 document with its laws under these element keys.
+    return {**_rank1_document(UNIT_UNIFORM), "distributions": {k: UNIT_UNIFORM for k in keys}}
+
+
 def _huge_rank1():
     # The values fit a float, their squares do not.
     return _rank1_document({"kind": "uniform", "a": 1e200, "b": 2e200, "mhr": True},
@@ -382,6 +387,11 @@ def _huge_matching():
      "--instance"),
     (["mechanism", "--policy", "rank1", "--instance", "."], None, "--instance"),
     (["--out", "no-such-dir/report.json", "game", "--rr", "1", "--rb", "2"], None, "--out"),
+    # An element id has one spelling, so no law can replace another's.
+    (["simulate", "--policy", "rank1"], _keyed("0", "1", "01"), "distributions.01"),
+    (["simulate", "--policy", "rank1"], _keyed("0", " 1"), "distributions. 1"),
+    (["simulate", "--policy", "rank1"], _keyed("0", "+1"), "distributions.+1"),
+    (["simulate", "--policy", "rank1"], _keyed("0", "1_0"), "distributions.1_0"),
 ], ids=[
     "missing-field", "edge-not-a-pair", "self-loop", "adjacency-rows", "unknown-right-node",
     "right-node-twice", "capacity-count", "groups-not-0..n-1", "distribution-kind",
@@ -392,6 +402,8 @@ def _huge_matching():
     "mechanism-squares-overflow", "groups-int", "partition-groups-int", "edges-null",
     "edges-object", "rate-scale-overflow-exact", "rate-scale-overflow-mc",
     "instance-missing", "instance-a-directory", "out-in-a-missing-directory",
+    "element-key-leading-zero", "element-key-space", "element-key-plus",
+    "element-key-underscore",
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejections_exit_2_and_name_the_field(argv, doc, field, tmp_path, capsys):

@@ -5,11 +5,11 @@ subcommands, with flag values that are 0, negative, huge or not numbers,
 an `--out` that is stdout, a file, a file in a missing directory or a
 directory, and an `SSPILAB_WORKERS` that is unset, small, huge or not an
 integer; and instance documents mutated from the fixtures (dropped or retyped
-fields, non-finite numbers, out-of-range ids, empty groups). Whatever the
-input, the exit code is 0, 1, 2 or 3, never 4 (a fault of the program);
-stderr holds no traceback; an exit-2 message starts with the field or the
-flag at fault; and exit 1 (a failed verification) comes only from `verify`
-and `game`.
+fields, non-finite numbers, out-of-range ids, empty groups, respelled keys,
+repeated list entries). Whatever the input, the exit code is 0, 1, 2 or 3,
+never 4 (a fault of the program); stderr holds no traceback; an exit-2
+message starts with the field or the flag at fault; and exit 1 (a failed
+verification) comes only from `verify` and `game`.
 """
 
 import contextlib
@@ -167,6 +167,9 @@ RETYPED = [None, True, "x", "2", [], {}, 1.5, [[0, 1]], {"kind": "uniform"}]
 EXTREME = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7e308]
 OUT_OF_RANGE = [-1, -3, 5, 7, 64]
 LEMMAS = [lemma for lemma in LEMMA_IDS if lemma != "game-value"]
+# Spellings of a key that int() reads as the same element id, or as another.
+RESPELL = [lambda k: "0" + k, lambda k: "+" + k, lambda k: k + "_0",
+           lambda k: k.translate(str.maketrans("0123456789", "０１２３４５６７８９"))]
 
 
 def _nodes(node, parent=None, key=None):
@@ -191,8 +194,19 @@ def mutated_runs(draw) -> tuple[dict, list[str]]:
         if not nodes:
             break
         parent, key, node = draw(st.sampled_from(nodes))
-        op = draw(st.sampled_from(["drop", "retype", "extreme", "out-of-range", "empty"]))
-        if op == "drop":
+        op = draw(st.sampled_from(["drop", "retype", "extreme", "out-of-range", "empty",
+                                   "rekey", "repeat"]))
+        if op == "rekey" and isinstance(parent, dict):
+            respelled = draw(st.sampled_from(RESPELL))(key)
+            if draw(st.booleans()):  # a second entry under the respelled key
+                parent[respelled] = copy.deepcopy(node)
+            else:
+                parent[respelled] = parent.pop(key)
+        elif op == "repeat" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(node))
+        elif op in ("rekey", "repeat"):
+            continue  # no key to respell, or no list to repeat in
+        elif op == "drop":
             del parent[key]
         elif op == "retype":
             parent[key] = copy.deepcopy(draw(st.sampled_from(RETYPED)))

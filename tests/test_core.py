@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sspilab.core import (
+    ElementRealization,
     build_sample_path,
     discrete,
     draw_realization,
@@ -121,6 +124,13 @@ class TestSamplePath:
         r = make_realizations([(5, 2)])[0]
         with pytest.raises(ValueError):
             build_sample_path([r, r])
+
+    def test_ids_beyond_0_to_n_minus_1_rejected(self):
+        # Configuration bit e is element e's coin: with ids {0, 5} the masks
+        # 0..3 could not show every coin vector.
+        reals = [ElementRealization(e, tv(9, 0.75, e), tv(1, 0.25, e)) for e in (0, 5)]
+        with pytest.raises(ValueError, match=re.escape("0..1, got ids [0, 5]")):
+            build_sample_path(reals)
 
     def test_y_precedes_z_random(self, rng):
         for _ in range(25):

@@ -1,9 +1,19 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from sspilab.feasibility import GeneralMatching, Transversal
-from sspilab.generators import random_instance, star_graphic_instance
+from sspilab.cli import main
+from sspilab.feasibility import (
+    GeneralMatching,
+    Graphic,
+    SimplePartition,
+    Transversal,
+    TruncatedPartition,
+)
+from sspilab.generators import STRUCTURE_KINDS, random_instance, star_graphic_instance
 from sspilab.core import InputError
 from sspilab.instances import (
     Instance,
@@ -186,3 +196,105 @@ def test_sparse_simple_partition_ground_rejected():
     }
     with pytest.raises(InputError, match="0..n-1"):
         parse_instance(doc_bytes(doc))
+
+
+def _document(structure, n=2, partition=None):
+    doc = {"name": "rejected", "structure": structure,
+           "distributions": {str(e): {"kind": "point-mass", "value": 1} for e in range(n)}}
+    if partition is not None:
+        doc["partition"] = {"alpha": 2.0, "groups": partition}
+    return doc
+
+
+def _laminar(groups, caps, total):
+    return _document({"kind": "truncated-partition", "groups": groups,
+                      "group_capacities": caps, "total_capacity": total})
+
+
+def _transversal(left, right_order, adjacency):
+    return _document({"kind": "transversal", "left": left, "right_order": right_order,
+                      "adjacency": adjacency})
+
+
+# Per structure fact: the constructor call that breaks it, the document that
+# breaks it, and the document path of the structure; README's dangling-vertex
+# example leads with its stderr verbatim.
+STRUCTURE_FACTS = {
+    "dangling-vertex": (
+        lambda: GeneralMatching(4, ((0, 7),)),
+        _document({"kind": "matching", "vertices": 4, "edges": [[0, 7]]}, 1), "structure",
+        "error: structure.edges[0]: dangling vertex in (0,7)\n"),
+    "self-loop": (
+        lambda: Graphic(3, ((0, 1), (1, 1))),
+        _document({"kind": "graphic", "vertices": 3, "edges": [[0, 1], [1, 1]]}), "structure",
+        None),
+    "structure-groups-overlap": (
+        lambda: SimplePartition(((0, 1), (1,))),
+        _document({"kind": "simple-partition", "groups": [[0, 1], [1]]}), "structure", None),
+    "laminar-groups-overlap": (
+        lambda: TruncatedPartition(((0,), (0, 1)), (1, 1), 1),
+        _laminar([[0], [0, 1]], [1, 1], 1), "structure", None),
+    "partition-groups-overlap": (
+        lambda: SimplePartition(((0,), (1, 0))),
+        _document({"kind": "simple-partition", "groups": [[0, 1]]}, 2, [[0], [1, 0]]),
+        "partition", None),
+    "adjacency-rows": (
+        lambda: Transversal(2, 1, ((0,),)),
+        _transversal(2, ["a"], [["a"]]), "structure", None),
+    "right-node-twice": (
+        lambda: Transversal(2, 2, ((0,), (1, 1))),
+        _transversal(2, ["a", "b"], [["a"], ["b", "b"]]), "structure", None),
+    "capacity-count": (
+        lambda: TruncatedPartition(((0, 1),), (1, 1), 1),
+        _laminar([[0, 1]], [1, 1], 1), "structure", None),
+    "group-capacity": (
+        lambda: TruncatedPartition(((0,), (1,)), (1, 0), 1),
+        _laminar([[0], [1]], [1, 0], 1), "structure", None),
+    "total-capacity": (
+        lambda: TruncatedPartition(((0, 1),), (1,), 0),
+        _laminar([[0, 1]], [1], 0), "structure", None),
+    "groups-not-0..n-1": (
+        lambda: TruncatedPartition(((0, 2),), (1,), 1),
+        _laminar([[0, 2]], [1], 1), "structure", None),
+}
+
+
+@pytest.mark.parametrize("make, document, prefix, stderr", STRUCTURE_FACTS.values(),
+                         ids=STRUCTURE_FACTS.keys())
+def test_the_constructor_is_the_parsers_structure_check(make, document, prefix, stderr,
+                                                       tmp_path, capsys):
+    # One check per fact: the parser names the constructor's field under the
+    # structure's document path, with the constructor's message.
+    with pytest.raises(InputError) as built:
+        make()
+    with pytest.raises(InputError) as parsed:
+        parse_instance(json.dumps(document))
+    field = f"{prefix}.{built.value.field}" if built.value.field else prefix
+    assert (parsed.value.field, parsed.value.message) == (field, built.value.message)
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps(document))
+    assert main(["simulate", "--policy", "rank1", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == (stderr or f"error: {parsed.value}\n")
+
+
+@given(st.sampled_from(STRUCTURE_KINDS), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans())
+def test_documents_parse_back_to_their_instance(kind, n, seed, partitioned, relabel):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(kind, n, rng)
+    s = inst.structure
+    labels = None
+    if relabel and isinstance(s, Transversal):
+        labels = tuple(f"r{k}" for k in rng.permutation(s.right_count).tolist())
+    partition = alpha = None
+    if partitioned:
+        where = rng.integers(0, n, size=n).tolist()
+        partition = SimplePartition(tuple(
+            tuple(e for e in range(n) if where[e] == g) for g in range(n)))
+        alpha = 1.0 + float(rng.random()) * 3.0
+    inst = dataclasses.replace(inst, partition=partition, partition_alpha=alpha,
+                               right_labels=labels)
+    again = parse_instance(json.dumps(instance_to_document(inst)))
+    if isinstance(s, Transversal) and labels is None:  # the document names them 0..m-1
+        inst = dataclasses.replace(inst, right_labels=tuple(map(str, range(s.right_count))))
+    assert again == inst
