@@ -4,7 +4,7 @@ nested-bins coin game.
 The verifiers enumerate every coin configuration and compare both sides of
 each identity or inequality as exact integer counts. Value-weighted sums,
 and the matched values that match-sufficient compares with its need, add
-the path values' `core.exact_integers` (through `ConfigEnsemble.path_total`
+the path values' `core.exact_integers` (through `PathLayout.path_total`
 and `exact.exact_table`: int64 while the sums fit, python ints past that),
 so no comparison rounds. The greedy-objective right
 side is counted by a dynamic program along the path (`_greedy_recount`)
@@ -247,8 +247,8 @@ def _verify_symmetry(ens: ConfigEnsemble) -> LemmaReport:
 
 def _verify_forget_z(ens: ConfigEnsemble) -> LemmaReport:
     counts = _counts(ens.heads & ens.free("H"))
-    y_sum = ens.path_total(counts * ens.is_y)
-    all_sum = ens.path_total(counts)
+    y_sum = ens.layout.path_total(counts * ens.is_y)
+    all_sum = ens.layout.path_total(counts)
     passed = 2 * y_sum >= all_sum
     return LemmaReport("forget-z", passed, y_sum, all_sum / 2, ens.num_configs)
 
@@ -295,9 +295,9 @@ def _verify_greedy_objective(ens: ConfigEnsemble) -> LemmaReport:
     # Left side from the vectorized free-flag tables; right side counted
     # from the scalar greedy rule (`_greedy_recount`), an independent code
     # path.
-    lhs = ens.path_total(_counts(ens.heads & ens.free("H")))
+    lhs = ens.layout.path_total(_counts(ens.heads & ens.free("H")))
     recount, visited = _greedy_recount(ens)
-    rhs = ens.path_total(recount)
+    rhs = ens.layout.path_total(recount)
     return LemmaReport(
         "greedy-objective", lhs == rhs, lhs, rhs, ens.num_configs,
         f"{visited} greedy states over {ens.num_configs} configurations"

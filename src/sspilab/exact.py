@@ -23,7 +23,12 @@ is the pair sum minus the reward's.
   position is the same in every column. Exact `simulate` walks the 2**n
   configurations in blocks of CONFIG_BLOCK (`config_blocks`), which share
   the arrays of one sample path (`PathLayout`), and sums integer counts
-  across them.
+  across them, except for rank1 and the reductions: their groups have
+  capacity 1, and the rank-1 walk (`rank1_walk`) gets the same counts of
+  E_ALG from the `PathLayout` alone. Per group, the first sample sits at
+  sub-position i with weight 2**(n-i-1) at a Y index and 2**(n-i) at a Z
+  index, and the reward taken is a Y index above it. Stopped at the first
+  reward, the walk gives E_OPT on the structures of `optimum_grouping`.
 - `TrialBatch` (Monte Carlo mode, the mechanism): one column per trial,
   each with its own draws (`core.draw_trials`). The element at a path
   position differs from column to column. With coins, heads makes the
@@ -77,7 +82,7 @@ Exact sums follow one rule: `core.exact_integers` turns the path values
 into integers over one shared power of two, and `exact_table` holds them
 in int64 while a sum of the terms it is asked for stays below
 2**MASK_BITS, as python ints (object dtype) past that. E_OPT's and the
-matching adversary's near ties, `ConfigEnsemble.path_total` and the
+matching adversary's near ties, `PathLayout.path_total` and the
 match-sufficient verifier all sum those integers.
 """
 
@@ -463,10 +468,10 @@ class PathBatch:
 
 class PathLayout:
     """The arrays of one sample path that every block of its configurations
-    shares, built once: the element at each path position (`elem`), the Y
-    flags (`is_y`) and values (`w_val`) per position, the index of the
-    absent threshold, and per element its Y index and pair sum (Y index +
-    Z index) as (n, 1) path indices of the index type."""
+    and `rank1_walk` share, built once: the element at each path position
+    (`elem`), the Y flags (`is_y`) and values (`w_val`) per position, the
+    index of the absent threshold, and per element its Y index and pair sum
+    (Y index + Z index) as (n, 1) path indices of the index type."""
 
     def __init__(self, structure, realizations) -> None:
         self.path = build_sample_path(realizations)
@@ -489,18 +494,82 @@ class PathLayout:
         # Index of the absent threshold: every positive value precedes it.
         self.absent = y_idx.dtype.type((self.w_val > 0).sum())
 
+    def path_total(self, counts) -> Fraction:
+        """Exact sum over path indices of value times count: one integer
+        sum of the values' `exact_integers` over their shared 2**scale."""
+        counts = np.asarray(counts).tolist()
+        ints, scale = exact_integers([v for v, c in zip(self.w_val.tolist(), counts) if c])
+        return Fraction(sum(map(mul, ints, filter(None, counts))), 1 << scale)
+
+
+def path_layout(structure, realizations) -> PathLayout:
+    """The realizations' `PathLayout`, or `realizations` if it is one."""
+    if isinstance(realizations, PathLayout):
+        return realizations
+    return PathLayout(structure, realizations)
+
+
+def rank1_walk(layout: PathLayout, grouping=None, adversary: str | None = None) -> list[int]:
+    """Per path index, in how many of the 2**n configurations the capacity-1
+    groups of `grouping` (a (group, count) pair as `policy_run` takes it,
+    index `count` for no group; None for one group of all) take the value
+    there, in python ints.
+
+    Before a group's first sample, its sub-path (its path indices in order)
+    holds only Y indices showing heads: a Z index there would be a sample.
+    So the first sample sits at sub-position i in 2**(n-i-1) configurations
+    at a Y index and 2**(n-i) at a Z index, never past the first Z index. Of
+    the i rewards above it, "increasing" and "exhaustive-min" take the last,
+    "fixed" the smallest element id: a Y index either way. With no adversary
+    the same weights count each group's first reward, which the greedy on
+    the rewards takes."""
+    n = layout.path.n
+    group, count = (np.zeros(n, dtype=np.int64), 1) if grouping is None else grouping
+    ids = group.tolist()
+    subpaths: dict[int, list[int]] = {}
+    for j, e in enumerate(layout.elem):
+        if ids[e] < count:
+            subpaths.setdefault(ids[e], []).append(j)
+    is_y, elem = layout.is_y.tolist(), layout.elem
+    counts = [0] * (2 * n)
+    for sub in subpaths.values():
+        smallest = None  # the path index of the smallest element id so far
+        for i, j in enumerate(sub):
+            weight = 1 << (n - i - is_y[j])
+            if adversary is None:
+                counts[j] += weight
+            elif i:
+                counts[smallest if adversary == "fixed" else sub[i - 1]] += weight
+            if not is_y[j]:
+                break
+            if smallest is None or elem[j] < elem[smallest]:
+                smallest = j
+    return counts
+
+
+def optimum_grouping(fs):
+    """The grouping on which `rank1_walk` with no adversary counts E_OPT
+    (= E_OPT') of structure `fs`, where the greedy on the rewards takes each
+    group's first reward: one group under a total capacity of 1, or a simple
+    partition's groups and its no-group slot. None where E_OPT needs the
+    blocks."""
+    if isinstance(fs, TruncatedPartition) and fs.total_capacity == 1:
+        return np.zeros(fs.ground_size, dtype=np.int64), 1
+    if isinstance(fs, SimplePartition):
+        return group_ids(fs.groups, fs.ground_size), len(fs.groups) + 1
+    return None
+
 
 class ConfigEnsemble(PathBatch):
     """The configurations lo..hi-1 (all 2**n by default) for one structure
     and fixed realizations of its elements 0..n-1; bit e of configuration c
     is element e's coin, and column c - lo holds configuration c.
-    `realizations` may also be their `PathLayout`, built once for several
-    blocks."""
+    `realizations` may also be their `PathLayout` (`layout`), built once
+    for several blocks."""
 
     def __init__(self, structure, realizations, lo: int = 0, hi: int | None = None) -> None:
-        layout = realizations if isinstance(realizations, PathLayout) else PathLayout(
-            structure, realizations
-        )
+        layout = path_layout(structure, realizations)
+        self.layout = layout
         self.path = layout.path
         self.is_y = layout.is_y
         y_idx = layout.y_idx
@@ -532,13 +601,6 @@ class ConfigEnsemble(PathBatch):
         out = flags[y]
         out |= flags[self.pair_sum[:, 0] - y]
         return out
-
-    def path_total(self, counts) -> Fraction:
-        """Exact sum over path indices of value times count: one integer
-        sum of the values' `exact_integers` over their shared 2**scale."""
-        counts = np.asarray(counts).tolist()
-        ints, scale = exact_integers([v for v, c in zip(self.w_val.tolist(), counts) if c])
-        return Fraction(sum(map(mul, ints, filter(None, counts))), 1 << scale)
 
     # -- supporting events ---------------------------------------------------
     #
@@ -604,10 +666,10 @@ class ConfigEnsemble(PathBatch):
 
 
 def config_blocks(structure, realizations) -> Iterator[ConfigEnsemble]:
-    """All 2**n configurations of the realizations as ensembles of
-    CONFIG_BLOCK consecutive ones, in order, made one at a time as they are
-    read, on one sample path (one `PathLayout`)."""
-    layout = PathLayout(structure, realizations)
+    """All 2**n configurations of the realizations (or of their
+    `PathLayout`) as ensembles of CONFIG_BLOCK consecutive ones, in order,
+    made one at a time as they are read, on one sample path."""
+    layout = path_layout(structure, realizations)
     for lo in range(0, 1 << layout.path.n, CONFIG_BLOCK):
         yield ConfigEnsemble(structure, layout, lo, lo + CONFIG_BLOCK)
 

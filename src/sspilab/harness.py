@@ -1,16 +1,21 @@
 """Experiment harness: exact and Monte Carlo competitive-ratio estimation,
 the star-graph tight example, and the fields of their reports.
 
-Both modes evaluate a batch of coin configurations at once with the
-batched policies of `exact.py` (`policy_run`), one column per
-configuration. `exact.py` also builds the reduction partitions
-(`reduction_partitions`) and decides E_OPT (`optimum_accepts`); this module
-drives the batches and aggregates. Exact mode draws one realization set from
-the instance and evaluates its 2**n coin configurations in blocks of
-`exact.CONFIG_BLOCK`, one block at a time, with one run per partition; the
-sample path and the reduction partitions are made once
-per command. It sums integer path-index counts over the blocks and reports
-expectations as exact rationals, the same for any block size; the
+Both modes evaluate a batch of coin configurations at once with the batched
+policies of `exact.py` (`policy_run`), one column per configuration.
+`exact.py` also builds the reduction partitions (`reduction_partitions`)
+and decides E_OPT (`optimum_accepts`); this module drives the batches and
+aggregates. Exact mode draws one realization set from the instance and
+makes its sample path (`exact.PathLayout`) and reduction partitions once
+per command. WALK_POLICIES (rank1 and both reductions) take E_ALG from
+`exact.rank1_walk`, one walk per partition times its weight, so
+z_violations is 0; so does E_OPT where the structure has an
+`exact.optimum_grouping`. The walk keeps the n <= EXACT_MODE_CAP cap while
+perfbench's `probe-cap` expects exit 3 from exact rank1 at n = 17. The rest
+evaluates the 2**n coin configurations in blocks of `exact.CONFIG_BLOCK`,
+one block at a time. Both give integer path-index counts, summed into exact
+rationals by `PathLayout.path_total`, so the results do not depend on the
+route or the block size; the
 worst-case adversary minimizes the policy total per configuration. Monte
 Carlo mode splits its trials into chunks of MC_CHUNK and evaluates each
 chunk as one batch with `mc_trials`, the one chunk evaluator, which the
@@ -51,10 +56,13 @@ from .core import (
 )
 from .exact import (
     ConfigEnsemble,
+    PathLayout,
     TrialBatch,
     config_blocks,
     optimum_accepts,
+    optimum_grouping,
     policy_run,
+    rank1_walk,
     reduction_partitions,
 )
 from .instances import Instance
@@ -75,6 +83,8 @@ CSV_HEADER = (
 )
 
 EXACT_ADVERSARIES = ("fixed", "increasing", "exhaustive-min")
+# Exact policies of capacity-1 groups, whose E_ALG is `exact.rank1_walk`.
+WALK_POLICIES = ("rank1", "reduction-custom", "reduction-graphic")
 MC_ADVERSARIES = ("fixed", "increasing", "random", "exhaustive-min")
 
 
@@ -129,26 +139,23 @@ def competitive_ratio(e_opt, e_alg) -> float:
 
 
 def _block_counts(
-    ens: ConfigEnsemble, policy: str, adversary: str, partitions: list
-) -> tuple[np.ndarray, int, int]:
+    ens: ConfigEnsemble, policy: str | None, adversary: str, grouping=None
+) -> tuple[np.ndarray, int]:
     """On one block of configurations: the (3, 2n) path-index counts of the
-    rewards of E_ALG (summed over the runs, one per partition, each times
-    its weight), E_OPT and E_OPT_PRIME; the weighted number of runs; and the
-    weighted z-violation count. Runs are summed as they are made, so one is
-    alive at a time."""
-    ridx = ens.ridx
+    rewards of E_ALG (one run of `policy` on `grouping`, or none when
+    `policy` is None), E_OPT and E_OPT_PRIME, and the z-violation count."""
     counts = np.zeros((3, ens.length), dtype=np.int64)
     opt = optimum_accepts(ens)  # first: its tables hold the bitmask caps
-    z_violations = runs = 0
-    for grouping, weight in partitions:
+    z_violations = 0
+    if policy is not None:
+        ridx = ens.ridx
         run = policy_run(ens, policy, adversary, grouping)
-        counts[0] += weight * np.bincount(ridx[run.accepted], minlength=ens.length)
+        counts[0] = np.bincount(ridx[run.accepted], minlength=ens.length)
         # rewards at Z indices
-        z_violations += weight * int((run.accepted & (ridx > ens.y_idx)).sum())
-        runs += weight
+        z_violations = int((run.accepted & (ridx > ens.y_idx)).sum())
     counts[2] = (ens.heads & ens.free("H")).sum(axis=1)
-    counts[1] = counts[2] if opt is None else np.bincount(ridx[opt], minlength=ens.length)
-    return counts, runs, z_violations
+    counts[1] = counts[2] if opt is None else np.bincount(ens.ridx[opt], minlength=ens.length)
+    return counts, z_violations
 
 
 def estimate_ratio_exact(
@@ -159,9 +166,10 @@ def estimate_ratio_exact(
 ) -> RatioReport:
     """Exact expectations over all configurations for one drawn realization
     set, with the adversary minimizing per configuration when asked. The
-    configurations go in blocks (`exact.config_blocks`); integer path-index
-    counts are summed over the blocks and turned into one Fraction each, so
-    the results do not depend on the block size."""
+    policies of WALK_POLICIES take `rank1_walk` for E_ALG, and for E_OPT
+    where the structure has an `optimum_grouping`; the rest goes through the
+    configurations in blocks (`exact.config_blocks`). Integer path-index
+    counts become one Fraction each, whatever the route or block size."""
     start = time.perf_counter()
     check_policy(policy, instance.structure, instance.partition)
     if adversary not in EXACT_ADVERSARIES:
@@ -171,15 +179,24 @@ def estimate_ratio_exact(
         raise CapExceededError(f"exact mode capped at n <= {EXACT_MODE_CAP}")
     realizations = instance.draw_realizations(trial_rng(seed, 0))
     partitions = reduction_partitions(instance, policy)
+    layout = PathLayout(instance.structure, realizations)
+    walked = policy in WALK_POLICIES
+    opt_grouping = optimum_grouping(instance.structure) if walked else None
     counts = np.zeros((3, 2 * n), dtype=np.int64)
-    z_violations = run_columns = 0
-    for ens in config_blocks(instance.structure, realizations):
-        block, runs, z = _block_counts(ens, policy, adversary, partitions)
-        counts += block
-        z_violations += z
-        run_columns += runs * ens.num_configs
+    z_violations = 0
+    if walked:
+        walks = [(weight, rank1_walk(layout, grouping, adversary)) for grouping, weight in partitions]
+        counts[0] = [sum(w * walk[j] for w, walk in walks) for j in range(2 * n)]
+    if opt_grouping is not None:
+        counts[1] = counts[2] = rank1_walk(layout, opt_grouping)
+    else:
+        for ens in config_blocks(instance.structure, layout):
+            block, z = _block_counts(ens, None if walked else policy, adversary)
+            counts += block
+            z_violations += z
+    runs = sum(weight for _, weight in partitions)
     e_alg, e_opt, e_opt_prime = (
-        ens.path_total(c) / columns for c, columns in zip(counts, (run_columns, 1 << n, 1 << n))
+        layout.path_total(c) / columns for c, columns in zip(counts, (runs << n, 1 << n, 1 << n))
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RatioReport(

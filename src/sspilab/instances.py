@@ -16,7 +16,8 @@ Example:
     }
 
 Transversal structures carry an explicit "right_order" list; its positions
-define the fixed priority order and adjacency entries refer to its labels.
+define the fixed priority order and adjacency entries refer to its labels,
+JSON strings or integers matched by type and value (`_label`).
 
 The parser checks only what the document alone tells: JSON types and shapes,
 element keys in plain decimal, the `right_order` labels, the coverage of the
@@ -98,6 +99,14 @@ def _integer(raw, path: str) -> int:
     return raw
 
 
+def _label(raw, path: str) -> tuple[type, object]:
+    """A right-node label, a JSON string or integer, keyed by its type and
+    value: 1, "1", true and 1.0 are not the same label."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        raise InputError(path, f"expected a string or an integer label, got {raw!r}")
+    return type(raw), raw
+
+
 def _list(raw, path: str) -> list:
     """A JSON list; strings and objects are rejected, not iterated."""
     if not isinstance(raw, list):
@@ -149,18 +158,18 @@ def _parse_structure(raw: dict) -> tuple[FeasibilityStructure, tuple[str, ...] |
     if kind == "transversal":
         left = _integer(_require(raw, "left", "structure"), "structure.left")
         right_order = _list(_require(raw, "right_order", "structure"), "structure.right_order")
+        pos = {_label(r, f"structure.right_order[{i}]"): i for i, r in enumerate(right_order)}
         labels = [str(r) for r in right_order]
         if len(set(labels)) != len(labels):
             raise InputError(
                 "structure.right_order", "right-node order is not a permutation"
             )
-        pos = {lab: i for i, lab in enumerate(labels)}
         raw_adj = _list(_require(raw, "adjacency", "structure"), "structure.adjacency")
         adjacency = []
         for l, nbrs in enumerate(raw_adj):
             row = []
             for r in _list(nbrs, f"structure.adjacency[{l}]"):
-                lab = str(r)
+                lab = _label(r, f"structure.adjacency[{l}]")
                 if lab not in pos:
                     raise InputError(
                         f"structure.adjacency[{l}]", f"unknown right node {r!r}"

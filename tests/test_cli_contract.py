@@ -5,11 +5,12 @@ subcommands, with flag values that are 0, negative, huge or not numbers,
 an `--out` that is stdout, a file, a file in a missing directory or a
 directory, and an `SSPILAB_WORKERS` that is unset, small, huge or not an
 integer; and instance documents mutated from the fixtures (dropped or retyped
-fields, non-finite numbers, out-of-range ids, empty groups, respelled keys,
-repeated list entries). Whatever the input, the exit code is 0, 1, 2 or 3,
-never 4 (a fault of the program); stderr holds no traceback; an exit-2
-message starts with the field or the flag at fault; and exit 1 (a failed
-verification) comes only from `verify` and `game`.
+fields, scalars swapped among 1, "1", true and 1.0, non-finite numbers,
+out-of-range ids, empty groups, respelled keys, repeated list entries).
+Whatever the input, the exit code is 0, 1, 2 or 3, never 4 (a fault of the
+program); stderr holds no traceback; an exit-2 message starts with the
+field or the flag at fault; and exit 1 (a failed verification) comes only
+from `verify` and `game`.
 """
 
 import contextlib
@@ -163,6 +164,8 @@ def _documents() -> list[tuple[dict, list[str]]]:
 
 DOCUMENTS = _documents()
 RETYPED = [None, True, "x", "2", [], {}, 1.5, [[0, 1]], {"kind": "uniform"}]
+# Scalars that print alike or compare equal in Python but differ in JSON type.
+RETYPED_SCALARS = [1, "1", True, 1.0]
 # Non-finite numbers, and finite ones at the edges of the float range.
 EXTREME = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7e308]
 OUT_OF_RANGE = [-1, -3, 5, 7, 64]
@@ -194,8 +197,8 @@ def mutated_runs(draw) -> tuple[dict, list[str]]:
         if not nodes:
             break
         parent, key, node = draw(st.sampled_from(nodes))
-        op = draw(st.sampled_from(["drop", "retype", "extreme", "out-of-range", "empty",
-                                   "rekey", "repeat"]))
+        op = draw(st.sampled_from(["drop", "retype", "retype-scalar", "extreme",
+                                   "out-of-range", "empty", "rekey", "repeat"]))
         if op == "rekey" and isinstance(parent, dict):
             respelled = draw(st.sampled_from(RESPELL))(key)
             if draw(st.booleans()):  # a second entry under the respelled key
@@ -210,6 +213,8 @@ def mutated_runs(draw) -> tuple[dict, list[str]]:
             del parent[key]
         elif op == "retype":
             parent[key] = copy.deepcopy(draw(st.sampled_from(RETYPED)))
+        elif op == "retype-scalar":
+            parent[key] = draw(st.sampled_from(RETYPED_SCALARS))
         elif op == "extreme":
             parent[key] = draw(st.sampled_from(EXTREME))
         elif op == "out-of-range":

@@ -137,8 +137,8 @@ class TestExactMode:
             sorted(np.bincount(group).tolist()) for (group, _), _ in partitions
         ) == [[1, 2]] * 3
         runs = []
-        policy_run = harness.policy_run
-        monkeypatch.setattr(harness, "policy_run", lambda *a: runs.append(a) or policy_run(*a))
+        rank1_walk = harness.rank1_walk
+        monkeypatch.setattr(harness, "rank1_walk", lambda *a: runs.append(a) or rank1_walk(*a))
         got = estimate_ratio(inst, "reduction-graphic", adversary="increasing", mode="exact", seed=2)
         assert len(runs) == 3
         acc = Fraction(0)

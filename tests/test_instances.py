@@ -77,6 +77,38 @@ class TestParse:
         with pytest.raises(InputError, match="not a permutation"):
             parse_instance(doc_bytes(doc))
 
+    @pytest.mark.parametrize("right_order, adjacency, field", [
+        ([1, "x"], [["1"], [1]], "structure.adjacency[0]"),  # "1" is not the label 1
+        ([True], [["True"]], "structure.right_order[0]"),
+        ([1.0], [[1]], "structure.right_order[0]"),
+        ([1, "1"], [[1], ["1"]], "structure.right_order"),  # they print the same
+        ([1, "x"], [[1], [1.0]], "structure.adjacency[1]"),
+        ([1, "x"], [[1], [True]], "structure.adjacency[1]"),
+        ([1, "x"], [[1], [None]], "structure.adjacency[1]"),
+    ])
+    def test_right_labels_keep_their_json_type(self, right_order, adjacency, field):
+        doc = {
+            "name": "bad",
+            "structure": {"kind": "transversal", "left": len(adjacency),
+                          "right_order": right_order, "adjacency": adjacency},
+            "distributions": {str(e): {"kind": "point-mass", "value": 1}
+                              for e in range(len(adjacency))},
+        }
+        with pytest.raises(InputError) as err:
+            parse_instance(doc_bytes(doc))
+        assert err.value.field == field
+
+    def test_right_labels_of_both_types(self):
+        doc = {
+            "name": "ok",
+            "structure": {"kind": "transversal", "left": 2,
+                          "right_order": [7, "x"], "adjacency": [["x", 7], [7]]},
+            "distributions": {str(e): {"kind": "point-mass", "value": 1} for e in range(2)},
+        }
+        inst = parse_instance(doc_bytes(doc))
+        assert inst.right_labels == ("7", "x")
+        assert inst.structure.adjacency == ((1, 0), (0,))
+
     def test_overlapping_groups(self):
         doc = {
             "name": "bad",
