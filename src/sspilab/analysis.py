@@ -319,41 +319,38 @@ def _prob_report(name: str, ens: ConfigEnsemble, support: np.ndarray, factor: in
     )
 
 
+def _uniqueness_report(name: str, ens: ConfigEnsemble, counts) -> LemmaReport:
+    """A uniqueness lemma's verdict from (label, per-configuration count of
+    supporting indices) pairs, one per resource: the worst count is the
+    lhs, and the first resource supported more than once is the failure."""
+    worst, fail = 0, None
+    for label, count in counts:
+        m = int(count.max(initial=0))
+        worst = max(worst, m)
+        if m > 1 and fail is None:
+            fail = f"{label} supported by {m} indices in one configuration"
+    return LemmaReport(name, worst <= 1, Fraction(worst), Fraction(1), ens.num_configs,
+                       fail or "")
+
+
 def _verify_match_unique(ens: ConfigEnsemble) -> LemmaReport:
     fs = ens.structure
     support = ens.support_matching()
     ends = fs.edge_ends[1][ens.elem]  # per path index, its edge's vertex numbers
-    worst = 0
-    fail = None
-    for u, vertex in enumerate(fs.touched_vertices):
-        sim = support[(ends == u).any(axis=1)].sum(axis=0)
-        m = int(sim.max(initial=0))
-        worst = max(worst, m)
-        if m > 1 and fail is None:
-            fail = f"vertex {vertex} supported by {m} indices in one configuration"
-    return LemmaReport(
-        "match-unique", worst <= 1, Fraction(worst), Fraction(1),
-        ens.num_configs, fail or "",
-    )
+    return _uniqueness_report("match-unique", ens, (
+        (f"vertex {vertex}", support[(ends == u).any(axis=1)].sum(axis=0))
+        for u, vertex in enumerate(fs.touched_vertices)
+    ))
 
 
 def _verify_trans_unique(ens: ConfigEnsemble) -> LemmaReport:
     support, cand = ens.support_transversal()
-    rows = np.flatnonzero(support.any(axis=1)).tolist()
-    worst = 0
-    fail = None
-    for r in range(ens.structure.right_count):
-        count = np.zeros(ens.num_configs, dtype=np.uint8)  # supporting indices per config
-        for j in rows:
-            count += support[j] & (cand[j] == r)
-        m = int(count.max(initial=0))
-        worst = max(worst, m)
-        if m > 1 and fail is None:
-            fail = f"right node {r} supported by {m} indices in one configuration"
-    return LemmaReport(
-        "trans-unique", worst <= 1, Fraction(worst), Fraction(1),
-        ens.num_configs, fail or "",
-    )
+    rows = np.flatnonzero(support.any(axis=1))
+    support, cand = support[rows], cand[rows]
+    return _uniqueness_report("trans-unique", ens, (
+        (f"right node {r}", (support & (cand == r)).sum(axis=0, dtype=np.uint8))
+        for r in range(ens.structure.right_count)
+    ))
 
 
 def _sufficiency_report(

@@ -23,9 +23,9 @@ is the pair sum minus the reward's.
   position is the same in every column. Exact `simulate` walks the 2**n
   configurations in blocks of CONFIG_BLOCK (`config_blocks`), which share
   the arrays of one sample path (`PathLayout`), and sums integer counts
-  across them, except for rank1 and the reductions: their groups have
-  capacity 1, and the rank-1 walk (`rank1_walk`) gets the same counts of
-  E_ALG from the `PathLayout` alone. Per group, the first sample sits at
+  across them, except where `reduction_partitions` gives capacity-1
+  groups: the rank-1 walk (`rank1_walk`) gets the same counts of E_ALG
+  from the `PathLayout` alone. Per group, the first sample sits at
   sub-position i with weight 2**(n-i-1) at a Y index and 2**(n-i) at a Z
   index, and the reward taken is a Y index above it. Stopped at the first
   reward, the walk gives E_OPT on the structures of `optimum_grouping`.
@@ -63,14 +63,14 @@ index. The lemma verifiers' supporting events are one race kernel,
 `analysis._races`) the supporting-events section of `ConfigEnsemble`
 states. `policy_run` is the one batched form of each policy: its
 thresholds, its replay against a named adversary and each accepted
-element's critical price, on one of the reduction policies' partitions
-(`reduction_partitions` builds them). The matching and transversal
-policies read their live flags and target nodes off the tails-side free
-flags (see the thresholds section of `PathBatch`); their threshold tables
-serve only the prices. `optimum_accepts` decides E_OPT for every batch. On
-partitions and graphic matroids the greedy on the rewards (the heads-side
-free flags) is optimal and E_OPT needs nothing more. Else it comes from
-the structure's subset tables (`Transversal.matchable`,
+element's critical price, or the one group rule on a capacity-1 partition
+of `reduction_partitions`. The matching and transversal policies read
+their live flags and target nodes off the tails-side free flags (see the
+thresholds section of `PathBatch`); their threshold tables serve only the
+prices. `optimum_accepts` decides E_OPT for every batch. On partitions and
+graphic matroids the greedy on the rewards (the heads-side free flags) is
+optimal and E_OPT needs nothing more. Else it comes from the structure's
+subset tables (`Transversal.matchable`,
 `GeneralMatching.maximal_matchings`), built once per structure and shared
 by every batch of it: the matroid greedy for transversal systems, and the
 best maximal matching for matching, where float totals within a relative
@@ -509,11 +509,10 @@ def path_layout(structure, realizations) -> PathLayout:
     return PathLayout(structure, realizations)
 
 
-def rank1_walk(layout: PathLayout, grouping=None, adversary: str | None = None) -> list[int]:
+def rank1_walk(layout: PathLayout, grouping, adversary: str | None = None) -> list[int]:
     """Per path index, in how many of the 2**n configurations the capacity-1
     groups of `grouping` (a (group, count) pair as `policy_run` takes it,
-    index `count` for no group; None for one group of all) take the value
-    there, in python ints.
+    index `count` for no group) take the value there, in python ints.
 
     Before a group's first sample, its sub-path (its path indices in order)
     holds only Y indices showing heads: a Z index there would be a sample.
@@ -524,7 +523,7 @@ def rank1_walk(layout: PathLayout, grouping=None, adversary: str | None = None) 
     the same weights count each group's first reward, which the greedy on
     the rewards takes."""
     n = layout.path.n
-    group, count = (np.zeros(n, dtype=np.int64), 1) if grouping is None else grouping
+    group, count = grouping
     ids = group.tolist()
     subpaths: dict[int, list[int]] = {}
     for j, e in enumerate(layout.elem):
@@ -547,6 +546,11 @@ def rank1_walk(layout: PathLayout, grouping=None, adversary: str | None = None) 
     return counts
 
 
+def one_group(n: int):
+    """Rank1's grouping: one capacity-1 group of all n elements."""
+    return np.zeros(n, dtype=np.int64), 1
+
+
 def optimum_grouping(fs):
     """The grouping on which `rank1_walk` with no adversary counts E_OPT
     (= E_OPT') of structure `fs`, where the greedy on the rewards takes each
@@ -554,7 +558,7 @@ def optimum_grouping(fs):
     partition's groups and its no-group slot. None where E_OPT needs the
     blocks."""
     if isinstance(fs, TruncatedPartition) and fs.total_capacity == 1:
-        return np.zeros(fs.ground_size, dtype=np.int64), 1
+        return one_group(fs.ground_size)
     if isinstance(fs, SimplePartition):
         return group_ids(fs.groups, fs.ground_size), len(fs.groups) + 1
     return None
@@ -1020,9 +1024,9 @@ class PolicyRun:
 
 
 def policy_run(batch: PathBatch, policy: str, adversary, grouping=None) -> PolicyRun:
-    """The policy on every column of the batch against `adversary`. The
-    reduction policies take one of their partitions as `grouping`, a
-    (group, count) pair from `reduction_partitions`: `group` gives each
+    """The policy on every column of the batch against `adversary`. Handed
+    a `grouping`, one of the capacity-1 partitions of `reduction_partitions`
+    as a (group, count) pair, it runs the group rule: `group` gives each
     element's group index, fixed or one per column, and index `count` means
     no group.
 
@@ -1059,12 +1063,7 @@ def policy_run(batch: PathBatch, policy: str, adversary, grouping=None) -> Polic
             group_ids(fs.groups, batch.n), fs.group_capacities, fs.total_capacity,
         )
         return PolicyRun(accepted, lambda: _laminar_critical(batch, accepted))
-    if policy == "rank1":
-        # One group of capacity 1: the groups of a truncated partition
-        # cover the ground set with capacities >= 1, so under a total
-        # capacity of 1 they accept the same first live arrival.
-        grouping = (np.zeros(batch.n, dtype=np.int64), 1)
-    elif policy not in ("reduction-graphic", "reduction-custom"):
+    if grouping is None:
         raise RuntimeError(f"policy {policy!r} has no batched evaluator")
     # Each group takes its first arrival beating the group's largest sample
     # in the tagged order, so a reward worth 0 can beat samples worth 0 by
@@ -1078,8 +1077,10 @@ def policy_run(batch: PathBatch, policy: str, adversary, grouping=None) -> Polic
 
 def reduction_partitions(instance, policy: str, ranks: np.ndarray | None = None) -> list:
     """The partitions a policy's runs take, as (grouping, weight) pairs for
-    `policy_run`.
+    `policy_run`, and the one place that names the capacity-1 policies.
 
+    - rank1: one group of all elements (`one_group`), which under a total
+      capacity of 1 accepts what its truncated partition's groups accept;
     - reduction-custom: the instance's partition;
     - reduction-graphic with `ranks`, each touched vertex's rank (by the
       numbers of `edge_ends`) in its column's vertex order, (touched
@@ -1096,6 +1097,8 @@ def reduction_partitions(instance, policy: str, ranks: np.ndarray | None = None)
       equal partitions merge;
     - every other policy: one run with no grouping."""
     fs = instance.structure
+    if policy == "rank1":
+        return [(one_group(instance.ground_size), 1)]
     if policy == "reduction-custom":
         groups = instance.partition.groups
         return [((group_ids(groups, instance.ground_size), len(groups)), 1)]

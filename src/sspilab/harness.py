@@ -7,9 +7,9 @@ policies of `exact.py` (`policy_run`), one column per configuration.
 and decides E_OPT (`optimum_accepts`); this module drives the batches and
 aggregates. Exact mode draws one realization set from the instance and
 makes its sample path (`exact.PathLayout`) and reduction partitions once
-per command. WALK_POLICIES (rank1 and both reductions) take E_ALG from
-`exact.rank1_walk`, one walk per partition times its weight, so
-z_violations is 0; so does E_OPT where the structure has an
+per command. A policy whose partitions carry a grouping (capacity-1 groups)
+takes E_ALG from `exact.rank1_walk`, one walk per partition times its
+weight, so z_violations is 0; so does E_OPT where the structure has an
 `exact.optimum_grouping`. The walk keeps the n <= EXACT_MODE_CAP cap while
 perfbench's `probe-cap` expects exit 3 from exact rank1 at n = 17. The rest
 evaluates the 2**n coin configurations in blocks of `exact.CONFIG_BLOCK`,
@@ -83,8 +83,6 @@ CSV_HEADER = (
 )
 
 EXACT_ADVERSARIES = ("fixed", "increasing", "exhaustive-min")
-# Exact policies of capacity-1 groups, whose E_ALG is `exact.rank1_walk`.
-WALK_POLICIES = ("rank1", "reduction-custom", "reduction-graphic")
 MC_ADVERSARIES = ("fixed", "increasing", "random", "exhaustive-min")
 
 
@@ -165,11 +163,12 @@ def estimate_ratio_exact(
     seed: int = 0,
 ) -> RatioReport:
     """Exact expectations over all configurations for one drawn realization
-    set, with the adversary minimizing per configuration when asked. The
-    policies of WALK_POLICIES take `rank1_walk` for E_ALG, and for E_OPT
-    where the structure has an `optimum_grouping`; the rest goes through the
-    configurations in blocks (`exact.config_blocks`). Integer path-index
-    counts become one Fraction each, whatever the route or block size."""
+    set, with the adversary minimizing per configuration when asked. A
+    policy whose partitions carry a grouping takes `rank1_walk` for E_ALG,
+    and for E_OPT where the structure has an `optimum_grouping`; the rest
+    goes through the configurations in blocks (`exact.config_blocks`).
+    Integer path-index counts become one Fraction each, whatever the route
+    or block size."""
     start = time.perf_counter()
     check_policy(policy, instance.structure, instance.partition)
     if adversary not in EXACT_ADVERSARIES:
@@ -180,7 +179,7 @@ def estimate_ratio_exact(
     realizations = instance.draw_realizations(trial_rng(seed, 0))
     partitions = reduction_partitions(instance, policy)
     layout = PathLayout(instance.structure, realizations)
-    walked = policy in WALK_POLICIES
+    walked = partitions[0][0] is not None
     opt_grouping = optimum_grouping(instance.structure) if walked else None
     counts = np.zeros((3, 2 * n), dtype=np.int64)
     z_violations = 0

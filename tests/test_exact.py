@@ -27,6 +27,7 @@ from sspilab.exact import (
     min_maximal_accepts,
     optimum_accepts,
     policy_run,
+    reduction_partitions,
 )
 from sspilab.feasibility import (
     GeneralMatching,
@@ -427,7 +428,8 @@ def test_group_thresholds_are_tagged_largest_samples():
         ElementRealization(1, tv(1.0, 0.5, 1), tv(0.0, 0.2, 1)),
     ]
     ens = ConfigEnsemble(fs, reals)
-    run = policy_run(ens, "rank1", np.argsort(-ens.ridx, axis=0))
+    ((grouping, _),) = reduction_partitions(Instance("two", fs, {}), "rank1")
+    run = policy_run(ens, "rank1", np.argsort(-ens.ridx, axis=0), grouping)
     acc = run.accepted
     for mask in range(4):
         rewards, samples = {}, {}
